@@ -106,25 +106,29 @@ func (k Key) ID(kind string) string {
 // SizesKey encodes a bound size vector canonically (sorted by variable
 // name), e.g. "m=3|n=64".
 func SizesKey(sizes map[string]int64) string {
-	if len(sizes) == 0 {
-		return ""
+	names := sortedKeys(sizes)
+	vals := make([]int64, len(names))
+	for i, k := range names {
+		vals[i] = sizes[k]
 	}
-	names := make([]string, 0, len(sizes))
-	for k := range sizes {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.Grow(16 * len(names))
+	return SizesKeySorted(names, vals)
+}
+
+// SizesKeySorted is SizesKey for callers that already hold the variable
+// names in sorted order with their values alongside; it neither sorts
+// nor allocates beyond the result.
+func SizesKeySorted(names []string, vals []int64) string {
+	var buf [64]byte
+	b := buf[:0]
 	for i, k := range names {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatInt(sizes[k], 10))
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, vals[i], 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // fnvMix streams bytes through an inline FNV-1a state; hashing a config

@@ -164,6 +164,11 @@ func (m *Matrix) Region(begin, end []int) *Matrix {
 	return out
 }
 
+// Detach drops a reusable view's reference to its backing storage while
+// keeping its dims/strides capacity for the next RegionInto, so a pooled
+// view does not pin the matrix it last windowed.
+func (m *Matrix) Detach() { m.data = nil }
+
 // RegionInto configures out in place as the [begin, end) view of m,
 // reusing out's dims/strides storage when capacity allows. It is the
 // allocation-free counterpart of Region for hot loops that rebuild the

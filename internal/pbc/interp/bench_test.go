@@ -366,3 +366,84 @@ func BenchmarkInterpWavefrontSummedAreaPool(b *testing.B) {
 		}
 	}
 }
+
+// The BenchmarkMacro*Pool family measures transform re-entry: tuned
+// multi-level selectors in which every level re-enters the engine
+// through a macro rule, so the per-call cost (shape binding, frames,
+// cache keys, nested joins) is paid hundreds of times per run. These are
+// the gated macro-rule workloads ROADMAP requires before the closure
+// tier may be deleted. Default engine tier, 2-worker pool.
+
+// macroMergeSortCfg is "SelectionSort below 32, recursive Merge above".
+func macroMergeSortCfg() *choice.Config {
+	cfg := choice.NewConfig()
+	cfg.SetSelector(SelectorName("MergeSortDSL"), choice.Selector{Levels: []choice.Level{
+		{Cutoff: 32, Choice: 0}, {Cutoff: choice.Inf, Choice: 1},
+	}})
+	return cfg
+}
+
+// macroMatMulCfg is "base rule below 8, then one decomposition rule per
+// level: c below 16, w below 24, h from 24".
+func macroMatMulCfg() *choice.Config {
+	cfg := choice.NewConfig()
+	cfg.SetSelector(SelectorName("MatrixMultiply"), choice.Selector{Levels: []choice.Level{
+		{Cutoff: 8, Choice: 0}, {Cutoff: 16, Choice: 1}, {Cutoff: 24, Choice: 2}, {Cutoff: choice.Inf, Choice: 3},
+	}})
+	return cfg
+}
+
+// macroMatMulInputs builds the n×n operands of the recursive multiply.
+func macroMatMulInputs(n int) map[string]*matrix.Matrix {
+	rng := rand.New(rand.NewSource(3))
+	a := matrix.New(n, n)
+	bm := matrix.New(n, n)
+	a.Each(func([]int, float64) float64 { return float64(rng.Intn(100)) })
+	bm.Each(func([]int, float64) float64 { return float64(rng.Intn(100)) })
+	return map[string]*matrix.Matrix{"A": a, "B": bm}
+}
+
+// macroEngines builds the two re-entry workloads on pool and returns a
+// closure running each once.
+func macroEngines(t testing.TB, pool *runtime.Pool) (mergeSort, matMul func() error) {
+	t.Helper()
+	engineFor := func(src string, cfg *choice.Config) *Engine {
+		prog, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Cfg, e.Pool = cfg, pool
+		return e
+	}
+	ms := engineFor(parser.MergeSortSrc, macroMergeSortCfg())
+	msIn := benchVec(1024, 7)
+	mm := engineFor(parser.MatrixMultiplySrc, macroMatMulCfg())
+	mmIn := macroMatMulInputs(32)
+	return func() error { _, err := ms.Run1("MergeSortDSL", msIn); return err },
+		func() error { _, err := mm.Run("MatrixMultiply", mmIn); return err }
+}
+
+// benchMacro repeats one of the two workloads on a fresh 2-worker pool.
+func benchMacro(b *testing.B, matMul bool) {
+	pool := runtime.NewPool(2)
+	b.Cleanup(pool.Shutdown)
+	run, runMatMul := macroEngines(b, pool)
+	if matMul {
+		run = runMatMul
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMacroMergeSortPool(b *testing.B) { benchMacro(b, false) }
+
+func BenchmarkMacroMatMulRecPool(b *testing.B) { benchMacro(b, true) }

@@ -55,13 +55,12 @@ const (
 // the compiled-program and execution-plan lookups.
 func (ex *exec) invocationKey() string {
 	if ex.key == "" {
-		e := ex.engine
 		ex.akey = artifact.Key{
-			Prog:      e.progFP,
+			Prog:      ex.engine.progFP,
 			Transform: ex.res.Transform.Name,
-			Sizes:     artifact.SizesKey(ex.sizes),
-			ConfigFP:  artifact.ConfigFingerprint(e.Cfg),
-			Engine:    e.engineMode(),
+			Sizes:     artifact.SizesKeySorted(ex.ti.sizeVars, ex.sizeVals),
+			ConfigFP:  ex.cfgFP,
+			Engine:    ex.mode,
 		}
 		ex.key = ex.akey.String()
 	}
@@ -91,20 +90,16 @@ func (e *Engine) engineMode() int {
 // miss stays cheap until a rule actually runs.
 func (ex *exec) compiledFor() *compiledTransform {
 	e := ex.engine
-	mode := e.engineMode()
+	mode := ex.mode
 	if mode == EngineInterp {
 		return nil
 	}
 	key := ex.invocationKey()
 	v, created := e.arts.Mem(artifact.KindProgram).GetOrCreate(key, func() any {
-		sz := make(map[string]int64, len(ex.sizes))
-		for k, v := range ex.sizes {
-			sz[k] = v
-		}
 		// The key's config fingerprint covers every int tunable including
 		// EngineKey, so two configs resolving to different modes can never
 		// share an entry; mode is safe to freeze at creation.
-		return &compiledTransform{res: ex.res, sizes: sz, mode: mode, akey: ex.akey, arts: e.arts, rules: map[int]*compiledRule{}}
+		return &compiledTransform{res: ex.res, sizes: ex.sizes(), mode: mode, akey: ex.akey, arts: e.arts, rules: map[int]*compiledRule{}}
 	})
 	if m := im.Load(); m != nil {
 		if created {
@@ -392,7 +387,7 @@ func (cr *compiledRule) newFrame(ex *exec, w *runtime.Worker) *frame {
 	for i := range cr.refs {
 		cref := &cr.refs[i]
 		rs := &f.refs[i]
-		rs.m = ex.mats[cref.ref.Matrix]
+		rs.m = ex.mat(cref.ref.Matrix)
 		if cref.slot < 0 {
 			continue
 		}
@@ -440,7 +435,7 @@ func (cr *compiledRule) acquireFrame(ex *exec, w *runtime.Worker) *frame {
 	for i := range cr.refs {
 		cref := &cr.refs[i]
 		rs := &f.refs[i]
-		rs.m = ex.mats[cref.ref.Matrix]
+		rs.m = ex.mat(cref.ref.Matrix)
 		if cref.slot >= 0 && cref.cell {
 			f.slots[cref.slot].ref = rs.m
 		}
@@ -448,8 +443,32 @@ func (cr *compiledRule) acquireFrame(ex *exec, w *runtime.Worker) *frame {
 	return f
 }
 
-// releaseFrame recycles a frame obtained from acquireFrame.
-func (cr *compiledRule) releaseFrame(f *frame) { cr.framePool.Put(f) }
+// releaseFrame recycles a frame obtained from acquireFrame. Everything
+// the frame learned from its invocation is dropped first — a pooled
+// frame must not keep a finished request's matrices (inputs, views into
+// them, nested-call results in the argument scratch) reachable until
+// the pool is next cleared.
+func (cr *compiledRule) releaseFrame(f *frame) {
+	f.ex, f.worker = nil, nil
+	if f.jf != nil {
+		f.jf.Unbind()
+	}
+	for i := range f.refs {
+		rs := &f.refs[i]
+		rs.m = nil
+		if rs.view != nil {
+			rs.view.Detach()
+		} else if s := cr.refs[i].slot; s >= 0 {
+			f.slots[s].ref = nil
+		}
+	}
+	for _, args := range f.args {
+		for i := range args {
+			args[i] = value{}
+		}
+	}
+	cr.framePool.Put(f)
+}
 
 // bindJIT (re)binds the bytecode frame's cell refs to this invocation's
 // matrices. Strides and sizes resolve per invocation — inputs may be
@@ -458,7 +477,7 @@ func (cr *compiledRule) releaseFrame(f *frame) { cr.framePool.Put(f) }
 func (f *frame) bindJIT(ex *exec) {
 	refs := f.cr.jprog.Refs
 	for i := range refs {
-		f.jf.BindMatrix(i, ex.mats[refs[i].Matrix])
+		f.jf.BindMatrix(i, ex.mat(refs[i].Matrix))
 	}
 }
 
@@ -1377,7 +1396,7 @@ func (c *ruleCompiler) compileValue(e ast.Expr, sc *compScope) (valueFn, error) 
 
 // compileCall lowers builtins and transform invocations. Builtins bind
 // at compile time (they take precedence over transforms, matching
-// evalCall); transform calls resolve their analysis at run time so
+// evalCall); transform calls resolve their descriptor at run time so
 // compiled programs never capture engine state and stay shareable
 // across WithConfig views.
 func (c *ruleCompiler) compileCall(x *ast.Call, sc *compScope) (valueFn, error) {
@@ -1413,29 +1432,6 @@ func (c *ruleCompiler) compileCall(x *ast.Call, sc *compScope) (valueFn, error) 
 			}
 			args[i] = v
 		}
-		ex := f.ex
-		sub, ok := ex.engine.Analysis(name)
-		if !ok {
-			return value{}, fmt.Errorf("interp: unknown function or transform %q", name)
-		}
-		if len(args) != len(sub.Transform.From) {
-			return value{}, fmt.Errorf("interp: %s takes %d inputs, got %d", name, len(sub.Transform.From), len(args))
-		}
-		if len(sub.Transform.To) != 1 {
-			return value{}, fmt.Errorf("interp: transform %s has %d outputs; only single-output transforms may appear in expressions", name, len(sub.Transform.To))
-		}
-		inputs := map[string]*matrix.Matrix{}
-		for i, d := range sub.Transform.From {
-			m, err := args[i].mat()
-			if err != nil {
-				return value{}, fmt.Errorf("interp: %s input %s: %w", name, d.Name, err)
-			}
-			inputs[d.Name] = m
-		}
-		outs, err := ex.engine.run(name, inputs, ex.depth+1, f.worker)
-		if err != nil {
-			return value{}, err
-		}
-		return matval(outs[sub.Transform.To[0].Name]), nil
+		return f.ex.callTransform(name, args, f.worker)
 	}, nil
 }

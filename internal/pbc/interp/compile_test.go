@@ -6,8 +6,6 @@ import (
 
 	"petabricks/internal/artifact"
 	"petabricks/internal/choice"
-	"petabricks/internal/matrix"
-	"petabricks/internal/pbc/ast"
 	"petabricks/internal/pbc/parser"
 )
 
@@ -17,7 +15,7 @@ import (
 // internals.
 func execFor(t *testing.T, e *Engine, name string, size int64) *exec {
 	t.Helper()
-	res, ok := e.Analysis(name)
+	ti, ok := e.transform(name)
 	if !ok {
 		t.Fatalf("unknown transform %q", name)
 	}
@@ -25,21 +23,10 @@ func execFor(t *testing.T, e *Engine, name string, size int64) *exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := &exec{engine: e, res: res, sizes: map[string]int64{}, mats: map[string]*matrix.Matrix{}}
-	for _, d := range res.Transform.From {
-		if err := ex.bindShape(d, inputs[d.Name]); err != nil {
-			t.Fatal(err)
-		}
-		ex.mats[d.Name] = inputs[d.Name]
+	ex, err := e.newExec(ti, ti.positional(inputs), nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range append(append([]*ast.MatrixDecl{}, res.Transform.To...), res.Transform.Through...) {
-		m, err := ex.allocate(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex.mats[d.Name] = m
-	}
-	ex.comp = ex.compiledFor()
 	return ex
 }
 

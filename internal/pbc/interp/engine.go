@@ -21,8 +21,11 @@ type Engine struct {
 	Cfg  *choice.Config
 	Pool *runtime.Pool // nil: sequential execution
 
-	mu       sync.Mutex
-	analyses map[string]*analysis.Result
+	mu sync.Mutex
+	// transforms holds each transform's analysis result and call
+	// descriptor (see binder.go). Entries are immutable and shared by
+	// pointer across WithConfig views.
+	transforms map[string]*transformInfo
 	// arts is the tiered artifact store holding compiled-program holders
 	// and execution plans (memory tier) and, when persistent, jit
 	// bytecode (disk tier). Shared by pointer across WithConfig views —
@@ -39,11 +42,11 @@ type Engine struct {
 // surface before execution.
 func New(prog *ast.Program) (*Engine, error) {
 	e := &Engine{
-		Prog:     prog,
-		Cfg:      choice.NewConfig(),
-		analyses: map[string]*analysis.Result{},
-		arts:     artifact.NewMemOnly(),
-		progFP:   artifact.HashString(ast.Print(prog)),
+		Prog:       prog,
+		Cfg:        choice.NewConfig(),
+		transforms: map[string]*transformInfo{},
+		arts:       artifact.NewMemOnly(),
+		progFP:     artifact.HashString(ast.Print(prog)),
 	}
 	wirePlanEvict(e.arts)
 	for _, t := range prog.Transforms {
@@ -56,7 +59,7 @@ func New(prog *ast.Program) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.analyses[t.Name] = res
+		e.transforms[t.Name] = newTransformInfo(res)
 	}
 	return e, nil
 }
@@ -73,11 +76,11 @@ func (e *Engine) WithConfig(cfg *choice.Config) *Engine {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	an := make(map[string]*analysis.Result, len(e.analyses))
-	for k, v := range e.analyses {
-		an[k] = v
+	ts := make(map[string]*transformInfo, len(e.transforms))
+	for k, v := range e.transforms {
+		ts[k] = v
 	}
-	return &Engine{Prog: e.Prog, Cfg: cfg, Pool: e.Pool, analyses: an, arts: e.arts, progFP: e.progFP}
+	return &Engine{Prog: e.Prog, Cfg: cfg, Pool: e.Pool, transforms: ts, arts: e.arts, progFP: e.progFP}
 }
 
 // UseArtifacts replaces the engine's default memory-only artifact store
@@ -113,10 +116,17 @@ func wirePlanEvict(s *artifact.Store) {
 
 // Analysis returns the analysis result for a transform.
 func (e *Engine) Analysis(name string) (*analysis.Result, bool) {
+	if ti, ok := e.transform(name); ok {
+		return ti.res, true
+	}
+	return nil, false
+}
+
+func (e *Engine) transform(name string) (*transformInfo, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r, ok := e.analyses[name]
-	return r, ok
+	ti, ok := e.transforms[name]
+	return ti, ok
 }
 
 // SelectorName returns the config key holding the rule selector for a
@@ -140,51 +150,69 @@ const DefaultParGrain = 256
 // matrix name) and returns its outputs.
 func (e *Engine) Run(name string, inputs map[string]*matrix.Matrix) (map[string]*matrix.Matrix, error) {
 	if m := im.Load(); m != nil {
-		start := time.Now()
-		out, err := e.run(name, inputs, 0, nil)
-		m.runHist(name).ObserveSince(start)
-		return out, err
+		defer m.runHist(name).ObserveSince(time.Now())
 	}
-	return e.run(name, inputs, 0, nil)
-}
-
-func (e *Engine) run(name string, inputs map[string]*matrix.Matrix, depth int, w *runtime.Worker) (map[string]*matrix.Matrix, error) {
-	if depth > MaxDepth {
-		return nil, fmt.Errorf("interp: recursion limit exceeded in %s; the configuration has no base-case level", name)
-	}
-	res, ok := e.Analysis(name)
+	ti, ok := e.transform(name)
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown transform %q", name)
 	}
-	ex := &exec{engine: e, res: res, depth: depth, worker: w, sizes: map[string]int64{}, mats: map[string]*matrix.Matrix{}}
-	// Bind size variables by unifying input declarations with shapes.
-	for _, d := range res.Transform.From {
-		in, ok := inputs[d.Name]
-		if !ok {
-			return nil, fmt.Errorf("interp: missing input %q for %s", d.Name, name)
-		}
-		if err := ex.bindShape(d, in); err != nil {
-			return nil, err
-		}
-		ex.mats[d.Name] = in
+	ex, err := e.run(ti, ti.positional(inputs), nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	// Allocate outputs and intermediates.
-	for _, d := range append(append([]*ast.MatrixDecl{}, res.Transform.To...), res.Transform.Through...) {
-		m, err := ex.allocate(d)
-		if err != nil {
-			return nil, err
-		}
-		ex.mats[d.Name] = m
+	out := make(map[string]*matrix.Matrix, ti.nOut)
+	for i, m := range ex.outputs() {
+		out[ti.decls[ti.nIn+i].Name] = m
 	}
-	ex.comp = ex.compiledFor()
+	return out, nil
+}
+
+// run executes one invocation of ti on positional inputs (From order)
+// and returns it with its outputs computed. parent is the calling
+// invocation of a nested transform call, nil at top level; w is the
+// scheduler thread the caller runs on.
+func (e *Engine) run(ti *transformInfo, ins []*matrix.Matrix, parent *exec, w *runtime.Worker) (*exec, error) {
+	ex, err := e.newExec(ti, ins, parent, w)
+	if err != nil {
+		return nil, err
+	}
 	if err := ex.runSchedule(); err != nil {
 		return nil, err
 	}
-	out := map[string]*matrix.Matrix{}
-	for _, d := range res.Transform.To {
-		out[d.Name] = ex.mats[d.Name]
+	return ex, nil
+}
+
+// newExec sets up an invocation: size variables bound from the input
+// shapes, outputs and intermediates allocated, compiled rules located.
+func (e *Engine) newExec(ti *transformInfo, ins []*matrix.Matrix, parent *exec, w *runtime.Worker) (*exec, error) {
+	ex := &exec{engine: e, ti: ti, res: ti.res, worker: w}
+	if parent != nil {
+		// Same engine view, and a config cannot change inside one Run.
+		ex.depth, ex.cfgFP, ex.mode = parent.depth+1, parent.cfgFP, parent.mode
+	} else {
+		ex.cfgFP, ex.mode = artifact.ConfigFingerprint(e.Cfg), e.engineMode()
 	}
-	return out, nil
+	if ex.depth > MaxDepth {
+		return nil, fmt.Errorf("interp: recursion limit exceeded in %s; the configuration has no base-case level", ti.res.Transform.Name)
+	}
+	if n := len(ti.sizeVars); n <= len(ex.sizeBuf) {
+		ex.sizeVals = ex.sizeBuf[:n]
+	} else {
+		ex.sizeVals = make([]int64, n)
+	}
+	if err := ti.bind(ins, ex.sizeVals); err != nil {
+		return nil, err
+	}
+	ex.mats = append(ex.matBuf[:0], ins...)
+	for i := ti.nIn; i < len(ti.decls); i++ {
+		m, err := ex.allocate(i)
+		if err != nil {
+			return nil, err
+		}
+		ex.mats = append(ex.mats, m)
+	}
+	ex.comp = ex.compiledFor()
+	return ex, nil
 }
 
 // Run1 runs a transform with a single input and single output.
@@ -206,6 +234,7 @@ func (e *Engine) Run1(name string, in *matrix.Matrix) (*matrix.Matrix, error) {
 // exec is one transform invocation.
 type exec struct {
 	engine *Engine
+	ti     *transformInfo
 	res    *analysis.Result
 	depth  int
 	// worker is the scheduler thread this invocation entered on (nil for
@@ -213,8 +242,23 @@ type exec struct {
 	// of blocking, which is what makes recursive parallel transforms
 	// deadlock-free.
 	worker *runtime.Worker
-	sizes  map[string]int64
-	mats   map[string]*matrix.Matrix
+	// cfgFP and mode are the engine view's config fingerprint and
+	// resolved tier, computed by the top-level invocation and inherited
+	// by every call beneath it.
+	cfgFP uint64
+	mode  int
+	// sizeVals binds ti.sizeVars; mats holds the invocation's matrices
+	// in ti.decls order. Both live in the inline buffers for the usual
+	// small counts.
+	sizeVals []int64
+	mats     []*matrix.Matrix
+	sizeBuf  [4]int64
+	matBuf   [4]*matrix.Matrix
+	// sizeMap is sizeVals by name, built on first use by sizes(): only
+	// symbolic consumers (plan building, rule compilation, step-granular
+	// region evaluation, the AST tier) need it.
+	sizeOnce sync.Once
+	sizeMap  map[string]int64
 	// comp holds the invocation's compiled-program cache entry (nil when
 	// compilation is disabled).
 	comp *compiledTransform
@@ -222,6 +266,31 @@ type exec struct {
 	// akey is its structured form, valid once key is non-empty.
 	key  string
 	akey artifact.Key
+}
+
+// sizes returns the size-variable bindings by name. The map is shared
+// and must not be mutated.
+func (ex *exec) sizes() map[string]int64 {
+	ex.sizeOnce.Do(func() {
+		ex.sizeMap = make(map[string]int64, len(ex.sizeVals))
+		for i, v := range ex.ti.sizeVars {
+			ex.sizeMap[v] = ex.sizeVals[i]
+		}
+	})
+	return ex.sizeMap
+}
+
+// mat returns the invocation's matrix declared under name.
+func (ex *exec) mat(name string) *matrix.Matrix {
+	if i, ok := ex.ti.matIndex[name]; ok {
+		return ex.mats[i]
+	}
+	return nil
+}
+
+// outputs returns the To matrices in declaration order.
+func (ex *exec) outputs() []*matrix.Matrix {
+	return ex.mats[ex.ti.nIn : ex.ti.nIn+ex.ti.nOut]
 }
 
 // dslDims returns the matrix's extents in DSL (x, y, …) order.
@@ -234,91 +303,13 @@ func dslDims(m *matrix.Matrix) []int {
 	return out
 }
 
-// bindShape unifies a declaration's symbolic dims with a concrete shape.
-func (ex *exec) bindShape(d *ast.MatrixDecl, m *matrix.Matrix) error {
-	mi := ex.res.Matrices[d.Name]
-	actual := dslDims(m)
-	if len(actual) != len(mi.Dims) {
-		return fmt.Errorf("interp: input %s has %d dims, declared %d", d.Name, len(actual), len(mi.Dims))
-	}
-	for i, se := range mi.Dims {
-		if err := ex.unify(d.Name, se, int64(actual[i])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// unify binds free variables of the declared size expression against an
-// actual extent: single-unknown affine sizes solve exactly.
-func (ex *exec) unify(matName string, se *symbolic.Expr, actual int64) error {
-	aff, ok := se.Affine()
-	if !ok {
-		return fmt.Errorf("interp: non-affine size %s for %s", se, matName)
-	}
-	var unknown string
-	for _, v := range aff.Vars() {
-		if _, bound := ex.sizes[v]; !bound {
-			if unknown != "" {
-				return fmt.Errorf("interp: size %s of %s has two unknowns", se, matName)
-			}
-			unknown = v
-		}
-	}
-	if unknown == "" {
-		got, err := se.Eval(ex.sizes)
-		if err != nil {
-			return err
-		}
-		if got != actual {
-			return fmt.Errorf("interp: %s size mismatch: declared %s = %d, actual %d", matName, se, got, actual)
-		}
-		return nil
-	}
-	// Solve coef·v + rest = actual.
-	coef := aff.Coeff(unknown)
-	rest := aff.Sub(symbolic.AffineVar(unknown).Scale(coef)).Expr()
-	restV, err := rest.Eval(ex.sizes)
-	if err != nil {
-		return err
-	}
-	num := symbolic.RatInt(actual - restV).Div(coef)
-	if !num.IsInt() || num.Int() < 0 {
-		return fmt.Errorf("interp: cannot solve %s = %d for %s", se, actual, unknown)
-	}
-	ex.sizes[unknown] = num.Int()
-	return nil
-}
-
-// allocate builds an output/intermediate matrix from its declared dims.
-func (ex *exec) allocate(d *ast.MatrixDecl) (*matrix.Matrix, error) {
-	mi := ex.res.Matrices[d.Name]
-	dims := make([]int, len(mi.Dims))
-	for i, se := range mi.Dims {
-		v, err := se.Eval(ex.sizes)
-		if err != nil {
-			return nil, fmt.Errorf("interp: sizing %s: %w", d.Name, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("interp: negative size %d for %s", v, d.Name)
-		}
-		dims[i] = int(v)
-	}
-	// Reverse to (row, col) storage order.
-	rev := make([]int, len(dims))
-	for i := range dims {
-		rev[i] = dims[len(dims)-1-i]
-	}
-	return matrix.New(rev...), nil
-}
-
 // evalRegion evaluates a symbolic region (DSL coordinates) to concrete
 // bounds given extra center-variable bindings.
 func (ex *exec) evalRegion(reg symbolic.Region, extra map[string]int64) ([][2]int64, error) {
-	envv := ex.sizes
+	envv := ex.sizes()
 	if len(extra) > 0 {
-		envv = make(map[string]int64, len(ex.sizes)+len(extra))
-		for k, v := range ex.sizes {
+		envv = make(map[string]int64, len(envv)+len(extra))
+		for k, v := range ex.sizes() {
 			envv[k] = v
 		}
 		for k, v := range extra {
@@ -347,7 +338,7 @@ func (ex *exec) evalNodeRegion(matName string, reg symbolic.Region) ([][2]int64,
 	if err != nil {
 		return nil, err
 	}
-	dims := dslDims(ex.mats[matName])
+	dims := dslDims(ex.mat(matName))
 	for d := range b {
 		ext := int64(dims[d])
 		if b[d][0] < 0 {
@@ -366,42 +357,85 @@ func (ex *exec) evalNodeRegion(matName string, reg symbolic.Region) ([][2]int64,
 	return b, nil
 }
 
-// runSchedule walks the static schedule.
+// runSchedule runs the macro rules the configuration selects, then the
+// static schedule for whatever they left uncomputed.
 func (ex *exec) runSchedule() error {
+	if pool := ex.engine.Pool; pool != nil && ex.worker == nil && ex.selectsMacro() {
+		// One pool entry per request: a macro body re-enters the engine
+		// for every level beneath it, and each of those joins would
+		// otherwise wake a worker and park the caller. Entered once here,
+		// the whole recursion runs on a scheduler thread and its joins
+		// help instead of blocking.
+		var err error
+		if perr := pool.TryRun(func(w *runtime.Worker) {
+			ex.worker = w
+			err = ex.runScheduleOnThread()
+		}); perr != nil {
+			return perr
+		}
+		return err
+	}
+	return ex.runScheduleOnThread()
+}
+
+// selectsMacro reports whether the configuration picks a macro rule for
+// any computed matrix of this invocation.
+func (ex *exec) selectsMacro() bool {
+	for _, step := range ex.res.Schedule {
+		for _, node := range step.Nodes {
+			if !node.Input && ex.chooseMacro(ex.res.Grids[node.Matrix]) != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// runScheduleOnThread is runSchedule on the calling thread.
+func (ex *exec) runScheduleOnThread() error {
 	// Macro-path check: if the config selects a macro rule for an output
 	// matrix, run it once instead of the per-cell schedule for that
-	// matrix.
-	done := map[string]bool{}
+	// matrix. done stays nil (reads as empty) unless a macro ran.
+	var done map[string]bool
+	covered := true // every computed matrix came from a macro rule
 	for _, step := range ex.res.Schedule {
 		for _, node := range step.Nodes {
 			if node.Input || done[node.Matrix] {
 				continue
 			}
-			grid := ex.res.Grids[node.Matrix]
-			if ri := ex.chooseMacro(grid, node.Matrix); ri != nil {
-				if err := ex.runMacro(ri); err != nil {
-					return err
-				}
-				done[node.Matrix] = true
+			ri := ex.chooseMacro(ex.res.Grids[node.Matrix])
+			if ri == nil {
+				covered = false
+				continue
 			}
+			if err := ex.runMacro(ri); err != nil {
+				return err
+			}
+			if done == nil {
+				done = make(map[string]bool, ex.ti.nOut)
+			}
+			done[node.Matrix] = true
 		}
 	}
 	m := im.Load()
-	if ex.engine.Pool != nil && ex.sizesMeetAssumption() {
-		if m != nil {
+	parallel := ex.engine.Pool != nil && ex.sizesMeetAssumption()
+	if m != nil {
+		switch {
+		case covered:
+			m.schedMacro.Inc()
+		case parallel:
 			m.schedParallel.Inc()
+		case ex.engine.Pool != nil:
+			m.schedDegenerate.Inc()
+		default:
+			m.schedSequential.Inc()
 		}
+	}
+	if parallel {
 		if p := ex.planFor(done); p != nil {
 			return ex.runPlan(p, done)
 		}
 		return ex.runScheduleParallel(done)
-	}
-	if m != nil {
-		if ex.engine.Pool != nil {
-			m.schedDegenerate.Inc()
-		} else {
-			m.schedSequential.Inc()
-		}
 	}
 	for _, step := range ex.res.Schedule {
 		if err := ex.runStep(step, done, ex.worker); err != nil {
@@ -420,7 +454,7 @@ func (ex *exec) runSchedule() error {
 // Such degenerate sizes take the sequential schedule, where overlap is
 // harmless (§3.5 consistency: overlapping rules agree).
 func (ex *exec) sizesMeetAssumption() bool {
-	for _, v := range ex.sizes {
+	for _, v := range ex.sizeVals {
 		if v < ex.res.MinInputSize {
 			return false
 		}
@@ -484,12 +518,12 @@ func (ex *exec) runScheduleParallel(done map[string]bool) error {
 // chooseMacro consults the configuration: if the selector for this
 // transform picks a macro rule (by rule index) for the current size, it
 // returns that rule.
-func (ex *exec) chooseMacro(grid *analysis.ChoiceGrid, matName string) *analysis.RuleInfo {
+func (ex *exec) chooseMacro(grid *analysis.ChoiceGrid) *analysis.RuleInfo {
 	if len(grid.Macro) == 0 {
 		return nil
 	}
-	size := ex.problemSize(matName)
-	sel := ex.engine.Cfg.Selector(SelectorName(ex.res.Transform.Name), ex.defaultRule(grid))
+	size := ex.problemSize()
+	sel := ex.engine.Cfg.Selector(ex.ti.selName, ex.defaultRule(grid))
 	want := sel.Choose(size).Choice
 	for _, ri := range grid.Macro {
 		if ri.Rule.Index == want {
@@ -518,7 +552,7 @@ func (ex *exec) defaultRule(grid *analysis.ChoiceGrid) int {
 // rules (e.g. MatrixMultiply's decompositions) always shrink some
 // dimension, so this metric decreases toward the selector's base-case
 // levels; a max-extent metric would not.
-func (ex *exec) problemSize(matName string) int64 {
+func (ex *exec) problemSize() int64 {
 	size := int64(1 << 62)
 	for _, m := range ex.mats {
 		for d := 0; d < m.Dims(); d++ {
@@ -577,7 +611,7 @@ func (ex *exec) runNode(node *analysis.Node, slice *sliceConstraint, w *runtime.
 		}
 		return nil
 	}
-	ri := ex.chooseCellRule(gc, node.Matrix)
+	ri := ex.chooseCellRule(gc)
 	return ex.applyCellRule(ri, node.Matrix, gc.Region, slice, w)
 }
 
@@ -596,9 +630,9 @@ func (ex *exec) regionEmpty(reg symbolic.Region) (bool, error) {
 
 // chooseCellRule picks among a grid cell's rules using the configured
 // selector; falls back to the first applicable rule.
-func (ex *exec) chooseCellRule(gc *analysis.GridCell, matName string) *analysis.RuleInfo {
-	size := ex.problemSize(matName)
-	sel := ex.engine.Cfg.Selector(SelectorName(ex.res.Transform.Name), gc.Rules[0].Rule.Index)
+func (ex *exec) chooseCellRule(gc *analysis.GridCell) *analysis.RuleInfo {
+	size := ex.problemSize()
+	sel := ex.engine.Cfg.Selector(ex.ti.selName, gc.Rules[0].Rule.Index)
 	want := sel.Choose(size).Choice
 	for _, ri := range gc.Rules {
 		if ri.Rule.Index == want {
@@ -673,7 +707,7 @@ func (ex *exec) runCyclic(step *analysis.Step, done map[string]bool, w *runtime.
 			}
 			continue
 		}
-		ri := ex.chooseCellRule(gc, node.Matrix)
+		ri := ex.chooseCellRule(gc)
 		b, err := ex.evalNodeRegion(node.Matrix, gc.Region)
 		if err != nil {
 			return err
@@ -802,8 +836,8 @@ func (ex *exec) runCellsRange(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 			}
 			if w != nil {
 				w.For(0, int(count), parGrain, body) // helping join
-			} else {
-				ex.engine.Pool.ParallelFor(0, int(count), parGrain, body)
+			} else if err := ex.engine.Pool.TryRun(func(w *runtime.Worker) { w.For(0, int(count), parGrain, body) }); err != nil {
+				return err
 			}
 			return firstErr
 		}
@@ -872,7 +906,7 @@ func (ex *exec) runLex(step *analysis.Step, done map[string]bool, w *runtime.Wor
 		if gc == nil || len(gc.Rules) == 0 {
 			continue
 		}
-		ri := ex.chooseCellRule(gc, node.Matrix)
+		ri := ex.chooseCellRule(gc)
 		b, err := ex.evalNodeRegion(node.Matrix, gc.Region)
 		if err != nil {
 			return err
@@ -951,7 +985,7 @@ func (e *Engine) instantiate(name string, targs []int64) (string, error) {
 		return "", err
 	}
 	e.mu.Lock()
-	_, cached := e.analyses[inst.Name]
+	_, cached := e.transforms[inst.Name]
 	e.mu.Unlock()
 	if cached {
 		return inst.Name, nil
@@ -961,7 +995,7 @@ func (e *Engine) instantiate(name string, targs []int64) (string, error) {
 		return "", fmt.Errorf("interp: instantiating %s: %w", inst.Name, err)
 	}
 	e.mu.Lock()
-	e.analyses[inst.Name] = res
+	e.transforms[inst.Name] = newTransformInfo(res)
 	e.mu.Unlock()
 	return inst.Name, nil
 }

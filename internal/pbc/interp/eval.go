@@ -22,7 +22,7 @@ func (ex *exec) runRuleBody(ri *analysis.RuleInfo, center map[string]int64, w *r
 	}
 	e := newEnv(nil)
 	e.worker = w
-	for k, v := range ex.sizes {
+	for k, v := range ex.sizes() {
 		e.define(k, scalar(float64(v)))
 	}
 	for k, v := range center {
@@ -32,7 +32,7 @@ func (ex *exec) runRuleBody(ri *analysis.RuleInfo, center map[string]int64, w *r
 		if ref.Binding == "" {
 			return nil
 		}
-		m := ex.mats[ref.Matrix]
+		m := ex.mat(ref.Matrix)
 		if ref.Kind == ast.RegionCell {
 			idx := make([]int, len(reg))
 			for d := range reg {
@@ -74,14 +74,15 @@ func (ex *exec) runRuleBody(ri *analysis.RuleInfo, center map[string]int64, w *r
 // refBounds evaluates a region reference's concrete bounds (DSL order)
 // at the given center.
 func (ex *exec) refBounds(ref *ast.RegionRef, center map[string]int64) ([][2]int64, error) {
-	envv := make(map[string]int64, len(ex.sizes)+len(center))
-	for k, v := range ex.sizes {
+	sizes := ex.sizes()
+	envv := make(map[string]int64, len(sizes)+len(center))
+	for k, v := range sizes {
 		envv[k] = v
 	}
 	for k, v := range center {
 		envv[k] = v
 	}
-	m := ex.mats[ref.Matrix]
+	m := ex.mat(ref.Matrix)
 	nd := m.Dims()
 	dims := dslDims(m)
 	evalArg := func(a ast.Expr) (int64, error) {
@@ -544,30 +545,38 @@ func (ex *exec) evalCall(x *ast.Call, e *env) (value, error) {
 	if fn, ok := builtins[x.Fn]; ok {
 		return fn(x.Fn, args)
 	}
-	// Transform invocation: arguments are matrices in from-decl order.
-	sub, ok := ex.engine.Analysis(x.Fn)
+	return ex.callTransform(x.Fn, args, e.rootWorker())
+}
+
+// callTransform re-enters the engine for a transform call in a rule
+// body: args are the input matrices in from-decl order, the result is
+// the callee's single output. w is the scheduler thread of the calling
+// body.
+func (ex *exec) callTransform(name string, args []value, w *runtime.Worker) (value, error) {
+	sub, ok := ex.engine.transform(name)
 	if !ok {
-		return value{}, fmt.Errorf("interp: unknown function or transform %q", x.Fn)
+		return value{}, fmt.Errorf("interp: unknown function or transform %q", name)
 	}
-	if len(args) != len(sub.Transform.From) {
-		return value{}, fmt.Errorf("interp: %s takes %d inputs, got %d", x.Fn, len(sub.Transform.From), len(args))
+	if len(args) != sub.nIn {
+		return value{}, fmt.Errorf("interp: %s takes %d inputs, got %d", name, sub.nIn, len(args))
 	}
-	if len(sub.Transform.To) != 1 {
-		return value{}, fmt.Errorf("interp: transform %s has %d outputs; only single-output transforms may appear in expressions", x.Fn, len(sub.Transform.To))
+	if sub.nOut != 1 {
+		return value{}, fmt.Errorf("interp: transform %s has %d outputs; only single-output transforms may appear in expressions", name, sub.nOut)
 	}
-	inputs := map[string]*matrix.Matrix{}
-	for i, d := range sub.Transform.From {
-		m, err := args[i].mat()
+	var buf [4]*matrix.Matrix
+	ins := buf[:0]
+	for i, a := range args {
+		m, err := a.mat()
 		if err != nil {
-			return value{}, fmt.Errorf("interp: %s input %s: %w", x.Fn, d.Name, err)
+			return value{}, fmt.Errorf("interp: %s input %s: %w", name, sub.decls[i].Name, err)
 		}
-		inputs[d.Name] = m
+		ins = append(ins, m)
 	}
-	outs, err := ex.engine.run(x.Fn, inputs, ex.depth+1, e.rootWorker())
+	call, err := ex.engine.run(sub, ins, ex, w)
 	if err != nil {
 		return value{}, err
 	}
-	return matval(outs[sub.Transform.To[0].Name]), nil
+	return matval(call.outputs()[0]), nil
 }
 
 // builtins are the body-level intrinsic functions.
@@ -677,7 +686,11 @@ func varargBuiltin(f func(a, b float64) float64) func(string, []value) (value, e
 // runMacro executes a macro rule once over its declared regions.
 func (ex *exec) runMacro(ri *analysis.RuleInfo) error {
 	if cr := ex.compiledRule(ri); cr != nil {
-		return cr.newFrame(ex, ex.worker).runCell(nil)
+		// Recursion is safe: this frame stays checked out while the body's
+		// nested calls acquire their own.
+		f := cr.acquireFrame(ex, ex.worker)
+		defer cr.releaseFrame(f)
+		return f.runCell(nil)
 	}
 	return ex.runRuleBody(ri, nil, ex.worker)
 }

@@ -1,0 +1,33 @@
+package interp
+
+import "petabricks/internal/matrix"
+
+// BindShapes exposes the shape binder to the external test package
+// (which may import the program generator; this package cannot). It
+// binds one input set twice — through the transform's compiled solve
+// order and through the symbolic reference solver — and reports both
+// results, plus whether the transform has a compiled integer form at
+// all (without one the first result is the symbolic fallback).
+func BindShapes(e *Engine, name string, targs []int64, inputs map[string]*matrix.Matrix) (fast, ref map[string]int64, fastErr, refErr error, compiled bool) {
+	if len(targs) > 0 {
+		inst, err := e.instantiate(name, targs)
+		if err != nil {
+			return nil, nil, err, err, false
+		}
+		name = inst
+	}
+	ti, ok := e.transform(name)
+	if !ok {
+		panic("BindShapes: unknown transform " + name)
+	}
+	ins := ti.positional(inputs)
+	sizes := make([]int64, len(ti.sizeVars))
+	if fastErr = ti.bind(ins, sizes); fastErr == nil {
+		fast = map[string]int64{}
+		for i, v := range ti.sizeVars {
+			fast[v] = sizes[i]
+		}
+	}
+	ref, refErr = ti.bindSymbolic(ins)
+	return fast, ref, fastErr, refErr, ti.fast
+}

@@ -19,6 +19,7 @@ type interpMetrics struct {
 	compiled  *obs.Counter // rules successfully compiled to closures
 	fallback  *obs.Counter // rules that fell back to the AST interpreter
 
+	schedMacro      *obs.Counter // invocations whose macro rules produced every output
 	schedParallel   *obs.Counter // invocations on the parallel task schedule
 	schedSequential *obs.Counter // invocations run sequentially (no pool)
 	schedDegenerate *obs.Counter // pool available but sizes below MinInputSize
@@ -61,6 +62,7 @@ func Instrument(reg *obs.Registry) {
 	m.cacheMiss = reg.Counter("pb_interp_cache_misses_total", "Compiled-program cache misses.")
 	m.compiled = reg.Counter("pb_interp_rules_compiled_total", "Rules lowered to slot-indexed closures.")
 	m.fallback = reg.Counter("pb_interp_compile_fallbacks_total", "Rules outside the compilable fragment (AST interpreter).")
+	m.schedMacro = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "macro"))
 	m.schedParallel = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "parallel"))
 	m.schedSequential = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "sequential"))
 	m.schedDegenerate = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "degenerate_sequential"))

@@ -155,8 +155,18 @@ func (ex *exec) loadOrBuildPlan(done map[string]bool) *plan {
 	return p
 }
 
-// runPlan executes a memoized plan on the pool via the Run arena.
+// runPlan executes a memoized plan on the pool via the Run arena. Two
+// shapes never reach the scheduler: a plan with no tasks (macro rules
+// produced every output) has nothing to join, and a lone task joined
+// from a scheduler thread runs on that thread — arming, queueing and
+// waking for it would cost more than a nested call's whole body.
 func (ex *exec) runPlan(p *plan, done map[string]bool) error {
+	switch {
+	case len(p.tasks) == 0:
+		return nil
+	case len(p.tasks) == 1 && ex.worker != nil:
+		return ex.runPlanTask(&p.tasks[0], done, ex.worker)
+	}
 	var mu sync.Mutex
 	var firstErr error
 	r := ex.engine.Pool.NewRun(p.graph, func(w *runtime.Worker, i int) {
@@ -420,7 +430,7 @@ func (pb *planBuilder) lowerStep(st *analysis.Step, done map[string]bool) (built
 		}
 		return pb.stepFallback(st), true
 	}
-	ri := ex.chooseCellRule(gc, node.Matrix)
+	ri := ex.chooseCellRule(gc)
 	b, err := ex.evalNodeRegion(node.Matrix, gc.Region)
 	if err != nil {
 		return builtStep{}, false
@@ -491,7 +501,7 @@ func (pb *planBuilder) selfOffsets(node *analysis.Node, ri *analysis.RuleInfo, n
 			if a.Rule != ri {
 				continue
 			}
-			off, ok := a.ConstOffsets(nd, pb.ex.sizes)
+			off, ok := a.ConstOffsets(nd, pb.ex.sizes())
 			if !ok {
 				return nil, false
 			}
@@ -816,7 +826,7 @@ func (pb *planBuilder) crossOffsets(ps, cs *builtStep) ([][2]int64, bool) {
 			if a.Rule != cs.ri {
 				continue
 			}
-			off, ok := a.ConstOffsets(nd, pb.ex.sizes)
+			off, ok := a.ConstOffsets(nd, pb.ex.sizes())
 			if !ok {
 				return nil, false
 			}

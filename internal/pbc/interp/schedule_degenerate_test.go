@@ -100,8 +100,8 @@ func TestSizesMeetAssumption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.analyses[inst]
-	if res == nil {
+	res, ok := eng.Analysis(inst)
+	if !ok {
 		t.Fatalf("no cached analysis for %s", inst)
 	}
 	if res.MinInputSize < 2 {
@@ -116,7 +116,7 @@ func TestSizesMeetAssumption(t *testing.T) {
 		{res.MinInputSize, true},
 		{res.MinInputSize + 5, true},
 	} {
-		ex := &exec{engine: eng, res: res, sizes: map[string]int64{"n": tc.n}}
+		ex := &exec{engine: eng, res: res, sizeVals: []int64{tc.n}}
 		if got := ex.sizesMeetAssumption(); got != tc.want {
 			t.Errorf("sizesMeetAssumption(n=%d) = %v, want %v", tc.n, got, tc.want)
 		}

@@ -302,6 +302,14 @@ func (f *Frame) BindMatrix(i int, m *matrix.Matrix) {
 	}
 }
 
+// Unbind drops every ref's backing slice, so a pooled frame does not
+// keep its last invocation's matrices alive. Rebind before RunCell.
+func (f *Frame) Unbind() {
+	for i := range f.refs {
+		f.refs[i].data = nil
+	}
+}
+
 var (
 	errDivZero = fmt.Errorf("jit: division by zero")
 	errModZero = fmt.Errorf("jit: modulo by zero")

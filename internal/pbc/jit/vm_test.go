@@ -140,6 +140,19 @@ func TestLoadStoreAffine(t *testing.T) {
 	if err := f.RunCell([]int64{4}); err == nil || !strings.Contains(err.Error(), `"d" out of range`) {
 		t.Fatalf("expected store out-of-range error, got %v", err)
 	}
+	// A pooled frame drops its matrices on Unbind and runs again once
+	// rebound.
+	f.Unbind()
+	for i := range f.refs {
+		if f.refs[i].data != nil {
+			t.Fatalf("ref %d keeps its backing slice after Unbind", i)
+		}
+	}
+	f.BindMatrix(0, dst)
+	f.BindMatrix(1, src)
+	if err := f.RunCell([]int64{2}); err != nil || dst.Get(2) != 20 {
+		t.Fatalf("rebound frame: dst[2] = %v, err %v", dst.Get(2), err)
+	}
 	// An out-of-range ref the body never touches is not an error.
 	quiet := &Program{
 		Name:      "test/quiet",

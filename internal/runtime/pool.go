@@ -11,7 +11,7 @@ import (
 	"petabricks/internal/obs"
 )
 
-// ErrPoolClosed is returned by Submit and Run.SubmitAll after Close or
+// ErrPoolClosed is returned by Submit, TryRun and Run.SubmitAll after Close or
 // Shutdown: the workers are (or will be) gone, so newly submitted work
 // could never execute. It is deterministic — a closed pool never
 // silently drops or hangs a submission.
@@ -110,9 +110,9 @@ func (p *Pool) Executed() int64 {
 // Close releases the pool's workers. Each worker keeps executing until
 // it finds no queued work, then exits; draining is therefore only
 // guaranteed for work submitted before Close, so callers must finish
-// their Run/Wait calls first. After Close, Submit and Run.SubmitAll
-// return ErrPoolClosed and Run panics — submissions racing Close are
-// the caller's bug and may be lost. Close is idempotent.
+// their Run/Wait calls first. After Close, Submit, TryRun and
+// Run.SubmitAll return ErrPoolClosed and Run panics — submissions
+// racing Close are the caller's bug and may be lost. Close is idempotent.
 func (p *Pool) Close() {
 	if p.closed.Swap(true) {
 		return
@@ -167,14 +167,24 @@ func (p *Pool) Submit(t *Task) error {
 
 // Run executes fn on a pool worker and blocks until it (including all its
 // nested Do/For joins) returns. It is the entry point for external
-// goroutines. Run on a closed pool panics with ErrPoolClosed.
+// goroutines. Run on a closed pool panics with ErrPoolClosed; callers
+// that can outlive the pool use TryRun.
 func (p *Pool) Run(fn func(*Worker)) {
+	if err := p.TryRun(fn); err != nil {
+		panic(err)
+	}
+}
+
+// TryRun is Run returning ErrPoolClosed, with fn never started, when the
+// pool is closed.
+func (p *Pool) TryRun(fn func(*Worker)) error {
 	t := p.NewTask("run", fn)
 	if err := p.Submit(t); err != nil {
-		panic(err)
+		return err
 	}
 	t.Wait()
 	t.rethrow()
+	return nil
 }
 
 // inject adds a task to the shared overflow queue and wakes a worker.

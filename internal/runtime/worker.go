@@ -40,13 +40,12 @@ func (w *Worker) loop() {
 			w.run(t)
 			continue
 		}
+		// Exit only after a scan that found nothing: a worker woken by a
+		// submission that raced Close must still drain it.
 		if w.pool.closed.Load() {
 			return
 		}
 		w.sleep()
-		if w.pool.closed.Load() {
-			return
-		}
 	}
 }
 
