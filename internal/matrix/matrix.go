@@ -5,7 +5,12 @@
 // views (Region, Slice, Row, Col) alias the parent's storage in O(1),
 // which is what lets rules write disjoint output regions of the same
 // matrix in parallel without copying, exactly as PetaBricks' generated
-// C++ did.
+// C++ did. The interpreter relies on it twice over: a nested transform
+// call is handed the caller's region view as its output (Zero,
+// SharesStorage and SameShape are the checks that make that safe), and
+// the results that cannot be written in place — call temporaries,
+// intermediates of nested calls — come from a free list (NewTemp,
+// Recycle; see temp.go) instead of the heap.
 package matrix
 
 import (
@@ -25,6 +30,9 @@ type Matrix struct {
 	// it is recomputed whenever dims/strides change so the hot paths
 	// (Data, Each, compiled rule execution) never re-derive it.
 	contig bool
+	// temp marks a matrix handed out by NewTemp and not yet recycled;
+	// views never carry it, so Recycle is a no-op on anything else.
+	temp bool
 }
 
 // computeContig derives the dense row-major property from dims/strides.
@@ -394,16 +402,112 @@ func (m *Matrix) Walk(f func(idx []int, v float64)) {
 // Copy returns a freshly allocated contiguous copy of m.
 func (m *Matrix) Copy() *Matrix {
 	out := New(m.dims...)
-	m.Walk(func(idx []int, v float64) { out.Set(v, idx...) })
+	copyRuns(out, m)
 	return out
 }
 
-// CopyFrom copies o's elements into m; shapes must match.
+// CopyFrom copies o's elements into m; shapes must match. Views of
+// different buffers are copied one inner-contiguous run at a time. When
+// m and o window the same buffer the copy goes element by element in
+// row-major order, so an overlapping source is read as the earlier
+// stores left it — not with memmove semantics.
 func (m *Matrix) CopyFrom(o *Matrix) {
 	if !shapeEqual(m.dims, o.dims) {
 		panic(fmt.Sprintf("matrix: CopyFrom shape mismatch %v vs %v", m.dims, o.dims))
 	}
-	m.Each(func(idx []int, _ float64) float64 { return o.Get(idx...) })
+	copyRuns(m, o)
+}
+
+// Zero sets every element to 0: one clear for a contiguous view, one
+// per inner run otherwise.
+func (m *Matrix) Zero() { copyRuns(m, nil) }
+
+// SameShape reports whether m and o have equal dimension sizes.
+func (m *Matrix) SameShape(o *Matrix) bool { return shapeEqual(m.dims, o.dims) }
+
+// HasShape reports whether m's dimension sizes are exactly dims.
+func (m *Matrix) HasShape(dims []int) bool { return shapeEqual(m.dims, dims) }
+
+// SharesStorage reports whether m and any of others are views of one
+// buffer. It compares buffer identity, not element ranges: disjoint
+// regions of the same matrix share storage.
+func (m *Matrix) SharesStorage(others ...*Matrix) bool {
+	for _, o := range others {
+		if len(m.data) > 0 && len(o.data) > 0 && &m.data[0] == &o.data[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// denseSuffix counts the trailing dimensions that form one dense
+// row-major run (unit-extent dimensions never break a run).
+func (m *Matrix) denseSuffix() int {
+	stride, k := 1, 0
+	for i := len(m.dims) - 1; i >= 0; i-- {
+		if m.dims[i] != 1 && m.strides[i] != stride {
+			break
+		}
+		stride *= m.dims[i]
+		k++
+	}
+	return k
+}
+
+// copyRuns stores src's elements (zeros when src is nil) into dst in
+// row-major order, one run of the dimensions dense in both at a time.
+// The caller has checked that the shapes match.
+func copyRuns(dst, src *Matrix) {
+	if dst.Count() == 0 {
+		return
+	}
+	nd := len(dst.dims)
+	k := dst.denseSuffix()
+	if src != nil {
+		if dst.SharesStorage(src) {
+			k = 0 // possibly overlapping: keep forward element order
+		} else if ks := src.denseSuffix(); ks < k {
+			k = ks
+		}
+	}
+	run := 1
+	for _, d := range dst.dims[nd-k:] {
+		run *= d
+	}
+	outer := dst.dims[:nd-k]
+	var buf [4]int
+	idx := buf[:]
+	if len(outer) > len(buf) {
+		idx = make([]int, len(outer))
+	}
+	idx = idx[:len(outer)]
+	for {
+		do := dst.offset
+		for d, i := range idx {
+			do += i * dst.strides[d]
+		}
+		if src == nil {
+			clear(dst.data[do : do+run])
+		} else {
+			so := src.offset
+			for d, i := range idx {
+				so += i * src.strides[d]
+			}
+			copy(dst.data[do:do+run], src.data[so:so+run])
+		}
+		d := len(idx) - 1
+		for d >= 0 {
+			idx[d]++
+			if idx[d] < outer[d] {
+				break
+			}
+			idx[d] = 0
+			d--
+		}
+		if d < 0 {
+			return
+		}
+	}
 }
 
 func shapeEqual(a, b []int) bool {

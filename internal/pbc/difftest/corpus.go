@@ -29,6 +29,10 @@ type Repro struct {
 	Inputs  map[string]ReproMat `json:"inputs"`
 	Axis    string              `json:"axis,omitempty"`
 	Detail  string              `json:"detail,omitempty"`
+
+	// WantRunErr is gen.Case.WantRunErr for programs that must fail at
+	// run time, identically on every axis.
+	WantRunErr string `json:"want_run_err,omitempty"`
 }
 
 // ReproMat is a matrix in storage (row-major) order.
@@ -70,6 +74,7 @@ func (h *Harness) Replay(r *Repro) (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difftest: replay %s: %w", r.Case, err)
 	}
+	s.wantRunErr = r.WantRunErr
 	inputs := map[string]*matrix.Matrix{}
 	for name, rm := range r.Inputs {
 		m := matrix.New(rm.Dims...)

@@ -12,6 +12,7 @@ package difftest
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -164,6 +165,9 @@ type subject struct {
 	targs   []int64
 	selName string // config selector key of the main instance
 	prog    *ast.Program
+	// wantRunErr, when set, is gen.Case.WantRunErr: every run must fail
+	// with one and the same error containing this text.
+	wantRunErr string
 }
 
 func (h *Harness) newSubject(src, main string, targs []int64) (*subject, error) {
@@ -251,13 +255,14 @@ func compareOuts(ref, got map[string]*matrix.Matrix) string {
 		if fmt.Sprint(a.Shape()) != fmt.Sprint(b.Shape()) {
 			return fmt.Sprintf("output %s shape %v vs %v", name, a.Shape(), b.Shape())
 		}
-		if !a.Equal(b) {
-			ad, bd := a.Copy().Data(), b.Copy().Data()
-			for i := range ad {
-				if ad[i] != bd[i] {
-					return fmt.Sprintf("output %s differs at flat cell %d: %g vs %g (max |Δ| %g)",
-						name, i, ad[i], bd[i], a.MaxAbsDiff(b))
-				}
+		// Cell by cell rather than Matrix.Equal, whose |a-b| > 0 test is
+		// blind to a NaN on one side — which is exactly what a read of
+		// poisoned recycled storage produces.
+		ad, bd := a.Copy().Data(), b.Copy().Data()
+		for i := range ad {
+			if ad[i] != bd[i] && !(math.IsNaN(ad[i]) && math.IsNaN(bd[i])) {
+				return fmt.Sprintf("output %s differs at flat cell %d: %g vs %g (max |Δ| %g)",
+					name, i, ad[i], bd[i], a.MaxAbsDiff(b))
 			}
 		}
 	}
@@ -293,6 +298,7 @@ func (h *Harness) Check(c *gen.Case) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difftest: building %s: %w", c.Name, err)
 	}
+	s.wantRunErr = c.WantRunErr
 	rng := rand.New(rand.NewSource(h.inputSeed(c.Name, 0)))
 	cfgs := h.makeConfigs(s, rng)
 	ns := h.pickSizes(c, rng)
@@ -563,8 +569,22 @@ func (h *Harness) checkPoint(s *subject, inputs map[string]*matrix.Matrix, cfgs 
 			for rep := 0; rep < h.opts.Repeats; rep++ {
 				outs, err := h.runOnce(s, inputs, cfg, ax)
 				runs++
+				if s.wantRunErr != "" && (err == nil || !strings.Contains(err.Error(), s.wantRunErr)) {
+					divs = append(divs, &Divergence{
+						Config: cfgText, Axis: ax.String(),
+						Detail: fmt.Sprintf("error %v, want one containing %q", err, s.wantRunErr),
+					})
+					continue
+				}
 				if ai == 0 && rep == 0 {
 					refOuts, refErr = outs, err
+					continue
+				}
+				if s.wantRunErr != "" && refErr != nil && err.Error() != refErr.Error() {
+					divs = append(divs, &Divergence{
+						Config: cfgText, Axis: ax.String(),
+						Detail: fmt.Sprintf("error text differs from %s: %q vs %q", axes[0], err, refErr),
+					})
 					continue
 				}
 				// Error status must agree exactly; messages may differ

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -37,6 +38,38 @@ func TestOracleCleanOnGeneratedCases(t *testing.T) {
 		t.Fatal("oracle executed zero runs")
 	}
 	t.Logf("%d cases, %d runs, 0 divergences", n, runs)
+}
+
+// TestInplaceVariantsMatchOracle runs every shape of the inplace family
+// — nested-call combiners, strided destinations, a callee that must see
+// zeros, a destination aliasing an argument, a mis-shaped result —
+// through the whole matrix (tiers × scheduling × plans × configs ×
+// warm/cold) on several expression draws. The random stream reaches
+// each variant only now and then; this reaches all of them every time.
+func TestInplaceVariantsMatchOracle(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	h := New(Options{Seed: 1})
+	defer h.Close()
+	for _, seed := range seeds {
+		g := gen.New(seed)
+		for v := 0; v < gen.InplaceVariants; v++ {
+			c := g.Inplace(v)
+			c.Name = fmt.Sprintf("inplace-s%d-v%d", seed, v)
+			res, err := h.Check(c)
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			if res.Runs == 0 {
+				t.Errorf("%s: oracle executed zero runs", c.Name)
+			}
+			for _, d := range res.Divergences {
+				t.Errorf("divergence: %s\nconfig:\n%s\nsource:\n%s", d, d.Config, c.Src)
+			}
+		}
+	}
 }
 
 // TestInjectedBugCaughtMinimizedReplayable walks the acceptance story:

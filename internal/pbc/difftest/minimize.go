@@ -81,6 +81,8 @@ func (h *Harness) Minimize(c *gen.Case, d *Divergence) (*Repro, error) {
 		Inputs:  map[string]ReproMat{},
 		Axis:    d.Axis,
 		Detail:  d.Detail,
+
+		WantRunErr: c.WantRunErr,
 	}
 	for name, m := range inputs {
 		cm := m.Copy()
@@ -97,6 +99,7 @@ func (h *Harness) diverges(c *gen.Case, src string, n int, cfgs []*choice.Config
 	if err != nil {
 		return false
 	}
+	s.wantRunErr = c.WantRunErr
 	inputs := c.MakeInputs(n, rand.New(rand.NewSource(h.inputSeed(c.Name, n))))
 	divs, _ := h.checkPoint(s, inputs, cfgs)
 	return len(divs) > 0

@@ -15,6 +15,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/interp"
@@ -32,6 +33,10 @@ type Case struct {
 	// WantErr marks deliberately invalid programs: parsing or analysis
 	// must return an error (and must not panic).
 	WantErr bool
+	// WantRunErr marks well-formed programs that must fail at run time:
+	// every execution, whatever the tier, schedule or config, returns an
+	// error containing this text — and the same error everywhere.
+	WantRunErr string
 	// MakeInputs builds random inputs for problem size n, keyed by the
 	// Main transform's from-matrix names.
 	MakeInputs func(n int, rng *rand.Rand) map[string]*matrix.Matrix
@@ -72,7 +77,7 @@ func New(seed int64) *Generator {
 func (g *Generator) Next() (*Case, error) {
 	g.seq++
 	var c *Case
-	switch pick := g.rng.Intn(18); {
+	switch pick := g.rng.Intn(20); {
 	case pick < 3:
 		c = g.pointwise()
 	case pick < 5:
@@ -89,6 +94,8 @@ func (g *Generator) Next() (*Case, error) {
 		c = g.stencil(true)
 	case pick < 16:
 		c = g.reduce()
+	case pick < 18:
+		c = g.Inplace(g.rng.Intn(InplaceVariants))
 	default:
 		c = g.invalid()
 	}
@@ -100,8 +107,9 @@ func (g *Generator) Next() (*Case, error) {
 }
 
 // Validate checks that a case does what it claims: valid cases must
-// parse, analyze, and run under the default configuration; WantErr
-// cases must be rejected by the parser or the analyzer.
+// parse, analyze, and run under the default configuration (WantRunErr
+// cases must fail that run with the stated error); WantErr cases must
+// be rejected by the parser or the analyzer.
 func Validate(c *Case, rng *rand.Rand) error {
 	prog, err := parser.Parse(c.Src)
 	if c.WantErr {
@@ -126,6 +134,12 @@ func Validate(c *Case, rng *rand.Rand) error {
 		_, err = eng.RunTemplate(c.Main, c.TArgs, inputs)
 	} else {
 		_, err = eng.Run(c.Main, inputs)
+	}
+	if c.WantRunErr != "" {
+		if err == nil || !strings.Contains(err.Error(), c.WantRunErr) {
+			return fmt.Errorf("smoke run at n=%d: error %v, want one containing %q", n, err, c.WantRunErr)
+		}
+		return nil
 	}
 	if err != nil {
 		return fmt.Errorf("smoke run at n=%d: %w", n, err)

@@ -47,9 +47,32 @@ func TestGeneratorCasesValid(t *testing.T) {
 		}
 	}
 	if !testing.Short() {
-		for _, f := range []string{"pointwise", "scan", "stencil", "area2d", "pipe", "recsplit", "template", "invalid"} {
+		want := []string{"pointwise", "scan", "stencil", "area2d", "pipe", "recsplit", "template", "reduce", "inplace", "invalid"}
+		for _, f := range want {
 			if fams[f] == 0 {
 				t.Errorf("family %s never generated in %d cases", f, n)
+			}
+		}
+		if len(fams) != len(want) {
+			t.Errorf("%d families generated, want %d: %v", len(fams), len(want), fams)
+		}
+	}
+}
+
+// TestInplaceVariants: each shape of the inplace family is well formed
+// (or fails its run the way it says it will) and prints to a fixed
+// point, on several expression draws.
+func TestInplaceVariants(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g := New(seed)
+		rng := rand.New(rand.NewSource(seed))
+		for v := 0; v < InplaceVariants; v++ {
+			c := g.Inplace(v)
+			if err := Validate(c, rng); err != nil {
+				t.Errorf("seed %d variant %d: %v\n%s", seed, v, err, c.Src)
+			}
+			if (c.WantRunErr != "") != (v == 4) {
+				t.Errorf("variant %d: WantRunErr = %q", v, c.WantRunErr)
 			}
 		}
 	}

@@ -41,6 +41,10 @@ type transformInfo struct {
 	outDims   [][]intAffine // per To/Through declaration, DSL dim order
 	matIndex  map[string]int
 	nIn, nOut int
+	// nodeMat maps a choice-graph node (by Node.ID) to the decls index
+	// of its matrix, so schedule walks test the macro-computed set with
+	// an index instead of a name.
+	nodeMat []int
 }
 
 // dimBind is one step of the solve order: with rest evaluated over the
@@ -135,6 +139,10 @@ func newTransformInfo(res *analysis.Result) *transformInfo {
 			forms[i] = ti.intAffineOf(se)
 		}
 		ti.outDims = append(ti.outDims, forms)
+	}
+	ti.nodeMat = make([]int, len(res.Graph.Nodes))
+	for _, n := range res.Graph.Nodes {
+		ti.nodeMat[n.ID] = ti.matIndex[n.Matrix]
 	}
 	return ti
 }
@@ -291,15 +299,12 @@ func errSolve(se *symbolic.Expr, actual int64, unknown string) error {
 	return fmt.Errorf("interp: cannot solve %s = %d for %s", se, actual, unknown)
 }
 
-// allocate builds output/intermediate matrix i of decls from its
-// declared dims.
-func (ex *exec) allocate(i int) (*matrix.Matrix, error) {
+// outShape appends the declared dims of output/intermediate matrix i of
+// decls to the empty dims, in (row, col) storage order.
+func (ex *exec) outShape(i int, dims []int) ([]int, error) {
 	ti := ex.ti
 	d := ti.decls[i]
-	forms := ti.outDims[i-ti.nIn]
-	var buf [4]int
-	dims := buf[:0]
-	for j, f := range forms {
+	for j, f := range ti.outDims[i-ti.nIn] {
 		var v int64
 		if f.ok {
 			v = f.eval(ex.sizeVals)
@@ -314,9 +319,6 @@ func (ex *exec) allocate(i int) (*matrix.Matrix, error) {
 		}
 		dims = append(dims, int(v))
 	}
-	// Reverse DSL order to (row, col) storage order.
-	for l, r := 0, len(dims)-1; l < r; l, r = l+1, r-1 {
-		dims[l], dims[r] = dims[r], dims[l]
-	}
-	return matrix.New(dims...), nil
+	slices.Reverse(dims) // DSL order to storage order
+	return dims, nil
 }

@@ -194,37 +194,62 @@ func TestBinderErrorsMatchSymbolic(t *testing.T) {
 	}
 }
 
-// TestConcurrentReentry runs one recursive transform from 8 goroutines
-// on one engine and pool: call descriptors, pooled macro frames and the
-// single pool entry are all shared state. Meaningful under -race.
+// TestConcurrentReentry runs the two recursive workloads — MergeSortDSL
+// and the c/w/h-decomposed MatrixMultiply — from 8 goroutines on one
+// engine and one 2-worker pool. Call descriptors, pooled frames and
+// invocations, the temporary free list, the holders' callee-key memos
+// and the single pool entry are all shared state; recycled storage is
+// poisoned, so a temporary handed to two runs at once corrupts an
+// output. Every result must equal the sequential AST tier's, bit for
+// bit. Meaningful under -race.
 func TestConcurrentReentry(t *testing.T) {
-	e := newEngine(t, parser.MergeSortSrc)
+	e := newEngine(t, parser.MergeSortSrc+parser.MatrixMultiplySrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector(interp.SelectorName("MergeSortDSL"), choice.Selector{Levels: []choice.Level{
 		{Cutoff: 8, Choice: 0}, {Cutoff: choice.Inf, Choice: 1},
 	}})
+	cfg.SetSelector(interp.SelectorName("MatrixMultiply"), choice.Selector{Levels: []choice.Level{
+		{Cutoff: 4, Choice: 0}, {Cutoff: 8, Choice: 1}, {Cutoff: 12, Choice: 2}, {Cutoff: choice.Inf, Choice: 3},
+	}})
+	oracleCfg := cfg.Clone()
+	oracleCfg.SetInt(interp.CompileKey, 0)
+	oracle := e.WithConfig(oracleCfg)
 	e.Cfg = cfg
-	e.Pool = runtime.NewPool(4)
+	e.Pool = runtime.NewPool(2)
 	defer e.Pool.Shutdown()
+	interp.PoisonRecycled(true)
+	defer interp.PoisonRecycled(false)
+
+	random := func(rng *rand.Rand, dims ...int) *matrix.Matrix {
+		m := matrix.New(dims...)
+		m.Each(func([]int, float64) float64 { return float64(rng.Intn(1000)) })
+		return m
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for rep := 0; rep < 5; rep++ {
-				data := make([]float64, 100+g)
-				for i := range data {
-					data[i] = float64(rng.Intn(1000))
+			for rep := 0; rep < 4; rep++ {
+				name, inputs := "MergeSortDSL", map[string]*matrix.Matrix{"A": random(rng, 100+g)}
+				if (g+rep)%2 == 1 {
+					n := 16 + g
+					name, inputs = "MatrixMultiply", map[string]*matrix.Matrix{"A": random(rng, n, n), "B": random(rng, n, n)}
 				}
-				out, err := e.Run1("MergeSortDSL", matrix.FromSlice(data))
+				want, err := oracle.Run(name, inputs)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				for i := 1; i < out.Size(0); i++ {
-					if out.At1(i-1) > out.At1(i) {
-						t.Errorf("goroutine %d: output not sorted at %d", g, i)
+				got, err := e.Run(name, inputs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for out, w := range want {
+					if !reflect.DeepEqual(got[out].Data(), w.Data()) {
+						t.Errorf("goroutine %d: %s output %s differs from the AST tier", g, name, out)
 						return
 					}
 				}

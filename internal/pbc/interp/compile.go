@@ -49,20 +49,26 @@ const (
 	EngineJIT = 2
 )
 
-// invocationKey returns the canonical artifact key of this invocation —
-// program fingerprint, transform, size binding, config fingerprint,
-// resolved engine tier — built once (see artifact.Key) and shared by
-// the compiled-program and execution-plan lookups.
+// artifactKey is the canonical artifact key of this invocation: program
+// fingerprint, transform, size binding, config fingerprint, resolved
+// engine tier (see artifact.Key).
+func (ex *exec) artifactKey() artifact.Key {
+	return artifact.Key{
+		Prog:      ex.engine.progFP,
+		Transform: ex.res.Transform.Name,
+		Sizes:     artifact.SizesKeySorted(ex.ti.sizeVars, ex.sizeVals),
+		ConfigFP:  ex.cfgFP,
+		Engine:    ex.mode,
+	}
+}
+
+// invocationKey returns artifactKey rendered — once per invocation, or
+// not at all for a nested call whose parent's holder has it memoised
+// (see calleeKey) — as the key of the compiled-program and
+// execution-plan lookups.
 func (ex *exec) invocationKey() string {
 	if ex.key == "" {
-		ex.akey = artifact.Key{
-			Prog:      ex.engine.progFP,
-			Transform: ex.res.Transform.Name,
-			Sizes:     artifact.SizesKeySorted(ex.ti.sizeVars, ex.sizeVals),
-			ConfigFP:  ex.cfgFP,
-			Engine:    ex.mode,
-		}
-		ex.key = ex.akey.String()
+		ex.key = ex.artifactKey().String()
 	}
 	return ex.key
 }
@@ -99,7 +105,8 @@ func (ex *exec) compiledFor() *compiledTransform {
 		// The key's config fingerprint covers every int tunable including
 		// EngineKey, so two configs resolving to different modes can never
 		// share an entry; mode is safe to freeze at creation.
-		return &compiledTransform{res: ex.res, sizes: ex.sizes(), mode: mode, akey: ex.akey, arts: e.arts, rules: map[int]*compiledRule{}}
+		return &compiledTransform{res: ex.res, sizes: ex.sizes(), mode: mode, akey: ex.artifactKey(), arts: e.arts,
+			callees: map[calleeShape]string{}, rules: map[int]*compiledRule{}}
 	})
 	if m := im.Load(); m != nil {
 		if created {
@@ -129,6 +136,11 @@ type compiledTransform struct {
 	akey  artifact.Key
 	arts  *artifact.Store
 
+	// callees memoises the rendered keys of the transforms this holder's
+	// rule bodies call (see calleeKey).
+	calleeMu sync.Mutex
+	callees  map[calleeShape]string
+
 	mu    sync.Mutex
 	rules map[int]*compiledRule // rule index → compiled form (nil: fell back)
 	// warmLoaded marks the one disk-tier load attempt; jprogs then holds
@@ -136,6 +148,41 @@ type compiledTransform struct {
 	// what persists back on each fresh lowering.
 	warmLoaded bool
 	jprogs     map[int]*jit.Program
+}
+
+// calleeShape identifies a nested call as seen from one holder: config
+// fingerprint and tier are the holder's own (a call inherits both), so
+// the callee and its size binding determine the key.
+type calleeShape struct {
+	ti    *transformInfo
+	sizes [4]int64
+}
+
+// maxCalleeKeys bounds one holder's memo. Macro rules call at a handful
+// of shapes fixed by the holder's sizes; a cell rule passing
+// center-dependent regions can produce one per cell, and past the bound
+// those render their key per call as before.
+const maxCalleeKeys = 64
+
+// calleeKey sets the invocation key of call, a nested invocation made
+// from one of this holder's rule bodies, rendering it only the first
+// time the holder sees that callee at those sizes. The memo lives and
+// dies with the holder, and only the rendering is skipped: the program
+// and plan lookups still go through the artifact store, so cache
+// counters and recency are those of an unmemoised call.
+func (ct *compiledTransform) calleeKey(call *exec) {
+	shape := calleeShape{ti: call.ti}
+	if copy(shape.sizes[:], call.sizeVals) < len(call.sizeVals) {
+		return // more size variables than the memo holds: rendered on use
+	}
+	ct.calleeMu.Lock()
+	key, ok := ct.callees[shape]
+	if !ok && len(ct.callees) < maxCalleeKeys {
+		key = call.invocationKey()
+		ct.callees[shape] = key
+	}
+	ct.calleeMu.Unlock()
+	call.key = key // "" past the bound: rendered on use
 }
 
 // rule returns the compiled form of ri, compiling on first use. Under
@@ -1065,30 +1112,47 @@ func (c *ruleCompiler) compileAssign(st *ast.Assign, sc *compScope) (stmtFn, err
 			if st.Op != "=" {
 				return nil, errNotCompilable
 			}
+			slot, name := v.slot, lhs.Name
+			if call, ok := st.RHS.(*ast.Call); ok && isTransformCall(call) {
+				// `b = T(…)`: the callee is offered b itself as its output;
+				// a result it could not write there is copied and recycled.
+				callInto, err := c.compileTransformCall(call, sc)
+				if err != nil {
+					return nil, err
+				}
+				return func(f *frame) error {
+					cur := f.slots[slot].m
+					rv, err := callInto(f, cur)
+					if err != nil {
+						return err
+					}
+					m := im.Load()
+					if rv.m == cur {
+						if m != nil {
+							m.callInplace.Inc()
+						}
+						return nil
+					}
+					if m != nil {
+						m.callCopied.Inc()
+					}
+					if err := assignRegion(f.cr.name, name, cur, rv); err != nil {
+						return err
+					}
+					recycle(rv.m)
+					return nil
+				}, nil
+			}
 			rhs, err := c.compileValue(st.RHS, sc)
 			if err != nil {
 				return nil, err
 			}
-			slot := v.slot
 			return func(f *frame) error {
 				rv, err := rhs(f)
 				if err != nil {
 					return err
 				}
-				rm, err := rv.mat()
-				if err != nil {
-					return err
-				}
-				cur := f.slots[slot].m
-				if rm.Count() == 1 && cur.Count() == 1 && cur.Dims() <= 1 {
-					// Degenerate 1x1 case, as in execAssign.
-					x, _ := rv.num()
-					idx := make([]int, cur.Dims())
-					cur.Set(x, idx...)
-					return nil
-				}
-				cur.CopyFrom(rm)
-				return nil
+				return assignRegion(f.cr.name, name, f.slots[slot].m, rv)
 			}, nil
 		}
 		return nil, errNotCompilable
@@ -1396,42 +1460,88 @@ func (c *ruleCompiler) compileValue(e ast.Expr, sc *compScope) (valueFn, error) 
 
 // compileCall lowers builtins and transform invocations. Builtins bind
 // at compile time (they take precedence over transforms, matching
-// evalCall); transform calls resolve their descriptor at run time so
-// compiled programs never capture engine state and stay shareable
-// across WithConfig views.
+// evalCall).
 func (c *ruleCompiler) compileCall(x *ast.Call, sc *compScope) (valueFn, error) {
-	argFns := make([]valueFn, len(x.Args))
-	for i, a := range x.Args {
-		fn, err := c.compileValue(a, sc)
+	if isTransformCall(x) {
+		call, err := c.compileTransformCall(x, sc)
 		if err != nil {
 			return nil, err
 		}
-		argFns[i] = fn
+		return func(f *frame) (value, error) { return call(f, nil) }, nil
 	}
-	site := c.newArgSite(len(argFns))
-	name := x.Fn
-	if fn, ok := builtins[name]; ok {
-		return func(f *frame) (value, error) {
-			args := f.args[site]
-			for i, afn := range argFns {
-				v, err := afn(f)
-				if err != nil {
-					return value{}, err
-				}
-				args[i] = v
-			}
-			return fn(name, args)
-		}, nil
+	argFns, site, err := c.compileArgs(x, sc)
+	if err != nil {
+		return nil, err
 	}
+	name, fn := x.Fn, builtins[x.Fn]
 	return func(f *frame) (value, error) {
 		args := f.args[site]
-		for i, afn := range argFns {
-			v, err := afn(f)
-			if err != nil {
-				return value{}, err
-			}
-			args[i] = v
+		if err := f.evalArgs(argFns, args); err != nil {
+			return value{}, err
 		}
-		return f.ex.callTransform(name, args, f.worker)
+		return fn(name, args)
+	}, nil
+}
+
+// isTransformCall reports whether x invokes a transform, not a builtin.
+func isTransformCall(x *ast.Call) bool { return builtins[x.Fn] == nil }
+
+// compileArgs lowers a call's arguments and reserves the frame buffer
+// they are evaluated into.
+func (c *ruleCompiler) compileArgs(x *ast.Call, sc *compScope) (argFns []valueFn, site int, err error) {
+	argFns = make([]valueFn, len(x.Args))
+	for i, a := range x.Args {
+		if argFns[i], err = c.compileValue(a, sc); err != nil {
+			return nil, 0, err
+		}
+	}
+	return argFns, c.newArgSite(len(argFns)), nil
+}
+
+// evalArgs evaluates a call's arguments, in order, into args.
+func (f *frame) evalArgs(argFns []valueFn, args []value) error {
+	for i, afn := range argFns {
+		v, err := afn(f)
+		if err != nil {
+			return err
+		}
+		args[i] = v
+	}
+	return nil
+}
+
+// compileTransformCall lowers a transform invocation; the compiled form
+// takes the region its result is about to be assigned to, or nil. The
+// descriptor resolves at run time, so compiled programs never capture
+// engine state and stay shareable across WithConfig views. An argument
+// that is itself a transform call is a temporary nothing else can name:
+// it dies when the consumer returns, and is recycled here (never on an
+// error path).
+func (c *ruleCompiler) compileTransformCall(x *ast.Call, sc *compScope) (func(f *frame, dest *matrix.Matrix) (value, error), error) {
+	argFns, site, err := c.compileArgs(x, sc)
+	if err != nil {
+		return nil, err
+	}
+	var temps []int
+	for i, a := range x.Args {
+		if call, ok := a.(*ast.Call); ok && isTransformCall(call) {
+			temps = append(temps, i)
+		}
+	}
+	name := x.Fn
+	return func(f *frame, dest *matrix.Matrix) (value, error) {
+		args := f.args[site]
+		if err := f.evalArgs(argFns, args); err != nil {
+			return value{}, err
+		}
+		v, err := f.ex.callTransform(name, args, dest, f.worker)
+		if err != nil {
+			return value{}, err
+		}
+		for _, i := range temps {
+			recycle(args[i].m)
+			args[i] = value{}
+		}
+		return v, nil
 	}, nil
 }

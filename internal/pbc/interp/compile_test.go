@@ -23,7 +23,7 @@ func execFor(t *testing.T, e *Engine, name string, size int64) *exec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := e.newExec(ti, ti.positional(inputs), nil, nil)
+	ex, err := e.newExec(ti, ti.positional(inputs), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

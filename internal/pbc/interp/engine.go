@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -156,7 +157,7 @@ func (e *Engine) Run(name string, inputs map[string]*matrix.Matrix) (map[string]
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown transform %q", name)
 	}
-	ex, err := e.run(ti, ti.positional(inputs), nil, nil)
+	ex, err := e.run(ti, ti.positional(inputs), nil, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,15 +165,18 @@ func (e *Engine) Run(name string, inputs map[string]*matrix.Matrix) (map[string]
 	for i, m := range ex.outputs() {
 		out[ti.decls[ti.nIn+i].Name] = m
 	}
+	ex.release()
 	return out, nil
 }
 
 // run executes one invocation of ti on positional inputs (From order)
-// and returns it with its outputs computed. parent is the calling
-// invocation of a nested transform call, nil at top level; w is the
-// scheduler thread the caller runs on.
-func (e *Engine) run(ti *transformInfo, ins []*matrix.Matrix, parent *exec, w *runtime.Worker) (*exec, error) {
-	ex, err := e.newExec(ti, ins, parent, w)
+// and returns it with its outputs computed; the caller takes them and
+// releases it. parent is the calling invocation of a nested transform
+// call, nil at top level; dest, when non-nil, is the caller's region the
+// output is about to be assigned to (see newExec); w is the scheduler
+// thread the caller runs on.
+func (e *Engine) run(ti *transformInfo, ins []*matrix.Matrix, parent *exec, dest *matrix.Matrix, w *runtime.Worker) (*exec, error) {
+	ex, err := e.newExec(ti, ins, parent, dest, w)
 	if err != nil {
 		return nil, err
 	}
@@ -182,10 +186,25 @@ func (e *Engine) run(ti *transformInfo, ins []*matrix.Matrix, parent *exec, w *r
 	return ex, nil
 }
 
+// execPool recycles invocations (see exec.release): a tuned program
+// re-enters the engine hundreds of times per run.
+var execPool = sync.Pool{New: func() any { return new(exec) }}
+
 // newExec sets up an invocation: size variables bound from the input
 // shapes, outputs and intermediates allocated, compiled rules located.
-func (e *Engine) newExec(ti *transformInfo, ins []*matrix.Matrix, parent *exec, w *runtime.Worker) (*exec, error) {
-	ex := &exec{engine: e, ti: ti, res: ti.res, worker: w}
+//
+// A top-level invocation allocates its outputs: the caller keeps them.
+// A nested one writes straight into dest when that region has exactly
+// the output's shape and shares its buffer with none of the inputs
+// (buffer identity: disjoint regions of one matrix count as aliased);
+// dest is zeroed first, as a callee may read cells it never writes.
+// Otherwise, and for intermediates, nested invocations on the compiled
+// tiers draw temporaries from matrix's free list, recycled by whoever
+// consumes them. The AST tier always allocates — the oracle stays
+// independent of all this.
+func (e *Engine) newExec(ti *transformInfo, ins []*matrix.Matrix, parent *exec, dest *matrix.Matrix, w *runtime.Worker) (*exec, error) {
+	ex := execPool.Get().(*exec)
+	ex.engine, ex.ti, ex.res, ex.worker = e, ti, ti.res, w
 	if parent != nil {
 		// Same engine view, and a config cannot change inside one Run.
 		ex.depth, ex.cfgFP, ex.mode = parent.depth+1, parent.cfgFP, parent.mode
@@ -204,15 +223,57 @@ func (e *Engine) newExec(ti *transformInfo, ins []*matrix.Matrix, parent *exec, 
 		return nil, err
 	}
 	ex.mats = append(ex.matBuf[:0], ins...)
+	temps := parent != nil && ex.mode != EngineInterp
 	for i := ti.nIn; i < len(ti.decls); i++ {
-		m, err := ex.allocate(i)
+		var buf [4]int
+		dims, err := ex.outShape(i, buf[:0])
 		if err != nil {
 			return nil, err
 		}
+		var m *matrix.Matrix
+		switch {
+		case dest != nil && i == ti.nIn && dest.HasShape(dims) && !dest.SharesStorage(ins...):
+			dest.Zero()
+			m = dest
+		case temps:
+			m = matrix.NewTemp(dims...)
+		default:
+			m = matrix.New(dims...)
+		}
 		ex.mats = append(ex.mats, m)
+	}
+	if parent != nil && parent.comp != nil {
+		parent.comp.calleeKey(ex)
 	}
 	ex.comp = ex.compiledFor()
 	return ex, nil
+}
+
+// release returns a finished invocation to the pool. Call it only on
+// success, after the outputs have been taken: the schedule has joined
+// every frame and task by then, so nothing else holds ex. Intermediates
+// die here; the size map is dropped, not reused — a compiled holder may
+// have captured it.
+func (ex *exec) release() {
+	for _, m := range ex.mats[ex.ti.nIn+ex.ti.nOut:] {
+		recycle(m)
+	}
+	*ex = exec{}
+	execPool.Put(ex)
+}
+
+// poisonRecycled is a test hook (export_test.go): recycled matrices are
+// filled with NaN first, so a read through a stale view changes an
+// output instead of going unnoticed.
+var poisonRecycled bool
+
+// recycle returns a dead temporary's storage to matrix's free list (a
+// no-op on anything that is not a live temporary).
+func recycle(m *matrix.Matrix) {
+	if poisonRecycled {
+		m.Fill(math.NaN())
+	}
+	m.Recycle()
 }
 
 // Run1 runs a transform with a single input and single output.
@@ -262,10 +323,34 @@ type exec struct {
 	// comp holds the invocation's compiled-program cache entry (nil when
 	// compilation is disabled).
 	comp *compiledTransform
-	// key is the lazily built invocation cache key (see invocationKey);
-	// akey is its structured form, valid once key is non-empty.
-	key  string
-	akey artifact.Key
+	// key is the invocation cache key: rendered on first use by
+	// invocationKey, or taken from the parent's holder for a nested call.
+	key string
+	// done is a bitset over decls indices: the matrices the selected
+	// macro rules produced, whose nodes the schedule skips. It stays nil
+	// (empty) unless a macro ran, and lives in doneBuf for transforms of
+	// up to 64 matrices.
+	done    []uint64
+	doneBuf [1]uint64
+}
+
+// markDone records that a macro rule produced node's matrix.
+func (ex *exec) markDone(node *analysis.Node) {
+	if ex.done == nil {
+		ex.done = ex.doneBuf[:]
+		if n := (len(ex.ti.decls) + 63) >> 6; n > len(ex.doneBuf) {
+			ex.done = make([]uint64, n)
+		}
+	}
+	i := ex.ti.nodeMat[node.ID]
+	ex.done[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// skips reports whether the schedule has nothing to compute for node:
+// it is an input, or a macro rule already produced its matrix.
+func (ex *exec) skips(node *analysis.Node) bool {
+	i := ex.ti.nodeMat[node.ID]
+	return node.Input || i>>6 < len(ex.done) && ex.done[i>>6]>>(uint(i)&63)&1 != 0
 }
 
 // sizes returns the size-variable bindings by name. The map is shared
@@ -395,12 +480,11 @@ func (ex *exec) selectsMacro() bool {
 func (ex *exec) runScheduleOnThread() error {
 	// Macro-path check: if the config selects a macro rule for an output
 	// matrix, run it once instead of the per-cell schedule for that
-	// matrix. done stays nil (reads as empty) unless a macro ran.
-	var done map[string]bool
+	// matrix.
 	covered := true // every computed matrix came from a macro rule
 	for _, step := range ex.res.Schedule {
 		for _, node := range step.Nodes {
-			if node.Input || done[node.Matrix] {
+			if ex.skips(node) {
 				continue
 			}
 			ri := ex.chooseMacro(ex.res.Grids[node.Matrix])
@@ -411,10 +495,7 @@ func (ex *exec) runScheduleOnThread() error {
 			if err := ex.runMacro(ri); err != nil {
 				return err
 			}
-			if done == nil {
-				done = make(map[string]bool, ex.ti.nOut)
-			}
-			done[node.Matrix] = true
+			ex.markDone(node)
 		}
 	}
 	m := im.Load()
@@ -432,13 +513,13 @@ func (ex *exec) runScheduleOnThread() error {
 		}
 	}
 	if parallel {
-		if p := ex.planFor(done); p != nil {
-			return ex.runPlan(p, done)
+		if p := ex.planFor(); p != nil {
+			return ex.runPlan(p)
 		}
-		return ex.runScheduleParallel(done)
+		return ex.runScheduleParallel()
 	}
 	for _, step := range ex.res.Schedule {
-		if err := ex.runStep(step, done, ex.worker); err != nil {
+		if err := ex.runStep(step, ex.worker); err != nil {
 			return err
 		}
 	}
@@ -467,7 +548,7 @@ func (ex *exec) sizesMeetAssumption() bool {
 // to the work-stealing scheduler so independent regions compute
 // concurrently ("Dependency edges between tasks are detected at compile
 // time and encoded in the tasks as they are created").
-func (ex *exec) runScheduleParallel(done map[string]bool) error {
+func (ex *exec) runScheduleParallel() error {
 	pool := ex.engine.Pool
 	steps := ex.res.Schedule
 	errs := make([]error, len(steps))
@@ -475,7 +556,7 @@ func (ex *exec) runScheduleParallel(done map[string]bool) error {
 	for i, st := range steps {
 		i, st := i, st
 		tasks[i] = pool.NewTask("step", func(tw *runtime.Worker) {
-			errs[i] = ex.runStep(st, done, tw)
+			errs[i] = ex.runStep(st, tw)
 		})
 	}
 	// Step-granular dependencies come pre-condensed from the analysis
@@ -567,25 +648,25 @@ func (ex *exec) problemSize() int64 {
 	return size
 }
 
-func (ex *exec) runStep(step *analysis.Step, done map[string]bool, w *runtime.Worker) error {
+func (ex *exec) runStep(step *analysis.Step, w *runtime.Worker) error {
 	m := im.Load()
 	if step.Lex != nil {
 		if m != nil {
 			m.stepsLex.Inc()
 		}
-		return ex.runLex(step, done, w)
+		return ex.runLex(step, w)
 	}
 	if step.Cyclic {
 		if m != nil {
 			m.stepsCyclic.Inc()
 		}
-		return ex.runCyclic(step, done, w)
+		return ex.runCyclic(step, w)
 	}
 	if m != nil {
 		m.stepsPlain.Inc()
 	}
 	for _, node := range step.Nodes {
-		if node.Input || done[node.Matrix] {
+		if ex.skips(node) {
 			continue
 		}
 		if err := ex.runNode(node, nil, w); err != nil {
@@ -653,11 +734,11 @@ type sliceConstraint struct {
 // compiled rules and (sequentially) their frames — is derived once
 // before the wavefront loop: fine wavefronts visit one slice per cell,
 // so anything done per index here is effectively per-cell cost.
-func (ex *exec) runCyclic(step *analysis.Step, done map[string]bool, w *runtime.Worker) error {
+func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	d := step.IterDim
 	lo, hi := int64(1<<62), int64(-1<<62)
 	for _, node := range step.Nodes {
-		if done[node.Matrix] {
+		if ex.skips(node) {
 			continue
 		}
 		b, err := ex.evalNodeRegion(node.Matrix, node.Region)
@@ -694,7 +775,7 @@ func (ex *exec) runCyclic(step *analysis.Step, done map[string]bool, w *runtime.
 		}
 	}()
 	for _, node := range step.Nodes {
-		if node.Input || done[node.Matrix] {
+		if ex.skips(node) {
 			continue
 		}
 		gc := node.Cell
@@ -897,9 +978,9 @@ func unflatten(flat int64, b [][2]int64, out []int64) {
 // (single) node are visited in the scheduled dimension order and
 // directions, under which every internal dependency reads
 // already-computed cells (e.g. 2-D recurrences iterated row-major).
-func (ex *exec) runLex(step *analysis.Step, done map[string]bool, w *runtime.Worker) error {
+func (ex *exec) runLex(step *analysis.Step, w *runtime.Worker) error {
 	for _, node := range step.Nodes {
-		if node.Input || done[node.Matrix] {
+		if ex.skips(node) {
 			continue
 		}
 		gc := node.Cell

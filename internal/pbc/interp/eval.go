@@ -21,7 +21,7 @@ func (ex *exec) runRuleBody(ri *analysis.RuleInfo, center map[string]int64, w *r
 		return fmt.Errorf("interp: %s uses a %%{...}%% escape, which the interpreter cannot execute", ri.Rule.Name())
 	}
 	e := newEnv(nil)
-	e.worker = w
+	e.worker, e.rule = w, ri.Rule.Name()
 	for k, v := range ex.sizes() {
 		e.define(k, scalar(float64(v)))
 	}
@@ -326,19 +326,7 @@ func (ex *exec) execAssign(st *ast.Assign, e *env) error {
 			if st.Op != "=" {
 				return fmt.Errorf("interp: %q not supported on matrix bindings", st.Op)
 			}
-			rm, err := rhs.mat()
-			if err != nil {
-				return err
-			}
-			if rm.Count() == 1 && cur.m.Count() == 1 && cur.m.Dims() <= 1 {
-				// Degenerate 1x1 case.
-				f, _ := rhs.num()
-				idx := make([]int, cur.m.Dims())
-				cur.m.Set(f, idx...)
-				return nil
-			}
-			cur.m.CopyFrom(rm)
-			return nil
+			return assignRegion(e.root().rule, lhs.Name, cur.m, rhs)
 		default:
 			nv, err := apply(cur.f)
 			if err != nil {
@@ -545,14 +533,48 @@ func (ex *exec) evalCall(x *ast.Call, e *env) (value, error) {
 	if fn, ok := builtins[x.Fn]; ok {
 		return fn(x.Fn, args)
 	}
-	return ex.callTransform(x.Fn, args, e.rootWorker())
+	return ex.callTransform(x.Fn, args, nil, e.root().worker)
+}
+
+// RegionShapeError reports a whole-region assignment (`b = T(a)`)
+// whose right-hand side does not have the bound region's shape.
+type RegionShapeError struct {
+	Rule, Binding string
+	Region, Value []int // DSL (x, y, …) order
+}
+
+func (e *RegionShapeError) Error() string {
+	return fmt.Sprintf("interp: %s binding %s: cannot assign a value of shape %v to a region of shape %v",
+		e.Rule, e.Binding, e.Value, e.Region)
+}
+
+// assignRegion stores rv into the region view cur bound as binding —
+// the whole-region assignment of every tier.
+func assignRegion(rule, binding string, cur *matrix.Matrix, rv value) error {
+	rm, err := rv.mat()
+	if err != nil {
+		return err
+	}
+	if rm.Count() == 1 && cur.Count() == 1 && cur.Dims() <= 1 {
+		// Degenerate 1x1 case: ranks may differ (a scalar into a
+		// one-cell vector).
+		cur.SetFlat(cur.Offset(), rm.AtFlat(rm.Offset()))
+		return nil
+	}
+	if !cur.SameShape(rm) {
+		return &RegionShapeError{Rule: rule, Binding: binding, Region: dslDims(cur), Value: dslDims(rm)}
+	}
+	cur.CopyFrom(rm)
+	return nil
 }
 
 // callTransform re-enters the engine for a transform call in a rule
 // body: args are the input matrices in from-decl order, the result is
-// the callee's single output. w is the scheduler thread of the calling
+// the callee's single output — dest itself when the callee could write
+// the caller's region in place (see newExec), else a matrix the caller
+// of callTransform now owns. w is the scheduler thread of the calling
 // body.
-func (ex *exec) callTransform(name string, args []value, w *runtime.Worker) (value, error) {
+func (ex *exec) callTransform(name string, args []value, dest *matrix.Matrix, w *runtime.Worker) (value, error) {
 	sub, ok := ex.engine.transform(name)
 	if !ok {
 		return value{}, fmt.Errorf("interp: unknown function or transform %q", name)
@@ -572,11 +594,13 @@ func (ex *exec) callTransform(name string, args []value, w *runtime.Worker) (val
 		}
 		ins = append(ins, m)
 	}
-	call, err := ex.engine.run(sub, ins, ex, w)
+	call, err := ex.engine.run(sub, ins, ex, dest, w)
 	if err != nil {
 		return value{}, err
 	}
-	return matval(call.outputs()[0]), nil
+	out := call.outputs()[0]
+	call.release()
+	return matval(out), nil
 }
 
 // builtins are the body-level intrinsic functions.

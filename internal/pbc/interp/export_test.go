@@ -31,3 +31,9 @@ func BindShapes(e *Engine, name string, targs []int64, inputs map[string]*matrix
 	ref, refErr = ti.bindSymbolic(ins)
 	return fast, ref, fastErr, refErr, ti.fast
 }
+
+// PoisonRecycled makes every matrix handed to recycle — call
+// temporaries, nested intermediates, copied fallback results — fill
+// with NaN before its storage returns to the free list, so a stale view
+// of one shows up as a wrong output. Not safe to flip while engines run.
+func PoisonRecycled(on bool) { poisonRecycled = on }

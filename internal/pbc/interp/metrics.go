@@ -24,6 +24,9 @@ type interpMetrics struct {
 	schedSequential *obs.Counter // invocations run sequentially (no pool)
 	schedDegenerate *obs.Counter // pool available but sizes below MinInputSize
 
+	callInplace *obs.Counter // `b = T(…)` results the callee wrote into b
+	callCopied  *obs.Counter // `b = T(…)` results copied into b (aliasing or shape)
+
 	stepsPlain  *obs.Counter // independent-region schedule steps
 	stepsCyclic *obs.Counter // cyclic wavefront steps
 	stepsLex    *obs.Counter // lexicographic wavefront steps
@@ -66,6 +69,8 @@ func Instrument(reg *obs.Registry) {
 	m.schedParallel = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "parallel"))
 	m.schedSequential = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "sequential"))
 	m.schedDegenerate = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "degenerate_sequential"))
+	m.callInplace = reg.Counter("pb_interp_call_results_total", "Transform-call results assigned to a region, by how they got there.", obs.L("path", "inplace"))
+	m.callCopied = reg.Counter("pb_interp_call_results_total", "Transform-call results assigned to a region, by how they got there.", obs.L("path", "copied"))
 	m.stepsPlain = reg.Counter("pb_interp_steps_total", "Schedule steps executed by kind.", obs.L("kind", "plain"))
 	m.stepsCyclic = reg.Counter("pb_interp_steps_total", "Schedule steps executed by kind.", obs.L("kind", "cyclic"))
 	m.stepsLex = reg.Counter("pb_interp_steps_total", "Schedule steps executed by kind.", obs.L("kind", "lex"))

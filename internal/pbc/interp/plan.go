@@ -89,7 +89,7 @@ type planEntry struct {
 // or building it on first use. A nil plan (disabled by config, or a
 // shape the builder declined) means the caller should use per-run task
 // wiring.
-func (ex *exec) planFor(done map[string]bool) *plan {
+func (ex *exec) planFor() *plan {
 	e := ex.engine
 	if e.Cfg.Int(PlanKey, 1) == 0 {
 		return nil
@@ -103,7 +103,7 @@ func (ex *exec) planFor(done map[string]bool) *plan {
 		}
 	}
 	pe := v.(*planEntry)
-	pe.once.Do(func() { pe.p = ex.loadOrBuildPlan(done) })
+	pe.once.Do(func() { pe.p = ex.loadOrBuildPlan() })
 	return pe.p
 }
 
@@ -112,12 +112,12 @@ func (ex *exec) planFor(done map[string]bool) *plan {
 // jit warm-start pattern), otherwise construct the plan and persist its
 // descriptor back. Load and Save are silent no-ops on memory-only
 // stores, so non-serving callers pay nothing new.
-func (ex *exec) loadOrBuildPlan(done map[string]bool) *plan {
+func (ex *exec) loadOrBuildPlan() *plan {
 	e := ex.engine
 	m := im.Load()
 	if e.arts.Persistent() {
 		var warm *plan
-		e.arts.Load(artifact.KindPlan, ex.akey, func(payload []byte) error {
+		e.arts.Load(artifact.KindPlan, ex.artifactKey(), func(payload []byte) error {
 			d, err := DecodePlan(payload)
 			if err != nil {
 				return err
@@ -138,7 +138,7 @@ func (ex *exec) loadOrBuildPlan(done map[string]bool) *plan {
 		}
 	}
 	start := time.Now()
-	p := ex.buildPlan(done)
+	p := ex.buildPlan()
 	planCtr.buildNanos.Add(time.Since(start).Nanoseconds())
 	planCtr.builds.Add(1)
 	if m != nil {
@@ -149,7 +149,7 @@ func (ex *exec) loadOrBuildPlan(done map[string]bool) *plan {
 	}
 	if d, ok := describePlan(ex.res, p); ok {
 		if payload, err := EncodePlan(d); err == nil {
-			_ = e.arts.Save(artifact.KindPlan, ex.akey, payload)
+			_ = e.arts.Save(artifact.KindPlan, ex.artifactKey(), payload)
 		}
 	}
 	return p
@@ -160,17 +160,17 @@ func (ex *exec) loadOrBuildPlan(done map[string]bool) *plan {
 // produced every output) has nothing to join, and a lone task joined
 // from a scheduler thread runs on that thread — arming, queueing and
 // waking for it would cost more than a nested call's whole body.
-func (ex *exec) runPlan(p *plan, done map[string]bool) error {
+func (ex *exec) runPlan(p *plan) error {
 	switch {
 	case len(p.tasks) == 0:
 		return nil
 	case len(p.tasks) == 1 && ex.worker != nil:
-		return ex.runPlanTask(&p.tasks[0], done, ex.worker)
+		return ex.runPlanTask(&p.tasks[0], ex.worker)
 	}
 	var mu sync.Mutex
 	var firstErr error
 	r := ex.engine.Pool.NewRun(p.graph, func(w *runtime.Worker, i int) {
-		if err := ex.runPlanTask(&p.tasks[i], done, w); err != nil {
+		if err := ex.runPlanTask(&p.tasks[i], w); err != nil {
 			mu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -191,10 +191,10 @@ func (ex *exec) runPlan(p *plan, done map[string]bool) error {
 	return firstErr
 }
 
-func (ex *exec) runPlanTask(t *planTask, done map[string]bool, w *runtime.Worker) error {
+func (ex *exec) runPlanTask(t *planTask, w *runtime.Worker) error {
 	switch {
 	case t.step != nil:
-		return ex.runStep(t.step, done, w)
+		return ex.runStep(t.step, w)
 	case t.node != nil:
 		return ex.runCells(t.ri, t.bounds, t.lex, w)
 	default:
@@ -351,10 +351,10 @@ type planBuilder struct {
 // buildPlan lowers the schedule into a plan, or returns nil when the
 // invocation's shape defeats memoization (the caller then uses per-run
 // wiring; correctness never depends on a plan existing). The macro
-// `done` set, the chosen rules, and the concrete bounds baked in here
+// ex.done set, the chosen rules, and the concrete bounds baked in here
 // are all pure functions of (transform, sizes, config) — the cache key
 // — so replaying the plan on later invocations is sound.
-func (ex *exec) buildPlan(done map[string]bool) *plan {
+func (ex *exec) buildPlan() *plan {
 	grain := ex.engine.Cfg.Int(ParGrainKey, DefaultParGrain)
 	if grain < 1 {
 		grain = 1
@@ -362,7 +362,7 @@ func (ex *exec) buildPlan(done map[string]bool) *plan {
 	pb := &planBuilder{ex: ex, grain: grain}
 	steps := make([]builtStep, len(ex.res.Schedule))
 	for si, st := range ex.res.Schedule {
-		bs, ok := pb.lowerStep(st, done)
+		bs, ok := pb.lowerStep(st)
 		if !ok {
 			return nil
 		}
@@ -401,11 +401,11 @@ func (pb *planBuilder) stepFallback(st *analysis.Step) builtStep {
 
 // lowerStep lowers one schedule step. ok=false declines the whole plan
 // (region evaluation failed; the legacy path will surface the error).
-func (pb *planBuilder) lowerStep(st *analysis.Step, done map[string]bool) (builtStep, bool) {
+func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 	ex := pb.ex
 	var active []*analysis.Node
 	for _, n := range st.Nodes {
-		if n.Input || done[n.Matrix] {
+		if ex.skips(n) {
 			continue
 		}
 		active = append(active, n)

@@ -217,7 +217,7 @@ func TestPlanWavefrontTiling(t *testing.T) {
 	cfg.SetInt(ParGrainKey, 32)
 	e.Cfg = cfg
 	ex := execFor(t, e, "SummedArea", 32)
-	p := ex.buildPlan(map[string]bool{})
+	p := ex.buildPlan()
 	if p == nil {
 		t.Fatal("buildPlan declined the SummedArea schedule")
 	}

@@ -82,18 +82,20 @@ func (v value) mat() (*matrix.Matrix, error) {
 type env struct {
 	parent *env
 	vars   map[string]value
-	// worker, set on the root scope, is the scheduler thread the body
-	// runs on (nil outside the pool).
+	// Set on the root scope only: worker is the scheduler thread the
+	// body runs on (nil outside the pool), rule the diagnostic name of
+	// the rule being interpreted.
 	worker *runtime.Worker
+	rule   string
 }
 
-// rootWorker returns the worker of the outermost scope.
-func (e *env) rootWorker() *runtime.Worker {
+// root returns the outermost scope.
+func (e *env) root() *env {
 	s := e
 	for s.parent != nil {
 		s = s.parent
 	}
-	return s.worker
+	return s
 }
 
 func newEnv(parent *env) *env { return &env{parent: parent, vars: map[string]value{}} }

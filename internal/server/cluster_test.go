@@ -147,12 +147,28 @@ func TestClusterFallbackWhenPeerDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := "http://" + ln.Addr().String()
-	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	// The dead entry must own some probed size, and ring ownership
+	// depends on the ephemeral ports: draw addresses until one does (a
+	// single draw left the test skipping one run in five).
+	var dead string
+	n := 0
+	for try := 0; try < 50 && n == 0; try++ {
+		deadLn, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead = "http://" + deadLn.Addr().String()
+		deadLn.Close() // nothing will ever answer there
+		ring := cluster.NewRing([]string{live, dead}, cluster.DefaultVNodes)
+		for size := 64; size <= 1<<15 && n == 0; size *= 2 {
+			if ring.Owner(cluster.ShardKey("sort", configstore.Bucket(int64(size)))) == dead {
+				n = size
+			}
+		}
 	}
-	dead := "http://" + deadLn.Addr().String()
-	deadLn.Close() // nothing will ever answer there
+	if n == 0 {
+		t.Skip("no probed size owned by a dead node")
+	}
 
 	reg := NewRegistry()
 	if err := reg.AddKernels(); err != nil {
@@ -179,19 +195,6 @@ func TestClusterFallbackWhenPeerDown(t *testing.T) {
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close(); srv.Close(); pool.Shutdown() })
-
-	// Find a size the dead node owns.
-	ring := cluster.NewRing([]string{live, dead}, cluster.DefaultVNodes)
-	n := 0
-	for size := 64; size <= 1<<15; size *= 2 {
-		if ring.Owner(cluster.ShardKey("sort", configstore.Bucket(int64(size)))) == dead {
-			n = size
-			break
-		}
-	}
-	if n == 0 {
-		t.Skip("no probed size owned by the dead node")
-	}
 
 	status, body := postJSON(t, live+"/v1/run", map[string]any{
 		"program": "sort", "n": n, "seed": 3,
