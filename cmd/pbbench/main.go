@@ -3,79 +3,28 @@
 //
 // Usage:
 //
-//	pbbench -exp fig11|fig12|fig14|fig15|fig16|table1|table2|cutoff|all [-quick] [-metrics file]
-//	pbbench -coldstart [-coldstart-n n] [-trials k] [-baseline BENCH_interp.json]
+//	pbbench -exp fig11|fig12|fig14|fig15|fig16|table1|table2|cutoff|all [-quick]
 //
 // -quick shrinks every experiment to seconds-scale sizes; without it the
-// defaults approximate the paper's ranges at laptop scale. -metrics
-// instruments the runtime pool, the interpreter, and the autotuner and
-// writes a JSON metrics snapshot after the experiments ("-" = stdout).
-//
-// -coldstart measures restart behavior instead: the first-request
-// latency of a fresh engine against an empty artifact store (cold —
-// rules lowered from source) vs. the same store reopened (warm —
-// persisted bytecode loaded from disk). With -baseline the result is
-// recorded under the file's "coldstart" key.
+// defaults approximate the paper's ranges at laptop scale. The repo's
+// gated performance benchmark is benchmark/run.sh, not this tool.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/harness"
-	"petabricks/internal/obs"
-	"petabricks/internal/pbc/interp"
-	"petabricks/internal/runtime"
 )
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id (fig11, fig12, fig14, fig15, fig16, table1, table2, cutoff, all)")
-		quick     = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
-		metrics   = flag.String("metrics", "", "write a JSON metrics snapshot to this file after the run (\"-\" = stdout)")
-		coldstart = flag.Bool("coldstart", false, "measure warm-vs-cold first-request latency instead of running experiments")
-		coldN     = flag.Int64("coldstart-n", 256, "problem size for -coldstart")
-		trials    = flag.Int("trials", 5, "best-of trials for -coldstart")
-		baseline  = flag.String("baseline", "", "merge -coldstart results into this baseline JSON file (e.g. BENCH_interp.json)")
+		exp   = flag.String("exp", "all", "experiment id (fig11, fig12, fig14, fig15, fig16, table1, table2, cutoff, all)")
+		quick = flag.Bool("quick", false, "shrink sizes for a fast smoke run")
 	)
 	flag.Parse()
 
-	if *coldstart {
-		n := *coldN
-		if *quick {
-			n = 64
-		}
-		res, err := runColdstart(*trials, n)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# coldstart: %s n=%d, best of %d trials\n", res.Program, res.N, res.Trials)
-		fmt.Printf("cold first request\t%.6fs\t(plan %.6fs, compile %.6fs, execute %.6fs)\n",
-			res.ColdSeconds, res.ColdPlanSeconds, res.ColdCompileSeconds, res.ColdExecSeconds)
-		fmt.Printf("warm first request\t%.6fs\t(plan %.6fs, compile %.6fs, execute %.6fs)\n",
-			res.WarmSeconds, res.WarmPlanSeconds, res.WarmCompileSeconds, res.WarmExecSeconds)
-		fmt.Printf("speedup\t%.2fx\n", res.Speedup)
-		if *baseline != "" {
-			if err := mergeColdstart(*baseline, res); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("# merged into %s\n", *baseline)
-		}
-		return
-	}
-
-	var mreg *obs.Registry
-	if *metrics != "" {
-		// The harness builds and discards pools per experiment, so expose
-		// the process-wide scheduler totals rather than one pool's gauges.
-		mreg = obs.NewRegistry()
-		runtime.InstrumentTotals(mreg)
-		interp.Instrument(mreg)
-		autotuner.Instrument(mreg)
-	}
 	run := func(id string) {
 		switch id {
 		case "fig11":
@@ -147,24 +96,6 @@ func main() {
 	} else {
 		run(*exp)
 	}
-	if mreg != nil {
-		if err := dumpMetrics(mreg, *metrics); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-func dumpMetrics(reg *obs.Registry, path string) error {
-	raw, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	raw = append(raw, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(raw)
-		return err
-	}
-	return os.WriteFile(path, raw, 0o644)
 }
 
 func emit(e harness.Experiment, err error) {

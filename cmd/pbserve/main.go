@@ -180,7 +180,7 @@ func main() {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	if cl.Enabled() {
@@ -216,6 +216,22 @@ func main() {
 	srv.Close()
 	pool.Shutdown()
 	log.Printf("pbserve: stopped cleanly")
+}
+
+const (
+	// readHeaderTimeout: a client that never finishes its headers does
+	// not hold a connection forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout exceeds the 90s a Go client (a forwarding peer) keeps
+	// an idle connection, so the client side closes first.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's server. WriteTimeout stays 0:
+// /v1/tune with wait:true and long runs reply minutes after the request
+// was read, and a write deadline would cut those replies off.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // peerList resolves cluster membership from -peers (comma-separated)

@@ -117,9 +117,8 @@ func (h *Harness) Close() { h.pool.Shutdown() }
 
 // axis is one way of executing a program.
 type axis struct {
-	engine   int // interp.EngineInterp / EngineClosure / EngineJIT
-	parallel bool
-	plan     bool // memoized execution plans (parallel axes only)
+	engine int  // interp.EngineInterp / EngineClosure / EngineJIT
+	pool   bool // work-stealing pool (memoized plans) vs sequential
 }
 
 func (a axis) String() string {
@@ -130,32 +129,22 @@ func (a axis) String() string {
 	case interp.EngineJIT:
 		s = "jit"
 	}
-	if !a.parallel {
-		return s + "/seq"
+	if a.pool {
+		return s + "/pool"
 	}
-	if a.plan {
-		return s + "/par/plan"
-	}
-	return s + "/par/noplan"
+	return s + "/seq"
 }
 
 // axes is the execution matrix — all three execution tiers (AST
-// interpreter, slot-indexed closures, flat bytecode) crossed with the
-// scheduling shapes; axes[0] (interpreter, sequential) is the
-// reference. Parallel axes run twice: once on the memoized-plan
-// executor and once with plans disabled (the step-granular scheduler),
-// so the two parallel paths are differentially checked against each
-// other as well as against the sequential reference.
-var axes = [9]axis{
-	{interp.EngineInterp, false, false},
-	{interp.EngineClosure, false, false},
-	{interp.EngineJIT, false, false},
-	{interp.EngineInterp, true, true},
-	{interp.EngineInterp, true, false},
-	{interp.EngineClosure, true, true},
-	{interp.EngineClosure, true, false},
-	{interp.EngineJIT, true, true},
-	{interp.EngineJIT, true, false},
+// interpreter, slot-indexed closures, flat bytecode) run sequentially
+// and on the pool; axes[0] (interpreter, sequential) is the reference.
+var axes = [6]axis{
+	{interp.EngineInterp, false},
+	{interp.EngineClosure, false},
+	{interp.EngineJIT, false},
+	{interp.EngineInterp, true},
+	{interp.EngineClosure, true},
+	{interp.EngineJIT, true},
 }
 
 // subject is an executable program: engine plus entry point.
@@ -191,20 +180,10 @@ func (h *Harness) newSubject(src, main string, targs []int64) (*subject, error) 
 // runOnce executes the subject once under a config and axis.
 func (h *Harness) runOnce(s *subject, inputs map[string]*matrix.Matrix, cfg *choice.Config, ax axis) (map[string]*matrix.Matrix, error) {
 	c := cfg.Clone()
-	if ax.engine == interp.EngineInterp {
-		c.SetInt(interp.CompileKey, 0)
-	} else {
-		c.SetInt(interp.CompileKey, 1)
-		c.SetInt(interp.EngineKey, int64(ax.engine))
-	}
-	if ax.parallel && !ax.plan {
-		c.SetInt(interp.PlanKey, 0)
-	}
-	view := s.eng.WithConfig(c)
-	if ax.parallel {
+	c.SetInt(interp.EngineKey, int64(ax.engine))
+	view := s.eng.WithConfig(c) // the subject's own engine has no pool
+	if ax.pool {
 		view.Pool = h.pool
-	} else {
-		view.Pool = nil
 	}
 	var outs map[string]*matrix.Matrix
 	var err error
@@ -390,8 +369,8 @@ func (h *Harness) checkWarmCold(c *gen.Case, inputs map[string]*matrix.Matrix) (
 	return divs, 2, nil
 }
 
-// checkWarmPlan is the plan-tier sibling of checkWarmCold: the parallel
-// planned jit axis runs cold (plans constructed and their descriptors
+// checkWarmPlan is the plan-tier sibling of checkWarmCold: the pooled
+// jit axis runs cold (plans constructed and their descriptors
 // persisted) and then warm (a fresh subject against the reopened disk
 // tier, rehydrating descriptors instead of constructing). The warm run
 // must be bit-identical to the cold one, and when the cold run
@@ -410,7 +389,7 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 	}
 	defer os.RemoveAll(dir)
 
-	ax := axis{engine: interp.EngineJIT, parallel: true, plan: true}
+	ax := axis{engine: interp.EngineJIT, pool: true}
 	run := func() (map[string]*matrix.Matrix, error, *artifact.Store, interp.PlanCounters) {
 		before := interp.PlanStats()
 		store, err := artifact.Open(dir, artifact.Options{})

@@ -12,15 +12,14 @@ import (
 )
 
 // Two per-cell benchmark families track the execution tiers on the
-// paper corpus: BenchmarkInterp* pins the closure tier (the numbers the
-// committed baseline recorded before the bytecode tier became the
-// default), BenchmarkJIT* runs the identical workloads on the
-// flat-bytecode vm. Run with
+// paper corpus: BenchmarkInterp* pins the closure tier, BenchmarkJIT*
+// runs the identical workloads on the flat-bytecode vm. Run with
 //
 //	go test ./internal/pbc/interp -run='^$' -bench='Interp.*[^l]$' -benchmem
 //	go test ./internal/pbc/interp -run='^$' -bench='^BenchmarkJIT' -benchmem
 //
-// and record trajectory points in BENCH_interp.json at the repo root.
+// These are developer tools; the gated numbers come from
+// `bash benchmark/run.sh` (interp.tier_*_ms, jit.cell_ns_*).
 
 func benchEngine(b *testing.B, src string) *Engine {
 	b.Helper()
@@ -343,8 +342,8 @@ func BenchmarkInterpRepeatHeat1DPool(b *testing.B) {
 }
 
 // BenchmarkInterpWavefrontSummedAreaPool repeats the lexicographic
-// wavefront on the pool. The step-granular scheduler runs the whole lex
-// step as one serial task; plan tiling splits it into a block grid whose
+// wavefront on the pool. A step-granular task would run the whole lex
+// step serially; plan tiling splits it into a block grid whose
 // anti-diagonals execute concurrently, so on multi-core hosts this
 // benchmark is the tiled-wavefront speedup witness.
 func BenchmarkInterpWavefrontSummedAreaPool(b *testing.B) {

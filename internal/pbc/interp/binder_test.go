@@ -212,7 +212,7 @@ func TestConcurrentReentry(t *testing.T) {
 		{Cutoff: 4, Choice: 0}, {Cutoff: 8, Choice: 1}, {Cutoff: 12, Choice: 2}, {Cutoff: choice.Inf, Choice: 3},
 	}})
 	oracleCfg := cfg.Clone()
-	oracleCfg.SetInt(interp.CompileKey, 0)
+	oracleCfg.SetInt(interp.EngineKey, interp.EngineInterp)
 	oracle := e.WithConfig(oracleCfg)
 	e.Cfg = cfg
 	e.Pool = runtime.NewPool(2)

@@ -25,11 +25,6 @@ import (
 // the references plus straight-line closure calls — no map lookups, no
 // symbolic evaluation, and no per-cell allocation.
 
-// CompileKey is the config key that disables the rule compiler when set
-// to 0, forcing the AST-interpreting path (useful for differential
-// testing and for measuring the compiled path's speedup).
-const CompileKey = "pbc.compile"
-
 // EngineKey selects the execution tier for rule bodies. The engines are
 // semantically identical (pbfuzz's difftest demands bit-identical
 // outputs across all of them); the key exists for benchmarking,
@@ -73,13 +68,9 @@ func (ex *exec) invocationKey() string {
 	return ex.key
 }
 
-// engineMode resolves the configured execution tier: EngineInterp when
-// compilation is disabled or explicitly selected, else the clamped
+// engineMode resolves the configured execution tier: the clamped
 // EngineKey value (default EngineJIT).
 func (e *Engine) engineMode() int {
-	if e.Cfg.Int(CompileKey, 1) == 0 {
-		return EngineInterp
-	}
 	switch int(e.Cfg.Int(EngineKey, EngineJIT)) {
 	case EngineInterp:
 		return EngineInterp
@@ -261,7 +252,7 @@ func (ct *compiledTransform) rule(ri *analysis.RuleInfo) *compiledRule {
 }
 
 // timedJITCompile wraps jit.Compile with the process-wide lowering
-// timer that pbbench -coldstart reads (see CompileSeconds).
+// timer behind CompileSeconds.
 func timedJITCompile(res *analysis.Result, ri *analysis.RuleInfo, sizes map[string]int64) (*jit.Program, error) {
 	start := time.Now()
 	prog, err := jit.Compile(res, ri, sizes)

@@ -109,9 +109,10 @@ func TestCompiledBoundsMatchRefBounds(t *testing.T) {
 	}
 }
 
-// TestCompiledAndInterpretedAgree runs every corpus transform with the
-// compiler on and off and requires identical outputs, so the compiled
-// path can only ever change performance, not results.
+// TestCompiledAndInterpretedAgree runs every corpus transform on the
+// default tier and on the AST tier (pbc.engine=0) and requires identical
+// outputs, so the compiled path can only ever change performance, not
+// results.
 func TestCompiledAndInterpretedAgree(t *testing.T) {
 	const size = 17
 	for _, src := range []string{
@@ -123,7 +124,7 @@ func TestCompiledAndInterpretedAgree(t *testing.T) {
 	} {
 		e := engine(t, src)
 		off := choice.NewConfig()
-		off.SetInt(CompileKey, 0)
+		off.SetInt(EngineKey, EngineInterp)
 		for _, tr := range e.Prog.Transforms {
 			if len(tr.Templates) > 0 {
 				continue
@@ -150,8 +151,8 @@ func TestCompiledAndInterpretedAgree(t *testing.T) {
 }
 
 // TestCompiledCacheConcurrentConfigs races engine views with different
-// configurations — two selector choices plus one view with compilation
-// disabled — through the shared compiled-program cache. Run under
+// configurations — two selector choices plus one view on the AST tier
+// — through the shared compiled-program cache. Run under
 // -race; correctness here plus the per-key check below establishes no
 // view ever observes a program compiled under another configuration.
 func TestCompiledCacheConcurrentConfigs(t *testing.T) {
@@ -170,7 +171,7 @@ func TestCompiledCacheConcurrentConfigs(t *testing.T) {
 	cfg1.SetSelector(SelectorName("RollingSum"), choice.NewSelector(1))
 	cfgOff := choice.NewConfig()
 	cfgOff.SetSelector(SelectorName("RollingSum"), choice.NewSelector(1))
-	cfgOff.SetInt(CompileKey, 0)
+	cfgOff.SetInt(EngineKey, EngineInterp)
 	views := []*Engine{e.WithConfig(cfg0), e.WithConfig(cfg1), e.WithConfig(cfgOff)}
 
 	var wg sync.WaitGroup
@@ -197,7 +198,7 @@ func TestCompiledCacheConcurrentConfigs(t *testing.T) {
 	wg.Wait()
 
 	// The two compiling configurations must occupy distinct cache
-	// entries, and the compile-disabled one must occupy none.
+	// entries, and the AST-tier one must occupy none.
 	sizes := map[string]int64{"n": n}
 	if artifact.ConfigFingerprint(cfg0) == artifact.ConfigFingerprint(cfg1) {
 		t.Fatal("distinct configs share a fingerprint")

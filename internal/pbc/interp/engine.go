@@ -320,8 +320,8 @@ type exec struct {
 	// region evaluation, the AST tier) need it.
 	sizeOnce sync.Once
 	sizeMap  map[string]int64
-	// comp holds the invocation's compiled-program cache entry (nil when
-	// compilation is disabled).
+	// comp holds the invocation's compiled-program cache entry (nil on
+	// the AST tier).
 	comp *compiledTransform
 	// key is the invocation cache key: rendered on first use by
 	// invocationKey, or taken from the parent's holder for a nested call.
@@ -498,13 +498,18 @@ func (ex *exec) runScheduleOnThread() error {
 			ex.markDone(node)
 		}
 	}
-	m := im.Load()
-	parallel := ex.engine.Pool != nil && ex.sizesMeetAssumption()
-	if m != nil {
+	// A pooled invocation runs its memoized plan. No plan — a degenerate
+	// size, or a region the builder could not evaluate — takes the step
+	// loop below, which raises that same error from the step that hits it.
+	var p *plan
+	if ex.engine.Pool != nil && ex.sizesMeetAssumption() {
+		p = ex.planFor()
+	}
+	if m := im.Load(); m != nil {
 		switch {
 		case covered:
 			m.schedMacro.Inc()
-		case parallel:
+		case p != nil:
 			m.schedParallel.Inc()
 		case ex.engine.Pool != nil:
 			m.schedDegenerate.Inc()
@@ -512,11 +517,8 @@ func (ex *exec) runScheduleOnThread() error {
 			m.schedSequential.Inc()
 		}
 	}
-	if parallel {
-		if p := ex.planFor(); p != nil {
-			return ex.runPlan(p)
-		}
-		return ex.runScheduleParallel()
+	if p != nil {
+		return ex.runPlan(p)
 	}
 	for _, step := range ex.res.Schedule {
 		if err := ex.runStep(step, ex.worker); err != nil {
@@ -541,59 +543,6 @@ func (ex *exec) sizesMeetAssumption() bool {
 		}
 	}
 	return true
-}
-
-// runScheduleParallel realizes §3.2: one dependency-counted task per
-// schedule step, with edges taken from the choice dependency graph, fed
-// to the work-stealing scheduler so independent regions compute
-// concurrently ("Dependency edges between tasks are detected at compile
-// time and encoded in the tasks as they are created").
-func (ex *exec) runScheduleParallel() error {
-	pool := ex.engine.Pool
-	steps := ex.res.Schedule
-	errs := make([]error, len(steps))
-	tasks := make([]*runtime.Task, len(steps))
-	for i, st := range steps {
-		i, st := i, st
-		tasks[i] = pool.NewTask("step", func(tw *runtime.Worker) {
-			errs[i] = ex.runStep(st, tw)
-		})
-	}
-	// Step-granular dependencies come pre-condensed from the analysis
-	// (Result.StepEdges), so no per-run node→step map is needed.
-	for _, se := range ex.res.StepEdges {
-		tasks[se[1]].DependsOn(tasks[se[0]])
-	}
-	// The schedule is topologically ordered (producers first), so every
-	// dependency of a submitted task is in the submitted prefix — on a
-	// Submit error it is safe to wait for just that prefix.
-	submitted := 0
-	var submitErr error
-	for _, t := range tasks {
-		if err := pool.Submit(t); err != nil {
-			submitErr = err
-			break
-		}
-		submitted++
-	}
-	for _, t := range tasks[:submitted] {
-		if ex.worker != nil {
-			// Already on a scheduler thread (nested transform call):
-			// help execute queued tasks instead of blocking the worker.
-			ex.worker.WaitTask(t)
-		} else {
-			t.Wait()
-		}
-	}
-	if submitErr != nil {
-		return submitErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // chooseMacro consults the configuration: if the selector for this
@@ -669,31 +618,41 @@ func (ex *exec) runStep(step *analysis.Step, w *runtime.Worker) error {
 		if ex.skips(node) {
 			continue
 		}
-		if err := ex.runNode(node, nil, w); err != nil {
+		if err := ex.runNode(node, w); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runNode executes the chosen cell rule over a node's region; slice,
-// when non-nil, restricts one dimension to a single index (cyclic
-// wavefront execution).
-func (ex *exec) runNode(node *analysis.Node, slice *sliceConstraint, w *runtime.Worker) error {
-	gc := node.Cell
-	if gc == nil || len(gc.Rules) == 0 {
-		if gc != nil && len(gc.Rules) == 0 {
-			// Region computable only via macros; those ran already, or
-			// the region is empty.
-			if empty, _ := ex.regionEmpty(gc.Region); empty {
-				return nil
-			}
-			return fmt.Errorf("interp: region %s of %s requires a macro rule; configure the selector to use one", gc.Region, node.Matrix)
-		}
-		return nil
+// runNode executes the chosen cell rule over a node's region.
+func (ex *exec) runNode(node *analysis.Node, w *runtime.Worker) error {
+	ri, err := ex.cellRule(node)
+	if ri == nil {
+		return err
 	}
-	ri := ex.chooseCellRule(gc)
-	return ex.applyCellRule(ri, node.Matrix, gc.Region, slice, w)
+	b, err := ex.evalNodeRegion(node.Matrix, node.Cell.Region)
+	if err != nil {
+		return err
+	}
+	return ex.runCellsRange(ri, ex.compiledRule(ri), b, nil, nil, w)
+}
+
+// cellRule returns the cell rule the configuration selects for node.
+// Nil with a nil error means nothing to run: no grid cell, or an empty
+// region that only macro rules compute.
+func (ex *exec) cellRule(node *analysis.Node) (*analysis.RuleInfo, error) {
+	gc := node.Cell
+	if gc == nil {
+		return nil, nil
+	}
+	if len(gc.Rules) == 0 {
+		if empty, _ := ex.regionEmpty(gc.Region); empty {
+			return nil, nil
+		}
+		return nil, fmt.Errorf("interp: region %s of %s requires a macro rule; configure the selector to use one", gc.Region, node.Matrix)
+	}
+	return ex.chooseCellRule(gc), nil
 }
 
 func (ex *exec) regionEmpty(reg symbolic.Region) (bool, error) {
@@ -721,11 +680,6 @@ func (ex *exec) chooseCellRule(gc *analysis.GridCell) *analysis.RuleInfo {
 		}
 	}
 	return gc.Rules[0]
-}
-
-type sliceConstraint struct {
-	dim int
-	idx int64
 }
 
 // runCyclic iterates the step's axis in the scheduled direction,
@@ -778,18 +732,14 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 		if ex.skips(node) {
 			continue
 		}
-		gc := node.Cell
-		if gc == nil || len(gc.Rules) == 0 {
-			if gc != nil && len(gc.Rules) == 0 {
-				if empty, _ := ex.regionEmpty(gc.Region); empty {
-					continue
-				}
-				return fmt.Errorf("interp: region %s of %s requires a macro rule; configure the selector to use one", gc.Region, node.Matrix)
-			}
+		ri, err := ex.cellRule(node)
+		if err != nil {
+			return err
+		}
+		if ri == nil {
 			continue
 		}
-		ri := ex.chooseCellRule(gc)
-		b, err := ex.evalNodeRegion(node.Matrix, gc.Region)
+		b, err := ex.evalNodeRegion(node.Matrix, node.Cell.Region)
 		if err != nil {
 			return err
 		}
@@ -863,23 +813,6 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	return nil
 }
 
-// applyCellRule iterates the rule's centers over the region and runs the
-// body per center. Independent cells run in parallel when a pool is
-// available and the region is large.
-func (ex *exec) applyCellRule(ri *analysis.RuleInfo, matName string, reg symbolic.Region, slice *sliceConstraint, w *runtime.Worker) error {
-	b, err := ex.evalNodeRegion(matName, reg)
-	if err != nil {
-		return err
-	}
-	if slice != nil {
-		if slice.idx < b[slice.dim][0] || slice.idx >= b[slice.dim][1] {
-			return nil
-		}
-		b[slice.dim] = [2]int64{slice.idx, slice.idx + 1}
-	}
-	return ex.runCellsRange(ri, ex.compiledRule(ri), b, nil, nil, w)
-}
-
 // runCellsRange iterates the rule's centers over concrete bounds b. fr,
 // when non-nil, is a pre-acquired frame used by the sequential path
 // (hoisted by wavefront callers); center, when non-nil, is a reusable
@@ -949,17 +882,23 @@ func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 	}
 	for flat := lo; flat < hi; flat++ {
 		unflatten(int64(flat), b, c)
-		binding := map[string]int64{}
-		for d, v := range ri.CenterVars {
-			if v != "" {
-				binding[v] = c[d]
-			}
-		}
-		if err := ex.runRuleBody(ri, binding, cw); err != nil {
+		if err := ex.runCellAST(ri, c, cw); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runCellAST runs ri's body for one cell on the AST tier, the fallback
+// for rules outside the compilable fragment.
+func (ex *exec) runCellAST(ri *analysis.RuleInfo, center []int64, w *runtime.Worker) error {
+	binding := map[string]int64{}
+	for d, v := range ri.CenterVars {
+		if v != "" {
+			binding[v] = center[d]
+		}
+	}
+	return ex.runRuleBody(ri, binding, w)
 }
 
 // unflatten converts a flat index into per-dimension coordinates, last
@@ -992,47 +931,7 @@ func (ex *exec) runLex(step *analysis.Step, w *runtime.Worker) error {
 		if err != nil {
 			return err
 		}
-		// One frame serves the whole wavefront when the rule compiles.
-		var fr *frame
-		if cr := ex.compiledRule(ri); cr != nil {
-			fr = cr.acquireFrame(ex, w)
-			defer cr.releaseFrame(fr)
-		}
-		center := make([]int64, len(b))
-		var walk func(li int) error
-		walk = func(li int) error {
-			if li == len(step.Lex) {
-				if fr != nil {
-					return fr.runCell(center)
-				}
-				binding := map[string]int64{}
-				for d, v := range ri.CenterVars {
-					if v != "" {
-						binding[v] = center[d]
-					}
-				}
-				return ex.runRuleBody(ri, binding, w)
-			}
-			ld := step.Lex[li]
-			lo, hi := b[ld.Dim][0], b[ld.Dim][1]
-			if ld.Dir >= 0 {
-				for i := lo; i < hi; i++ {
-					center[ld.Dim] = i
-					if err := walk(li + 1); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			for i := hi - 1; i >= lo; i-- {
-				center[ld.Dim] = i
-				if err := walk(li + 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := walk(0); err != nil {
+		if err := ex.runCells(ri, b, step.Lex, w); err != nil {
 			return err
 		}
 	}

@@ -37,3 +37,7 @@ func BindShapes(e *Engine, name string, targs []int64, inputs map[string]*matrix
 // with NaN before its storage returns to the free list, so a stale view
 // of one shows up as a wrong output. Not safe to flip while engines run.
 func PoisonRecycled(on bool) { poisonRecycled = on }
+
+// DeclinePlans makes the plan builder decline every schedule, so pooled
+// invocations take the step loop. Not safe to flip while engines run.
+func DeclinePlans(on bool) { declinePlans = on }

@@ -19,7 +19,7 @@ import (
 // order: AST, closures, jit (whose macro rules fall back to closures).
 func tierConfigs() []*choice.Config {
 	ast, closure, jit := choice.NewConfig(), choice.NewConfig(), choice.NewConfig()
-	ast.SetInt(CompileKey, 0)
+	ast.SetInt(EngineKey, EngineInterp)
 	closure.SetInt(EngineKey, EngineClosure)
 	jit.SetInt(EngineKey, EngineJIT)
 	return []*choice.Config{ast, closure, jit}
@@ -38,9 +38,9 @@ transform Outer from A[n] to B[n] {
 // TestRegionShapeError: assigning a value of the wrong shape to a region
 // binding used to panic the process (matrix: CopyFrom shape mismatch),
 // with a text that depended on the scheduler. It is one typed error,
-// byte-identical across tiers and across sequential, planned and
-// unplanned pool execution, raised after the callee has run — and the
-// engine and pool work afterwards.
+// byte-identical across tiers and across sequential and pool
+// execution, raised after the callee has run — and the engine and pool
+// work afterwards.
 func TestRegionShapeError(t *testing.T) {
 	pool := runtime.NewPool(2)
 	defer pool.Shutdown()
@@ -67,11 +67,9 @@ func TestRegionShapeError(t *testing.T) {
 			for _, sched := range []struct {
 				name string
 				pool *runtime.Pool
-				plan int64
-			}{{"seq", nil, 1}, {"pool", pool, 0}, {"pool+plan", pool, 1}} {
+			}{{"seq", nil}, {"pool", pool}} {
 				label := fmt.Sprintf("%s%v/engine=%d/%s", tc.transform, tc.in.Shape(), cfg.Int(EngineKey, -1), sched.name)
 				e := engine(t, regionShapeSrc)
-				cfg.SetInt(PlanKey, sched.plan)
 				e.Cfg, e.Pool = cfg, sched.pool
 				_, err := e.Run1(tc.transform, tc.in)
 				var se *RegionShapeError

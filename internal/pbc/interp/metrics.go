@@ -22,7 +22,7 @@ type interpMetrics struct {
 	schedMacro      *obs.Counter // invocations whose macro rules produced every output
 	schedParallel   *obs.Counter // invocations on the parallel task schedule
 	schedSequential *obs.Counter // invocations run sequentially (no pool)
-	schedDegenerate *obs.Counter // pool available but sizes below MinInputSize
+	schedDegenerate *obs.Counter // pool available but no plan: sizes below MinInputSize, or the builder declined
 
 	callInplace *obs.Counter // `b = T(…)` results the callee wrote into b
 	callCopied  *obs.Counter // `b = T(…)` results copied into b (aliasing or shape)

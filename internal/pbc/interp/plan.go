@@ -9,33 +9,28 @@ import (
 	"petabricks/internal/runtime"
 )
 
-// This file is the execution-plan layer. The parallel scheduler used to
-// re-derive the task DAG from Result.Schedule and the choice graph on
-// every invocation: a node→step map, fresh runtime.Tasks, per-run edge
-// wiring. For pbserve-shaped traffic — the same (transform, sizes,
-// config) executed over and over — all of that is invariant, so it is
-// lowered once into a plan: a flat runtime.TaskGraph whose tasks carry
-// pre-resolved rules and concrete bounds, re-armed in O(tasks) with no
-// allocation by the runtime's Run arena.
+// This file is the execution-plan layer, the one parallel executor
+// (§3.2: "dependency edges between tasks are detected at compile time
+// and encoded in the tasks as they are created"). For pbserve-shaped
+// traffic — the same (transform, sizes, config) executed over and over
+// — the task DAG is invariant, so Result.Schedule and the choice graph
+// are lowered once into a plan: a flat runtime.TaskGraph whose tasks
+// carry pre-resolved rules and concrete bounds, re-armed in O(tasks)
+// with no allocation by the runtime's Run arena.
 //
 // On top of memoization, the plan tiles large schedule steps at build
 // time. A step whose iteration space exceeds the parallel grain becomes
 // a grid of region tiles with tile-to-tile dependency edges derived
 // from the rule's constant affine offsets, so wavefront steps (cyclic
 // stencil sweeps, lexicographic recurrences) expose parallelism that
-// the step-granular scheduler executes serially. Any shape the tiler
-// cannot prove safe falls back to a step-granular task with the old
-// semantics — the plan changes performance, never results.
+// a step-granular task executes serially. Any shape the tiler cannot
+// prove safe stays one step-granular task that runs the step loop's own
+// runStep — the plan changes performance, never results.
 //
 // Plans also survive restarts: plan_serialize.go flattens a built plan
 // into a pure-data PlanDescriptor persisted under artifact.KindPlan,
 // and a plan-cache miss rehydrates the descriptor (after full
 // validation) instead of re-running construction.
-
-// PlanKey is the config key that disables the plan layer when set to 0,
-// forcing per-run task wiring (useful for differential testing and for
-// measuring the plan's effect).
-const PlanKey = "pbc.plan"
 
 const (
 	// planMaxTilesPerStep caps tiling fan-out: beyond it the tiler
@@ -86,14 +81,10 @@ type planEntry struct {
 }
 
 // planFor returns the memoized plan for this invocation, warm-loading
-// or building it on first use. A nil plan (disabled by config, or a
-// shape the builder declined) means the caller should use per-run task
-// wiring.
+// or building it on first use. A nil plan (the builder declined) sends
+// the caller to the sequential step loop.
 func (ex *exec) planFor() *plan {
 	e := ex.engine
-	if e.Cfg.Int(PlanKey, 1) == 0 {
-		return nil
-	}
 	v, created := e.arts.Mem(artifact.KindPlan).GetOrCreate(ex.invocationKey(), func() any { return &planEntry{} })
 	if m := im.Load(); m != nil {
 		if created {
@@ -139,12 +130,15 @@ func (ex *exec) loadOrBuildPlan() *plan {
 	}
 	start := time.Now()
 	p := ex.buildPlan()
+	if p == nil {
+		return nil // declined: not a build
+	}
 	planCtr.buildNanos.Add(time.Since(start).Nanoseconds())
 	planCtr.builds.Add(1)
 	if m != nil {
 		m.planBuild.Inc()
 	}
-	if p == nil || !e.arts.Persistent() {
+	if !e.arts.Persistent() {
 		return p
 	}
 	if d, ok := describePlan(ex.res, p); ok {
@@ -226,13 +220,7 @@ func (ex *exec) runCells(ri *analysis.RuleInfo, b [][2]int64, lex []analysis.Lex
 		if f != nil {
 			return f.runCell(center)
 		}
-		binding := map[string]int64{}
-		for d, v := range ri.CenterVars {
-			if v != "" {
-				binding[v] = center[d]
-			}
-		}
-		return ex.runRuleBody(ri, binding, w)
+		return ex.runCellAST(ri, center, w)
 	}
 	if lex == nil {
 		// Specialized rank-1/2 walks avoid the per-cell div/mod of
@@ -340,6 +328,11 @@ type builtStep struct {
 	fence int // lazily created fence task (-1: none yet)
 }
 
+// declinePlans makes buildPlan decline every schedule. Only tests set
+// it: a real program declines through a region that fails to evaluate,
+// and then the run fails too.
+var declinePlans bool
+
 // planBuilder accumulates tasks and edges while lowering a schedule.
 type planBuilder struct {
 	ex    *exec
@@ -348,13 +341,16 @@ type planBuilder struct {
 	edges [][2]int
 }
 
-// buildPlan lowers the schedule into a plan, or returns nil when the
-// invocation's shape defeats memoization (the caller then uses per-run
-// wiring; correctness never depends on a plan existing). The macro
+// buildPlan lowers the schedule into a plan, or returns nil when a
+// region fails to evaluate (the caller then runs the step loop;
+// correctness never depends on a plan existing). The macro
 // ex.done set, the chosen rules, and the concrete bounds baked in here
 // are all pure functions of (transform, sizes, config) — the cache key
 // — so replaying the plan on later invocations is sound.
 func (ex *exec) buildPlan() *plan {
+	if declinePlans {
+		return nil
+	}
 	grain := ex.engine.Cfg.Int(ParGrainKey, DefaultParGrain)
 	if grain < 1 {
 		grain = 1
@@ -369,9 +365,7 @@ func (ex *exec) buildPlan() *plan {
 		steps[si] = bs
 	}
 	for _, se := range ex.res.StepEdges {
-		if !pb.wireCross(&steps[se[0]], &steps[se[1]]) {
-			return nil
-		}
+		pb.wireCross(&steps[se[0]], &steps[se[1]])
 	}
 	gb := runtime.NewGraphBuilder(len(pb.tasks))
 	for _, e := range pb.edges {
@@ -400,7 +394,7 @@ func (pb *planBuilder) stepFallback(st *analysis.Step) builtStep {
 }
 
 // lowerStep lowers one schedule step. ok=false declines the whole plan
-// (region evaluation failed; the legacy path will surface the error).
+// (region evaluation failed; the step loop will surface the error).
 func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 	ex := pb.ex
 	var active []*analysis.Node
@@ -762,25 +756,23 @@ func gridFlat(idx, nblk []int64) int64 {
 // order: exact footprint mapping (consumer tiles depend only on the
 // producer tiles their reads touch, letting wavefronts overlap across
 // steps), then a fence barrier, then direct task-to-task edges for
-// untiled steps. Returns false only on internal inconsistency.
-func (pb *planBuilder) wireCross(ps, cs *builtStep) bool {
+// untiled steps.
+func (pb *planBuilder) wireCross(ps, cs *builtStep) {
 	if ps.absent || cs.absent {
-		return true
+		return
 	}
 	// Untiled producer: one edge per consumer task.
 	if ps.task >= 0 {
 		for _, ct := range pb.stepTaskIDs(cs) {
 			pb.edges = append(pb.edges, [2]int{ps.task, ct})
 		}
-		return true
+		return
 	}
 	// Tiled producer. Consumers with known bounds and exact constant
 	// read offsets get footprint-mapped edges.
 	if cs.node != nil {
-		if lohi, ok := pb.crossOffsets(ps, cs); ok {
-			if pb.footprintEdges(ps, cs, lohi) {
-				return true
-			}
+		if lohi, ok := pb.crossOffsets(ps, cs); ok && pb.footprintEdges(ps, cs, lohi) {
+			return
 		}
 	}
 	// Fence: all producer tiles → fence → every consumer task.
@@ -793,7 +785,6 @@ func (pb *planBuilder) wireCross(ps, cs *builtStep) bool {
 	for _, ct := range pb.stepTaskIDs(cs) {
 		pb.edges = append(pb.edges, [2]int{ps.fence, ct})
 	}
-	return true
 }
 
 // stepTaskIDs lists every runnable task id of a step.

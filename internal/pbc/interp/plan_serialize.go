@@ -278,8 +278,9 @@ var planCtr struct {
 }
 
 // compileNanos accumulates wall time spent lowering rules (jit bytecode
-// and closure tiers); pbbench -coldstart uses the delta to break a
-// first request into plan-construction vs compile vs execute time.
+// and closure tiers); the repository benchmark reads the delta as
+// interp.compile_ms to split a cold boot into plan-construction vs
+// compile vs execute time.
 var compileNanos atomic.Int64
 
 // PlanStats returns the current plan-tier counters.

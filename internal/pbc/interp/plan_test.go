@@ -2,12 +2,14 @@ package interp
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"petabricks/internal/artifact"
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
+	"petabricks/internal/obs"
 	"petabricks/internal/pbc/parser"
 	"petabricks/internal/runtime"
 )
@@ -116,10 +118,9 @@ func planCases() []planCase {
 	}
 }
 
-// TestPlanDifferential runs corpus transforms on the parallel scheduler
-// with plans enabled and with pbc.plan=0, plus the sequential reference,
-// and requires bit-identical outputs. Repeated twice so the second
-// plan-enabled run replays the memoized plan.
+// TestPlanDifferential runs corpus transforms on the pool and requires
+// outputs bit-identical to the sequential reference. Repeated twice so
+// the second pooled run replays the memoized plan.
 func TestPlanDifferential(t *testing.T) {
 	pool := runtime.NewPool(4)
 	defer pool.Close()
@@ -135,23 +136,17 @@ func TestPlanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, plan := range []bool{true, false} {
-				for rep := 0; rep < 2; rep++ {
-					cfg := tc.cfg()
-					if !plan {
-						cfg.SetInt(PlanKey, 0)
-					}
-					view := e.WithConfig(cfg)
-					view.Pool = pool
-					out, err := view.Run(tc.main, inputs)
-					if err != nil {
-						t.Fatalf("plan=%v rep %d: %v", plan, rep, err)
-					}
-					for name, m := range ref {
-						if !m.Equal(out[name]) {
-							t.Fatalf("plan=%v rep %d: output %s differs from sequential reference (max |Δ| %g)",
-								plan, rep, name, m.MaxAbsDiff(out[name]))
-						}
+			for rep := 0; rep < 2; rep++ {
+				view := e.WithConfig(tc.cfg())
+				view.Pool = pool
+				out, err := view.Run(tc.main, inputs)
+				if err != nil {
+					t.Fatalf("pool rep %d: %v", rep, err)
+				}
+				for name, m := range ref {
+					if !m.Equal(out[name]) {
+						t.Fatalf("pool rep %d: output %s differs from sequential reference (max |Δ| %g)",
+							rep, name, m.MaxAbsDiff(out[name]))
 					}
 				}
 			}
@@ -209,8 +204,8 @@ func TestPlanConcurrent(t *testing.T) {
 // checks the structural claim behind the tiled-wavefront benchmark:
 // the lexicographic interior step is split into many tiles, and the
 // dependency graph admits real parallelism — some Kahn level contains
-// two or more tiles of that wavefront (the step-granular scheduler ran
-// it as one serial task).
+// two or more tiles of that wavefront (a step-granular task would run
+// it serially).
 func TestPlanWavefrontTiling(t *testing.T) {
 	e := engine(t, parser.SummedAreaSrc)
 	cfg := choice.NewConfig()
@@ -272,24 +267,77 @@ func TestPlanWavefrontTiling(t *testing.T) {
 	}
 }
 
-// TestPlanDisabledByConfig checks the pbc.plan=0 escape hatch: no plan
-// is built or cached.
-func TestPlanDisabledByConfig(t *testing.T) {
-	pool := runtime.NewPool(2)
+// TestPlanDeclinedRunsStepLoop forces the builder to decline every plan
+// and checks that pooled runs then take the step loop: outputs
+// bit-identical to the sequential run on every corpus case, the
+// invocation counted as degenerate_sequential and not as a build, and
+// the pool still usable for a planned run afterwards.
+func TestPlanDeclinedRunsStepLoop(t *testing.T) {
+	pool := runtime.NewPool(4)
 	defer pool.Close()
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	defer Instrument(nil)
+	shape := func(label string) int64 {
+		return reg.Counter("pb_interp_schedules_total", "", obs.L("shape", label)).Value()
+	}
+	builds := func() (int64, int64) {
+		return PlanStats().Builds, reg.Counter("pb_plan_builds_total", "").Value()
+	}
+
+	DeclinePlans(true)
+	defer DeclinePlans(false)
+	for _, tc := range planCases() {
+		e := engine(t, tc.src)
+		inputs, err := e.GenerateInputs(tc.main, tc.size, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := e.WithConfig(tc.cfg()).Run(tc.main, inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, deg := shape("parallel"), shape("degenerate_sequential")
+		stat, ctr := builds()
+		view := e.WithConfig(tc.cfg())
+		view.Pool = pool
+		out, err := view.Run(tc.main, inputs)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for name, m := range ref {
+			if !reflect.DeepEqual(m.Data(), out[name].Data()) {
+				t.Errorf("%s: output %s differs from the sequential run", tc.name, name)
+			}
+		}
+		if got := shape("degenerate_sequential") - deg; got != 1 {
+			t.Errorf("%s: degenerate_sequential advanced by %d, want 1", tc.name, got)
+		}
+		if got := shape("parallel") - par; got != 0 {
+			t.Errorf("%s: parallel advanced by %d, want 0", tc.name, got)
+		}
+		if s, c := builds(); s != stat || c != ctr {
+			t.Errorf("%s: a declined plan counted as a build (PlanStats %d -> %d, pb_plan_builds_total %d -> %d)",
+				tc.name, stat, s, ctr, c)
+		}
+	}
+
+	DeclinePlans(false)
 	e := engine(t, parser.RollingSumSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(PlanKey, 0)
-	view := e.WithConfig(cfg)
-	view.Pool = pool
-	out, err := view.Run1("RollingSum", vec(1, 2, 3, 4))
+	e.Pool = pool
+	par := shape("parallel")
+	stat, ctr := builds()
+	out, err := e.Run1("RollingSum", vec(1, 2, 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.At1(3) != 10 {
 		t.Fatalf("B[3] = %g, want 10", out.At1(3))
 	}
-	if n := e.Artifacts().Mem(artifact.KindPlan).Len(); n != 0 {
-		t.Fatalf("plan cache holds %d entries with pbc.plan=0, want 0", n)
+	if got := shape("parallel") - par; got != 1 {
+		t.Errorf("planned run: parallel advanced by %d, want 1", got)
+	}
+	if s, c := builds(); s != stat+1 || c != ctr+1 {
+		t.Errorf("planned run: builds %d -> %d, pb_plan_builds_total %d -> %d, want +1 each", stat, s, ctr, c)
 	}
 }

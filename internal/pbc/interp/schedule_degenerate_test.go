@@ -55,9 +55,9 @@ func TestDegenerateSizeRunsSequentially(t *testing.T) {
 	pool := runtime.NewPool(4)
 	defer pool.Shutdown()
 	for n := 1; n <= 3; n++ {
-		for compile := int64(0); compile <= 1; compile++ {
+		for _, tier := range []int64{EngineInterp, EngineJIT} {
 			cfg := choice.NewConfig()
-			cfg.SetInt(CompileKey, compile)
+			cfg.SetInt(EngineKey, tier)
 			cfg.SetInt(ParGrainKey, 1)
 			view := eng.WithConfig(cfg)
 			view.Pool = pool
@@ -69,13 +69,13 @@ func TestDegenerateSizeRunsSequentially(t *testing.T) {
 				}
 				out, err := view.RunTemplate("DegStencil", []int64{3}, map[string]*matrix.Matrix{"A": in})
 				if err != nil {
-					t.Fatalf("n=%d compile=%d: %v", n, compile, err)
+					t.Fatalf("n=%d engine=%d: %v", n, tier, err)
 				}
 				b := out["B"]
 				if want == nil {
 					want = b
 				} else if !want.Equal(b) {
-					t.Fatalf("n=%d compile=%d iter=%d: outputs differ across runs", n, compile, iter)
+					t.Fatalf("n=%d engine=%d iter=%d: outputs differ across runs", n, tier, iter)
 				}
 			}
 			want = nil
