@@ -8,9 +8,13 @@ package petabricks_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
+	"petabricks/internal/artifact"
 	"petabricks/internal/autotuner"
 	"petabricks/internal/choice"
 	"petabricks/internal/harness"
@@ -19,6 +23,8 @@ import (
 	"petabricks/internal/kernels/poisson"
 	"petabricks/internal/kernels/sortk"
 	"petabricks/internal/matrix"
+	"petabricks/internal/pbc/interp"
+	"petabricks/internal/pbc/parser"
 	"petabricks/internal/runtime"
 	"petabricks/internal/simarch"
 )
@@ -386,5 +392,76 @@ func BenchmarkRuntimeFibGrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Run(func(w *runtime.Worker) { fib(w, 24) })
+	}
+}
+
+// --- Cold boot ------------------------------------------------------------------
+
+// BenchmarkBootCold is the boot_cold op of benchmark/ under go test, so
+// it can be profiled: parse, analyse, plan, lower and persist the five
+// programs of its table into an empty artifact directory, running each
+// once. benchmark/run.sh stays the number of record.
+//
+//	go test -run '^$' -bench BootCold -benchtime 500x -memprofile mem.prof -memprofilerate 1 -o boot.test
+//	go tool pprof -sample_index=alloc_space -top boot.test mem.prof
+func BenchmarkBootCold(b *testing.B) {
+	table := []struct {
+		file, name string
+		n          int64
+	}{
+		{"heat1d.pbcc", "Heat1D", 256},
+		{"matmul.pbcc", "MatrixMultiply", 16},
+		{"mergesort.pbcc", "MergeSortDSL", 64},
+		{"rollingsum.pbcc", "RollingSum", 256},
+		{"summedarea.pbcc", "SummedArea", 32},
+	}
+	cfg, err := choice.Load(filepath.Join("benchmark", "configs", "macro.cfg"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srcs := make([]string, len(table))
+	inputs := make([]map[string]*matrix.Matrix, len(table))
+	for i, en := range table {
+		raw, err := os.ReadFile(filepath.Join("benchmark", "programs", en.file))
+		if err != nil {
+			b.Fatal(err)
+		}
+		srcs[i] = string(raw)
+		prog, err := parser.Parse(srcs[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng, err := interp.New(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if inputs[i], err = eng.GenerateInputs(en.name, en.n, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	base := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		store, err := artifact.Open(filepath.Join(base, strconv.Itoa(i)), artifact.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, en := range table {
+			prog, err := parser.Parse(srcs[j])
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, err := interp.New(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.UseArtifacts(store)
+			view := eng.WithConfig(cfg)
+			view.Pool = sharedPool()
+			if _, err := view.Run(en.name, inputs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

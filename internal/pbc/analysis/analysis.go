@@ -6,6 +6,7 @@ import (
 
 	"petabricks/internal/pbc/ast"
 	"petabricks/internal/pbc/symbolic"
+	"petabricks/internal/pbc/token"
 )
 
 // MatrixInfo is the analyzed form of a matrix declaration.
@@ -120,7 +121,8 @@ type Result struct {
 	// boundary cells.
 	MinInputSize int64
 
-	sizeLo int64 // assumption level used while analyzing
+	sizeLo int64      // assumption level used while analyzing
+	at     *token.Pos // the declaration or rule being analyzed, for Analyze's recover
 }
 
 // Analyze runs the full §3.1 pipeline on transform t of prog. Grid
@@ -129,10 +131,15 @@ type Result struct {
 // whose applicable region [1, n-1) is only orderable for n >= 2), the
 // analysis retries under progressively stronger assumptions and records
 // the one that worked in MinInputSize.
-func Analyze(prog *ast.Program, t *ast.Transform) (*Result, error) {
+func Analyze(prog *ast.Program, t *ast.Transform) (res *Result, err error) {
+	// Symbolic arithmetic panics with a typed value rather than wrap
+	// past 64 bits and prove a false order; this is where that becomes
+	// the program's error, at the declaration or rule being analyzed.
+	at := t.Pos
+	defer onOverflow(func(msg string) { res, err = nil, errf(at, "%s", msg) })
 	var lastErr error
 	for _, minSize := range []int64{1, 2, 4, 8, 16} {
-		res, err := analyzeWith(prog, t, minSize)
+		res, err := analyzeWith(prog, t, minSize, &at)
 		if err == nil {
 			res.MinInputSize = minSize
 			return res, nil
@@ -146,7 +153,9 @@ func Analyze(prog *ast.Program, t *ast.Transform) (*Result, error) {
 	return nil, lastErr
 }
 
-func analyzeWith(prog *ast.Program, t *ast.Transform, minSize int64) (*Result, error) {
+// analyzeWith runs the pipeline with every size variable assumed >=
+// minSize, keeping *at on the source position it is working on.
+func analyzeWith(prog *ast.Program, t *ast.Transform, minSize int64, at *token.Pos) (*Result, error) {
 	res := &Result{
 		Program:   prog,
 		Transform: t,
@@ -154,17 +163,20 @@ func analyzeWith(prog *ast.Program, t *ast.Transform, minSize int64) (*Result, e
 		Grids:     map[string]*ChoiceGrid{},
 		Assume:    symbolic.Assumptions{},
 		sizeLo:    minSize,
+		at:        at,
 	}
 	if err := res.analyzeHeader(); err != nil {
 		return nil, err
 	}
 	for _, r := range t.Rules {
+		*at = r.Pos
 		ri, err := res.analyzeRule(r)
 		if err != nil {
 			return nil, err
 		}
 		res.Rules = append(res.Rules, ri)
 	}
+	*at = t.Pos
 	if err := res.buildGrids(); err != nil {
 		return nil, err
 	}
@@ -184,6 +196,7 @@ func (res *Result) analyzeHeader() error {
 			if _, dup := res.Matrices[d.Name]; dup {
 				return errf(d.Pos, "duplicate matrix %q", d.Name)
 			}
+			*res.at = d.Pos
 			mi := &MatrixInfo{Decl: d, Role: role}
 			for _, de := range d.EffectiveDims() {
 				se, err := toSymbolic(de)
@@ -233,7 +246,8 @@ func (res *Result) addSizeVar(v string) {
 	if lo < 1 {
 		lo = 1
 	}
-	res.Assume = res.Assume.WithLo(v, lo)
+	// res.Assume is still private to this analysis, so it grows in place.
+	res.Assume[v] = symbolic.VarBounds{Lo: symbolic.BoundAt(lo)}
 }
 
 // isMacroRef reports whether a to-ref writes a fixed region (no fresh
@@ -244,12 +258,12 @@ func (res *Result) isMacroRef(ref *ast.RegionRef) bool {
 		return true
 	case ast.RegionRegion:
 		for _, a := range ref.Args {
-			se, err := toSymbolic(a)
+			aff, err := toAffine(a)
 			if err != nil {
 				return false
 			}
-			for _, v := range se.Vars() {
-				if !res.isSizeVar(v) {
+			for i := 0; i < aff.NumTerms(); i++ {
+				if v, _ := aff.Term(i); !res.isSizeVar(v) {
 					return false
 				}
 			}
@@ -399,43 +413,39 @@ func (res *Result) analyzeCellRule(r *ast.Rule) (*RuleInfo, error) {
 	// to-arg must be var+const; rewrite so the to-arg becomes the bare
 	// variable (the paper's Maxima-based normalization).
 	centerVars := make([]string, nd)
-	shift := map[string]*symbolic.Expr{}
-	seen := map[string]bool{}
+	var shift map[string]*symbolic.Expr // v -> v-c for to-args v+c; usually empty
 	for d, a := range primary.Args {
-		se, err := toSymbolic(a)
+		aff, err := toAffine(a)
 		if err != nil {
 			return nil, errf(primary.Pos, "%v", err)
 		}
-		aff, ok := se.Affine()
-		if !ok {
-			return nil, errf(primary.Pos, "%s: output index %s must be affine", r.Name(), ast.ExprString(a))
-		}
-		if len(aff.Vars()) == 0 {
+		if aff.IsConst() {
 			// Constant index: the rule writes a single slice of this
 			// dimension; no center variable here.
 			if !aff.Const().IsInt() {
 				return nil, errf(primary.Pos, "%s: non-integer output index", r.Name())
 			}
-			centerVars[d] = ""
 			continue
 		}
-		if len(aff.Vars()) != 1 {
+		if aff.NumTerms() != 1 {
 			return nil, errf(primary.Pos, "%s: output index %s must use exactly one variable", r.Name(), ast.ExprString(a))
 		}
-		v := aff.Vars()[0]
-		if seen[v] {
+		v, coef := aff.Term(0)
+		if containsVar(centerVars[:d], v) {
 			return nil, errf(primary.Pos, "%s: output reuses center variable %q", r.Name(), v)
 		}
 		if res.isSizeVar(v) {
 			return nil, errf(primary.Pos, "%s: output index %q collides with a size variable", r.Name(), v)
 		}
-		seen[v] = true
-		if aff.Coeff(v).Cmp(symbolic.RatInt(1)) != 0 {
+		if coef.Cmp(symbolic.RatInt(1)) != 0 {
 			return nil, errf(primary.Pos, "%s: output index must have unit coefficient", r.Name())
 		}
 		centerVars[d] = v
 		if !aff.Const().IsZero() {
 			// to-arg is v+c: substitute v -> v-c everywhere.
+			if shift == nil {
+				shift = map[string]*symbolic.Expr{}
+			}
 			shift[v] = symbolic.Sub(symbolic.Var(v), symbolic.ConstRat(aff.Const()))
 		}
 	}
@@ -444,17 +454,26 @@ func (res *Result) analyzeCellRule(r *ast.Rule) (*RuleInfo, error) {
 	// indices restrict their dimension to a single slice.
 	appl := make(symbolic.Region, nd)
 	copy(appl, mi.Domain)
+	// The center of each dimension, and the cell after it, as expressions.
+	centers := make([][2]*symbolic.Expr, nd)
 	for d, a := range primary.Args {
-		if centerVars[d] != "" {
+		if v := centerVars[d]; v != "" {
+			center := symbolic.Var(v)
+			centers[d] = [2]*symbolic.Expr{center, symbolic.Add(center, symbolic.Const(1))}
 			continue
 		}
 		se, _ := toSymbolic(a)
 		appl[d] = symbolic.NewInterval(se, symbolic.Add(se, symbolic.Const(1)))
 	}
 	// Assumptions: center vars >= 0 for simplification purposes.
-	assume := res.Assume
+	assume := make(symbolic.Assumptions, len(res.Assume)+nd)
+	for v, vb := range res.Assume {
+		assume[v] = vb
+	}
 	for _, v := range centerVars {
-		assume = assume.WithLo(v, 0)
+		vb := assume[v]
+		vb.Lo = symbolic.BoundAt(0)
+		assume[v] = vb
 	}
 	// Intersect constraints from every dependency.
 	for _, ref := range r.From {
@@ -470,15 +489,17 @@ func (res *Result) analyzeCellRule(r *ast.Rule) (*RuleInfo, error) {
 			Dir: make([]Direction, len(reg)), Offset: make([]*symbolic.Expr, len(reg))}
 		for d := range reg {
 			// In-bounds constraints projected onto center variables.
-			cs, err := boundConstraints(reg[d], dmi.Domain[d], centerVars, assume)
+			cs, err := boundConstraints(reg[d], dmi.Domain[d], centerVars)
 			if err != nil {
 				return nil, errf(ref.Pos, "%s: %v", r.Name(), err)
 			}
 			for _, c := range cs {
-				appl = applyBound(appl, centerVars, c)
+				applyBound(appl, centerVars, c)
 			}
 			// Direction/offset relative to the center of this dimension.
-			dep.Dir[d], dep.Offset[d] = classifyDep(reg[d], centerVars, d, assume)
+			if d < nd && centerVars[d] != "" {
+				dep.Dir[d], dep.Offset[d] = classifyDep(reg[d], centers[d][0], centers[d][1], assume)
+			}
 		}
 		ri.Deps = append(ri.Deps, dep)
 	}
@@ -493,7 +514,7 @@ func (res *Result) analyzeCellRule(r *ast.Rule) (*RuleInfo, error) {
 			if err != nil {
 				return nil, errf(r.Pos, "%s: %v", r.Name(), err)
 			}
-			appl = applyBound(appl, centerVars, bound{v: v, lo: lo, hi: hi})
+			applyBound(appl, centerVars, bound{v: v, lo: lo, hi: hi})
 		}
 	}
 	appl = clampRegion(appl, mi.Domain).Simplify(assume)
@@ -524,7 +545,7 @@ type bound struct {
 // boundConstraints derives center-variable bounds from requiring
 // depInterval ⊆ domain. Constraints in size variables only are assumed
 // valid (the program would be globally malformed otherwise).
-func boundConstraints(dep, domain symbolic.Interval, centerVars []string, assume symbolic.Assumptions) ([]bound, error) {
+func boundConstraints(dep, domain symbolic.Interval, centerVars []string) ([]bound, error) {
 	var out []bound
 	// dep.Begin >= domain.Begin and dep.End <= domain.End.
 	for _, c := range []struct {
@@ -539,9 +560,13 @@ func boundConstraints(dep, domain symbolic.Interval, centerVars []string, assume
 		if !ok {
 			return nil, fmt.Errorf("non-affine region bound %s", c.expr)
 		}
+		limit, ok := c.limit.Affine()
+		if !ok {
+			return nil, fmt.Errorf("non-affine region bound %s", c.limit)
+		}
 		cv := ""
-		for _, v := range aff.Vars() {
-			if containsVar(centerVars, v) {
+		for i := 0; i < aff.NumTerms(); i++ {
+			if v, _ := aff.Term(i); containsVar(centerVars, v) {
 				if cv != "" {
 					return nil, fmt.Errorf("region bound %s uses two center variables", c.expr)
 				}
@@ -551,75 +576,63 @@ func boundConstraints(dep, domain symbolic.Interval, centerVars []string, assume
 		if cv == "" {
 			continue // pure size-variable constraint
 		}
-		coef := aff.Coeff(cv)
-		rest := aff.Sub(symbolic.AffineVar(cv).Scale(coef)).Expr()
+		coefs, rest := aff.Split([]string{cv})
+		coef := coefs[0]
 		// coef·v + rest >= limit  →  v >= (limit-rest)/coef  (coef > 0)
-		rhs := symbolic.Div(symbolic.Sub(c.limit, rest), symbolic.ConstRat(coef))
+		rhs := limit.Sub(rest).Scale(symbolic.RatInt(1).Div(coef))
 		isLow := c.isLow
 		if coef.Sign() < 0 {
 			isLow = !isLow
 		}
 		if isLow {
-			out = append(out, bound{v: cv, lo: rhs})
+			out = append(out, bound{v: cv, lo: rhs.Expr()})
 		} else {
-			// v <= rhs → hi = rhs + 1 for begin bounds; for End bounds the
-			// dependency End is exclusive so v's own End works out via the
-			// +1: dep.End <= domain.End with dep.End affine in v means
-			// v <= rhs exactly, hence hi = rhs + 1... but when the
-			// coefficient is 1 and dep.End = v + k, v < domain.End - k + 1.
-			out = append(out, bound{v: cv, hi: symbolic.Add(rhs, symbolic.Const(1))})
+			// v <= rhs, and bounds are half-open: hi = rhs + 1.
+			hi := rhs.Add(symbolic.AffineConst(symbolic.RatInt(1)))
+			out = append(out, bound{v: cv, hi: hi.Expr()})
 		}
 	}
 	return out, nil
 }
 
 // applyBound intersects a single-variable bound into the applicable
-// region (per the center variable's dimension).
-func applyBound(appl symbolic.Region, centerVars []string, b bound) symbolic.Region {
+// region (per the center variable's dimension), in place.
+func applyBound(appl symbolic.Region, centerVars []string, b bound) {
 	for d, v := range centerVars {
 		if v != b.v {
 			continue
 		}
-		iv := appl[d]
 		if b.lo != nil {
-			iv.Begin = symbolic.Max(iv.Begin, b.lo)
+			appl[d].Begin = symbolic.Max(appl[d].Begin, b.lo)
 		}
 		if b.hi != nil {
-			iv.End = symbolic.Min(iv.End, b.hi)
+			appl[d].End = symbolic.Min(appl[d].End, b.hi)
 		}
-		out := append(symbolic.Region{}, appl...)
-		out[d] = iv
-		return out
+		return
 	}
-	return appl
 }
 
 // classifyDep computes the direction and offset of a dependency interval
-// relative to the center variable of dimension d.
-func classifyDep(dep symbolic.Interval, centerVars []string, d int, assume symbolic.Assumptions) (Direction, *symbolic.Expr) {
-	if d >= len(centerVars) || centerVars[d] == "" {
-		return DirAny, nil
-	}
-	center := symbolic.Var(centerVars[d])
+// relative to a dimension's center variable; next is center+1.
+func classifyDep(dep symbolic.Interval, center, next *symbolic.Expr, assume symbolic.Assumptions) (Direction, *symbolic.Expr) {
 	// Exact cell: [c+k, c+k+1).
 	beginOff := symbolic.Sub(dep.Begin, center)
 	endOff := symbolic.Sub(dep.End, center)
 	if bo, ok := beginOff.IsConst(); ok {
 		if eo, ok2 := endOff.IsConst(); ok2 && eo.Sub(bo).Cmp(symbolic.RatInt(1)) == 0 {
-			return DirEq, symbolic.ConstRat(bo)
+			return DirEq, beginOff
 		}
 	}
-	one := symbolic.Const(1)
 	// Strictly below the center: end <= center ⇒ indices < center.
 	if symbolic.ProvablyLE(dep.End, center, assume) {
 		return DirLT, nil
 	}
 	// At or below the center: end <= center+1 ⇒ indices <= center.
-	if symbolic.ProvablyLE(dep.End, symbolic.Add(center, one), assume) {
+	if symbolic.ProvablyLE(dep.End, next, assume) {
 		return DirLE, nil
 	}
 	// Strictly above: begin >= center+1.
-	if symbolic.ProvablyGE(dep.Begin, symbolic.Add(center, one), assume) {
+	if symbolic.ProvablyGE(dep.Begin, next, assume) {
 		return DirGT, nil
 	}
 	// At or above: begin >= center.

@@ -428,3 +428,44 @@ func TestAnnotConstOffsets(t *testing.T) {
 		t.Fatalf("edge coverage incomplete: eq=%v le=%v", gotEq, gotLE)
 	}
 }
+
+// A region bound whose constant fold leaves 64 bits used to wrap (2^62 +
+// 2^62 became the most negative integer) and the analysis went on to
+// schedule on orders proved from the wrapped value. It is now a
+// positioned analysis error, wherever the fold happens.
+func TestBoundOverflowRejected(t *testing.T) {
+	const big = "4611686018427387904" // 2^62, exact as the parser's float64
+	cases := map[string]struct {
+		src  string
+		line int
+	}{
+		"from region": {"transform T from A[n] to B[n] {\n to (B.cell(i) b)\n from (A.region(0, i+" + big + "+" + big + ") in) { b = sum(in); } }", 2},
+		"product":     {"transform T from A[n] to B[n] {\n to (B.cell(i) b)\n from (A.cell(i*" + big + "*4) a) { b = a; } }", 2},
+		"header":      {"transform T\nfrom A[n+" + big + "+" + big + "] to B[n] { to (B.cell(i) b) from (A.cell(i) a) { b = a; } }", 2},
+		"difference":  {"transform T from A[n] to B[n] {\n to (B.cell(i) b)\n from (A.region(i-" + big + "-" + big + "-1, i+" + big + ") in) { b = sum(in); } }", 2},
+	}
+	for name, c := range cases {
+		prog, err := parser.Parse(c.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		_, err = Analyze(prog, prog.Transforms[0])
+		ae, ok := err.(*Error)
+		if !ok || !strings.Contains(ae.Msg, "region bound overflows 64-bit arithmetic") {
+			t.Errorf("%s: Analyze error = %v, want a positioned overflow error", name, err)
+			continue
+		}
+		if ae.Pos.Line != c.line {
+			t.Errorf("%s: error at %v, want line %d", name, ae.Pos, c.line)
+		}
+	}
+	// The sibling-package entry point reports it the same way.
+	prog, err := parser.Parse("transform T from A[n] to B[n] { to (B.cell(i) b) from (A.cell(i+" + big + "+" + big + ") a) { b = a; } }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arg := prog.Transforms[0].Rules[0].From[0].Args[0]
+	if _, err := ToSymbolic(arg); err == nil || !strings.Contains(err.Error(), "overflows 64-bit arithmetic") {
+		t.Errorf("ToSymbolic error = %v", err)
+	}
+}

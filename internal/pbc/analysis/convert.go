@@ -7,6 +7,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 
 	"petabricks/internal/pbc/ast"
@@ -30,60 +31,71 @@ func errf(pos token.Pos, format string, args ...any) *Error {
 // symbolic expression. Region arguments in legal PetaBricks programs are
 // always affine in size and center variables.
 func toSymbolic(e ast.Expr) (*symbolic.Expr, error) {
+	a, err := toAffine(e)
+	if err != nil {
+		return nil, err
+	}
+	return a.Expr(), nil
+}
+
+// toAffine is toSymbolic in the affine domain: the whole conversion
+// builds no intermediate expression.
+func toAffine(e ast.Expr) (symbolic.Affine, error) {
+	var none symbolic.Affine
 	switch x := e.(type) {
 	case *ast.Num:
 		if x.Val != float64(int64(x.Val)) {
-			return nil, fmt.Errorf("non-integer constant %g in region expression", x.Val)
+			return none, fmt.Errorf("non-integer constant %g in region expression", x.Val)
 		}
-		return symbolic.Const(int64(x.Val)), nil
+		return symbolic.AffineConst(symbolic.RatInt(int64(x.Val))), nil
 	case *ast.Ident:
-		return symbolic.Var(x.Name), nil
+		return symbolic.AffineVar(x.Name), nil
 	case *ast.Unary:
 		if x.Op != "-" {
-			return nil, fmt.Errorf("operator %q not allowed in region expressions", x.Op)
+			return none, fmt.Errorf("operator %q not allowed in region expressions", x.Op)
 		}
-		inner, err := toSymbolic(x.X)
+		inner, err := toAffine(x.X)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
-		return symbolic.Neg(inner), nil
+		return inner.Scale(symbolic.RatInt(-1)), nil
 	case *ast.Binary:
-		l, err := toSymbolic(x.L)
+		l, err := toAffine(x.L)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
-		r, err := toSymbolic(x.R)
+		r, err := toAffine(x.R)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
 		switch x.Op {
 		case "+":
-			return symbolic.Add(l, r), nil
+			return l.Add(r), nil
 		case "-":
-			return symbolic.Sub(l, r), nil
+			return l.Sub(r), nil
 		case "*":
-			out := symbolic.Mul(l, r)
-			if _, ok := out.Affine(); !ok {
-				return nil, fmt.Errorf("non-affine product in region expression")
+			switch {
+			case l.IsConst():
+				return r.Scale(l.Const()), nil
+			case r.IsConst():
+				return l.Scale(r.Const()), nil
 			}
-			return out, nil
+			return none, fmt.Errorf("non-affine product in region expression")
 		case "/":
-			c, ok := r.IsConst()
-			if !ok {
-				return nil, fmt.Errorf("division by non-constant in region expression")
+			if !r.IsConst() {
+				return none, fmt.Errorf("division by non-constant in region expression")
 			}
-			if c.IsZero() {
-				// symbolic.Div panics on a zero constant denominator;
-				// fuzzed inputs like `i / 0` or `i / (n - n)` must be
-				// a clean front-end error instead.
-				return nil, fmt.Errorf("division by zero in region expression")
+			if r.Const().IsZero() {
+				// Fuzzed inputs like `i / 0` or `i / (n - n)` must be a
+				// clean front-end error.
+				return none, fmt.Errorf("division by zero in region expression")
 			}
-			return symbolic.Div(l, r), nil
+			return l.Scale(symbolic.RatInt(1).Div(r.Const())), nil
 		default:
-			return nil, fmt.Errorf("operator %q not allowed in region expressions", x.Op)
+			return none, fmt.Errorf("operator %q not allowed in region expressions", x.Op)
 		}
 	default:
-		return nil, fmt.Errorf("expression %s not allowed in region expressions", ast.ExprString(e))
+		return none, fmt.Errorf("expression %s not allowed in region expressions", ast.ExprString(e))
 	}
 }
 
@@ -173,5 +185,21 @@ func whereConstraints(e ast.Expr) ([]ast.Expr, error) {
 
 // ToSymbolic exposes the affine expression converter to sibling
 // packages (the interpreter and code generator reuse it for region
-// arguments in rule bodies).
-func ToSymbolic(e ast.Expr) (*symbolic.Expr, error) { return toSymbolic(e) }
+// arguments in rule bodies). Like Analyze, it reports a constant fold
+// that leaves 64 bits as an error.
+func ToSymbolic(e ast.Expr) (se *symbolic.Expr, err error) {
+	defer onOverflow(func(msg string) { se, err = nil, errors.New(msg) })
+	return toSymbolic(e)
+}
+
+// onOverflow, deferred, recovers a symbolic.OverflowError panic and
+// hands its rendering to report; any other panic continues.
+func onOverflow(report func(msg string)) {
+	switch r := recover().(type) {
+	case nil:
+	case *symbolic.OverflowError:
+		report(fmt.Sprintf("region bound overflows 64-bit arithmetic (%s %s %s)", r.X, r.Op, r.Y))
+	default:
+		panic(r)
+	}
+}

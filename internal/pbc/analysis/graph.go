@@ -148,30 +148,29 @@ func findNode(nodes []*Node, gc *GridCell) *Node {
 // addDepEdges adds producer→consumer edges for every dependency of ri
 // applied over centers in region.
 func (res *Result) addDepEdges(g *Graph, nodesOf map[string][]*Node, consumer *Node, ri *RuleInfo, region symbolic.Region) {
+	// The first and last center of region, to bound each dependency over
+	// all centers; the same for every dependency of the rule.
+	var lo, hi map[string]*symbolic.Expr
+	if ri.Kind == RuleCell && len(ri.Deps) > 0 {
+		lo = make(map[string]*symbolic.Expr, len(ri.CenterVars))
+		hi = make(map[string]*symbolic.Expr, len(ri.CenterVars))
+		for d, v := range ri.CenterVars {
+			if v == "" || d >= len(region) {
+				continue
+			}
+			lo[v] = region[d].Begin
+			hi[v] = symbolic.Sub(region[d].End, symbolic.Const(1))
+		}
+	}
 	for _, dep := range ri.Deps {
 		// Bounding region of the dependency over all centers in region.
 		depReg := dep.Region
 		if ri.Kind == RuleCell {
-			lo := map[string]*symbolic.Expr{}
-			hi := map[string]*symbolic.Expr{}
-			for d, v := range ri.CenterVars {
-				if v == "" || d >= len(region) {
-					continue
-				}
-				lo[v] = region[d].Begin
-				hi[v] = symbolic.Sub(region[d].End, symbolic.Const(1))
-			}
-			low := depReg.Substitute(lo)
-			high := depReg.Substitute(hi)
-			depReg = boundingBox(low, high)
+			depReg = boundingBox(depReg.Substitute(lo), depReg.Substitute(hi))
 		}
 		for _, prod := range nodesOf[dep.Matrix] {
-			if prod == consumer {
-				// Self dependency: keep as a self-edge.
-				if !overlapsUnder(depReg, prod.Region, res.Assume) {
-					continue
-				}
-			} else if !overlapsUnder(depReg, prod.Region, res.Assume) {
+			// A dependency on the consumer's own node stays, as a self-edge.
+			if !overlapsUnder(depReg, prod.Region, res.Assume) {
 				continue
 			}
 			e := g.edgeBetween(prod, consumer)

@@ -97,7 +97,10 @@ func newTransformInfo(res *analysis.Result) *transformInfo {
 	for _, d := range t.From {
 		for _, se := range res.Matrices[d.Name].Dims {
 			if aff, ok := se.Affine(); ok {
-				ti.sizeVars = append(ti.sizeVars, aff.Vars()...)
+				for i := 0; i < aff.NumTerms(); i++ {
+					name, _ := aff.Term(i)
+					ti.sizeVars = append(ti.sizeVars, name)
+				}
 			}
 		}
 	}
@@ -156,9 +159,9 @@ func (ti *transformInfo) intAffineOf(se *symbolic.Expr) intAffine {
 		return intAffine{}
 	}
 	out := intAffine{konst: aff.Const().Int(), ok: true}
-	for _, name := range aff.Vars() {
+	for i := 0; i < aff.NumTerms(); i++ {
+		name, co := aff.Term(i)
 		v, found := slices.BinarySearch(ti.sizeVars, name)
-		co := aff.Coeff(name)
 		if !found || !co.IsInt() {
 			return intAffine{}
 		}

@@ -1,6 +1,8 @@
 package lexer
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"petabricks/internal/pbc/token"
@@ -102,6 +104,39 @@ func TestLexErrors(t *testing.T) {
 	for _, src := range []string{"#", "%{ open", "/* open", "@", "&x", "|x"} {
 		if _, err := Lex(src); err == nil {
 			t.Errorf("expected error for %q", src)
+		}
+	}
+}
+
+// TestLexAllocatesOnce pins that Lex sizes its token slice from the
+// source length: every program of the benchmark's boot_cold table lexes
+// in a small constant number of allocations, with the estimate never
+// below the token count (which would mean append grew the slice).
+func TestLexAllocatesOnce(t *testing.T) {
+	files, err := filepath.Glob("../../../benchmark/programs/*.pbcc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no benchmark programs (%v)", err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := string(raw)
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if est := len(src)/2 + 1; len(toks) > est {
+			t.Errorf("%s: %d tokens exceed the estimate %d from %d bytes", f, len(toks), est, len(src))
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Lex(src); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: Lex made %.0f allocations, want at most 2", f, allocs)
 		}
 	}
 }

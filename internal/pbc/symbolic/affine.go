@@ -1,48 +1,61 @@
 package symbolic
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Affine is a normalized affine function over integer free variables:
 // constant + Σ coeff·var. It is the canonical form the compiler reasons
 // in; every region bound in a legal PetaBricks program normalizes to one.
+//
+// The terms are sorted by variable name, hold no zero coefficient and
+// are never written after the value is built, so values share them
+// freely: an operation whose other operand has no terms returns the
+// same slice.
 type Affine struct {
 	konst Rat
-	terms map[string]Rat // never holds zero coefficients
+	terms []term
 }
 
-func newAffine() Affine { return Affine{terms: map[string]Rat{}} }
+type term struct {
+	name string
+	coef Rat
+}
 
 // AffineConst returns the affine function with only a constant part.
-func AffineConst(v Rat) Affine {
-	a := newAffine()
-	a.konst = v
-	return a
-}
+func AffineConst(v Rat) Affine { return Affine{konst: v} }
 
 // AffineVar returns the affine function 1·name.
 func AffineVar(name string) Affine {
-	a := newAffine()
-	a.terms[name] = RatInt(1)
-	return a
+	return Affine{terms: []term{{name: name, coef: RatInt(1)}}}
 }
 
 // Const returns the constant part.
 func (a Affine) Const() Rat { return a.konst }
 
 // Coeff returns the coefficient of the named variable (zero if absent).
-func (a Affine) Coeff(name string) Rat { return a.terms[name] }
+func (a Affine) Coeff(name string) Rat {
+	for _, t := range a.terms {
+		if t.name == name {
+			return t.coef
+		}
+	}
+	return Rat{}
+}
 
 // Vars returns the sorted variable names with nonzero coefficients.
 func (a Affine) Vars() []string {
-	out := make([]string, 0, len(a.terms))
-	for v := range a.terms {
-		out = append(out, v)
+	out := make([]string, len(a.terms))
+	for i, t := range a.terms {
+		out[i] = t.name
 	}
-	sort.Strings(out)
 	return out
+}
+
+// NumTerms returns the number of variables with nonzero coefficients.
+func (a Affine) NumTerms() int { return len(a.terms) }
+
+// Term returns the i-th variable in name order and its coefficient.
+func (a Affine) Term(i int) (name string, coeff Rat) {
+	return a.terms[i].name, a.terms[i].coef
 }
 
 // IsConst reports whether a has no variable terms.
@@ -50,23 +63,34 @@ func (a Affine) IsConst() bool { return len(a.terms) == 0 }
 
 // Split separates the coefficients of the given variables from the
 // rest, so that a == Σ coeffs[i]·vars[i] + rest. Variables absent from
-// a (and empty names) get a zero coefficient. This is the extraction
-// the interpreter's rule compiler uses to turn symbolic region bounds
-// into per-loop-variable strides evaluated with integer multiply-adds.
+// a (and empty names) get a zero coefficient; a duplicated name
+// extracts once, at its first position. This is the extraction the
+// interpreter's rule compiler uses to turn symbolic region bounds into
+// per-loop-variable strides evaluated with integer multiply-adds.
 func (a Affine) Split(vars []string) (coeffs []Rat, rest Affine) {
 	coeffs = make([]Rat, len(vars))
 	rest = a
-	for i, v := range vars {
-		if v == "" {
-			continue
+	var kept []term // allocated at the first extraction
+	for i, t := range a.terms {
+		at := -1
+		for j, v := range vars {
+			if v == t.name && v != "" {
+				at = j
+				break
+			}
 		}
-		// Read from rest, not a, so a duplicated name extracts once.
-		c := rest.Coeff(v)
-		if c.IsZero() {
-			continue
+		switch {
+		case at >= 0:
+			coeffs[at] = t.coef
+			if kept == nil {
+				kept = append(make([]term, 0, len(a.terms)-1), a.terms[:i]...)
+			}
+		case kept != nil:
+			kept = append(kept, t)
 		}
-		coeffs[i] = c
-		rest = rest.Sub(AffineVar(v).Scale(c))
+	}
+	if kept != nil {
+		rest.terms = kept
 	}
 	return coeffs, rest
 }
@@ -75,82 +99,108 @@ func (a Affine) Split(vars []string) (coeffs []Rat, rest Affine) {
 func (a Affine) IsZero() bool { return a.IsConst() && a.konst.IsZero() }
 
 // Add returns a + b.
-func (a Affine) Add(b Affine) Affine {
-	out := newAffine()
-	out.konst = a.konst.Add(b.konst)
-	for v, c := range a.terms {
-		out.terms[v] = c
+func (a Affine) Add(b Affine) Affine { return a.addScaled(b, RatInt(1)) }
+
+// Sub returns a - b.
+func (a Affine) Sub(b Affine) Affine { return a.addScaled(b, RatInt(-1)) }
+
+// Scale returns k·a.
+func (a Affine) Scale(k Rat) Affine { return Affine{}.addScaled(a, k) }
+
+// scaled returns k·c, skipping the arithmetic for the k == 1 of Add.
+func scaled(c, k Rat) Rat {
+	if k.isOne() {
+		return c
 	}
-	for v, c := range b.terms {
-		s := out.terms[v].Add(c)
-		if s.IsZero() {
-			delete(out.terms, v)
-		} else {
-			out.terms[v] = s
-		}
+	return c.Mul(k)
+}
+
+// addScaled returns a + k·b in one merge of the two term lists.
+func (a Affine) addScaled(b Affine, k Rat) Affine {
+	if k.IsZero() {
+		return a
+	}
+	out := Affine{konst: a.konst.Add(scaled(b.konst, k))}
+	switch {
+	case len(b.terms) == 0:
+		out.terms = a.terms
+	case len(a.terms) == 0 && k.isOne():
+		out.terms = b.terms
+	default:
+		out.terms = mergeTerms(a.terms, b.terms, k)
 	}
 	return out
 }
 
-// Sub returns a - b.
-func (a Affine) Sub(b Affine) Affine { return a.Add(b.Scale(RatInt(-1))) }
-
-// Scale returns k·a.
-func (a Affine) Scale(k Rat) Affine {
-	out := newAffine()
-	if k.IsZero() {
-		return out
+func mergeTerms(a, b []term, k Rat) []term {
+	var out []term
+	i, j := 0, 0
+	// push allocates on the first surviving term, sized for what is left
+	// to merge, so a difference that cancels (i+1 − i) allocates nothing.
+	push := func(t term) {
+		if out == nil {
+			out = make([]term, 0, len(a)-i+len(b)-j)
+		}
+		out = append(out, t)
 	}
-	out.konst = a.konst.Mul(k)
-	for v, c := range a.terms {
-		out.terms[v] = c.Mul(k)
+	for i < len(a) && j < len(b) {
+		switch ta, tb := a[i], b[j]; {
+		case ta.name < tb.name:
+			push(ta)
+			i++
+		case ta.name > tb.name:
+			push(term{tb.name, scaled(tb.coef, k)})
+			j++
+		default:
+			if c := ta.coef.Add(scaled(tb.coef, k)); !c.IsZero() {
+				push(term{ta.name, c})
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		push(a[i])
+	}
+	for ; j < len(b); j++ {
+		push(term{b[j].name, scaled(b[j].coef, k)})
 	}
 	return out
 }
 
 // Equal reports whether a and b denote the same affine function.
 func (a Affine) Equal(b Affine) bool {
-	if a.konst.Cmp(b.konst) != 0 || len(a.terms) != len(b.terms) {
+	if !a.konst.eq(b.konst) || len(a.terms) != len(b.terms) {
 		return false
 	}
-	for v, c := range a.terms {
-		if b.terms[v].Cmp(c) != 0 {
+	for i, t := range a.terms {
+		if u := b.terms[i]; t.name != u.name || !t.coef.eq(u.coef) {
 			return false
 		}
 	}
 	return true
 }
 
-// Expr converts a back into a canonical expression tree.
+// op is the root operator of a's canonical expression tree.
+func (a Affine) op() Op {
+	switch {
+	case len(a.terms) == 0:
+		return OpConst
+	case len(a.terms) > 1 || !a.konst.IsZero():
+		return OpAdd
+	case a.terms[0].coef.isOne():
+		return OpVar
+	}
+	return OpMul
+}
+
+// Expr returns the canonical expression for a: one node that carries a
+// itself, whatever the number of terms.
 func (a Affine) Expr() *Expr {
 	if a.IsConst() {
 		return ConstRat(a.konst)
 	}
-	e := &Expr{op: OpAdd, args: nil}
-	// Single-term pure variable with coefficient 1: return the var itself.
-	if a.konst.IsZero() && len(a.terms) == 1 {
-		for v, c := range a.terms {
-			if c.Cmp(RatInt(1)) == 0 {
-				return Var(v)
-			}
-			return &Expr{op: OpMul, args: []*Expr{ConstRat(c), Var(v)}}
-		}
-	}
-	for _, v := range a.Vars() {
-		c := a.terms[v]
-		if c.Cmp(RatInt(1)) == 0 {
-			e.args = append(e.args, Var(v))
-		} else {
-			e.args = append(e.args, &Expr{op: OpMul, args: []*Expr{ConstRat(c), Var(v)}})
-		}
-	}
-	if !a.konst.IsZero() {
-		e.args = append(e.args, ConstRat(a.konst))
-	}
-	if len(e.args) == 1 {
-		return e.args[0]
-	}
-	return e
+	return &Expr{op: a.op(), affine: true, aff: a}
 }
 
 // String renders the affine function, e.g. "i-1", "1/2*n+3".
@@ -158,85 +208,39 @@ func (a Affine) String() string {
 	if a.IsConst() {
 		return a.konst.String()
 	}
+	if a.op() == OpVar {
+		return a.terms[0].name
+	}
 	var b strings.Builder
-	first := true
-	for _, v := range a.Vars() {
-		c := a.terms[v]
+	for i, t := range a.terms {
+		c := t.coef
 		switch {
-		case first && c.Cmp(RatInt(1)) == 0:
-			b.WriteString(v)
-		case first && c.Cmp(RatInt(-1)) == 0:
-			b.WriteString("-" + v)
-		case first:
-			b.WriteString(c.String() + "*" + v)
-		case c.Sign() > 0 && c.Cmp(RatInt(1)) == 0:
-			b.WriteString("+" + v)
-		case c.Cmp(RatInt(-1)) == 0:
-			b.WriteString("-" + v)
-		case c.Sign() > 0:
-			b.WriteString("+" + c.String() + "*" + v)
+		case c.isOne():
+			if i > 0 {
+				b.WriteByte('+')
+			}
+		case c.eq(RatInt(-1)):
+			b.WriteByte('-')
 		default:
-			b.WriteString(c.String() + "*" + v)
+			if i > 0 && c.Sign() > 0 {
+				b.WriteByte('+')
+			}
+			b.WriteString(c.String())
+			b.WriteByte('*')
 		}
-		first = false
+		b.WriteString(t.name)
 	}
 	if !a.konst.IsZero() {
 		if a.konst.Sign() > 0 {
-			b.WriteString("+")
+			b.WriteByte('+')
 		}
 		b.WriteString(a.konst.String())
 	}
 	return b.String()
 }
 
-// Affine attempts to normalize e into affine form. It succeeds for the
-// constant/var/add/mul-by-constant/div-by-constant fragment, which covers
-// all region arithmetic in the PetaBricks language.
-func (e *Expr) Affine() (Affine, bool) {
-	switch e.op {
-	case OpConst:
-		return AffineConst(e.rat), true
-	case OpVar:
-		return AffineVar(e.name), true
-	case OpAdd:
-		acc := newAffine()
-		for _, x := range e.args {
-			a, ok := x.Affine()
-			if !ok {
-				return Affine{}, false
-			}
-			acc = acc.Add(a)
-		}
-		return acc, true
-	case OpMul:
-		// Exactly one non-constant factor allowed for affine form.
-		c := RatInt(1)
-		var varPart *Affine
-		for _, x := range e.args {
-			if v, ok := x.IsConst(); ok {
-				c = c.Mul(v)
-				continue
-			}
-			a, ok := x.Affine()
-			if !ok || varPart != nil {
-				return Affine{}, false
-			}
-			varPart = &a
-		}
-		if varPart == nil {
-			return AffineConst(c), true
-		}
-		return varPart.Scale(c), true
-	case OpDiv:
-		den, ok := e.args[1].IsConst()
-		if !ok || den.IsZero() {
-			return Affine{}, false
-		}
-		a, ok := e.args[0].Affine()
-		if !ok {
-			return Affine{}, false
-		}
-		return a.Scale(RatInt(1).Div(den)), true
-	}
-	return Affine{}, false
-}
+// Affine returns e's affine normal form, which exists for the
+// constant/var/add/mul-by-constant/div-by-constant fragment — all region
+// arithmetic in the PetaBricks language. It is computed by the
+// constructor that built e; this is a field read.
+func (e *Expr) Affine() (Affine, bool) { return e.aff, e.affine }

@@ -44,90 +44,160 @@ func (o Op) String() string {
 // variables. Expressions are built with the package constructors, which
 // eagerly simplify, so structurally different but equal affine
 // expressions compare equal with Equal.
+//
+// An expression is one of two things, decided by the constructor that
+// builds it and never changed afterwards (engine views read shared
+// expressions concurrently): an affine node, which is its normal form
+// and nothing else, or a tree node whose operator no affine form covers
+// (min, max, a product of variables, a sum with such an operand).
 type Expr struct {
-	op   Op
-	rat  Rat    // OpConst
-	name string // OpVar
-	args []*Expr
+	op     Op
+	affine bool
+	aff    Affine  // the normal form of an affine node
+	args   []*Expr // the operands of a tree node
 }
 
-// Op returns the root operator.
+// Op returns the root operator; for an affine node, that of its
+// canonical tree (terms in name order, then the constant).
 func (e *Expr) Op() Op { return e.op }
 
 // Args returns the operand list (nil for constants and variables).
-// The returned slice must not be modified.
-func (e *Expr) Args() []*Expr { return e.args }
+// The returned slice must not be modified. An affine node builds its
+// canonical operands on request.
+func (e *Expr) Args() []*Expr {
+	if !e.affine {
+		return e.args
+	}
+	switch e.op {
+	case OpMul:
+		return []*Expr{ConstRat(e.aff.terms[0].coef), Var(e.aff.terms[0].name)}
+	case OpAdd:
+		args := make([]*Expr, 0, len(e.aff.terms)+1)
+		for i := range e.aff.terms {
+			args = append(args, Affine{terms: e.aff.terms[i : i+1]}.Expr())
+		}
+		if !e.aff.konst.IsZero() {
+			args = append(args, ConstRat(e.aff.konst))
+		}
+		return args
+	}
+	return nil
+}
 
 // VarName returns the variable name for an OpVar node.
-func (e *Expr) VarName() string { return e.name }
+func (e *Expr) VarName() string {
+	if e.op != OpVar {
+		return ""
+	}
+	return e.aff.terms[0].name
+}
 
 // ConstVal returns the rational value for an OpConst node.
-func (e *Expr) ConstVal() Rat { return e.rat }
+func (e *Expr) ConstVal() Rat {
+	if e.op != OpConst {
+		return Rat{}
+	}
+	return e.aff.konst
+}
 
-var (
-	zeroExpr = &Expr{op: OpConst, rat: RatInt(0)}
-	oneExpr  = &Expr{op: OpConst, rat: RatInt(1)}
-)
+// smallConsts holds the constant expressions for the integers a
+// program's region arithmetic is mostly made of, so building one does
+// not allocate. Filled once, before anything can read it.
+var smallConsts = func() (t [33]Expr) {
+	for i := range t {
+		t[i] = Expr{op: OpConst, affine: true, aff: Affine{konst: RatInt(int64(i) - 16)}}
+	}
+	return t
+}()
+
+var zeroExpr = &smallConsts[16]
 
 // Const returns the constant expression v.
 func Const(v int64) *Expr { return ConstRat(RatInt(v)) }
 
 // ConstRat returns the constant expression v.
 func ConstRat(v Rat) *Expr {
-	if v.IsZero() {
-		return zeroExpr
+	if v.IsInt() && v.num >= -16 && v.num <= 16 {
+		return &smallConsts[v.num+16]
 	}
-	if v.Cmp(RatInt(1)) == 0 {
-		return oneExpr
-	}
-	return &Expr{op: OpConst, rat: v}
+	return &Expr{op: OpConst, affine: true, aff: Affine{konst: v}}
 }
 
 // Var returns the free variable named name.
-func Var(name string) *Expr { return &Expr{op: OpVar, name: name} }
+func Var(name string) *Expr {
+	// The node and its one term are a single allocation.
+	v := &struct {
+		e Expr
+		t [1]term
+	}{}
+	v.t[0] = term{name: name, coef: RatInt(1)}
+	v.e = Expr{op: OpVar, affine: true, aff: Affine{terms: v.t[:]}}
+	return &v.e
+}
 
 // IsConst reports whether e is a constant, returning its value when so.
 func (e *Expr) IsConst() (Rat, bool) {
 	if e.op == OpConst {
-		return e.rat, true
+		return e.aff.konst, true
 	}
 	return Rat{}, false
 }
 
+// sum returns the expression for rest[0]+rest[1]+…+aff, where no
+// operand in rest is affine.
+func sum(rest []*Expr, aff Affine) *Expr {
+	if len(rest) == 0 {
+		return aff.Expr()
+	}
+	if !aff.IsZero() {
+		rest = append(rest, aff.Expr())
+	}
+	if len(rest) == 1 {
+		return rest[0]
+	}
+	return &Expr{op: OpAdd, args: rest}
+}
+
 // Add returns the simplified sum of the operands.
 func Add(xs ...*Expr) *Expr {
-	aff := newAffine()
-	rest := make([]*Expr, 0)
+	var aff Affine
+	var rest []*Expr
 	for _, x := range xs {
-		if a, ok := x.Affine(); ok {
-			aff = aff.Add(a)
+		if x.affine {
+			aff = aff.Add(x.aff)
 		} else {
 			rest = append(rest, x)
 		}
 	}
-	if len(rest) == 0 {
-		return aff.Expr()
-	}
-	args := append([]*Expr{}, rest...)
-	if !aff.IsZero() {
-		args = append(args, aff.Expr())
-	}
-	if len(args) == 1 {
-		return args[0]
-	}
-	return &Expr{op: OpAdd, args: args}
+	return sum(rest, aff)
 }
 
 // Sub returns a - b, simplified.
-func Sub(a, b *Expr) *Expr { return Add(a, Neg(b)) }
+func Sub(a, b *Expr) *Expr {
+	if a.affine && b.affine {
+		return a.aff.Sub(b.aff).Expr()
+	}
+	return Add(a, Neg(b))
+}
 
 // Neg returns -a, simplified.
-func Neg(a *Expr) *Expr { return Mul(Const(-1), a) }
+func Neg(a *Expr) *Expr { return scale(a, RatInt(-1)) }
+
+// scale returns c·x for nonzero c.
+func scale(x *Expr, c Rat) *Expr {
+	switch {
+	case c.isOne():
+		return x
+	case x.affine:
+		return x.aff.Scale(c).Expr()
+	}
+	return &Expr{op: OpMul, args: []*Expr{ConstRat(c), x}}
+}
 
 // Mul returns the simplified product of the operands.
 func Mul(xs ...*Expr) *Expr {
 	c := RatInt(1)
-	rest := make([]*Expr, 0)
+	var rest []*Expr
 	for _, x := range xs {
 		if v, ok := x.IsConst(); ok {
 			c = c.Mul(v)
@@ -144,19 +214,12 @@ func Mul(xs ...*Expr) *Expr {
 	// Scale an affine operand by the constant factor when that is the
 	// whole product; this keeps i*2, (n+1)/2 etc. in canonical form.
 	if len(rest) == 1 {
-		if a, ok := rest[0].Affine(); ok {
-			return a.Scale(c).Expr()
-		}
-		if c.Cmp(RatInt(1)) == 0 {
-			return rest[0]
-		}
-		return &Expr{op: OpMul, args: []*Expr{ConstRat(c), rest[0]}}
+		return scale(rest[0], c)
 	}
-	args := rest
-	if c.Cmp(RatInt(1)) != 0 {
-		args = append([]*Expr{ConstRat(c)}, rest...)
+	if !c.isOne() {
+		rest = append([]*Expr{ConstRat(c)}, rest...)
 	}
-	return &Expr{op: OpMul, args: args}
+	return &Expr{op: OpMul, args: rest}
 }
 
 // Div returns a/b. b must simplify to a nonzero constant; PetaBricks
@@ -169,7 +232,7 @@ func Div(a, b *Expr) *Expr {
 	if v.IsZero() {
 		panic("symbolic: division by zero expression")
 	}
-	return Mul(ConstRat(RatInt(1).Div(v)), a)
+	return scale(a, RatInt(1).Div(v))
 }
 
 // Min returns the simplified minimum of the operands.
@@ -183,31 +246,29 @@ func minMax(op Op, xs []*Expr) *Expr {
 		panic("symbolic: empty min/max")
 	}
 	// Flatten nested nodes of the same op and drop duplicates.
-	flat := make([]*Expr, 0, len(xs))
-	for _, x := range xs {
-		if x.op == op {
-			flat = append(flat, x.args...)
-		} else {
-			flat = append(flat, x)
-		}
-	}
-	uniq := flat[:0]
-	for _, x := range flat {
-		dup := false
+	var buf [8]*Expr
+	uniq := buf[:0]
+	add := func(x *Expr) {
 		for _, u := range uniq {
 			if u.Equal(x) {
-				dup = true
-				break
+				return
 			}
 		}
-		if !dup {
-			uniq = append(uniq, x)
+		uniq = append(uniq, x)
+	}
+	for _, x := range xs {
+		if x.op == op {
+			for _, y := range x.args {
+				add(y)
+			}
+		} else {
+			add(x)
 		}
 	}
 	if len(uniq) == 1 {
 		return uniq[0]
 	}
-	return &Expr{op: op, args: append([]*Expr{}, uniq...)}
+	return &Expr{op: op, args: append([]*Expr(nil), uniq...)}
 }
 
 // Equal reports structural equality after canonicalization. Affine
@@ -216,19 +277,12 @@ func (e *Expr) Equal(o *Expr) bool {
 	if e == o {
 		return true
 	}
-	ea, eok := e.Affine()
-	oa, ook := o.Affine()
-	if eok && ook {
-		return ea.Equal(oa)
+	if e.affine || o.affine {
+		// A tree node holds an operator no affine tree contains.
+		return e.affine && o.affine && e.aff.Equal(o.aff)
 	}
 	if e.op != o.op || len(e.args) != len(o.args) {
 		return false
-	}
-	switch e.op {
-	case OpConst:
-		return e.rat.Cmp(o.rat) == 0
-	case OpVar:
-		return e.name == o.name
 	}
 	for i := range e.args {
 		if !e.args[i].Equal(o.args[i]) {
@@ -240,8 +294,15 @@ func (e *Expr) Equal(o *Expr) bool {
 
 // Vars returns the sorted set of free-variable names in e.
 func (e *Expr) Vars() []string {
+	if e.affine {
+		return e.aff.Vars()
+	}
 	set := map[string]bool{}
 	e.collectVars(set)
+	return sortedKeys(set)
+}
+
+func sortedKeys(set map[string]bool) []string {
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -251,8 +312,8 @@ func (e *Expr) Vars() []string {
 }
 
 func (e *Expr) collectVars(set map[string]bool) {
-	if e.op == OpVar {
-		set[e.name] = true
+	for _, t := range e.aff.terms {
+		set[t.name] = true
 	}
 	for _, a := range e.args {
 		a.collectVars(set)
@@ -262,38 +323,76 @@ func (e *Expr) collectVars(set map[string]bool) {
 // Substitute replaces every occurrence of the named variables with the
 // given expressions and re-simplifies.
 func (e *Expr) Substitute(bind map[string]*Expr) *Expr {
-	switch e.op {
-	case OpConst:
-		return e
-	case OpVar:
-		if r, ok := bind[e.name]; ok {
-			return r
-		}
-		return e
+	if e.affine {
+		return e.substituteAffine(bind)
 	}
-	args := make([]*Expr, len(e.args))
+	var args []*Expr // a copy of e.args, made when the first operand changes
 	for i, a := range e.args {
-		args[i] = a.Substitute(bind)
+		s := a.Substitute(bind)
+		if s == a {
+			continue
+		}
+		if args == nil {
+			args = append([]*Expr(nil), e.args...)
+		}
+		args[i] = s
 	}
-	switch e.op {
+	if args == nil {
+		return e // nothing bound occurs in e
+	}
+	return rebuild(e.op, args)
+}
+
+// rebuild applies op's constructor to already simplified operands.
+func rebuild(op Op, args []*Expr) *Expr {
+	switch op {
 	case OpAdd:
 		return Add(args...)
 	case OpMul:
 		return Mul(args...)
 	case OpDiv:
 		return Div(args[0], args[1])
-	case OpMin:
-		return Min(args...)
-	case OpMax:
-		return Max(args...)
+	case OpMin, OpMax:
+		return minMax(op, args)
 	}
-	panic("symbolic: unknown op in Substitute")
+	panic(fmt.Sprintf("symbolic: unknown op %v", op))
+}
+
+// substituteAffine substitutes into the terms directly: the result is
+// konst + Σ coef·bind[name], merged as affine forms wherever the bound
+// expressions are affine.
+func (e *Expr) substituteAffine(bind map[string]*Expr) *Expr {
+	first := -1
+	for i, t := range e.aff.terms {
+		if _, ok := bind[t.name]; ok {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return e
+	}
+	acc := Affine{konst: e.aff.konst, terms: e.aff.terms[:first]}
+	var rest []*Expr
+	for i := first; i < len(e.aff.terms); i++ {
+		t := e.aff.terms[i]
+		r, ok := bind[t.name]
+		switch {
+		case !ok:
+			acc = acc.Add(Affine{terms: e.aff.terms[i : i+1]})
+		case r.affine:
+			acc = acc.addScaled(r.aff, t.coef)
+		default:
+			rest = append(rest, scale(r, t.coef))
+		}
+	}
+	return sum(rest, acc)
 }
 
 // Eval evaluates e with integer variable bindings. Non-integer
 // intermediate results (from divisions like c/2) are floored, matching
 // the integer region semantics of the runtime. Eval reports an error for
-// unbound variables.
+// unbound variables, and an *OverflowError when a value leaves int64.
 func (e *Expr) Eval(env map[string]int64) (int64, error) {
 	r, err := e.evalRat(env)
 	if err != nil {
@@ -303,113 +402,96 @@ func (e *Expr) Eval(env map[string]int64) (int64, error) {
 }
 
 func (e *Expr) evalRat(env map[string]int64) (Rat, error) {
-	switch e.op {
-	case OpConst:
-		return e.rat, nil
-	case OpVar:
-		v, ok := env[e.name]
-		if !ok {
-			return Rat{}, fmt.Errorf("symbolic: unbound variable %q", e.name)
-		}
-		return RatInt(v), nil
-	case OpAdd:
-		acc := Rat{}
-		for _, a := range e.args {
-			v, err := a.evalRat(env)
-			if err != nil {
-				return Rat{}, err
+	if e.affine {
+		acc := e.aff.konst
+		for _, t := range e.aff.terms {
+			v, ok := env[t.name]
+			if !ok {
+				return Rat{}, fmt.Errorf("symbolic: unbound variable %q", t.name)
 			}
-			acc = acc.Add(v)
+			p, ok := t.coef.mul(RatInt(v))
+			if !ok {
+				return Rat{}, &OverflowError{Op: "*", X: t.coef, Y: RatInt(v)}
+			}
+			s, ok := acc.addSub(p, false)
+			if !ok {
+				return Rat{}, &OverflowError{Op: "+", X: acc, Y: p}
+			}
+			acc = s
 		}
 		return acc, nil
-	case OpMul:
-		acc := RatInt(1)
-		for _, a := range e.args {
-			v, err := a.evalRat(env)
-			if err != nil {
-				return Rat{}, err
-			}
-			acc = acc.Mul(v)
-		}
-		return acc, nil
-	case OpDiv:
-		num, err := e.args[0].evalRat(env)
-		if err != nil {
-			return Rat{}, err
-		}
-		den, err := e.args[1].evalRat(env)
-		if err != nil {
-			return Rat{}, err
-		}
-		if den.IsZero() {
-			return Rat{}, fmt.Errorf("symbolic: division by zero")
-		}
-		return num.Div(den), nil
-	case OpMin, OpMax:
-		best, err := e.args[0].evalRat(env)
-		if err != nil {
-			return Rat{}, err
-		}
-		for _, a := range e.args[1:] {
-			v, err := a.evalRat(env)
-			if err != nil {
-				return Rat{}, err
-			}
-			if (e.op == OpMin && v.Cmp(best) < 0) || (e.op == OpMax && v.Cmp(best) > 0) {
-				best = v
-			}
-		}
-		return best, nil
 	}
-	return Rat{}, fmt.Errorf("symbolic: unknown op %v", e.op)
+	acc, err := e.args[0].evalRat(env)
+	if err != nil {
+		return Rat{}, err
+	}
+	for _, a := range e.args[1:] {
+		v, err := a.evalRat(env)
+		if err != nil {
+			return Rat{}, err
+		}
+		r, sym, ok := acc, "", true
+		switch e.op {
+		case OpAdd:
+			r, ok = acc.addSub(v, false)
+			sym = "+"
+		case OpMul:
+			r, ok = acc.mul(v)
+			sym = "*"
+		case OpDiv:
+			if v.IsZero() {
+				return Rat{}, fmt.Errorf("symbolic: division by zero")
+			}
+			r, ok = acc.quo(v)
+			sym = "/"
+		case OpMin:
+			if v.Cmp(acc) < 0 {
+				r = v
+			}
+		case OpMax:
+			if v.Cmp(acc) > 0 {
+				r = v
+			}
+		default:
+			return Rat{}, fmt.Errorf("symbolic: unknown op %v", e.op)
+		}
+		if !ok {
+			return Rat{}, &OverflowError{Op: sym, X: acc, Y: v}
+		}
+		acc = r
+	}
+	return acc, nil
 }
 
 // String renders the expression in conventional infix notation, e.g.
 // "i-1", "n/2", "max(0, i-1)".
 func (e *Expr) String() string {
+	if e.affine {
+		return e.aff.String()
+	}
+	parts := make([]string, len(e.args))
+	for i, x := range e.args {
+		parts[i] = x.String()
+	}
 	switch e.op {
-	case OpConst:
-		return e.rat.String()
-	case OpVar:
-		return e.name
 	case OpAdd:
-		if a, ok := e.Affine(); ok {
-			return a.String()
-		}
-		parts := make([]string, len(e.args))
-		for i, x := range e.args {
-			parts[i] = x.String()
-		}
 		return strings.Join(parts, "+")
 	case OpMul:
-		if a, ok := e.Affine(); ok {
-			return a.String()
-		}
-		parts := make([]string, len(e.args))
 		for i, x := range e.args {
-			s := x.String()
 			if x.op == OpAdd {
-				s = "(" + s + ")"
+				parts[i] = "(" + parts[i] + ")"
 			}
-			parts[i] = s
 		}
 		return strings.Join(parts, "*")
 	case OpDiv:
-		num := e.args[0].String()
-		if e.args[0].op == OpAdd || e.args[0].op == OpMul {
-			num = "(" + num + ")"
+		if op := e.args[0].op; op == OpAdd || op == OpMul {
+			parts[0] = "(" + parts[0] + ")"
 		}
-		return num + "/" + e.args[1].String()
-	case OpMin, OpMax:
-		parts := make([]string, len(e.args))
-		for i, x := range e.args {
-			parts[i] = x.String()
-		}
-		name := "min"
-		if e.op == OpMax {
-			name = "max"
-		}
-		return name + "(" + strings.Join(parts, ", ") + ")"
+		return parts[0] + "/" + parts[1]
+	case OpMin:
+		return "min(" + strings.Join(parts, ", ") + ")"
+	case OpMax:
+		return "max(" + strings.Join(parts, ", ") + ")"
 	}
 	return "?"
 }

@@ -1,7 +1,5 @@
 package symbolic
 
-import "fmt"
-
 // Bound is an optional inclusive rational bound.
 type Bound struct {
 	Set bool
@@ -74,19 +72,36 @@ func (o Order) String() string {
 	}
 }
 
-// rangeOf computes the inclusive rational range [lo, hi] attainable by the
-// affine function under the assumptions. Either end may be unbounded.
-func rangeOf(a Affine, assume Assumptions) (lo, hi Bound) {
-	lo = Bound{Set: true, Val: a.konst}
-	hi = Bound{Set: true, Val: a.konst}
-	for v, c := range a.terms {
-		vb := assume[v]
-		// Contribution range of c*v.
-		var cl, ch Bound
-		if c.Sign() > 0 {
-			cl, ch = vb.Lo, vb.Hi
-		} else {
-			cl, ch = vb.Hi, vb.Lo
+// rangeOfDiff computes the inclusive rational range [lo, hi] attainable
+// by a − b under the assumptions; either end may be unbounded. It walks
+// the two term lists once and never materializes the difference.
+func rangeOfDiff(a, b Affine, assume Assumptions) (lo, hi Bound) {
+	k := a.konst.Sub(b.konst)
+	lo, hi = Bound{Set: true, Val: k}, Bound{Set: true, Val: k}
+	i, j := 0, 0
+	for i < len(a.terms) || j < len(b.terms) {
+		var name string
+		var c Rat
+		switch {
+		case j == len(b.terms) || (i < len(a.terms) && a.terms[i].name < b.terms[j].name):
+			name, c = a.terms[i].name, a.terms[i].coef
+			i++
+		case i == len(a.terms) || b.terms[j].name < a.terms[i].name:
+			name, c = b.terms[j].name, b.terms[j].coef.Neg()
+			j++
+		default:
+			name, c = a.terms[i].name, a.terms[i].coef.Sub(b.terms[j].coef)
+			i++
+			j++
+		}
+		if c.IsZero() {
+			continue
+		}
+		// Contribution range of c*name.
+		vb := assume[name]
+		cl, ch := vb.Lo, vb.Hi
+		if c.Sign() < 0 {
+			cl, ch = ch, cl
 		}
 		if lo.Set && cl.Set {
 			lo.Val = lo.Val.Add(c.Mul(cl.Val))
@@ -104,23 +119,33 @@ func rangeOf(a Affine, assume Assumptions) (lo, hi Bound) {
 
 // Compare symbolically compares a and b under the assumptions. It decides
 // the strongest order it can prove, or OrderUnknown. Affine expressions
-// compare through interval analysis of their difference; min/max nodes
-// compare structurally (min(x,…) ≤ b when some operand is ≤ b, and so on).
+// compare through interval analysis of their difference — one interval
+// gives both directions, strict and not; min/max nodes compare
+// structurally (min(x,…) ≤ b when some operand is ≤ b, and so on).
 func Compare(a, b *Expr, assume Assumptions) Order {
-	if a.Equal(b) {
-		return OrderEQ
+	var lt, gt, le, ge bool
+	if a.affine && b.affine {
+		lo, hi := rangeOfDiff(a.aff, b.aff, assume)
+		lt = hi.Set && hi.Val.Sign() < 0
+		gt = lo.Set && lo.Val.Sign() > 0
+		le = hi.Set && hi.Val.Sign() <= 0
+		ge = lo.Set && lo.Val.Sign() >= 0
+	} else {
+		if a.Equal(b) {
+			return OrderEQ
+		}
+		lt = leRec(a, b, assume, true)
+		gt = !lt && leRec(b, a, assume, true)
+		if !lt && !gt {
+			le = leRec(a, b, assume, false)
+			ge = leRec(b, a, assume, false)
+		}
 	}
-	lt := leRec(a, b, assume, true)
-	gt := leRec(b, a, assume, true)
 	switch {
 	case lt:
 		return OrderLT
 	case gt:
 		return OrderGT
-	}
-	le := leRec(a, b, assume, false)
-	ge := leRec(b, a, assume, false)
-	switch {
 	case le && ge:
 		return OrderEQ
 	case le:
@@ -134,18 +159,15 @@ func Compare(a, b *Expr, assume Assumptions) Order {
 // leRec proves a <= b (or a < b when strict) by affine interval analysis
 // at the leaves and structural decomposition of min/max nodes.
 func leRec(a, b *Expr, assume Assumptions, strict bool) bool {
-	if aa, aok := a.Affine(); aok {
-		if ba, bok := b.Affine(); bok {
-			d := aa.Sub(ba)
-			_, hi := rangeOf(d, assume)
-			if !hi.Set {
-				return false
-			}
-			if strict {
-				return hi.Val.Sign() < 0
-			}
-			return hi.Val.Sign() <= 0
+	if a.affine && b.affine {
+		_, hi := rangeOfDiff(a.aff, b.aff, assume)
+		if !hi.Set {
+			return false
 		}
+		if strict {
+			return hi.Val.Sign() < 0
+		}
+		return hi.Val.Sign() <= 0
 	}
 	// Decompose a: min(xs) <= b if SOME x <= b; max(xs) <= b if ALL x <= b.
 	switch a.op {
@@ -214,58 +236,51 @@ func ProvablyGE(a, b *Expr, assume Assumptions) bool {
 }
 
 // SimplifyMinMax prunes dominated operands of min/max nodes using the
-// assumptions, recursing into children. Other nodes are rebuilt with the
-// standard constructors.
+// assumptions, recursing into children. An affine node holds none and
+// is returned as it is; other nodes are rebuilt with the standard
+// constructors.
 func SimplifyMinMax(e *Expr, assume Assumptions) *Expr {
-	switch e.op {
-	case OpConst, OpVar:
+	if e.affine {
 		return e
 	}
 	args := make([]*Expr, len(e.args))
 	for i, a := range e.args {
 		args[i] = SimplifyMinMax(a, assume)
 	}
-	switch e.op {
-	case OpAdd:
-		return Add(args...)
-	case OpMul:
-		return Mul(args...)
-	case OpDiv:
-		return Div(args[0], args[1])
-	case OpMin, OpMax:
-		keep := make([]*Expr, 0, len(args))
-		for i, x := range args {
-			dominated := false
-			for j, y := range args {
-				if i == j {
-					continue
-				}
-				ord := Compare(x, y, assume)
-				if e.op == OpMin {
-					// x dominated (removable) if x >= y. A provable GE
-					// with the reverse also provable would have been EQ,
-					// so GE needs no index guard; EQ keeps the first.
-					if ord == OrderGT || ord == OrderGE || (ord == OrderEQ && j < i) {
-						dominated = true
-					}
-				} else {
-					if ord == OrderLT || ord == OrderLE || (ord == OrderEQ && j < i) {
-						dominated = true
-					}
-				}
-				if dominated {
-					break
-				}
-			}
-			if !dominated {
-				keep = append(keep, x)
-			}
-		}
-		if len(keep) == 0 {
-			// All mutually equal; keep the first.
-			keep = args[:1]
-		}
-		return minMax(e.op, keep)
+	if e.op != OpMin && e.op != OpMax {
+		return rebuild(e.op, args)
 	}
-	panic(fmt.Sprintf("symbolic: unknown op %v", e.op))
+	keep := make([]*Expr, 0, len(args))
+	for i, x := range args {
+		dominated := false
+		for j, y := range args {
+			if i == j {
+				continue
+			}
+			ord := Compare(x, y, assume)
+			if e.op == OpMin {
+				// x dominated (removable) if x >= y. A provable GE
+				// with the reverse also provable would have been EQ,
+				// so GE needs no index guard; EQ keeps the first.
+				if ord == OrderGT || ord == OrderGE || (ord == OrderEQ && j < i) {
+					dominated = true
+				}
+			} else {
+				if ord == OrderLT || ord == OrderLE || (ord == OrderEQ && j < i) {
+					dominated = true
+				}
+			}
+			if dominated {
+				break
+			}
+		}
+		if !dominated {
+			keep = append(keep, x)
+		}
+	}
+	if len(keep) == 0 {
+		// All mutually equal; keep the first.
+		keep = args[:1]
+	}
+	return minMax(e.op, keep)
 }

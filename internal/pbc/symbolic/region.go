@@ -141,12 +141,7 @@ func (r Region) Vars() []string {
 		iv.Begin.collectVars(set)
 		iv.End.collectVars(set)
 	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sortStrings(out)
-	return out
+	return sortedKeys(set)
 }
 
 // String renders e.g. "[0, n)x[0, m)".
@@ -159,12 +154,4 @@ func (r Region) String() string {
 		parts[d] = iv.String()
 	}
 	return strings.Join(parts, "x")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
