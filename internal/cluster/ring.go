@@ -116,8 +116,19 @@ func ShardKey(program string, bucket int) string {
 	return fmt.Sprintf("%s/b%d", program, bucket)
 }
 
+// hash64 is FNV-1a finished with the splitmix64 avalanche. Bare FNV-1a
+// keeps keys that differ only in their last bytes ("sort/b10" …
+// "sort/b15") within a narrow arc of the ring, so adjacent size buckets
+// of one program landed on one node; the finaliser spreads every input
+// bit over the whole word.
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

@@ -70,6 +70,28 @@ func TestRingDistribution(t *testing.T) {
 	}
 }
 
+// TestRingSpreadsAdjacentBuckets pins the hash finaliser: the 64 size
+// buckets of one program differ only in their last bytes, and must
+// still spread over a 3-node ring with each node owning within 0.15 of
+// a third of them (bare FNV-1a put all 64 on one node).
+func TestRingSpreadsAdjacentBuckets(t *testing.T) {
+	nodes := ringNodes(3)
+	r := NewRing(nodes, DefaultVNodes)
+	const buckets, tol = 64, 0.15
+	for _, p := range []string{"sort", "matmul", "RollingSum", "Heat1D", "eigen", "poisson"} {
+		counts := map[string]int{}
+		for b := 0; b < buckets; b++ {
+			counts[r.Owner(ShardKey(p, b))]++
+		}
+		for _, n := range nodes {
+			if share := float64(counts[n]) / buckets; share < 1.0/3-tol || share > 1.0/3+tol {
+				t.Errorf("%s: node %s owns %d/%d buckets (share %.2f, want 1/3 ± %.2f): %v",
+					p, n, counts[n], buckets, share, tol, counts)
+			}
+		}
+	}
+}
+
 // TestRingStability is the consistent-hashing property that matters
 // for tuned-config ownership: removing one node moves only the keys it
 // owned, and adding a node moves only the keys it takes over — never a

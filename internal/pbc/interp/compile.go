@@ -520,7 +520,8 @@ func (f *frame) bindJIT(ex *exec) {
 }
 
 // runCell rebinds the rule at one center and executes the compiled
-// body. center is nil for macro rules.
+// body. center is nil for macro rules. Cell loops go through
+// exec.runRow, which hands a bytecode frame whole rows.
 func (f *frame) runCell(center []int64) error {
 	if f.jf != nil {
 		return f.jf.RunCell(center)

@@ -753,36 +753,12 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	// pre-acquired frame (sequential execution) visits one cell per
 	// wavefront slice, so the general per-slice machinery — bounds
 	// copy, range dispatch, flat-index unflatten — is pure overhead.
-	// Run the axis as one tight cell loop instead; cell order and error
-	// order are identical (the slice closure would visit the same
-	// indices in the same direction and skip the same out-of-range
-	// ones).
+	// Run the axis as one row instead; cell order and error order are
+	// identical (the slice closure would visit the same indices in the
+	// same direction and skip the same out-of-range ones).
 	if len(runs) == 1 && runs[0].cr != nil && runs[0].fr != nil && len(runs[0].b) == 1 {
 		cn := runs[0]
-		from, to := cn.b[0][0], cn.b[0][1]
-		if from < lo {
-			from = lo
-		}
-		if to > hi {
-			to = hi
-		}
-		c := cn.center
-		if step.IterDir >= 0 {
-			for i := from; i < to; i++ {
-				c[0] = i
-				if err := cn.fr.runCell(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for i := to - 1; i >= from; i-- {
-			c[0] = i
-			if err := cn.fr.runCell(c); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ex.runRow(cn.ri, cn.fr, cn.center, 0, max(cn.b[0][0], lo), min(cn.b[0][1], hi), step.IterDir, w)
 	}
 	slice := func(idx int64) error {
 		for _, cn := range runs {
@@ -859,34 +835,69 @@ func (ex *exec) runCellsRange(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 	return ex.runCellsChunk(ri, cr, b, fr, center, w, 0, int(count))
 }
 
-// runCellsChunk executes [lo, hi) of the flat cell index on one worker.
-// The compiled path runs a single frame for the whole chunk, so the
-// per-cell loop is allocation-free; the AST path is the fallback for
-// rules outside the compilable fragment.
+// runCellsChunk executes [lo, hi) of the flat cell index on one worker,
+// as row segments along dimension 0 (the fastest-varying) that break
+// where dimension 0 wraps. The compiled path runs a single frame for the
+// whole chunk, so it is allocation-free; the AST path is the fallback
+// for rules outside the compilable fragment.
 func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, cr *compiledRule, b [][2]int64, f *frame, c []int64, cw *runtime.Worker, lo, hi int) error {
 	if c == nil {
 		c = make([]int64, len(b))
 	}
-	if cr != nil {
-		if f == nil {
-			f = cr.acquireFrame(ex, cw)
-			defer cr.releaseFrame(f)
-		}
-		for flat := lo; flat < hi; flat++ {
-			unflatten(int64(flat), b, c)
-			if err := f.runCell(c); err != nil {
-				return err
-			}
-		}
-		return nil
+	if cr != nil && f == nil {
+		f = cr.acquireFrame(ex, cw)
+		defer cr.releaseFrame(f)
 	}
-	for flat := lo; flat < hi; flat++ {
-		unflatten(int64(flat), b, c)
-		if err := ex.runCellAST(ri, c, cw); err != nil {
+	if len(b) == 0 { // a zero-rank region is one cell
+		if f != nil {
+			return f.runCell(c)
+		}
+		return ex.runCellAST(ri, c, cw)
+	}
+	width := b[0][1] - b[0][0]
+	for flat := int64(lo); flat < int64(hi); {
+		unflatten(flat, b, c)
+		n := min(width-(c[0]-b[0][0]), int64(hi)-flat)
+		if err := ex.runRow(ri, f, c, 0, c[0], c[0]+n, 1, cw); err != nil {
 			return err
 		}
+		flat += n
 	}
 	return nil
+}
+
+// runRow runs ri's cells along dimension k from from to to-1, descending
+// when dir < 0, with the other coordinates held at center. It is the one
+// cell loop under every tile, chunk and wavefront walker. A bytecode
+// frame hands the whole row to the vm, which binds once per row and
+// steps each address by a constant; the closure tier (a frame without a
+// vm frame) and the AST tier (f nil) run it cell by cell.
+func (ex *exec) runRow(ri *analysis.RuleInfo, f *frame, center []int64, k int, from, to int64, dir int, w *runtime.Worker) error {
+	if f != nil && f.jf != nil {
+		return f.jf.RunRow(center, k, from, to, dir)
+	}
+	if from >= to {
+		return nil
+	}
+	c, last, step := from, to-1, int64(1)
+	if dir < 0 {
+		c, last, step = to-1, from, -1
+	}
+	for ; ; c += step {
+		center[k] = c
+		var err error
+		if f != nil {
+			err = f.runCell(center)
+		} else {
+			err = ex.runCellAST(ri, center, w)
+		}
+		if err != nil {
+			return err
+		}
+		if c == last {
+			return nil
+		}
+	}
 }
 
 // runCellAST runs ri's body for one cell on the AST tier, the fallback

@@ -216,93 +216,44 @@ func (ex *exec) runCells(ri *analysis.RuleInfo, b [][2]int64, lex []analysis.Lex
 		defer cr.releaseFrame(f)
 	}
 	center := make([]int64, len(b))
-	runOne := func() error {
-		if f != nil {
-			return f.runCell(center)
-		}
-		return ex.runCellAST(ri, center, w)
-	}
 	if lex == nil {
-		// Specialized rank-1/2 walks avoid the per-cell div/mod of
-		// unflatten on the hot tile shapes.
-		switch len(b) {
-		case 1:
-			for i := b[0][0]; i < b[0][1]; i++ {
-				center[0] = i
-				if err := runOne(); err != nil {
-					return err
-				}
-			}
-			return nil
-		case 2:
-			for j := b[1][0]; j < b[1][1]; j++ {
-				center[1] = j
-				for i := b[0][0]; i < b[0][1]; i++ {
-					center[0] = i
-					if err := runOne(); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}
-		for flat := int64(0); flat < count; flat++ {
-			unflatten(flat, b, center)
-			if err := runOne(); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ex.runCellsChunk(ri, cr, b, f, center, w, 0, int(count))
 	}
-	if len(lex) == 2 {
-		// The 2-D wavefront (outer = lex[0], inner = lex[1]) iteratively,
-		// without the per-cell recursion of the generic walk.
-		o, in := lex[0], lex[1]
-		olo, ohi := b[o.Dim][0], b[o.Dim][1]
-		ilo, ihi := b[in.Dim][0], b[in.Dim][1]
-		ostart, istart := olo, ilo
-		if o.Dir < 0 {
-			ostart = ohi - 1
-		}
-		if in.Dir < 0 {
-			istart = ihi - 1
-		}
-		for oi := ostart; oi >= olo && oi < ohi; oi += int64(o.Dir) {
-			center[o.Dim] = oi
-			for ii := istart; ii >= ilo && ii < ihi; ii += int64(in.Dir) {
-				center[in.Dim] = ii
-				if err := runOne(); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+	// Wavefront order: lex[:n-1] is an odometer, outermost first, and each
+	// of its positions runs one row along the innermost lex dimension.
+	outer, row := lex[:len(lex)-1], lex[len(lex)-1]
+	for _, ld := range outer {
+		center[ld.Dim] = lexStart(b, ld)
 	}
-	var walk func(li int) error
-	walk = func(li int) error {
-		if li == len(lex) {
-			return runOne()
+	for {
+		if err := ex.runRow(ri, f, center, row.Dim, b[row.Dim][0], b[row.Dim][1], row.Dir, w); err != nil {
+			return err
 		}
-		ld := lex[li]
-		lo, hi := b[ld.Dim][0], b[ld.Dim][1]
-		if ld.Dir >= 0 {
-			for i := lo; i < hi; i++ {
-				center[ld.Dim] = i
-				if err := walk(li + 1); err != nil {
-					return err
-				}
+		li := len(outer) - 1
+		for ; li >= 0; li-- {
+			ld := outer[li]
+			c := center[ld.Dim] + 1
+			if ld.Dir < 0 {
+				c = center[ld.Dim] - 1
 			}
+			if c >= b[ld.Dim][0] && c < b[ld.Dim][1] {
+				center[ld.Dim] = c
+				break
+			}
+			center[ld.Dim] = lexStart(b, ld)
+		}
+		if li < 0 {
 			return nil
 		}
-		for i := hi - 1; i >= lo; i-- {
-			center[ld.Dim] = i
-			if err := walk(li + 1); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	return walk(0)
+}
+
+// lexStart is the first coordinate a lex walk visits along ld.
+func lexStart(b [][2]int64, ld analysis.LexDim) int64 {
+	if ld.Dir < 0 {
+		return b[ld.Dim][1] - 1
+	}
+	return b[ld.Dim][0]
 }
 
 // --- Plan building --------------------------------------------------------

@@ -9,8 +9,11 @@
 // dispatch switch: no interface calls, no per-cell slot rebinding, and
 // zero allocations steady-state. Matrix cell bindings are pre-resolved
 // to base+stride affine forms per (transform, sizes, config) at compile
-// time, so per-cell addressing is a handful of integer multiply-adds
-// into the matrix backing slice.
+// time. The interpreter hands the vm whole rows of cells (RunRow): every
+// binding is range-checked at the row's two ends and bound once, and
+// each further cell only adds a per-ref constant to each flat offset, as
+// the paper's compiler emits a loop nest per applicable region. RunCell
+// binds a single cell on its own.
 //
 // The tier is semantics-preserving, never semantics-extending: rules
 // outside the lowerable fragment fall back to the closure compiler (and
@@ -83,7 +86,7 @@ const (
 	OpGuard
 	// View ops. They operate on refs of Kind RefView, whose window
 	// (base offset, row-major extents and strides) was resolved and
-	// eagerly bounds-checked by bindView at the top of RunCell.
+	// eagerly bounds-checked by bindView before the body runs.
 	//
 	// OpSumV: r[A] = row-major sum of every element of view ref B,
 	// the same element order (last index fastest) and accumulation
@@ -220,10 +223,13 @@ type refBind struct {
 	strides []int
 	sizes   []int64
 	base    int
-	off     int // flat offset of the current cell; -1 out of range
-	// RefView state, rebuilt by bindView each cell: the window's flat
-	// base offset, post-collapse rank, and row-major extents/strides.
-	voff    int
+	// off is the flat offset of the current cell (-1: out of range), or
+	// of a view's window origin; delta is how far it moves per cell of
+	// the row RunRow is walking.
+	off   int
+	delta int
+	// RefView state, rebuilt by bindView: the window's post-collapse
+	// rank and row-major extents/strides.
 	vnd     int
 	vext    []int64
 	vstride []int
@@ -231,7 +237,7 @@ type refBind struct {
 
 // Frame is the per-worker execution state of one program: the register
 // file and the resolved cell refs. Frames are pooled by the interpreter
-// and rebound per invocation; RunCell allocates nothing.
+// and rebound per invocation; RunCell and RunRow allocate nothing.
 type Frame struct {
 	prog *Program
 	regs []float64
@@ -382,6 +388,128 @@ func (f *Frame) RunCell(center []int64) error {
 	return f.run()
 }
 
+// RunRow runs the program at every center whose coordinate k goes from
+// from to to-1, descending when dir < 0, with the other coordinates held
+// at center's values; center[k] is left at the last cell visited. It is
+// RunCell at each of those centers in turn — same outputs, same error at
+// the same cell, same cells written before it — but binds once per row.
+//
+// Every coordinate and view bound is affine in center[k], so a ref in
+// range at both ends of the row is in range at every cell between them.
+// When every cell ref is in range at both ends and every view is in
+// range there with a fixed extent (equal lo and hi coefficients on k, so
+// its shape and collapse do not change along the row), the first cell is
+// run through RunCell and each further cell only adds a per-ref constant
+// to its offset. Otherwise — a lazily tolerated cell miss, or a view
+// that errors or changes shape somewhere on the row — the whole row runs
+// through RunCell.
+func (f *Frame) RunRow(center []int64, k int, from, to int64, dir int) error {
+	if from >= to {
+		return nil
+	}
+	c, last, step := from, to-1, int64(1)
+	if dir < 0 {
+		c, last, step = to-1, from, -1
+	}
+	if c == last || !f.rowBinds(center, k, c, last) {
+		for ; ; c += step {
+			center[k] = c
+			if err := f.RunCell(center); err != nil {
+				return err
+			}
+			if c == last {
+				return nil
+			}
+		}
+	}
+	center[k] = c
+	if err := f.RunCell(center); err != nil {
+		return err
+	}
+	nc := f.prog.NCenter
+	for i := range f.refs {
+		rb := &f.refs[i]
+		r := &f.prog.Refs[i]
+		rb.delta = 0
+		if r.Coeff != nil {
+			for d := 0; d < r.ND; d++ {
+				rb.delta += int(r.Coeff[d*nc+k]) * rb.strides[d]
+			}
+		}
+		rb.delta *= int(step)
+	}
+	creg := f.prog.CenterReg
+	for c != last {
+		c += step
+		center[k] = c
+		for i := range f.refs {
+			rb := &f.refs[i]
+			rb.off += rb.delta
+		}
+		// Reset every center register, as RunCell does: a body may
+		// assign to a center variable.
+		for d, r := range creg {
+			if r >= 0 {
+				f.regs[r] = float64(center[d])
+			}
+		}
+		if err := f.run(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rowBinds reports whether every ref binds at both ends a and b of a row
+// along center[k]: each cell coordinate in [0, size), and each view
+// window in range with the same coefficient on center[k] for its lo and
+// hi bounds.
+func (f *Frame) rowBinds(center []int64, k int, a, b int64) bool {
+	p := f.prog
+	nc := p.NCenter
+	for i := range p.Refs {
+		r := &p.Refs[i]
+		sizes := f.refs[i].sizes
+		for d := 0; d < r.ND; d++ {
+			lo, lk := affineAt(r.Base[d], r.Coeff, d*nc, nc, center, k)
+			loA, loB := lo+lk*a, lo+lk*b
+			if r.Kind == RefCell {
+				if uint64(loA) >= uint64(sizes[d]) || uint64(loB) >= uint64(sizes[d]) {
+					return false
+				}
+				continue
+			}
+			hi, hk := affineAt(r.HiBase[d], r.HiCoeff, d*nc, nc, center, k)
+			if hk != lk {
+				return false
+			}
+			// hi-lo is constant along the row, so lo ≤ hi at one end
+			// holds at both.
+			if loA < 0 || loB < 0 || hi+hk*a > sizes[d] || hi+hk*b > sizes[d] || lo > hi {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// affineAt splits one affine bound at center into the value of every term
+// but center[k]'s, and center[k]'s coefficient. coeff holds the bound's
+// nc coefficients at off, or is nil for a constant bound.
+func affineAt(base int64, coeff []int64, off, nc int, center []int64, k int) (v, ck int64) {
+	if coeff == nil {
+		return base, 0
+	}
+	for j, co := range coeff[off : off+nc] {
+		if j == k {
+			ck = co
+		} else {
+			base += co * center[j]
+		}
+	}
+	return base, ck
+}
+
 // bindView resolves one view ref's window at the current center:
 // per-dimension affine lo/hi bounds, the closure tier's eager range
 // check in the same DSL-dimension order, then the same unit-dimension
@@ -430,7 +558,7 @@ func (f *Frame) bindView(r *Ref, rb *refBind, center []int64) error {
 		w = nd
 	}
 	rb.vnd = w
-	rb.voff = off
+	rb.off = off
 	return nil
 }
 
@@ -465,7 +593,7 @@ func sumDims(data []float64, off int, ext []int64, stride []int, acc float64) fl
 // tier, unlike the lazily tolerated cell-binding miss.
 func (f *Frame) viewOff(rb *refBind, base int32) int {
 	n := rb.vnd
-	off := rb.voff
+	off := rb.off
 	for j := 0; j < n; j++ {
 		iv := int(f.regs[int(base)+n-1-j])
 		if iv < 0 || iv >= int(rb.vext[j]) {
@@ -586,18 +714,18 @@ func (f *Frame) run() error {
 				// range loop when the window is contiguous.
 				n := int(rb.vext[0])
 				if st := rb.vstride[0]; st != 1 {
-					o := rb.voff
+					o := rb.off
 					for k := 0; k < n; k++ {
 						acc += rb.data[o]
 						o += st
 					}
 				} else if n > 0 {
-					for _, v := range rb.data[rb.voff : rb.voff+n] {
+					for _, v := range rb.data[rb.off : rb.off+n] {
 						acc += v
 					}
 				}
 			} else {
-				acc = sumDims(rb.data, rb.voff, rb.vext[:rb.vnd], rb.vstride[:rb.vnd], 0)
+				acc = sumDims(rb.data, rb.off, rb.vext[:rb.vnd], rb.vstride[:rb.vnd], 0)
 			}
 			regs[in.A] = acc
 		case OpDotV:
@@ -609,13 +737,13 @@ func (f *Frame) run() error {
 			n := int(rl.vext[0])
 			acc := 0.0
 			if rl.vstride[0] == 1 && rr.vstride[0] == 1 && n > 0 {
-				dl := rl.data[rl.voff : rl.voff+n]
-				dr := rr.data[rr.voff : rr.voff+n]
+				dl := rl.data[rl.off : rl.off+n]
+				dr := rr.data[rr.off : rr.off+n]
 				for k, v := range dl {
 					acc += v * dr[k]
 				}
 			} else {
-				ol, or := rl.voff, rr.voff
+				ol, or := rl.off, rr.off
 				sl, sr := rl.vstride[0], rr.vstride[0]
 				for k := 0; k < n; k++ {
 					acc += rl.data[ol] * rr.data[or]

@@ -80,7 +80,7 @@ func TestDequeStress(t *testing.T) {
 	var claimed atomic.Int64
 	seen := make([]int32, total)
 	claim := func(task *Task) {
-		i := task.pending.Load() // reuse the field as an id for the test
+		i := task.runIdx // reuse the field as an id for the test
 		if atomic.AddInt32(&seen[i], 1) != 1 {
 			t.Errorf("task %d claimed twice", i)
 		}
@@ -109,7 +109,7 @@ func TestDequeStress(t *testing.T) {
 	}
 	for i := 0; i < total; i++ {
 		task := &Task{doneCh: make(chan struct{})}
-		task.pending.Store(int32(i))
+		task.runIdx = int32(i)
 		d.push(task)
 		if i%3 == 0 {
 			if got := d.pop(); got != nil {

@@ -2,33 +2,9 @@ package runtime
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"petabricks/internal/obs"
 )
-
-// Process-wide scheduler totals, accumulated across every pool ever
-// created. They survive pool churn (the harness builds and drains a
-// pool per experiment), which is what a whole-run metrics dump wants.
-var (
-	totalSteals atomic.Int64
-	totalExecs  atomic.Int64
-	totalParks  atomic.Int64
-	totalWakes  atomic.Int64
-)
-
-// InstrumentTotals registers the process-wide scheduler counters on
-// reg. Safe with a nil registry (no-op). Use Pool.Instrument instead
-// when a single long-lived pool should report per-worker detail.
-func InstrumentTotals(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("pb_pool_steals_total", "Successful task steals across all pools.", totalSteals.Load)
-	reg.CounterFunc("pb_pool_tasks_total", "Tasks executed across all pools.", totalExecs.Load)
-	reg.CounterFunc("pb_pool_parks_total", "Worker park (sleep) events across all pools.", totalParks.Load)
-	reg.CounterFunc("pb_pool_wakes_total", "Worker wake events across all pools.", totalWakes.Load)
-}
 
 // Instrument registers this pool's scheduler metrics on reg: per-worker
 // steal/exec/park/wake counters and queue-depth gauges (labelled

@@ -61,24 +61,3 @@ func TestPoolInstrument(t *testing.T) {
 		t.Errorf("per-worker exec sum %v != pool Executed %d", execs, p.Executed())
 	}
 }
-
-// TestTotalsMonotonic checks the process-wide counters advance when any
-// pool runs work.
-func TestTotalsMonotonic(t *testing.T) {
-	before := totalExecs.Load()
-	p := NewPool(2)
-	defer p.Shutdown()
-	p.Do(func(*Worker) {}, func(*Worker) {}, func(*Worker) {})
-	if totalExecs.Load() <= before {
-		t.Fatalf("totalExecs did not advance: %d -> %d", before, totalExecs.Load())
-	}
-	reg := obs.NewRegistry()
-	InstrumentTotals(reg)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "pb_pool_tasks_total") {
-		t.Fatal("totals scrape missing pb_pool_tasks_total")
-	}
-}

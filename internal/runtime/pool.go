@@ -135,16 +135,12 @@ func (p *Pool) Shutdown() {
 	p.wg.Wait()
 }
 
-// NewTask creates a task executing fn. The task runs once all its
-// dependencies complete and it has been submitted.
+// NewTask creates a task executing fn. It runs once submitted.
 func (p *Pool) NewTask(name string, fn func(*Worker)) *Task {
-	t := &Task{pool: p, fn: fn, name: name, doneCh: make(chan struct{})}
-	t.pending.Store(1) // the submit token
-	return t
+	return &Task{pool: p, fn: fn, name: name, doneCh: make(chan struct{})}
 }
 
-// Submit marks the task ready to run as soon as its dependencies
-// finish. On a closed pool it returns ErrPoolClosed without scheduling
+// Submit queues the task on the shared inject queue. On a closed pool it returns ErrPoolClosed without scheduling
 // anything (the task is consumed either way: re-submitting it panics).
 func (p *Pool) Submit(t *Task) error {
 	if t.pool != p {
@@ -159,9 +155,7 @@ func (p *Pool) Submit(t *Task) error {
 	if p.closed.Load() {
 		return ErrPoolClosed
 	}
-	if t.pending.Add(-1) == 0 {
-		t.enqueue(nil)
-	}
+	p.inject(t)
 	return nil
 }
 

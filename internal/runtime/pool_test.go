@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestRunExecutes(t *testing.T) {
@@ -112,76 +111,33 @@ func TestRecursiveFib(t *testing.T) {
 	}
 }
 
+// TestTaskDependencies runs a chain a → b → c as a TaskGraph: every
+// task starts only after its predecessor finished.
 func TestTaskDependencies(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
-	var order []string
+	defer p.Shutdown()
+	b := NewGraphBuilder(3)
+	b.Edge(0, 1)
+	b.Edge(1, 2)
+	b.Edge(0, 2)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int
 	var mu sync.Mutex
-	log := func(s string) func(*Worker) {
-		return func(*Worker) {
-			mu.Lock()
-			order = append(order, s)
-			mu.Unlock()
-		}
+	r := p.NewRun(g, func(_ *Worker, i int) {
+		mu.Lock()
+		order = append(order, i)
+		mu.Unlock()
+	})
+	if err := r.SubmitAll(nil); err != nil {
+		t.Fatal(err)
 	}
-	a := p.NewTask("a", log("a"))
-	b := p.NewTask("b", log("b"))
-	c := p.NewTask("c", log("c"))
-	b.DependsOn(a)
-	c.DependsOn(a, b)
-	// Submit in reverse to prove dependencies gate execution.
-	p.Submit(c)
-	p.Submit(b)
-	p.Submit(a)
-	c.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
+	r.Wait()
+	r.Release()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
 		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestTaskDiamondDependency(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var stage atomic.Int64
-	src := p.NewTask("src", func(*Worker) { stage.Store(1) })
-	mk := func(name string) *Task {
-		return p.NewTask(name, func(*Worker) {
-			if stage.Load() < 1 {
-				t.Error("branch ran before source")
-			}
-		})
-	}
-	l, r := mk("l"), mk("r")
-	l.DependsOn(src)
-	r.DependsOn(src)
-	sink := p.NewTask("sink", func(*Worker) {})
-	sink.DependsOn(l, r)
-	for _, task := range []*Task{sink, l, r, src} {
-		p.Submit(task)
-	}
-	sink.Wait()
-	if !l.Done() || !r.Done() || !src.Done() {
-		t.Fatal("not all tasks completed")
-	}
-}
-
-func TestDependsOnCompletedTask(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	a := p.NewTask("a", func(*Worker) {})
-	p.Submit(a)
-	a.Wait()
-	b := p.NewTask("b", func(*Worker) {})
-	b.DependsOn(a) // a already done: edge must be a no-op
-	p.Submit(b)
-	done := make(chan struct{})
-	go func() { b.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("task depending on a completed task never ran")
 	}
 }
 
@@ -196,19 +152,6 @@ func TestDoubleSubmitPanics(t *testing.T) {
 		}
 	}()
 	p.Submit(a)
-}
-
-func TestWaitTaskHelps(t *testing.T) {
-	p := NewPool(1) // single worker: WaitTask must execute the dependency itself
-	defer p.Close()
-	var hit atomic.Bool
-	p.Run(func(w *Worker) {
-		dep := w.spawn("dep", func(*Worker) { hit.Store(true) })
-		w.WaitTask(dep)
-	})
-	if !hit.Load() {
-		t.Fatal("WaitTask did not run the pending task")
-	}
 }
 
 func TestCentralQueueMode(t *testing.T) {
@@ -328,9 +271,8 @@ func TestTaskPanicked(t *testing.T) {
 	if !ok || v != 42 {
 		t.Fatalf("Panicked = %v, %v", v, ok)
 	}
-	// Dependents of a panicked task still run (they can inspect it).
+	// The pool keeps running tasks after one panicked.
 	ok2 := p.NewTask("after", func(*Worker) {})
-	ok2.DependsOn(tk)
 	p.Submit(ok2)
 	ok2.Wait()
 }

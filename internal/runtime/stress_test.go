@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// TestRandomDAGStress builds random task DAGs (edges only from later to
-// earlier tasks, so they are acyclic by construction), submits them in a
-// randomly shuffled order, and checks the two scheduler contracts the
-// interpreter relies on: every task runs exactly once, and no task runs
-// before all of its dependencies have finished. Run under -race this is
-// the deque/pool stress test for the PR.
+// TestRandomDAGStress builds random task DAGs (edges only from earlier
+// to later tasks, so they are acyclic by construction), runs each one
+// several times through a re-armed Run, and checks the two scheduler
+// contracts the interpreter relies on: every task runs exactly once per
+// run, and no task runs before all of its dependencies have finished.
+// Run under -race this is the deque/pool stress test.
 func TestRandomDAGStress(t *testing.T) {
 	rounds, tasksPerDAG := 30, 120
 	if testing.Short() {
@@ -26,13 +26,25 @@ func TestRandomDAGStress(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				rng := rand.New(rand.NewSource(int64(round*31 + workers)))
 				n := 2 + rng.Intn(tasksPerDAG)
-				runs := make([]atomic.Int32, n)
-				done := make([]atomic.Bool, n)
 				deps := make([][]int, n)
-				tasks := make([]*Task, n)
+				b := NewGraphBuilder(n)
 				for i := 0; i < n; i++ {
-					i := i
-					tasks[i] = p.NewTask(fmt.Sprintf("t%d", i), func(*Worker) {
+					// Edges point strictly backwards: j < i.
+					for j := 0; j < i; j++ {
+						if rng.Intn(5) == 0 {
+							deps[i] = append(deps[i], j)
+							b.Edge(j, i)
+						}
+					}
+				}
+				g, err := b.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rep := 0; rep < 3; rep++ {
+					runs := make([]atomic.Int32, n)
+					done := make([]atomic.Bool, n)
+					r := p.NewRun(g, func(_ *Worker, i int) {
 						for _, d := range deps[i] {
 							if !done[d].Load() {
 								t.Errorf("round %d: task %d ran before dependency %d finished", round, i, d)
@@ -43,26 +55,15 @@ func TestRandomDAGStress(t *testing.T) {
 						}
 						done[i].Store(true)
 					})
-					// Edges point strictly backwards: j < i.
-					for j := 0; j < i; j++ {
-						if rng.Intn(5) == 0 {
-							deps[i] = append(deps[i], j)
-							tasks[i].DependsOn(tasks[j])
-						}
+					if err := r.SubmitAll(nil); err != nil {
+						t.Fatal(err)
 					}
-				}
-				// Submit in shuffled order: successors routinely hit Submit
-				// before their dependencies have even been queued.
-				order := rng.Perm(n)
-				for _, i := range order {
-					p.Submit(tasks[i])
-				}
-				for i := n - 1; i >= 0; i-- {
-					tasks[i].Wait()
-				}
-				for i := 0; i < n; i++ {
-					if got := runs[i].Load(); got != 1 {
-						t.Fatalf("round %d: task %d ran %d times, want exactly 1", round, i, got)
+					r.Wait()
+					r.Release()
+					for i := 0; i < n; i++ {
+						if got := runs[i].Load(); got != 1 {
+							t.Fatalf("round %d: task %d ran %d times, want exactly 1", round, i, got)
+						}
 					}
 				}
 			}

@@ -2,30 +2,27 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
-// Task is a unit of work with optional dependency edges. A task becomes
-// runnable when all the tasks it depends on have completed (§3.2: "A task
-// may not be executed until all the tasks that it depends on have
-// completed"). Tasks are created with Pool.NewTask, wired with DependsOn,
-// and scheduled with Pool.Submit.
+// Task is one unit of work on the pool. Standalone tasks run a function:
+// Pool.Run submits one and waits for it, and Worker.Do/For spawn them as
+// fork-join children. Dependency edges between tasks (§3.2: "A task may
+// not be executed until all the tasks that it depends on have
+// completed") live in a TaskGraph, whose Run schedules arena tasks as
+// their dependencies finish (run.go).
 type Task struct {
 	pool *Pool
 	fn   func(*Worker)
 	name string
 
-	pending   atomic.Int32 // outstanding dependencies + the submit token
-	mu        sync.Mutex
-	succs     []*Task
 	done      atomic.Bool
 	submitted atomic.Bool
 	doneCh    chan struct{}
 	panicVal  atomic.Pointer[taskPanic]
 
 	// Arena tasks (see run.go) carry their Run and slot index instead of
-	// fn/succs/doneCh; execute dispatches to the Run's body.
+	// fn/doneCh; execute dispatches to the Run's body.
 	runRef *Run
 	runIdx int32
 }
@@ -54,46 +51,14 @@ func (t *Task) Name() string { return t.name }
 // Done reports whether the task has finished executing.
 func (t *Task) Done() bool { return t.done.Load() }
 
-// DependsOn adds dependency edges: t will not run until each dep has
-// completed. It must be called before t is submitted. Edges to already
-// completed dependencies are ignored.
-func (t *Task) DependsOn(deps ...*Task) {
-	if t.submitted.Load() {
-		panic("runtime: DependsOn after Submit")
-	}
-	for _, d := range deps {
-		if d == nil || d == t {
-			continue
-		}
-		d.mu.Lock()
-		if d.done.Load() {
-			d.mu.Unlock()
-			continue
-		}
-		t.pending.Add(1)
-		d.succs = append(d.succs, t)
-		d.mu.Unlock()
-	}
-}
-
 // Wait blocks until the task has completed. It must be called from
-// outside the pool's workers (workers should use Worker.WaitTask, which
-// helps execute queued work instead of blocking).
+// outside the pool's workers, which join through Do/For instead.
 func (t *Task) Wait() { <-t.doneCh }
 
-// finish marks t complete and releases its successors.
-func (t *Task) finish(w *Worker) {
-	t.mu.Lock()
+// finish marks t complete and wakes its waiters.
+func (t *Task) finish() {
 	t.done.Store(true)
-	succs := t.succs
-	t.succs = nil
-	t.mu.Unlock()
 	close(t.doneCh)
-	for _, s := range succs {
-		if s.pending.Add(-1) == 0 {
-			s.enqueue(w)
-		}
-	}
 }
 
 // enqueue makes a ready task runnable, preferring the local deque of the
@@ -111,8 +76,8 @@ func (t *Task) enqueue(w *Worker) {
 func (t *Task) execute(w *Worker) {
 	if r := t.runRef; r != nil {
 		// Arena task: the Run tracks dependencies in flat counters and
-		// captures panics itself; the per-task finish machinery (succs,
-		// doneCh) is never armed for these.
+		// captures panics itself; the per-task finish machinery (doneCh)
+		// is never armed for these.
 		r.execTask(t, w)
 		return
 	}
@@ -122,7 +87,7 @@ func (t *Task) execute(w *Worker) {
 		if r := recover(); r != nil {
 			t.panicVal.Store(&taskPanic{val: r})
 		}
-		t.finish(w)
+		t.finish()
 	}()
 	t.fn(w)
 }

@@ -62,10 +62,8 @@ func (w *Worker) sleep() {
 	}
 	p.sleeping++
 	w.parks.Add(1)
-	totalParks.Add(1)
 	p.sleepCv.Wait()
 	w.wakes.Add(1)
-	totalWakes.Add(1)
 	p.sleeping--
 	p.sleepMu.Unlock()
 }
@@ -89,7 +87,6 @@ func (w *Worker) anyWork() bool {
 
 func (w *Worker) run(t *Task) {
 	w.execs.Add(1)
-	totalExecs.Add(1)
 	if h := w.pool.taskLat.Load(); h != nil {
 		start := time.Now()
 		t.execute(w)
@@ -125,7 +122,6 @@ func (w *Worker) stealAny() *Task {
 		}
 		if t := v.deque.steal(); t != nil {
 			w.steals.Add(1)
-			totalSteals.Add(1)
 			return t
 		}
 	}
@@ -137,7 +133,6 @@ func (w *Worker) stealAny() *Task {
 func (w *Worker) spawn(name string, fn func(*Worker)) *Task {
 	t := w.pool.NewTask(name, fn)
 	t.submitted.Store(true)
-	t.pending.Store(0)
 	if w.pool.mode == ModeCentralQueue {
 		w.pool.inject(t)
 	} else {
@@ -164,12 +159,6 @@ func (w *Worker) helpUntil(done func() bool) {
 			spins = 0
 		}
 	}
-}
-
-// WaitTask helps execute queued work until t completes. Use this instead
-// of Task.Wait when already running on a pool worker.
-func (w *Worker) WaitTask(t *Task) {
-	w.helpUntil(t.Done)
 }
 
 // Do runs the given functions as a fork-join group, executing the first

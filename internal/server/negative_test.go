@@ -193,8 +193,13 @@ func TestRunCancellationWhileQueued(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if srv.shed.Load() == 0 {
-		t.Fatal("cancelled request was not counted as shed")
+	// The handler counts the shed request after its queue slot is gone,
+	// so wait for the count rather than read it once.
+	for srv.shed.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("cancelled request was not counted as shed")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Unblock the first request and confirm the server still serves.
