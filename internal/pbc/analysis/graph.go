@@ -223,6 +223,22 @@ type LexDim struct {
 	Dir int // +1 ascending, -1 descending
 }
 
+// First is the first coordinate a walk along d visits in box b (one
+// [lo,hi) interval per dimension), and Last the last.
+func (d LexDim) First(b [][2]int64) int64 {
+	if d.Dir < 0 {
+		return b[d.Dim][1] - 1
+	}
+	return b[d.Dim][0]
+}
+
+func (d LexDim) Last(b [][2]int64) int64 {
+	if d.Dir < 0 {
+		return b[d.Dim][0]
+	}
+	return b[d.Dim][1] - 1
+}
+
 // DeadlockError reports a dependency cycle no iteration order resolves —
 // the compile-time manifestation of a deadlock (§3.6: "Potential
 // deadlocks manifest themselves as a cycle in the graph").

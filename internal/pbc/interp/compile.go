@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"petabricks/internal/artifact"
@@ -97,7 +98,8 @@ func (ex *exec) compiledFor() *compiledTransform {
 		// EngineKey, so two configs resolving to different modes can never
 		// share an entry; mode is safe to freeze at creation.
 		return &compiledTransform{res: ex.res, sizes: ex.sizes(), mode: mode, akey: ex.artifactKey(), arts: e.arts,
-			callees: map[calleeShape]string{}, rules: map[int]*compiledRule{}}
+			matIndex: ex.ti.matIndex, callees: map[calleeShape]string{},
+			rules: make([]atomic.Pointer[compiledRule], len(ex.res.Transform.Rules))}
 	})
 	if m := im.Load(); m != nil {
 		if created {
@@ -126,14 +128,19 @@ type compiledTransform struct {
 	mode  int // EngineClosure or EngineJIT
 	akey  artifact.Key
 	arts  *artifact.Store
+	// matIndex maps a declared matrix name to its index in exec.mats.
+	matIndex map[string]int
 
 	// callees memoises the rendered keys of the transforms this holder's
 	// rule bodies call (see calleeKey).
 	calleeMu sync.Mutex
 	callees  map[calleeShape]string
 
+	// rules holds each rule's compiled form by rule index, astRule for a
+	// rule that fell back to the AST tier, nil until first compiled. It is
+	// read without a lock; mu serialises compilation.
 	mu    sync.Mutex
-	rules map[int]*compiledRule // rule index → compiled form (nil: fell back)
+	rules []atomic.Pointer[compiledRule]
 	// warmLoaded marks the one disk-tier load attempt; jprogs then holds
 	// every live jit program — warm-loaded or freshly lowered — and is
 	// what persists back on each fresh lowering.
@@ -176,16 +183,35 @@ func (ct *compiledTransform) calleeKey(call *exec) {
 	call.key = key // "" past the bound: rendered on use
 }
 
-// rule returns the compiled form of ri, compiling on first use. Under
-// the jit tier a persisted bytecode program is used when the disk tier
-// has one for this invocation key; otherwise the lowering runs and its
-// result is persisted. Lowering failures fall back to closures with a
-// typed reason; a nil result means the rule is outside both compilable
-// fragments and must run through the AST interpreter.
+// astRule marks, in compiledTransform.rules, a rule outside both
+// compilable fragments.
+var astRule = new(compiledRule)
+
+// rule returns the compiled form of ri, compiling on first use; a nil
+// result means the rule is outside both compilable fragments and must
+// run through the AST interpreter. Once compiled, a lookup is one atomic
+// load.
 func (ct *compiledTransform) rule(ri *analysis.RuleInfo) *compiledRule {
+	cr := ct.rules[ri.Rule.Index].Load()
+	if cr == nil {
+		cr = ct.compile(ri)
+	}
+	if cr == astRule {
+		return nil
+	}
+	return cr
+}
+
+// compile fills ri's entry of ct.rules. Under the jit tier a persisted
+// bytecode program is used when the disk tier has one for this
+// invocation key; otherwise the lowering runs and its result is
+// persisted. Lowering failures fall back to closures with a typed
+// reason, and closure failures to astRule.
+func (ct *compiledTransform) compile(ri *analysis.RuleInfo) *compiledRule {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	if cr, ok := ct.rules[ri.Rule.Index]; ok {
+	slot := &ct.rules[ri.Rule.Index]
+	if cr := slot.Load(); cr != nil {
 		return cr
 	}
 	m := im.Load()
@@ -247,8 +273,28 @@ func (ct *compiledTransform) rule(ri *analysis.RuleInfo) *compiledRule {
 			m.fallback.Inc()
 		}
 	}
-	ct.rules[ri.Rule.Index] = cr
+	if cr == nil {
+		cr = astRule
+	} else {
+		ct.resolveMats(cr)
+	}
+	slot.Store(cr)
 	return cr
+}
+
+// resolveMats points each of cr's refs at its matrix's index in
+// exec.mats, so binding a frame never looks a matrix up by name.
+func (ct *compiledTransform) resolveMats(cr *compiledRule) {
+	if cr.jprog != nil {
+		cr.jmats = make([]int, len(cr.jprog.Refs))
+		for i, r := range cr.jprog.Refs {
+			cr.jmats[i] = ct.matIndex[r.Matrix]
+		}
+		return
+	}
+	for i := range cr.refs {
+		cr.refs[i].mat = int32(ct.matIndex[cr.refs[i].ref.Matrix])
+	}
 }
 
 // timedJITCompile wraps jit.Compile with the process-wide lowering
@@ -349,6 +395,7 @@ type compiledRef struct {
 	ref      *ast.RegionRef
 	cell     bool          // bound as an assignable cell, not a view
 	collapse bool          // row/column accessors drop unit dimensions
+	mat      int32         // index of the matrix in exec.mats
 	slot     int           // frame slot of the binding (-1: unbound)
 	nd       int           // rank of the reference (DSL dimensions)
 	lo, hi   []affineBound // DSL-order bounds, len nd
@@ -362,6 +409,7 @@ type compiledRule struct {
 	name       string // diagnostic rule name
 	nCenter    int
 	jprog      *jit.Program
+	jmats      []int // index in exec.mats of each jprog ref's matrix
 	centerSlot []int // slot per center dimension (-1: unnamed)
 	refs       []compiledRef
 	body       []stmtFn
@@ -425,7 +473,7 @@ func (cr *compiledRule) newFrame(ex *exec, w *runtime.Worker) *frame {
 	for i := range cr.refs {
 		cref := &cr.refs[i]
 		rs := &f.refs[i]
-		rs.m = ex.mat(cref.ref.Matrix)
+		rs.m = ex.mats[cref.mat]
 		if cref.slot < 0 {
 			continue
 		}
@@ -473,7 +521,7 @@ func (cr *compiledRule) acquireFrame(ex *exec, w *runtime.Worker) *frame {
 	for i := range cr.refs {
 		cref := &cr.refs[i]
 		rs := &f.refs[i]
-		rs.m = ex.mat(cref.ref.Matrix)
+		rs.m = ex.mats[cref.mat]
 		if cref.slot >= 0 && cref.cell {
 			f.slots[cref.slot].ref = rs.m
 		}
@@ -513,15 +561,14 @@ func (cr *compiledRule) releaseFrame(f *frame) {
 // arbitrary strided views — which is why they live in the jit frame,
 // not the compiled program.
 func (f *frame) bindJIT(ex *exec) {
-	refs := f.cr.jprog.Refs
-	for i := range refs {
-		f.jf.BindMatrix(i, ex.mat(refs[i].Matrix))
+	for i, mi := range f.cr.jmats {
+		f.jf.BindMatrix(i, ex.mats[mi])
 	}
 }
 
 // runCell rebinds the rule at one center and executes the compiled
 // body. center is nil for macro rules. Cell loops go through
-// exec.runRow, which hands a bytecode frame whole rows.
+// exec.runBox, which hands a bytecode frame whole boxes.
 func (f *frame) runCell(center []int64) error {
 	if f.jf != nil {
 		return f.jf.RunCell(center)

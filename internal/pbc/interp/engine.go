@@ -753,12 +753,14 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	// pre-acquired frame (sequential execution) visits one cell per
 	// wavefront slice, so the general per-slice machinery — bounds
 	// copy, range dispatch, flat-index unflatten — is pure overhead.
-	// Run the axis as one row instead; cell order and error order are
+	// Run the axis as one box instead; cell order and error order are
 	// identical (the slice closure would visit the same indices in the
 	// same direction and skip the same out-of-range ones).
 	if len(runs) == 1 && runs[0].cr != nil && runs[0].fr != nil && len(runs[0].b) == 1 {
 		cn := runs[0]
-		return ex.runRow(cn.ri, cn.fr, cn.center, 0, max(cn.b[0][0], lo), min(cn.b[0][1], hi), step.IterDir, w)
+		b := [1][2]int64{{max(cn.b[0][0], lo), min(cn.b[0][1], hi)}}
+		order := [1]analysis.LexDim{{Dim: 0, Dir: step.IterDir}}
+		return ex.runBox(cn.ri, cn.fr, cn.center, b[:], order[:], w)
 	}
 	slice := func(idx int64) error {
 		for _, cn := range runs {
@@ -836,55 +838,82 @@ func (ex *exec) runCellsRange(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 }
 
 // runCellsChunk executes [lo, hi) of the flat cell index on one worker,
-// as row segments along dimension 0 (the fastest-varying) that break
-// where dimension 0 wraps. The compiled path runs a single frame for the
-// whole chunk, so it is allocation-free; the AST path is the fallback
-// for rules outside the compilable fragment.
+// dimension 0 fastest, as at most 2·rank-1 boxes: for a rank-2 region a
+// leading partial row, one box of whole rows and a trailing partial row.
+// The compiled path runs a single frame for the whole chunk, so it is
+// allocation-free; the AST path is the fallback for rules outside the
+// compilable fragment.
 func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, cr *compiledRule, b [][2]int64, f *frame, c []int64, cw *runtime.Worker, lo, hi int) error {
+	var cbuf [4]int64
+	var bbuf [4][2]int64
+	var obuf [4]analysis.LexDim
+	nd := len(b)
+	box, order := bbuf[:0], obuf[:0]
 	if c == nil {
-		c = make([]int64, len(b))
+		c = cbuf[:0]
+		if nd > len(cbuf) {
+			c = make([]int64, 0, nd)
+		}
+		c = c[:nd]
+	}
+	if nd > len(bbuf) {
+		box, order = make([][2]int64, 0, nd), make([]analysis.LexDim, 0, nd)
+	}
+	box = box[:nd]
+	for d := 0; d < nd; d++ {
+		order = append(order, analysis.LexDim{Dim: d, Dir: 1})
 	}
 	if cr != nil && f == nil {
 		f = cr.acquireFrame(ex, cw)
 		defer cr.releaseFrame(f)
 	}
-	if len(b) == 0 { // a zero-rank region is one cell
-		if f != nil {
-			return f.runCell(c)
-		}
-		return ex.runCellAST(ri, c, cw)
+	if nd == 0 { // a zero-rank region is one cell
+		return ex.runBox(ri, f, c, box, order, cw)
 	}
-	width := b[0][1] - b[0][0]
 	for flat := int64(lo); flat < int64(hi); {
 		unflatten(flat, b, c)
-		n := min(width-(c[0]-b[0][0]), int64(hi)-flat)
-		if err := ex.runRow(ri, f, c, 0, c[0], c[0]+n, 1, cw); err != nil {
+		// The box starting at c: dimensions below j whole, j partial, the
+		// rest one coordinate — j as high as c's alignment and the chunk's
+		// remaining length allow.
+		j, vol := 0, int64(1)
+		for j+1 < nd && c[j] == b[j][0] && vol*(b[j][1]-b[j][0]) <= int64(hi)-flat {
+			box[j] = b[j]
+			vol *= b[j][1] - b[j][0]
+			j++
+		}
+		n := min(b[j][1]-c[j], (int64(hi)-flat)/vol)
+		box[j] = [2]int64{c[j], c[j] + n}
+		for d := j + 1; d < nd; d++ {
+			box[d] = [2]int64{c[d], c[d] + 1}
+		}
+		if err := ex.runBox(ri, f, c, box, order, cw); err != nil {
 			return err
 		}
-		flat += n
+		flat += n * vol
 	}
 	return nil
 }
 
-// runRow runs ri's cells along dimension k from from to to-1, descending
-// when dir < 0, with the other coordinates held at center. It is the one
-// cell loop under every tile, chunk and wavefront walker. A bytecode
-// frame hands the whole row to the vm, which binds once per row and
-// steps each address by a constant; the closure tier (a frame without a
-// vm frame) and the AST tier (f nil) run it cell by cell.
-func (ex *exec) runRow(ri *analysis.RuleInfo, f *frame, center []int64, k int, from, to int64, dir int, w *runtime.Worker) error {
+// runBox runs ri's cells over the box b, walked in order (innermost
+// dimension first, each with its direction; see jit.Frame.RunBox). It is
+// the one cell loop under every tile, chunk and wavefront walker. A
+// bytecode frame hands the whole box to the vm, which checks the box's
+// bindings once and steps each address by a constant; the closure tier
+// (a frame without a vm frame) and the AST tier (f nil) run it cell by
+// cell.
+func (ex *exec) runBox(ri *analysis.RuleInfo, f *frame, center []int64, b [][2]int64, order []analysis.LexDim, w *runtime.Worker) error {
 	if f != nil && f.jf != nil {
-		return f.jf.RunRow(center, k, from, to, dir)
+		return f.jf.RunBox(center, b, order)
 	}
-	if from >= to {
-		return nil
+	for _, iv := range b {
+		if iv[1] <= iv[0] {
+			return nil
+		}
 	}
-	c, last, step := from, to-1, int64(1)
-	if dir < 0 {
-		c, last, step = to-1, from, -1
+	for _, o := range order {
+		center[o.Dim] = o.First(b)
 	}
-	for ; ; c += step {
-		center[k] = c
+	for {
 		var err error
 		if f != nil {
 			err = f.runCell(center)
@@ -894,8 +923,20 @@ func (ex *exec) runRow(ri *analysis.RuleInfo, f *frame, center []int64, k int, f
 		if err != nil {
 			return err
 		}
-		if c == last {
+		j := 0
+		for j < len(order) && center[order[j].Dim] == order[j].Last(b) {
+			j++
+		}
+		if j == len(order) {
 			return nil
+		}
+		for _, o := range order[:j] {
+			center[o.Dim] = o.First(b)
+		}
+		if order[j].Dir < 0 {
+			center[order[j].Dim]--
+		} else {
+			center[order[j].Dim]++
 		}
 	}
 }

@@ -154,6 +154,10 @@ func (ex *exec) loadOrBuildPlan() *plan {
 // produced every output) has nothing to join, and a lone task joined
 // from a scheduler thread runs on that thread — arming, queueing and
 // waking for it would cost more than a nested call's whole body.
+//
+// For the length of a run each worker keeps one bound frame per tile
+// rule (see runTile), indexed by worker and rule index, and every one is
+// unbound and released when the run ends, on success or error.
 func (ex *exec) runPlan(p *plan) error {
 	switch {
 	case len(p.tasks) == 0:
@@ -161,10 +165,21 @@ func (ex *exec) runPlan(p *plan) error {
 	case len(p.tasks) == 1 && ex.worker != nil:
 		return ex.runPlanTask(&p.tasks[0], ex.worker)
 	}
+	pool := ex.engine.Pool
+	nr := len(ex.res.Transform.Rules)
+	frames := make([]tileFrame, pool.NumWorkers()*nr)
+	defer releaseTileFrames(frames)
 	var mu sync.Mutex
 	var firstErr error
-	r := ex.engine.Pool.NewRun(p.graph, func(w *runtime.Worker, i int) {
-		if err := ex.runPlanTask(&p.tasks[i], w); err != nil {
+	r := pool.NewRun(p.graph, func(w *runtime.Worker, i int) {
+		t := &p.tasks[i]
+		var err error
+		if t.node != nil {
+			err = ex.runTile(t, &frames[w.ID()*nr+t.ri.Rule.Index], w)
+		} else {
+			err = ex.runPlanTask(t, w)
+		}
+		if err != nil {
 			mu.Lock()
 			if firstErr == nil {
 				firstErr = err
@@ -196,64 +211,86 @@ func (ex *exec) runPlanTask(t *planTask, w *runtime.Worker) error {
 	}
 }
 
-// runCells executes one tile: the rule's cells over concrete bounds,
-// with a single (pooled) frame for the whole tile. A nil lex walks the
-// flat order (independent cells); otherwise dimensions are walked in
-// the given order and directions so intra-tile wavefront dependencies
-// read already-computed cells.
+// tileFrame is one worker's frame for one tile rule during a plan run.
+// busy marks it in use by a tile on that worker's stack.
+type tileFrame struct {
+	f    *frame
+	busy bool
+}
+
+// releaseTileFrames returns a finished run's frames to their pools,
+// unbound, and clears the slots.
+func releaseTileFrames(frames []tileFrame) {
+	for i := range frames {
+		if f := frames[i].f; f != nil {
+			f.cr.releaseFrame(f)
+		}
+		frames[i] = tileFrame{}
+	}
+}
+
+// runTile runs one tile of a plan run on worker w, whose frame for the
+// tile's rule is tf: bound on the worker's first tile of that rule and
+// reused by the rest. Only w touches tf. A tile that finds it busy — a
+// tile body called a transform, and that call's join is running another
+// tile of the same run on w — takes a frame of its own.
+func (ex *exec) runTile(t *planTask, tf *tileFrame, w *runtime.Worker) error {
+	if tf.f == nil || tf.busy {
+		cr := ex.compiledRule(t.ri)
+		if cr == nil {
+			return ex.runCellsWith(t.ri, nil, t.bounds, t.lex, w)
+		}
+		if tf.busy {
+			f := cr.acquireFrame(ex, w)
+			defer cr.releaseFrame(f)
+			return ex.runCellsWith(t.ri, f, t.bounds, t.lex, w)
+		}
+		tf.f = cr.acquireFrame(ex, w)
+	}
+	tf.busy = true
+	err := ex.runCellsWith(t.ri, tf.f, t.bounds, t.lex, w)
+	tf.busy = false
+	return err
+}
+
+// runCells executes one tile — the rule's cells over concrete bounds —
+// with a single (pooled) frame for the whole tile.
 func (ex *exec) runCells(ri *analysis.RuleInfo, b [][2]int64, lex []analysis.LexDim, w *runtime.Worker) error {
-	count := int64(1)
 	for _, iv := range b {
 		if iv[1] <= iv[0] {
 			return nil
 		}
-		count *= iv[1] - iv[0]
 	}
-	cr := ex.compiledRule(ri)
 	var f *frame
-	if cr != nil {
+	if cr := ex.compiledRule(ri); cr != nil {
 		f = cr.acquireFrame(ex, w)
 		defer cr.releaseFrame(f)
 	}
-	center := make([]int64, len(b))
-	if lex == nil {
-		return ex.runCellsChunk(ri, cr, b, f, center, w, 0, int(count))
-	}
-	// Wavefront order: lex[:n-1] is an odometer, outermost first, and each
-	// of its positions runs one row along the innermost lex dimension.
-	outer, row := lex[:len(lex)-1], lex[len(lex)-1]
-	for _, ld := range outer {
-		center[ld.Dim] = lexStart(b, ld)
-	}
-	for {
-		if err := ex.runRow(ri, f, center, row.Dim, b[row.Dim][0], b[row.Dim][1], row.Dir, w); err != nil {
-			return err
-		}
-		li := len(outer) - 1
-		for ; li >= 0; li-- {
-			ld := outer[li]
-			c := center[ld.Dim] + 1
-			if ld.Dir < 0 {
-				c = center[ld.Dim] - 1
-			}
-			if c >= b[ld.Dim][0] && c < b[ld.Dim][1] {
-				center[ld.Dim] = c
-				break
-			}
-			center[ld.Dim] = lexStart(b, ld)
-		}
-		if li < 0 {
-			return nil
-		}
-	}
+	return ex.runCellsWith(ri, f, b, lex, w)
 }
 
-// lexStart is the first coordinate a lex walk visits along ld.
-func lexStart(b [][2]int64, ld analysis.LexDim) int64 {
-	if ld.Dir < 0 {
-		return b[ld.Dim][1] - 1
+// runCellsWith runs a tile on frame f (nil: the AST tier) as one box. A
+// nil lex walks the flat order (independent cells, dimension 0
+// innermost); otherwise the box is walked in the lex order, so
+// intra-tile wavefront dependencies read already-computed cells.
+func (ex *exec) runCellsWith(ri *analysis.RuleInfo, f *frame, b [][2]int64, lex []analysis.LexDim, w *runtime.Worker) error {
+	var cbuf [4]int64
+	var obuf [4]analysis.LexDim
+	center, order := cbuf[:0], obuf[:0]
+	if len(b) > len(cbuf) {
+		center, order = make([]int64, 0, len(b)), make([]analysis.LexDim, 0, len(b))
 	}
-	return b[ld.Dim][0]
+	center = center[:len(b)]
+	if lex == nil {
+		for d := range b {
+			order = append(order, analysis.LexDim{Dim: d, Dir: 1})
+		}
+	} else {
+		for i := len(lex) - 1; i >= 0; i-- {
+			order = append(order, lex[i])
+		}
+	}
+	return ex.runBox(ri, f, center, b, order, w)
 }
 
 // --- Plan building --------------------------------------------------------

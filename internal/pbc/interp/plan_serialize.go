@@ -203,10 +203,18 @@ func (td *PlanTaskDesc) validate(res *analysis.Result) error {
 		if len(td.Bounds) != len(ri.CenterVars) {
 			return fmt.Errorf("rank %d bounds for rank-%d rule r%d", len(td.Bounds), len(ri.CenterVars), td.Rule)
 		}
+		if td.Lex != nil && len(td.Lex) != len(td.Bounds) {
+			return fmt.Errorf("lex order of %d dimensions for a rank-%d tile", len(td.Lex), len(td.Bounds))
+		}
+		seen := 0
 		for _, ld := range td.Lex {
 			if ld.Dim < 0 || ld.Dim >= len(td.Bounds) {
 				return fmt.Errorf("lex dimension %d out of range", ld.Dim)
 			}
+			if seen>>ld.Dim&1 != 0 {
+				return fmt.Errorf("lex dimension %d repeated", ld.Dim)
+			}
+			seen |= 1 << ld.Dim
 			if ld.Dir != 1 && ld.Dir != -1 {
 				return fmt.Errorf("lex direction %d (want ±1)", ld.Dir)
 			}

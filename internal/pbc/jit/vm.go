@@ -9,8 +9,8 @@
 // dispatch switch: no interface calls, no per-cell slot rebinding, and
 // zero allocations steady-state. Matrix cell bindings are pre-resolved
 // to base+stride affine forms per (transform, sizes, config) at compile
-// time. The interpreter hands the vm whole rows of cells (RunRow): every
-// binding is range-checked at the row's two ends and bound once, and
+// time. The interpreter hands the vm whole boxes of cells (RunBox): every
+// binding is range-checked once over the box by interval arithmetic, and
 // each further cell only adds a per-ref constant to each flat offset, as
 // the paper's compiler emits a loop nest per applicable region. RunCell
 // binds a single cell on its own.
@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"petabricks/internal/matrix"
+	"petabricks/internal/pbc/analysis"
 )
 
 // Op is a bytecode opcode. The zero value is OpHalt so an accidentally
@@ -224,10 +225,10 @@ type refBind struct {
 	sizes   []int64
 	base    int
 	// off is the flat offset of the current cell (-1: out of range), or
-	// of a view's window origin; delta is how far it moves per cell of
-	// the row RunRow is walking.
+	// of a view's window origin; carry[j] is how far it moves when the
+	// box RunBox is walking advances along its j-th moving dimension.
 	off   int
-	delta int
+	carry [maxBoxMoves]int
 	// RefView state, rebuilt by bindView: the window's post-collapse
 	// rank and row-major extents/strides.
 	vnd     int
@@ -237,19 +238,26 @@ type refBind struct {
 
 // Frame is the per-worker execution state of one program: the register
 // file and the resolved cell refs. Frames are pooled by the interpreter
-// and rebound per invocation; RunCell and RunRow allocate nothing.
+// and rebound per invocation; RunCell and RunBox allocate nothing.
 type Frame struct {
 	prog *Program
 	regs []float64
 	refs []refBind
+	// carryOf is the box shape — moving dimensions, directions, extents —
+	// the refs' carries were last computed for, so a frame walking tile
+	// after tile of one shape computes them once; carryN < 0: none yet,
+	// or a ref was rebound since.
+	carryOf [maxBoxMoves]boxMove
+	carryN  int
 }
 
-// NewFrame allocates a frame; bind every ref before RunCell.
+// NewFrame allocates a frame; bind every ref before RunCell or RunBox.
 func (p *Program) NewFrame() *Frame {
 	f := &Frame{
-		prog: p,
-		regs: append([]float64(nil), p.RegInit...),
-		refs: make([]refBind, len(p.Refs)),
+		prog:   p,
+		regs:   append([]float64(nil), p.RegInit...),
+		refs:   make([]refBind, len(p.Refs)),
+		carryN: -1,
 	}
 	for i := range p.Refs {
 		r := &p.Refs[i]
@@ -297,6 +305,7 @@ func (f *Frame) BindMatrix(i int, m *matrix.Matrix) {
 	nd := f.prog.Refs[i].ND
 	rb.data = m.Backing()
 	rb.base = m.Offset()
+	f.carryN = -1
 	for d := 0; d < nd; d++ {
 		rd := nd - 1 - d
 		rb.strides[d] = m.Stride(rd)
@@ -388,66 +397,251 @@ func (f *Frame) RunCell(center []int64) error {
 	return f.run()
 }
 
-// RunRow runs the program at every center whose coordinate k goes from
-// from to to-1, descending when dir < 0, with the other coordinates held
-// at center's values; center[k] is left at the last cell visited. It is
-// RunCell at each of those centers in turn — same outputs, same error at
-// the same cell, same cells written before it — but binds once per row.
+// maxBoxMoves is the most dimensions along which RunBox steps a box's
+// addresses by constants; a box that moves along more is walked row by
+// row, which no rule of rank ≤ 4 ever needs.
+const maxBoxMoves = 4
+
+// boxMove is one dimension a box walk moves along: the center
+// coordinate, its direction, its start and its extent.
+type boxMove struct {
+	k     int
+	dir   int64
+	start int64
+	ext   int64
+}
+
+// RunBox runs the program at every center of the box b (one [lo,hi)
+// interval per center coordinate), walked in order: order lists the
+// box's dimensions innermost first, each with its direction, so the
+// flat walk is dimension 0 innermost, ascending, and a lexicographic
+// walk is its lex order reversed. It is RunCell at each of those
+// centers in turn — the same outputs, the same error at the same cell,
+// the same cells written before it — and center is left at the last
+// cell visited. A box with an empty interval visits no cell; a box of
+// rank 0 is one cell.
 //
-// Every coordinate and view bound is affine in center[k], so a ref in
-// range at both ends of the row is in range at every cell between them.
-// When every cell ref is in range at both ends and every view is in
-// range there with a fixed extent (equal lo and hi coefficients on k, so
-// its shape and collapse do not change along the row), the first cell is
-// run through RunCell and each further cell only adds a per-ref constant
-// to its offset. Otherwise — a lazily tolerated cell miss, or a view
-// that errors or changes shape somewhere on the row — the whole row runs
-// through RunCell.
-func (f *Frame) RunRow(center []int64, k int, from, to int64, dir int) error {
-	if from >= to {
-		return nil
+// Every coordinate and view bound is affine in the center, so interval
+// arithmetic over the box gives each bound's extremes. When every cell
+// ref is in range at those extremes and every view is in range there
+// with a fixed extent (equal lo and hi coefficients on every dimension
+// the box moves along, so its shape and collapse never change), the
+// first cell runs through RunCell and every further cell only adds a
+// per-ref constant to each offset. Otherwise — a lazily tolerated cell
+// miss, or a view that errors or changes shape somewhere in the box —
+// the box splits into rows along its innermost moving dimension, and a
+// row that still does not bind runs cell by cell through RunCell.
+func (f *Frame) RunBox(center []int64, b [][2]int64, order []analysis.LexDim) error {
+	for _, iv := range b {
+		if iv[1] <= iv[0] {
+			return nil
+		}
 	}
-	c, last, step := from, to-1, int64(1)
-	if dir < 0 {
-		c, last, step = to-1, from, -1
+	return f.runBox(center, b, order)
+}
+
+// runBox walks the sub-box of b spanned by order's dimensions from their
+// start corner, with every other coordinate held at center.
+func (f *Frame) runBox(center []int64, b [][2]int64, order []analysis.LexDim) error {
+	var mv [maxBoxMoves]boxMove
+	n, row := 0, -1 // moving dimensions; order index of the innermost one
+	for j, o := range order {
+		m := boxMove{k: o.Dim, dir: 1, start: o.First(b), ext: b[o.Dim][1] - b[o.Dim][0]}
+		if o.Dir < 0 {
+			m.dir = -1
+		}
+		center[m.k] = m.start
+		if m.ext == 1 {
+			continue
+		}
+		if row < 0 {
+			row = j
+		}
+		if n < len(mv) {
+			mv[n] = m
+		}
+		n++
 	}
-	if c == last || !f.rowBinds(center, k, c, last) {
-		for ; ; c += step {
-			center[k] = c
+	switch {
+	case n == 0:
+		return f.RunCell(center)
+	case n <= len(mv) && f.boxBinds(center, mv[:n]):
+		return f.walk(center, mv[:n])
+	case n == 1:
+		m := mv[0]
+		for c := int64(1); ; c++ {
 			if err := f.RunCell(center); err != nil {
 				return err
 			}
-			if c == last {
+			if c == m.ext {
 				return nil
+			}
+			center[m.k] += m.dir
+		}
+	}
+	// Rows along the innermost moving dimension, the outer dimensions
+	// counted like an odometer that stops on the box's last row.
+	inner, outer := order[:row+1], order[row+1:]
+	for {
+		if err := f.runBox(center, b, inner); err != nil {
+			return err
+		}
+		j := 0
+		for j < len(outer) && center[outer[j].Dim] == outer[j].Last(b) {
+			j++
+		}
+		if j == len(outer) {
+			return nil
+		}
+		for _, o := range outer[:j] {
+			center[o.Dim] = o.First(b)
+		}
+		if outer[j].Dir < 0 {
+			center[outer[j].Dim]--
+		} else {
+			center[outer[j].Dim]++
+		}
+	}
+}
+
+// boxBinds reports whether every ref binds everywhere in the box that mv
+// moves through from center: each cell coordinate in [0, size), and each
+// view window in range with equal lo and hi coefficients on every moving
+// dimension.
+func (f *Frame) boxBinds(center []int64, mv []boxMove) bool {
+	p := f.prog
+	nc := p.NCenter
+	for i := range p.Refs {
+		if dims := f.refs[i].dims; dims != nil {
+			// A cell ref whose every coordinate follows at most one
+			// center variable: each coordinate's range is that
+			// variable's.
+			for j := range dims {
+				dm := &dims[j]
+				v, span := dm.base, int64(0)
+				if dm.k >= 0 {
+					v += dm.coeff * center[dm.k]
+					for _, m := range mv {
+						if m.k == int(dm.k) {
+							span = dm.coeff * m.dir * (m.ext - 1)
+						}
+					}
+				}
+				if uint64(v) >= uint64(dm.size) || uint64(v+span) >= uint64(dm.size) {
+					return false
+				}
+			}
+			continue
+		}
+		r := &p.Refs[i]
+		sizes := f.refs[i].sizes
+		for d := 0; d < r.ND; d++ {
+			lo, loMin, loMax := boundRange(r.Base[d], r.Coeff, d*nc, nc, center, mv)
+			if r.Kind == RefCell {
+				if loMin < 0 || loMax >= sizes[d] {
+					return false
+				}
+				continue
+			}
+			for _, m := range mv {
+				if coeffAt(r.Coeff, d*nc, nc, m.k) != coeffAt(r.HiCoeff, d*nc, nc, m.k) {
+					return false
+				}
+			}
+			// hi-lo is constant over the box, so lo ≤ hi at the corner
+			// holds everywhere.
+			hi, _, hiMax := boundRange(r.HiBase[d], r.HiCoeff, d*nc, nc, center, mv)
+			if loMin < 0 || hiMax > sizes[d] || lo > hi {
+				return false
 			}
 		}
 	}
-	center[k] = c
+	return true
+}
+
+// boundRange evaluates one affine bound — base plus the nc coefficients
+// of coeff at off, nil for a constant bound — at center, and its least
+// and greatest values over the box mv moves through from there.
+func boundRange(base int64, coeff []int64, off, nc int, center []int64, mv []boxMove) (v, lo, hi int64) {
+	v = base
+	if coeff == nil {
+		return v, v, v
+	}
+	for k, co := range coeff[off : off+nc] {
+		v += co * center[k]
+	}
+	lo, hi = v, v
+	for _, m := range mv {
+		if m.k >= nc {
+			continue
+		}
+		if span := coeff[off+m.k] * m.dir * (m.ext - 1); span < 0 {
+			lo += span
+		} else {
+			hi += span
+		}
+	}
+	return v, lo, hi
+}
+
+// coeffAt is center[k]'s coefficient in the bound at off of coeff.
+func coeffAt(coeff []int64, off, nc, k int) int64 {
+	if coeff == nil || k >= nc {
+		return 0
+	}
+	return coeff[off+k]
+}
+
+// walk runs a box that binds everywhere: RunCell at the start corner,
+// then each further cell by adding a per-ref constant to every offset.
+// carry[j] is that constant when moving dimension j advances one cell
+// and every dimension inside it jumps back to its start.
+func (f *Frame) walk(center []int64, mv []boxMove) error {
 	if err := f.RunCell(center); err != nil {
 		return err
 	}
-	nc := f.prog.NCenter
-	for i := range f.refs {
-		rb := &f.refs[i]
-		r := &f.prog.Refs[i]
-		rb.delta = 0
-		if r.Coeff != nil {
-			for d := 0; d < r.ND; d++ {
-				rb.delta += int(r.Coeff[d*nc+k]) * rb.strides[d]
+	f.setCarries(mv)
+	var pos [maxBoxMoves]int64
+	creg := f.prog.CenterReg
+	in := mv[0]
+	for {
+		// The innermost dimension's cells, then one step of the
+		// odometer over the rest.
+		for c := int64(1); c < in.ext; c++ {
+			center[in.k] += in.dir
+			for i := range f.refs {
+				rb := &f.refs[i]
+				rb.off += rb.carry[0]
+			}
+			// Reset every center register, as RunCell does: a body may
+			// assign to a center variable.
+			for d, r := range creg {
+				if r >= 0 {
+					f.regs[r] = float64(center[d])
+				}
+			}
+			if err := f.run(); err != nil {
+				return err
 			}
 		}
-		rb.delta *= int(step)
-	}
-	creg := f.prog.CenterReg
-	for c != last {
-		c += step
-		center[k] = c
+		j := 1
+		for j < len(mv) && pos[j] == mv[j].ext-1 {
+			j++
+		}
+		if j == len(mv) {
+			return nil
+		}
+		center[in.k] = in.start
+		for i := 1; i < j; i++ {
+			pos[i] = 0
+			center[mv[i].k] = mv[i].start
+		}
+		pos[j]++
+		center[mv[j].k] += mv[j].dir
 		for i := range f.refs {
 			rb := &f.refs[i]
-			rb.off += rb.delta
+			rb.off += rb.carry[j]
 		}
-		// Reset every center register, as RunCell does: a body may
-		// assign to a center variable.
 		for d, r := range creg {
 			if r >= 0 {
 				f.regs[r] = float64(center[d])
@@ -457,57 +651,41 @@ func (f *Frame) RunRow(center []int64, k int, from, to int64, dir int) error {
 			return err
 		}
 	}
-	return nil
 }
 
-// rowBinds reports whether every ref binds at both ends a and b of a row
-// along center[k]: each cell coordinate in [0, size), and each view
-// window in range with the same coefficient on center[k] for its lo and
-// hi bounds.
-func (f *Frame) rowBinds(center []int64, k int, a, b int64) bool {
+// setCarries computes every ref's carry for a box of mv's shape, unless
+// the frame's refs already hold them.
+func (f *Frame) setCarries(mv []boxMove) {
+	if f.carryN == len(mv) {
+		same := true
+		for j, m := range mv {
+			c := f.carryOf[j]
+			same = same && c.k == m.k && c.dir == m.dir && c.ext == m.ext
+		}
+		if same {
+			return
+		}
+	}
 	p := f.prog
 	nc := p.NCenter
-	for i := range p.Refs {
+	for i := range f.refs {
+		rb := &f.refs[i]
 		r := &p.Refs[i]
-		sizes := f.refs[i].sizes
-		for d := 0; d < r.ND; d++ {
-			lo, lk := affineAt(r.Base[d], r.Coeff, d*nc, nc, center, k)
-			loA, loB := lo+lk*a, lo+lk*b
-			if r.Kind == RefCell {
-				if uint64(loA) >= uint64(sizes[d]) || uint64(loB) >= uint64(sizes[d]) {
-					return false
+		back := 0
+		for j, m := range mv {
+			step := 0
+			if r.Coeff != nil && m.k < nc {
+				for d := 0; d < r.ND; d++ {
+					step += int(r.Coeff[d*nc+m.k]) * rb.strides[d]
 				}
-				continue
 			}
-			hi, hk := affineAt(r.HiBase[d], r.HiCoeff, d*nc, nc, center, k)
-			if hk != lk {
-				return false
-			}
-			// hi-lo is constant along the row, so lo ≤ hi at one end
-			// holds at both.
-			if loA < 0 || loB < 0 || hi+hk*a > sizes[d] || hi+hk*b > sizes[d] || lo > hi {
-				return false
-			}
+			step *= int(m.dir)
+			rb.carry[j] = step - back
+			back += step * int(m.ext-1)
 		}
 	}
-	return true
-}
-
-// affineAt splits one affine bound at center into the value of every term
-// but center[k]'s, and center[k]'s coefficient. coeff holds the bound's
-// nc coefficients at off, or is nil for a constant bound.
-func affineAt(base int64, coeff []int64, off, nc int, center []int64, k int) (v, ck int64) {
-	if coeff == nil {
-		return base, 0
-	}
-	for j, co := range coeff[off : off+nc] {
-		if j == k {
-			ck = co
-		} else {
-			base += co * center[j]
-		}
-	}
-	return base, ck
+	copy(f.carryOf[:], mv)
+	f.carryN = len(mv)
 }
 
 // bindView resolves one view ref's window at the current center:

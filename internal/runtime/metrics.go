@@ -9,9 +9,9 @@ import (
 // Instrument registers this pool's scheduler metrics on reg: per-worker
 // steal/exec/park/wake counters and queue-depth gauges (labelled
 // worker="i"), the shared inject-queue depth, the worker count, and a
-// per-task execution latency histogram (enabling task timing, ~2
-// clock reads per task). Call once, on a long-lived pool (pbserve's);
-// a nil registry is a no-op.
+// sampled task execution latency histogram (each worker times its first
+// task and one in 64 after it). Call once, on a long-lived pool
+// (pbserve's); a nil registry is a no-op.
 func (p *Pool) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -28,12 +28,12 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	}
 	reg.GaugeFunc("pb_pool_inject_queue_depth", "Tasks in the shared overflow queue.", func() float64 {
 		p.injectMu.Lock()
-		n := len(p.injected)
+		n := p.injectedLen()
 		p.injectMu.Unlock()
 		return float64(n)
 	})
 	reg.GaugeFunc("pb_pool_workers", "Worker goroutines in the pool.", func() float64 {
 		return float64(len(p.workers))
 	})
-	p.taskLat.Store(reg.Histogram("pb_pool_task_seconds", "Task execution latency.", obs.LatencyBuckets))
+	p.taskLat.Store(reg.Histogram("pb_pool_task_seconds", "Task execution latency, sampled: one task in 64 per worker.", obs.LatencyBuckets))
 }

@@ -61,3 +61,31 @@ func TestPoolInstrument(t *testing.T) {
 		t.Errorf("per-worker exec sum %v != pool Executed %d", execs, p.Executed())
 	}
 }
+
+// TestTaskTimingSampled: an instrumented worker times its first task and
+// one in every 64 after it, while its task count stays exact.
+func TestTaskTimingSampled(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := NewPool(1)
+	defer p.Shutdown()
+	p.Instrument(reg)
+	for i := 0; i < 130; i++ {
+		p.Run(func(*Worker) {})
+	}
+	var timed int64
+	var execs float64
+	for _, s := range reg.Snapshot() {
+		switch s.Name {
+		case "pb_pool_task_seconds":
+			timed = s.Count
+		case "pb_pool_worker_tasks_total":
+			execs += s.Value
+		}
+	}
+	if execs != 130 {
+		t.Errorf("pb_pool_worker_tasks_total = %v, want 130", execs)
+	}
+	if timed != 3 { // tasks 1, 65 and 129
+		t.Errorf("pb_pool_task_seconds counted %d tasks, want 3", timed)
+	}
+}

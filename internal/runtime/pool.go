@@ -37,8 +37,10 @@ type Pool struct {
 	mode    Mode
 	workers []*Worker
 
+	// injected[injHead:] is the shared overflow queue, oldest first.
 	injectMu sync.Mutex
 	injected []*Task
+	injHead  int
 
 	sleepMu  sync.Mutex
 	sleepCv  *sync.Cond
@@ -50,8 +52,9 @@ type Pool struct {
 	runMu   sync.Mutex
 	runFree []*Run
 
-	// taskLat, when set by Instrument, times every task execution. It is
-	// an atomic pointer so uninstrumented pools pay one nil-check load.
+	// taskLat, when set by Instrument, times a sample of task executions
+	// (see Worker.run). It is an atomic pointer so uninstrumented pools
+	// pay one nil-check load.
 	taskLat atomic.Pointer[obs.Histogram]
 }
 
@@ -184,22 +187,46 @@ func (p *Pool) TryRun(fn func(*Worker)) error {
 // inject adds a task to the shared overflow queue and wakes a worker.
 func (p *Pool) inject(t *Task) {
 	p.injectMu.Lock()
+	p.compactInjected(1)
 	p.injected = append(p.injected, t)
 	p.injectMu.Unlock()
 	p.signal()
 }
 
+// popInjected takes the oldest task off the shared overflow queue in
+// O(1): the head index advances, and the storage is reused from the
+// front once the queue drains.
 func (p *Pool) popInjected() *Task {
 	p.injectMu.Lock()
 	defer p.injectMu.Unlock()
-	n := len(p.injected)
-	if n == 0 {
+	if p.injHead == len(p.injected) {
 		return nil
 	}
-	t := p.injected[0]
-	copy(p.injected, p.injected[1:])
-	p.injected = p.injected[:n-1]
+	t := p.injected[p.injHead]
+	p.injected[p.injHead] = nil
+	p.injHead++
+	if p.injHead == len(p.injected) {
+		p.injected, p.injHead = p.injected[:0], 0
+	}
 	return t
+}
+
+// injectedLen is the number of tasks waiting in the overflow queue.
+// Callers hold injectMu.
+func (p *Pool) injectedLen() int { return len(p.injected) - p.injHead }
+
+// compactInjected makes room for n more tasks by sliding the live
+// entries to the front, when appending would otherwise reallocate and at
+// least half the slice is popped slots. A compaction moves no more
+// entries than were popped since the last one, so pops and pushes stay
+// amortised O(1). Callers hold injectMu.
+func (p *Pool) compactInjected(n int) {
+	if len(p.injected)+n <= cap(p.injected) || 2*p.injHead < len(p.injected) {
+		return
+	}
+	live := copy(p.injected, p.injected[p.injHead:])
+	clear(p.injected[live:])
+	p.injected, p.injHead = p.injected[:live], 0
 }
 
 func (p *Pool) signal() {
@@ -235,6 +262,7 @@ func (p *Pool) injectBatch(ts []*Task) {
 		return
 	}
 	p.injectMu.Lock()
+	p.compactInjected(len(ts))
 	p.injected = append(p.injected, ts...)
 	p.injectMu.Unlock()
 	p.signalN(len(ts))

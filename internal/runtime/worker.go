@@ -24,7 +24,15 @@ type Worker struct {
 	execs  atomic.Int64 // tasks executed by this worker
 	parks  atomic.Int64 // times this worker went to sleep empty-handed
 	wakes  atomic.Int64 // times this worker was signalled awake
+
+	// untimed counts the tasks run since the last timed one on an
+	// instrumented pool; only this worker's goroutine touches it.
+	untimed uint32
 }
+
+// taskSampleEvery is the task-timing sample period: an instrumented
+// worker times its first task and one in every taskSampleEvery after.
+const taskSampleEvery = 64
 
 // ID returns the worker index in [0, NumWorkers).
 func (w *Worker) ID() int { return w.id }
@@ -72,7 +80,7 @@ func (w *Worker) sleep() {
 func (w *Worker) anyWork() bool {
 	p := w.pool
 	p.injectMu.Lock()
-	n := len(p.injected)
+	n := p.injectedLen()
 	p.injectMu.Unlock()
 	if n > 0 {
 		return true
@@ -85,13 +93,20 @@ func (w *Worker) anyWork() bool {
 	return false
 }
 
+// run executes t. On an instrumented pool it times a sample of tasks —
+// two clock reads cost more than many a tile — while the per-worker task
+// count stays exact.
 func (w *Worker) run(t *Task) {
 	w.execs.Add(1)
 	if h := w.pool.taskLat.Load(); h != nil {
-		start := time.Now()
-		t.execute(w)
-		h.ObserveSince(start)
-		return
+		if w.untimed == 0 {
+			w.untimed = taskSampleEvery - 1
+			start := time.Now()
+			t.execute(w)
+			h.ObserveSince(start)
+			return
+		}
+		w.untimed--
 	}
 	t.execute(w)
 }
