@@ -1,10 +1,9 @@
 // Command pbserve runs the PetaBricks execution service: a long-lived
 // daemon exposing the benchmark kernels and interpreted .pbcc
 // transforms over HTTP. Every request executes under the best known
-// tuned configuration from a persistent config store; a background
-// tuner re-tunes hot (program, size-bucket) keys while the server is
-// idle and promotes configurations only when measurably faster, so the
-// service speeds up the longer it runs.
+// tuned configuration from a persistent config store; POST /v1/tune
+// tunes a (program, size-bucket) key on the shared pool and promotes
+// the result only when it re-measures faster than the incumbent.
 //
 // With -peers, pbserve joins a static cluster: (program, size-bucket)
 // shards are owned by exactly one node via consistent hashing, requests
@@ -26,7 +25,6 @@
 //	-queue-timeout d  max queue wait (default 10s)
 //	-max-n n          largest accepted input size (default 2097152)
 //	-tune-max n       default largest training size (default 4096)
-//	-retune d         idle re-tune check interval; 0 disables (default 2m)
 //	-pprof            mount net/http/pprof under /debug/pprof/
 //
 // Cluster flags:
@@ -36,12 +34,11 @@
 //	-peers-file file  JSON file holding the peer list (["addr", ...]); alternative to -peers
 //	-replicate d      config replication pull interval; <0 disables (default 5s)
 //	-coalesce d       micro-batch window for identical concurrent runs (default 0)
-//	-max-jobs n       bound on the async job store (default 256)
 //
-// API: POST /v1/run, POST /v1/tune, POST /v1/jobs, GET /v1/jobs/{id},
-// GET /v1/configs, GET /v1/stats, GET /v1/programs, GET /metrics
-// (Prometheus text format), GET /healthz. See README "Running as a
-// service", "Cluster mode", and "Observability".
+// API: POST /v1/run, POST /v1/tune, GET /v1/configs, GET /v1/stats,
+// GET /v1/programs, GET /metrics (Prometheus text format), GET /healthz.
+// See README "Running as a service", "Cluster mode", and
+// "Observability".
 package main
 
 import (
@@ -82,7 +79,6 @@ func main() {
 		queueTO   = flag.Duration("queue-timeout", 10*time.Second, "max queue wait")
 		maxN      = flag.Int("max-n", 1<<21, "largest accepted input size")
 		tuneMax   = flag.Int64("tune-max", 4096, "default largest training size")
-		retune    = flag.Duration("retune", 2*time.Minute, "idle re-tune interval (0 disables)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		selfAddr  = flag.String("self", "", "this node's address as peers reach it")
@@ -90,7 +86,6 @@ func main() {
 		peersFile = flag.String("peers-file", "", "JSON file with the peer list ([\"addr\", ...])")
 		replicate = flag.Duration("replicate", 5*time.Second, "config replication pull interval (<0 disables)")
 		coalesce  = flag.Duration("coalesce", 0, "micro-batch window for identical concurrent runs")
-		maxJobs   = flag.Int("max-jobs", cluster.DefaultMaxJobs, "bound on the async job store")
 	)
 	flag.Parse()
 
@@ -166,14 +161,12 @@ func main() {
 		QueueTimeout:      *queueTO,
 		MaxN:              *maxN,
 		TuneMax:           *tuneMax,
-		RetuneInterval:    *retune,
 		Logf:              log.Printf,
 		Metrics:           metrics,
 		EnablePprof:       *pprofOn,
 		Cluster:           cl,
 		ReplicateInterval: *replicate,
 		CoalesceWindow:    *coalesce,
-		MaxJobs:           *maxJobs,
 		Artifacts:         arts,
 	})
 	if err != nil {
@@ -205,8 +198,7 @@ func main() {
 	}
 
 	// Orderly shutdown: stop accepting connections and drain in-flight
-	// requests, stop the tuner and replicator, wait for async jobs,
-	// persist the store, then drain the worker pool so no goroutine
+	// requests, stop the tuner and replicator, persist the store, then drain the worker pool so no goroutine
 	// leaks past exit.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -1,6 +1,6 @@
 // Package artifact is the tiered store for compiled execution
 // artifacts: the holders the rule compiler produces per (transform,
-// sizes, config, engine) invocation key. Three tiers sit behind one
+// sizes, config, engine) invocation key. Two tiers sit behind one
 // Store:
 //
 //   - in-memory: bounded MemCache maps (one per artifact kind) holding
@@ -11,10 +11,7 @@
 //     beside the configstore as checksummed, schema-versioned files
 //     written with the same atomic temp-file + rename idiom, so a
 //     restarted pbserve node serves its first request without
-//     recompiling;
-//   - peer: the cluster replicator pulls missing artifacts from peers
-//     over /v1/artifacts digest probes piggybacked on configstore
-//     replication, so a newly provisioned node starts hot too.
+//     recompiling.
 //
 // This file defines the canonical invocation Key. PRs 2–7 grew three
 // separate caches keyed by near-identical hand-rolled strings; every

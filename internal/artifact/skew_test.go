@@ -2,7 +2,6 @@ package artifact
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,29 +85,6 @@ func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	}
 }
 
-// TestVersionSkewRejectedOnInstall feeds the committed v1 fixture
-// through the peer-install path: replication across a mixed-version
-// cluster must refuse foreign-schema artifacts with the typed schema
-// reason rather than write them locally.
-func TestVersionSkewRejectedOnInstall(t *testing.T) {
-	_, raw := fixtureV1(t)
-	s := openStore(t, t.TempDir())
-	_, err := s.InstallRaw(raw)
-	if err == nil {
-		t.Fatal("v1 artifact installed into a v2 store")
-	}
-	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Reason != CorruptSchema {
-		t.Errorf("got %v, want CorruptError with reason %s", err, CorruptSchema)
-	}
-	if s.Len() != 0 {
-		t.Error("rejected install left an index entry")
-	}
-	if s.CorruptCount() != 1 {
-		t.Errorf("corrupt count = %d, want 1", s.CorruptCount())
-	}
-}
-
 // TestVersionSkewPlanKeptAndRebuilt is the plan-kind twin of the jit
 // skew test: a schema-3 plan descriptor file (from before descriptors
 // changed shape and IDs became kind-qualified) must be kept in place
@@ -155,24 +131,5 @@ func TestVersionSkewPlanKeptAndRebuilt(t *testing.T) {
 	}
 	if _, err := os.Stat(stale); err != nil {
 		t.Errorf("stale plan fixture removed across reopen: %v", err)
-	}
-}
-
-// TestVersionSkewPlanRejectedOnInstall feeds the v3 plan fixture
-// through the peer-install path; replication must refuse it with the
-// typed schema reason exactly as it does stale jit artifacts.
-func TestVersionSkewPlanRejectedOnInstall(t *testing.T) {
-	_, raw := fixtureV3Plan(t)
-	s := openStore(t, t.TempDir())
-	if _, err := s.InstallRaw(raw); err == nil {
-		t.Fatal("v3 plan artifact installed into a current-schema store")
-	} else {
-		var ce *CorruptError
-		if !errors.As(err, &ce) || ce.Reason != CorruptSchema {
-			t.Errorf("got %v, want CorruptError with reason %s", err, CorruptSchema)
-		}
-	}
-	if s.Len() != 0 {
-		t.Error("rejected plan install left an index entry")
 	}
 }

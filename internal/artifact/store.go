@@ -64,8 +64,7 @@ type header struct {
 	Sum    string `json:"sum"` // FNV-64 of the payload, hex
 }
 
-// EntryInfo describes one disk-tier artifact for listings and the
-// /v1/artifacts replication protocol.
+// EntryInfo describes one disk-tier artifact for listings.
 type EntryInfo struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
@@ -111,7 +110,6 @@ type Store struct {
 	saves        atomic.Int64
 	saveErrors   atomic.Int64
 	corruptTotal atomic.Int64
-	peerInstalls atomic.Int64
 
 	metrics atomic.Pointer[storeMetrics]
 }
@@ -417,19 +415,7 @@ func (s *Store) dropEntry(id string) {
 	s.mu.Unlock()
 }
 
-// Has reports whether the disk tier indexes an artifact ID.
-func (s *Store) Has(id string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.index[id]
-	return ok
-}
-
-// List returns the disk-tier entries sorted by ID (the /v1/artifacts
-// listing and the replication fetch set).
+// List returns the disk-tier entries sorted by ID.
 func (s *Store) List() []EntryInfo {
 	if s == nil {
 		return nil
@@ -444,24 +430,9 @@ func (s *Store) List() []EntryInfo {
 	return out
 }
 
-// Digest summarizes the disk tier order-independently (XOR of per-entry
-// hashes), so replication peers can skip unchanged stores with one
-// comparison — the same trick the configstore digest uses.
-func (s *Store) Digest() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var d uint64
-	for id, de := range s.index {
-		d ^= HashString(id + "|" + de.info.Sum)
-	}
-	return d
-}
-
 // ReadRaw returns the full file bytes of one artifact (header +
-// payload) for peer replication.
+// payload), for tests and tools that inspect or tamper with the disk
+// tier.
 func (s *Store) ReadRaw(id string) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("artifact: no store")
@@ -473,62 +444,6 @@ func (s *Store) ReadRaw(id string) ([]byte, error) {
 		return nil, fmt.Errorf("artifact: unknown artifact %q", id)
 	}
 	return os.ReadFile(de.path)
-}
-
-// InstallRaw validates a full artifact file fetched from a peer —
-// header, schema, length, checksum — and writes it into the disk tier
-// under its own key-derived ID. Invalid payloads are counted corrupt
-// and rejected; a peer can therefore never poison the local store with
-// garbage.
-func (s *Store) InstallRaw(raw []byte) (EntryInfo, error) {
-	if s == nil || s.dir == "" {
-		return EntryInfo{}, fmt.Errorf("artifact: memory-only store cannot install artifacts")
-	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 || nl > maxHeaderLine {
-		err := &CorruptError{Path: "(peer)", Reason: CorruptHeader, Detail: "no header line"}
-		s.recordCorrupt("(peer)", err, false)
-		return EntryInfo{}, err
-	}
-	var h header
-	if err := json.Unmarshal(raw[:nl], &h); err != nil {
-		ce := &CorruptError{Path: "(peer)", Reason: CorruptHeader, Detail: err.Error()}
-		s.recordCorrupt("(peer)", ce, false)
-		return EntryInfo{}, ce
-	}
-	var ce *CorruptError
-	payload := raw[nl+1:]
-	switch {
-	case h.Magic != fileMagic:
-		ce = &CorruptError{Path: "(peer)", Reason: CorruptMagic, Detail: fmt.Sprintf("magic %q", h.Magic)}
-	case h.Schema != SchemaVersion:
-		ce = &CorruptError{Path: "(peer)", Reason: CorruptSchema,
-			Detail: fmt.Sprintf("schema %d, want %d", h.Schema, SchemaVersion)}
-	case int64(len(payload)) != h.Len:
-		ce = &CorruptError{Path: "(peer)", Reason: CorruptTruncated,
-			Detail: fmt.Sprintf("payload %d bytes, header declares %d", len(payload), h.Len)}
-	case strconv.FormatUint(HashBytes(payload), 16) != h.Sum:
-		ce = &CorruptError{Path: "(peer)", Reason: CorruptChecksum, Detail: "payload sum mismatch"}
-	}
-	if ce != nil {
-		s.recordCorrupt("(peer)", ce, false)
-		return EntryInfo{}, ce
-	}
-	// The ID comes from the header's kind and key, not the peer's
-	// filename, so a renamed or mislabeled file still lands under its
-	// true identity.
-	id := "v" + strconv.Itoa(SchemaVersion) + "-" + strconv.FormatUint(HashString(h.Kind+"|"+h.Key), 16)
-	path := s.pathFor(id)
-	if err := atomicWrite(s.dir, path, raw); err != nil {
-		s.saveErrors.Add(1)
-		return EntryInfo{}, err
-	}
-	info := EntryInfo{ID: id, Kind: h.Kind, Key: h.Key, Schema: h.Schema, Size: int64(len(raw)), Sum: h.Sum}
-	s.mu.Lock()
-	s.index[id] = &diskEntry{info: info, path: path}
-	s.mu.Unlock()
-	s.peerInstalls.Add(1)
-	return info, nil
 }
 
 // CorruptCount returns the total number of corrupt-artifact rejections.
@@ -599,7 +514,6 @@ func (s *Store) Stats() map[string]any {
 			"total":   s.corruptTotal.Load(),
 			"reasons": reasons,
 		},
-		"peer_installs": s.peerInstalls.Load(),
 	}
 }
 
@@ -635,7 +549,6 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("pb_artifact_saves_total", "Artifacts persisted to the disk tier.", s.saves.Load)
 	reg.CounterFunc("pb_artifact_save_errors_total", "Failed artifact saves.", s.saveErrors.Load)
 	reg.CounterFunc("pb_artifact_corrupt_total", "Artifacts rejected as corrupt or schema-skewed.", s.corruptTotal.Load)
-	reg.CounterFunc("pb_artifact_peer_installs_total", "Artifacts installed from cluster peers.", s.peerInstalls.Load)
 	s.metrics.Store(&storeMetrics{
 		loadHist: reg.Histogram("pb_artifact_load_seconds", "Disk-tier artifact load latency (verified hits).",
 			obs.LatencyBuckets),

@@ -3,12 +3,10 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"petabricks/internal/artifact"
 	"petabricks/internal/configstore"
 	"petabricks/internal/obs"
 )
@@ -28,26 +26,16 @@ type Replicator struct {
 	margin   float64
 	logf     func(string, ...any)
 
-	// arts, when set (WithArtifacts), is the peer-fetch tier of the
-	// artifact store: each round piggybacks an /v1/artifacts digest
-	// probe on the config pull and installs compiled artifacts this node
-	// is missing, so a newly provisioned node starts hot.
-	arts *artifact.Store
-
-	mu          sync.Mutex
-	lastSeen    map[string]string // peer -> digest at last successful pull
-	lastSeenArt map[string]string // peer -> artifact digest at last pull
+	mu       sync.Mutex
+	lastSeen map[string]string // peer -> digest at last successful pull
 
 	quit chan struct{}
 	done chan struct{}
 
-	rounds     atomic.Int64
-	merged     atomic.Int64
-	skipped    atomic.Int64 // digest-unchanged peer pulls avoided
-	errors     atomic.Int64
-	artPulled  atomic.Int64 // artifacts installed from peers
-	artSkipped atomic.Int64 // artifact probes skipped on unchanged digest
-	artErrors  atomic.Int64 // failed artifact pulls
+	rounds  atomic.Int64
+	merged  atomic.Int64
+	skipped atomic.Int64 // digest-unchanged peer pulls avoided
+	errors  atomic.Int64
 }
 
 // NewReplicator builds a replicator pulling into store every interval
@@ -58,26 +46,15 @@ func NewReplicator(c *Cluster, store *configstore.Store, interval time.Duration,
 		logf = func(string, ...any) {}
 	}
 	return &Replicator{
-		cluster:     c,
-		store:       store,
-		interval:    interval,
-		margin:      margin,
-		logf:        logf,
-		lastSeen:    map[string]string{},
-		lastSeenArt: map[string]string{},
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
+		cluster:  c,
+		store:    store,
+		interval: interval,
+		margin:   margin,
+		logf:     logf,
+		lastSeen: map[string]string{},
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
-}
-
-// WithArtifacts enables the artifact peer-fetch tier on a persistent
-// store (memory-only stores cannot install peer files and are ignored).
-// Call before Start.
-func (r *Replicator) WithArtifacts(s *artifact.Store) *Replicator {
-	if r != nil && s.Persistent() {
-		r.arts = s
-	}
-	return r
 }
 
 // Start launches the pull loop. No-op on a disabled cluster.
@@ -137,12 +114,6 @@ func (r *Replicator) PullOnce(ctx context.Context) int {
 			continue
 		}
 		total += n
-		if r.arts != nil {
-			if err := r.pullArtifacts(ctx, peer); err != nil {
-				r.artErrors.Add(1)
-				r.logf("cluster: artifact pull from %s failed: %v", peer, err)
-			}
-		}
 	}
 	if total > 0 {
 		if err := r.store.Save(); err != nil {
@@ -202,64 +173,6 @@ func (r *Replicator) pullPeer(ctx context.Context, peer string) (int, error) {
 	return merged, nil
 }
 
-// pullArtifacts piggybacks the artifact peer-fetch tier on the config
-// pull: a digest probe first (skipped rounds cost a few bytes), then
-// the entry list, then raw fetches of only the artifacts this node is
-// missing. InstallRaw re-verifies every byte (schema, length,
-// checksum), so a corrupt or hostile peer can only waste a fetch, never
-// poison the local store.
-func (r *Replicator) pullArtifacts(ctx context.Context, peer string) error {
-	raw, err := r.cluster.get(ctx, peer, "/v1/artifacts?digest=1")
-	if err != nil {
-		return err
-	}
-	var head ArtifactsResponse
-	if err := json.Unmarshal(raw, &head); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	unchanged := head.Digest != "" && r.lastSeenArt[peer] == head.Digest
-	r.mu.Unlock()
-	if unchanged {
-		r.artSkipped.Add(1)
-		return nil
-	}
-	raw, err = r.cluster.get(ctx, peer, "/v1/artifacts")
-	if err != nil {
-		return err
-	}
-	var resp ArtifactsResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return err
-	}
-	installed := 0
-	for _, e := range resp.Entries {
-		if e.Schema != artifact.SchemaVersion || r.arts.Has(e.ID) {
-			continue
-		}
-		body, err := r.cluster.get(ctx, peer, "/v1/artifacts?id="+url.QueryEscape(e.ID))
-		if err != nil {
-			r.artErrors.Add(1)
-			r.logf("cluster: fetching artifact %s from %s: %v", e.ID, peer, err)
-			continue
-		}
-		if _, err := r.arts.InstallRaw(body); err != nil {
-			r.artErrors.Add(1)
-			r.logf("cluster: rejecting artifact %s from %s: %v", e.ID, peer, err)
-			continue
-		}
-		installed++
-	}
-	r.mu.Lock()
-	r.lastSeenArt[peer] = resp.Digest
-	r.mu.Unlock()
-	if installed > 0 {
-		r.artPulled.Add(int64(installed))
-		r.logf("cluster: installed %d compiled artifacts from %s", installed, peer)
-	}
-	return nil
-}
-
 // Merged returns the number of entries accepted from peers so far.
 func (r *Replicator) Merged() int64 {
 	if r == nil {
@@ -274,16 +187,12 @@ func (r *Replicator) Stats() map[string]any {
 		return map[string]any{"enabled": false}
 	}
 	return map[string]any{
-		"enabled":           r.cluster.Enabled() && r.interval > 0,
-		"interval_seconds":  r.interval.Seconds(),
-		"rounds":            r.rounds.Load(),
-		"merged":            r.merged.Load(),
-		"skipped_pulls":     r.skipped.Load(),
-		"errors":            r.errors.Load(),
-		"artifacts_enabled": r.arts != nil,
-		"artifacts_pulled":  r.artPulled.Load(),
-		"artifacts_skipped": r.artSkipped.Load(),
-		"artifact_errors":   r.artErrors.Load(),
+		"enabled":          r.cluster.Enabled() && r.interval > 0,
+		"interval_seconds": r.interval.Seconds(),
+		"rounds":           r.rounds.Load(),
+		"merged":           r.merged.Load(),
+		"skipped_pulls":    r.skipped.Load(),
+		"errors":           r.errors.Load(),
 	}
 }
 
@@ -296,7 +205,4 @@ func (r *Replicator) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("pb_cluster_replication_merged_total", "Tuned configs merged from peers.", r.merged.Load)
 	reg.CounterFunc("pb_cluster_replication_skipped_total", "Peer pulls skipped on unchanged digest.", r.skipped.Load)
 	reg.CounterFunc("pb_cluster_replication_errors_total", "Failed replication pulls.", r.errors.Load)
-	reg.CounterFunc("pb_artifact_hits_total", "Artifact cache hits by tier.", r.artPulled.Load, obs.L("tier", "peer"))
-	reg.CounterFunc("pb_cluster_artifact_skipped_total", "Artifact probes skipped on unchanged digest.", r.artSkipped.Load)
-	reg.CounterFunc("pb_cluster_artifact_errors_total", "Failed artifact pulls or installs.", r.artErrors.Load)
 }

@@ -6,16 +6,14 @@
 // The pieces, each usable on its own:
 //
 //   - Ring: a consistent-hash ring with virtual nodes mapping
-//     (program, size-bucket) shard keys to owner nodes, so each tuned
-//     configuration has one node that executes and re-tunes it.
+//     (program, size-bucket) shard keys to owner nodes, so each shard
+//     has one node that executes it.
 //   - Peers: the HTTP peer client — request forwarding with a
 //     single-hop guard header, timeouts, retry-once, and suspect
 //     marking so a dead peer costs one timeout, not one per request.
 //   - Coalescer: singleflight-style request collapsing with a
 //     micro-batch window, so concurrent identical small runs execute
 //     once and share the result.
-//   - JobStore: a bounded async job store (pending/running/done/
-//     failed) backing the POST /v1/jobs API.
 //   - Replicator: pull-based configstore replication — fetch peers'
 //     config digests, merge new entries via promote-if-faster.
 package cluster

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"petabricks/internal/artifact"
 	"petabricks/internal/choice"
 	"petabricks/internal/configstore"
 )
@@ -54,15 +53,6 @@ type ConfigsResponse struct {
 
 // DigestString renders a store digest the way /v1/configs reports it.
 func DigestString(d uint64) string { return fmt.Sprintf("%016x", d) }
-
-// ArtifactsResponse is the GET /v1/artifacts payload: the artifact
-// store's digest plus (unless ?digest=1) its disk-tier entry list. A
-// peer fetches the raw bytes of a missing entry with ?id=<ID>.
-type ArtifactsResponse struct {
-	Digest  string               `json:"digest"`
-	Schema  int                  `json:"schema"`
-	Entries []artifact.EntryInfo `json:"entries,omitempty"`
-}
 
 // EncodeConfigs renders store entries as wire entries.
 func EncodeConfigs(entries []configstore.Entry) []ConfigWire {

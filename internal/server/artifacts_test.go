@@ -1,7 +1,6 @@
 package server
 
 import (
-	"io"
 	"net/http"
 	"testing"
 
@@ -55,9 +54,9 @@ func artifactStats(t *testing.T, baseURL string) map[string]any {
 }
 
 // TestServerPersistsAndServesArtifacts drives the full service story:
-// a run populates the disk tier, /v1/stats reports it, /v1/artifacts
-// exposes it, and a second server over the same directory serves the
-// same request from the persisted bytecode with zero disk misses.
+// a run populates the disk tier, /v1/stats reports it, and a second
+// server over the same directory serves the same request from the
+// persisted bytecode with zero disk misses.
 func TestServerPersistsAndServesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	_, ts1 := artifactServer(t, dir)
@@ -70,44 +69,6 @@ func TestServerPersistsAndServesArtifacts(t *testing.T) {
 	disk := stats["disk"].(map[string]any)
 	if disk["saves"].(float64) < 1 {
 		t.Fatalf("no artifact saved after a Heat1D run: %v", disk)
-	}
-
-	// The listing endpoint: digest probe carries no entries, the full
-	// form lists what the run persisted.
-	status, probe := getJSON(t, ts1.URL+"/v1/artifacts?digest=1")
-	if status != http.StatusOK || probe["digest"] == "" || probe["entries"] != nil {
-		t.Fatalf("digest probe: status %d body %v", status, probe)
-	}
-	status, full := getJSON(t, ts1.URL+"/v1/artifacts")
-	if status != http.StatusOK {
-		t.Fatalf("/v1/artifacts: status %d", status)
-	}
-	entries, ok := full["entries"].([]any)
-	if !ok || len(entries) == 0 {
-		t.Fatalf("/v1/artifacts lists no entries: %v", full)
-	}
-	if int(full["schema"].(float64)) != artifact.SchemaVersion {
-		t.Errorf("schema = %v, want %d", full["schema"], artifact.SchemaVersion)
-	}
-
-	// The raw fetch must round-trip through InstallRaw on another store
-	// — this is exactly what a replication peer does.
-	id := entries[0].(map[string]any)["id"].(string)
-	resp, err := http.Get(ts1.URL + "/v1/artifacts?id=" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("raw fetch: status %d err %v", resp.StatusCode, err)
-	}
-	other, err := artifact.Open(t.TempDir(), artifact.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info, err := other.InstallRaw(raw); err != nil || info.ID != id {
-		t.Fatalf("InstallRaw of fetched artifact: info %+v err %v", info, err)
 	}
 
 	// The restart: a second server over the same directory must serve
@@ -124,25 +85,11 @@ func TestServerPersistsAndServesArtifacts(t *testing.T) {
 }
 
 // TestServerArtifactsDisabled pins the no-store behavior: the stats
-// section reports disabled and the endpoint 404s rather than serving an
-// empty store that peers would endlessly probe.
+// section reports the store disabled.
 func TestServerArtifactsDisabled(t *testing.T) {
 	_, ts := newTestServer(t, "", nil)
 	stats := artifactStats(t, ts.URL)
 	if stats["enabled"] != false {
 		t.Errorf("artifacts section = %v, want enabled false", stats)
-	}
-	status, _ := getJSON(t, ts.URL+"/v1/artifacts")
-	if status != http.StatusNotFound {
-		t.Errorf("/v1/artifacts without a store: status %d, want 404", status)
-	}
-}
-
-// TestServerArtifactsUnknownID pins the raw-fetch miss path.
-func TestServerArtifactsUnknownID(t *testing.T) {
-	_, ts := artifactServer(t, t.TempDir())
-	status, _ := getJSON(t, ts.URL+"/v1/artifacts?id=v2-doesnotexist")
-	if status != http.StatusNotFound {
-		t.Errorf("unknown artifact fetch: status %d, want 404", status)
 	}
 }

@@ -1,15 +1,10 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strings"
-	"time"
 
-	"petabricks/internal/bench"
 	"petabricks/internal/cluster"
 )
 
@@ -35,108 +30,4 @@ func (s *Server) forwardRun(w http.ResponseWriter, r *http.Request, owner string
 	w.WriteHeader(status)
 	w.Write(respBody)
 	return true
-}
-
-// --- async job API ------------------------------------------------------
-
-// handleJobs serves the async job API:
-//
-//	POST /v1/jobs       submit a run request; returns 202 + job id
-//	GET  /v1/jobs/{id}  poll state (pending/running/done/failed)
-//
-// Jobs exist for inputs large enough that holding an HTTP connection
-// through admission control is the wrong shape: the submit returns
-// immediately, the execution funnels through the same admission layer
-// as /v1/run, and the result is retained in a bounded store until
-// evicted. Jobs are deliberately node-local — the id names a job on
-// the node that accepted it, so clients poll where they submitted;
-// cluster routing applies to the execution's key lookup exactly as it
-// would for a synchronous run on this node.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost:
-		if strings.TrimSuffix(r.URL.Path, "/") != "/v1/jobs" {
-			writeErr(w, http.StatusNotFound, "POST to /v1/jobs")
-			return
-		}
-		s.handleJobSubmit(w, r)
-	case r.Method == http.MethodGet:
-		id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-		if id == "" || id == "/v1/jobs" || strings.Contains(id, "/") {
-			writeErr(w, http.StatusNotFound, "GET /v1/jobs/{id}")
-			return
-		}
-		job, ok := s.jobs.Get(id)
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Sprintf("unknown job %q (finished jobs are evicted when the store fills)", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, job)
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, "POST /v1/jobs or GET /v1/jobs/{id}")
-	}
-}
-
-func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.closed.Load() {
-		writeErr(w, http.StatusServiceUnavailable, errShutdown.Error())
-		return
-	}
-	var req runRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	b, acc, code, msg := s.validateRun(&req)
-	if code != 0 {
-		writeErr(w, code, msg)
-		return
-	}
-	job, err := s.jobs.Create(req, time.Now())
-	if err != nil {
-		s.shed.Add(1)
-		s.writeBusy(w, "job store full; retry later")
-		return
-	}
-	s.jobWG.Add(1)
-	go func() {
-		defer s.jobWG.Done()
-		s.runJob(job.ID, b, req, acc)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"id":    job.ID,
-		"state": job.State,
-		"poll":  "/v1/jobs/" + job.ID,
-	})
-}
-
-// runJob drives one async job through the state machine. The config is
-// resolved at execution time, not submit time, so a configuration
-// promoted (or replicated in) while the job sat pending is what runs.
-func (s *Server) runJob(id string, b *bench.Benchmark, req runRequest, acc int) {
-	if err := s.jobs.Start(id, time.Now()); err != nil {
-		return // store raced an eviction; nothing to report to
-	}
-	cfg, keyStr, source, bucket, errMsg := s.resolveConfig(b, req)
-	if errMsg != "" {
-		s.jobs.Fail(id, errMsg, time.Now())
-		return
-	}
-	res, err := s.execute(context.Background(), b, cfg, req, acc)
-	if err != nil {
-		s.jobs.Fail(id, err.Error(), time.Now())
-		return
-	}
-	s.jobs.Finish(id, runResponse{
-		Program:      req.Program,
-		N:            req.N,
-		Workers:      s.pool.NumWorkers(),
-		Seconds:      res.Seconds,
-		Checksum:     res.Checksum,
-		Detail:       res.Detail,
-		Config:       keyStr,
-		ConfigSource: source,
-		Bucket:       bucket,
-		ServedBy:     s.cluster.Self(),
-	}, time.Now())
 }

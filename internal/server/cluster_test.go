@@ -215,65 +215,6 @@ func TestClusterFallbackWhenPeerDown(t *testing.T) {
 	}
 }
 
-// TestJobsLifecycle: submit an async run, poll to completion, and check
-// the result matches a synchronous run's answer.
-func TestJobsLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, "", nil)
-
-	status, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"program": "sort", "n": 512, "seed": 11,
-	})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d %v", status, body)
-	}
-	id, _ := body["id"].(string)
-	if id == "" {
-		t.Fatalf("submit returned no id: %v", body)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	var job map[string]any
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s did not finish: %v", id, job)
-		}
-		_, job = getJSON(t, ts.URL+"/v1/jobs/"+id)
-		state, _ := job["state"].(string)
-		if state == "done" || state == "failed" {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if job["state"] != "done" {
-		t.Fatalf("job failed: %v", job)
-	}
-	result, ok := job["result"].(map[string]any)
-	if !ok {
-		t.Fatalf("done job has no result: %v", job)
-	}
-	if sum, want := result["checksum"].(float64), expectedSortChecksum(512, 11); sum != want {
-		t.Fatalf("job checksum %g, want %g", sum, want)
-	}
-
-	// Unknown id: 404. Bad request: 400 and no job created.
-	resp, err := http.Get(ts.URL + "/v1/jobs/job-does-not-exist")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job id: %d, want 404", resp.StatusCode)
-	}
-	status, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"program": "nope", "n": 8})
-	if status != http.StatusNotFound {
-		t.Fatalf("unknown program submit: %d, want 404 (same as /v1/run)", status)
-	}
-	status, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{"program": "sort", "n": -1})
-	if status != http.StatusBadRequest {
-		t.Fatalf("negative-n submit: %d, want 400", status)
-	}
-}
-
 // TestClusterReplication: a config tuned on node A reaches node B's
 // store through the pull replicator and B then serves lookups from it.
 func TestClusterReplication(t *testing.T) {

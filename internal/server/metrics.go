@@ -58,13 +58,11 @@ func (s *Server) instrument() {
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.promoted.Load, obs.L("outcome", "promoted"))
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.rejected.Load, obs.L("outcome", "rejected"))
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.failed.Load, obs.L("outcome", "failed"))
-	reg.CounterFunc("pb_server_tune_idle_runs_total", "Idle re-tune jobs started.", t.idleRuns.Load)
 
-	// Cluster-layer metrics: coalescing, async jobs, replication. The
-	// cluster's own forward/suspect counters register in cluster.New,
-	// which shares this registry in cmd/pbserve.
+	// Cluster-layer metrics: coalescing and replication. The cluster's
+	// own forward/suspect counters register in cluster.New, which
+	// shares this registry in cmd/pbserve.
 	s.coalescer.Instrument(reg)
-	s.jobs.Instrument(reg)
 	s.replic.Instrument(reg)
 	s.opts.Artifacts.Instrument(reg)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"petabricks/internal/artifact"
 	"petabricks/internal/autotuner"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
@@ -33,6 +34,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, "", func(o *Options) {
 		o.Metrics = mreg
 		o.EnablePprof = true
+		o.Artifacts = artifact.NewMemOnly()
 	})
 
 	// Live traffic: one native kernel run and two interpreted DSL runs
@@ -79,6 +81,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Families of removed mechanisms (async jobs, idle re-tuning, peer
+	// artifact fetch) must not come back.
+	for _, gone := range []string{"pb_jobs_", "pb_server_tune_idle_runs_total",
+		"pb_cluster_artifact_", "pb_artifact_peer_installs_total", `tier="peer"`} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics still exposes %q:\n%s", gone, grepLines(body, gone))
 		}
 	}
 	if !strings.Contains(body, "pb_interp_cache_hits_total 1") {

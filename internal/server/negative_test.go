@@ -123,6 +123,44 @@ func TestHandlerNegativePaths(t *testing.T) {
 	}
 }
 
+// TestRoutes pins the HTTP surface: every endpoint in the package
+// comment answers, and nothing else is routed. The async job API
+// (/v1/jobs) and the peer artifact listing (/v1/artifacts) are gone.
+func TestRoutes(t *testing.T) {
+	_, ts, _, release := newNegativeServer(t)
+	defer close(release)
+
+	for _, tc := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/v1/run", `{"program": "sort", "n": 8}`, http.StatusOK},
+		{http.MethodPost, "/v1/tune", `{"program": "slow"}`, http.StatusBadRequest},
+		{http.MethodGet, "/v1/configs", "", http.StatusOK},
+		{http.MethodGet, "/v1/stats", "", http.StatusOK},
+		{http.MethodGet, "/v1/programs", "", http.StatusOK},
+		{http.MethodGet, "/healthz", "", http.StatusOK},
+
+		{http.MethodPost, "/v1/jobs", `{"program": "sort", "n": 8}`, http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/job-1-00000000", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/artifacts", "", http.StatusNotFound},
+		{http.MethodGet, "/v1/artifacts?digest=1", "", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s: got %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestRunRejectedAfterClose checks the shutdown gate: once Close has
 // run, execution endpoints shed with 503 instead of touching the pool.
 func TestRunRejectedAfterClose(t *testing.T) {

@@ -3,23 +3,20 @@
 // .pbcc transforms over HTTP (stdlib net/http only), executes every
 // request under the best known tuned configuration from a persistent
 // config store, caps concurrent work against one shared work-stealing
-// pool through an admission layer, and re-tunes hot (program, size
-// bucket) keys in the background so the service gets faster the longer
-// it runs.
+// pool through an admission layer, and tunes (program, size bucket)
+// keys on request, promoting a configuration only when it re-measures
+// faster than the incumbent.
 //
 // In cluster mode (Options.Cluster) the server additionally routes
 // each request to the consistent-hash owner of its (program,
 // size-bucket) key, coalesces concurrent identical small runs into one
-// execution, serves an async job API for large inputs, and pulls
-// peers' tuned configurations into the local store. See README
-// "Cluster mode".
+// execution, and pulls peers' tuned configurations into the local
+// store. See README "Cluster mode".
 //
 // API:
 //
 //	POST /v1/run       {"program","n","seed","acc","engine"}  execute once
 //	POST /v1/tune      {"program","n","max","wait"}      (re)tune
-//	POST /v1/jobs      {"program","n","seed","acc"}      submit async job
-//	GET  /v1/jobs/{id}                                   poll job state
 //	GET  /v1/configs   [?digest=1 | ?program=&n=]        stored configs
 //	GET  /v1/stats                                       counters
 //	GET  /v1/programs                                    registered programs
@@ -33,7 +30,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,18 +61,11 @@ type Options struct {
 	// MaxN rejects absurd input sizes outright. Default 1<<21.
 	MaxN int
 	// TuneMax is the default largest training size for /v1/tune requests
-	// that omit "max" and for idle re-tuning. Default 4096.
+	// that omit "max". Default 4096.
 	TuneMax int64
 	// PromoteMargin is the fractional speedup a freshly tuned config
 	// must show over the incumbent to be promoted. Default 0.02.
 	PromoteMargin float64
-	// RetuneInterval is how often the background tuner considers
-	// re-tuning the hottest key while the server is idle. 0 disables
-	// idle re-tuning; /v1/tune still works.
-	RetuneInterval time.Duration
-	// RetuneMinAge keeps freshly tuned keys from being re-tuned
-	// immediately. Default 10 × RetuneInterval.
-	RetuneMinAge time.Duration
 	// Seed is the base seed for tuning measurements. Default 1.
 	Seed int64
 	// Logf, when set, receives operational log lines (tuning outcomes,
@@ -106,17 +95,14 @@ type Options struct {
 	// unless explicitly opted in. Negative disables coalescing.
 	CoalesceWindow time.Duration
 	// CoalesceMaxN caps the input size eligible for coalescing — large
-	// runs are long enough that collapsing them saves little and the
-	// async job API is the better tool. Default 65536.
+	// runs are long enough that collapsing them saves little. Default
+	// 65536.
 	CoalesceMaxN int
-	// MaxJobs bounds the async job store. Default 256.
-	MaxJobs int
 
 	// Artifacts, when set, is the tiered compiled-artifact store: every
 	// registry benchmark backed by a DSL engine is pointed at it before
 	// traffic starts, so compiled bytecode persists across restarts and a
-	// rebooted node serves its first request warm. GET /v1/artifacts
-	// exposes the disk tier to replication peers. Nil keeps each engine
+	// rebooted node serves its first request warm. Nil keeps each engine
 	// on its private in-memory store.
 	Artifacts *artifact.Store
 }
@@ -143,9 +129,6 @@ func (o Options) withDefaults() (Options, error) {
 	if o.PromoteMargin <= 0 {
 		o.PromoteMargin = 0.02
 	}
-	if o.RetuneMinAge <= 0 {
-		o.RetuneMinAge = 10 * o.RetuneInterval
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -157,9 +140,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.CoalesceMaxN <= 0 {
 		o.CoalesceMaxN = 1 << 16
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = cluster.DefaultMaxJobs
 	}
 	return o, nil
 }
@@ -178,9 +158,7 @@ type Server struct {
 	// others always exist and degrade to local behavior on their own.
 	cluster   *cluster.Cluster
 	replic    *cluster.Replicator
-	jobs      *cluster.JobStore
 	coalescer *cluster.Coalescer // nil: coalescing disabled
-	jobWG     sync.WaitGroup     // running async job goroutines
 
 	sem     chan struct{} // admission slots
 	waiting atomic.Int64  // requests queued for a slot
@@ -210,7 +188,6 @@ func New(opts Options) (*Server, error) {
 		store:   opts.Store,
 		reg:     opts.Registry,
 		cluster: opts.Cluster,
-		jobs:    cluster.NewJobStore(opts.MaxJobs),
 		sem:     make(chan struct{}, opts.MaxInflight),
 		start:   time.Now(),
 	}
@@ -222,12 +199,11 @@ func New(opts Options) (*Server, error) {
 	if opts.CoalesceWindow > 0 || (opts.CoalesceWindow == 0 && opts.Cluster.Enabled()) {
 		s.coalescer = cluster.NewCoalescer(opts.CoalesceWindow)
 	}
-	s.replic = cluster.NewReplicator(s.cluster, s.store, opts.ReplicateInterval, opts.PromoteMargin, opts.Logf).
-		WithArtifacts(opts.Artifacts)
+	s.replic = cluster.NewReplicator(s.cluster, s.store, opts.ReplicateInterval, opts.PromoteMargin, opts.Logf)
 	s.tuner = newTuner(s)
 	// Point every DSL engine at the shared artifact store before any
-	// traffic: a store populated by a previous process (or a peer) then
-	// warm-starts compiled bytecode instead of lowering from scratch.
+	// traffic: a store populated by a previous process then warm-starts
+	// compiled bytecode instead of lowering from scratch.
 	if opts.Artifacts != nil {
 		for _, name := range opts.Registry.Names() {
 			if b, ok := opts.Registry.Get(name); ok && b.Engine != nil {
@@ -238,12 +214,9 @@ func New(opts Options) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/run", s.handleRun)
 	s.mux.HandleFunc("/v1/tune", s.handleTune)
-	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/jobs/", s.handleJobs)
 	s.mux.HandleFunc("/v1/configs", s.handleConfigs)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/programs", s.handlePrograms)
-	s.mux.HandleFunc("/v1/artifacts", s.handleArtifacts)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -258,17 +231,15 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close stops accepting work and drains: the background tuner shuts
 // down (queued tune jobs are failed so waiting clients unblock rather
-// than hang the HTTP drain), the replicator stops, running async jobs
-// finish (their admission waits are bounded by QueueTimeout), and the
-// config store is flushed once. It does not close the pool — the owner
-// does that after the HTTP listener has drained.
+// than hang the HTTP drain), the replicator stops, and the config store
+// is flushed once. It does not close the pool — the owner does that
+// after the HTTP listener has drained.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
 	s.tuner.stop()
 	s.replic.Stop()
-	s.jobWG.Wait()
 	if err := s.store.Save(); err != nil {
 		s.opts.Logf("pbserve: final store save failed: %v", err)
 	}
@@ -320,10 +291,6 @@ func (s *Server) release() { <-s.sem }
 // inflight returns the number of requests currently executing.
 func (s *Server) inflight() int { return len(s.sem) }
 
-// idle reports whether no request is executing or queued; the tuner
-// only re-tunes during idle periods.
-func (s *Server) idle() bool { return s.inflight() == 0 && s.waiting.Load() == 0 }
-
 // --- handlers -----------------------------------------------------------
 
 type runRequest struct {
@@ -365,9 +332,9 @@ type runResponse struct {
 	Coalesced bool `json:"coalesced,omitempty"`
 }
 
-// validateRun applies the shared request checks for /v1/run and
-// /v1/jobs, normalizing defaults in place. It returns the benchmark
-// and the accuracy index, or an HTTP error to send.
+// validateRun applies the /v1/run request checks, normalizing defaults
+// in place. It returns the benchmark and the accuracy index, or an HTTP
+// error to send.
 func (s *Server) validateRun(req *runRequest) (b *bench.Benchmark, acc int, code int, errMsg string) {
 	b, ok := s.reg.Get(req.Program)
 	if !ok {
@@ -417,8 +384,8 @@ func (s *Server) resolveConfig(b *bench.Benchmark, req runRequest) (cfg *choice.
 }
 
 // execute runs one benchmark request under the admission layer and
-// maintains the request counters. Every execution path — synchronous
-// /v1/run, a coalescing leader, an async job — funnels through here.
+// maintains the request counters. Both execution paths — a plain
+// /v1/run and a coalescing leader — funnel through here.
 func (s *Server) execute(ctx context.Context, b *bench.Benchmark, cfg *choice.Config, req runRequest, acc int) (bench.Result, error) {
 	if s.closed.Load() {
 		return bench.Result{}, errShutdown
@@ -436,7 +403,6 @@ func (s *Server) execute(ctx context.Context, b *bench.Benchmark, cfg *choice.Co
 		return res, err
 	}
 	s.completed.Add(1)
-	s.tuner.recordHit(req.Program, int64(req.N))
 	return res, nil
 }
 
@@ -693,7 +659,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"tuner":       s.tuner.statsSnapshot(),
 		"cluster":     s.cluster.Stats(),
 		"replication": s.replic.Stats(),
-		"jobs":        s.jobs.Stats(),
 		"coalesce": map[string]any{
 			"leaders":   s.coalescer.Leaders(),
 			"followers": s.coalescer.Followers(),
@@ -711,49 +676,6 @@ func artifactsSection(arts *artifact.Store) map[string]any {
 	st := arts.Stats()
 	st["plan"] = interp.PlanStats()
 	return st
-}
-
-// handleArtifacts exposes the artifact store's disk tier to peers.
-// Three forms, mirroring /v1/configs:
-//
-//	GET /v1/artifacts              digest + entry list
-//	GET /v1/artifacts?digest=1     digest only (replication probe)
-//	GET /v1/artifacts?id=X         one artifact's raw on-disk bytes
-//
-// The raw form returns the exact file contents (header line + gob
-// payload); the peer's InstallRaw re-verifies schema, length, and
-// checksum before accepting, so this endpoint never needs to trust its
-// own disk either.
-func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	st := s.opts.Artifacts
-	if !st.Persistent() {
-		writeErr(w, http.StatusNotFound, "artifact store disabled or memory-only")
-		return
-	}
-	q := r.URL.Query()
-	if id := q.Get("id"); id != "" {
-		raw, err := st.ReadRaw(id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, "no such artifact")
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw)
-		return
-	}
-	resp := cluster.ArtifactsResponse{
-		Digest: cluster.DigestString(st.Digest()),
-		Schema: artifact.SchemaVersion,
-	}
-	if q.Get("digest") == "" {
-		resp.Entries = st.List()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {

@@ -328,38 +328,6 @@ func TestAdmissionSheds(t *testing.T) {
 	}
 }
 
-// TestIdleRetune verifies the background tuner re-tunes a hot key
-// during idle periods without any /v1/tune call.
-func TestIdleRetune(t *testing.T) {
-	storePath := filepath.Join(t.TempDir(), "store.json")
-	srv, ts := newTestServer(t, storePath, func(o *Options) {
-		o.RetuneInterval = 25 * time.Millisecond
-		o.RetuneMinAge = time.Hour // each key re-tunes at most once here
-		o.TuneMax = 256
-	})
-	// Make sort/b8 hot.
-	for i := 0; i < 3; i++ {
-		st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "sort", "n": 256})
-		if st != http.StatusOK {
-			t.Fatalf("run failed: %v", body)
-		}
-	}
-	key := configstore.KeyFor("sort", 256, srv.pool.NumWorkers())
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, _, ok := srv.store.Get(key); ok {
-			// And the tuned entry is now served.
-			st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "sort", "n": 256})
-			if st != http.StatusOK || body["config_source"] != "store" {
-				t.Fatalf("hot key tuned but not served: %d %v", st, body)
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("idle re-tuner never promoted the hot key")
-}
-
 // TestErrorsAndStats covers the 4xx surfaces and the stats/programs
 // endpoints.
 func TestErrorsAndStats(t *testing.T) {

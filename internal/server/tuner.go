@@ -17,7 +17,6 @@ type tuneJob struct {
 	program string
 	size    int64
 	max     int64
-	idle    bool             // triggered by the idle re-tuner, not a client
 	reply   chan tuneOutcome // non-nil: a client is waiting
 }
 
@@ -30,12 +29,11 @@ type tuneOutcome struct {
 	Err      error
 }
 
-// tuner is the background tuning goroutine: it drains explicit
-// /v1/tune jobs and, during idle periods, re-tunes the hottest
-// (program, size-bucket) key so the service improves while unloaded.
-// Tuning runs execute on the shared pool; configurations are promoted
-// into the store only when measurably faster than the incumbent,
-// re-measured back to back under current machine conditions.
+// tuner is the background tuning goroutine: it drains /v1/tune jobs
+// one at a time. Tuning runs execute on the shared pool;
+// configurations are promoted into the store only when measurably
+// faster than the incumbent, re-measured back to back under current
+// machine conditions.
 type tuner struct {
 	s    *Server
 	jobs chan tuneJob
@@ -45,26 +43,19 @@ type tuner struct {
 	stopMu   sync.RWMutex
 	stopping bool
 
-	mu       sync.Mutex
-	heat     map[configstore.Key]int64     // run hits since last tune
-	lastTune map[configstore.Key]time.Time // completion time of last tune
-
 	seed      atomic.Int64
 	completed atomic.Int64
 	promoted  atomic.Int64
 	rejected  atomic.Int64
 	failed    atomic.Int64
-	idleRuns  atomic.Int64
 }
 
 func newTuner(s *Server) *tuner {
 	t := &tuner{
-		s:        s,
-		jobs:     make(chan tuneJob, 16),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-		heat:     map[configstore.Key]int64{},
-		lastTune: map[configstore.Key]time.Time{},
+		s:    s,
+		jobs: make(chan tuneJob, 16),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	t.seed.Store(s.opts.Seed)
 	return t
@@ -111,71 +102,16 @@ func (t *tuner) enqueue(j tuneJob) bool {
 	}
 }
 
-// recordHit accumulates per-key request heat, which drives idle
-// re-tuning priority.
-func (t *tuner) recordHit(program string, size int64) {
-	k := configstore.KeyFor(program, size, t.s.pool.NumWorkers())
-	t.mu.Lock()
-	t.heat[k]++
-	t.mu.Unlock()
-}
-
 func (t *tuner) loop() {
 	defer close(t.done)
-	var tick <-chan time.Time
-	if t.s.opts.RetuneInterval > 0 {
-		ticker := time.NewTicker(t.s.opts.RetuneInterval)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
 	for {
 		select {
 		case j := <-t.jobs:
 			t.run(j)
-		case <-tick:
-			if j, ok := t.pickIdleJob(); ok {
-				t.idleRuns.Add(1)
-				t.run(j)
-			}
 		case <-t.quit:
 			return
 		}
 	}
-}
-
-// pickIdleJob selects the hottest tunable key that has not been tuned
-// recently, but only while the server is idle — re-tuning competes for
-// the shared pool, so it must never slow live traffic.
-func (t *tuner) pickIdleJob() (tuneJob, bool) {
-	if !t.s.idle() {
-		return tuneJob{}, false
-	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var bestKey configstore.Key
-	var bestHeat int64
-	for k, h := range t.heat {
-		if h <= bestHeat {
-			continue
-		}
-		if b, ok := t.s.reg.Get(k.Program); !ok || !b.Tunable() {
-			continue
-		}
-		if last, ok := t.lastTune[k]; ok && now.Sub(last) < t.s.opts.RetuneMinAge {
-			continue
-		}
-		bestKey, bestHeat = k, h
-	}
-	if bestHeat == 0 {
-		return tuneJob{}, false
-	}
-	size := int64(1) << bestKey.Bucket
-	max := t.s.opts.TuneMax
-	if size > max {
-		max = size
-	}
-	return tuneJob{program: bestKey.Program, size: size, max: max, idle: true}, true
 }
 
 func (t *tuner) run(j tuneJob) {
@@ -190,8 +126,8 @@ func (t *tuner) run(j tuneJob) {
 		} else {
 			t.rejected.Add(1)
 		}
-		t.s.opts.Logf("pbserve: tuned %s -> %s promoted=%v new=%.4gs old=%.4gs idle=%v",
-			j.program, out.Key, out.Promoted, out.NewCost, out.OldCost, j.idle)
+		t.s.opts.Logf("pbserve: tuned %s -> %s promoted=%v new=%.4gs old=%.4gs",
+			j.program, out.Key, out.Promoted, out.NewCost, out.OldCost)
 	}
 	if j.reply != nil {
 		j.reply <- out
@@ -231,37 +167,22 @@ func (t *tuner) tuneOnce(j tuneJob) tuneOutcome {
 	if old, _, had := t.s.store.Get(key); had {
 		oldCost = eval.Measure(old, j.size)
 	}
-	now := time.Now()
-	promoted := t.s.store.Promote(key, cfg, newCost, oldCost, t.s.opts.PromoteMargin, now)
+	promoted := t.s.store.Promote(key, cfg, newCost, oldCost, t.s.opts.PromoteMargin, time.Now())
 	if promoted {
 		if err := t.s.store.Save(); err != nil {
 			t.s.opts.Logf("pbserve: store save failed: %v", err)
 		}
 	}
-	t.mu.Lock()
-	t.lastTune[key] = now
-	t.heat[key] = 0
-	t.mu.Unlock()
 	return tuneOutcome{Key: key.String(), Promoted: promoted, NewCost: newCost, OldCost: oldCost}
 }
 
 // statsSnapshot reports tuner counters for /v1/stats.
 func (t *tuner) statsSnapshot() map[string]any {
-	t.mu.Lock()
-	hot := int64(0)
-	for _, h := range t.heat {
-		if h > 0 {
-			hot++
-		}
-	}
-	t.mu.Unlock()
 	return map[string]any{
 		"queued":    len(t.jobs),
 		"completed": t.completed.Load(),
 		"promoted":  t.promoted.Load(),
 		"rejected":  t.rejected.Load(),
 		"failed":    t.failed.Load(),
-		"idle_runs": t.idleRuns.Load(),
-		"hot_keys":  hot,
 	}
 }

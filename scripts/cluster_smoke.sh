@@ -25,7 +25,7 @@ ADDRS=("$A" "$B" "$C")
 PIDS=()
 for i in 0 1 2; do
   "$DIR/pbserve" -addr ":${PORTS[$i]}" -self "${ADDRS[$i]}" -peers "$PEERS" \
-    -store "$DIR/n$((i + 1)).json" -workers 2 -retune 0 -replicate 500ms \
+    -store "$DIR/n$((i + 1)).json" -workers 2 -replicate 500ms \
     >"$DIR/n$((i + 1)).log" 2>&1 &
   PIDS+=("$!")
 done

@@ -25,7 +25,7 @@ go build -o "$DIR/pbserve" ./cmd/pbserve
 
 start_node() {
   "$DIR/pbserve" -addr ":$PORT" -dsl testdata/heat1d.pbcc \
-    -store "$DIR/store.json" -workers 2 -retune 0 \
+    -store "$DIR/store.json" -workers 2 \
     >"$DIR/$1.log" 2>&1 &
   PID=$!
   for _ in $(seq 1 100); do
