@@ -7,11 +7,11 @@
 //     live holders — compiled-rule programs, execution plans — shared
 //     across Engine.WithConfig views exactly like the bespoke caches
 //     they replaced (PRs 2, 5, 7);
-//   - disk: serializable artifacts (flat-bytecode jit programs) persist
-//     beside the configstore as checksummed, schema-versioned files
-//     written with the same atomic temp-file + rename idiom, so a
-//     restarted pbserve node serves its first request without
-//     recompiling.
+//   - disk: serializable artifacts (flat-bytecode jit programs, plan
+//     descriptors) persist beside the configstore in checksummed,
+//     schema-versioned packs, one per top-level run, each written with
+//     the atomic temp-file + rename idiom (pack.go), so a restarted
+//     pbserve node serves its first request without recompiling.
 //
 // This file defines the canonical invocation Key. PRs 2–7 grew three
 // separate caches keyed by near-identical hand-rolled strings; every
@@ -36,7 +36,10 @@ import (
 // Version 4: execution-plan descriptors joined the disk tier, and file
 // IDs became kind-qualified (a plan and a jit artifact for the same
 // invocation key previously hashed to the same file name).
-const SchemaVersion = 4
+// Version 5: one pack file per top-level run, an index of (kind, key,
+// offset, len, sum) entries ahead of the payloads, replaced one file
+// per artifact.
+const SchemaVersion = 5
 
 // Artifact kinds. Program artifacts live in the memory tier only (they
 // hold Go closures over live engine state); JIT artifacts — plain-data
@@ -52,8 +55,8 @@ const (
 // Key identifies one compiled artifact: which program text, which
 // transform, at which concrete sizes, under which configuration, for
 // which execution tier. Two invocations share an artifact iff their
-// Keys are equal; the schema version joins the key on disk (see ID) so
-// incompatible payloads can never be loaded by accident.
+// Keys are equal; the schema version joins the key on disk (see
+// entryID) so incompatible payloads can never be loaded by accident.
 type Key struct {
 	// Prog fingerprints the whole source program so two engines serving
 	// same-named transforms from different files never collide in a
@@ -92,12 +95,12 @@ func (k Key) String() string {
 	return b.String()
 }
 
-// ID is the filename-safe identity of the key at the current schema
-// version for one artifact kind: "v<schema>-<fnv64 of kind|String>".
-// The kind joins the hash so a plan and a jit artifact for the same
-// invocation never collide on disk.
-func (k Key) ID(kind string) string {
-	return "v" + strconv.Itoa(SchemaVersion) + "-" + strconv.FormatUint(HashString(kind+"|"+k.String()), 16)
+// entryID is the disk tier's index key for one artifact kind and one
+// key rendered by Key.String, at the current schema version:
+// "v<schema>-<fnv64 of kind|key>". The kind joins the hash so a plan
+// and a jit artifact for the same invocation never collide.
+func entryID(kind, key string) string {
+	return "v" + strconv.Itoa(SchemaVersion) + "-" + strconv.FormatUint(HashString(kind+"|"+key), 16)
 }
 
 // SizesKey encodes a bound size vector canonically (sorted by variable

@@ -60,8 +60,8 @@ func TestKeyComponentsPerturb(t *testing.T) {
 			t.Errorf("perturbing %s yields the same key as %s: %s", name, prev, s)
 		}
 		seen[s] = name
-		if k.ID(KindJIT) == base.ID(KindJIT) {
-			t.Errorf("perturbing %s yields the same ID as base: %s", name, k.ID(KindJIT))
+		if entryID(KindJIT, k.String()) == entryID(KindJIT, base.String()) {
+			t.Errorf("perturbing %s yields the same ID as base: %s", name, entryID(KindJIT, k.String()))
 		}
 	}
 }
@@ -74,7 +74,7 @@ func TestKeyKindSeparatesID(t *testing.T) {
 	base := baseKey()
 	ids := map[string]string{}
 	for _, kind := range []string{KindProgram, KindPlan, KindJIT} {
-		id := base.ID(kind)
+		id := entryID(kind, base.String())
 		if prev, dup := ids[id]; dup {
 			t.Errorf("kinds %s and %s share ID %s for one key", kind, prev, id)
 		}
@@ -90,8 +90,8 @@ func TestKeyStringStable(t *testing.T) {
 	if got, want := k.String(), "p=1a2b|RollingSum|n=64|cfg=9f3c|eng=2"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	if !strings.HasPrefix(k.ID(KindJIT), "v4-") {
-		t.Errorf("ID %q does not carry schema version prefix v4-", k.ID(KindJIT))
+	if !strings.HasPrefix(entryID(KindJIT, k.String()), "v5-") {
+		t.Errorf("ID %q does not carry schema version prefix v5-", entryID(KindJIT, k.String()))
 	}
 	// No sizes: the segment disappears rather than leaving "||".
 	k.Sizes = ""

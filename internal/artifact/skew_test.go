@@ -33,56 +33,70 @@ func fixtureV1(t *testing.T) (string, []byte) { return fixture(t, "v1") }
 // became kind-qualified — its filename hashes the key alone).
 func fixtureV3Plan(t *testing.T) (string, []byte) { return fixture(t, "v3") }
 
+// fixtureV4 is the schema-4 jit-kind fixture: the last release that
+// wrote one file per artifact, before packs.
+func fixtureV4(t *testing.T) (string, []byte) { return fixture(t, "v4") }
+
 // TestVersionSkewRejectedOnOpen opens a store over a directory holding
-// an artifact from an older schema version. The store must reject it
-// cleanly — counted under the schema reason, never indexed, never
-// served — while leaving the file in place (a rollback to the older
-// binary may still want it). The caller's recompile path then persists
-// a current-schema artifact beside it without interference.
+// artifacts from older schema versions — one from schema 1 and one
+// single-artifact file from schema 4, the format packs replaced. The
+// store must reject each cleanly — counted under the schema reason,
+// never indexed, never served — while leaving the files in place (a
+// rollback to the older binary may still want them). The caller's
+// recompile path then commits a current-schema pack beside them
+// without interference.
 func TestVersionSkewRejectedOnOpen(t *testing.T) {
-	name, raw := fixtureV1(t)
 	dir := t.TempDir()
-	stale := filepath.Join(dir, name)
-	if err := os.WriteFile(stale, raw, 0o644); err != nil {
-		t.Fatal(err)
+	var stale []string
+	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4} {
+		name, raw := fx(t)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stale = append(stale, path)
+	}
+	keep := func(s *Store, when string) {
+		t.Helper()
+		if s.CorruptCount() != 2 {
+			t.Errorf("%s: corrupt count = %d, want 2", when, s.CorruptCount())
+		}
+		reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
+		if reasons[CorruptSchema] != 2 {
+			t.Errorf("%s: schema reason count = %d, want 2 (reasons %v)", when, reasons[CorruptSchema], reasons)
+		}
+		for _, path := range stale {
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("%s: schema-skewed %s was quarantined; want kept in place: %v", when, filepath.Base(path), err)
+			}
+		}
 	}
 
 	s := openStore(t, dir)
 	if s.Len() != 0 {
-		t.Fatalf("v1 artifact indexed by a v%d store", SchemaVersion)
+		t.Fatalf("stale artifacts indexed by a v%d store", SchemaVersion)
 	}
-	if s.CorruptCount() != 1 {
-		t.Errorf("corrupt count = %d, want 1", s.CorruptCount())
-	}
-	reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
-	if reasons[CorruptSchema] != 1 {
-		t.Errorf("schema reason count = %d, want 1 (reasons %v)", reasons[CorruptSchema], reasons)
-	}
-	if _, err := os.Stat(stale); err != nil {
-		t.Errorf("schema-skewed artifact was quarantined; want kept in place: %v", err)
-	}
+	keep(s, "open")
 
-	// The recompile path: a miss, then a current-schema save, then hits.
+	// The recompile path: a miss, then a current-schema commit, then
+	// hits. The v4 fixture's own key misses too.
 	key := testKey(64)
-	if loadPayload(s, KindJIT, key) != nil {
-		t.Fatal("load hit against a store holding only a v1 artifact")
+	v4Key := Key{Prog: HashString("fixture program"), Transform: "Heat1D", Sizes: "n=33", ConfigFP: 0xcbf29ce484222325, Engine: 2}
+	if loadPayload(s, KindJIT, key) != nil || loadPayload(s, KindJIT, v4Key) != nil {
+		t.Fatal("load hit against a store holding only stale artifacts")
 	}
 	fresh := []byte("recompiled under the current schema")
-	if err := s.Save(KindJIT, key, fresh); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, s, item{KindJIT, key, fresh})
 	if got := loadPayload(s, KindJIT, key); !bytes.Equal(got, fresh) {
 		t.Errorf("recompiled artifact loads %q, want %q", got, fresh)
 	}
-	// Reopen: still exactly one valid entry, the stale file still there,
-	// still counted.
+	// Reopen: still exactly one valid entry, the stale files still
+	// there, still counted.
 	s2 := openStore(t, dir)
 	if s2.Len() != 1 {
 		t.Errorf("reopened store indexes %d artifacts, want 1", s2.Len())
 	}
-	if s2.CorruptCount() != 1 {
-		t.Errorf("reopened corrupt count = %d, want 1", s2.CorruptCount())
-	}
+	keep(s2, "reopen")
 }
 
 // TestVersionSkewPlanKeptAndRebuilt is the plan-kind twin of the jit
@@ -90,8 +104,7 @@ func TestVersionSkewRejectedOnOpen(t *testing.T) {
 // changed shape and IDs became kind-qualified) must be kept in place
 // for rollback, counted under the schema reason, never indexed — and
 // the rebuild path must persist a current-schema plan descriptor
-// beside it for the same logical key without colliding, because the
-// old kind-blind filename and the new kind-qualified one differ.
+// beside it for the same logical key without colliding.
 func TestVersionSkewPlanKeptAndRebuilt(t *testing.T) {
 	name, raw := fixtureV3Plan(t)
 	dir := t.TempDir()
@@ -113,15 +126,13 @@ func TestVersionSkewPlanKeptAndRebuilt(t *testing.T) {
 	}
 
 	// The rebuild path: the interpreter misses, reconstructs the plan,
-	// and persists the fresh descriptor under the current schema.
+	// and commits the fresh descriptor under the current schema.
 	key := testKey(32)
 	if loadPayload(s, KindPlan, key) != nil {
 		t.Fatal("load hit against a store holding only a v3 plan artifact")
 	}
 	fresh := []byte("plan descriptor rebuilt under the current schema")
-	if err := s.Save(KindPlan, key, fresh); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, s, item{KindPlan, key, fresh})
 	if got := loadPayload(s, KindPlan, key); !bytes.Equal(got, fresh) {
 		t.Errorf("rebuilt plan loads %q, want %q", got, fresh)
 	}

@@ -3,11 +3,12 @@ package artifact
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,10 @@ const fileMagic = "pba1"
 // fileExt is the artifact file extension the directory scan recognizes.
 const fileExt = ".pba"
 
+// tmpInfix marks a pack that was never renamed into place: commits
+// write "<pack>.pba.tmp<random>" first.
+const tmpInfix = fileExt + ".tmp"
+
 // maxHeaderLine bounds the header read so a corrupt file can't make the
 // scanner slurp gigabytes looking for a newline.
 const maxHeaderLine = 4096
@@ -28,11 +33,11 @@ const maxHeaderLine = 4096
 // Corruption reasons, the Reason values of CorruptError. They are also
 // the label set of the corrupt counters in Stats and /v1/stats.
 const (
-	CorruptHeader    = "header"    // unparseable or oversized header line
+	CorruptHeader    = "header"    // unparseable or oversized header line or pack index
 	CorruptMagic     = "magic"     // wrong magic string
-	CorruptSchema    = "schema"    // artifact written under another schema version
-	CorruptTruncated = "truncated" // payload shorter than the header declares
-	CorruptChecksum  = "checksum"  // payload bytes fail the FNV-64 checksum
+	CorruptSchema    = "schema"    // file written under another schema version
+	CorruptTruncated = "truncated" // file shorter or longer than its header and index declare
+	CorruptChecksum  = "checksum"  // pack index or entry payload fails its FNV-64 checksum
 	CorruptDecode    = "decode"    // payload decodes to an invalid artifact
 )
 
@@ -53,30 +58,48 @@ func (e *CorruptError) Error() string {
 	return msg
 }
 
-// header is the JSON first line of every artifact file. Len and Sum
-// guard the payload; Schema guards its shape.
+// header is the JSON first line of every artifact file. Magic and
+// Schema identify the format; in a pack (see pack.go) Len and Sum guard
+// the index that follows. Files of schemas 1-4 held one artifact each;
+// their headers parse far enough to be recognised as skewed.
 type header struct {
 	Magic  string `json:"magic"`
 	Schema int    `json:"schema"`
-	Kind   string `json:"kind"`
-	Key    string `json:"key"`
 	Len    int64  `json:"len"`
-	Sum    string `json:"sum"` // FNV-64 of the payload, hex
+	Sum    string `json:"sum"` // FNV-64, hex
+	// lineLen is the header line's length with its newline.
+	lineLen int
 }
 
-// EntryInfo describes one disk-tier artifact for listings.
+// parseHeader parses the header line at the start of buf.
+func parseHeader(buf []byte) (*header, error) {
+	nl := bytes.IndexByte(buf, '\n')
+	if nl < 0 {
+		return nil, fmt.Errorf("no header line")
+	}
+	h := &header{lineLen: nl + 1}
+	if err := json.Unmarshal(buf[:nl], h); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// EntryInfo describes one disk-tier artifact for listings: its payload
+// is Size bytes at Offset in the pack file Pack (a name in the store's
+// directory).
 type EntryInfo struct {
 	ID     string `json:"id"`
 	Kind   string `json:"kind"`
 	Key    string `json:"key"`
-	Schema int    `json:"schema"`
+	Pack   string `json:"pack"`
+	Offset int64  `json:"offset"`
 	Size   int64  `json:"size"`
 	Sum    string `json:"sum"`
 }
 
 type diskEntry struct {
 	info EntryInfo
-	path string
+	pack *packFile
 }
 
 // Options configures a Store.
@@ -85,14 +108,15 @@ type Options struct {
 	// DefaultMemPerKind).
 	MemMax int
 	// Logf receives operational lines (corrupt artifacts quarantined,
-	// save failures). Nil is silent.
+	// save failures, leftover temp files removed). Nil is silent.
 	Logf func(format string, args ...any)
 }
 
 // Store is the tiered artifact store. All methods are safe for
 // concurrent use. A Store with no directory is the memory tiers only —
 // the default every Engine gets — and a Store opened on a directory
-// adds the persistent tier beneath them.
+// adds the persistent tier beneath them. A directory belongs to one
+// Store at a time.
 type Store struct {
 	dir    string
 	memMax int
@@ -100,7 +124,12 @@ type Store struct {
 
 	mu     sync.Mutex
 	caches map[string]*MemCache
-	index  map[string]*diskEntry // artifact ID → entry
+	index  map[string]*diskEntry // artifact ID → newest entry
+
+	// commitMu serialises commits; seq is the last pack sequence
+	// number issued.
+	commitMu sync.Mutex
+	seq      uint64
 
 	corruptMu sync.Mutex
 	corrupt   map[string]int64 // reason → count
@@ -119,15 +148,19 @@ type storeMetrics struct {
 }
 
 // NewMemOnly returns a store with only the in-memory tiers; Load always
-// misses and Save is a no-op.
+// misses and Pending returns nil.
 func NewMemOnly() *Store { return newStore("", Options{}) }
 
 // Open scans dir (created if missing) and returns a store whose disk
-// tier is backed by it. Valid artifacts are indexed without reading
-// their payloads (payload checksums verify at Load time); files with a
-// corrupt header are quarantined and counted, and files written under
-// another schema version are skipped and counted but left in place —
-// a newer binary may still want them.
+// tier is backed by it. Each pack's header and index are verified and
+// its entries indexed without reading their payloads (payload checksums
+// verify at Load time); where two packs hold the same entry the newer
+// serves it, and a pack left with nothing to serve is deleted. Packs
+// with a corrupt header or index are quarantined and counted; files
+// written under another schema version are skipped and counted but left
+// in place — a newer binary may still want them. Temp files of a commit
+// that never reached its rename are removed: the directory belongs to
+// this store, so no other writer can be midway through one.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: Open needs a directory (use NewMemOnly for a memory-only store)")
@@ -136,31 +169,45 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	s := newStore(dir, opts)
-	names, err := filepath.Glob(filepath.Join(dir, "*"+fileExt))
+	files, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: scanning %s: %w", dir, err)
 	}
-	sort.Strings(names)
-	for _, path := range names {
-		h, err := readHeader(path)
-		if err != nil {
-			s.recordCorrupt(path, err, true)
-			continue
+	type scanned struct {
+		pf      *packFile
+		base    int64
+		entries []packEntry
+	}
+	var packs []scanned
+	for _, f := range files {
+		name, path := f.Name(), filepath.Join(dir, f.Name())
+		switch {
+		case !f.Type().IsRegular():
+			// Not a file a store writes.
+		case strings.Contains(name, tmpInfix):
+			s.logf("artifact: removing %s, left by a commit that never finished", path)
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				s.logf("artifact: removing %s: %v", path, err)
+			}
+		case strings.HasSuffix(name, fileExt):
+			pf, entries, base, err := readPack(path)
+			if err != nil {
+				s.recordCorrupt(path, err)
+				continue
+			}
+			packs = append(packs, scanned{pf, base, entries})
 		}
-		if h.Schema != SchemaVersion {
-			s.recordCorrupt(path, &CorruptError{Path: path, Reason: CorruptSchema,
-				Detail: fmt.Sprintf("schema %d, want %d", h.Schema, SchemaVersion)}, false)
-			continue
-		}
-		id := idFromPath(path)
-		fi, statErr := os.Stat(path)
-		size := int64(0)
-		if statErr == nil {
-			size = fi.Size()
-		}
-		s.index[id] = &diskEntry{
-			info: EntryInfo{ID: id, Kind: h.Kind, Key: h.Key, Schema: h.Schema, Size: size, Sum: h.Sum},
-			path: path,
+	}
+	// Oldest first, so a newer copy of an entry replaces an older one
+	// (ties, which no commit writes, in name order).
+	sort.SliceStable(packs, func(i, j int) bool { return packs[i].pf.seq < packs[j].pf.seq })
+	for _, p := range packs {
+		s.install(p.pf, p.base, p.entries)
+		s.seq = max(s.seq, p.pf.seq)
+	}
+	for _, p := range packs {
+		if p.pf.live == 0 {
+			s.removePacks([]*packFile{p.pf})
 		}
 	}
 	return s, nil
@@ -211,46 +258,8 @@ func (s *Store) Mem(kind string) *MemCache {
 	return c
 }
 
-// idFromPath recovers the artifact ID from its filename.
-func idFromPath(path string) string {
-	base := filepath.Base(path)
-	return base[:len(base)-len(fileExt)]
-}
-
-func (s *Store) pathFor(id string) string {
-	return filepath.Join(s.dir, id+fileExt)
-}
-
-// readHeader reads and validates the header line of an artifact file
-// without touching the payload.
-func readHeader(path string) (*header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, &CorruptError{Path: path, Reason: CorruptHeader, Detail: err.Error()}
-	}
-	defer f.Close()
-	buf := make([]byte, maxHeaderLine)
-	n, _ := f.Read(buf)
-	buf = buf[:n]
-	nl := bytes.IndexByte(buf, '\n')
-	if nl < 0 {
-		return nil, &CorruptError{Path: path, Reason: CorruptHeader, Detail: "no header line"}
-	}
-	var h header
-	if err := json.Unmarshal(buf[:nl], &h); err != nil {
-		return nil, &CorruptError{Path: path, Reason: CorruptHeader, Detail: err.Error()}
-	}
-	if h.Magic != fileMagic {
-		return nil, &CorruptError{Path: path, Reason: CorruptMagic, Detail: fmt.Sprintf("magic %q", h.Magic)}
-	}
-	return &h, nil
-}
-
-// recordCorrupt counts (and optionally quarantines) one corrupt file.
-// Schema-skewed files are counted but kept; everything else is garbage
-// that can never load, so it is removed to stop the scan re-reporting
-// it every boot.
-func (s *Store) recordCorrupt(path string, err error, remove bool) {
+// countCorrupt counts and logs one rejection under its typed reason.
+func (s *Store) countCorrupt(path string, err error) {
 	reason := CorruptHeader
 	if ce, ok := err.(*CorruptError); ok {
 		reason = ce.Reason
@@ -260,107 +269,54 @@ func (s *Store) recordCorrupt(path string, err error, remove bool) {
 	s.corrupt[reason]++
 	s.corruptMu.Unlock()
 	s.logf("artifact: rejecting %s: %v", path, err)
-	if remove {
-		if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
-			s.logf("artifact: removing corrupt %s: %v", path, rmErr)
-		}
-	}
 }
 
-// Save writes one artifact payload to the disk tier with the atomic
-// temp-file + rename idiom the configstore uses: a crash mid-save
-// leaves either the old artifact or none, never a torn file. Saving on
-// a memory-only store is a silent no-op (the memory tiers already hold
-// the live object).
-func (s *Store) Save(kind string, key Key, payload []byte) error {
-	if s == nil || s.dir == "" {
-		return nil
+// recordCorrupt counts a file rejected by the scan and quarantines it.
+// Schema-skewed files are counted but kept; everything else is garbage
+// that can never load, so it is removed to stop the scan re-reporting
+// it every boot.
+func (s *Store) recordCorrupt(path string, err error) {
+	s.countCorrupt(path, err)
+	if ce, ok := err.(*CorruptError); ok && ce.Reason == CorruptSchema {
+		return
 	}
-	id := key.ID(kind)
-	h := header{
-		Magic:  fileMagic,
-		Schema: SchemaVersion,
-		Kind:   kind,
-		Key:    key.String(),
-		Len:    int64(len(payload)),
-		Sum:    strconv.FormatUint(HashBytes(payload), 16),
+	if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
+		s.logf("artifact: removing corrupt %s: %v", path, rmErr)
 	}
-	hb, err := json.Marshal(&h)
-	if err != nil {
-		s.saveErrors.Add(1)
-		return fmt.Errorf("artifact: encoding header: %w", err)
-	}
-	data := make([]byte, 0, len(hb)+1+len(payload))
-	data = append(data, hb...)
-	data = append(data, '\n')
-	data = append(data, payload...)
-	path := s.pathFor(id)
-	if err := atomicWrite(s.dir, path, data); err != nil {
-		s.saveErrors.Add(1)
-		s.logf("artifact: saving %s: %v", id, err)
-		return err
-	}
-	s.saves.Add(1)
-	s.mu.Lock()
-	s.index[id] = &diskEntry{
-		info: EntryInfo{ID: id, Kind: kind, Key: h.Key, Schema: SchemaVersion, Size: int64(len(data)), Sum: h.Sum},
-		path: path,
-	}
-	s.mu.Unlock()
-	return nil
-}
-
-// atomicWrite writes data to path via a temp file in dir and a rename.
-func atomicWrite(dir, path string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }
 
 // Load fetches one artifact from the disk tier and hands the verified
-// payload to decode. It returns true only when the payload passed every
-// integrity check (schema, length, checksum) AND decode accepted it; on
-// any failure the file is quarantined with a typed reason and Load
-// reports a miss, so the caller recompiles. The memory tiers are the
-// caller's (richer, already-decoded) responsibility via Mem.
+// payload to decode. It returns true only when the payload passed its
+// checksum AND decode accepted it; on any failure the entry is dropped
+// with a typed reason (its pack is deleted once it has nothing left to
+// serve) and Load reports a miss, so the caller recompiles. The memory
+// tiers are the caller's (richer, already-decoded) responsibility via
+// Mem.
 func (s *Store) Load(kind string, key Key, decode func(payload []byte) error) bool {
 	if s == nil || s.dir == "" {
 		return false
 	}
 	start := time.Now()
-	id := key.ID(kind)
+	ks := key.String()
+	id := entryID(kind, ks)
 	s.mu.Lock()
-	de, ok := s.index[id]
+	de := s.index[id]
 	s.mu.Unlock()
-	if !ok {
+	if de == nil || de.info.Kind != kind || de.info.Key != ks {
 		s.diskMisses.Add(1)
 		return false
 	}
-	payload, err := s.readVerified(de, kind, key)
+	payload, err := readEntry(de)
 	if err == nil {
 		if derr := decode(payload); derr != nil {
-			err = &CorruptError{Path: de.path, Reason: CorruptDecode, Detail: derr.Error()}
+			err = &CorruptError{Path: de.pack.path, Reason: CorruptDecode, Detail: derr.Error()}
 		}
 	}
 	if err != nil {
-		s.dropEntry(id)
-		s.recordCorrupt(de.path, err, true)
+		if !errors.Is(err, os.ErrNotExist) {
+			s.countCorrupt(de.pack.path, err)
+		}
+		s.drop(de)
 		s.diskMisses.Add(1)
 		return false
 	}
@@ -371,48 +327,19 @@ func (s *Store) Load(kind string, key Key, decode func(payload []byte) error) bo
 	return true
 }
 
-// readVerified reads one indexed artifact and verifies header identity,
-// declared length, and payload checksum.
-func (s *Store) readVerified(de *diskEntry, kind string, key Key) ([]byte, error) {
-	data, err := os.ReadFile(de.path)
-	if err != nil {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptTruncated, Detail: err.Error()}
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 || nl > maxHeaderLine {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptHeader, Detail: "no header line"}
-	}
-	var h header
-	if err := json.Unmarshal(data[:nl], &h); err != nil {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptHeader, Detail: err.Error()}
-	}
-	if h.Magic != fileMagic {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptMagic, Detail: fmt.Sprintf("magic %q", h.Magic)}
-	}
-	if h.Schema != SchemaVersion {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptSchema,
-			Detail: fmt.Sprintf("schema %d, want %d", h.Schema, SchemaVersion)}
-	}
-	if h.Kind != kind || h.Key != key.String() {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptHeader,
-			Detail: fmt.Sprintf("artifact is (%s, %s), want (%s, %s)", h.Kind, h.Key, kind, key.String())}
-	}
-	payload := data[nl+1:]
-	if int64(len(payload)) != h.Len {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptTruncated,
-			Detail: fmt.Sprintf("payload %d bytes, header declares %d", len(payload), h.Len)}
-	}
-	if sum := strconv.FormatUint(HashBytes(payload), 16); sum != h.Sum {
-		return nil, &CorruptError{Path: de.path, Reason: CorruptChecksum,
-			Detail: fmt.Sprintf("payload sum %s, header declares %s", sum, h.Sum)}
-	}
-	return payload, nil
-}
-
-func (s *Store) dropEntry(id string) {
+// drop removes de from the index unless a newer copy already replaced
+// it, and deletes its pack once that serves nothing else.
+func (s *Store) drop(de *diskEntry) {
+	var dead []*packFile
 	s.mu.Lock()
-	delete(s.index, id)
+	if s.index[de.info.ID] == de {
+		delete(s.index, de.info.ID)
+		if de.pack.live--; de.pack.live == 0 {
+			dead = append(dead, de.pack)
+		}
+	}
 	s.mu.Unlock()
+	s.removePacks(dead)
 }
 
 // List returns the disk-tier entries sorted by ID.
@@ -428,22 +355,6 @@ func (s *Store) List() []EntryInfo {
 	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// ReadRaw returns the full file bytes of one artifact (header +
-// payload), for tests and tools that inspect or tamper with the disk
-// tier.
-func (s *Store) ReadRaw(id string) ([]byte, error) {
-	if s == nil {
-		return nil, fmt.Errorf("artifact: no store")
-	}
-	s.mu.Lock()
-	de, ok := s.index[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("artifact: unknown artifact %q", id)
-	}
-	return os.ReadFile(de.path)
 }
 
 // CorruptCount returns the total number of corrupt-artifact rejections.
@@ -476,9 +387,13 @@ func (s *Store) Stats() map[string]any {
 	}
 	s.mu.Lock()
 	entries := len(s.index)
+	packs := map[*packFile]bool{}
 	var bytesOnDisk int64
 	for _, de := range s.index {
-		bytesOnDisk += de.info.Size
+		if !packs[de.pack] {
+			packs[de.pack] = true
+			bytesOnDisk += de.pack.size
+		}
 	}
 	mem := map[string]any{}
 	for kind, c := range s.caches {
@@ -504,6 +419,7 @@ func (s *Store) Stats() map[string]any {
 		"mem":        mem,
 		"disk": map[string]any{
 			"entries":     entries,
+			"packs":       len(packs),
 			"bytes":       bytesOnDisk,
 			"hits":        s.diskHits.Load(),
 			"misses":      s.diskMisses.Load(),
@@ -546,8 +462,8 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		s.diskHits.Load, obs.L("tier", "disk"))
 	reg.CounterFunc("pb_artifact_misses_total", "Artifact cache misses by tier.",
 		s.diskMisses.Load, obs.L("tier", "disk"))
-	reg.CounterFunc("pb_artifact_saves_total", "Artifacts persisted to the disk tier.", s.saves.Load)
-	reg.CounterFunc("pb_artifact_save_errors_total", "Failed artifact saves.", s.saveErrors.Load)
+	reg.CounterFunc("pb_artifact_saves_total", "Packs committed to the disk tier (one per top-level run that created artifacts).", s.saves.Load)
+	reg.CounterFunc("pb_artifact_save_errors_total", "Failed pack commits.", s.saveErrors.Load)
 	reg.CounterFunc("pb_artifact_corrupt_total", "Artifacts rejected as corrupt or schema-skewed.", s.corruptTotal.Load)
 	s.metrics.Store(&storeMetrics{
 		loadHist: reg.Histogram("pb_artifact_load_seconds", "Disk-tier artifact load latency (verified hits).",

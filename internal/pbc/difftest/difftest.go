@@ -375,10 +375,11 @@ func (h *Harness) checkWarmCold(c *gen.Case, inputs map[string]*matrix.Matrix) (
 // tier, rehydrating descriptors instead of constructing). The warm run
 // must be bit-identical to the cold one, and when the cold run
 // persisted plan descriptors the warm run must actually have
-// rehydrated at least one. Persisted plan files are then corrupted —
-// one truncation, one bit flip — and each corrupted store must yield a
-// typed rejection plus a rebuild that still matches the cold outputs:
-// a wrong schedule is the one outcome that is never acceptable. (The
+// rehydrated at least one. Persisted plan entries are then corrupted
+// inside their packs — one truncation, one bit flip — and each
+// corrupted store must yield a typed rejection plus a rebuild that
+// still matches the cold outputs: a wrong schedule is the one outcome
+// that is never acceptable. (The
 // exhaustive truncation/bit-flip sweep lives in the interp package's
 // corruption property test; this axis keeps every fuzzed case honest
 // at bounded cost.)
@@ -453,18 +454,21 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 
 	// Corruption property: a damaged descriptor must never become a
 	// wrong schedule — only a typed rejection followed by a rebuild
-	// that reproduces the cold outputs exactly.
-	corrupt := func(label string, mutate func([]byte) []byte) error {
-		for _, e := range coldStore.List() {
+	// that reproduces the cold outputs exactly. Each variant damages
+	// the plan entries inside the packs the previous run left indexed
+	// (a rebuild commits a new pack).
+	latest := coldStore
+	corrupt := func(label string, mutate func(raw []byte, e artifact.EntryInfo) []byte) error {
+		for _, e := range latest.List() {
 			if e.Kind != artifact.KindPlan {
 				continue
 			}
-			path := filepath.Join(dir, e.ID+".pba")
+			path := filepath.Join(dir, e.Pack)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				continue // already quarantined by an earlier variant
 			}
-			if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
+			if err := os.WriteFile(path, mutate(raw, e), 0o644); err != nil {
 				return err
 			}
 		}
@@ -472,6 +476,7 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 		if store == nil {
 			return err
 		}
+		latest = store
 		runs++
 		switch {
 		case err != nil:
@@ -501,14 +506,17 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 		}
 		return nil
 	}
-	if err := corrupt("truncated", func(raw []byte) []byte {
-		return raw[:len(raw)/2]
+	if err := corrupt("truncated", func(raw []byte, e artifact.EntryInfo) []byte {
+		return raw[:min(int64(len(raw)), e.Offset+e.Size/2)]
 	}); err != nil {
 		return divs, runs, err
 	}
-	if err := corrupt("bit-flipped", func(raw []byte) []byte {
+	if err := corrupt("bit-flipped", func(raw []byte, e artifact.EntryInfo) []byte {
+		if e.Size == 0 || e.Offset+e.Size > int64(len(raw)) {
+			return raw
+		}
 		mut := append([]byte(nil), raw...)
-		mut[len(mut)-1] ^= 0x10
+		mut[e.Offset+e.Size-1] ^= 0x10
 		return mut
 	}); err != nil {
 		return divs, runs, err

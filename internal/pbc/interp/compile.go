@@ -143,7 +143,7 @@ type compiledTransform struct {
 	rules []atomic.Pointer[compiledRule]
 	// warmLoaded marks the one disk-tier load attempt; jprogs then holds
 	// every live jit program — warm-loaded or freshly lowered — and is
-	// what persists back on each fresh lowering.
+	// what a run that lowered a rule commits back (see persist).
 	warmLoaded bool
 	jprogs     map[int]*jit.Program
 }
@@ -191,10 +191,10 @@ var astRule = new(compiledRule)
 // result means the rule is outside both compilable fragments and must
 // run through the AST interpreter. Once compiled, a lookup is one atomic
 // load.
-func (ct *compiledTransform) rule(ri *analysis.RuleInfo) *compiledRule {
+func (ct *compiledTransform) rule(ri *analysis.RuleInfo, pend *artifact.Pending) *compiledRule {
 	cr := ct.rules[ri.Rule.Index].Load()
 	if cr == nil {
-		cr = ct.compile(ri)
+		cr = ct.compile(ri, pend)
 	}
 	if cr == astRule {
 		return nil
@@ -204,10 +204,10 @@ func (ct *compiledTransform) rule(ri *analysis.RuleInfo) *compiledRule {
 
 // compile fills ri's entry of ct.rules. Under the jit tier a persisted
 // bytecode program is used when the disk tier has one for this
-// invocation key; otherwise the lowering runs and its result is
-// persisted. Lowering failures fall back to closures with a typed
-// reason, and closure failures to astRule.
-func (ct *compiledTransform) compile(ri *analysis.RuleInfo) *compiledRule {
+// invocation key; otherwise the lowering runs and its result joins the
+// run's pending pack. Lowering failures fall back to closures with a
+// typed reason, and closure failures to astRule.
+func (ct *compiledTransform) compile(ri *analysis.RuleInfo, pend *artifact.Pending) *compiledRule {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	slot := &ct.rules[ri.Rule.Index]
@@ -246,7 +246,7 @@ func (ct *compiledTransform) compile(ri *analysis.RuleInfo) *compiledRule {
 					}
 				}
 			}
-			ct.persist(ri.Rule.Index, prog)
+			ct.persist(ri.Rule.Index, prog, pend)
 		} else {
 			recordTierFallback(ct.res.Transform.Name, ri.Rule.Name(), "jit", jerr)
 			if m != nil {
@@ -326,23 +326,26 @@ func (ct *compiledTransform) warmProgram(idx int) *jit.Program {
 	return ct.jprogs[idx]
 }
 
-// persist saves the holder's accumulated jit program set to the disk
-// tier (no-op on a memory-only store). Rules lower lazily, so each save
-// replaces the artifact with the grown set; a warm start then restores
-// exactly the rules this invocation shape exercises.
-func (ct *compiledTransform) persist(idx int, prog *jit.Program) {
+// persist adds a fresh lowering to the holder's jit program set and
+// marks the set dirty on the run's pending pack (a no-op without one).
+// Rules lower lazily, so each commit replaces the artifact with the
+// grown set, encoded once per commit by encodeJIT; a warm start then
+// restores exactly the rules this invocation shape exercises.
+func (ct *compiledTransform) persist(idx int, prog *jit.Program, pend *artifact.Pending) {
 	if ct.jprogs == nil {
 		ct.jprogs = map[int]*jit.Program{}
 	}
 	ct.jprogs[idx] = prog
-	if !ct.arts.Persistent() {
-		return
+	if pend != nil {
+		pend.Add(artifact.KindJIT, ct.akey, ct.encodeJIT)
 	}
-	payload, err := jit.EncodePrograms(ct.jprogs)
-	if err != nil {
-		return
-	}
-	_ = ct.arts.Save(artifact.KindJIT, ct.akey, payload)
+}
+
+// encodeJIT encodes the holder's jit program set for the disk tier.
+func (ct *compiledTransform) encodeJIT() ([]byte, error) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	return jit.EncodePrograms(ct.jprogs)
 }
 
 // compiledRule returns the compiled form of a rule for this invocation,
@@ -351,7 +354,7 @@ func (ex *exec) compiledRule(ri *analysis.RuleInfo) *compiledRule {
 	if ex.comp == nil {
 		return nil
 	}
-	return ex.comp.rule(ri)
+	return ex.comp.rule(ri, ex.pend)
 }
 
 // --- Compiled representation ---------------------------------------------

@@ -157,7 +157,15 @@ func (e *Engine) Run(name string, inputs map[string]*matrix.Matrix) (map[string]
 	if !ok {
 		return nil, fmt.Errorf("interp: unknown transform %q", name)
 	}
-	ex, err := e.run(ti, ti.positional(inputs), nil, nil, nil)
+	ex, err := e.newExec(ti, ti.positional(inputs), nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The artifacts this run and every call beneath it created go to
+	// disk as one pack, on success and on error alike, before Run
+	// returns.
+	err = ex.runSchedule()
+	_ = ex.pend.Commit() // a failed commit is counted and logged by the store; the artifacts stay in memory
 	if err != nil {
 		return nil, err
 	}
@@ -169,12 +177,11 @@ func (e *Engine) Run(name string, inputs map[string]*matrix.Matrix) (map[string]
 	return out, nil
 }
 
-// run executes one invocation of ti on positional inputs (From order)
-// and returns it with its outputs computed; the caller takes them and
-// releases it. parent is the calling invocation of a nested transform
-// call, nil at top level; dest, when non-nil, is the caller's region the
-// output is about to be assigned to (see newExec); w is the scheduler
-// thread the caller runs on.
+// run executes one nested invocation of ti on positional inputs (From
+// order) and returns it with its outputs computed; the caller takes
+// them and releases it. parent is the calling invocation; dest, when
+// non-nil, is the caller's region the output is about to be assigned
+// to (see newExec); w is the scheduler thread the caller runs on.
 func (e *Engine) run(ti *transformInfo, ins []*matrix.Matrix, parent *exec, dest *matrix.Matrix, w *runtime.Worker) (*exec, error) {
 	ex, err := e.newExec(ti, ins, parent, dest, w)
 	if err != nil {
@@ -207,9 +214,9 @@ func (e *Engine) newExec(ti *transformInfo, ins []*matrix.Matrix, parent *exec, 
 	ex.engine, ex.ti, ex.res, ex.worker = e, ti, ti.res, w
 	if parent != nil {
 		// Same engine view, and a config cannot change inside one Run.
-		ex.depth, ex.cfgFP, ex.mode = parent.depth+1, parent.cfgFP, parent.mode
+		ex.depth, ex.cfgFP, ex.mode, ex.pend = parent.depth+1, parent.cfgFP, parent.mode, parent.pend
 	} else {
-		ex.cfgFP, ex.mode = artifact.ConfigFingerprint(e.Cfg), e.engineMode()
+		ex.cfgFP, ex.mode, ex.pend = artifact.ConfigFingerprint(e.Cfg), e.engineMode(), e.arts.Pending()
 	}
 	if ex.depth > MaxDepth {
 		return nil, fmt.Errorf("interp: recursion limit exceeded in %s; the configuration has no base-case level", ti.res.Transform.Name)
@@ -308,6 +315,10 @@ type exec struct {
 	// by every call beneath it.
 	cfgFP uint64
 	mode  int
+	// pend collects the artifacts the top-level run and every call
+	// beneath it create, for Run to commit as one pack when it ends;
+	// nil on a memory-only store.
+	pend *artifact.Pending
 	// sizeVals binds ti.sizeVars; mats holds the invocation's matrices
 	// in ti.decls order. Both live in the inline buffers for the usual
 	// small counts.

@@ -100,9 +100,10 @@ func (ex *exec) planFor() *plan {
 
 // loadOrBuildPlan fills one plan-cache miss: rehydrate a persisted
 // descriptor when the disk tier has one for this invocation key (the
-// jit warm-start pattern), otherwise construct the plan and persist its
-// descriptor back. Load and Save are silent no-ops on memory-only
-// stores, so non-serving callers pay nothing new.
+// jit warm-start pattern), otherwise construct the plan and record it
+// on the run's pending pack, which describes, encodes and writes it
+// when the top-level run ends. On a memory-only store there is no
+// pending pack and the plan stays in memory.
 func (ex *exec) loadOrBuildPlan() *plan {
 	e := ex.engine
 	m := im.Load()
@@ -138,13 +139,15 @@ func (ex *exec) loadOrBuildPlan() *plan {
 	if m != nil {
 		m.planBuild.Inc()
 	}
-	if !e.arts.Persistent() {
-		return p
-	}
-	if d, ok := describePlan(ex.res, p); ok {
-		if payload, err := EncodePlan(d); err == nil {
-			_ = e.arts.Save(artifact.KindPlan, ex.artifactKey(), payload)
-		}
+	if ex.pend != nil {
+		res := ex.res
+		ex.pend.Add(artifact.KindPlan, ex.artifactKey(), func() ([]byte, error) {
+			d, ok := describePlan(res, p)
+			if !ok {
+				return nil, nil
+			}
+			return EncodePlan(d)
+		})
 	}
 	return p
 }

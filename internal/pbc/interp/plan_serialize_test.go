@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,7 +16,7 @@ import (
 )
 
 // planPayloads returns every persisted plan descriptor payload in the
-// store, stripped of its artifact header.
+// store, read from its pack file at the listed offset.
 func planPayloads(t *testing.T, store *artifact.Store) [][]byte {
 	t.Helper()
 	var out [][]byte
@@ -25,15 +24,11 @@ func planPayloads(t *testing.T, store *artifact.Store) [][]byte {
 		if e.Kind != artifact.KindPlan {
 			continue
 		}
-		raw, err := store.ReadRaw(e.ID)
+		raw, err := os.ReadFile(filepath.Join(store.Dir(), e.Pack))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			t.Fatalf("plan artifact %s has no header line", e.ID)
-		}
-		out = append(out, raw[nl+1:])
+		out = append(out, raw[e.Offset:e.Offset+e.Size])
 	}
 	return out
 }
@@ -321,11 +316,12 @@ func TestPlanDescriptorValidateRejects(t *testing.T) {
 }
 
 // TestPlanCorruptionSweep is the property harness of the warm-plan
-// axis at full strength: persisted plan descriptor files are damaged
-// by a truncation sweep and a bit-flip sweep, and every variant must
-// produce a typed rejection plus a rebuild whose outputs are
-// bit-identical to the cold run. A wrong schedule — silently serving
-// the damaged descriptor — is the one outcome that must never happen.
+// axis at full strength: the persisted plan descriptors inside their
+// packs are damaged by a truncation sweep and a bit-flip sweep, and
+// every variant must produce a typed rejection plus a rebuild whose
+// outputs are bit-identical to the cold run. A wrong schedule —
+// silently serving the damaged descriptor — is the one outcome that
+// must never happen.
 func TestPlanCorruptionSweep(t *testing.T) {
 	pool := runtime.NewPool(2)
 	defer pool.Close()
@@ -335,13 +331,14 @@ func TestPlanCorruptionSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runPlanned(t, parser.SummedAreaSrc, "SummedArea", 32, pool, store, choice.NewConfig())
-	var planFiles []string
+	// The plan entries, by the pack holding them.
+	plans := map[string][]artifact.EntryInfo{}
 	for _, e := range store.List() {
 		if e.Kind == artifact.KindPlan {
-			planFiles = append(planFiles, e.ID+".pba")
+			plans[e.Pack] = append(plans[e.Pack], e)
 		}
 	}
-	if len(planFiles) == 0 {
+	if len(plans) == 0 {
 		t.Fatal("no plan descriptors persisted")
 	}
 
@@ -366,16 +363,18 @@ func TestPlanCorruptionSweep(t *testing.T) {
 		return dst
 	}
 
-	checkVariant := func(t *testing.T, mutate func([]byte) []byte) {
+	// checkVariant damages every pack holding plan entries with mutate,
+	// which sees the pack's bytes and its plan entries.
+	checkVariant := func(t *testing.T, mutate func(raw []byte, plans []artifact.EntryInfo) []byte) {
 		t.Helper()
 		dir := copyDir(t)
-		for _, name := range planFiles {
+		for name, es := range plans {
 			path := filepath.Join(dir, name)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
+			if err := os.WriteFile(path, mutate(raw, es), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -400,28 +399,27 @@ func TestPlanCorruptionSweep(t *testing.T) {
 		}
 	}
 
-	ref, err := os.ReadFile(filepath.Join(srcDir, planFiles[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Truncations cut the pack inside its first plan entry.
 	for _, frac := range []float64{0, 0.25, 0.5, 0.75} {
-		cut := int(float64(len(ref)) * frac)
-		t.Run(fmt.Sprintf("truncate_%d", cut), func(t *testing.T) {
-			checkVariant(t, func(raw []byte) []byte {
-				n := int(float64(len(raw)) * frac)
-				return raw[:n]
+		t.Run(fmt.Sprintf("truncate_%g", frac), func(t *testing.T) {
+			checkVariant(t, func(raw []byte, es []artifact.EntryInfo) []byte {
+				return raw[:es[0].Offset+int64(float64(es[0].Size)*frac)]
 			})
 		})
 	}
 	t.Run("truncate_last_byte", func(t *testing.T) {
-		checkVariant(t, func(raw []byte) []byte { return raw[:len(raw)-1] })
+		checkVariant(t, func(raw []byte, es []artifact.EntryInfo) []byte {
+			return raw[:es[0].Offset+es[0].Size-1]
+		})
 	})
+	// Bit flips land inside every plan entry.
 	for _, pos := range []float64{0.02, 0.3, 0.6, 0.98} {
 		t.Run(fmt.Sprintf("bitflip_%g", pos), func(t *testing.T) {
-			checkVariant(t, func(raw []byte) []byte {
+			checkVariant(t, func(raw []byte, es []artifact.EntryInfo) []byte {
 				mut := append([]byte(nil), raw...)
-				i := int(float64(len(mut)-1) * pos)
-				mut[i] ^= 1 << 3
+				for _, e := range es {
+					mut[e.Offset+int64(float64(e.Size-1)*pos)] ^= 1 << 3
+				}
 				return mut
 			})
 		})

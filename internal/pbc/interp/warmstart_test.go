@@ -119,14 +119,15 @@ func TestWarmStartRejectsTamperedArtifact(t *testing.T) {
 	e1.UseArtifacts(store1)
 	want := runHeat1D(t, e1, n)
 
-	// Flip one payload byte of every artifact file on disk.
+	// Flip the last payload byte of every artifact inside its pack.
 	for _, info := range store1.List() {
-		raw, err := store1.ReadRaw(info.ID)
+		path := filepath.Join(dir, info.Pack)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw[len(raw)-1] ^= 0x40
-		if err := os.WriteFile(filepath.Join(dir, info.ID+".pba"), raw, 0o644); err != nil {
+		raw[info.Offset+info.Size-1] ^= 0x40
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,12 +4,12 @@
 # Boots pbserve against an empty store directory, runs a jit-lowerable
 # DSL program (populating the artifact store), kills the node with
 # SIGTERM, restarts it against the same directories, and asserts:
-#   1. the first boot persisted compiled artifacts to disk and
-#      constructed at least one execution plan,
+#   1. the first boot's one request committed exactly one artifact
+#      pack to disk and constructed at least one execution plan,
 #   2. the second boot served the same request entirely from the disk
 #      tier (disk hits, zero disk misses, zero fresh jit compiles, and
 #      zero plan constructions — every plan rehydrated from its
-#      persisted descriptor),
+#      persisted descriptor) and saved nothing,
 #   3. both boots shut down cleanly on SIGTERM.
 #
 # Exits non-zero on any failure. Run from the repository root.
@@ -63,15 +63,16 @@ st = json.load(open(sys.argv[1]))
 saves = st["artifacts"]["disk"]["saves"]
 plan = st["artifacts"]["plan"]
 fails = []
-if saves < 1:
-    fails.append("cold run persisted nothing")
+if saves != 1:
+    fails.append("cold run's one request committed %d packs, want exactly 1" % saves)
 if plan["builds"] < 1:
     fails.append("cold run constructed no execution plans: %r" % plan)
 if fails:
     for f in fails:
         print("FAIL:", f, file=sys.stderr)
     sys.exit(1)
-print("cold boot: persisted %d artifacts, built %d plans" % (saves, plan["builds"]))
+print("cold boot: committed %d pack of %d artifacts, built %d plans"
+      % (saves, st["artifacts"]["disk"]["entries"], plan["builds"]))
 EOF
 stop_node cold
 
@@ -103,12 +104,14 @@ if plan["warm_loads"] < 1:
     fails.append("no plans warm-loaded on the warm boot: %r" % plan)
 if plan["builds"] != 0:
     fails.append("warm boot constructed %d plans from scratch" % plan["builds"])
+if disk["saves"] != 0:
+    fails.append("warm boot saved %d packs" % disk["saves"])
 if fails:
     for f in fails:
         print("FAIL:", f, file=sys.stderr)
     sys.exit(1)
 print("warm boot: %d disk hits, 0 misses, %d rules loaded warm, 0 compiled, "
-      "%d plans rehydrated, 0 built" % (disk["hits"], compiled["jit-warm"], plan["warm_loads"]))
+      "%d plans rehydrated, 0 built, 0 saved" % (disk["hits"], compiled["jit-warm"], plan["warm_loads"]))
 EOF
 stop_node warm
 
