@@ -1,4 +1,4 @@
-package jit
+package jit_test
 
 import (
 	"errors"
@@ -10,19 +10,32 @@ import (
 	"testing"
 
 	"petabricks/internal/pbc/analysis"
+	"petabricks/internal/pbc/ast"
 	"petabricks/internal/pbc/codegen"
+	"petabricks/internal/pbc/gen"
+	"petabricks/internal/pbc/jit"
 	"petabricks/internal/pbc/parser"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/fallback_golden.txt from the current lowerer")
 
-// TestFallbackGolden pins the bytecode tier's coverage of the example
-// corpus: every rule of every corpus transform is run through Compile
-// and the outcome — lowered, or the typed construct it fell back on —
-// is compared line by line against a committed golden file. Widening
-// the lowerable fragment (a rule flips to "lowered") or accidentally
-// narrowing it (a new fallback construct appears) both fail this test
-// until the golden is regenerated with -update and the diff reviewed.
+// goldenGenCases is how many gen.Next programs of seed 1 the golden
+// covers, as in the analysis goldens.
+const goldenGenCases = 200
+
+// goldenGenN binds every size variable of a generated or benchmark
+// program.
+const goldenGenN = 16
+
+// TestFallbackGolden pins what the bytecode tier makes of the example
+// corpus, benchmark/programs/pointwise.pbcc and the first goldenGenCases
+// programs of gen seed 1: every rule of every transform is run through
+// Compile, and the outcome — the lowered program's full disassembly, or
+// the typed construct it fell back on — is compared line by line
+// against a committed golden file. Widening the lowerable fragment (a
+// rule flips to "lowered"), narrowing it, or changing what a rule
+// lowers to all fail this test until the golden is regenerated with
+// -update and the diff reviewed.
 func TestFallbackGolden(t *testing.T) {
 	corpus := []struct {
 		src   string
@@ -49,22 +62,97 @@ func TestFallbackGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("analyze %s: %v", tr.Name, err)
 			}
-			for _, ri := range res.Rules {
-				if _, cerr := Compile(res, ri, c.sizes); cerr == nil {
-					fmt.Fprintf(&b, "%s/%s: lowered\n", tr.Name, ri.Rule.Name())
-				} else {
-					construct := cerr.Error()
-					var u *codegen.Unsupported
-					if errors.As(cerr, &u) {
-						construct = u.Construct
-					}
-					fmt.Fprintf(&b, "%s/%s: fallback %s\n", tr.Name, ri.Rule.Name(), construct)
-				}
-			}
+			dumpRules(&b, res, c.sizes)
 		}
 	}
-	got := b.String()
+	pointwise, err := os.ReadFile(filepath.Join("..", "..", "..", "benchmark", "programs", "pointwise.pbcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString("#### benchmark/programs/pointwise.pbcc\n")
+	dumpProgram(&b, string(pointwise), "", nil)
+	g := gen.New(1)
+	for i := 0; i < goldenGenCases; i++ {
+		c, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "#### %s\n", c.Name)
+		if c.WantErr {
+			b.WriteString("invalid program\n")
+			continue
+		}
+		dumpProgram(&b, c.Src, c.Main, c.TArgs)
+	}
+	checkGolden(t, b.String())
+}
 
+// dumpRules records each rule of res lowered at sizes: its disassembly,
+// or the construct it fell back on.
+func dumpRules(b *strings.Builder, res *analysis.Result, sizes map[string]int64) {
+	for _, ri := range res.Rules {
+		p, cerr := jit.Compile(res, ri, sizes)
+		if cerr == nil {
+			fmt.Fprintf(b, "%s/%s: lowered\n", res.Transform.Name, ri.Rule.Name())
+			for _, line := range strings.SplitAfter(p.Disassemble(), "\n") {
+				if line != "" {
+					b.WriteString("    " + line)
+				}
+			}
+			continue
+		}
+		construct := cerr.Error()
+		var u *codegen.Unsupported
+		if errors.As(cerr, &u) {
+			construct = u.Construct
+		}
+		fmt.Fprintf(b, "%s/%s: fallback %s\n", res.Transform.Name, ri.Rule.Name(), construct)
+	}
+}
+
+// dumpProgram lowers every non-template transform of src, plus the
+// instance main<targs> when given, binding every size variable to
+// goldenGenN.
+func dumpProgram(b *strings.Builder, src, main string, targs []int64) {
+	prog, err := parser.Parse(src)
+	if err != nil {
+		fmt.Fprintf(b, "parse error: %v\n", err)
+		return
+	}
+	dump := func(t *ast.Transform) {
+		res, err := analysis.Analyze(prog, t)
+		if err != nil {
+			fmt.Fprintf(b, "%s: analysis error: %v\n", t.Name, err)
+			return
+		}
+		sizes := map[string]int64{}
+		for _, v := range res.SizeVars {
+			sizes[v] = goldenGenN
+		}
+		dumpRules(b, res, sizes)
+	}
+	for _, t := range prog.Transforms {
+		if len(t.Templates) == 0 {
+			dump(t)
+		}
+	}
+	if len(targs) > 0 {
+		t, ok := prog.Find(main)
+		if !ok {
+			fmt.Fprintf(b, "%s: not found\n", main)
+			return
+		}
+		inst, err := ast.Instantiate(t, targs)
+		if err != nil {
+			fmt.Fprintf(b, "%s: instantiate error: %v\n", main, err)
+			return
+		}
+		dump(inst)
+	}
+}
+
+func checkGolden(t *testing.T, got string) {
+	t.Helper()
 	golden := filepath.Join("testdata", "fallback_golden.txt")
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
@@ -85,7 +173,8 @@ func TestFallbackGolden(t *testing.T) {
 	}
 	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
 	wantLines := strings.Split(strings.TrimRight(want, "\n"), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+	bad := 0
+	for i := 0; (i < len(gotLines) || i < len(wantLines)) && bad < 20; i++ {
 		var g, w string
 		if i < len(gotLines) {
 			g = gotLines[i]
@@ -95,7 +184,8 @@ func TestFallbackGolden(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("line %d:\n  got  %q\n  want %q", i+1, g, w)
+			bad++
 		}
 	}
-	t.Error("jit fallback coverage changed; review and regenerate with: go test ./internal/pbc/jit -run TestFallbackGolden -update")
+	t.Error("jit lowering changed; review and regenerate with: go test ./internal/pbc/jit -run TestFallbackGolden -update")
 }

@@ -238,10 +238,16 @@ func TestMalformedProgramPanics(t *testing.T) {
 }
 
 func TestDisassemble(t *testing.T) {
-	p := &Program{Code: []Instr{{OpAdd, 0, 1, 2}, {Op: OpHalt}}}
+	p := &Program{
+		Code:    []Instr{{OpAdd, 0, 1, 2}, {Op: OpHalt}},
+		RegInit: []float64{0, 1.5, 2},
+		Refs:    []Ref{{Matrix: "A", Binding: "a", ND: 1, Base: []int64{0}, Kind: RefView, HiBase: []int64{3}, Collapse: true}},
+	}
 	d := p.Disassemble()
-	if !strings.Contains(d, "add") || !strings.Contains(d, "halt") {
-		t.Fatalf("unexpected disassembly:\n%s", d)
+	for _, want := range []string{"add", "halt", "reginit [0 1.5 2]", "ref 0 view A.a nd=1 base=[0] coeff=[] hibase=[3] hicoeff=[] collapse"} {
+		if !strings.Contains(d, want) {
+			t.Fatalf("disassembly lacks %q:\n%s", want, d)
+		}
 	}
 	if Op(200).String() != "op(200)" {
 		t.Fatalf("unknown op rendering: %s", Op(200))
