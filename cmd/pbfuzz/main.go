@@ -1,9 +1,10 @@
 // Command pbfuzz is the generative differential fuzzer for the whole
 // compile/execute pipeline: it generates random well-formed PetaBricks
 // programs (internal/pbc/gen) and runs each one through the oracle
-// matrix (internal/pbc/difftest) — all three execution tiers (AST
-// interpreter, compiled closures, flat-bytecode jit),
-// sequential vs work-stealing pool, several configurations including
+// matrix (internal/pbc/difftest) — both execution tiers (the AST
+// interpreter, and the default one: cell rules on the flat-bytecode
+// vm, macro rules on compiled closures), sequential vs work-stealing
+// pool, several configurations including
 // extreme cutoffs, repeated runs — demanding bit-identical outputs.
 // Divergences are minimized and written as replayable JSON reproducers
 // under testdata/fuzz/pbdiff.

@@ -68,8 +68,8 @@ type Key struct {
 	Sizes string
 	// ConfigFP is the configuration fingerprint from ConfigFingerprint.
 	ConfigFP uint64
-	// Engine is the resolved execution tier (interp.EngineInterp /
-	// EngineClosure / EngineJIT). The config fingerprint already covers
+	// Engine is the resolved execution tier (interp.EngineInterp or
+	// EngineJIT). The config fingerprint already covers
 	// an explicitly set pbc.engine tunable; keeping the resolved tier
 	// explicit also separates configs that rely on the default.
 	Engine int

@@ -1,6 +1,7 @@
 // Package difftest is the differential oracle for generated PetaBricks
-// programs: it executes each program many ways — all three execution
-// tiers (AST interpreter, compiled closures, flat-bytecode jit),
+// programs: it executes each program many ways — both execution tiers
+// (the AST interpreter, and the default one: cell rules on the
+// flat-bytecode vm, macro rules on compiled closures),
 // sequential vs work-stealing pool, several
 // configurations including extreme cutoffs, repeated runs — and demands
 // bit-identical outputs everywhere. The generator (internal/pbc/gen)
@@ -117,16 +118,13 @@ func (h *Harness) Close() { h.pool.Shutdown() }
 
 // axis is one way of executing a program.
 type axis struct {
-	engine int  // interp.EngineInterp / EngineClosure / EngineJIT
+	engine int  // interp.EngineInterp / EngineJIT
 	pool   bool // work-stealing pool (memoized plans) vs sequential
 }
 
 func (a axis) String() string {
 	s := "interp"
-	switch a.engine {
-	case interp.EngineClosure:
-		s = "closure"
-	case interp.EngineJIT:
+	if a.engine == interp.EngineJIT {
 		s = "jit"
 	}
 	if a.pool {
@@ -135,15 +133,12 @@ func (a axis) String() string {
 	return s + "/seq"
 }
 
-// axes is the execution matrix — all three execution tiers (AST
-// interpreter, slot-indexed closures, flat bytecode) run sequentially
+// axes is the execution matrix — both execution tiers run sequentially
 // and on the pool; axes[0] (interpreter, sequential) is the reference.
-var axes = [6]axis{
+var axes = [4]axis{
 	{interp.EngineInterp, false},
-	{interp.EngineClosure, false},
 	{interp.EngineJIT, false},
 	{interp.EngineInterp, true},
-	{interp.EngineClosure, true},
 	{interp.EngineJIT, true},
 }
 

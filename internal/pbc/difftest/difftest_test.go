@@ -9,8 +9,8 @@ import (
 )
 
 // TestOracleCleanOnGeneratedCases is the heart of the PR: a stream of
-// generated programs must agree bit-for-bit across interpreter vs
-// compiled closures, sequential vs pool, and all configurations.
+// generated programs must agree bit-for-bit across the AST interpreter
+// vs the compiled tiers, sequential vs pool, and all configurations.
 func TestOracleCleanOnGeneratedCases(t *testing.T) {
 	n := 25
 	if testing.Short() {

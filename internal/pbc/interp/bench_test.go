@@ -11,11 +11,9 @@ import (
 	"petabricks/internal/runtime"
 )
 
-// Two per-cell benchmark families track the execution tiers on the
-// paper corpus: BenchmarkInterp* pins the closure tier, BenchmarkJIT*
-// runs the identical workloads on the flat-bytecode vm. Run with
+// The BenchmarkJIT* family runs the paper corpus's cell rules on the
+// flat-bytecode vm, the default tier. Run with
 //
-//	go test ./internal/pbc/interp -run='^$' -bench='Interp.*[^l]$' -benchmem
 //	go test ./internal/pbc/interp -run='^$' -bench='^BenchmarkJIT' -benchmem
 //
 // These are developer tools; the gated numbers come from
@@ -59,15 +57,14 @@ to B[n]
 }
 `
 
-// --- tier-parameterized workloads ---------------------------------------
+// --- workloads -------------------------------------------------------------
 
 // benchRollingSumScan is the Θ(n) scan rule: two cell reads and one
 // cell write per cell, so it measures pure per-cell overhead.
-func benchRollingSumScan(b *testing.B, tier int64) {
+func benchRollingSumScan(b *testing.B) {
 	e := benchEngine(b, parser.RollingSumSrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector(SelectorName("RollingSum"), choice.NewSelector(1))
-	cfg.SetInt(EngineKey, tier)
 	e.Cfg = cfg
 	in := benchVec(1024, 1)
 	b.ReportAllocs()
@@ -81,11 +78,8 @@ func benchRollingSumScan(b *testing.B, tier int64) {
 
 // benchHeat1D is the version-dimension stencil wavefront (three
 // constant-offset cell reads per cell).
-func benchHeat1D(b *testing.B, tier int64) {
+func benchHeat1D(b *testing.B) {
 	e := benchEngine(b, parser.Heat1DSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(EngineKey, tier)
-	e.Cfg = cfg
 	in := benchVec(512, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -98,11 +92,8 @@ func benchHeat1D(b *testing.B, tier int64) {
 
 // benchSummedArea is the lexicographic-wavefront path (constant-offset
 // cell refs per cell, four rules splitting the domain).
-func benchSummedArea(b *testing.B, tier int64) {
+func benchSummedArea(b *testing.B) {
 	e := benchEngine(b, parser.SummedAreaSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(EngineKey, tier)
-	e.Cfg = cfg
 	rng := rand.New(rand.NewSource(4))
 	const w, h = 64, 64
 	a := matrix.New(h, w)
@@ -119,11 +110,8 @@ func benchSummedArea(b *testing.B, tier int64) {
 
 // benchPointwise is the pointwise family: branchy scalar arithmetic,
 // one read and one write per cell.
-func benchPointwise(b *testing.B, tier int64) {
+func benchPointwise(b *testing.B) {
 	e := benchEngine(b, benchPointwiseSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(EngineKey, tier)
-	e.Cfg = cfg
 	in := benchVec(1024, 6)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -134,30 +122,24 @@ func benchPointwise(b *testing.B, tier int64) {
 	}
 }
 
-// --- closure tier (the BenchmarkInterp* baseline family) ----------------
-
-func BenchmarkInterpRollingSumScan(b *testing.B) { benchRollingSumScan(b, EngineClosure) }
-
-// BenchmarkInterpRollingSumScanInstrumented is the scan benchmark with
+// BenchmarkJITRollingSumScanInstrumented is the scan benchmark with
 // obs instrumentation enabled; comparing it against the plain variant
 // bounds the metrics overhead on the interpreter hot path (the per-cell
 // loop itself is untouched — instrumentation is per invocation).
-func BenchmarkInterpRollingSumScanInstrumented(b *testing.B) {
+func BenchmarkJITRollingSumScanInstrumented(b *testing.B) {
 	Instrument(obs.NewRegistry())
 	defer Instrument(nil)
-	benchRollingSumScan(b, EngineClosure)
+	benchRollingSumScan(b)
 }
 
 // benchRollingSumDirect is the Θ(n²) direct rule: per cell a
 // center-dependent region view is bound and reduced with sum(). The
 // bytecode tier lowers the view binding and the reduction to a single
-// strided loop (OpSumV); the closure tier materializes a matrix view
-// and walks it, so this pair tracks the reduction-lowering payoff.
-func benchRollingSumDirect(b *testing.B, tier int64) {
+// strided loop (OpSumV).
+func benchRollingSumDirect(b *testing.B) {
 	e := benchEngine(b, parser.RollingSumSrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector(SelectorName("RollingSum"), choice.NewSelector(0))
-	cfg.SetInt(EngineKey, tier)
 	e.Cfg = cfg
 	in := benchVec(256, 2)
 	b.ReportAllocs()
@@ -169,15 +151,12 @@ func benchRollingSumDirect(b *testing.B, tier int64) {
 	}
 }
 
-func BenchmarkInterpRollingSumDirect(b *testing.B) { benchRollingSumDirect(b, EngineClosure) }
-
 // benchMatrixMultiplyBase runs the base cell rule (dot of a row view
 // and a column view) over a 32³ multiply.
-func benchMatrixMultiplyBase(b *testing.B, tier int64) {
+func benchMatrixMultiplyBase(b *testing.B) {
 	e := benchEngine(b, parser.MatrixMultiplySrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector(SelectorName("MatrixMultiply"), choice.NewSelector(0))
-	cfg.SetInt(EngineKey, tier)
 	e.Cfg = cfg
 	rng := rand.New(rand.NewSource(3))
 	const n = 32
@@ -195,12 +174,9 @@ func benchMatrixMultiplyBase(b *testing.B, tier int64) {
 	}
 }
 
-func BenchmarkInterpMatrixMultiplyBase(b *testing.B) { benchMatrixMultiplyBase(b, EngineClosure) }
-
 // benchDotSrc is a pure per-row dot-product reduction: two contiguous
 // row views and one dot() per cell, nothing else. It isolates the
-// vm's stride-1 dot loop against the closure tier's view-materializing
-// builtin.
+// vm's stride-1 dot loop.
 const benchDotSrc = `
 transform DotRows
 from A[w, h], B[w, h]
@@ -212,11 +188,8 @@ to C[h]
 }
 `
 
-func benchDotRows(b *testing.B, tier int64) {
+func benchDotRows(b *testing.B) {
 	e := benchEngine(b, benchDotSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(EngineKey, tier)
-	e.Cfg = cfg
 	rng := rand.New(rand.NewSource(8))
 	const w, h = 256, 64
 	a := matrix.New(h, w)
@@ -233,34 +206,22 @@ func benchDotRows(b *testing.B, tier int64) {
 	}
 }
 
-func BenchmarkInterpDotRows(b *testing.B) { benchDotRows(b, EngineClosure) }
+func BenchmarkJITRollingSumScan(b *testing.B) { benchRollingSumScan(b) }
 
-func BenchmarkInterpSummedArea(b *testing.B) { benchSummedArea(b, EngineClosure) }
+func BenchmarkJITSummedArea(b *testing.B) { benchSummedArea(b) }
 
-func BenchmarkInterpHeat1D(b *testing.B) { benchHeat1D(b, EngineClosure) }
+func BenchmarkJITHeat1D(b *testing.B) { benchHeat1D(b) }
 
-func BenchmarkInterpPointwise(b *testing.B) { benchPointwise(b, EngineClosure) }
-
-// --- bytecode tier (the BenchmarkJIT* family) ---------------------------
-
-func BenchmarkJITRollingSumScan(b *testing.B) { benchRollingSumScan(b, EngineJIT) }
-
-func BenchmarkJITSummedArea(b *testing.B) { benchSummedArea(b, EngineJIT) }
-
-func BenchmarkJITHeat1D(b *testing.B) { benchHeat1D(b, EngineJIT) }
-
-func BenchmarkJITPointwise(b *testing.B) { benchPointwise(b, EngineJIT) }
+func BenchmarkJITPointwise(b *testing.B) { benchPointwise(b) }
 
 // The BenchmarkJITReduce* family is the reduction workloads on the
-// bytecode tier — the rules that used to fall back to the closure tier
-// before bounded views and reduction loops entered the vm fragment.
-// Compare against the matching BenchmarkInterp* closure numbers.
+// bytecode tier: bounded views and reduction loops.
 
-func BenchmarkJITReduceRollingSumDirect(b *testing.B) { benchRollingSumDirect(b, EngineJIT) }
+func BenchmarkJITReduceRollingSumDirect(b *testing.B) { benchRollingSumDirect(b) }
 
-func BenchmarkJITReduceMatrixMultiplyBase(b *testing.B) { benchMatrixMultiplyBase(b, EngineJIT) }
+func BenchmarkJITReduceMatrixMultiplyBase(b *testing.B) { benchMatrixMultiplyBase(b) }
 
-func BenchmarkJITReduceDotRows(b *testing.B) { benchDotRows(b, EngineJIT) }
+func BenchmarkJITReduceDotRows(b *testing.B) { benchDotRows(b) }
 
 // benchPool provides the shared pool for the repeat-execution family and
 // shuts it down with the benchmark.
@@ -276,8 +237,7 @@ func benchPool(b *testing.B) *runtime.Pool {
 // pool enabled — the pbserve traffic shape. This is what the execution
 // plan cache exists for: all per-run schedule lowering (step lookup
 // tables, task allocation, dependency wiring) should happen once and be
-// re-armed in O(tasks) on every later run. Pinned to the closure tier
-// like the rest of the baseline family.
+// re-armed in O(tasks) on every later run. Default tier.
 
 // BenchmarkInterpRepeatRollingSumScanPool repeats the Θ(n) scan (a
 // single cyclic wavefront step) on the pool.
@@ -285,7 +245,6 @@ func BenchmarkInterpRepeatRollingSumScanPool(b *testing.B) {
 	e := benchEngine(b, parser.RollingSumSrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector(SelectorName("RollingSum"), choice.NewSelector(1))
-	cfg.SetInt(EngineKey, EngineClosure)
 	e.Cfg = cfg
 	e.Pool = benchPool(b)
 	in := benchVec(1024, 1)
@@ -304,7 +263,6 @@ func BenchmarkInterpRepeatMatrixMultiplyPool(b *testing.B) {
 	e := benchEngine(b, parser.MatrixMultiplySrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector(SelectorName("MatrixMultiply"), choice.NewSelector(0))
-	cfg.SetInt(EngineKey, EngineClosure)
 	e.Cfg = cfg
 	e.Pool = benchPool(b)
 	rng := rand.New(rand.NewSource(3))
@@ -327,9 +285,6 @@ func BenchmarkInterpRepeatMatrixMultiplyPool(b *testing.B) {
 // the pool: without tiling the cyclic step serializes into one task.
 func BenchmarkInterpRepeatHeat1DPool(b *testing.B) {
 	e := benchEngine(b, parser.Heat1DSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(EngineKey, EngineClosure)
-	e.Cfg = cfg
 	e.Pool = benchPool(b)
 	in := benchVec(512, 5)
 	b.ReportAllocs()
@@ -348,9 +303,6 @@ func BenchmarkInterpRepeatHeat1DPool(b *testing.B) {
 // benchmark is the tiled-wavefront speedup witness.
 func BenchmarkInterpWavefrontSummedAreaPool(b *testing.B) {
 	e := benchEngine(b, parser.SummedAreaSrc)
-	cfg := choice.NewConfig()
-	cfg.SetInt(EngineKey, EngineClosure)
-	e.Cfg = cfg
 	e.Pool = benchPool(b)
 	rng := rand.New(rand.NewSource(4))
 	const w, h = 64, 64

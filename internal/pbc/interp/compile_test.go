@@ -6,6 +6,8 @@ import (
 
 	"petabricks/internal/artifact"
 	"petabricks/internal/choice"
+	"petabricks/internal/pbc/ast"
+	"petabricks/internal/pbc/jit"
 	"petabricks/internal/pbc/parser"
 )
 
@@ -30,11 +32,12 @@ func execFor(t *testing.T, e *Engine, name string, size int64) *exec {
 	return ex
 }
 
-// TestCompiledBoundsMatchRefBounds differentially checks the compiler's
-// affine base+stride bounds against refBounds — the symbolic evaluator
-// the AST interpreter uses — for every rule of every corpus transform,
-// at a grid of sampled centers (including out-of-range ones; both
-// paths compute bounds before range checking).
+// TestCompiledBoundsMatchRefBounds differentially checks the bounds
+// each compiler folds — a cell rule's affine base+stride ref forms in
+// its bytecode, a macro rule's constant windows — against refBounds,
+// the symbolic evaluator the AST interpreter uses, for every rule of
+// every corpus transform, at a grid of sampled centers (including
+// out-of-range ones; both paths compute bounds before range checking).
 func TestCompiledBoundsMatchRefBounds(t *testing.T) {
 	const size = 13
 	centerSamples := []int64{-1, 0, 1, 2, 5, size - 1}
@@ -53,54 +56,97 @@ func TestCompiledBoundsMatchRefBounds(t *testing.T) {
 			}
 			ex := execFor(t, e, tr.Name, size)
 			for _, ri := range ex.res.Rules {
-				cr := ex.compiledRule(ri)
-				if cr == nil {
+				var bound []*ast.RegionRef
+				for _, ref := range append(append([]*ast.RegionRef{}, ri.Rule.To...), ri.Rule.From...) {
+					if ref.Binding != "" {
+						bound = append(bound, ref)
+					}
+				}
+				check := func(ref *ast.RegionRef, center []int64, got [][2]int64) {
+					t.Helper()
+					centerMap := map[string]int64{}
+					for d, v := range ri.CenterVars {
+						if v != "" {
+							centerMap[v] = center[d]
+						}
+					}
+					want, err := ex.refBounds(ref, centerMap)
+					if err != nil {
+						t.Fatalf("%s %s refBounds(%s): %v", tr.Name, ri.Rule.Name(), ref.Matrix, err)
+					}
+					if len(want) != len(got) {
+						t.Fatalf("%s %s ref %s: rank %d, refBounds rank %d", tr.Name, ri.Rule.Name(), ref.Matrix, len(got), len(want))
+					}
+					for d := range want {
+						if got[d] != want[d] {
+							t.Errorf("%s %s ref %s center=%v dim %d: compiled [%d,%d), refBounds [%d,%d)",
+								tr.Name, ri.Rule.Name(), ref.Matrix, center, d, got[d][0], got[d][1], want[d][0], want[d][1])
+						}
+					}
+				}
+				cr := ex.comp.rule(ri, nil)
+				switch {
+				case cr.macro != nil:
+					if len(cr.macro.refs) != len(bound) {
+						t.Fatalf("%s %s: %d macro refs for %d bindings", tr.Name, ri.Rule.Name(), len(cr.macro.refs), len(bound))
+					}
+					for i, mref := range cr.macro.refs {
+						nd := len(mref.begin)
+						got := make([][2]int64, nd)
+						for d := range got {
+							got[d] = [2]int64{int64(mref.begin[nd-1-d]), int64(mref.end[nd-1-d])}
+						}
+						check(bound[i], nil, got)
+					}
+				case cr.vm != nil:
+					p := cr.vm.prog
+					if len(p.Refs) != len(bound) {
+						t.Fatalf("%s %s: %d vm refs for %d bindings", tr.Name, ri.Rule.Name(), len(p.Refs), len(bound))
+					}
+					// Every tuple of sampled center values, odometer-style.
+					nc := p.NCenter
+					idx := make([]int, nc)
+					center := make([]int64, nc)
+					for {
+						for d := range center {
+							center[d] = centerSamples[idx[d]]
+						}
+						for i, r := range p.Refs {
+							at := func(base, coeff []int64, d int) int64 {
+								v := base[d]
+								for k := 0; coeff != nil && k < nc; k++ {
+									v += coeff[d*nc+k] * center[k]
+								}
+								return v
+							}
+							got := make([][2]int64, r.ND)
+							for d := range got {
+								lo := at(r.Base, r.Coeff, d)
+								got[d] = [2]int64{lo, lo + 1}
+								if r.Kind == jit.RefView {
+									got[d][1] = at(r.HiBase, r.HiCoeff, d)
+								}
+							}
+							check(bound[i], center, got)
+						}
+						// Advance the odometer.
+						d := 0
+						for ; d < nc; d++ {
+							idx[d]++
+							if idx[d] < len(centerSamples) {
+								break
+							}
+							idx[d] = 0
+						}
+						if d == nc {
+							break
+						}
+					}
+				default:
 					t.Errorf("%s %s: rule did not compile", tr.Name, ri.Rule.Name())
 					continue
 				}
 				compiled++
-				// Every tuple of sampled center values, odometer-style.
-				nc := len(ri.CenterVars)
-				idx := make([]int, nc)
-				for {
-					center := make([]int64, nc)
-					centerMap := map[string]int64{}
-					for d := 0; d < nc; d++ {
-						center[d] = centerSamples[idx[d]]
-						if v := ri.CenterVars[d]; v != "" {
-							centerMap[v] = center[d]
-						}
-					}
-					for _, cref := range cr.refs {
-						want, err := ex.refBounds(cref.ref, centerMap)
-						if err != nil {
-							t.Fatalf("%s %s refBounds(%s): %v", tr.Name, ri.Rule.Name(), cref.ref.Matrix, err)
-						}
-						if len(want) != cref.nd {
-							t.Fatalf("%s %s ref %s: rank %d, refBounds rank %d",
-								tr.Name, ri.Rule.Name(), cref.ref.Matrix, cref.nd, len(want))
-						}
-						for d := 0; d < cref.nd; d++ {
-							lo, hi := cref.lo[d].at(center), cref.hi[d].at(center)
-							if lo != want[d][0] || hi != want[d][1] {
-								t.Errorf("%s %s ref %s center=%v dim %d: compiled [%d,%d), refBounds [%d,%d)",
-									tr.Name, ri.Rule.Name(), cref.ref.Matrix, center, d, lo, hi, want[d][0], want[d][1])
-							}
-						}
-					}
-					// Advance the odometer.
-					d := 0
-					for ; d < nc; d++ {
-						idx[d]++
-						if idx[d] < len(centerSamples) {
-							break
-						}
-						idx[d] = 0
-					}
-					if d == nc {
-						break
-					}
-				}
 			}
 		}
 	}

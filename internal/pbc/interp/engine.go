@@ -11,6 +11,7 @@ import (
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/analysis"
 	"petabricks/internal/pbc/ast"
+	"petabricks/internal/pbc/jit"
 	"petabricks/internal/pbc/symbolic"
 	"petabricks/internal/runtime"
 )
@@ -646,7 +647,7 @@ func (ex *exec) runNode(node *analysis.Node, w *runtime.Worker) error {
 	if err != nil {
 		return err
 	}
-	return ex.runCellsRange(ri, ex.compiledRule(ri), b, nil, nil, w)
+	return ex.runCellsRange(ri, ex.vmRule(ri), b, nil, nil, w)
 }
 
 // cellRule returns the cell rule the configuration selects for node.
@@ -696,7 +697,7 @@ func (ex *exec) chooseCellRule(gc *analysis.GridCell) *analysis.RuleInfo {
 // runCyclic iterates the step's axis in the scheduled direction,
 // executing each node's slice at every index (wavefront order). All
 // slice-invariant state — node regions, the configured rule choice,
-// compiled rules and (sequentially) their frames — is derived once
+// bytecode rules and (sequentially) their frames — is derived once
 // before the wavefront loop: fine wavefronts visit one slice per cell,
 // so anything done per index here is effectively per-cell cost.
 func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
@@ -725,8 +726,8 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	}
 	type cyclicRun struct {
 		ri     *analysis.RuleInfo
-		cr     *compiledRule
-		fr     *frame     // pre-acquired frame (sequential execution only)
+		r      *vmRule
+		fr     *jit.Frame // pre-acquired frame (sequential execution only)
 		b      [][2]int64 // full node bounds
 		bs     [][2]int64 // scratch: b with the slice constraint applied
 		center []int64
@@ -735,7 +736,7 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	defer func() {
 		for _, cn := range runs {
 			if cn.fr != nil {
-				cn.cr.releaseFrame(cn.fr)
+				cn.r.releaseFrame(cn.fr)
 			}
 		}
 	}()
@@ -755,19 +756,19 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 			return err
 		}
 		cn := &cyclicRun{ri: ri, b: b, bs: make([][2]int64, len(b)), center: make([]int64, len(b))}
-		if cn.cr = ex.compiledRule(ri); cn.cr != nil && ex.engine.Pool == nil {
-			cn.fr = cn.cr.acquireFrame(ex, w)
+		if cn.r = ex.vmRule(ri); cn.r != nil && ex.engine.Pool == nil {
+			cn.fr = cn.r.acquireFrame(ex)
 		}
 		runs = append(runs, cn)
 	}
-	// Batched fast path: a lone 1-D node with a compiled rule and a
+	// Batched fast path: a lone 1-D node with a bytecode rule and a
 	// pre-acquired frame (sequential execution) visits one cell per
 	// wavefront slice, so the general per-slice machinery — bounds
 	// copy, range dispatch, flat-index unflatten — is pure overhead.
 	// Run the axis as one box instead; cell order and error order are
 	// identical (the slice closure would visit the same indices in the
 	// same direction and skip the same out-of-range ones).
-	if len(runs) == 1 && runs[0].cr != nil && runs[0].fr != nil && len(runs[0].b) == 1 {
+	if len(runs) == 1 && runs[0].fr != nil && len(runs[0].b) == 1 {
 		cn := runs[0]
 		b := [1][2]int64{{max(cn.b[0][0], lo), min(cn.b[0][1], hi)}}
 		order := [1]analysis.LexDim{{Dim: 0, Dir: step.IterDir}}
@@ -780,7 +781,7 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 			}
 			copy(cn.bs, cn.b)
 			cn.bs[d] = [2]int64{idx, idx + 1}
-			if err := ex.runCellsRange(cn.ri, cn.cr, cn.bs, cn.fr, cn.center, w); err != nil {
+			if err := ex.runCellsRange(cn.ri, cn.r, cn.bs, cn.fr, cn.center, w); err != nil {
 				return err
 			}
 		}
@@ -802,13 +803,14 @@ func (ex *exec) runCyclic(step *analysis.Step, w *runtime.Worker) error {
 	return nil
 }
 
-// runCellsRange iterates the rule's centers over concrete bounds b. fr,
-// when non-nil, is a pre-acquired frame used by the sequential path
+// runCellsRange iterates the rule's centers over concrete bounds b; r is
+// the rule's bytecode form, nil for the AST tier. fr, when non-nil, is
+// a pre-acquired frame of r used by the sequential path
 // (hoisted by wavefront callers); center, when non-nil, is a reusable
 // coordinate scratch for the same callers. Both may be nil — the chunk
 // then acquires its own. The sequential path is closure-free: wavefront
 // callers hit it once per slice.
-func (ex *exec) runCellsRange(ri *analysis.RuleInfo, cr *compiledRule, b [][2]int64, fr *frame, center []int64, w *runtime.Worker) error {
+func (ex *exec) runCellsRange(ri *analysis.RuleInfo, r *vmRule, b [][2]int64, fr *jit.Frame, center []int64, w *runtime.Worker) error {
 	count := int64(1)
 	for _, iv := range b {
 		if iv[1] <= iv[0] {
@@ -829,7 +831,7 @@ func (ex *exec) runCellsRange(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 			var firstErr error
 			var mu sync.Mutex
 			body := func(cw *runtime.Worker, lo, hi int) {
-				if err := ex.runCellsChunk(ri, cr, b, nil, nil, cw, lo, hi); err != nil {
+				if err := ex.runCellsChunk(ri, r, b, nil, nil, cw, lo, hi); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -845,16 +847,16 @@ func (ex *exec) runCellsRange(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 			return firstErr
 		}
 	}
-	return ex.runCellsChunk(ri, cr, b, fr, center, w, 0, int(count))
+	return ex.runCellsChunk(ri, r, b, fr, center, w, 0, int(count))
 }
 
 // runCellsChunk executes [lo, hi) of the flat cell index on one worker,
 // dimension 0 fastest, as at most 2·rank-1 boxes: for a rank-2 region a
 // leading partial row, one box of whole rows and a trailing partial row.
-// The compiled path runs a single frame for the whole chunk, so it is
-// allocation-free; the AST path is the fallback for rules outside the
-// compilable fragment.
-func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, cr *compiledRule, b [][2]int64, f *frame, c []int64, cw *runtime.Worker, lo, hi int) error {
+// The bytecode path runs a single frame for the whole chunk, so it is
+// allocation-free; the AST path is the fallback for rules the vm does
+// not take.
+func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, r *vmRule, b [][2]int64, f *jit.Frame, c []int64, cw *runtime.Worker, lo, hi int) error {
 	var cbuf [4]int64
 	var bbuf [4][2]int64
 	var obuf [4]analysis.LexDim
@@ -874,9 +876,9 @@ func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 	for d := 0; d < nd; d++ {
 		order = append(order, analysis.LexDim{Dim: d, Dir: 1})
 	}
-	if cr != nil && f == nil {
-		f = cr.acquireFrame(ex, cw)
-		defer cr.releaseFrame(f)
+	if r != nil && f == nil {
+		f = r.acquireFrame(ex)
+		defer r.releaseFrame(f)
 	}
 	if nd == 0 { // a zero-rank region is one cell
 		return ex.runBox(ri, f, c, box, order, cw)
@@ -908,13 +910,12 @@ func (ex *exec) runCellsChunk(ri *analysis.RuleInfo, cr *compiledRule, b [][2]in
 // runBox runs ri's cells over the box b, walked in order (innermost
 // dimension first, each with its direction; see jit.Frame.RunBox). It is
 // the one cell loop under every tile, chunk and wavefront walker. A
-// bytecode frame hands the whole box to the vm, which checks the box's
-// bindings once and steps each address by a constant; the closure tier
-// (a frame without a vm frame) and the AST tier (f nil) run it cell by
-// cell.
-func (ex *exec) runBox(ri *analysis.RuleInfo, f *frame, center []int64, b [][2]int64, order []analysis.LexDim, w *runtime.Worker) error {
-	if f != nil && f.jf != nil {
-		return f.jf.RunBox(center, b, order)
+// bytecode frame f hands the whole box to the vm, which checks the box's
+// bindings once and steps each address by a constant; the AST tier (f
+// nil) runs it cell by cell.
+func (ex *exec) runBox(ri *analysis.RuleInfo, f *jit.Frame, center []int64, b [][2]int64, order []analysis.LexDim, w *runtime.Worker) error {
+	if f != nil {
+		return f.RunBox(center, b, order)
 	}
 	for _, iv := range b {
 		if iv[1] <= iv[0] {
@@ -925,13 +926,7 @@ func (ex *exec) runBox(ri *analysis.RuleInfo, f *frame, center []int64, b [][2]i
 		center[o.Dim] = o.First(b)
 	}
 	for {
-		var err error
-		if f != nil {
-			err = f.runCell(center)
-		} else {
-			err = ex.runCellAST(ri, center, w)
-		}
-		if err != nil {
+		if err := ex.runCellAST(ri, center, w); err != nil {
 			return err
 		}
 		j := 0
@@ -953,7 +948,7 @@ func (ex *exec) runBox(ri *analysis.RuleInfo, f *frame, center []int64, b [][2]i
 }
 
 // runCellAST runs ri's body for one cell on the AST tier, the fallback
-// for rules outside the compilable fragment.
+// for cell rules the vm does not take.
 func (ex *exec) runCellAST(ri *analysis.RuleInfo, center []int64, w *runtime.Worker) error {
 	binding := map[string]int64{}
 	for d, v := range ri.CenterVars {

@@ -11,9 +11,10 @@ import (
 )
 
 // runRuleBody binds the rule's region references at one center and
-// executes the body statements by walking the AST. It is the fallback
-// path for rules the closure compiler (compile.go) cannot lower; hot
-// rules normally execute through compiledRule/frame instead. w is the
+// executes the body statements by walking the AST. It is the reference
+// oracle and the fallback for rules neither the vm nor the macro-rule
+// compiler (compile.go, macro.go) takes; hot rules normally run on a
+// bytecode frame or a macro frame instead. w is the
 // scheduler thread the body runs on (nil outside the pool); nested
 // transform calls inherit it.
 func (ex *exec) runRuleBody(ri *analysis.RuleInfo, center map[string]int64, w *runtime.Worker) error {
@@ -709,12 +710,12 @@ func varargBuiltin(f func(a, b float64) float64) func(string, []value) (value, e
 
 // runMacro executes a macro rule once over its declared regions.
 func (ex *exec) runMacro(ri *analysis.RuleInfo) error {
-	if cr := ex.compiledRule(ri); cr != nil {
+	if mr := ex.macroRule(ri); mr != nil {
 		// Recursion is safe: this frame stays checked out while the body's
 		// nested calls acquire their own.
-		f := cr.acquireFrame(ex, ex.worker)
-		defer cr.releaseFrame(f)
-		return f.runCell(nil)
+		f := mr.acquireFrame(ex, ex.worker)
+		defer mr.releaseFrame(f)
+		return f.run()
 	}
 	return ex.runRuleBody(ri, nil, ex.worker)
 }

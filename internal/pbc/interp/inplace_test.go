@@ -16,13 +16,12 @@ import (
 )
 
 // tierConfigs returns one config per execution tier, in oracle-first
-// order: AST, closures, jit (whose macro rules fall back to closures).
+// order: AST, jit (whose macro rules compile to closures).
 func tierConfigs() []*choice.Config {
-	ast, closure, jit := choice.NewConfig(), choice.NewConfig(), choice.NewConfig()
+	ast, jit := choice.NewConfig(), choice.NewConfig()
 	ast.SetInt(EngineKey, EngineInterp)
-	closure.SetInt(EngineKey, EngineClosure)
 	jit.SetInt(EngineKey, EngineJIT)
-	return []*choice.Config{ast, closure, jit}
+	return []*choice.Config{ast, jit}
 }
 
 const regionShapeSrc = `

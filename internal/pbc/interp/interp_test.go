@@ -693,15 +693,12 @@ tunable chunk(4, 64, 16)
 	if rec := spec.RecursiveChoices(); len(rec) != 1 || rec[0] != 1 {
 		t.Fatalf("recursive choices = %v", rec)
 	}
-	// Declared tunables plus the engine's parallel-grain and
-	// execution-tier tunables.
-	if len(sp.Tunables) != 3 || sp.Tunables[0].Name != "pbc.Tn.chunk" || sp.Tunables[0].Default != 16 {
+	// Declared tunables plus the engine's parallel grain. The execution
+	// tier is not searched: tiers never change an output.
+	if len(sp.Tunables) != 2 || sp.Tunables[0].Name != "pbc.Tn.chunk" || sp.Tunables[0].Default != 16 {
 		t.Fatalf("tunables = %+v", sp.Tunables)
 	}
 	if sp.Tunables[1].Name != ParGrainKey || sp.Tunables[1].Default != DefaultParGrain {
-		t.Fatalf("tunables = %+v", sp.Tunables)
-	}
-	if sp.Tunables[2].Name != EngineKey || sp.Tunables[2].Default != EngineJIT {
 		t.Fatalf("tunables = %+v", sp.Tunables)
 	}
 }

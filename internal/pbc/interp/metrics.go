@@ -16,7 +16,7 @@ type interpMetrics struct {
 
 	cacheHit  *obs.Counter // compiled-program cache hits
 	cacheMiss *obs.Counter // compiled-program cache misses (new holder)
-	compiled  *obs.Counter // rules successfully compiled to closures
+	compiled  *obs.Counter // rules compiled to bytecode or (macro rules) closures
 	fallback  *obs.Counter // rules that fell back to the AST interpreter
 
 	schedMacro      *obs.Counter // invocations whose macro rules produced every output
@@ -39,7 +39,7 @@ type interpMetrics struct {
 	planBuild *obs.Counter   // plans constructed from the schedule
 
 	jitCompiled  *obs.Counter // rules lowered to bytecode programs
-	jitFallback  *obs.Counter // jit lowering fallbacks (closure tier used)
+	jitFallback  *obs.Counter // jit lowering fallbacks (macro rules to closures, others to the AST)
 	jitCacheHit  *obs.Counter // program-cache hits under the jit tier
 	jitCacheMiss *obs.Counter // program-cache misses under the jit tier
 	jitWarm      *obs.Counter // rules warm-started from the artifact disk tier
@@ -63,7 +63,7 @@ func Instrument(reg *obs.Registry) {
 	m := &interpMetrics{reg: reg}
 	m.cacheHit = reg.Counter("pb_interp_cache_hits_total", "Compiled-program cache hits.")
 	m.cacheMiss = reg.Counter("pb_interp_cache_misses_total", "Compiled-program cache misses.")
-	m.compiled = reg.Counter("pb_interp_rules_compiled_total", "Rules lowered to slot-indexed closures.")
+	m.compiled = reg.Counter("pb_interp_rules_compiled_total", "Rules compiled to bytecode or, for macro rules, to closures.")
 	m.fallback = reg.Counter("pb_interp_compile_fallbacks_total", "Rules outside the compilable fragment (AST interpreter).")
 	m.schedMacro = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "macro"))
 	m.schedParallel = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "parallel"))
@@ -82,7 +82,7 @@ func Instrument(reg *obs.Registry) {
 	m.planWarm = reg.Counter("pb_plan_warm_loads_total", "Execution plans warm-started from persisted descriptors instead of built.")
 	m.planBuild = reg.Counter("pb_plan_builds_total", "Execution plans constructed from the schedule (cache and disk both missed).")
 	m.jitCompiled = reg.Counter("pb_jit_rules_compiled_total", "Rules lowered to flat-bytecode programs.")
-	m.jitFallback = reg.Counter("pb_jit_compile_fallbacks_total", "Jit lowering fallbacks to the closure tier.")
+	m.jitFallback = reg.Counter("pb_jit_compile_fallbacks_total", "Jit lowering fallbacks: macro rules to closures, cell rules to the AST interpreter.")
 	m.jitCacheHit = reg.Counter("pb_jit_cache_hits_total", "Compiled-program cache hits under the jit tier.")
 	m.jitCacheMiss = reg.Counter("pb_jit_cache_misses_total", "Compiled-program cache misses under the jit tier.")
 	m.jitWarm = reg.Counter("pb_jit_warm_loads_total", "Rules warm-started from persisted bytecode instead of lowering.")

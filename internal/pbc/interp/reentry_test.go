@@ -16,9 +16,9 @@ import (
 // per macro call): the ceilings sit about 25% above the steady-state
 // counts of the two macro workloads. Those were 15011 and 12189 objects
 // per run before re-entry was compiled per transform, 2945 and 1980
-// before nested calls wrote into the caller's regions; what is left is
-// the top-level invocation (outputs, key, result map, pool entry) and,
-// for the multiply, two objects per one-task cell plan.
+// before nested calls wrote into the caller's regions (the multiply then
+// still made 136); what is left is the top-level invocation (outputs,
+// key, result map, pool entry).
 func TestReentryAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -31,8 +31,8 @@ func TestReentryAllocCeilings(t *testing.T) {
 		run     func() error
 		ceiling float64
 	}{
-		{"MergeSortDSL n=1024 (32:0 inf:1)", mergeSort, 20},        // measured 16
-		{"MatrixMultiply n=32 (8:0 16:1 24:2 inf:3)", matMul, 170}, // measured 136
+		{"MergeSortDSL n=1024 (32:0 inf:1)", mergeSort, 20},       // measured 16
+		{"MatrixMultiply n=32 (8:0 16:1 24:2 inf:3)", matMul, 20}, // measured 16
 	} {
 		for i := 0; i < 3; i++ { // compile, plan, fill the frame pools
 			if err := tc.run(); err != nil {
@@ -125,37 +125,35 @@ func TestClosedPoolTypedError(t *testing.T) {
 // otherwise pin a request's inputs and nested-call results.
 func TestReleasedFrameDropsInvocation(t *testing.T) {
 	e := engine(t, parser.MergeSortSrc)
-	cfg := macroMergeSortCfg()
-	cfg.SetInt(EngineKey, EngineClosure)
-	e.Cfg = cfg
+	e.Cfg = macroMergeSortCfg()
 	ex := execFor(t, e, "MergeSortDSL", 64)
 	for _, ri := range ex.res.Rules {
-		cr := ex.compiledRule(ri)
-		if cr == nil {
-			t.Fatalf("%s did not compile", ri.Rule.Name())
+		mr := ex.macroRule(ri)
+		if mr == nil {
+			t.Fatalf("%s did not compile to closures", ri.Rule.Name())
 		}
-		f := cr.acquireFrame(ex, nil)
-		if err := f.runCell(nil); err != nil {
+		f := mr.acquireFrame(ex, nil)
+		if err := f.run(); err != nil {
 			t.Fatal(err)
 		}
-		cr.releaseFrame(f)
+		mr.releaseFrame(f)
 		if f.ex != nil || f.worker != nil {
-			t.Errorf("%s: released frame keeps its exec/worker", cr.name)
+			t.Errorf("%s: released frame keeps its exec/worker", mr.name)
 		}
-		for i, rs := range f.refs {
-			if rs.m != nil || (rs.view != nil && rs.view.Backing() != nil) {
-				t.Errorf("%s: released frame ref %d keeps a matrix", cr.name, i)
+		for i := range f.views {
+			if f.views[i].Backing() != nil {
+				t.Errorf("%s: released frame view %d keeps a matrix", mr.name, i)
 			}
 		}
 		for i, v := range f.slots {
 			if v.ref != nil || (v.m != nil && v.m.Backing() != nil) {
-				t.Errorf("%s: released frame slot %d keeps a matrix", cr.name, i)
+				t.Errorf("%s: released frame slot %d keeps a matrix", mr.name, i)
 			}
 		}
 		for _, args := range f.args {
 			for i, v := range args {
 				if v.m != nil || v.ref != nil {
-					t.Errorf("%s: released frame argument scratch %d keeps a matrix", cr.name, i)
+					t.Errorf("%s: released frame argument scratch %d keeps a matrix", mr.name, i)
 				}
 			}
 		}

@@ -134,26 +134,25 @@ func TestRowSeamsMatchInterpreter(t *testing.T) {
 			if failing != (refErr != nil) {
 				t.Fatalf("%s failing=%v: interpreter error %v", tc.name, failing, refErr)
 			}
-			for _, mode := range []int64{EngineClosure, EngineJIT} {
-				for _, ax := range []struct{ pooled, decline bool }{{false, false}, {true, false}, {true, true}} {
-					label := fmt.Sprintf("%s bad=%v failing=%v engine=%d pool=%v declined=%v",
-						tc.name, tc.bad, failing, mode, ax.pooled, ax.decline)
-					got, err := run(mode, ax.pooled, ax.decline)
-					if failing {
-						if err == nil || !strings.Contains(err.Error(), "division by zero") {
-							t.Errorf("%s: error %v, interpreter %v", label, err, refErr)
-						}
-						continue
+			const mode = EngineJIT
+			for _, ax := range []struct{ pooled, decline bool }{{false, false}, {true, false}, {true, true}} {
+				label := fmt.Sprintf("%s bad=%v failing=%v engine=%d pool=%v declined=%v",
+					tc.name, tc.bad, failing, mode, ax.pooled, ax.decline)
+				got, err := run(mode, ax.pooled, ax.decline)
+				if failing {
+					if err == nil || !strings.Contains(err.Error(), "division by zero") {
+						t.Errorf("%s: error %v, interpreter %v", label, err, refErr)
 					}
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					for name, m := range ref {
-						a, b := m.Copy().Data(), got[name].Copy().Data()
-						for i := range a {
-							if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-								t.Fatalf("%s: %s flat %d = %v, interpreter %v", label, name, i, b[i], a[i])
-							}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				for name, m := range ref {
+					a, b := m.Copy().Data(), got[name].Copy().Data()
+					for i := range a {
+						if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+							t.Fatalf("%s: %s flat %d = %v, interpreter %v", label, name, i, b[i], a[i])
 						}
 					}
 				}

@@ -18,10 +18,11 @@ func tierCfg(mode int64) *choice.Config {
 	return cfg
 }
 
-// TestThreeTierAgreement runs every corpus transform under all three
-// execution tiers, sequentially and on a worker pool, and requires the
-// closure and bytecode tiers to reproduce the AST interpreter's output
-// bit for bit. The tiers may only ever change performance, not results.
+// TestThreeTierAgreement runs every corpus transform on the AST tier
+// and on the default one — cell rules on the bytecode vm, macro rules
+// on closures — sequentially and on a worker pool, and requires the
+// compiled tiers to reproduce the AST interpreter's output bit for bit.
+// The tiers may only ever change performance, not results.
 func TestThreeTierAgreement(t *testing.T) {
 	pool := runtime.NewPool(4)
 	defer pool.Close()
@@ -46,26 +47,20 @@ func TestThreeTierAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s interp: %v", tr.Name, err)
 			}
-			for _, tier := range []struct {
-				name string
-				mode int64
-			}{{"closure", EngineClosure}, {"jit", EngineJIT}} {
-				for _, par := range []bool{false, true} {
-					v := e.WithConfig(tierCfg(tier.mode))
-					if par {
-						v.Pool = pool
-					} else {
-						v.Pool = nil
-					}
-					got, err := v.Run(tr.Name, inputs)
-					if err != nil {
-						t.Fatalf("%s %s par=%v: %v", tr.Name, tier.name, par, err)
-					}
-					for name, m := range ref {
-						if !m.AlmostEqual(got[name], 0) {
-							t.Errorf("%s output %s: %s tier (par=%v) diverges from interpreter",
-								tr.Name, name, tier.name, par)
-						}
+			for _, par := range []bool{false, true} {
+				v := e.WithConfig(tierCfg(EngineJIT))
+				if par {
+					v.Pool = pool
+				} else {
+					v.Pool = nil
+				}
+				got, err := v.Run(tr.Name, inputs)
+				if err != nil {
+					t.Fatalf("%s jit par=%v: %v", tr.Name, par, err)
+				}
+				for name, m := range ref {
+					if !m.AlmostEqual(got[name], 0) {
+						t.Errorf("%s output %s: jit tier (par=%v) diverges from interpreter", tr.Name, name, par)
 					}
 				}
 			}
@@ -74,10 +69,11 @@ func TestThreeTierAgreement(t *testing.T) {
 }
 
 // TestJITCacheConcurrentEngines races engine views pinned to different
-// execution tiers through the shared compiled-program cache. Run under
+// EngineKey values through the shared compiled-program cache. Run under
 // -race: the bytecode tier's programs and pooled frames must be safe to
-// share across goroutines, and each tier must occupy its own cache
-// entry (the config fingerprint covers EngineKey).
+// share across goroutines, and each compiling config must occupy its
+// own cache entry (the config fingerprint covers EngineKey). Value 1,
+// the retired closure tier's, resolves to the vm like any unknown one.
 func TestJITCacheConcurrentEngines(t *testing.T) {
 	e := engine(t, parser.RollingSumSrc)
 	const n = 64
@@ -88,7 +84,7 @@ func TestJITCacheConcurrentEngines(t *testing.T) {
 		acc += in.At1(i)
 		want[i] = acc
 	}
-	cfgs := []*choice.Config{tierCfg(EngineInterp), tierCfg(EngineClosure), tierCfg(EngineJIT)}
+	cfgs := []*choice.Config{tierCfg(EngineInterp), tierCfg(1), tierCfg(EngineJIT)}
 	views := make([]*Engine, len(cfgs))
 	for i, cfg := range cfgs {
 		views[i] = e.WithConfig(cfg)
@@ -117,11 +113,14 @@ func TestJITCacheConcurrentEngines(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Closure and jit tiers must occupy distinct cache entries; the
+	// The two jit views must occupy distinct cache entries; the
 	// interpreter tier compiles nothing and must occupy none.
 	sizes := map[string]int64{"n": n}
 	if artifact.ConfigFingerprint(cfgs[1]) == artifact.ConfigFingerprint(cfgs[2]) {
-		t.Fatal("closure and jit configs share a fingerprint")
+		t.Fatal("distinct configs share a fingerprint")
+	}
+	if mode := views[1].engineMode(); mode != EngineJIT {
+		t.Errorf("pbc.engine=1 resolves to tier %d, want EngineJIT", mode)
 	}
 	progs := e.Artifacts().Mem(artifact.KindProgram)
 	for _, v := range views[1:] {

@@ -58,14 +58,6 @@ func Space(res *analysis.Result) *choice.Space {
 		Default:  DefaultParGrain,
 		LogScale: true,
 	})
-	// Execution tier is a discrete algorithmic choice: the bytecode vm
-	// usually wins, but per-rule fallbacks can make the tiers differ.
-	sp.AddTunable(choice.TunableSpec{
-		Name:    EngineKey,
-		Min:     EngineInterp,
-		Max:     EngineJIT,
-		Default: EngineJIT,
-	})
 	return sp
 }
 

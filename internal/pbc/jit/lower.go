@@ -9,18 +9,18 @@ import (
 
 // Compile lowers one analyzed rule into a bytecode Program, or reports
 // why it is outside the lowerable fragment as a typed
-// *codegen.Unsupported so the caller can fall back to the closure tier
-// and surface the reason.
+// *codegen.Unsupported so the caller can fall back (a macro rule to
+// closures, a cell rule to the AST interpreter) and surface the reason.
 //
-// The lowerable fragment is the closure tier's compilable fragment
-// restricted to rules whose bound references have integer-affine
-// center indices: scalar locals, cell reads and writes, arithmetic,
-// comparisons, short-circuit logic, lazy conditionals, if/for control
-// flow, the scalar builtins, and — over bound region/row/column/whole
-// views whose bounds fold to affine forms at (transform, sizes,
-// config) time — the sum and dot reductions plus direct .cell(...)
-// indexed reads and writes. Every lowering decision mirrors
-// compileRule/compileScalar in internal/pbc/interp so outputs stay
+// The lowerable fragment is cell rules whose bound references have
+// integer-affine center indices: scalar locals, cell reads and writes,
+// arithmetic, comparisons, short-circuit logic, lazy conditionals,
+// if/for control flow, the scalar builtins, and — over bound
+// region/row/column/whole views whose bounds fold to affine forms at
+// (transform, sizes, config) time — the sum and dot reductions plus
+// direct .cell(...) indexed reads and writes. Every lowering decision
+// mirrors the AST interpreter and the closure compiler in
+// internal/pbc/interp so outputs stay
 // bit-identical across tiers — evaluation order, error order,
 // truncation, short-circuiting, eager view bounds checks, and lazy
 // out-of-range cell handling included.
@@ -181,8 +181,9 @@ func (a affForm) plus(n int64) affForm { return affForm{a.base + n, a.coeff} }
 // become lazily range-checked single-offset RefCell refs; every other
 // shape (whole matrix, row, column, region) becomes a RefView window
 // with the closure tier's eager per-dimension [lo,hi) bounds checks.
-// Unbound refs are validated but emit nothing: bindRefs skips slotless
-// refs too, so their bounds are never checked at run time in any tier.
+// Unbound refs are validated but emit nothing: the AST tier binds only
+// named refs too, so their bounds are never checked at run time in any
+// tier.
 func (lo *lowerer) addRef(ref *ast.RegionRef, root *lscope) error {
 	mi := lo.res.Matrices[ref.Matrix]
 	if mi == nil {
@@ -301,10 +302,10 @@ func (lo *lowerer) addRef(ref *ast.RegionRef, root *lscope) error {
 	return nil
 }
 
-// affineOf folds a symbolic index into base + Σ coeff·center with the
-// same integer-coefficient requirement as the closure tier's
-// affineBoundOf: flooring distributes over the center terms only when
-// they contribute integers; fractional size terms fold into the base.
+// affineOf folds a symbolic index into base + Σ coeff·center. Every
+// center coefficient must be an integer: flooring distributes over the
+// center terms only when they contribute integers; fractional size
+// terms fold into the base.
 func (lo *lowerer) affineOf(se *symbolic.Expr, e ast.Expr) (int64, []int64, error) {
 	aff, ok := se.Affine()
 	if !ok {

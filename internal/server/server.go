@@ -299,16 +299,15 @@ type runRequest struct {
 	Seed    int64  `json:"seed"`
 	Acc     *int   `json:"acc"` // poisson accuracy index; nil = highest
 	// Engine optionally pins the execution tier for interpreted
-	// programs: "interp", "closure" or "jit". Empty leaves the tuned
+	// programs: "interp" or "jit". Empty leaves the tuned
 	// configuration's choice in place. Native kernels ignore it.
 	Engine string `json:"engine,omitempty"`
 }
 
 // engineModes maps the /v1/run engine names to interp.EngineKey values.
 var engineModes = map[string]int64{
-	"interp":  interp.EngineInterp,
-	"closure": interp.EngineClosure,
-	"jit":     interp.EngineJIT,
+	"interp": interp.EngineInterp,
+	"jit":    interp.EngineJIT,
 }
 
 type runResponse struct {
@@ -356,7 +355,7 @@ func (s *Server) validateRun(req *runRequest) (b *bench.Benchmark, acc int, code
 	if req.Engine != "" {
 		if _, ok := engineModes[req.Engine]; !ok {
 			return nil, 0, http.StatusBadRequest,
-				fmt.Sprintf("unknown engine %q (want interp, closure or jit)", req.Engine)
+				fmt.Sprintf("unknown engine %q (want interp or jit)", req.Engine)
 		}
 	}
 	return b, acc, 0, ""

@@ -384,22 +384,24 @@ func TestErrorsAndStats(t *testing.T) {
 }
 
 // TestEngineSelection pins the execution tier per request and checks
-// the three tiers agree on an interpreted program; /v1/stats must
-// surface the tier-compilation statistics.
+// the two tiers agree on an interpreted program; /v1/stats must surface
+// the tier-compilation statistics. "closure" names a retired tier.
 func TestEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t, "", nil)
-	if st, _ := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "RollingSum", "n": 64, "engine": "turbo"}); st != http.StatusBadRequest {
-		t.Fatalf("bad engine: got %d, want 400", st)
+	for _, eng := range []string{"turbo", "closure"} {
+		if st, _ := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "RollingSum", "n": 64, "engine": eng}); st != http.StatusBadRequest {
+			t.Fatalf("bad engine %q: got %d, want 400", eng, st)
+		}
 	}
 	var sums []float64
-	for _, eng := range []string{"interp", "closure", "jit"} {
+	for _, eng := range []string{"interp", "jit"} {
 		st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "RollingSum", "n": 64, "engine": eng})
 		if st != http.StatusOK {
 			t.Fatalf("engine %s: got %d: %v", eng, st, body)
 		}
 		sums = append(sums, body["checksum"].(float64))
 	}
-	if sums[0] != sums[1] || sums[1] != sums[2] {
+	if sums[0] != sums[1] {
 		t.Fatalf("tiers disagree: checksums %v", sums)
 	}
 	st, body := getJSON(t, ts.URL+"/v1/stats")
