@@ -23,66 +23,85 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/fallback_golden.
 // covers, as in the analysis goldens.
 const goldenGenCases = 200
 
-// goldenGenN binds every size variable of a generated or benchmark
-// program.
-const goldenGenN = 16
+// goldenSizes are the two size bindings the golden records every rule
+// at. n binds every size variable of a generated or benchmark program;
+// corpus gives the example corpus its own sizes, keyed by source.
+var goldenSizes = []struct {
+	title  string
+	n      int64
+	corpus map[string]map[string]int64
+}{
+	{"corpus at its fixed sizes, every other size variable 16", 16, map[string]map[string]int64{
+		parser.RollingSumSrc:     {"n": 8},
+		parser.MatrixMultiplySrc: {"w": 4, "c": 4, "h": 4},
+		parser.MergeSortSrc:      {"n": 8, "a": 4, "b": 4},
+		parser.Heat1DSrc:         {"n": 8},
+		parser.SummedAreaSrc:     {"w": 4, "h": 4},
+	}},
+	{"every size variable 32, Merge's a and b 16", 32, map[string]map[string]int64{
+		parser.RollingSumSrc:     {"n": 32},
+		parser.MatrixMultiplySrc: {"w": 32, "c": 32, "h": 32},
+		parser.MergeSortSrc:      {"n": 32, "a": 16, "b": 16},
+		parser.Heat1DSrc:         {"n": 32},
+		parser.SummedAreaSrc:     {"w": 32, "h": 32},
+	}},
+}
+
+// goldenCorpus is the example corpus in golden order.
+var goldenCorpus = []string{
+	parser.RollingSumSrc, parser.MatrixMultiplySrc, parser.MergeSortSrc,
+	parser.Heat1DSrc, parser.SummedAreaSrc,
+}
 
 // TestFallbackGolden pins what the bytecode tier makes of the example
 // corpus, benchmark/programs/pointwise.pbcc and the first goldenGenCases
-// programs of gen seed 1: every rule of every transform is run through
-// Compile, and the outcome — the lowered program's full disassembly, or
-// the typed construct it fell back on — is compared line by line
-// against a committed golden file. Widening the lowerable fragment (a
-// rule flips to "lowered"), narrowing it, or changing what a rule
-// lowers to all fail this test until the golden is regenerated with
-// -update and the diff reviewed.
+// programs of gen seed 1, once per entry of goldenSizes: every rule of
+// every transform is run through Compile, and the outcome — the lowered
+// program's full disassembly, or the typed construct it fell back on —
+// is compared line by line against a committed golden file. Widening
+// the lowerable fragment (a rule flips to "lowered"), narrowing it, or
+// changing what a rule lowers to all fail this test until the golden is
+// regenerated with -update and the diff reviewed.
 func TestFallbackGolden(t *testing.T) {
-	corpus := []struct {
-		src   string
-		sizes map[string]int64
-	}{
-		{parser.RollingSumSrc, map[string]int64{"n": 8}},
-		{parser.MatrixMultiplySrc, map[string]int64{"w": 4, "c": 4, "h": 4}},
-		{parser.MergeSortSrc, map[string]int64{"n": 8, "a": 4, "b": 4}},
-		{parser.Heat1DSrc, map[string]int64{"n": 8}},
-		{parser.SummedAreaSrc, map[string]int64{"w": 4, "h": 4}},
-	}
-	var b strings.Builder
-	for _, c := range corpus {
-		prog, err := parser.Parse(c.src)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		for _, tr := range prog.Transforms {
-			if len(tr.Templates) > 0 {
-				fmt.Fprintf(&b, "%s: template (instantiated per use, not lowered directly)\n", tr.Name)
-				continue
-			}
-			res, err := analysis.Analyze(prog, tr)
-			if err != nil {
-				t.Fatalf("analyze %s: %v", tr.Name, err)
-			}
-			dumpRules(&b, res, c.sizes)
-		}
-	}
 	pointwise, err := os.ReadFile(filepath.Join("..", "..", "..", "benchmark", "programs", "pointwise.pbcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.WriteString("#### benchmark/programs/pointwise.pbcc\n")
-	dumpProgram(&b, string(pointwise), "", nil)
-	g := gen.New(1)
-	for i := 0; i < goldenGenCases; i++ {
-		c, err := g.Next()
-		if err != nil {
-			t.Fatal(err)
+	var b strings.Builder
+	for _, gs := range goldenSizes {
+		fmt.Fprintf(&b, "######## %s\n", gs.title)
+		for _, src := range goldenCorpus {
+			prog, err := parser.Parse(src)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			for _, tr := range prog.Transforms {
+				if len(tr.Templates) > 0 {
+					fmt.Fprintf(&b, "%s: template (instantiated per use, not lowered directly)\n", tr.Name)
+					continue
+				}
+				res, err := analysis.Analyze(prog, tr)
+				if err != nil {
+					t.Fatalf("analyze %s: %v", tr.Name, err)
+				}
+				dumpRules(&b, res, gs.corpus[src])
+			}
 		}
-		fmt.Fprintf(&b, "#### %s\n", c.Name)
-		if c.WantErr {
-			b.WriteString("invalid program\n")
-			continue
+		b.WriteString("#### benchmark/programs/pointwise.pbcc\n")
+		dumpProgram(&b, string(pointwise), "", nil, gs.n)
+		g := gen.New(1)
+		for i := 0; i < goldenGenCases; i++ {
+			c, err := g.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "#### %s\n", c.Name)
+			if c.WantErr {
+				b.WriteString("invalid program\n")
+				continue
+			}
+			dumpProgram(&b, c.Src, c.Main, c.TArgs, gs.n)
 		}
-		dumpProgram(&b, c.Src, c.Main, c.TArgs)
 	}
 	checkGolden(t, b.String())
 }
@@ -111,9 +130,8 @@ func dumpRules(b *strings.Builder, res *analysis.Result, sizes map[string]int64)
 }
 
 // dumpProgram lowers every non-template transform of src, plus the
-// instance main<targs> when given, binding every size variable to
-// goldenGenN.
-func dumpProgram(b *strings.Builder, src, main string, targs []int64) {
+// instance main<targs> when given, binding every size variable to n.
+func dumpProgram(b *strings.Builder, src, main string, targs []int64, n int64) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		fmt.Fprintf(b, "parse error: %v\n", err)
@@ -127,7 +145,7 @@ func dumpProgram(b *strings.Builder, src, main string, targs []int64) {
 		}
 		sizes := map[string]int64{}
 		for _, v := range res.SizeVars {
-			sizes[v] = goldenGenN
+			sizes[v] = n
 		}
 		dumpRules(b, res, sizes)
 	}
