@@ -11,10 +11,11 @@ import (
 )
 
 // This file routes each rule to its compiled form, once per (transform,
-// input sizes, config). A cell rule lowers to flat bytecode run by
-// internal/pbc/jit's register vm; a macro rule, which the vm does not
-// take yet, compiles to Go closures (macro.go). A rule outside both runs
-// on the AST interpreter (eval.go), the reference oracle.
+// input sizes, config). A rule that calls no transform lowers to flat
+// bytecode run by internal/pbc/jit's register vm; a macro rule the vm
+// rejects — one that calls a transform — compiles to Go closures
+// (macro.go). A rule outside both runs on the AST interpreter (eval.go),
+// the reference oracle.
 
 // EngineKey selects the execution tier for rule bodies. The tiers are
 // semantically identical (pbfuzz's difftest demands bit-identical
@@ -32,9 +33,10 @@ const (
 	// Deprecated: the closure tier now runs macro rules only, under
 	// EngineJIT; this value resolves to EngineJIT like any unknown one.
 	EngineClosure = 1
-	// EngineJIT lowers cell rules to flat bytecode run by
-	// internal/pbc/jit's register vm and macro rules to closures,
-	// falling back per rule to the AST with a typed reason.
+	// EngineJIT lowers every rule that calls no transform to flat
+	// bytecode run by internal/pbc/jit's register vm and the macro
+	// rules that do to closures, falling back per rule to the AST with
+	// a typed reason.
 	EngineJIT = 2
 )
 
@@ -163,8 +165,8 @@ func (ct *compiledTransform) calleeKey(call *exec) {
 	call.key = key // "" past the bound: rendered on use
 }
 
-// compiledRule is one rule's entry in compiledTransform.rules: a cell
-// rule lowered to bytecode (vm) or a macro rule compiled to closures
+// compiledRule is one rule's entry in compiledTransform.rules: a rule
+// lowered to bytecode (vm) or a macro rule compiled to closures
 // (macro). astRule, with neither set, marks a rule the AST tier runs.
 type compiledRule struct {
 	vm    *vmRule
@@ -297,8 +299,8 @@ func (ct *compiledTransform) encodeJIT() ([]byte, error) {
 	return jit.EncodePrograms(ct.jprogs)
 }
 
-// vmRule returns cell rule ri's bytecode form for this invocation, or
-// nil when the AST tier runs it.
+// vmRule returns rule ri's bytecode form for this invocation, or nil
+// when the AST tier runs it.
 func (ex *exec) vmRule(ri *analysis.RuleInfo) *vmRule {
 	if ex.comp == nil {
 		return nil
@@ -306,16 +308,7 @@ func (ex *exec) vmRule(ri *analysis.RuleInfo) *vmRule {
 	return ex.comp.rule(ri, ex.pend).vm
 }
 
-// macroRule returns macro rule ri's closure form for this invocation,
-// or nil when the AST tier runs it.
-func (ex *exec) macroRule(ri *analysis.RuleInfo) *macroRule {
-	if ex.comp == nil {
-		return nil
-	}
-	return ex.comp.rule(ri, ex.pend).macro
-}
-
-// vmRule is a cell rule lowered to bytecode.
+// vmRule is a rule lowered to bytecode.
 type vmRule struct {
 	prog *jit.Program
 	mats []int // index in exec.mats of each prog ref's matrix

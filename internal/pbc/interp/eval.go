@@ -708,14 +708,24 @@ func varargBuiltin(f func(a, b float64) float64) func(string, []value) (value, e
 	}
 }
 
-// runMacro executes a macro rule once over its declared regions.
+// runMacro executes a macro rule once over its declared regions: on the
+// vm when it lowered (a macro rule has no center, so one RunCell runs
+// it), else on closures, else on the AST.
 func (ex *exec) runMacro(ri *analysis.RuleInfo) error {
-	if mr := ex.macroRule(ri); mr != nil {
-		// Recursion is safe: this frame stays checked out while the body's
-		// nested calls acquire their own.
-		f := mr.acquireFrame(ex, ex.worker)
-		defer mr.releaseFrame(f)
-		return f.run()
+	if ex.comp != nil {
+		cr := ex.comp.rule(ri, ex.pend)
+		if r := cr.vm; r != nil {
+			f := r.acquireFrame(ex)
+			defer r.releaseFrame(f)
+			return f.RunCell(nil)
+		}
+		if mr := cr.macro; mr != nil {
+			// Recursion is safe: this frame stays checked out while the
+			// body's nested calls acquire their own.
+			f := mr.acquireFrame(ex, ex.worker)
+			defer mr.releaseFrame(f)
+			return f.run()
+		}
 	}
 	return ex.runRuleBody(ri, nil, ex.worker)
 }

@@ -128,7 +128,7 @@ func TestReleasedFrameDropsInvocation(t *testing.T) {
 	e.Cfg = macroMergeSortCfg()
 	ex := execFor(t, e, "MergeSortDSL", 64)
 	for _, ri := range ex.res.Rules {
-		mr := ex.macroRule(ri)
+		mr := ex.comp.rule(ri, ex.pend).macro
 		if mr == nil {
 			t.Fatalf("%s did not compile to closures", ri.Rule.Name())
 		}

@@ -298,6 +298,9 @@ to B[n]
 	}()
 }
 
+// TestLowerFallbackReasons checks the typed construct each rule outside
+// the lowerable fragment reports, and that a call-free macro rule
+// lowers (construct "").
 func TestLowerFallbackReasons(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -305,14 +308,36 @@ func TestLowerFallbackReasons(t *testing.T) {
 		rule      int
 		construct string
 	}{
-		{"macro-rule", `
+		// A macro rule lowers when it calls no transform.
+		{"macro-call-free-loop", `
+transform ML
+from A[n]
+to B[n]
+{
+  to (B b) from (A a) {
+    for (int i = 0; i < n; i++) { b.cell(i) = 2 * a.cell(n - 1 - i); }
+  }
+}
+`, 0, ""},
+		{"macro-region-assignment", `
 transform V
 from A[n]
 to B[n]
 {
   to (B b) from (A a) { b = a; }
 }
-`, 0, "macro-rule"},
+`, 0, "region-assignment"},
+		{"macro-transform-call", `
+transform MC
+from A[n]
+to B[n]
+{
+  to (B b) from (A a) {
+    for (int i = 0; i < n; i++) { b.cell(i) = a.cell(i); }
+    b = MC(a);
+  }
+}
+`, 0, "transform-call"},
 		{"view-scalar", `
 transform R
 from A[n]
@@ -380,7 +405,13 @@ to B[n]
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := lowerRule(t, tc.src, tc.rule, map[string]int64{"n": 4})
+			_, res, err := lowerRule(t, tc.src, tc.rule, map[string]int64{"n": 4})
+			if tc.construct == "" {
+				if err != nil {
+					t.Fatalf("lower: %v", err)
+				}
+				return
+			}
 			var uns *codegen.Unsupported
 			if !errors.As(err, &uns) {
 				t.Fatalf("err = %v, want *codegen.Unsupported", err)
@@ -390,6 +421,14 @@ to B[n]
 			}
 			if uns.Rule == "" {
 				t.Fatal("fallback reason missing rule name")
+			}
+			if tc.construct == "transform-call" {
+				// The call is found before any ref is lowered, by a walk
+				// that allocates nothing.
+				body := res.Rules[tc.rule].Rule.Body
+				if n := testing.AllocsPerRun(100, func() { stmtsCall(body) }); n != 0 {
+					t.Errorf("transform-call walk allocates %v times per rule", n)
+				}
 			}
 		})
 	}
