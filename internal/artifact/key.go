@@ -39,7 +39,10 @@ import (
 // Version 5: one pack file per top-level run, an index of (kind, key,
 // offset, len, sum) entries ahead of the payloads, replaced one file
 // per artifact.
-const SchemaVersion = 5
+// Version 6: the jit instruction set gained loop and compare-and-branch
+// ops (OpGuard went), and a jit payload became the binary program
+// codec of jit.EncodePrograms instead of a gob stream.
+const SchemaVersion = 6
 
 // Artifact kinds. Program artifacts live in the memory tier only (they
 // hold Go closures over live engine state); JIT artifacts — plain-data

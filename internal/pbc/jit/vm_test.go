@@ -1,6 +1,7 @@
 package jit
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -63,10 +64,31 @@ func TestOpcodes(t *testing.T) {
 		{"jz-not-taken", []float64{0, 1, 5}, nil, []Instr{{OpJZ, 2, 1, 0}, {OpMov, 0, 2, 0}, halt}, 5, ""},
 		{"jnz-taken", []float64{0, 1, 5}, nil, []Instr{{OpJNZ, 2, 1, 0}, {OpMov, 0, 2, 0}, halt}, 0, ""},
 		{"jnz-not-taken", []float64{0, 0, 5}, nil, []Instr{{OpJNZ, 2, 1, 0}, {OpMov, 0, 2, 0}, halt}, 5, ""},
-		{"guard-ok", []float64{0}, nil, []Instr{{OpGuard, 0, 0, 0}, halt}, 1, ""},
-		{"guard-runaway", []float64{0, 100_000_000}, nil,
-			[]Instr{{OpMov, 0, 1, 0}, {OpGuard, 0, 0, 0}, halt}, 0, "runaway"},
+		// OpLoop counts in r[B] and jumps to A, here over the mov.
+		{"loop-ok", []float64{0, 5}, nil, []Instr{{OpLoop, 2, 0, 0}, {OpMov, 0, 1, 0}, halt}, 1, ""},
+		{"loop-runaway", []float64{0, 100_000_000}, nil,
+			[]Instr{{OpMov, 0, 1, 0}, {OpLoop, 2, 0, 0}, halt}, 0, "runaway"},
 		{"bad-opcode", []float64{0}, nil, []Instr{{Op: 200}, halt}, 0, "bad opcode"},
+		// Compare-and-branch: r0 = 5 unless the jump over the mov is
+		// taken, which it is unless r1 <op> r2 holds — so on NaN too.
+		{"jnlt-holds", []float64{0, 1, 2, 5}, nil, fusedCase(OpJNLT), 5, ""},
+		{"jnlt-fails", []float64{0, 2, 2, 5}, nil, fusedCase(OpJNLT), 0, ""},
+		{"jnlt-nan", []float64{0, math.NaN(), 2, 5}, nil, fusedCase(OpJNLT), 0, ""},
+		{"jnle-holds", []float64{0, 2, 2, 5}, nil, fusedCase(OpJNLE), 5, ""},
+		{"jnle-fails", []float64{0, 3, 2, 5}, nil, fusedCase(OpJNLE), 0, ""},
+		{"jnle-nan", []float64{0, 2, math.NaN(), 5}, nil, fusedCase(OpJNLE), 0, ""},
+		{"jngt-holds", []float64{0, 3, 2, 5}, nil, fusedCase(OpJNGT), 5, ""},
+		{"jngt-fails", []float64{0, 2, 2, 5}, nil, fusedCase(OpJNGT), 0, ""},
+		{"jngt-nan", []float64{0, math.NaN(), 2, 5}, nil, fusedCase(OpJNGT), 0, ""},
+		{"jnge-holds", []float64{0, 2, 2, 5}, nil, fusedCase(OpJNGE), 5, ""},
+		{"jnge-fails", []float64{0, 1, 2, 5}, nil, fusedCase(OpJNGE), 0, ""},
+		{"jnge-nan", []float64{0, 2, math.NaN(), 5}, nil, fusedCase(OpJNGE), 0, ""},
+		{"jneq-holds", []float64{0, 2, 2, 5}, nil, fusedCase(OpJNEQ), 5, ""},
+		{"jneq-fails", []float64{0, 1, 2, 5}, nil, fusedCase(OpJNEQ), 0, ""},
+		{"jneq-nan", []float64{0, math.NaN(), math.NaN(), 5}, nil, fusedCase(OpJNEQ), 0, ""},
+		{"jnne-holds", []float64{0, 1, 2, 5}, nil, fusedCase(OpJNNE), 5, ""},
+		{"jnne-fails", []float64{0, 2, 2, 5}, nil, fusedCase(OpJNNE), 0, ""},
+		{"jnne-nan", []float64{0, math.NaN(), math.NaN(), 5}, nil, fusedCase(OpJNNE), 5, ""},
 		// A tight counted loop: r0 counts 0..r1 by r2.
 		{"loop", []float64{0, 10, 1, 0}, nil, []Instr{
 			{OpLT, 3, 0, 1},  // 0: r3 = r0 < r1
@@ -99,6 +121,102 @@ func TestOpcodes(t *testing.T) {
 				t.Fatalf("got %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// fusedCase is a compare-and-branch over r1 and r2 that jumps over
+// r0 = r3 when taken.
+func fusedCase(op Op) []Instr {
+	return []Instr{{op, 2, 1, 2}, {OpMov, 0, 3, 0}, {Op: OpHalt}}
+}
+
+// TestFusedBranchMatchesCompareJZ checks each compare-and-branch against
+// the comparison-then-OpJZ pair it replaces, over every pair of a few
+// operands including NaN and the infinities.
+func TestFusedBranchMatchesCompareJZ(t *testing.T) {
+	ops := []struct{ fused, cmp Op }{
+		{OpJNLT, OpLT}, {OpJNLE, OpLE}, {OpJNGT, OpGT},
+		{OpJNGE, OpGE}, {OpJNEQ, OpEQ}, {OpJNNE, OpNE},
+	}
+	vals := []float64{-1, 0, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, o := range ops {
+		fused := &Program{Name: "test/fused", Code: fusedCase(o.fused)}
+		pair := &Program{Name: "test/pair", Code: []Instr{
+			{o.cmp, 4, 1, 2}, {OpJZ, 3, 4, 0}, {OpMov, 0, 3, 0}, {Op: OpHalt},
+		}}
+		for _, l := range vals {
+			for _, r := range vals {
+				fused.RegInit = []float64{0, l, r, 5}
+				pair.RegInit = []float64{0, l, r, 5, 0}
+				got, err := runProg(t, fused, nil)
+				want, perr := runProg(t, pair, nil)
+				if err != nil || perr != nil || got != want {
+					t.Errorf("%s %v %v: %v (%v), %s+jz gives %v (%v)", o.fused, l, r, got, err, o.cmp, want, perr)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadStoreAtOutOfRange checks that an out-of-range .cell index on a
+// 1-D view — the inline path of OpLoadAt and OpStoreAt — panics with
+// matrix.Get's text, for indices below and past the view and for a
+// strided window.
+func TestLoadStoreAtOutOfRange(t *testing.T) {
+	base := matrix.New(3, 4)
+	for r := 0; r < 3; r++ {
+		for c := 0; c < 4; c++ {
+			base.Set(float64(10*r+c), r, c)
+		}
+	}
+	col := base.Region([]int{0, 1}, []int{3, 2}) // a 3x1 strided column
+	mget := func(m *matrix.Matrix, i int) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		m.Get(i)
+		return ""
+	}
+	colVec := col.Copy()
+	colVec.CollapseUnitDims()
+	for _, idx := range []float64{-1, 3, 7.9, -0.5} {
+		for _, op := range []Op{OpLoadAt, OpStoreAt} {
+			code := []Instr{{OpLoadAt, 0, 0, 1}, {Op: OpHalt}}
+			if op == OpStoreAt {
+				code[0] = Instr{OpStoreAt, 0, 1, 0}
+			}
+			p := &Program{
+				Name: "test/at", NCenter: 0, RegInit: []float64{0, idx},
+				Refs: []Ref{{Matrix: "C", Binding: "c", ND: 2, Kind: RefView, Collapse: true,
+					Base: []int64{0, 0}, HiBase: []int64{1, 3}}},
+				Code: code,
+			}
+			f := p.NewFrame()
+			f.BindMatrix(0, col)
+			got := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				_ = f.RunCell(nil)
+				return ""
+			}()
+			want := mget(colVec, int(idx))
+			if want == "" && got == "" {
+				continue // in range once truncated: -0.5 is index 0
+			}
+			if got != want {
+				t.Errorf("%s at %v: panic %q, matrix.Get panics %q", op, idx, got, want)
+			}
+		}
+	}
+	// In range, the inline path reads and writes the strided window.
+	p := &Program{
+		Name: "test/at", RegInit: []float64{0, 2, 99},
+		Refs: []Ref{{Matrix: "C", Binding: "c", ND: 2, Kind: RefView, Collapse: true,
+			Base: []int64{0, 0}, HiBase: []int64{1, 3}}},
+		Code: []Instr{{OpLoadAt, 0, 0, 1}, {OpStoreAt, 0, 1, 2}, {Op: OpHalt}},
+	}
+	f := p.NewFrame()
+	f.BindMatrix(0, col)
+	got, err := func() (float64, error) { err := f.RunCell(nil); return f.regs[0], err }()
+	if err != nil || got != 21 || base.Get(2, 1) != 99 {
+		t.Fatalf("c.cell(2) read %v (err %v), then base[2][1] = %v; want 21 and 99", got, err, base.Get(2, 1))
 	}
 }
 
