@@ -1,6 +1,10 @@
 package interp
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,8 +23,9 @@ func tierCfg(mode int64) *choice.Config {
 }
 
 // TestThreeTierAgreement runs every corpus transform on the AST tier
-// and on the default one — cell rules on the bytecode vm, macro rules
-// on closures — sequentially and on a worker pool, and requires the
+// and on the default one — rules that call no transform on the bytecode
+// vm, macro rules that do on closures — sequentially and on a worker
+// pool, and requires the
 // compiled tiers to reproduce the AST interpreter's output bit for bit.
 // The tiers may only ever change performance, not results.
 func TestThreeTierAgreement(t *testing.T) {
@@ -184,5 +189,157 @@ to B[n], C[n]
 	}
 	if !found {
 		t.Errorf("no jit view-scalar fallback recorded; stats = %+v", stats)
+	}
+}
+
+// macroTierSrc is the mergesort corpus plus macro rules that stress what
+// the vm now runs: Halves calls the call-free Ramp on the left and right
+// halves of its output, so the callee writes into a strided region of
+// its caller, and Overrun indexes one past the end of its views.
+const macroTierSrc = parser.MergeSortSrc + `
+transform Ramp
+from A[w, h]
+to B[w, h]
+{
+  to (B b) from (A a) {
+    for (int y = 0; y < h; y++) {
+      for (int x = 0; x < w; x++) { b.cell(x, y) = 2 * a.cell(x, y) + x - y / 4; }
+    }
+  }
+}
+
+transform Halves
+from A[w, h]
+to B[w, h]
+{
+  to (B.region(0, 0, w / 2, h) l, B.region(w / 2, 0, w, h) r)
+  from (A.region(0, 0, w / 2, h) al, A.region(w / 2, 0, w, h) ar) {
+    l = Ramp(al);
+    r = Ramp(ar);
+  }
+}
+
+transform Overrun
+from A[n]
+to B[n]
+{
+  to (B b) from (A a) {
+    for (int i = 0; i <= n; i++) { b.cell(i) = a.cell(i) * 2; }
+  }
+}
+`
+
+// sameBits reports whether a and b hold the same shape and bit-identical
+// elements.
+func sameBits(a, b *matrix.Matrix) bool {
+	if a.Dims() != b.Dims() {
+		return false
+	}
+	for d := 0; d < a.Dims(); d++ {
+		if a.Size(d) != b.Size(d) {
+			return false
+		}
+	}
+	x, y := a.Data(), b.Data()
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tierRun runs one invocation under cfg with the AST tier and with the
+// default one, and returns both results, each either outputs or the
+// error or panic text it ended with.
+func tierRun(t *testing.T, e *Engine, cfg func(mode int64) *choice.Config, name string, in map[string]*matrix.Matrix) (ast, vm map[string]*matrix.Matrix, astErr, vmErr string) {
+	t.Helper()
+	run := func(mode int64) (out map[string]*matrix.Matrix, msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				out, msg = nil, fmt.Sprint(r)
+			}
+		}()
+		out, err := e.WithConfig(cfg(mode)).Run(name, in)
+		if err != nil {
+			return nil, err.Error()
+		}
+		return out, ""
+	}
+	ast, astErr = run(EngineInterp)
+	vm, vmErr = run(EngineJIT)
+	return ast, vm, astErr, vmErr
+}
+
+// TestMacroRulesAcrossTiers runs the call-free macro rules SelectionSort
+// and Merge, MergeSortDSL on top of them at two cutoffs, and a nested
+// call writing a strided region of its caller, on the AST tier and on
+// the vm: outputs must agree bit for bit, and a .cell index past a view
+// must fail with the same panic on both.
+func TestMacroRulesAcrossTiers(t *testing.T) {
+	e := engine(t, macroTierSrc)
+	// The rules under test must really run on the vm.
+	for _, name := range []string{"SelectionSort", "Merge", "Ramp", "Overrun"} {
+		ex := execFor(t, e.WithConfig(tierCfg(EngineJIT)), name, 8)
+		if ex.comp.rule(ex.res.Rules[0], nil).vm == nil {
+			t.Fatalf("%s rule 0 does not lower to the vm", name)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	vecOf := func(n int) *matrix.Matrix {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(rng.Intn(21)-10) / 4 // duplicates, negatives, fractions
+		}
+		return matrix.FromSlice(v)
+	}
+	sorted := func(n int) *matrix.Matrix {
+		m := vecOf(n)
+		slices.Sort(m.Data())
+		return m
+	}
+	plain := func(mode int64) *choice.Config { return tierCfg(mode) }
+	cutoff := func(c int64) func(mode int64) *choice.Config {
+		return func(mode int64) *choice.Config {
+			cfg := tierCfg(mode)
+			cfg.SetSelector(SelectorName("MergeSortDSL"), choice.Selector{Levels: []choice.Level{
+				{Cutoff: c, Choice: 0}, {Cutoff: choice.Inf, Choice: 1},
+			}})
+			return cfg
+		}
+	}
+	check := func(what string, cfg func(mode int64) *choice.Config, name string, in map[string]*matrix.Matrix) {
+		t.Helper()
+		ast, vm, astErr, vmErr := tierRun(t, e, cfg, name, in)
+		if astErr != "" || vmErr != "" {
+			t.Errorf("%s: AST error %q, vm error %q", what, astErr, vmErr)
+			return
+		}
+		for out, m := range ast {
+			if !sameBits(m, vm[out]) {
+				t.Errorf("%s: output %s differs between the AST and the vm", what, out)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 31, 33, 64} {
+		check(fmt.Sprintf("SelectionSort n=%d", n), plain, "SelectionSort", map[string]*matrix.Matrix{"A": vecOf(n)})
+		a := n / 2
+		check(fmt.Sprintf("Merge a=%d b=%d", a, n-a), plain, "Merge",
+			map[string]*matrix.Matrix{"X": sorted(a), "Y": sorted(n - a)})
+		for _, c := range []int64{4, 32} {
+			check(fmt.Sprintf("MergeSortDSL n=%d cutoff=%d", n, c), cutoff(c), "MergeSortDSL",
+				map[string]*matrix.Matrix{"A": vecOf(n)})
+		}
+		grid := matrix.New(n, 5) // w = 5, h = n: halves of width 2 and 3
+		for i := range grid.Data() {
+			grid.Data()[i] = float64(rng.Intn(21) - 10)
+		}
+		check(fmt.Sprintf("Halves w=5 h=%d", n), plain, "Halves", map[string]*matrix.Matrix{"A": grid})
+
+		_, _, astErr, vmErr := tierRun(t, e, plain, "Overrun", map[string]*matrix.Matrix{"A": vecOf(n)})
+		want := fmt.Sprintf("matrix: index %d out of range [0,%d) in dim 0", n, n)
+		if astErr != want || vmErr != want {
+			t.Errorf("Overrun n=%d: AST fails with %q, vm with %q; want %q", n, astErr, vmErr, want)
+		}
 	}
 }
