@@ -11,12 +11,13 @@ import (
 	"petabricks/internal/runtime"
 )
 
-// This file is the macro-rule compiler. The vm does not take macro rules
-// yet — their bodies call transforms and assign whole regions — so
-// instead of re-walking the AST with a map[string]value environment on
-// every run (the runRuleBody path, kept as the fallback), each macro
-// rule body is lowered once per (transform, input sizes, config) into a
-// tree of Go closures over a slot-indexed frame. A macro rule has no
+// This file is the macro-rule compiler. The vm takes the macro rules
+// that call no transform; for the rest — their bodies call transforms
+// and assign whole regions — instead of re-walking the AST with a
+// map[string]value environment on every run (the runRuleBody path, kept
+// as the fallback), each macro rule body is lowered once per
+// (transform, input sizes, config) into a tree of Go closures over a
+// slot-indexed frame. A macro rule has no
 // center, so every region binding's bounds fold to constants here, and
 // a run binds each view once before the straight-line closure calls.
 

@@ -19,7 +19,7 @@ type FallbackReason struct {
 	Transform string `json:"transform"`
 	Rule      string `json:"rule"`
 	Tier      string `json:"tier"`      // tier that rejected the rule: "jit" or "closure"
-	Construct string `json:"construct"` // stable token, e.g. "view-binding", "macro-rule"
+	Construct string `json:"construct"` // stable token, e.g. "view-binding", "transform-call"
 	Detail    string `json:"detail,omitempty"`
 	Count     int64  `json:"count"` // distinct compilations that hit this reason
 }
