@@ -211,6 +211,28 @@ func (m *Matrix) RegionInto(out *Matrix, begin, end []int) *Matrix {
 	return out
 }
 
+// SetWindow configures m in place as a strided view of data: element
+// (i0, i1, …) of the row-major extents dims is data[off + Σ ik·strides[k]].
+// It is how a compiled frame hands a window it has already bound and
+// range-checked to code that takes a *Matrix. m's dims/strides storage
+// is reused when capacity allows.
+func (m *Matrix) SetWindow(data []float64, off int, dims []int64, strides []int) {
+	nd := len(dims)
+	if cap(m.dims) < nd {
+		m.dims = make([]int, nd)
+	}
+	if cap(m.strides) < nd {
+		m.strides = make([]int, nd)
+	}
+	m.dims, m.strides = m.dims[:nd], m.strides[:nd]
+	for d, n := range dims {
+		m.dims[d] = int(n)
+	}
+	copy(m.strides, strides)
+	m.data, m.offset, m.temp = data, off, false
+	m.contig = m.computeContig()
+}
+
 // CollapseUnitDims drops unit-extent dimensions in place while more
 // than one dimension remains, so a 1×w row view becomes a 1-D vector —
 // the same collapsing Slice performs, without allocating a new view.

@@ -398,11 +398,13 @@ func TestEachContiguousMatchesStrided(t *testing.T) {
 	}
 }
 
+// TestRegionIntoMatchesRegion: RegionInto, and SetWindow given the
+// window's offset, extents and strides, build the view Region does.
 func TestRegionIntoMatchesRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := New(5, 7)
 	m.Each(func([]int, float64) float64 { return rng.Float64() })
-	out := &Matrix{}
+	out, win := &Matrix{}, &Matrix{}
 	for trial := 0; trial < 50; trial++ {
 		b0, b1 := rng.Intn(5), rng.Intn(7)
 		e0, e1 := b0+rng.Intn(6-b0), b1+rng.Intn(8-b1)
@@ -420,6 +422,11 @@ func TestRegionIntoMatchesRegion(t *testing.T) {
 		}
 		if want.Count() > 0 && want.MaxAbsDiff(got) != 0 {
 			t.Fatal("elements differ")
+		}
+		win.SetWindow(m.data, want.offset, []int64{int64(e0 - b0), int64(e1 - b1)}, want.strides)
+		if !shapeEqual(win.dims, want.dims) || win.IsContiguous() != want.IsContiguous() ||
+			(want.Count() > 0 && want.MaxAbsDiff(win) != 0) {
+			t.Fatalf("SetWindow of [%v,%v): %v@%d, want %v@%d", begin, end, win.dims, win.offset, want.dims, want.offset)
 		}
 	}
 	// Writes through the reused view alias the parent.

@@ -99,6 +99,43 @@ func TestValidateRejections(t *testing.T) {
 		{"ref_base_rank_mismatch", func(p *Program) { p.Refs[0].Base = []int64{1, 2} }},
 		{"ref_coeff_length_mismatch", func(p *Program) { p.Refs[0].Coeff = []int64{1, 2, 3} }},
 	}
+	// Each call row gives the program a view ref 2 and the call table of
+	// `v = F(G(v), v)` — nested site 0, statement site 1 — run by an
+	// OpCall in place of the store at pc 5, then breaks one invariant.
+	withCall := func(mut func(p *Program)) func(p *Program) {
+		return func(p *Program) {
+			p.Refs = append(p.Refs, Ref{Matrix: "B", Binding: "v", Kind: RefView, ND: 1,
+				Base: []int64{0}, HiBase: []int64{4}})
+			p.Calls = []CallSite{
+				{Fn: "G", Args: []CallArg{{N: 2}}, Dest: -1},
+				{Fn: "F", Args: []CallArg{{Nested: true, N: 0}, {N: 2}}, Dest: 2},
+			}
+			p.Code[5] = Instr{Op: OpCall, A: 1}
+			mut(p)
+		}
+	}
+	cp := validProgram()
+	withCall(func(*Program) {})(cp)
+	if err := cp.Validate(); err != nil {
+		t.Fatalf("call table in place of the store: %v", err)
+	}
+	cases = append(cases, []struct {
+		name   string
+		mutate func(p *Program)
+	}{
+		{"call_site_out_of_range", withCall(func(p *Program) { p.Code[5].A = 2 })},
+		{"call_site_negative", withCall(func(p *Program) { p.Code[5].A = -1 })},
+		{"call_of_nested_site", withCall(func(p *Program) { p.Code[5].A = 0 })},
+		{"call_arg_ref_out_of_range", withCall(func(p *Program) { p.Calls[1].Args[1].N = 3 })},
+		{"call_arg_negative_ref", withCall(func(p *Program) { p.Calls[0].Args[0].N = -1 })},
+		{"call_arg_cell_ref", withCall(func(p *Program) { p.Calls[1].Args[1].N = 0 })},
+		{"call_nested_site_is_consumer", withCall(func(p *Program) { p.Calls[1].Args[0].N = 1 })},
+		{"call_nested_site_after_consumer", withCall(func(p *Program) { p.Calls[0].Args[0] = CallArg{Nested: true, N: 1} })},
+		{"call_nested_site_negative", withCall(func(p *Program) { p.Calls[1].Args[0].N = -1 })},
+		{"call_dest_cell_ref", withCall(func(p *Program) { p.Calls[1].Dest = 1 })},
+		{"call_dest_out_of_range", withCall(func(p *Program) { p.Calls[1].Dest = 3 })},
+		{"call_dest_below_minus_one", withCall(func(p *Program) { p.Calls[0].Dest = -2 })},
+	}...)
 	// Each compare-and-branch replaces the OpJZ at pc 4 (target 6,
 	// operands r2 and r1), then breaks its target or one operand.
 	for _, op := range []Op{OpJNLT, OpJNLE, OpJNGT, OpJNGE, OpJNEQ, OpJNNE} {
@@ -209,10 +246,28 @@ func TestValidateViewRefRejections(t *testing.T) {
 	}
 }
 
+// validCallProgram is a macro rule's shape with a call table: the
+// statement `v = F(G(a), a)`, whose nested G(a) is site 0 and whose F
+// is site 1, run by the one OpCall.
+func validCallProgram() *Program {
+	return &Program{
+		Name: "T/rule 2",
+		Code: []Instr{{Op: OpCall, A: 1}, {Op: OpHalt}},
+		Refs: []Ref{
+			{Matrix: "B", Binding: "v", Kind: RefView, ND: 1, Base: []int64{1}, HiBase: []int64{3}},
+			{Matrix: "A", Binding: "a", Kind: RefView, ND: 1, Base: []int64{0}, HiBase: []int64{2}},
+		},
+		Calls: []CallSite{
+			{Fn: "G", Args: []CallArg{{N: 1}}, Dest: -1},
+			{Fn: "F", Args: []CallArg{{Nested: true, N: 0}, {N: 1}}, Dest: 0},
+		},
+	}
+}
+
 // TestViewProgramRoundTrip proves view refs survive the round trip with
 // kind, bounds, and collapse intact.
 func TestViewProgramRoundTrip(t *testing.T) {
-	in := map[int]*Program{1: validViewProgram()}
+	in := map[int]*Program{1: validViewProgram(), 2: validCallProgram()}
 	payload, err := EncodePrograms(in)
 	if err != nil {
 		t.Fatal(err)
@@ -349,9 +404,11 @@ func TestCorpusRoundTrip(t *testing.T) {
 // TestDecodeRejectsMalformedFraming checks the framing rules: every
 // proper prefix of a valid payload is rejected, as is a trailing byte, a
 // length the remaining bytes cannot hold, rule indices out of order,
-// an operand past int32 and a collapse flag other than 0 or 1.
+// an operand past int32, a collapse flag other than 0 or 1, and a call
+// table whose name, site count or argument count overruns the payload
+// or whose nested flag is not 0 or 1.
 func TestDecodeRejectsMalformedFraming(t *testing.T) {
-	payload, err := EncodePrograms(map[int]*Program{0: validProgram(), 1: validViewProgram()})
+	payload, err := EncodePrograms(map[int]*Program{0: validProgram(), 1: validViewProgram(), 2: validCallProgram()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +465,29 @@ func TestDecodeRejectsMalformedFraming(t *testing.T) {
 	if _, err := DecodePrograms(b); err == nil {
 		t.Error("collapse byte 2 decoded")
 	}
+	// The call table is the last thing a program encodes: validCallProgram
+	// framed without it, then each table under test.
+	noCalls := validCallProgram()
+	noCalls.Calls = nil
+	head := noCalls.appendTo([]byte{1, 0})
+	head = head[:len(head)-1] // the empty table's count
+	withTable := func(table []byte) []byte { return append(head[:len(head):len(head)], table...) }
+	if _, err := DecodePrograms(withTable(validCallProgram().appendTo(nil)[len(head)-2:])); err != nil {
+		t.Fatalf("re-framed call table: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		table []byte
+	}{
+		{"call name past the end", []byte{1, 40, 'G', 0, 0}},
+		{"call count past the end", binary.AppendUvarint(nil, 1<<40)},
+		{"argument count past the end", append([]byte{1, 1, 'G', 1}, binary.AppendUvarint(nil, 1<<40)...)},
+		{"nested byte 2", []byte{1, 1, 'G', 1, 1, 2, 2}},
+	} {
+		if _, err := DecodePrograms(withTable(tc.table)); err == nil {
+			t.Errorf("%s decoded", tc.name)
+		}
+	}
 }
 
 // FuzzDecodePrograms feeds arbitrary bytes to DecodePrograms. It must
@@ -426,6 +506,7 @@ func FuzzDecodePrograms(f *testing.F) {
 		{0: selection},
 		{0: validProgram(), 2: validProgram()},
 		{1: validViewProgram()},
+		{2: validCallProgram()},
 		{},
 	} {
 		b, err := EncodePrograms(set)

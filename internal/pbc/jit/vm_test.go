@@ -371,3 +371,55 @@ func TestDisassemble(t *testing.T) {
 		t.Fatalf("unknown op rendering: %s", Op(200))
 	}
 }
+
+// siteLog is a Caller that records each site it is handed and the
+// view ref 0 window it sees, failing on fail.
+type siteLog struct {
+	f     *Frame
+	sites []int
+	views []string
+	fail  error
+}
+
+func (c *siteLog) Call(site int) error {
+	c.sites = append(c.sites, site)
+	var m matrix.Matrix
+	c.views = append(c.views, fmt.Sprint(c.f.View(0, &m).Shape(), m.Data()))
+	return c.fail
+}
+
+// TestCallRunsThroughCaller: OpCall hands its site to the frame's
+// Caller, which sees the statement's destination as the matrix view the
+// AST tier binds; a caller's error stops the program, and a frame with
+// no caller fails instead of calling anything.
+func TestCallRunsThroughCaller(t *testing.T) {
+	p := validCallProgram()
+	p.Code = []Instr{{Op: OpCall, A: 1}, {Op: OpCall, A: 1}, {Op: OpHalt}}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d := p.Disassemble()
+	for _, want := range []string{"call 0 G(ref 1)\n", "call 1 F(call 0, ref 1) -> ref 0\n", "  0: call   1 0 0"} {
+		if !strings.Contains(d, want) {
+			t.Fatalf("disassembly lacks %q:\n%s", want, d)
+		}
+	}
+	f := p.NewFrame()
+	f.BindMatrix(0, matrix.FromSlice([]float64{1, 2, 3, 4}))
+	f.BindMatrix(1, matrix.FromSlice([]float64{5, 6}))
+	if err := f.RunCell(nil); err == nil || !strings.Contains(err.Error(), "no caller") {
+		t.Fatalf("run without a caller: err = %v", err)
+	}
+	log := &siteLog{f: f}
+	f.SetCaller(log)
+	if err := f.RunCell(nil); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(log.sites) != "[1 1]" || log.views[0] != "[2] [2 3]" {
+		t.Fatalf("caller saw sites %v, views %v", log.sites, log.views)
+	}
+	log.sites, log.fail = nil, fmt.Errorf("callee failed")
+	if err := f.RunCell(nil); err != log.fail || len(log.sites) != 1 {
+		t.Fatalf("failing call: err = %v after %d calls, want the caller's error after 1", err, len(log.sites))
+	}
+}
