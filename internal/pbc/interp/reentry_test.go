@@ -121,39 +121,42 @@ func TestClosedPoolTypedError(t *testing.T) {
 }
 
 // TestReleasedFrameDropsInvocation: a frame returned to its pool keeps
-// nothing of the invocation it served — a pooled macro frame would
-// otherwise pin a request's inputs and nested-call results.
+// nothing of the invocation it served — a pooled vm frame would
+// otherwise pin a request's inputs, its exec (and with it the worker)
+// and nested-call results.
 func TestReleasedFrameDropsInvocation(t *testing.T) {
 	e := engine(t, parser.MergeSortSrc)
 	e.Cfg = macroMergeSortCfg()
 	ex := execFor(t, e, "MergeSortDSL", 64)
 	for _, ri := range ex.res.Rules {
-		mr := ex.comp.rule(ri, ex.pend).macro
-		if mr == nil {
-			t.Fatalf("%s did not compile to closures", ri.Rule.Name())
+		r := ex.vmRule(ri)
+		if r == nil || len(r.prog.Calls) == 0 {
+			t.Fatalf("%s did not lower to the vm with its calls", ri.Rule.Name())
 		}
-		f := mr.acquireFrame(ex, nil)
-		if err := f.run(); err != nil {
+		f := r.acquireFrame(ex)
+		if err := f.RunCell(nil); err != nil {
 			t.Fatal(err)
 		}
-		mr.releaseFrame(f)
-		if f.ex != nil || f.worker != nil {
-			t.Errorf("%s: released frame keeps its exec/worker", mr.name)
-		}
-		for i := range f.views {
-			if f.views[i].Backing() != nil {
-				t.Errorf("%s: released frame view %d keeps a matrix", mr.name, i)
+		r.releaseFrame(f)
+		var view matrix.Matrix
+		for i, ref := range r.prog.Refs {
+			if f.View(int32(i), &view).Backing() != nil {
+				t.Errorf("%s: released frame ref %s keeps a matrix", r.rule, ref.Binding)
 			}
 		}
-		for i, v := range f.slots {
-			if v.ref != nil || (v.m != nil && v.m.Backing() != nil) {
-				t.Errorf("%s: released frame slot %d keeps a matrix", mr.name, i)
+		c := f.Caller().(*callFrame)
+		if c.ex != nil {
+			t.Errorf("%s: released frame keeps its exec", r.rule)
+		}
+		for i := range c.views {
+			if c.views[i].Backing() != nil {
+				t.Errorf("%s: released frame view %d keeps a matrix", r.rule, i)
 			}
 		}
-		for _, args := range f.args {
+		for _, args := range c.args {
 			for i, v := range args {
 				if v.m != nil || v.ref != nil {
-					t.Errorf("%s: released frame argument scratch %d keeps a matrix", mr.name, i)
+					t.Errorf("%s: released frame argument scratch %d keeps a matrix", r.rule, i)
 				}
 			}
 		}

@@ -299,8 +299,8 @@ to B[n]
 }
 
 // TestLowerFallbackReasons checks the typed construct each rule outside
-// the lowerable fragment reports, and that a call-free macro rule
-// lowers (construct "").
+// the lowerable fragment reports, and that a call-free macro rule and a
+// macro rule with a call statement lower (construct "").
 func TestLowerFallbackReasons(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -327,7 +327,8 @@ to B[n]
   to (B b) from (A a) { b = a; }
 }
 `, 0, "region-assignment"},
-		{"macro-transform-call", `
+		// So does one whose calls are statements `v = F(…)`.
+		{"macro-call-statement", `
 transform MC
 from A[n]
 to B[n]
@@ -336,6 +337,26 @@ to B[n]
     for (int i = 0; i < n; i++) { b.cell(i) = a.cell(i); }
     b = MC(a);
   }
+}
+`, 0, ""},
+		// A call in a scalar position does not lower, and neither does a
+		// call statement whose argument is not a view.
+		{"call-in-expression", `
+transform CE
+from A[n]
+to B[n]
+{
+  to (B b) from (A a) {
+    for (int i = 0; i < n; i++) { b.cell(i) = sum(CE(a)); }
+  }
+}
+`, 0, "transform-call"},
+		{"call-of-non-view", `
+transform CN
+from A[n]
+to B[n]
+{
+  to (B b) from (A a) { int k = 2; b = CN(k); }
 }
 `, 0, "transform-call"},
 		{"view-scalar", `
@@ -423,10 +444,10 @@ to B[n]
 				t.Fatal("fallback reason missing rule name")
 			}
 			if tc.construct == "transform-call" {
-				// The call is found before any ref is lowered, by a walk
-				// that allocates nothing.
-				body := res.Rules[tc.rule].Rule.Body
-				if n := testing.AllocsPerRun(100, func() { stmtsCall(body) }); n != 0 {
+				// A call that cannot lower in any rule is found before any
+				// ref is lowered, by a walk that allocates nothing.
+				ri := res.Rules[tc.rule]
+				if n := testing.AllocsPerRun(100, func() { stmtsCall(ri.Rule.Body, ri.Kind == analysis.RuleMacro) }); n != 0 {
 					t.Errorf("transform-call walk allocates %v times per rule", n)
 				}
 			}
