@@ -2,9 +2,8 @@
 // compile/execute pipeline: it generates random well-formed PetaBricks
 // programs (internal/pbc/gen) and runs each one through the oracle
 // matrix (internal/pbc/difftest) — both execution tiers (the AST
-// interpreter, and the default one: cell rules on the flat-bytecode
-// vm, macro rules on compiled closures), sequential vs work-stealing
-// pool, several configurations including
+// interpreter, and the default one: the flat-bytecode vm), sequential
+// vs work-stealing pool, several configurations including
 // extreme cutoffs, repeated runs — demanding bit-identical outputs.
 // Divergences are minimized and written as replayable JSON reproducers
 // under testdata/fuzz/pbdiff.

@@ -1,7 +1,6 @@
 // Package difftest is the differential oracle for generated PetaBricks
 // programs: it executes each program many ways — both execution tiers
-// (the AST interpreter, and the default one: cell rules on the
-// flat-bytecode vm, macro rules on compiled closures),
+// (the AST interpreter, and the default one: the flat-bytecode vm),
 // sequential vs work-stealing pool, several
 // configurations including extreme cutoffs, repeated runs — and demands
 // bit-identical outputs everywhere. The generator (internal/pbc/gen)

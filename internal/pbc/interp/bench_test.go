@@ -321,9 +321,8 @@ func BenchmarkInterpWavefrontSummedAreaPool(b *testing.B) {
 // The BenchmarkMacro*Pool family measures transform re-entry: tuned
 // multi-level selectors in which every level re-enters the engine
 // through a macro rule, so the per-call cost (shape binding, frames,
-// cache keys, nested joins) is paid hundreds of times per run. These are
-// the gated macro-rule workloads ROADMAP requires before the closure
-// tier may be deleted. Default engine tier, 2-worker pool.
+// cache keys, nested joins) is paid hundreds of times per run. Default
+// engine tier, 2-worker pool.
 
 // macroMergeSortCfg is "SelectionSort below 32, recursive Merge above".
 func macroMergeSortCfg() *choice.Config {

@@ -33,8 +33,8 @@ func execFor(t *testing.T, e *Engine, name string, size int64) *exec {
 }
 
 // TestCompiledBoundsMatchRefBounds differentially checks the bounds
-// each compiler folds — a cell rule's affine base+stride ref forms in
-// its bytecode, a macro rule's constant windows — against refBounds,
+// the lowering folds — a cell rule's affine base+stride ref forms, a
+// macro rule's constant windows, the call rules' too — against refBounds,
 // the symbolic evaluator the AST interpreter uses, for every rule of
 // every corpus transform, at a grid of sampled centers (including
 // out-of-range ones; both paths compute bounds before range checking).
@@ -85,66 +85,52 @@ func TestCompiledBoundsMatchRefBounds(t *testing.T) {
 					}
 				}
 				cr := ex.comp.rule(ri, nil)
-				switch {
-				case cr.macro != nil:
-					if len(cr.macro.refs) != len(bound) {
-						t.Fatalf("%s %s: %d macro refs for %d bindings", tr.Name, ri.Rule.Name(), len(cr.macro.refs), len(bound))
-					}
-					for i, mref := range cr.macro.refs {
-						nd := len(mref.begin)
-						got := make([][2]int64, nd)
-						for d := range got {
-							got[d] = [2]int64{int64(mref.begin[nd-1-d]), int64(mref.end[nd-1-d])}
-						}
-						check(bound[i], nil, got)
-					}
-				case cr.vm != nil:
-					p := cr.vm.prog
-					if len(p.Refs) != len(bound) {
-						t.Fatalf("%s %s: %d vm refs for %d bindings", tr.Name, ri.Rule.Name(), len(p.Refs), len(bound))
-					}
-					// Every tuple of sampled center values, odometer-style.
-					nc := p.NCenter
-					idx := make([]int, nc)
-					center := make([]int64, nc)
-					for {
-						for d := range center {
-							center[d] = centerSamples[idx[d]]
-						}
-						for i, r := range p.Refs {
-							at := func(base, coeff []int64, d int) int64 {
-								v := base[d]
-								for k := 0; coeff != nil && k < nc; k++ {
-									v += coeff[d*nc+k] * center[k]
-								}
-								return v
-							}
-							got := make([][2]int64, r.ND)
-							for d := range got {
-								lo := at(r.Base, r.Coeff, d)
-								got[d] = [2]int64{lo, lo + 1}
-								if r.Kind == jit.RefView {
-									got[d][1] = at(r.HiBase, r.HiCoeff, d)
-								}
-							}
-							check(bound[i], center, got)
-						}
-						// Advance the odometer.
-						d := 0
-						for ; d < nc; d++ {
-							idx[d]++
-							if idx[d] < len(centerSamples) {
-								break
-							}
-							idx[d] = 0
-						}
-						if d == nc {
-							break
-						}
-					}
-				default:
+				if cr == astRule {
 					t.Errorf("%s %s: rule did not compile", tr.Name, ri.Rule.Name())
 					continue
+				}
+				p := cr.prog
+				if len(p.Refs) != len(bound) {
+					t.Fatalf("%s %s: %d vm refs for %d bindings", tr.Name, ri.Rule.Name(), len(p.Refs), len(bound))
+				}
+				// Every tuple of sampled center values, odometer-style.
+				nc := p.NCenter
+				idx := make([]int, nc)
+				center := make([]int64, nc)
+				for {
+					for d := range center {
+						center[d] = centerSamples[idx[d]]
+					}
+					for i, r := range p.Refs {
+						at := func(base, coeff []int64, d int) int64 {
+							v := base[d]
+							for k := 0; coeff != nil && k < nc; k++ {
+								v += coeff[d*nc+k] * center[k]
+							}
+							return v
+						}
+						got := make([][2]int64, r.ND)
+						for d := range got {
+							lo := at(r.Base, r.Coeff, d)
+							got[d] = [2]int64{lo, lo + 1}
+							if r.Kind == jit.RefView {
+								got[d][1] = at(r.HiBase, r.HiCoeff, d)
+							}
+						}
+						check(bound[i], center, got)
+					}
+					// Advance the odometer.
+					d := 0
+					for ; d < nc; d++ {
+						idx[d]++
+						if idx[d] < len(centerSamples) {
+							break
+						}
+						idx[d] = 0
+					}
+					if d == nc {
+						break
+					}
 				}
 				compiled++
 			}

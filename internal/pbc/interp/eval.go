@@ -12,9 +12,8 @@ import (
 
 // runRuleBody binds the rule's region references at one center and
 // executes the body statements by walking the AST. It is the reference
-// oracle and the fallback for rules neither the vm nor the macro-rule
-// compiler (compile.go, macro.go) takes; hot rules normally run on a
-// bytecode frame or a macro frame instead. w is the
+// oracle and the fallback for rules the vm (compile.go) does not take;
+// hot rules normally run on a bytecode frame instead. w is the
 // scheduler thread the body runs on (nil outside the pool); nested
 // transform calls inherit it.
 func (ex *exec) runRuleBody(ri *analysis.RuleInfo, center map[string]int64, w *runtime.Worker) error {
@@ -710,22 +709,14 @@ func varargBuiltin(f func(a, b float64) float64) func(string, []value) (value, e
 
 // runMacro executes a macro rule once over its declared regions: on the
 // vm when it lowered (a macro rule has no center, so one RunCell runs
-// it), else on closures, else on the AST.
+// it), else on the AST.
 func (ex *exec) runMacro(ri *analysis.RuleInfo) error {
-	if ex.comp != nil {
-		cr := ex.comp.rule(ri, ex.pend)
-		if r := cr.vm; r != nil {
-			f := r.acquireFrame(ex)
-			defer r.releaseFrame(f)
-			return f.RunCell(nil)
-		}
-		if mr := cr.macro; mr != nil {
-			// Recursion is safe: this frame stays checked out while the
-			// body's nested calls acquire their own.
-			f := mr.acquireFrame(ex, ex.worker)
-			defer mr.releaseFrame(f)
-			return f.run()
-		}
+	if r := ex.vmRule(ri); r != nil {
+		// Recursion is safe: this frame stays checked out while its
+		// calls acquire their own.
+		f := r.acquireFrame(ex)
+		defer r.releaseFrame(f)
+		return f.RunCell(nil)
 	}
 	return ex.runRuleBody(ri, nil, ex.worker)
 }

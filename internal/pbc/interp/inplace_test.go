@@ -16,7 +16,7 @@ import (
 )
 
 // tierConfigs returns one config per execution tier, in oracle-first
-// order: AST, jit (whose macro rules compile to closures).
+// order: AST, jit.
 func tierConfigs() []*choice.Config {
 	ast, jit := choice.NewConfig(), choice.NewConfig()
 	ast.SetInt(EngineKey, EngineInterp)

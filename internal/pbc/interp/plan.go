@@ -229,7 +229,7 @@ func (ex *exec) releaseTileFrames(frames []tileFrame) {
 	nr := len(ex.res.Transform.Rules)
 	for i := range frames {
 		if f := frames[i].f; f != nil {
-			ex.comp.rules[i%nr].Load().vm.releaseFrame(f)
+			ex.comp.rules[i%nr].Load().releaseFrame(f)
 		}
 		frames[i] = tileFrame{}
 	}

@@ -285,8 +285,8 @@ var planCtr struct {
 	buildNanos atomic.Int64
 }
 
-// compileNanos accumulates wall time spent lowering rules (jit bytecode
-// and macro-rule closures); the repository benchmark reads the delta as
+// compileNanos accumulates wall time spent lowering rules to jit
+// bytecode; the repository benchmark reads the delta as
 // interp.compile_ms to split a cold boot into plan-construction vs
 // compile vs execute time.
 var compileNanos atomic.Int64
@@ -301,8 +301,8 @@ func PlanStats() PlanCounters {
 }
 
 // CompileSeconds returns the cumulative wall time this process has
-// spent lowering rules from source (bytecode and macro-rule closures;
-// warm bytecode loads are not compiles and do not count).
+// spent lowering rules from source to bytecode (warm bytecode loads are
+// not compiles and do not count).
 func CompileSeconds() float64 {
 	return float64(compileNanos.Load()) / 1e9
 }

@@ -82,7 +82,7 @@ to B
 // TestRowSeamsMatchInterpreter runs programs whose cell loops are cut
 // into rows at tile, chunk and wavefront seams — pooled flat chunks
 // that end mid-row, a descending lex wavefront, descending cyclic axes
-// — and a zero-rank region, on the closure and bytecode tiers, sequentially, on a pool with
+// — and a zero-rank region, on the bytecode tier, sequentially, on a pool with
 // plans, and on a pool with plans declined (the step loop's flat
 // chunks). Each must reproduce the AST interpreter: the same output bit
 // for bit, or, with a 13 in the input, the same division error.

@@ -11,14 +11,14 @@ import (
 // Tier compilation statistics are collected process-wide and always on
 // (unlike the obs metrics, which only exist once Instrument installs a
 // registry). They answer "which rules did not make it into the tier I
-// asked for, and why" — the blanket skip the jit and closure lowerers
-// used to hide behind is surfaced here as a typed construct token.
+// asked for, and why" — the blanket skip the lowerers used to hide
+// behind is surfaced here as a typed construct token.
 
 // FallbackReason describes one (transform, rule, tier) lowering failure.
 type FallbackReason struct {
 	Transform string `json:"transform"`
 	Rule      string `json:"rule"`
-	Tier      string `json:"tier"`      // tier that rejected the rule: "jit" or "closure"
+	Tier      string `json:"tier"`      // tier that rejected the rule: always "jit"
 	Construct string `json:"construct"` // stable token, e.g. "view-binding", "transform-call"
 	Detail    string `json:"detail,omitempty"`
 	Count     int64  `json:"count"` // distinct compilations that hit this reason
