@@ -44,7 +44,9 @@ import (
 // codec of jit.EncodePrograms instead of a gob stream.
 // Version 7: a jit program gained a call-site table and OpCall, so the
 // macro rules that call transforms persist as bytecode too.
-const SchemaVersion = 7
+// Version 8: the jit instruction set gained the rotated loop's back
+// edge, OpLoopLT.
+const SchemaVersion = 8
 
 // Artifact kinds. Program artifacts live in the memory tier only (they
 // hold frame pools and pointers into live analysis state); JIT artifacts — plain-data

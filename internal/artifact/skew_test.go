@@ -47,11 +47,17 @@ func fixtureV5(t *testing.T) (string, []byte) { return fixture(t, "v5") }
 // gained call sites.
 func fixtureV6(t *testing.T) (string, []byte) { return fixture(t, "v6") }
 
+// fixtureV7 is a schema-7 pack, committed by pbserve (Heat1D, n=32: a
+// plan entry and a jit entry with an empty call-site table) before the
+// jit instruction set gained rotated loops.
+func fixtureV7(t *testing.T) (string, []byte) { return fixture(t, "v7") }
+
 // TestVersionSkewRejectedOnOpen opens a store over a directory holding
 // artifacts from older schema versions — one from schema 1, one
 // single-artifact file from schema 4, the format packs replaced, a
-// schema-5 pack whose jit entry is a gob stream, and a schema-6 pack
-// whose jit entry predates call sites. The
+// schema-5 pack whose jit entry is a gob stream, a schema-6 pack whose
+// jit entry predates call sites, and a schema-7 pack whose jit entry
+// predates rotated loops. The
 // store must reject each cleanly — counted under the schema reason,
 // never indexed, never served — while leaving the files in place (a
 // rollback to the older binary may still want them). The caller's
@@ -60,7 +66,7 @@ func fixtureV6(t *testing.T) (string, []byte) { return fixture(t, "v6") }
 func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	var stale []string
-	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4, fixtureV5, fixtureV6} {
+	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4, fixtureV5, fixtureV6, fixtureV7} {
 		name, raw := fx(t)
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -70,12 +76,12 @@ func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	}
 	keep := func(s *Store, when string) {
 		t.Helper()
-		if s.CorruptCount() != 4 {
-			t.Errorf("%s: corrupt count = %d, want 4", when, s.CorruptCount())
+		if s.CorruptCount() != 5 {
+			t.Errorf("%s: corrupt count = %d, want 5", when, s.CorruptCount())
 		}
 		reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
-		if reasons[CorruptSchema] != 4 {
-			t.Errorf("%s: schema reason count = %d, want 4 (reasons %v)", when, reasons[CorruptSchema], reasons)
+		if reasons[CorruptSchema] != 5 {
+			t.Errorf("%s: schema reason count = %d, want 5 (reasons %v)", when, reasons[CorruptSchema], reasons)
 		}
 		for _, path := range stale {
 			if _, err := os.Stat(path); err != nil {
