@@ -211,9 +211,6 @@ func (ct *compiledTransform) compile(ri *analysis.RuleInfo, pend *artifact.Pendi
 		ct.persist(ri.Rule.Index, prog, pend)
 	} else {
 		recordTierFallback(ct.res.Transform.Name, ri.Rule.Name(), "jit", jerr)
-		if m != nil {
-			m.jitFallback.Inc()
-		}
 	}
 	if m != nil {
 		if cr != astRule {

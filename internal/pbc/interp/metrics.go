@@ -39,7 +39,6 @@ type interpMetrics struct {
 	planBuild *obs.Counter   // plans constructed from the schedule
 
 	jitCompiled  *obs.Counter // rules lowered to bytecode programs
-	jitFallback  *obs.Counter // jit lowering fallbacks (to the AST)
 	jitWarm      *obs.Counter // rules warm-started from the artifact disk tier
 	jitViewRules *obs.Counter // lowered programs carrying view refs (reduction loops)
 
@@ -80,7 +79,6 @@ func Instrument(reg *obs.Registry) {
 	m.planWarm = reg.Counter("pb_plan_warm_loads_total", "Execution plans warm-started from persisted descriptors instead of built.")
 	m.planBuild = reg.Counter("pb_plan_builds_total", "Execution plans constructed from the schedule (cache and disk both missed).")
 	m.jitCompiled = reg.Counter("pb_jit_rules_compiled_total", "Rules lowered to flat-bytecode programs.")
-	m.jitFallback = reg.Counter("pb_jit_compile_fallbacks_total", "Jit lowering fallbacks to the AST interpreter.")
 	m.jitWarm = reg.Counter("pb_jit_warm_loads_total", "Rules warm-started from persisted bytecode instead of lowering.")
 	m.jitViewRules = reg.Counter("pb_jit_view_rules_total", "Lowered rule programs whose bytecode binds region views (reduction loops).")
 	im.Store(m)
