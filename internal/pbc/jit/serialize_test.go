@@ -160,6 +160,51 @@ func TestValidateRejections(t *testing.T) {
 			{op.String() + "_right_register_out_of_range", fused(func(in *Instr) { in.C = -1 })},
 		}...)
 	}
+	// Each loop row swaps in validLoopProgram, then breaks one field of
+	// its looplt (pc 4) or of its two-cell compare (pc 2), made each of
+	// the six in turn.
+	loop := func(mut func(p *Program)) func(p *Program) {
+		return func(p *Program) {
+			*p = *validLoopProgram()
+			mut(p)
+		}
+	}
+	cases = append(cases, []struct {
+		name   string
+		mutate func(p *Program)
+	}{
+		{"looplt_jump_past_end", loop(func(p *Program) { p.Code[4].A = 6 })},
+		{"looplt_negative_jump_target", loop(func(p *Program) { p.Code[4].A = -1 })},
+		{"looplt_variable_out_of_range", loop(func(p *Program) { p.Code[4].B = 4 })},
+		{"looplt_guard_negative", loop(func(p *Program) { p.Code[4].C = -1 })},
+		{"looplt_bound_out_of_range", loop(func(p *Program) { p.Code[4].C = 3 })},
+	}...)
+	for _, op := range []Op{OpJNLTV, OpJNLEV, OpJNGTV, OpJNGEV, OpJNEQV, OpJNNEV} {
+		cells := func(mut func(in *Instr)) func(p *Program) {
+			return loop(func(p *Program) {
+				p.Code[2].Op = op
+				mut(&p.Code[2])
+			})
+		}
+		p := validLoopProgram()
+		cells(func(*Instr) {})(p)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("%s in the loop: %v", op, err)
+		}
+		cases = append(cases, []struct {
+			name   string
+			mutate func(p *Program)
+		}{
+			{op.String() + "_jump_past_end", cells(func(in *Instr) { in.A = 6 })},
+			{op.String() + "_negative_jump_target", cells(func(in *Instr) { in.A = -1 })},
+			{op.String() + "_left_ref_out_of_range", cells(func(in *Instr) { in.B = pack(4, 1) })},
+			{op.String() + "_right_ref_out_of_range", cells(func(in *Instr) { in.B = pack(0, 0xffff) })},
+			{op.String() + "_left_ref_a_cell_ref", cells(func(in *Instr) { in.B = pack(2, 1) })},
+			{op.String() + "_right_ref_a_2d_view", cells(func(in *Instr) { in.B = pack(0, 3) })},
+			{op.String() + "_left_index_out_of_range", cells(func(in *Instr) { in.C = pack(4, 3) })},
+			{op.String() + "_right_index_out_of_range", cells(func(in *Instr) { in.C = pack(0, 0xffff) })},
+		}...)
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := validProgram()
@@ -171,6 +216,33 @@ func TestValidateRejections(t *testing.T) {
 				t.Error("mutated program validated")
 			}
 		})
+	}
+}
+
+// validLoopProgram is a rotated counted loop over a two-cell compare,
+// `for (i = 0; i < 4; i++) if (v.cell(i) < r.cell(k)) k = i;`: the
+// entry test, then the body, then the looplt whose guard r1 has the
+// bound r2 above it. Ref 2 is a cell ref and ref 3 a 2-D view, the
+// operands a two-cell compare must not take.
+func validLoopProgram() *Program {
+	return &Program{
+		Name: "T/rule 3",
+		Code: []Instr{
+			{Op: OpConst, A: 1, B: 0},
+			{Op: OpJNLT, A: 5, B: 0, C: 2},
+			{Op: OpJNLTV, A: 4, B: pack(0, 1), C: pack(0, 3)},
+			{Op: OpMov, A: 3, B: 0},
+			{Op: OpLoopLT, A: 2, B: 0, C: 1},
+			{Op: OpHalt},
+		},
+		Consts:  []float64{0},
+		RegInit: []float64{0, 0, 4, 0},
+		Refs: []Ref{
+			{Matrix: "A", Binding: "v", Kind: RefView, ND: 1, Base: []int64{0}, HiBase: []int64{4}},
+			{Matrix: "B", Binding: "r", Kind: RefView, ND: 2, Collapse: true, Base: []int64{0, 0}, HiBase: []int64{4, 1}},
+			{Matrix: "A", Binding: "c", ND: 1, Base: []int64{0}},
+			{Matrix: "B", Binding: "w", Kind: RefView, ND: 2, Base: []int64{0, 0}, HiBase: []int64{4, 4}},
+		},
 	}
 }
 
@@ -265,9 +337,10 @@ func validCallProgram() *Program {
 }
 
 // TestViewProgramRoundTrip proves view refs survive the round trip with
-// kind, bounds, and collapse intact.
+// kind, bounds, and collapse intact, as do call sites and the packed
+// operands of a two-cell compare.
 func TestViewProgramRoundTrip(t *testing.T) {
-	in := map[int]*Program{1: validViewProgram(), 2: validCallProgram()}
+	in := map[int]*Program{1: validViewProgram(), 2: validCallProgram(), 3: validLoopProgram()}
 	payload, err := EncodePrograms(in)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +481,9 @@ func TestCorpusRoundTrip(t *testing.T) {
 // table whose name, site count or argument count overruns the payload
 // or whose nested flag is not 0 or 1.
 func TestDecodeRejectsMalformedFraming(t *testing.T) {
-	payload, err := EncodePrograms(map[int]*Program{0: validProgram(), 1: validViewProgram(), 2: validCallProgram()})
+	payload, err := EncodePrograms(map[int]*Program{
+		0: validProgram(), 1: validViewProgram(), 2: validCallProgram(), 3: validLoopProgram(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +582,7 @@ func FuzzDecodePrograms(f *testing.F) {
 		{0: validProgram(), 2: validProgram()},
 		{1: validViewProgram()},
 		{2: validCallProgram()},
+		{3: validLoopProgram()},
 		{},
 	} {
 		b, err := EncodePrograms(set)

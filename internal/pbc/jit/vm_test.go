@@ -69,6 +69,16 @@ func TestOpcodes(t *testing.T) {
 		{"loop-runaway", []float64{0, 100_000_000}, nil,
 			[]Instr{{OpMov, 0, 1, 0}, {OpLoop, 2, 0, 0}, halt}, 0, "runaway"},
 		{"bad-opcode", []float64{0}, nil, []Instr{{Op: 200}, halt}, 0, "bad opcode"},
+		// OpLoopLT increments the loop variable r0 and the guard r1, then
+		// jumps over r0 = r3 while r0 < r2, the bound above the guard.
+		{"looplt-continues", []float64{0, 100_000_000 - 1, 10, 99}, nil, loopLTCase(), 1, ""},
+		{"looplt-runaway", []float64{0, 100_000_000, 10, 99}, nil, loopLTCase(), 0, "runaway"},
+		{"looplt-exits", []float64{9, 0, 10, 99}, nil, loopLTCase(), 99, ""},
+		{"looplt-nan-exits", []float64{math.NaN(), 0, 10, 99}, nil, loopLTCase(), 99, ""},
+		{"looplt-counts", []float64{0, 0, 10, 99}, nil, []Instr{
+			{OpLoopLT, 0, 0, 1}, // 0: back to itself while r0 < 10
+			halt,                // 1
+		}, 10, ""},
 		// Compare-and-branch: r0 = 5 unless the jump over the mov is
 		// taken, which it is unless r1 <op> r2 holds — so on NaN too.
 		{"jnlt-holds", []float64{0, 1, 2, 5}, nil, fusedCase(OpJNLT), 5, ""},
@@ -128,6 +138,108 @@ func TestOpcodes(t *testing.T) {
 // r0 = r3 when taken.
 func fusedCase(op Op) []Instr {
 	return []Instr{{op, 2, 1, 2}, {OpMov, 0, 3, 0}, {Op: OpHalt}}
+}
+
+// loopLTCase is a rotated loop's back edge over loop variable r0, guard
+// r1 and bound r2 that jumps over r0 = r3 when taken.
+func loopLTCase() []Instr {
+	return []Instr{{OpLoopLT, 2, 0, 1}, {OpMov, 0, 3, 0}, {Op: OpHalt}}
+}
+
+// twoCellOps pairs each two-cell compare with the compare-and-branch it
+// fuses with two OpLoadAt.
+var twoCellOps = []struct{ cells, regs Op }{
+	{OpJNLTV, OpJNLT}, {OpJNLEV, OpJNLE}, {OpJNGTV, OpJNGT},
+	{OpJNGEV, OpJNGE}, {OpJNEQV, OpJNEQ}, {OpJNNEV, OpJNNE},
+}
+
+// twoCellPrograms builds a two-cell compare of x.cell(r1) and
+// y.cell(r2), x a 1-D view (ref 0) and y a collapsed strided column
+// (ref 1), that jumps over r0 = r3 when taken, and the loadat, loadat,
+// compare-and-branch sequence it replaces.
+func twoCellPrograms(cells, regs Op, i, j float64) (fused, seq *Program) {
+	refs := []Ref{
+		{Matrix: "X", Binding: "x", ND: 1, Kind: RefView, Base: []int64{0}, HiBase: []int64{3}},
+		{Matrix: "C", Binding: "y", ND: 2, Kind: RefView, Collapse: true, Base: []int64{0, 0}, HiBase: []int64{1, 3}},
+	}
+	fused = &Program{
+		Name: "test/cells", RegInit: []float64{0, i, j, 5}, Refs: refs,
+		Code: []Instr{{cells, 2, pack(0, 1), pack(1, 2)}, {OpMov, 0, 3, 0}, {Op: OpHalt}},
+	}
+	seq = &Program{
+		Name: "test/cells", RegInit: []float64{0, i, j, 5, 0, 0}, Refs: refs,
+		Code: []Instr{
+			{OpLoadAt, 4, 0, 1}, {OpLoadAt, 5, 1, 2}, {regs, 4, 4, 5},
+			{OpMov, 0, 3, 0}, {Op: OpHalt},
+		},
+	}
+	return fused, seq
+}
+
+// runCells runs p over x and the column of grid, returning r0, or the
+// text of the panic it ended with.
+func runCells(p *Program, x, grid *matrix.Matrix) (r0 float64, msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f := p.NewFrame()
+	f.BindMatrix(0, x)
+	f.BindMatrix(1, grid.Region([]int{0, 1}, []int{3, 2}))
+	if err := f.RunCell(nil); err != nil {
+		return 0, err.Error()
+	}
+	return f.regs[0], ""
+}
+
+// TestTwoCellCompare checks each two-cell compare against the loadat,
+// loadat, compare-and-branch sequence it replaces: the same branch for
+// every pair of cells in range, NaN on either side included, and for
+// an index out of range on either side the same panic — matrix.Get's,
+// the left side's when both are out of range.
+func TestTwoCellCompare(t *testing.T) {
+	nan := math.NaN()
+	x := matrix.FromSlice([]float64{-1, nan, 2})
+	grid := matrix.New(3, 4)
+	for r, v := range []float64{2, math.Inf(-1), nan} {
+		grid.Set(v, r, 1)
+	}
+	get := func(m *matrix.Matrix, i int) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		m.Get(i)
+		return ""
+	}
+	for _, o := range twoCellOps {
+		for _, i := range []float64{-1, 0, 1, 2, 2.9, 3, nan} {
+			for _, j := range []float64{-0.5, 0, 1, 2, 3, 7} {
+				fused, seq := twoCellPrograms(o.cells, o.regs, i, j)
+				got, gotMsg := runCells(fused, x, grid)
+				want, wantMsg := runCells(seq, x, grid)
+				if got != want || gotMsg != wantMsg {
+					t.Errorf("%s x.cell(%v) y.cell(%v): r0 %v, panic %q; loadat pair and %s: r0 %v, panic %q",
+						o.cells, i, j, got, gotMsg, o.regs, want, wantMsg)
+				}
+				if wantMsg == "" {
+					continue
+				}
+				// The panic is matrix.Get's on the first index out of range.
+				first := get(x, int(i))
+				if first == "" {
+					col := grid.Region([]int{0, 1}, []int{3, 2}).Copy()
+					col.CollapseUnitDims()
+					first = get(col, int(j))
+				}
+				if gotMsg != first {
+					t.Errorf("%s x.cell(%v) y.cell(%v): panic %q, matrix.Get panics %q", o.cells, i, j, gotMsg, first)
+				}
+			}
+		}
+	}
 }
 
 // TestFusedBranchMatchesCompareJZ checks each compare-and-branch against
