@@ -294,12 +294,14 @@ func benchScheduler(b *testing.B, mode runtime.Mode) {
 	defer p.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ParallelFor(0, 1<<14, 8, func(w *runtime.Worker, lo, hi int) {
-			s := 0
-			for j := lo; j < hi; j++ {
-				s += j * j
-			}
-			_ = s
+		p.Run(func(w *runtime.Worker) {
+			w.For(0, 1<<14, 8, func(w *runtime.Worker, lo, hi int) {
+				s := 0
+				for j := lo; j < hi; j++ {
+					s += j * j
+				}
+				_ = s
+			})
 		})
 	}
 }

@@ -71,7 +71,7 @@ type Key struct {
 	Prog uint64
 	// Transform is the transform (or template-instance) name.
 	Transform string
-	// Sizes is the canonical size-vector encoding from SizesKey.
+	// Sizes is the canonical size-vector encoding from SizesKeySorted.
 	Sizes string
 	// ConfigFP is the configuration fingerprint from ConfigFingerprint.
 	ConfigFP uint64
@@ -110,20 +110,9 @@ func entryID(kind, key string) string {
 	return "v" + strconv.Itoa(SchemaVersion) + "-" + strconv.FormatUint(HashString(kind+"|"+key), 16)
 }
 
-// SizesKey encodes a bound size vector canonically (sorted by variable
-// name), e.g. "m=3|n=64".
-func SizesKey(sizes map[string]int64) string {
-	names := sortedKeys(sizes)
-	vals := make([]int64, len(names))
-	for i, k := range names {
-		vals[i] = sizes[k]
-	}
-	return SizesKeySorted(names, vals)
-}
-
-// SizesKeySorted is SizesKey for callers that already hold the variable
-// names in sorted order with their values alongside; it neither sorts
-// nor allocates beyond the result.
+// SizesKeySorted encodes a bound size vector canonically, e.g.
+// "m=3|n=64", from its variable names in sorted order and their values
+// alongside; it neither sorts nor allocates beyond the result.
 func SizesKeySorted(names []string, vals []int64) string {
 	var buf [64]byte
 	b := buf[:0]

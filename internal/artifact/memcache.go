@@ -68,26 +68,20 @@ func (c *MemCache) GetOrCreate(key string, create func() any) (v any, created bo
 	return v, true
 }
 
-// Get returns the cached value without creating or counting a miss as
-// traffic (used by tests and introspection).
-func (c *MemCache) Get(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.entries[key]
-	return v, ok
-}
-
-// Contains reports whether key is cached.
-func (c *MemCache) Contains(key string) bool {
-	_, ok := c.Get(key)
-	return ok
-}
-
 // Len returns the number of cached entries.
 func (c *MemCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
+}
+
+// Contains reports whether key is cached, counting neither a hit nor a
+// miss.
+func (c *MemCache) Contains(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
 }
 
 // SetOnEvict installs a callback invoked (under the cache lock) for

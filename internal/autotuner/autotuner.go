@@ -24,12 +24,6 @@ type Evaluator interface {
 	Measure(cfg *choice.Config, n int64) float64
 }
 
-// EvaluatorFunc adapts a function to the Evaluator interface.
-type EvaluatorFunc func(cfg *choice.Config, n int64) float64
-
-// Measure implements Evaluator.
-func (f EvaluatorFunc) Measure(cfg *choice.Config, n int64) float64 { return f(cfg, n) }
-
 // Options configures a tuning run.
 type Options struct {
 	// MinSize is the first training input size (paper: "starts with a

@@ -68,7 +68,7 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 				return interp.Space(res)
 			},
 			Program: func(*runtime.Pool) autotuner.Program {
-				return &dslProgram{eng: eng, name: name}
+				return eng.TuneProgram(name)
 			},
 			Baseline: choice.NewConfig,
 			CheckTol: 1e-9,
@@ -81,37 +81,6 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 		return nil, fmt.Errorf("%s: no servable transforms", path)
 	}
 	return out, nil
-}
-
-// dslProgram adapts one interpreted transform to the autotuner's Program
-// interface. Each Run executes on a WithConfig view so concurrent
-// serving traffic on the shared engine is never perturbed.
-type dslProgram struct {
-	eng  *interp.Engine
-	name string
-}
-
-func (p *dslProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	e := p.eng.WithConfig(cfg)
-	inputs, err := e.GenerateInputs(p.name, size, seed)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(p.name, inputs)
-}
-
-func (p *dslProgram) Same(a, b any, tol float64) bool {
-	x, y := a.(map[string]*matrix.Matrix), b.(map[string]*matrix.Matrix)
-	if len(x) != len(y) {
-		return false
-	}
-	for k, m := range x {
-		o, ok := y[k]
-		if !ok || !m.AlmostEqual(o, tol) {
-			return false
-		}
-	}
-	return true
 }
 
 // matrixChecksum fingerprints a named-matrix result set deterministically

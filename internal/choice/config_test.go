@@ -236,16 +236,9 @@ func TestSpaceDefaultConfigAndLookup(t *testing.T) {
 	if c.Selector("sort", 9).Choose(1).Choice != 0 {
 		t.Fatal("default selector should use choice 0")
 	}
-	spec, ok := sp.SelectorSpecFor("sort")
-	if !ok || spec.NumChoices() != 3 {
-		t.Fatal("SelectorSpecFor failed")
-	}
-	if _, ok := sp.SelectorSpecFor("nope"); ok {
-		t.Fatal("unknown selector should not resolve")
-	}
-	base := spec.BaseChoices()
-	if len(base) != 1 || base[0] != 0 {
-		t.Fatalf("BaseChoices = %v", base)
+	spec := sp.Selectors[0]
+	if spec.NumChoices() != 3 {
+		t.Fatalf("NumChoices = %d, want 3", spec.NumChoices())
 	}
 	rec := spec.RecursiveChoices()
 	if len(rec) != 2 || rec[0] != 1 || rec[1] != 2 {

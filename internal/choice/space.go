@@ -46,17 +46,6 @@ type SelectorSpec struct {
 // NumChoices returns the size of the choice menu.
 func (s SelectorSpec) NumChoices() int { return len(s.ChoiceNames) }
 
-// BaseChoices returns the indices of non-recursive choices.
-func (s SelectorSpec) BaseChoices() []int {
-	var out []int
-	for i := range s.ChoiceNames {
-		if i >= len(s.Recursive) || !s.Recursive[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // RecursiveChoices returns the indices of recursive choices.
 func (s SelectorSpec) RecursiveChoices() []int {
 	var out []int
@@ -81,16 +70,6 @@ func (sp *Space) AddTunable(t TunableSpec) { sp.Tunables = append(sp.Tunables, t
 
 // AddSelector appends a selector declaration.
 func (sp *Space) AddSelector(s SelectorSpec) { sp.Selectors = append(sp.Selectors, s) }
-
-// SelectorSpecFor returns the spec for the named transform.
-func (sp *Space) SelectorSpecFor(name string) (SelectorSpec, bool) {
-	for _, s := range sp.Selectors {
-		if s.Transform == name {
-			return s, true
-		}
-	}
-	return SelectorSpec{}, false
-}
 
 // DefaultConfig builds the configuration with every tunable at its
 // default and every selector running choice 0 everywhere.

@@ -97,12 +97,6 @@ type Call[I, O any] struct {
 	size  int64
 }
 
-// Size returns the problem size of the current invocation.
-func (c *Call[I, O]) Size() int64 { return c.size }
-
-// Tunable reads a named tunable from the configuration.
-func (c *Call[I, O]) Tunable(name string, def int64) int64 { return c.Ex.Cfg.Int(name, def) }
-
 // Param reads a per-level selector parameter for the current level.
 func (c *Call[I, O]) Param(name string, def int64) int64 { return c.Level.Param(name, def) }
 
@@ -172,19 +166,4 @@ func Run[I, O any](ex *Exec, t *Transform[I, O], in I) O {
 	var out O
 	ex.Pool.Run(func(w *runtime.Worker) { out = Invoke(ex, t, w, in) })
 	return out
-}
-
-// InvokeWith runs the transform forcing a specific choice index at the
-// top level (recursive calls still follow the configured selector). It
-// is used by the consistency checker and by single-algorithm baselines.
-func InvokeWith[I, O any](ex *Exec, t *Transform[I, O], w *runtime.Worker, choiceIdx int, in I) O {
-	if choiceIdx < 0 || choiceIdx >= len(t.Choices) {
-		panic(fmt.Sprintf("choice: transform %q has no choice %d", t.Name, choiceIdx))
-	}
-	call := &Call[I, O]{
-		T: t, Ex: ex, W: w,
-		Level: Level{Cutoff: Inf, Choice: choiceIdx},
-		size:  t.Size(in),
-	}
-	return t.Choices[choiceIdx].Fn(call, in)
 }

@@ -123,29 +123,6 @@ func TestSeqCutoffDisablesSpawns(t *testing.T) {
 	}
 }
 
-func TestInvokeWithForcesChoice(t *testing.T) {
-	tr := testSortTransform()
-	cfg := NewConfig()
-	cfg.SetSelector("tsort", NewSelector(0)) // config says insertion sort
-	ex := NewExec(nil, cfg)
-	// Force merge sort at the top; recursion under it follows the config.
-	out := InvokeWith(ex, tr, nil, 1, input(64))
-	if !isSorted(out) {
-		t.Fatal("InvokeWith output unsorted")
-	}
-}
-
-func TestInvokeWithBadChoicePanics(t *testing.T) {
-	tr := testSortTransform()
-	ex := NewExec(nil, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	InvokeWith(ex, tr, nil, 99, input(4))
-}
-
 func TestInvokeBadSelectorPanics(t *testing.T) {
 	tr := testSortTransform()
 	cfg := NewConfig()
@@ -186,7 +163,7 @@ func TestCallTunableAndParam(t *testing.T) {
 	tr.Choices = []Choice[int, int64]{{
 		Name: "P",
 		Fn: func(c *Call[int, int64], in int) int64 {
-			return c.Tunable("probe.x", -1)*1000 + c.Param("k", -1)
+			return c.Ex.Cfg.Int("probe.x", -1)*1000 + c.Param("k", -1)
 		},
 	}}
 	cfg := NewConfig()
@@ -210,10 +187,10 @@ func TestCallSizeExposed(t *testing.T) {
 	}
 	tr.Choices = []Choice[int, int64]{{
 		Name: "S",
-		Fn:   func(c *Call[int, int64], in int) int64 { return c.Size() },
+		Fn:   func(c *Call[int, int64], in int) int64 { return c.size },
 	}}
 	if got := Run(NewExec(nil, nil), tr, 21); got != 42 {
-		t.Fatalf("Size() = %d, want 42", got)
+		t.Fatalf("size = %d, want 42", got)
 	}
 }
 

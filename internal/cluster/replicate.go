@@ -173,14 +173,6 @@ func (r *Replicator) pullPeer(ctx context.Context, peer string) (int, error) {
 	return merged, nil
 }
 
-// Merged returns the number of entries accepted from peers so far.
-func (r *Replicator) Merged() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.merged.Load()
-}
-
 // Stats summarizes replication for /v1/stats.
 func (r *Replicator) Stats() map[string]any {
 	if r == nil {

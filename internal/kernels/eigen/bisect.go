@@ -159,16 +159,11 @@ func normalize(x []float64) {
 	}
 }
 
-// Bisection computes all eigenpairs by Sturm bisection plus inverse
-// iteration (the paper's "Bisection" algorithm, O(n·k²) for k
-// eigenvalues). Clustered eigenvalues are re-orthogonalized against
-// their cluster by modified Gram-Schmidt.
-func Bisection(t Tridiag) (Result, error) {
-	return BisectionParallel(t, func(n int, body func(lo, hi int)) { body(0, n) })
-}
-
-// BisectionParallel is Bisection with the embarrassingly parallel
-// eigenvalue search routed through a caller-supplied parallel-for. Only
+// BisectionParallel computes all eigenpairs by Sturm bisection plus
+// inverse iteration (the paper's "Bisection" algorithm, O(n·k²) for k
+// eigenvalues), with the embarrassingly parallel eigenvalue search routed
+// through a caller-supplied parallel-for. Clustered eigenvalues are
+// re-orthogonalized against their cluster by modified Gram-Schmidt. Only
 // the eigenvalue bisections parallelize; inverse iteration stays
 // sequential because cluster re-orthogonalization is order-dependent.
 func BisectionParallel(t Tridiag, parallelFor func(n int, body func(lo, hi int))) (Result, error) {

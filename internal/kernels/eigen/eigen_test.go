@@ -38,7 +38,9 @@ type method struct {
 func methods() []method {
 	return []method{
 		{"QR", QR},
-		{"Bisection", Bisection},
+		{"Bisection", func(t Tridiag) (Result, error) {
+			return BisectionParallel(t, func(n int, body func(lo, hi int)) { body(0, n) })
+		}},
 		{"DC(base1)", DCBaseQR(2)},
 		{"DC(base25)", DCBaseQR(25)},
 	}

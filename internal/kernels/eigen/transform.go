@@ -1,8 +1,6 @@
 package eigen
 
 import (
-	"math/rand"
-
 	"petabricks/internal/choice"
 	"petabricks/internal/runtime"
 )
@@ -93,7 +91,3 @@ func Cutoff25Config() *choice.Config {
 	}})
 	return cfg
 }
-
-// GenerateT re-exports Generate for symmetric-tridiagonal instances at
-// size n (the training generator).
-func GenerateT(rng *rand.Rand, n int) Tridiag { return Generate(rng, n) }

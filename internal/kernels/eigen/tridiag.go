@@ -6,7 +6,6 @@
 package eigen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -22,19 +21,6 @@ type Tridiag struct {
 
 // N returns the order of the matrix.
 func (t Tridiag) N() int { return len(t.D) }
-
-// Validate checks the diagonal lengths are consistent.
-func (t Tridiag) Validate() error {
-	if len(t.E) != maxInt(0, len(t.D)-1) {
-		return fmt.Errorf("eigen: off-diagonal length %d for order %d", len(t.E), len(t.D))
-	}
-	return nil
-}
-
-// Clone deep-copies the matrix.
-func (t Tridiag) Clone() Tridiag {
-	return Tridiag{D: append([]float64{}, t.D...), E: append([]float64{}, t.E...)}
-}
 
 // MulVec computes y = T·x.
 func (t Tridiag) MulVec(x []float64) []float64 {
@@ -156,13 +142,6 @@ func Generate(rng *rand.Rand, n int) Tridiag {
 
 func maxInt(a, b int) int {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
 		return a
 	}
 	return b

@@ -2,6 +2,7 @@ package matmul
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"petabricks/internal/choice"
@@ -123,10 +124,11 @@ func TestSpaceValid(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec, ok := sp.SelectorSpecFor("matmul")
-	if !ok || spec.NumChoices() != 7 {
-		t.Fatalf("selector spec wrong: %+v", spec)
+	i := slices.IndexFunc(sp.Selectors, func(s choice.SelectorSpec) bool { return s.Transform == "matmul" })
+	if i < 0 || sp.Selectors[i].NumChoices() != 7 {
+		t.Fatalf("selector specs wrong: %+v", sp.Selectors)
 	}
+	spec := sp.Selectors[i]
 	if len(spec.RecursiveChoices()) != 4 {
 		t.Fatalf("recursive choices = %v", spec.RecursiveChoices())
 	}

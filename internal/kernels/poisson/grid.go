@@ -60,23 +60,6 @@ func Residual(r, x, b *matrix.Matrix) {
 	}
 }
 
-// RMSInterior returns the RMS of interior cells.
-func RMSInterior(m *matrix.Matrix) float64 {
-	n := m.Size(0)
-	if n <= 2 {
-		return 0
-	}
-	sum := 0.0
-	for i := 1; i < n-1; i++ {
-		for j := 1; j < n-1; j++ {
-			v := m.At(i, j)
-			sum += v * v
-		}
-	}
-	cnt := float64((n - 2) * (n - 2))
-	return math.Sqrt(sum / cnt)
-}
-
 // ErrorVs returns the RMS of (x − ref) over interior cells.
 func ErrorVs(x, ref *matrix.Matrix) float64 {
 	n := x.Size(0)
@@ -89,18 +72,6 @@ func ErrorVs(x, ref *matrix.Matrix) float64 {
 	}
 	cnt := float64((n - 2) * (n - 2))
 	return math.Sqrt(sum / cnt)
-}
-
-// Accuracy is the paper's metric: the ratio between the RMS error of the
-// input guess and the RMS error of the output, both against the true
-// solution ("a higher accuracy algorithm is better").
-func Accuracy(in, out, exact *matrix.Matrix) float64 {
-	ein := ErrorVs(in, exact)
-	eout := ErrorVs(out, exact)
-	if eout == 0 {
-		return math.Inf(1)
-	}
-	return ein / eout
 }
 
 // Problem is a Poisson instance with a known exact solution, as the

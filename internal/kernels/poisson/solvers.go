@@ -97,15 +97,6 @@ type RedBlack struct {
 	Red, Black *matrix.Matrix
 }
 
-// halfWidth returns the number of cells of the given color in row i.
-func halfWidth(n, i, color int) int {
-	// Cells j in [0, n) with (i+j)%2 == color.
-	if (i+color)%2 == 0 {
-		return (n + 1) / 2
-	}
-	return n / 2
-}
-
 // NewRedBlack packs grid x into split red/black storage.
 func NewRedBlack(x *matrix.Matrix) *RedBlack {
 	n := x.Size(0)

@@ -2,6 +2,7 @@ package sortk
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -187,10 +188,11 @@ func TestSpaceDeclaration(t *testing.T) {
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec, ok := sp.SelectorSpecFor("sort")
-	if !ok {
+	i := slices.IndexFunc(sp.Selectors, func(s choice.SelectorSpec) bool { return s.Transform == "sort" })
+	if i < 0 {
 		t.Fatal("missing sort selector spec")
 	}
+	spec := sp.Selectors[i]
 	if spec.NumChoices() != 4 {
 		t.Fatalf("expected 4 choices, got %d", spec.NumChoices())
 	}

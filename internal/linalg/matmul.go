@@ -94,71 +94,6 @@ func Sub(C, A, B *matrix.Matrix) {
 	}
 }
 
-// AddTo computes C += A element-wise.
-func AddTo(C, A *matrix.Matrix) {
-	h, w := A.Size(0), A.Size(1)
-	for i := 0; i < h; i++ {
-		for j := 0; j < w; j++ {
-			C.SetAt(i, j, C.At(i, j)+A.At(i, j))
-		}
-	}
-}
-
-// Strassen computes C = A·B by Strassen's algorithm, recursing while the
-// (square, even) size exceeds cutoff and then switching to base. This is
-// the paper's "Strassen 256" series when cutoff = 256 and base is the
-// basic multiply. Odd or non-square shapes fall back to base.
-func Strassen(C, A, B *matrix.Matrix, cutoff int, base func(C, A, B *matrix.Matrix)) {
-	n := A.Size(0)
-	square := A.Size(1) == n && B.Size(0) == n && B.Size(1) == n
-	if !square || n%2 != 0 || n <= cutoff {
-		base(C, A, B)
-		return
-	}
-	h := n / 2
-	q := func(m *matrix.Matrix, r, c int) *matrix.Matrix {
-		return m.Region([]int{r * h, c * h}, []int{(r + 1) * h, (c + 1) * h})
-	}
-	a11, a12, a21, a22 := q(A, 0, 0), q(A, 0, 1), q(A, 1, 0), q(A, 1, 1)
-	b11, b12, b21, b22 := q(B, 0, 0), q(B, 0, 1), q(B, 1, 0), q(B, 1, 1)
-	c11, c12, c21, c22 := q(C, 0, 0), q(C, 0, 1), q(C, 1, 0), q(C, 1, 1)
-
-	t1, t2 := matrix.New(h, h), matrix.New(h, h)
-	m1, m2, m3, m4, m5, m6, m7 := matrix.New(h, h), matrix.New(h, h), matrix.New(h, h),
-		matrix.New(h, h), matrix.New(h, h), matrix.New(h, h), matrix.New(h, h)
-
-	Add(t1, a11, a22)
-	Add(t2, b11, b22)
-	Strassen(m1, t1, t2, cutoff, base) // (A11+A22)(B11+B22)
-	Add(t1, a21, a22)
-	Strassen(m2, t1, b11, cutoff, base) // (A21+A22)B11
-	Sub(t2, b12, b22)
-	Strassen(m3, a11, t2, cutoff, base) // A11(B12-B22)
-	Sub(t2, b21, b11)
-	Strassen(m4, a22, t2, cutoff, base) // A22(B21-B11)
-	Add(t1, a11, a12)
-	Strassen(m5, t1, b22, cutoff, base) // (A11+A12)B22
-	Sub(t1, a21, a11)
-	Add(t2, b11, b12)
-	Strassen(m6, t1, t2, cutoff, base) // (A21-A11)(B11+B12)
-	Sub(t1, a12, a22)
-	Add(t2, b21, b22)
-	Strassen(m7, t1, t2, cutoff, base) // (A12-A22)(B21+B22)
-
-	// C11 = M1 + M4 - M5 + M7
-	Add(c11, m1, m4)
-	Sub(c11, c11, m5)
-	Add(c11, c11, m7)
-	// C12 = M3 + M5
-	Add(c12, m3, m5)
-	// C21 = M2 + M4
-	Add(c21, m2, m4)
-	// C22 = M1 - M2 + M3 + M6
-	Sub(c22, m1, m2)
-	Add(c22, c22, m3)
-	Add(c22, c22, m6)
-}
-
 func checkMulShapes(C, A, B *matrix.Matrix) {
 	if A.Size(1) != B.Size(0) || C.Size(0) != A.Size(0) || C.Size(1) != B.Size(1) {
 		panic("linalg: incompatible multiply shapes")

@@ -44,7 +44,7 @@ func viewCases() []struct {
 		{"contiguous into strided", iotaMatrix(2, 3), New(4, 6).Region([]int{1, 2}, []int{3, 5})},
 		{"transposed source", iotaMatrix(3, 4).Transposed(), New(4, 3)},
 		{"transposed both", iotaMatrix(3, 4).Transposed(), New(3, 4).Transposed()},
-		{"column (1-D, stride w)", iotaMatrix(4, 5).Col(2), New(4, 5).Col(4)},
+		{"column (1-D, stride w)", iotaMatrix(4, 5).Slice(1, 2), New(4, 5).Slice(1, 4)},
 		{"collapsed unit dim", unit(iotaMatrix(4, 5)), unit(New(4, 5))},
 		{"unit dims kept", iotaMatrix(4, 5).Region([]int{1, 0}, []int{2, 5}), New(1, 5)},
 		{"3-D inner plane of a larger block", iotaMatrix(3, 4, 5).Region([]int{0, 1, 0}, []int{3, 3, 5}), New(3, 2, 5)},
@@ -160,7 +160,7 @@ func TestSharesStorageAndShape(t *testing.T) {
 	m := New(4, 6)
 	left := m.Region([]int{0, 0}, []int{4, 3})
 	right := m.Region([]int{0, 3}, []int{4, 6})
-	if !left.SharesStorage(right) || !m.SharesStorage(left.Row(1)) {
+	if !left.SharesStorage(right) || !m.SharesStorage(left.Slice(0, 1)) {
 		t.Error("views of one matrix must share storage, even disjoint ones")
 	}
 	if m.SharesStorage(New(4, 6)) || m.SharesStorage(m.Copy()) {

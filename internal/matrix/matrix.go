@@ -77,9 +77,6 @@ func FromSlice(data []float64) *Matrix {
 	return &Matrix{data: data, dims: []int{len(data)}, strides: []int{1}, contig: true}
 }
 
-// New2D allocates an h×w matrix (rows × cols), indexed Get(row, col).
-func New2D(h, w int) *Matrix { return New(h, w) }
-
 // Dims returns the number of dimensions.
 func (m *Matrix) Dims() int { return len(m.dims) }
 
@@ -173,43 +170,9 @@ func (m *Matrix) Region(begin, end []int) *Matrix {
 }
 
 // Detach drops a reusable view's reference to its backing storage while
-// keeping its dims/strides capacity for the next RegionInto, so a pooled
+// keeping its dims/strides capacity for the next SetWindow, so a pooled
 // view does not pin the matrix it last windowed.
 func (m *Matrix) Detach() { m.data = nil }
-
-// RegionInto configures out in place as the [begin, end) view of m,
-// reusing out's dims/strides storage when capacity allows. It is the
-// allocation-free counterpart of Region for hot loops that rebuild the
-// same view shape at every iteration (compiled rule bindings). Bounds
-// are checked exactly like Region.
-func (m *Matrix) RegionInto(out *Matrix, begin, end []int) *Matrix {
-	if len(begin) != len(m.dims) || len(end) != len(m.dims) {
-		panic("matrix: region rank mismatch")
-	}
-	nd := len(m.dims)
-	if cap(out.dims) < nd {
-		out.dims = make([]int, nd)
-	} else {
-		out.dims = out.dims[:nd]
-	}
-	if cap(out.strides) < nd {
-		out.strides = make([]int, nd)
-	} else {
-		out.strides = out.strides[:nd]
-	}
-	out.data = m.data
-	out.offset = m.offset
-	for d := range m.dims {
-		if begin[d] < 0 || end[d] > m.dims[d] || begin[d] > end[d] {
-			panic(fmt.Sprintf("matrix: bad region [%d,%d) in dim %d of size %d", begin[d], end[d], d, m.dims[d]))
-		}
-		out.offset += begin[d] * m.strides[d]
-		out.dims[d] = end[d] - begin[d]
-		out.strides[d] = m.strides[d]
-	}
-	out.contig = out.computeContig()
-	return out
-}
 
 // SetWindow configures m in place as a strided view of data: element
 // (i0, i1, …) of the row-major extents dims is data[off + Σ ik·strides[k]].
@@ -230,25 +193,6 @@ func (m *Matrix) SetWindow(data []float64, off int, dims []int64, strides []int)
 	}
 	copy(m.strides, strides)
 	m.data, m.offset, m.temp = data, off, false
-	m.contig = m.computeContig()
-}
-
-// CollapseUnitDims drops unit-extent dimensions in place while more
-// than one dimension remains, so a 1×w row view becomes a 1-D vector —
-// the same collapsing Slice performs, without allocating a new view.
-// When every dimension is unit-extent, the last one is kept.
-func (m *Matrix) CollapseUnitDims() {
-	w := 0
-	for d := 0; d < len(m.dims); d++ {
-		if m.dims[d] == 1 && (len(m.dims)-d > 1 || w > 0) {
-			continue
-		}
-		m.dims[w] = m.dims[d]
-		m.strides[w] = m.strides[d]
-		w++
-	}
-	m.dims = m.dims[:w]
-	m.strides = m.strides[:w]
 	m.contig = m.computeContig()
 }
 
@@ -277,12 +221,6 @@ func (m *Matrix) Slice(d, i int) *Matrix {
 	out.contig = out.computeContig()
 	return out
 }
-
-// Row returns row r of a 2-D matrix as a 1-D view.
-func (m *Matrix) Row(r int) *Matrix { return m.Slice(0, r) }
-
-// Col returns column c of a 2-D matrix as a 1-D view.
-func (m *Matrix) Col(c int) *Matrix { return m.Slice(1, c) }
 
 // Transposed returns a transposed view of a 2-D matrix (no copy).
 func (m *Matrix) Transposed() *Matrix {
@@ -567,18 +505,6 @@ func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
 		}
 	})
 	return worst
-}
-
-// RMS returns the root-mean-square of all elements (used as the error
-// norm by the variable-accuracy Poisson benchmark).
-func (m *Matrix) RMS() float64 {
-	n := m.Count()
-	if n == 0 {
-		return 0
-	}
-	sum := 0.0
-	m.Walk(func(_ []int, v float64) { sum += v * v })
-	return math.Sqrt(sum / float64(n))
 }
 
 // String renders small matrices for debugging; large ones are elided.

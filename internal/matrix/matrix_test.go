@@ -74,7 +74,7 @@ func TestNestedRegions(t *testing.T) {
 func TestRowColSlice(t *testing.T) {
 	m := New(3, 4)
 	m.Each(func(idx []int, _ float64) float64 { return float64(idx[0]*10 + idx[1]) })
-	row := m.Row(1)
+	row := m.Slice(0, 1)
 	if row.Dims() != 1 || row.Size(0) != 4 {
 		t.Fatalf("row shape %v", row.Shape())
 	}
@@ -83,7 +83,7 @@ func TestRowColSlice(t *testing.T) {
 			t.Fatalf("row[%d] = %g", c, row.At1(c))
 		}
 	}
-	col := m.Col(2)
+	col := m.Slice(1, 2)
 	if col.Size(0) != 3 {
 		t.Fatalf("col shape %v", col.Shape())
 	}
@@ -339,13 +339,13 @@ func TestCachedContiguity(t *testing.T) {
 		t.Fatal("inner column range must not be contiguous")
 	}
 	// Row slices are unit-stride; column slices are not (unless width 1).
-	if !m.Row(2).IsContiguous() {
+	if !m.Slice(0, 2).IsContiguous() {
 		t.Fatal("row slice must be contiguous")
 	}
-	if m.Col(3).IsContiguous() {
+	if m.Slice(1, 3).IsContiguous() {
 		t.Fatal("column slice of a wide matrix must not be contiguous")
 	}
-	if !New(4, 1).Col(0).IsContiguous() {
+	if !New(4, 1).Slice(1, 0).IsContiguous() {
 		t.Fatal("column of a width-1 matrix is trivially contiguous")
 	}
 	if New(3, 3).Transposed().IsContiguous() {
@@ -398,42 +398,23 @@ func TestEachContiguousMatchesStrided(t *testing.T) {
 	}
 }
 
-// TestRegionIntoMatchesRegion: RegionInto, and SetWindow given the
-// window's offset, extents and strides, build the view Region does.
-func TestRegionIntoMatchesRegion(t *testing.T) {
+// TestSetWindowMatchesRegion: SetWindow given the window's offset,
+// extents and strides builds the view Region does.
+func TestSetWindowMatchesRegion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := New(5, 7)
 	m.Each(func([]int, float64) float64 { return rng.Float64() })
-	out, win := &Matrix{}, &Matrix{}
+	win := &Matrix{}
 	for trial := 0; trial < 50; trial++ {
 		b0, b1 := rng.Intn(5), rng.Intn(7)
 		e0, e1 := b0+rng.Intn(6-b0), b1+rng.Intn(8-b1)
 		begin, end := []int{b0, b1}, []int{e0, e1}
 		want := m.Region(begin, end)
-		got := m.RegionInto(out, begin, end)
-		if got != out {
-			t.Fatal("RegionInto must return its destination")
-		}
-		if !shapeEqual(got.dims, want.dims) || got.offset != want.offset {
-			t.Fatalf("view mismatch: got %v@%d want %v@%d", got.dims, got.offset, want.dims, want.offset)
-		}
-		if got.IsContiguous() != want.IsContiguous() {
-			t.Fatalf("contiguity mismatch for [%v,%v)", begin, end)
-		}
-		if want.Count() > 0 && want.MaxAbsDiff(got) != 0 {
-			t.Fatal("elements differ")
-		}
 		win.SetWindow(m.data, want.offset, []int64{int64(e0 - b0), int64(e1 - b1)}, want.strides)
 		if !shapeEqual(win.dims, want.dims) || win.IsContiguous() != want.IsContiguous() ||
 			(want.Count() > 0 && want.MaxAbsDiff(win) != 0) {
 			t.Fatalf("SetWindow of [%v,%v): %v@%d, want %v@%d", begin, end, win.dims, win.offset, want.dims, want.offset)
 		}
-	}
-	// Writes through the reused view alias the parent.
-	m.RegionInto(out, []int{1, 2}, []int{3, 5})
-	out.SetAt(0, 0, -99)
-	if m.At(1, 2) != -99 {
-		t.Fatal("RegionInto view must alias parent storage")
 	}
 }
 

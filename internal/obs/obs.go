@@ -69,26 +69,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds delta with a CAS loop.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -144,14 +124,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 		return
 	}
 	h.Observe(time.Since(t0).Seconds())
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Sum returns the sum of observed values (0 on nil).
@@ -316,27 +288,4 @@ func (r *Registry) snapshotMetrics() []*metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]*metric(nil), r.order...)
-}
-
-// Reset zeroes every counter, gauge, and histogram in the registry.
-// Callback metrics are unaffected (their owners hold the state).
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	for _, m := range r.snapshotMetrics() {
-		switch m.kind {
-		case kindCounter:
-			m.c.swapReset()
-		case kindGauge:
-			m.g.Set(0)
-		case kindHistogram:
-			h := m.h
-			for i := range h.counts {
-				h.counts[i].Store(0)
-			}
-			h.count.Store(0)
-			h.sum.Store(0)
-		}
-	}
 }

@@ -67,7 +67,6 @@ func TestNilSafety(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
-	r.Reset()
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
 		t.Fatalf("nil registry WritePrometheus: %v", err)
 	}
@@ -234,19 +233,5 @@ func TestSnapshotJSON(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("json missing %q in %s", want, s)
 		}
-	}
-}
-
-func TestResetZeroes(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("rz_total", "")
-	h := r.Histogram("rz_seconds", "", []float64{1})
-	g := r.Gauge("rz_gauge", "")
-	c.Add(5)
-	h.Observe(0.5)
-	g.Set(9)
-	r.Reset()
-	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || g.Value() != 0 {
-		t.Fatalf("reset left state: c=%d h=%d/%g g=%g", c.Value(), h.Count(), h.Sum(), g.Value())
 	}
 }

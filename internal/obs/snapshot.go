@@ -43,15 +43,6 @@ func (r *Registry) Snapshot() []Sample {
 	return r.snapshot(false)
 }
 
-// SnapshotReset atomically reads-and-zeroes counters and histograms
-// while snapshotting: across any sequence of SnapshotReset calls plus a
-// final Snapshot, every counter increment and histogram observation is
-// reported exactly once, even under concurrent writers. Gauges and
-// callback metrics are read without resetting.
-func (r *Registry) SnapshotReset() []Sample {
-	return r.snapshot(true)
-}
-
 func (r *Registry) snapshot(reset bool) []Sample {
 	if r == nil {
 		return nil

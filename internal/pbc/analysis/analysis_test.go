@@ -385,10 +385,6 @@ func TestStepEdges(t *testing.T) {
 	if len(res.StepEdges) != 1 || res.StepEdges[0] != [2]int{0, 1} {
 		t.Fatalf("StepEdges = %v, want [[0 1]]", res.StepEdges)
 	}
-	edges := res.CrossStepEdges(0, 1)
-	if len(edges) != 1 || edges[0].From.Label() != "B.region(0, 1)" {
-		t.Fatalf("CrossStepEdges(0,1) = %v", edges)
-	}
 	// MatrixMultiply has a single step, so no step edges at all.
 	mm := analyze(t, parser.MatrixMultiplySrc, "MatrixMultiply")
 	if len(mm.StepEdges) != 0 {

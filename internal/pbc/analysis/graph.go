@@ -75,28 +75,6 @@ func (g *Graph) edgeBetween(from, to *Node) *Edge {
 	return e
 }
 
-// OutEdges returns edges leaving n.
-func (g *Graph) OutEdges(n *Node) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.From == n {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// InEdges returns edges entering n.
-func (g *Graph) InEdges(n *Node) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.To == n {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func (res *Result) buildGraph() error {
 	g := &Graph{}
 	nodesOf := map[string][]*Node{}
@@ -332,27 +310,6 @@ func (res *Result) buildStepEdges() {
 		seen[p] = true
 		res.StepEdges = append(res.StepEdges, p)
 	}
-}
-
-// CrossStepEdges returns the graph edges from step `from` to step `to`
-// (both schedule indices), for callers that need the per-node
-// annotations behind a StepEdges entry.
-func (res *Result) CrossStepEdges(from, to int) []*Edge {
-	inFrom := map[*Node]bool{}
-	for _, n := range res.Schedule[from].Nodes {
-		inFrom[n] = true
-	}
-	inTo := map[*Node]bool{}
-	for _, n := range res.Schedule[to].Nodes {
-		inTo[n] = true
-	}
-	var out []*Edge
-	for _, e := range res.Graph.Edges {
-		if inFrom[e.From] && inTo[e.To] {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // ConstOffsets evaluates the annotation's per-dimension offsets under

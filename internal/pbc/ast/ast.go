@@ -39,26 +39,6 @@ type Transform struct {
 	Pos       token.Pos
 }
 
-// Decl returns the declaration of the named matrix and its role.
-func (t *Transform) Decl(name string) (*MatrixDecl, Role, bool) {
-	for _, d := range t.From {
-		if d.Name == name {
-			return d, RoleFrom, true
-		}
-	}
-	for _, d := range t.To {
-		if d.Name == name {
-			return d, RoleTo, true
-		}
-	}
-	for _, d := range t.Through {
-		if d.Name == name {
-			return d, RoleThrough, true
-		}
-	}
-	return nil, RoleFrom, false
-}
-
 // Role says whether a matrix is an input, output, or intermediate.
 type Role int
 

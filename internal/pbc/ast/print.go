@@ -20,13 +20,6 @@ func Print(p *Program) string {
 	return b.String()
 }
 
-// PrintTransform renders one transform declaration.
-func PrintTransform(t *Transform) string {
-	var b strings.Builder
-	printTransform(&b, t)
-	return b.String()
-}
-
 func printTransform(b *strings.Builder, t *Transform) {
 	fmt.Fprintf(b, "transform %s\n", t.Name)
 	if len(t.Templates) > 0 {

@@ -31,17 +31,14 @@ import (
 
 // Fault selects a deliberate harness-level bug for oracle self-tests:
 // the acceptance story "an injected interpreter bug is caught and
-// minimized" without dirtying production code.
+// minimized" without dirtying production code. The zero Fault runs the
+// real engine unmodified.
 type Fault int
 
-const (
-	// FaultNone runs the real engine unmodified.
-	FaultNone Fault = iota
-	// FaultInterp perturbs the outputs of interpreter-path runs (flat
-	// cell 3 gets +1 when the first output has more than 3 cells),
-	// simulating an interpreter miscompute the oracle must catch.
-	FaultInterp
-)
+// FaultInterp perturbs the outputs of interpreter-path runs (flat cell 3
+// gets +1 when the first output has more than 3 cells), simulating an
+// interpreter miscompute the oracle must catch.
+const FaultInterp Fault = 1
 
 // Options configures a harness.
 type Options struct {

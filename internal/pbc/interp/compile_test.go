@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
@@ -249,10 +250,19 @@ func TestCompiledCacheConcurrentConfigs(t *testing.T) {
 // invocationKeyFor rebuilds the canonical artifact key one engine view
 // uses for a (transform, sizes) invocation.
 func invocationKeyFor(e *Engine, transform string, sizes map[string]int64) string {
+	names := make([]string, 0, len(sizes))
+	for name := range sizes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	vals := make([]int64, len(names))
+	for i, name := range names {
+		vals[i] = sizes[name]
+	}
 	return artifact.Key{
 		Prog:      e.progFP,
 		Transform: transform,
-		Sizes:     artifact.SizesKey(sizes),
+		Sizes:     artifact.SizesKeySorted(names, vals),
 		ConfigFP:  artifact.ConfigFingerprint(e.Cfg),
 		Engine:    e.engineMode(),
 	}.String()

@@ -99,13 +99,6 @@ func (e *Engine) UseArtifacts(s *artifact.Store) {
 	wirePlanEvict(s)
 }
 
-// Artifacts returns the engine's artifact store.
-func (e *Engine) Artifacts() *artifact.Store {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.arts
-}
-
 // wirePlanEvict points the store's plan-cache evictions at the
 // installed interp metrics (idempotent: the cache keeps one callback).
 func wirePlanEvict(s *artifact.Store) {

@@ -1,6 +1,9 @@
 package interp
 
-import "petabricks/internal/matrix"
+import (
+	"petabricks/internal/artifact"
+	"petabricks/internal/matrix"
+)
 
 // BindShapes exposes the shape binder to the external test package
 // (which may import the program generator; this package cannot). It
@@ -41,3 +44,20 @@ func PoisonRecycled(on bool) { poisonRecycled = on }
 // DeclinePlans makes the plan builder decline every schedule, so pooled
 // invocations take the step loop. Not safe to flip while engines run.
 func DeclinePlans(on bool) { declinePlans = on }
+
+// Artifacts returns the engine's artifact store.
+func (e *Engine) Artifacts() *artifact.Store {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.arts
+}
+
+// resetTierStats clears the registry; test helper.
+func resetTierStats() {
+	s := &tierStats
+	s.mu.Lock()
+	s.compiled = nil
+	s.fallbacks = nil
+	s.dropped = false
+	s.mu.Unlock()
+}

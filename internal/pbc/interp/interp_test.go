@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -621,6 +622,64 @@ func TestTuneRollingSum(t *testing.T) {
 	}
 }
 
+// TestTuneProgramLeavesCfg checks that a tuning candidate runs on its
+// own configuration view: the engine's Cfg never changes, not even while
+// the candidate runs (a concurrent reader watches it; under -race a
+// write would also be reported), and the output equals a WithConfig
+// run's.
+func TestTuneProgramLeavesCfg(t *testing.T) {
+	e := engine(t, parser.RollingSumSrc)
+	base := e.Cfg
+	cfg := choice.NewConfig()
+	cfg.SetSelector(SelectorName("RollingSum"), choice.NewSelector(1))
+	ready, done, changed := make(chan struct{}), make(chan struct{}), make(chan bool)
+	go func() {
+		close(ready)
+		seen := false
+		for {
+			select {
+			case <-done:
+				changed <- seen
+				return
+			default:
+				seen = seen || e.Cfg != base
+			}
+		}
+	}()
+	prog := e.TuneProgram("RollingSum")
+	<-ready
+	var got any
+	var err error
+	for i := 0; i < 200 && err == nil; i++ {
+		got, err = prog.Run(cfg, 64, 3)
+	}
+	close(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if <-changed || e.Cfg != base {
+		t.Fatal("a candidate run replaced the engine's Cfg")
+	}
+	v := e.WithConfig(cfg)
+	inputs, err := v.GenerateInputs("RollingSum", 64, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := v.Run("RollingSum", inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := got.(map[string]*matrix.Matrix)
+	if len(outs) != len(want) {
+		t.Fatalf("outputs %d, want %d", len(outs), len(want))
+	}
+	for k, m := range want {
+		if !m.Equal(outs[k]) {
+			t.Fatalf("output %s differs from the WithConfig run", k)
+		}
+	}
+}
+
 func TestGeneratorDrivenInputs(t *testing.T) {
 	// The `generator` keyword supplies training data: Inc's generator
 	// produces an input vector named A from random data.
@@ -685,10 +744,11 @@ tunable chunk(4, 64, 16)
 	if err := sp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec, ok := sp.SelectorSpecFor(SelectorName("Tn"))
-	if !ok || spec.NumChoices() != 2 {
-		t.Fatalf("spec = %+v", spec)
+	i := slices.IndexFunc(sp.Selectors, func(s choice.SelectorSpec) bool { return s.Transform == SelectorName("Tn") })
+	if i < 0 || sp.Selectors[i].NumChoices() != 2 {
+		t.Fatalf("specs = %+v", sp.Selectors)
 	}
+	spec := sp.Selectors[i]
 	// The macro rule is the recursive-style whole-matrix choice.
 	if rec := spec.RecursiveChoices(); len(rec) != 1 || rec[0] != 1 {
 		t.Fatalf("recursive choices = %v", rec)

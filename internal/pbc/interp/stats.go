@@ -122,13 +122,3 @@ func EngineStatsSnapshot() EngineStats {
 	})
 	return out
 }
-
-// resetTierStats clears the registry; test helper.
-func resetTierStats() {
-	s := &tierStats
-	s.mu.Lock()
-	s.compiled = nil
-	s.fallbacks = nil
-	s.dropped = false
-	s.mu.Unlock()
-}

@@ -61,11 +61,17 @@ func Space(res *analysis.Result) *choice.Space {
 	return sp
 }
 
-// dslProgram adapts one transform to the autotuner's Program interface.
-// Training inputs come from the transform's `generator` transform when
-// declared (the paper's generator keyword: "a transform to be used to
-// supply input data during training"), and from uniform random data
-// otherwise.
+// TuneProgram adapts transform name to the autotuner's Program
+// interface. Training inputs come from the transform's `generator`
+// transform when declared (the paper's generator keyword: "a transform
+// to be used to supply input data during training"), and from uniform
+// random data otherwise. Each candidate runs on a WithConfig view, so
+// tuning never touches e.Cfg and concurrent traffic on e is never
+// perturbed.
+func (e *Engine) TuneProgram(name string) autotuner.Program {
+	return &dslProgram{eng: e, name: name}
+}
+
 type dslProgram struct {
 	eng  *Engine
 	name string
@@ -73,18 +79,12 @@ type dslProgram struct {
 
 // Run implements autotuner.Program.
 func (p *dslProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	saved := p.eng.Cfg
-	p.eng.Cfg = cfg
-	defer func() { p.eng.Cfg = saved }()
-	inputs, err := p.eng.GenerateInputs(p.name, size, seed)
+	e := p.eng.WithConfig(cfg)
+	inputs, err := e.GenerateInputs(p.name, size, seed)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := p.eng.Run(p.name, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
+	return e.Run(p.name, inputs)
 }
 
 // Same implements autotuner.Program.
@@ -186,7 +186,7 @@ func (e *Engine) Tune(name string, opt TuneOptions) (*choice.Config, *autotuner.
 		return nil, nil, fmt.Errorf("interp: unknown transform %q", name)
 	}
 	sp := Space(res)
-	prog := &dslProgram{eng: e, name: name}
+	prog := e.TuneProgram(name)
 	tuneOpts := autotuner.Options{
 		MinSize: opt.MinSize,
 		MaxSize: opt.MaxSize,

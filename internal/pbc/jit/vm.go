@@ -223,9 +223,9 @@ type Ref struct {
 	HiBase  []int64 // RefView only: upper-bound bases, len ND
 	HiCoeff []int64 // RefView only: len ND*NCenter; nil when constant
 	// Collapse mirrors the AST tier's row/column handling: after
-	// binding, unit dimensions are dropped (matrix.CollapseUnitDims),
-	// which for the only emitted shape — a 2-D row or column view —
-	// always leaves exactly one dimension.
+	// binding, unit dimensions are dropped (interp's viewOf), which for
+	// the only emitted shape — a 2-D row or column view — always leaves
+	// exactly one dimension.
 	Collapse bool
 }
 
@@ -266,9 +266,6 @@ type Program struct {
 	Refs      []Ref
 	Calls     []CallSite // OpCall sites and the nested calls they consume
 }
-
-// NRegs is the register-file size.
-func (p *Program) NRegs() int { return len(p.RegInit) }
 
 // Disassemble renders everything a frame runs — the center registers,
 // the initial register file, the constant pool, each ref's kind, affine
@@ -833,7 +830,7 @@ func (f *Frame) setCarries(mv []boxMove) {
 // bindView resolves one view ref's window at the current center:
 // per-dimension affine lo/hi bounds, the AST tier's eager range
 // check in the same DSL-dimension order, then the same unit-dimension
-// drop matrix.CollapseUnitDims performs for row/column views. For the
+// drop the AST tier's viewOf performs for row/column views. For the
 // only collapsing shape the lowering emits — a 2-D row or column — the
 // result is always exactly 1-D.
 func (f *Frame) bindView(r *Ref, rb *refBind, center []int64) error {

@@ -230,9 +230,7 @@ func TestTwoCellCompare(t *testing.T) {
 				// The panic is matrix.Get's on the first index out of range.
 				first := get(x, int(i))
 				if first == "" {
-					col := grid.Region([]int{0, 1}, []int{3, 2}).Copy()
-					col.CollapseUnitDims()
-					first = get(col, int(j))
+					first = get(grid.Slice(1, 1).Copy(), int(j))
 				}
 				if gotMsg != first {
 					t.Errorf("%s x.cell(%v) y.cell(%v): panic %q, matrix.Get panics %q", o.cells, i, j, gotMsg, first)
@@ -287,8 +285,7 @@ func TestLoadStoreAtOutOfRange(t *testing.T) {
 		m.Get(i)
 		return ""
 	}
-	colVec := col.Copy()
-	colVec.CollapseUnitDims()
+	colVec := base.Slice(1, 1).Copy()
 	for _, idx := range []float64{-1, 3, 7.9, -0.5} {
 		for _, op := range []Op{OpLoadAt, OpStoreAt} {
 			code := []Instr{{OpLoadAt, 0, 0, 1}, {Op: OpHalt}}

@@ -66,19 +66,6 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// ParseTransform parses a source file expected to contain exactly one
-// transform.
-func ParseTransform(src string) (*ast.Transform, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(prog.Transforms) != 1 {
-		return nil, fmt.Errorf("expected exactly one transform, found %d", len(prog.Transforms))
-	}
-	return prog.Transforms[0], nil
-}
-
 func (p *parser) cur() token.Token     { return p.toks[p.pos] }
 func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
 

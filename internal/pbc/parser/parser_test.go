@@ -283,22 +283,7 @@ func TestRegionRefString(t *testing.T) {
 	}
 }
 
-func TestDeclLookup(t *testing.T) {
-	tr, err := ParseTransform(RollingSumSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, role, ok := tr.Decl("A")
-	if !ok || role != ast.RoleFrom || d.Name != "A" {
-		t.Fatal("Decl(A) wrong")
-	}
-	_, role, ok = tr.Decl("B")
-	if !ok || role != ast.RoleTo {
-		t.Fatal("Decl(B) wrong")
-	}
-	if _, _, ok := tr.Decl("Z"); ok {
-		t.Fatal("Decl(Z) should miss")
-	}
+func TestRoleStrings(t *testing.T) {
 	if ast.RoleFrom.String() != "from" || ast.RoleTo.String() != "to" || ast.RoleThrough.String() != "through" {
 		t.Fatal("role strings")
 	}

@@ -84,22 +84,6 @@ func (e *Expr) Args() []*Expr {
 	return nil
 }
 
-// VarName returns the variable name for an OpVar node.
-func (e *Expr) VarName() string {
-	if e.op != OpVar {
-		return ""
-	}
-	return e.aff.terms[0].name
-}
-
-// ConstVal returns the rational value for an OpConst node.
-func (e *Expr) ConstVal() Rat {
-	if e.op != OpConst {
-		return Rat{}
-	}
-	return e.aff.konst
-}
-
 // smallConsts holds the constant expressions for the integers a
 // program's region arithmetic is mostly made of, so building one does
 // not allocate. Filled once, before anything can read it.

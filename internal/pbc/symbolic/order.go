@@ -20,27 +20,6 @@ type VarBounds struct {
 // >= 0 unless a rule states otherwise.
 type Assumptions map[string]VarBounds
 
-// WithLo returns a copy of a with the lower bound of name set to lo.
-func (a Assumptions) WithLo(name string, lo int64) Assumptions {
-	out := make(Assumptions, len(a)+1)
-	for k, v := range a {
-		out[k] = v
-	}
-	vb := out[name]
-	vb.Lo = BoundAt(lo)
-	out[name] = vb
-	return out
-}
-
-// WithRange returns a copy of a with name assumed to lie in [lo, hi].
-func (a Assumptions) WithRange(name string, lo, hi int64) Assumptions {
-	out := a.WithLo(name, lo)
-	vb := out[name]
-	vb.Hi = BoundAt(hi)
-	out[name] = vb
-	return out
-}
-
 // Order is the result of a symbolic comparison.
 type Order int
 
@@ -219,11 +198,6 @@ func ProvablyLE(a, b *Expr, assume Assumptions) bool {
 		return true
 	}
 	return false
-}
-
-// ProvablyLT reports whether a < b is provable under the assumptions.
-func ProvablyLT(a, b *Expr, assume Assumptions) bool {
-	return Compare(a, b, assume) == OrderLT
 }
 
 // ProvablyGE reports whether a >= b is provable under the assumptions.

@@ -51,18 +51,6 @@ func (e *OverflowError) Error() string {
 // RatInt returns the rational n/1.
 func RatInt(n int64) Rat { return Rat{num: n, den: 1} }
 
-// RatFrac returns the reduced rational num/den. It panics if den is zero.
-func RatFrac(num, den int64) Rat {
-	if den == 0 {
-		panic("symbolic: rational with zero denominator")
-	}
-	r, ok := frac(num, den)
-	if !ok {
-		panic(&OverflowError{Op: "/", X: RatInt(num), Y: RatInt(den)})
-	}
-	return r
-}
-
 // frac reduces num/den (den nonzero); ok is false when making the
 // denominator positive would overflow.
 func frac(num, den int64) (Rat, bool) {
@@ -131,9 +119,6 @@ func (r Rat) norm() (num, den int64) {
 	return r.num, r.den
 }
 
-// Num returns the reduced numerator.
-func (r Rat) Num() int64 { return r.num }
-
 // Den returns the reduced (positive) denominator.
 func (r Rat) Den() int64 { _, d := r.norm(); return d }
 
@@ -163,16 +148,6 @@ func (r Rat) Floor() int64 {
 	q := n / d
 	if n%d != 0 && n < 0 {
 		q--
-	}
-	return q
-}
-
-// Ceil returns the least integer >= r.
-func (r Rat) Ceil() int64 {
-	n, d := r.norm()
-	q := n / d
-	if n%d != 0 && n > 0 {
-		q++
 	}
 	return q
 }
@@ -296,12 +271,6 @@ func (r Rat) Cmp(o Rat) int {
 
 // Sign returns -1, 0, or +1 according to the sign of r.
 func (r Rat) Sign() int { return cmp.Compare(r.num, 0) }
-
-// Float returns the float64 value of r.
-func (r Rat) Float() float64 {
-	n, d := r.norm()
-	return float64(n) / float64(d)
-}
 
 // String renders r as "n" or "n/d".
 func (r Rat) String() string {

@@ -14,34 +14,10 @@ type Interval struct {
 // NewInterval returns the interval [begin, end).
 func NewInterval(begin, end *Expr) Interval { return Interval{Begin: begin, End: end} }
 
-// IntervalInt returns the concrete interval [lo, hi).
-func IntervalInt(lo, hi int64) Interval { return Interval{Begin: Const(lo), End: Const(hi)} }
-
-// Intersect returns the interval covering points in both i and o:
-// [max(begins), min(ends)).
-func (i Interval) Intersect(o Interval) Interval {
-	return Interval{Begin: Max(i.Begin, o.Begin), End: Min(i.End, o.End)}
-}
-
-// Shift returns the interval translated by delta.
-func (i Interval) Shift(delta *Expr) Interval {
-	return Interval{Begin: Add(i.Begin, delta), End: Add(i.End, delta)}
-}
-
-// Equal reports symbolic equality of both endpoints.
-func (i Interval) Equal(o Interval) bool {
-	return i.Begin.Equal(o.Begin) && i.End.Equal(o.End)
-}
-
 // ProvablyEmpty reports whether End <= Begin is provable under the
 // assumptions, i.e. the interval certainly contains no points.
 func (i Interval) ProvablyEmpty(assume Assumptions) bool {
 	return ProvablyLE(i.End, i.Begin, assume)
-}
-
-// ProvablyNonEmpty reports whether Begin < End is provable.
-func (i Interval) ProvablyNonEmpty(assume Assumptions) bool {
-	return ProvablyLT(i.Begin, i.End, assume)
 }
 
 // Simplify prunes min/max endpoints under the assumptions.
@@ -74,38 +50,6 @@ func (i Interval) String() string {
 // dimension. A zero-dimension region denotes a scalar.
 type Region []Interval
 
-// NewRegion builds a region from intervals.
-func NewRegion(ivs ...Interval) Region { return Region(ivs) }
-
-// Dims returns the dimensionality.
-func (r Region) Dims() int { return len(r) }
-
-// Intersect returns the dimension-wise intersection. Both regions must
-// have equal dimensionality.
-func (r Region) Intersect(o Region) Region {
-	if len(r) != len(o) {
-		panic(fmt.Sprintf("symbolic: intersecting regions of dims %d and %d", len(r), len(o)))
-	}
-	out := make(Region, len(r))
-	for d := range r {
-		out[d] = r[d].Intersect(o[d])
-	}
-	return out
-}
-
-// Equal reports dimension-wise symbolic equality.
-func (r Region) Equal(o Region) bool {
-	if len(r) != len(o) {
-		return false
-	}
-	for d := range r {
-		if !r[d].Equal(o[d]) {
-			return false
-		}
-	}
-	return true
-}
-
 // ProvablyEmpty reports whether any dimension is provably empty.
 func (r Region) ProvablyEmpty(assume Assumptions) bool {
 	for _, iv := range r {
@@ -132,16 +76,6 @@ func (r Region) Substitute(bind map[string]*Expr) Region {
 		out[d] = Interval{Begin: iv.Begin.Substitute(bind), End: iv.End.Substitute(bind)}
 	}
 	return out
-}
-
-// Vars returns the sorted set of free variables in all endpoints.
-func (r Region) Vars() []string {
-	set := map[string]bool{}
-	for _, iv := range r {
-		iv.Begin.collectVars(set)
-		iv.End.collectVars(set)
-	}
-	return sortedKeys(set)
 }
 
 // String renders e.g. "[0, n)x[0, m)".

@@ -125,9 +125,6 @@ func (p *Pool) Close() {
 	p.sleepMu.Unlock()
 }
 
-// Closed reports whether Close or Shutdown has been called.
-func (p *Pool) Closed() bool { return p.closed.Load() }
-
 // Shutdown closes the pool and blocks until every worker goroutine has
 // drained its remaining queued work and exited, so a daemon can stop on
 // SIGTERM without leaking workers. In-flight Run calls should be

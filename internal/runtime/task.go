@@ -30,26 +30,12 @@ type Task struct {
 // taskPanic carries a recovered panic from a task to its waiter.
 type taskPanic struct{ val any }
 
-// Panicked returns the recovered panic value of a completed task, if any.
-func (t *Task) Panicked() (any, bool) {
-	if p := t.panicVal.Load(); p != nil {
-		return p.val, true
-	}
-	return nil, false
-}
-
 // rethrow re-panics a captured task panic in the caller.
 func (t *Task) rethrow() {
 	if p := t.panicVal.Load(); p != nil {
 		panic(fmt.Sprintf("runtime: task %q panicked: %v", t.name, p.val))
 	}
 }
-
-// Name returns the task's diagnostic name.
-func (t *Task) Name() string { return t.name }
-
-// Done reports whether the task has finished executing.
-func (t *Task) Done() bool { return t.done.Load() }
 
 // Wait blocks until the task has completed. It must be called from
 // outside the pool's workers, which join through Do/For instead.

@@ -37,9 +37,6 @@ const taskSampleEvery = 64
 // ID returns the worker index in [0, NumWorkers).
 func (w *Worker) ID() int { return w.id }
 
-// Pool returns the owning pool.
-func (w *Worker) Pool() *Pool { return w.pool }
-
 // loop is the scheduling loop run by each worker goroutine.
 func (w *Worker) loop() {
 	for {
@@ -227,11 +224,6 @@ func (w *Worker) forSplit(lo, hi, grain int, body func(w *Worker, lo, hi int)) {
 		func(w1 *Worker) { w1.forSplit(lo, mid, grain, body) },
 		func(w2 *Worker) { w2.forSplit(mid, hi, grain, body) },
 	)
-}
-
-// ParallelFor is a convenience wrapper running For from outside the pool.
-func (p *Pool) ParallelFor(lo, hi, grain int, body func(w *Worker, lo, hi int)) {
-	p.Run(func(w *Worker) { w.For(lo, hi, grain, body) })
 }
 
 // Do is a convenience wrapper running Worker.Do from outside the pool.

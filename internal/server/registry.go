@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 
 	"petabricks/internal/bench"
@@ -51,20 +50,6 @@ func (r *Registry) LoadDSLFile(path string) error {
 	}
 	for _, b := range bs {
 		if err := r.Add(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadDSLDir registers every *.pbcc file in dir.
-func (r *Registry) LoadDSLDir(dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.pbcc"))
-	if err != nil {
-		return err
-	}
-	for _, p := range paths {
-		if err := r.LoadDSLFile(p); err != nil {
 			return err
 		}
 	}

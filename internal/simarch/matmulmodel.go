@@ -120,10 +120,3 @@ func (m MatMulModel) cost(cfg *choice.Config, h, c, w int64, memo map[mmKey]wst)
 	memo[key] = out
 	return out
 }
-
-// Speedup returns T(1 core)/T(all cores) for the configuration.
-func (m MatMulModel) Speedup(cfg *choice.Config, n int64) float64 {
-	seq := m.Arch
-	seq.Cores = 1
-	return MatMulModel{Arch: seq}.Measure(cfg, n) / m.Measure(cfg, n)
-}

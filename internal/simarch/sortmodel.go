@@ -36,12 +36,6 @@ func (m SortModel) Measure(cfg *choice.Config, n int64) float64 {
 	return m.Arch.Time(c.work, c.span, c.tasks)
 }
 
-// Cost exposes the raw (work, span, tasks) triple for analysis tools.
-func (m SortModel) Cost(cfg *choice.Config, n int64) (work, span, tasks float64) {
-	c := m.cost(cfg, n, map[int64]wst{})
-	return c.work, c.span, c.tasks
-}
-
 func (m SortModel) cost(cfg *choice.Config, n int64, memo map[int64]wst) wst {
 	if n <= 1 {
 		return wst{work: 1, span: 1}
