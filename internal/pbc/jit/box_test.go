@@ -87,15 +87,32 @@ func (bp *boxPair) check(t *testing.T, label string, center []int64, b [][2]int6
 		}
 		return cellLoop(cc, b, order, func() error { return bp.cell.RunCell(cc) })
 	})
+	bp.same(t, fmt.Sprintf("%s: RunBox(%v, %v, %v)", label, center, b, order), got, want, "RunCell loop")
+}
+
+// checkCell runs RunCell at center on both frames and fails on any
+// difference: whatever box a frame ran last, it runs that one cell.
+func (bp *boxPair) checkCell(t *testing.T, label string, center []int64) {
+	t.Helper()
+	bc := append([]int64(nil), center...)
+	cc := append([]int64(nil), center...)
+	got := capture(bc, func() error { return bp.box.RunCell(bc) })
+	want := capture(cc, func() error { return bp.cell.RunCell(cc) })
+	bp.same(t, fmt.Sprintf("%s: RunCell(%v) on the RunBox frame", label, center), got, want, "on the RunCell frame")
+}
+
+// same fails unless both outcomes and every bit of every matrix of the
+// two sides agree.
+func (bp *boxPair) same(t *testing.T, what string, got, want outcome, other string) {
+	t.Helper()
 	if got != want {
-		t.Fatalf("%s: RunBox(%v, %v, %v) = %+v, RunCell loop = %+v", label, center, b, order, got, want)
+		t.Fatalf("%s = %+v, %s = %+v", what, got, other, want)
 	}
 	for name, m := range bp.boxMat {
 		x, y := m.Backing(), bp.cellMt[name].Backing()
 		for i := range x {
 			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				t.Fatalf("%s: RunBox(%v, %v, %v): %s backing[%d] = %v, RunCell loop wrote %v",
-					label, center, b, order, name, i, x[i], y[i])
+				t.Fatalf("%s: %s backing[%d] = %v, %s wrote %v", what, name, i, x[i], other, y[i])
 			}
 		}
 	}
@@ -148,8 +165,9 @@ func cellRef(m string, base, coeff []int64) Ref {
 // every order and direction of rank-1, -2 and -3 boxes, extent-1
 // dimensions, a box that misses at a corner but binds row by row, views
 // whose extent varies along one dimension, a division error mid-box, a
-// body that assigns its center variable, and one frame reused across
-// boxes.
+// body that assigns its center variable, its row's or the outer one,
+// one frame reused across boxes, and a frame reused after a row that
+// fails mid-row.
 func TestRunBoxEdges(t *testing.T) {
 	// d = s[i+2]: the read misses from i = 4 on (size 6).
 	readMiss := &Program{
@@ -217,6 +235,49 @@ func TestRunBoxEdges(t *testing.T) {
 		}
 	}
 
+	// A row that fails mid-row, in either direction, by a panic or by an
+	// error, must leave nothing of the row on the frame: RunCell then
+	// writes exactly its one cell, and the next box runs as the RunCell
+	// loop does.
+	// d = w.cell(X[i]) over w = S.region(0, 6): X holds one index out of
+	// range, at i = 3.
+	loadAt := &Program{
+		Name: "test/loadat", NCenter: 1, CenterReg: []int32{-1}, RegInit: []float64{0},
+		Refs: []Ref{
+			cellRef("D", []int64{0}, []int64{1}),
+			cellRef("X", []int64{0}, []int64{1}),
+			{Matrix: "S", Binding: "w", ND: 1, Kind: RefView, Base: []int64{0}, HiBase: []int64{6}},
+		},
+		Code: []Instr{{OpLoad, 0, 1, 0}, {OpLoadAt, 0, 2, 0}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+	}
+	withX := func() map[string]*matrix.Matrix {
+		m := data()
+		m["X"] = matrix.FromSlice([]float64{0, 1, 2, 9, 1, 0})
+		return m
+	}
+	for _, p := range []*Program{loadAt, divide} {
+		for _, o := range orders(1) {
+			bp := newBoxPair(p, withX)
+			label := fmt.Sprintf("%s %v", p.Name, o)
+			for _, c := range []int64{1, 4} {
+				bp.check(t, label+" failing row", []int64{0}, [][2]int64{{0, 6}}, o)
+				d := bp.boxMat["D"].Backing()
+				clear(d)
+				center := []int64{c}
+				if got := capture(center, func() error { return bp.box.RunCell(center) }); got.err != "" {
+					t.Fatalf("%s: RunCell(%d) after a failed row: %s", label, c, got.err)
+				}
+				for i, v := range d {
+					if (v != 0) != (int64(i) == c) {
+						t.Fatalf("%s: RunCell(%d) after a failed row left D = %v, want D[%d] alone written", label, c, d, c)
+					}
+				}
+				copy(bp.cellMt["D"].Backing(), d)
+				bp.check(t, label+" next box", []int64{0}, [][2]int64{{0, 3}}, o)
+			}
+		}
+	}
+
 	// A 2-D frame reused across boxes of every shape and order:
 	// C[x,y] = A.row(y) · B.column(x) on 3×3 inputs (B transposed, so
 	// strided), plus a cell ref A[x+y, y] that misses at the far corner
@@ -247,6 +308,14 @@ func TestRunBoxEdges(t *testing.T) {
 		},
 		Code: []Instr{{OpSumV, 0, 1, 0}, {OpAdd, 0, 0, 2}, {OpStore, 0, 0, 0}, {OpMov, 2, 3, 0}, {Op: OpHalt}},
 	}
+	// C[x,y] = A[x,y] + x + y; y = 99: a box that binds everywhere and a
+	// body that writes a center register, the outer one when x is the
+	// row.
+	outer := &Program{
+		Name: "test/outer", NCenter: 2, CenterReg: []int32{0, 1}, RegInit: []float64{0, 0, 0, 99},
+		Refs: []Ref{cellRef("C", []int64{0, 0}, []int64{1, 0, 0, 1}), cellRef("A", []int64{0, 0}, []int64{1, 0, 0, 1})},
+		Code: []Instr{{OpLoad, 2, 1, 0}, {OpAdd, 2, 2, 0}, {OpAdd, 2, 2, 1}, {OpStore, 0, 2, 0}, {OpMov, 1, 3, 0}, {Op: OpHalt}},
+	}
 	// C[x,y] = 1 / (A[x,y] - 4.5): one zero divisor mid-box.
 	divide2 := &Program{
 		Name: "test/divide2", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0, 1, 4.5},
@@ -266,7 +335,7 @@ func TestRunBoxEdges(t *testing.T) {
 		{{0, 3}, {1, 2}}, {{2, 3}, {0, 3}}, {{1, 2}, {2, 3}}, {{0, 3}, {2, 2}},
 		{{-1, 1}, {0, 3}}, {{0, 3}, {2, 4}},
 	}
-	for _, p := range []*Program{matmul, wedge, divide2} {
+	for _, p := range []*Program{matmul, wedge, outer, divide2} {
 		bp := newBoxPair(p, mats)
 		for _, o := range orders(2) {
 			for _, b := range boxes {
@@ -358,6 +427,11 @@ func TestRunBoxCorpus(t *testing.T) {
 					continue
 				}
 				lowered++
+				// No corpus rule writes a center register, so each of
+				// their rows walks as one run call.
+				if p.writesCenter() {
+					t.Errorf("%s writes a center register", p.Name)
+				}
 				bp := newBoxPair(p, mk)
 				ext := int64(0)
 				for _, m := range bp.boxMat {
@@ -399,7 +473,7 @@ func TestRunBoxCorpus(t *testing.T) {
 
 // corpusMatrices allocates every matrix of res at sizes, filled with
 // distinct values.
-func corpusMatrices(t *testing.T, res *analysis.Result, sizes map[string]int64) map[string]*matrix.Matrix {
+func corpusMatrices(t testing.TB, res *analysis.Result, sizes map[string]int64) map[string]*matrix.Matrix {
 	t.Helper()
 	out := map[string]*matrix.Matrix{}
 	for name, mi := range res.Matrices {
@@ -423,7 +497,11 @@ func corpusMatrices(t *testing.T, res *analysis.Result, sizes map[string]int64) 
 // FuzzRunBox checks RunBox against a RunCell loop on random programs:
 // one cell ref that is written, one read cell ref and one summed view
 // with random affine bounds, bound to random strided views of random
-// shapes, over random boxes of rank 1 to 3 in random orders.
+// shapes, over random boxes of rank 1 to 3 in random orders. The body
+// is one of three: the plain sum, the sum then a write of a center
+// register, or the sum divided by a center coordinate minus a constant,
+// which is zero mid-row in some boxes. After each box both frames run
+// one more cell.
 func FuzzRunBox(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -472,13 +550,20 @@ func FuzzRunBox(f *testing.F) {
 			creg[d] = -1
 		}
 		creg[rng.Intn(nc)] = 3
+		code := []Instr{{OpLoad, 0, 1, 0}, {OpSumV, 1, 2, 0}, {OpAdd, 0, 0, 1}, {OpAdd, 0, 0, 3}}
+		body := rng.Intn(3)
+		switch body {
+		case 1: // the center register takes the sum over V
+			code = append(code, Instr{OpStore, 0, 0, 0}, Instr{OpMov, 3, 1, 0})
+		case 2: // d /= center - r[4]
+			code = append(code, Instr{OpSub, 2, 3, 4}, Instr{OpDiv, 0, 0, 2}, Instr{OpStore, 0, 0, 0})
+		default:
+			code = append(code, Instr{OpStore, 0, 0, 0})
+		}
 		p := &Program{
-			Name: "fuzz", NCenter: nc, CenterReg: creg, RegInit: []float64{0, 0, 0, 0},
+			Name: "fuzz", NCenter: nc, CenterReg: creg, RegInit: []float64{0, 0, 0, 0, float64(small())},
 			Refs: refs,
-			Code: []Instr{
-				{OpLoad, 0, 1, 0}, {OpSumV, 1, 2, 0}, {OpAdd, 0, 0, 1}, {OpAdd, 0, 0, 3},
-				{OpStore, 0, 0, 0}, {Op: OpHalt},
-			},
+			Code: append(code, Instr{Op: OpHalt}),
 		}
 		shapes := make([][]int, 3)
 		views := make([]int, 3)
@@ -510,7 +595,9 @@ func FuzzRunBox(f *testing.F) {
 				}
 				order[d] = analysis.LexDim{Dim: k, Dir: 1 - 2*rng.Intn(2)}
 			}
-			bp.check(t, fmt.Sprintf("seed %d %+v", seed, refs), center, b, order)
+			label := fmt.Sprintf("seed %d body %d %+v", seed, body, refs)
+			bp.check(t, label, center, b, order)
+			bp.checkCell(t, label, center)
 		}
 	})
 }

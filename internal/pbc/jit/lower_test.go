@@ -14,7 +14,7 @@ import (
 
 // lowerRule parses src, analyzes its only transform, and lowers rule
 // index ruleIdx under the given sizes.
-func lowerRule(t *testing.T, src string, ruleIdx int, sizes map[string]int64) (*Program, *analysis.Result, error) {
+func lowerRule(t testing.TB, src string, ruleIdx int, sizes map[string]int64) (*Program, *analysis.Result, error) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {

@@ -21,8 +21,11 @@
 // vm whole boxes of cells (RunBox): every binding is range-checked once
 // over the box by interval arithmetic, and each further cell only adds
 // a per-ref constant to each flat offset, as the paper's compiler emits
-// a loop nest per applicable region. RunCell binds a single cell on its
-// own; a macro rule, which has no center, is one RunCell(nil).
+// a loop nest per applicable region. Each row of such a box is one call
+// of the dispatch loop: OpHalt mid-row steps the offsets and the row's
+// center register to the next cell and jumps back to pc 0. RunCell binds
+// a single cell on its own; a macro rule, which has no center, is one
+// RunCell(nil).
 //
 // The tier is semantics-preserving, never semantics-extending: rules
 // outside the lowerable fragment fall back to the AST interpreter with
@@ -33,6 +36,7 @@ package jit
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"petabricks/internal/matrix"
@@ -44,7 +48,9 @@ import (
 type Op uint8
 
 const (
-	// OpHalt ends the program (normal completion).
+	// OpHalt ends the program (normal completion), or, mid-row of a box
+	// walk, the cell: the walk steps to the row's next cell and runs it
+	// from pc 0.
 	OpHalt Op = iota
 	// OpConst sets reg A from the constant pool: r[A] = consts[B].
 	OpConst
@@ -374,15 +380,24 @@ type Frame struct {
 	// or a ref was rebound since.
 	carryOf [maxBoxMoves]boxMove
 	carryN  int
+	// rowAt is the center coordinate of walk's current row, which
+	// nextCell steps, and rowReg its register (-1: none), cached so the
+	// per-cell step reads no Program field. perCell: the body may write
+	// a center register (writesCenter), so RunBox runs it cell by cell
+	// through RunCell.
+	rowAt   int64
+	rowReg  int32
+	perCell bool
 }
 
 // NewFrame allocates a frame; bind every ref before RunCell or RunBox.
 func (p *Program) NewFrame() *Frame {
 	f := &Frame{
-		prog:   p,
-		regs:   append([]float64(nil), p.RegInit...),
-		refs:   make([]refBind, len(p.Refs)),
-		carryN: -1,
+		prog:    p,
+		regs:    append([]float64(nil), p.RegInit...),
+		refs:    make([]refBind, len(p.Refs)),
+		carryN:  -1,
+		perCell: p.writesCenter(),
 	}
 	for i := range p.Refs {
 		r := &p.Refs[i]
@@ -396,6 +411,34 @@ func (p *Program) NewFrame() *Frame {
 		}
 	}
 	return f
+}
+
+// writesCenter reports whether some instruction may write a register
+// that holds a center coordinate. walk's row step resets only the row's
+// own center register, so RunBox runs such a body cell by cell through
+// RunCell, which resets them all. It reads nothing but Code and
+// CenterReg, so a compiled program and its decoded copy agree.
+func (p *Program) writesCenter() bool {
+	center := func(r int32) bool { return r >= 0 && slices.Contains(p.CenterReg, r) }
+	for _, in := range p.Code {
+		var w bool
+		switch in.Op {
+		case OpHalt, OpStore, OpStoreAt, OpCall, OpJmp, OpJZ, OpJNZ,
+			OpJNLT, OpJNLE, OpJNGT, OpJNGE, OpJNEQ, OpJNNE,
+			OpJNLTV, OpJNLEV, OpJNGTV, OpJNGEV, OpJNEQV, OpJNNEV:
+			// No register written.
+		case OpLoop:
+			w = center(in.B)
+		case OpLoopLT:
+			w = center(in.B) || center(in.C)
+		default:
+			w = center(in.A)
+		}
+		if w {
+			return true
+		}
+	}
+	return false
 }
 
 // fastDims derives the single-center-var per-dimension form of a ref,
@@ -481,13 +524,22 @@ func (f *Frame) oob(ref int32) error {
 // is eagerly range-checked here, erroring before any of the body runs —
 // both matching the AST tier's ref binding, in the same ref order (To
 // bindings before From). center may be nil when NCenter is 0.
-func (f *Frame) RunCell(center []int64) error {
-	p := f.prog
-	for d, r := range p.CenterReg {
+func (f *Frame) RunCell(center []int64) error { return f.runAt(center, 0) }
+
+// setCenter loads every named center register from center.
+func (f *Frame) setCenter(center []int64) {
+	for d, r := range f.prog.CenterReg {
 		if r >= 0 {
 			f.regs[r] = float64(center[d])
 		}
 	}
+}
+
+// runAt sets the center registers, resolves every ref at center, and
+// runs the cell there and the left cells after it along walk's row.
+func (f *Frame) runAt(center []int64, left int64) error {
+	p := f.prog
+	f.setCenter(center)
 	nc := p.NCenter
 	for i := range f.refs {
 		rb := &f.refs[i]
@@ -533,7 +585,7 @@ func (f *Frame) RunCell(center []int64) error {
 		}
 		rb.off = off
 	}
-	return f.run()
+	return f.run(left)
 }
 
 // maxBoxMoves is the most dimensions along which RunBox steps a box's
@@ -565,11 +617,14 @@ type boxMove struct {
 // ref is in range at those extremes and every view is in range there
 // with a fixed extent (equal lo and hi coefficients on every dimension
 // the box moves along, so its shape and collapse never change), the
-// first cell runs through RunCell and every further cell only adds a
-// per-ref constant to each offset. Otherwise — a lazily tolerated cell
-// miss, or a view that errors or changes shape somewhere in the box —
-// the box splits into rows along its innermost moving dimension, and a
-// row that still does not bind runs cell by cell through RunCell.
+// refs are bound once at the first cell, and every further cell only
+// adds a per-ref constant to each offset: each row along the innermost
+// moving dimension is one call of the dispatch loop, whose halt steps
+// to the row's next cell. Otherwise — a lazily tolerated cell miss, or
+// a view that errors or changes shape somewhere in the box — the box
+// splits into rows along its innermost moving dimension, and a row that
+// still does not bind runs cell by cell through RunCell, as does every
+// cell of a body that may write a center register.
 func (f *Frame) RunBox(center []int64, b [][2]int64, order []analysis.LexDim) error {
 	for _, iv := range b {
 		if iv[1] <= iv[0] {
@@ -604,7 +659,7 @@ func (f *Frame) runBox(center []int64, b [][2]int64, order []analysis.LexDim) er
 	switch {
 	case n == 0:
 		return f.RunCell(center)
-	case n <= len(mv) && f.boxBinds(center, mv[:n]):
+	case n <= len(mv) && !f.perCell && f.boxBinds(center, mv[:n]):
 		return f.walk(center, mv[:n])
 	case n == 1:
 		m := mv[0]
@@ -731,38 +786,26 @@ func coeffAt(coeff []int64, off, nc, k int) int64 {
 	return coeff[off+k]
 }
 
-// walk runs a box that binds everywhere: RunCell at the start corner,
-// then each further cell by adding a per-ref constant to every offset.
-// carry[j] is that constant when moving dimension j advances one cell
-// and every dimension inside it jumps back to its start.
+// walk runs a box that binds everywhere. It binds the start corner as
+// RunCell does, then runs one row along the innermost moving dimension
+// per run call: the row's first cell, and the ext-1 cells after it that
+// run reaches from its halt through nextCell. Between rows every ref
+// adds carry[j], the constant for moving dimension j advancing one cell
+// while every dimension inside it jumps back to its start, and every
+// center register is reset.
 func (f *Frame) walk(center []int64, mv []boxMove) error {
-	if err := f.RunCell(center); err != nil {
-		return err
-	}
 	f.setCarries(mv)
-	var pos [maxBoxMoves]int64
-	creg := f.prog.CenterReg
 	in := mv[0]
-	for {
-		// The innermost dimension's cells, then one step of the
-		// odometer over the rest.
-		for c := int64(1); c < in.ext; c++ {
-			center[in.k] += in.dir
-			for i := range f.refs {
-				rb := &f.refs[i]
-				rb.off += rb.carry[0]
-			}
-			// Reset every center register, as RunCell does: a body may
-			// assign to a center variable.
-			for d, r := range creg {
-				if r >= 0 {
-					f.regs[r] = float64(center[d])
-				}
-			}
-			if err := f.run(); err != nil {
-				return err
-			}
-		}
+	// The frame steps the row's coordinate; it goes back into center on
+	// every way out, a panic included, so center ends at the failing cell.
+	f.rowAt = in.start
+	f.rowReg = f.prog.CenterReg[in.k]
+	defer func() { center[in.k] = f.rowAt }()
+	left := in.ext - 1
+	err := f.runAt(center, left)
+	var pos [maxBoxMoves]int64
+	for err == nil {
+		// One step of the odometer over the outer dimensions.
 		j := 1
 		for j < len(mv) && pos[j] == mv[j].ext-1 {
 			j++
@@ -770,6 +813,7 @@ func (f *Frame) walk(center []int64, mv []boxMove) error {
 		if j == len(mv) {
 			return nil
 		}
+		f.rowAt = in.start
 		center[in.k] = in.start
 		for i := 1; i < j; i++ {
 			pos[i] = 0
@@ -781,14 +825,27 @@ func (f *Frame) walk(center []int64, mv []boxMove) error {
 			rb := &f.refs[i]
 			rb.off += rb.carry[j]
 		}
-		for d, r := range creg {
-			if r >= 0 {
-				f.regs[r] = float64(center[d])
-			}
-		}
-		if err := f.run(); err != nil {
-			return err
-		}
+		f.setCenter(center)
+		err = f.run(left)
+	}
+	return err
+}
+
+// nextCell steps a row walk to the row's next cell and counts it off
+// left: every ref moves by its carry along the row, and the row's
+// coordinate and its center register by one step. run's halt calls it
+// mid-row; taking left's address keeps left in memory, so run does not
+// spill it at every dispatch. Only the row's center register changes,
+// which is why a body that may write any of them never walks.
+func (f *Frame) nextCell(left *int64) {
+	*left--
+	refs := f.refs // a local, so the stores below do not reload f.refs
+	for i := range refs {
+		refs[i].off += refs[i].carry[0]
+	}
+	f.rowAt += f.carryOf[0].dir
+	if r := f.rowReg; r >= 0 {
+		f.regs[r] = float64(f.rowAt)
 	}
 }
 
@@ -983,12 +1040,16 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// run is the dispatch loop. Malformed programs (bad register or ref
-// indices) panic via the usual slice bounds checks; the lowering never
-// emits them, and the interpreter's recover guard around rule
-// compilation does not extend here by design — an invalid program is a
-// compiler bug, not a program error.
-func (f *Frame) run() error {
+// run is the dispatch loop. It runs the bound cell; then, while left is
+// above 0, halt steps to the row's next cell (nextCell) and runs it
+// from pc 0, so one call runs a whole row. left is an argument, not
+// frame state, so an error or a panic mid-row leaves no pooled frame in
+// the middle of a row. Malformed programs (bad register or ref indices)
+// panic via the usual slice bounds checks; the lowering never emits
+// them, and the interpreter's recover guard around rule compilation
+// does not extend here by design — an invalid program is a compiler
+// bug, not a program error.
+func (f *Frame) run(left int64) error {
 	p := f.prog
 	code := p.Code
 	regs := f.regs
@@ -996,7 +1057,11 @@ func (f *Frame) run() error {
 		in := code[pc]
 		switch in.Op {
 		case OpHalt:
-			return nil
+			if left == 0 {
+				return nil
+			}
+			f.nextCell(&left)
+			pc = -1
 		case OpConst:
 			regs[in.A] = p.Consts[in.B]
 		case OpMov:

@@ -532,3 +532,35 @@ func TestCallRunsThroughCaller(t *testing.T) {
 		t.Fatalf("failing call: err = %v after %d calls, want the caller's error after 1", err, len(log.sites))
 	}
 }
+
+// TestWritesCenter checks which operands count as a write of a center
+// register: a destination A, OpLoop's counter B, OpLoopLT's variable B
+// and guard C. Stores, branches, two-cell compares and calls write
+// none, and OpLoopLT's bound at C+1 is only read.
+func TestWritesCenter(t *testing.T) {
+	for _, c := range []struct {
+		in   Instr
+		want bool
+	}{
+		{Instr{OpMov, 2, 0, 0}, true},
+		{Instr{OpMov, 0, 2, 2}, false},
+		{Instr{OpLoadAt, 2, 0, 0}, true},
+		{Instr{OpSumV, 2, 0, 0}, true},
+		{Instr{OpLoop, 0, 2, 0}, true},
+		{Instr{OpLoop, 2, 0, 0}, false},
+		{Instr{OpLoopLT, 0, 2, 0}, true},
+		{Instr{OpLoopLT, 0, 0, 2}, true},
+		{Instr{OpLoopLT, 2, 0, 1}, false},
+		{Instr{OpStore, 2, 2, 0}, false},
+		{Instr{OpStoreAt, 2, 2, 2}, false},
+		{Instr{OpJNZ, 2, 2, 0}, false},
+		{Instr{OpJNLT, 2, 2, 2}, false},
+		{Instr{OpJNLTV, 2, pack(2, 2), pack(2, 2)}, false},
+		{Instr{OpCall, 2, 0, 0}, false},
+	} {
+		p := &Program{NCenter: 2, CenterReg: []int32{-1, 2}, Code: []Instr{c.in, {Op: OpHalt}}}
+		if got := p.writesCenter(); got != c.want {
+			t.Errorf("writesCenter(%v %d %d %d) = %v, want %v", c.in.Op, c.in.A, c.in.B, c.in.C, got, c.want)
+		}
+	}
+}
