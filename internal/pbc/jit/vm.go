@@ -23,9 +23,14 @@
 // a per-ref constant to each flat offset, as the paper's compiler emits
 // a loop nest per applicable region. Each row of such a box is one call
 // of the dispatch loop: OpHalt mid-row steps the offsets and the row's
-// center register to the next cell and jumps back to pc 0. RunCell binds
-// a single cell on its own; a macro rule, which has no center, is one
-// RunCell(nil).
+// center register to the next cell and jumps back to pc 0. A row that
+// carries nothing from one cell to the next — a straight-line body of
+// pure ops that reads no register before writing it, over refs whose
+// cells no other lane of the row stores — is a map, and runs as one
+// (lanes.go): each instruction once across a chunk of the row's cells,
+// with registers widened to one value per cell, outside the dispatch
+// loop. RunCell binds a single cell on its own; a macro rule, which has
+// no center, is one RunCell(nil).
 //
 // The tier is semantics-preserving, never semantics-extending: rules
 // outside the lowerable fragment fall back to the AST interpreter with
@@ -384,10 +389,16 @@ type Frame struct {
 	// nextCell steps, and rowReg its register (-1: none), cached so the
 	// per-cell step reads no Program field. perCell: the body may write
 	// a center register (writesCenter), so RunBox runs it cell by cell
-	// through RunCell.
-	rowAt   int64
-	rowReg  int32
-	perCell bool
+	// through RunCell. lanes: the body may run a row across its lanes,
+	// writing the written registers and sharing the uniform ones among
+	// the lanes (laneBody); apart: rowApart's verdict for the carries'
+	// box shape.
+	rowAt            int64
+	rowReg           int32
+	perCell          bool
+	lanes            bool
+	apart            uint8
+	written, uniform uint64
 }
 
 // NewFrame allocates a frame; bind every ref before RunCell or RunBox.
@@ -399,6 +410,7 @@ func (p *Program) NewFrame() *Frame {
 		carryN:  -1,
 		perCell: p.writesCenter(),
 	}
+	f.lanes, f.written, f.uniform = p.laneBody()
 	for i := range p.Refs {
 		r := &p.Refs[i]
 		f.refs[i].strides = make([]int, r.ND)
@@ -524,7 +536,12 @@ func (f *Frame) oob(ref int32) error {
 // is eagerly range-checked here, erroring before any of the body runs —
 // both matching the AST tier's ref binding, in the same ref order (To
 // bindings before From). center may be nil when NCenter is 0.
-func (f *Frame) RunCell(center []int64) error { return f.runAt(center, 0) }
+func (f *Frame) RunCell(center []int64) error {
+	if err := f.bind(center); err != nil {
+		return err
+	}
+	return f.run(0)
+}
 
 // setCenter loads every named center register from center.
 func (f *Frame) setCenter(center []int64) {
@@ -535,9 +552,8 @@ func (f *Frame) setCenter(center []int64) {
 	}
 }
 
-// runAt sets the center registers, resolves every ref at center, and
-// runs the cell there and the left cells after it along walk's row.
-func (f *Frame) runAt(center []int64, left int64) error {
+// bind sets the center registers and resolves every ref at center.
+func (f *Frame) bind(center []int64) error {
 	p := f.prog
 	f.setCenter(center)
 	nc := p.NCenter
@@ -585,7 +601,7 @@ func (f *Frame) runAt(center []int64, left int64) error {
 		}
 		rb.off = off
 	}
-	return f.run(left)
+	return nil
 }
 
 // maxBoxMoves is the most dimensions along which RunBox steps a box's
@@ -620,11 +636,13 @@ type boxMove struct {
 // refs are bound once at the first cell, and every further cell only
 // adds a per-ref constant to each offset: each row along the innermost
 // moving dimension is one call of the dispatch loop, whose halt steps
-// to the row's next cell. Otherwise — a lazily tolerated cell miss, or
-// a view that errors or changes shape somewhere in the box — the box
-// splits into rows along its innermost moving dimension, and a row that
-// still does not bind runs cell by cell through RunCell, as does every
-// cell of a body that may write a center register.
+// to the row's next cell, or, when the body and the row's addresses let
+// it (laneable), one pass of each instruction across the row's cells.
+// Otherwise — a lazily tolerated cell miss, or a view that errors or
+// changes shape somewhere in the box — the box splits into rows along
+// its innermost moving dimension, and a row that still does not bind
+// runs cell by cell through RunCell, as does every cell of a body that
+// may write a center register.
 func (f *Frame) RunBox(center []int64, b [][2]int64, order []analysis.LexDim) error {
 	for _, iv := range b {
 		if iv[1] <= iv[0] {
@@ -788,11 +806,12 @@ func coeffAt(coeff []int64, off, nc, k int) int64 {
 
 // walk runs a box that binds everywhere. It binds the start corner as
 // RunCell does, then runs one row along the innermost moving dimension
-// per run call: the row's first cell, and the ext-1 cells after it that
-// run reaches from its halt through nextCell. Between rows every ref
-// adds carry[j], the constant for moving dimension j advancing one cell
-// while every dimension inside it jumps back to its start, and every
-// center register is reset.
+// at a time through row: across the row's cells in laneRow when it may,
+// else as one run call — the row's first cell, and the ext-1 cells after
+// it that run reaches from its halt through nextCell. Between rows every
+// ref adds carry[j], the constant for moving dimension j advancing one
+// cell while every dimension inside it jumps back to its start, and
+// every center register is reset.
 func (f *Frame) walk(center []int64, mv []boxMove) error {
 	f.setCarries(mv)
 	in := mv[0]
@@ -802,7 +821,10 @@ func (f *Frame) walk(center []int64, mv []boxMove) error {
 	f.rowReg = f.prog.CenterReg[in.k]
 	defer func() { center[in.k] = f.rowAt }()
 	left := in.ext - 1
-	err := f.runAt(center, left)
+	err := f.bind(center)
+	if err == nil {
+		err = f.row(left)
+	}
 	var pos [maxBoxMoves]int64
 	for err == nil {
 		// One step of the odometer over the outer dimensions.
@@ -826,7 +848,7 @@ func (f *Frame) walk(center []int64, mv []boxMove) error {
 			rb.off += rb.carry[j]
 		}
 		f.setCenter(center)
-		err = f.run(left)
+		err = f.row(left)
 	}
 	return err
 }
@@ -882,6 +904,7 @@ func (f *Frame) setCarries(mv []boxMove) {
 	}
 	copy(f.carryOf[:], mv)
 	f.carryN = len(mv)
+	f.apart = apartUnknown
 }
 
 // bindView resolves one view ref's window at the current center:
