@@ -22,33 +22,53 @@ to B[n]
 }
 `
 
-// BenchmarkRunBox reports the vm's time per cell (ns/cell) for Heat1D's
-// stencil rule (t = 1..4 over the interior) and the Pointwise rule at
-// n = 4096, two ways: box runs RunBox once per whole row, as the
-// interpreter's box walker does; cell runs RunCell at each center, as
-// the benchmark's jit.cell_ns_* probes do.
+// benchMatrixAddSrc is the corpus's MatrixAdd: two loads, an add and a
+// store per cell.
+const benchMatrixAddSrc = `
+transform MatrixAdd
+from X[w, h], Y[w, h]
+to Z[w, h]
+{
+  to (Z.cell(x, y) z) from (X.cell(x, y) a, Y.cell(x, y) b) {
+    z = a + b;
+  }
+}
+`
+
+// BenchmarkRunBox reports the vm's time per cell (ns/cell), two ways:
+// box runs RunBox once per box, as the interpreter's box walker does;
+// cell runs RunCell at each center, as the benchmark's jit.cell_ns_*
+// probes do. The cases are Heat1D's stencil rule at n = 4096 (t = 1..4
+// over the interior) in whole rows and in 4-cell rows, the size of a
+// tile at pbc.parGrain=4; the Pointwise rule at n = 4096; and MatrixAdd
+// over a 64×64 box.
 func BenchmarkRunBox(b *testing.B) {
 	const n = 4096
-	var heat [][][2]int64
+	var heat, heat4 [][][2]int64
 	for t := int64(1); t <= 4; t++ {
 		heat = append(heat, [][2]int64{{1, n - 1}, {t, t + 1}})
+		for x := int64(1); x+4 <= n-1; x += 4 {
+			heat4 = append(heat4, [][2]int64{{x, x + 4}, {t, t + 1}})
+		}
 	}
 	for _, c := range []struct {
-		name string
-		src  string
-		rule int
-		rows [][][2]int64 // boxes moving along dimension 0 only
+		name  string
+		src   string
+		rule  int
+		sizes map[string]int64
+		boxes [][][2]int64
 	}{
-		{"stencil", parser.Heat1DSrc, 1, heat},
-		{"pointwise", benchPointwiseSrc, 0, [][][2]int64{{{0, n}}}},
+		{"stencil", parser.Heat1DSrc, 1, map[string]int64{"n": n}, heat},
+		{"stencil4", parser.Heat1DSrc, 1, map[string]int64{"n": n}, heat4},
+		{"pointwise", benchPointwiseSrc, 0, map[string]int64{"n": n}, [][][2]int64{{{0, n}}}},
+		{"matrixadd", benchMatrixAddSrc, 0, map[string]int64{"w": 64, "h": 64}, [][][2]int64{{{0, 64}, {0, 64}}}},
 	} {
-		sizes := map[string]int64{"n": n}
-		p, res, err := lowerRule(b, c.src, c.rule, sizes)
+		p, res, err := lowerRule(b, c.src, c.rule, c.sizes)
 		if err != nil {
 			b.Fatal(err)
 		}
 		f := p.NewFrame()
-		mats := corpusMatrices(b, res, sizes)
+		mats := corpusMatrices(b, res, c.sizes)
 		for i, r := range p.Refs {
 			f.BindMatrix(i, mats[r.Matrix])
 		}
@@ -58,8 +78,12 @@ func BenchmarkRunBox(b *testing.B) {
 		}
 		center := make([]int64, p.NCenter)
 		cells := int64(0)
-		for _, r := range c.rows {
-			cells += r[0][1] - r[0][0]
+		for _, r := range c.boxes {
+			v := int64(1)
+			for _, iv := range r {
+				v *= iv[1] - iv[0]
+			}
+			cells += v
 		}
 		nsPerCell := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells*int64(b.N)), "ns/cell")
@@ -67,7 +91,7 @@ func BenchmarkRunBox(b *testing.B) {
 		b.Run(c.name+"/box", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, r := range c.rows {
+				for _, r := range c.boxes {
 					if err := f.RunBox(center, r, order); err != nil {
 						b.Fatal(err)
 					}
@@ -78,13 +102,20 @@ func BenchmarkRunBox(b *testing.B) {
 		b.Run(c.name+"/cell", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for _, r := range c.rows {
+				for _, r := range c.boxes {
 					for d := range r {
 						center[d] = r[d][0]
 					}
-					for ; center[0] < r[0][1]; center[0]++ {
+					// Dimension 0 fastest, as the box walks.
+					for d := 0; d < len(r); {
 						if err := f.RunCell(center); err != nil {
 							b.Fatal(err)
+						}
+						for d = 0; d < len(r); d++ {
+							if center[d]++; center[d] < r[d][1] {
+								break
+							}
+							center[d] = r[d][0]
 						}
 					}
 				}
