@@ -17,7 +17,6 @@
 //	-addr addr        listen address (default :8600)
 //	-store file       config-store snapshot file (default pbserve.store.json)
 //	-store-max n      LRU bound on stored configs (default 256)
-//	-artifacts dir    compiled-artifact directory (default <store>.artifacts; 'off' disables)
 //	-workers n        shared pool worker threads (default all CPUs)
 //	-dsl glob         .pbcc files to serve (e.g. 'testdata/*.pbcc')
 //	-max-inflight n   concurrent executions (default 2x workers)
@@ -56,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"petabricks/internal/artifact"
 	"petabricks/internal/autotuner"
 	"petabricks/internal/cluster"
 	"petabricks/internal/configstore"
@@ -71,7 +69,6 @@ func main() {
 		addr      = flag.String("addr", ":8600", "listen address")
 		storePath = flag.String("store", "pbserve.store.json", "config-store snapshot file")
 		storeMax  = flag.Int("store-max", configstore.DefaultMax, "LRU bound on stored configs")
-		artDir    = flag.String("artifacts", "", "compiled-artifact directory (default <store>.artifacts; 'off' disables persistence)")
 		workers   = flag.Int("workers", 0, "worker threads (default all CPUs)")
 		dslGlob   = flag.String("dsl", "", "glob of .pbcc files to serve")
 		inflight  = flag.Int("max-inflight", 0, "concurrent executions (default 2x workers)")
@@ -113,23 +110,6 @@ func main() {
 		fatal(err)
 	}
 
-	// The artifact store persists compiled bytecode beside the config
-	// store so a restarted node serves its first request without
-	// re-lowering anything ("off" keeps it in memory only).
-	dir := *artDir
-	if dir == "" {
-		dir = *storePath + ".artifacts"
-	}
-	var arts *artifact.Store
-	if dir == "off" {
-		arts = artifact.NewMemOnly()
-	} else {
-		arts, err = artifact.Open(dir, artifact.Options{Logf: log.Printf})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	pool := runtime.NewPool(*workers)
 
 	// A long-running daemon always collects metrics: the /metrics scrape
@@ -167,7 +147,6 @@ func main() {
 		Cluster:           cl,
 		ReplicateInterval: *replicate,
 		CoalesceWindow:    *coalesce,
-		Artifacts:         arts,
 	})
 	if err != nil {
 		fatal(err)
@@ -181,9 +160,6 @@ func main() {
 	}
 	log.Printf("pbserve: listening on %s (%d workers, %d programs, store %s, %d tuned configs)",
 		*addr, pool.NumWorkers(), len(reg.Names()), *storePath, store.Len())
-	if arts.Persistent() {
-		log.Printf("pbserve: artifact store %s holds %d compiled artifacts", arts.Dir(), arts.Len())
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

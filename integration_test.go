@@ -1,11 +1,18 @@
 package petabricks_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"petabricks/internal/pbc/parser"
 )
@@ -111,5 +118,134 @@ func TestCLIBenchQuickTable(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("pbbench table2 missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestCLIServeMemoryOnly boots pbserve on a DSL program, serves one run
+// and stops it with SIGTERM: compiled code lives in memory only, so the
+// store file is all the process leaves behind, even in its working
+// directory, and neither /v1/stats nor /metrics reports an artifact
+// store.
+func TestCLIServeMemoryOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping toolchain invocation in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "pbserve")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/pbserve").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/pbserve: %v\n%s", err, out)
+	}
+	dsl, err := filepath.Abs("benchmark/programs/rollingsum.pbcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	dir := t.TempDir()
+	cmd := exec.Command(bin, "-addr", addr, "-store", filepath.Join(dir, "pbserve.store.json"),
+		"-dsl", dsl, "-workers", "1")
+	cmd.Dir = dir
+	var logs bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &logs, &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	// fail stops the process, so its output is complete, and reports it.
+	exited := false
+	fail := func(format string, args ...any) {
+		t.Helper()
+		if !exited {
+			cmd.Process.Kill()
+			<-done
+			exited = true
+		}
+		t.Fatalf(format+"\n%s", append(args, logs.String())...)
+	}
+	defer func() {
+		if !exited {
+			cmd.Process.Kill()
+			<-done
+		}
+	}()
+
+	base := "http://" + addr
+	for i := 0; ; i++ {
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			break
+		}
+		if i == 100 {
+			fail("pbserve never became healthy")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			fail("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			fail("GET %s: %d %v\n%s", path, resp.StatusCode, err, body)
+		}
+		return body
+	}
+
+	resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(`{"program":"RollingSum","n":300}`))
+	if err != nil {
+		fail("POST /v1/run: %v", err)
+	}
+	var run struct {
+		Program string `json:"program"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&run)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || run.Program != "RollingSum" {
+		fail("/v1/run: status %d, %+v, %v", resp.StatusCode, run, err)
+	}
+	var stats map[string]any
+	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
+		fail("/v1/stats: %v", err)
+	}
+	if _, ok := stats["artifacts"]; ok {
+		t.Errorf("/v1/stats reports an artifacts section: %v", stats["artifacts"])
+	}
+	if metrics := get("/metrics"); bytes.Contains(metrics, []byte("pb_artifact_")) {
+		t.Error("/metrics exposes pb_artifact_ series")
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		fail("SIGTERM: %v", err)
+	}
+	select {
+	case err := <-done:
+		exited = true
+		if err != nil {
+			fail("pbserve exited with %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		fail("pbserve did not stop after SIGTERM")
+	}
+	if !strings.Contains(logs.String(), "stopped cleanly") {
+		t.Errorf("pbserve log lacks \"stopped cleanly\":\n%s", logs.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != "pbserve.store.json" {
+		t.Errorf("pbserve left %v in its directory, want only pbserve.store.json", names)
 	}
 }

@@ -10,8 +10,9 @@
 //   - disk: serializable artifacts (flat-bytecode jit programs, plan
 //     descriptors) persist beside the configstore in checksummed,
 //     schema-versioned packs, one per top-level run, each written with
-//     the atomic temp-file + rename idiom (pack.go), so a restarted
-//     pbserve node serves its first request without recompiling.
+//     the atomic temp-file + rename idiom (pack.go). pbserve opens no
+//     disk tier; the repository benchmark's boot_cold workload and
+//     pbfuzz's cold/warm axis do.
 //
 // This file defines the canonical invocation Key. PRs 2–7 grew three
 // separate caches keyed by near-identical hand-rolled strings; every

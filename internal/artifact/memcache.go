@@ -1,9 +1,6 @@
 package artifact
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // DefaultMemPerKind bounds each in-memory cache. Entries are evicted
 // FIFO; the set of (transform, size, config) keys seen in steady state
@@ -25,10 +22,6 @@ type MemCache struct {
 	entries map[string]any
 	order   []string
 	onEvict func(key string, v any)
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
 }
 
 // NewMemCache builds a cache bounded at max entries (DefaultMemPerKind
@@ -48,16 +41,13 @@ func (c *MemCache) GetOrCreate(key string, create func() any) (v any, created bo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v, ok := c.entries[key]; ok {
-		c.hits.Add(1)
 		return v, false
 	}
-	c.misses.Add(1)
 	if len(c.order) >= c.max {
 		old := c.order[0]
 		ov := c.entries[old]
 		delete(c.entries, old)
 		c.order = c.order[1:]
-		c.evictions.Add(1)
 		if c.onEvict != nil {
 			c.onEvict(old, ov)
 		}
@@ -66,13 +56,6 @@ func (c *MemCache) GetOrCreate(key string, create func() any) (v any, created bo
 	c.entries[key] = v
 	c.order = append(c.order, key)
 	return v, true
-}
-
-// Len returns the number of cached entries.
-func (c *MemCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Contains reports whether key is cached, counting neither a hit nor a
@@ -92,8 +75,3 @@ func (c *MemCache) SetOnEvict(fn func(key string, v any)) {
 	c.onEvict = fn
 	c.mu.Unlock()
 }
-
-// Hits, Misses, and Evictions expose the cache's traffic counters.
-func (c *MemCache) Hits() int64      { return c.hits.Load() }
-func (c *MemCache) Misses() int64    { return c.misses.Load() }
-func (c *MemCache) Evictions() int64 { return c.evictions.Load() }

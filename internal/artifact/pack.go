@@ -57,7 +57,6 @@ type packEntry struct {
 type packFile struct {
 	path string
 	seq  uint64
-	size int64
 	live int
 }
 
@@ -124,7 +123,7 @@ func readPack(path string) (*packFile, []packEntry, int64, error) {
 	if base+end != fi.Size() {
 		return bad(CorruptTruncated, "file %d bytes, header and index declare %d", fi.Size(), base+end)
 	}
-	return &packFile{path: path, seq: idx.Seq, size: fi.Size()}, idx.Entries, base, nil
+	return &packFile{path: path, seq: idx.Seq}, idx.Entries, base, nil
 }
 
 // readEntry reads one indexed payload and verifies its checksum. A pack
@@ -299,7 +298,6 @@ func (s *Store) writePack(entries []packEntry, payloads [][]byte) error {
 		hb, err = json.Marshal(&header{Magic: fileMagic, Schema: SchemaVersion, Len: int64(len(idx)), Sum: sumHex(idx)})
 	}
 	if err != nil {
-		s.saveErrors.Add(1)
 		s.logf("artifact: encoding pack index: %v", err)
 		return fmt.Errorf("artifact: encoding pack index: %w", err)
 	}
@@ -315,12 +313,10 @@ func (s *Store) writePack(entries []packEntry, payloads [][]byte) error {
 	}
 	path := filepath.Join(s.dir, fmt.Sprintf("v%d-%016x%s", SchemaVersion, s.seq, fileExt))
 	if err := atomicWrite(s.dir, path, data); err != nil {
-		s.saveErrors.Add(1)
 		s.logf("artifact: writing pack %s: %v", path, err)
 		return err
 	}
-	s.saves.Add(1)
-	pf := &packFile{path: path, seq: s.seq, size: int64(size)}
+	pf := &packFile{path: path, seq: s.seq}
 	s.mu.Lock()
 	dead := s.install(pf, int64(base), entries)
 	s.mu.Unlock()

@@ -79,7 +79,7 @@ func TestVersionSkewRejectedOnOpen(t *testing.T) {
 		if s.CorruptCount() != 5 {
 			t.Errorf("%s: corrupt count = %d, want 5", when, s.CorruptCount())
 		}
-		reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
+		reasons := s.corruptReasons()
 		if reasons[CorruptSchema] != 5 {
 			t.Errorf("%s: schema reason count = %d, want 5 (reasons %v)", when, reasons[CorruptSchema], reasons)
 		}
@@ -135,7 +135,7 @@ func TestVersionSkewPlanKeptAndRebuilt(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("v3 plan artifact indexed by a v%d store", SchemaVersion)
 	}
-	reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
+	reasons := s.corruptReasons()
 	if reasons[CorruptSchema] != 1 {
 		t.Errorf("schema reason count = %d, want 1 (reasons %v)", reasons[CorruptSchema], reasons)
 	}

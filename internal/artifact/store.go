@@ -11,9 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"petabricks/internal/obs"
 )
 
 // fileMagic opens every artifact file; anything else is garbage.
@@ -30,8 +27,7 @@ const tmpInfix = fileExt + ".tmp"
 // scanner slurp gigabytes looking for a newline.
 const maxHeaderLine = 4096
 
-// Corruption reasons, the Reason values of CorruptError. They are also
-// the label set of the corrupt counters in Stats and /v1/stats.
+// Corruption reasons, the Reason values of CorruptError.
 const (
 	CorruptHeader    = "header"    // unparseable or oversized header line or pack index
 	CorruptMagic     = "magic"     // wrong magic string
@@ -104,9 +100,6 @@ type diskEntry struct {
 
 // Options configures a Store.
 type Options struct {
-	// MemMax bounds each in-memory kind cache (default
-	// DefaultMemPerKind).
-	MemMax int
 	// Logf receives operational lines (corrupt artifacts quarantined,
 	// save failures, leftover temp files removed). Nil is silent.
 	Logf func(format string, args ...any)
@@ -118,9 +111,8 @@ type Options struct {
 // adds the persistent tier beneath them. A directory belongs to one
 // Store at a time.
 type Store struct {
-	dir    string
-	memMax int
-	logf   func(string, ...any)
+	dir  string
+	logf func(string, ...any)
 
 	mu     sync.Mutex
 	caches map[string]*MemCache
@@ -136,15 +128,7 @@ type Store struct {
 
 	diskHits     atomic.Int64
 	diskMisses   atomic.Int64
-	saves        atomic.Int64
-	saveErrors   atomic.Int64
 	corruptTotal atomic.Int64
-
-	metrics atomic.Pointer[storeMetrics]
-}
-
-type storeMetrics struct {
-	loadHist *obs.Histogram
 }
 
 // NewMemOnly returns a store with only the in-memory tiers; Load always
@@ -220,16 +204,12 @@ func newStore(dir string, opts Options) *Store {
 	}
 	return &Store{
 		dir:     dir,
-		memMax:  opts.MemMax,
 		logf:    logf,
 		caches:  map[string]*MemCache{},
 		index:   map[string]*diskEntry{},
 		corrupt: map[string]int64{},
 	}
 }
-
-// Dir returns the disk-tier directory ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
 
 // Persistent reports whether the store has a disk tier.
 func (s *Store) Persistent() bool { return s != nil && s.dir != "" }
@@ -252,7 +232,7 @@ func (s *Store) Mem(kind string) *MemCache {
 	defer s.mu.Unlock()
 	c, ok := s.caches[kind]
 	if !ok {
-		c = NewMemCache(kind, s.memMax)
+		c = NewMemCache(kind, DefaultMemPerKind)
 		s.caches[kind] = c
 	}
 	return c
@@ -296,7 +276,6 @@ func (s *Store) Load(kind string, key Key, decode func(payload []byte) error) bo
 	if s == nil || s.dir == "" {
 		return false
 	}
-	start := time.Now()
 	ks := key.String()
 	id := entryID(kind, ks)
 	s.mu.Lock()
@@ -321,9 +300,6 @@ func (s *Store) Load(kind string, key Key, decode func(payload []byte) error) bo
 		return false
 	}
 	s.diskHits.Add(1)
-	if m := s.metrics.Load(); m != nil {
-		m.loadHist.ObserveSince(start)
-	}
 	return true
 }
 
@@ -378,95 +354,4 @@ func (s *Store) DiskMisses() int64 {
 		return 0
 	}
 	return s.diskMisses.Load()
-}
-
-// Stats is the /v1/stats "artifacts" section.
-func (s *Store) Stats() map[string]any {
-	if s == nil {
-		return map[string]any{"enabled": false}
-	}
-	s.mu.Lock()
-	entries := len(s.index)
-	packs := map[*packFile]bool{}
-	var bytesOnDisk int64
-	for _, de := range s.index {
-		if !packs[de.pack] {
-			packs[de.pack] = true
-			bytesOnDisk += de.pack.size
-		}
-	}
-	mem := map[string]any{}
-	for kind, c := range s.caches {
-		mem[kind] = map[string]any{
-			"entries":   c.Len(),
-			"hits":      c.Hits(),
-			"misses":    c.Misses(),
-			"evictions": c.Evictions(),
-		}
-	}
-	s.mu.Unlock()
-	s.corruptMu.Lock()
-	reasons := make(map[string]int64, len(s.corrupt))
-	for k, v := range s.corrupt {
-		reasons[k] = v
-	}
-	s.corruptMu.Unlock()
-	return map[string]any{
-		"enabled":    true,
-		"persistent": s.dir != "",
-		"dir":        s.dir,
-		"schema":     SchemaVersion,
-		"mem":        mem,
-		"disk": map[string]any{
-			"entries":     entries,
-			"packs":       len(packs),
-			"bytes":       bytesOnDisk,
-			"hits":        s.diskHits.Load(),
-			"misses":      s.diskMisses.Load(),
-			"saves":       s.saves.Load(),
-			"save_errors": s.saveErrors.Load(),
-		},
-		"corrupt": map[string]any{
-			"total":   s.corruptTotal.Load(),
-			"reasons": reasons,
-		},
-	}
-}
-
-// Instrument registers the pb_artifact_* metrics on reg. Per-tier
-// hit/miss/evict/corrupt counters are exported at scrape time from the
-// store's always-on atomics; loads additionally feed a latency
-// histogram.
-func (s *Store) Instrument(reg *obs.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	memTotal := func(f func(*MemCache) int64) func() int64 {
-		return func() int64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			var t int64
-			for _, c := range s.caches {
-				t += f(c)
-			}
-			return t
-		}
-	}
-	reg.CounterFunc("pb_artifact_hits_total", "Artifact cache hits by tier.",
-		memTotal((*MemCache).Hits), obs.L("tier", "mem"))
-	reg.CounterFunc("pb_artifact_misses_total", "Artifact cache misses by tier.",
-		memTotal((*MemCache).Misses), obs.L("tier", "mem"))
-	reg.CounterFunc("pb_artifact_evictions_total", "Artifact cache evictions by tier.",
-		memTotal((*MemCache).Evictions), obs.L("tier", "mem"))
-	reg.CounterFunc("pb_artifact_hits_total", "Artifact cache hits by tier.",
-		s.diskHits.Load, obs.L("tier", "disk"))
-	reg.CounterFunc("pb_artifact_misses_total", "Artifact cache misses by tier.",
-		s.diskMisses.Load, obs.L("tier", "disk"))
-	reg.CounterFunc("pb_artifact_saves_total", "Packs committed to the disk tier (one per top-level run that created artifacts).", s.saves.Load)
-	reg.CounterFunc("pb_artifact_save_errors_total", "Failed pack commits.", s.saveErrors.Load)
-	reg.CounterFunc("pb_artifact_corrupt_total", "Artifacts rejected as corrupt or schema-skewed.", s.corruptTotal.Load)
-	s.metrics.Store(&storeMetrics{
-		loadHist: reg.Histogram("pb_artifact_load_seconds", "Disk-tier artifact load latency (verified hits).",
-			obs.LatencyBuckets),
-	})
 }

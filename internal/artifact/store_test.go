@@ -124,7 +124,7 @@ func checkEntries(t *testing.T, dir string, items []item) int {
 			served++
 		}
 	}
-	reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
+	reasons := s.corruptReasons()
 	for r := range reasons {
 		switch r {
 		case CorruptHeader, CorruptMagic, CorruptSchema, CorruptTruncated, CorruptChecksum, CorruptDecode:
@@ -243,9 +243,6 @@ func TestPendingEncodesOnceAtCommit(t *testing.T) {
 	}
 	if s.Len() != 2 || len(packFiles(t, dir)) != 1 {
 		t.Errorf("%d entries in %d packs, want 2 in 1", s.Len(), len(packFiles(t, dir)))
-	}
-	if saves := s.Stats()["disk"].(map[string]any)["saves"]; saves != int64(1) {
-		t.Errorf("saves = %v, want 1 pack", saves)
 	}
 	// The set is empty after a commit: a second Commit writes nothing.
 	if err := p.Commit(); err != nil || len(packFiles(t, dir)) != 1 {
@@ -428,7 +425,7 @@ func TestStoreCorruptReasonsTyped(t *testing.T) {
 			if s.Load(KindJIT, key, func([]byte) error { return nil }) {
 				t.Fatal("corrupt artifact served as a hit")
 			}
-			reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
+			reasons := s.corruptReasons()
 			if reasons[tc.reason] == 0 {
 				t.Errorf("reason %q not recorded; got %v", tc.reason, reasons)
 			}
@@ -451,7 +448,7 @@ func TestStoreDecodeRejectionQuarantines(t *testing.T) {
 		}
 	}
 	reject(items[1])
-	reasons := s.Stats()["corrupt"].(map[string]any)["reasons"].(map[string]int64)
+	reasons := s.corruptReasons()
 	if reasons[CorruptDecode] != 1 {
 		t.Errorf("decode reason not recorded once; got %v", reasons)
 	}
@@ -625,8 +622,8 @@ func TestPackSupersededDeleted(t *testing.T) {
 	if names := packFiles(t, dir); len(names) != 1 || names[0] == oldName {
 		t.Fatalf("packs after superseding commit = %v, want only the new one", names)
 	}
-	if st := s.Stats()["disk"].(map[string]any); st["packs"] != 1 || st["entries"] != 1 {
-		t.Errorf("stats = %v, want 1 pack, 1 entry", st)
+	if packs, entries := s.livePacks(), s.Len(); packs != 1 || entries != 1 {
+		t.Errorf("index serves %d entries from %d packs, want 1 pack, 1 entry", entries, packs)
 	}
 
 	// The crash window: the superseded pack is back on disk.

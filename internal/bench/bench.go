@@ -22,7 +22,6 @@ import (
 	"petabricks/internal/kernels/sortk"
 	"petabricks/internal/linalg"
 	"petabricks/internal/matrix"
-	"petabricks/internal/pbc/interp"
 	"petabricks/internal/runtime"
 )
 
@@ -68,10 +67,6 @@ type Benchmark struct {
 	MinSize int64
 	// Trials is the wall-clock best-of count per measurement.
 	Trials int
-	// Engine is the shared interpreter engine behind a DSL benchmark
-	// (nil for native kernels). pbserve uses it to point the engine at
-	// the persistent artifact store before serving traffic.
-	Engine *interp.Engine
 }
 
 // Tunable reports whether the benchmark supports generic wall-clock

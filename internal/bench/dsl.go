@@ -74,7 +74,6 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 			CheckTol: 1e-9,
 			MinSize:  8,
 			Trials:   1,
-			Engine:   eng,
 		})
 	}
 	if len(out) == 0 {

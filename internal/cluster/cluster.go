@@ -30,8 +30,6 @@ type Options struct {
 	// Peers lists every cluster member including Self. Addresses may be
 	// bare host:port (http:// is assumed) or full http(s) URLs.
 	Peers []string
-	// VNodes is the virtual-node count per node (<= 0: DefaultVNodes).
-	VNodes int
 	// ForwardTimeout bounds one forwarded request, connection included.
 	// Default 15s (a forwarded run still executes a benchmark).
 	ForwardTimeout time.Duration
@@ -106,7 +104,7 @@ func New(opts Options) (*Cluster, error) {
 	}
 	c := &Cluster{
 		self:   self,
-		ring:   NewRing(peers, opts.VNodes),
+		ring:   NewRing(peers),
 		client: &http.Client{Timeout: opts.ForwardTimeout},
 		opts:   opts,
 		peers:  map[string]*peerState{},

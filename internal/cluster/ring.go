@@ -24,31 +24,27 @@ import (
 	"sort"
 )
 
-// DefaultVNodes is the virtual-node count per physical node. 64 keeps
-// the per-node share within a few percent of uniform for small
-// clusters while the ring stays tiny (64 × nodes entries).
-const DefaultVNodes = 64
+// vnodes is the virtual-node count per physical node. 64 keeps the
+// per-node share within a few percent of uniform for small clusters
+// while the ring stays tiny (64 × nodes entries).
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring over node addresses. Each
-// node is hashed at VNodes points; a key is owned by the first vnode
+// node is hashed at vnodes points; a key is owned by the first vnode
 // clockwise from the key's hash. Build with NewRing; rebuilding on a
 // membership change moves only the keys owned by the nodes that
 // changed (≈ changed/total of the keyspace), which is the property
 // that keeps tuned-config ownership stable as the cluster grows.
 type Ring struct {
-	vnodes int
 	hashes []uint64 // sorted vnode positions
 	owner  []string // owner[i] owns hashes[i]
 	nodes  []string // distinct node addresses, sorted
 }
 
 // NewRing builds a ring over the given node addresses with vnodes
-// virtual nodes each (<= 0: DefaultVNodes). Duplicate addresses are
-// collapsed. An empty node list yields a ring whose Owner returns "".
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
+// virtual nodes each. Duplicate addresses are collapsed. An empty node
+// list yields a ring whose Owner returns "".
+func NewRing(nodes []string) *Ring {
 	seen := map[string]bool{}
 	var distinct []string
 	for _, n := range nodes {
@@ -59,7 +55,7 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		distinct = append(distinct, n)
 	}
 	sort.Strings(distinct)
-	r := &Ring{vnodes: vnodes, nodes: distinct}
+	r := &Ring{nodes: distinct}
 	for _, n := range distinct {
 		for v := 0; v < vnodes; v++ {
 			r.hashes = append(r.hashes, hash64(fmt.Sprintf("%s#%d", n, v)))

@@ -24,10 +24,10 @@ func ringKeys(n int) []string {
 
 func TestRingDeterministic(t *testing.T) {
 	nodes := ringNodes(5)
-	a := NewRing(nodes, 64)
+	a := NewRing(nodes)
 	// Same membership in a different order must give the same owners.
 	shuffled := []string{nodes[3], nodes[0], nodes[4], nodes[2], nodes[1]}
-	b := NewRing(shuffled, 64)
+	b := NewRing(shuffled)
 	for _, k := range ringKeys(500) {
 		if a.Owner(k) != b.Owner(k) {
 			t.Fatalf("owner of %q depends on input order: %s vs %s", k, a.Owner(k), b.Owner(k))
@@ -36,10 +36,10 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if got := NewRing(nil, 0).Owner("sort/b4"); got != "" {
+	if got := NewRing(nil).Owner("sort/b4"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
-	r := NewRing([]string{"http://a"}, 8)
+	r := NewRing([]string{"http://a"})
 	for _, k := range ringKeys(50) {
 		if got := r.Owner(k); got != "http://a" {
 			t.Fatalf("single-node ring owner = %q", got)
@@ -49,7 +49,7 @@ func TestRingEmptyAndSingle(t *testing.T) {
 
 func TestRingDistribution(t *testing.T) {
 	nodes := ringNodes(4)
-	r := NewRing(nodes, DefaultVNodes)
+	r := NewRing(nodes)
 	keys := ringKeys(110) // the realistic shard-key space is small
 	counts := map[string]int{}
 	for _, k := range keys {
@@ -76,7 +76,7 @@ func TestRingDistribution(t *testing.T) {
 // a third of them (bare FNV-1a put all 64 on one node).
 func TestRingSpreadsAdjacentBuckets(t *testing.T) {
 	nodes := ringNodes(3)
-	r := NewRing(nodes, DefaultVNodes)
+	r := NewRing(nodes)
 	const buckets, tol = 64, 0.15
 	for _, p := range []string{"sort", "matmul", "RollingSum", "Heat1D", "eigen", "poisson"} {
 		counts := map[string]int{}
@@ -99,7 +99,7 @@ func TestRingSpreadsAdjacentBuckets(t *testing.T) {
 func TestRingStability(t *testing.T) {
 	nodes := ringNodes(5)
 	keys := ringKeys(1000)
-	base := NewRing(nodes, DefaultVNodes)
+	base := NewRing(nodes)
 	owners := map[string]string{}
 	for _, k := range keys {
 		owners[k] = base.Owner(k)
@@ -107,7 +107,7 @@ func TestRingStability(t *testing.T) {
 
 	t.Run("remove", func(t *testing.T) {
 		removed := nodes[2]
-		smaller := NewRing(append(append([]string{}, nodes[:2]...), nodes[3:]...), DefaultVNodes)
+		smaller := NewRing(append(append([]string{}, nodes[:2]...), nodes[3:]...))
 		moved := 0
 		for _, k := range keys {
 			got := smaller.Owner(k)
@@ -128,7 +128,7 @@ func TestRingStability(t *testing.T) {
 
 	t.Run("add", func(t *testing.T) {
 		added := "http://127.0.0.1:9100"
-		bigger := NewRing(append(append([]string{}, nodes...), added), DefaultVNodes)
+		bigger := NewRing(append(append([]string{}, nodes...), added))
 		movedElsewhere, movedToNew := 0, 0
 		for _, k := range keys {
 			got := bigger.Owner(k)

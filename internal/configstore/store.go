@@ -408,6 +408,14 @@ func (s *Store) Save() error {
 		os.Remove(tmp)
 		return err
 	}
+	// The data reaches the disk before the rename, and the rename
+	// before Save returns: a crash then leaves the old snapshot or the
+	// new one, never a short file that load would refuse to boot on.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return err
@@ -416,7 +424,20 @@ func (s *Store) Save() error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir flushes a directory's entries, making a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // load reads the snapshot file; a missing file is an empty store.

@@ -212,12 +212,8 @@ func (ct *compiledTransform) compile(ri *analysis.RuleInfo, pend *artifact.Pendi
 	} else {
 		recordTierFallback(ct.res.Transform.Name, ri.Rule.Name(), "jit", jerr)
 	}
-	if m != nil {
-		if cr != astRule {
-			m.compiled.Inc()
-		} else {
-			m.fallback.Inc()
-		}
+	if m != nil && cr == astRule {
+		m.fallback.Inc()
 	}
 	slot.Store(cr)
 	return cr

@@ -7,6 +7,7 @@ import (
 
 	"petabricks/internal/artifact"
 	"petabricks/internal/choice"
+	"petabricks/internal/obs"
 	"petabricks/internal/pbc/ast"
 	"petabricks/internal/pbc/jit"
 	"petabricks/internal/pbc/parser"
@@ -190,6 +191,7 @@ func TestCompiledAndInterpretedAgree(t *testing.T) {
 // view ever observes a program compiled under another configuration.
 func TestCompiledCacheConcurrentConfigs(t *testing.T) {
 	e := engine(t, parser.RollingSumSrc)
+	holders := countHolders(t)
 	const n = 64
 	in := benchVec(n, 3)
 	want := make([]float64, n)
@@ -242,9 +244,19 @@ func TestCompiledCacheConcurrentConfigs(t *testing.T) {
 			t.Errorf("no cache entry for key %s", invocationKeyFor(v, "RollingSum", sizes))
 		}
 	}
-	if progs.Len() != 2 {
-		t.Errorf("program cache holds %d entries, want 2", progs.Len())
+	if n := holders(); n != 2 {
+		t.Errorf("program cache holds %d entries, want 2", n)
 	}
+}
+
+// countHolders installs instrumentation for the rest of the test and
+// returns a function reporting how many compiled-program holders were
+// created since: each creation is one compiled-program cache miss, and
+// with fewer than DefaultMemPerKind of them none is evicted.
+func countHolders(t *testing.T) func() int64 {
+	Instrument(obs.NewRegistry())
+	t.Cleanup(func() { Instrument(nil) })
+	return im.Load().cacheMiss.Value
 }
 
 // invocationKeyFor rebuilds the canonical artifact key one engine view

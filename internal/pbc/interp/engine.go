@@ -86,9 +86,10 @@ func (e *Engine) WithConfig(cfg *choice.Config) *Engine {
 }
 
 // UseArtifacts replaces the engine's default memory-only artifact store
-// (normally with the persistent, process-shared store pbserve opens).
-// Call it before serving traffic; WithConfig views created afterwards
-// share the new store, existing views keep the old one.
+// (with a store on a directory, in the repository benchmark's boot_cold
+// workload and pbfuzz's cold/warm axis). Call it before running;
+// WithConfig views created afterwards share the new store, existing
+// views keep the old one.
 func (e *Engine) UseArtifacts(s *artifact.Store) {
 	if s == nil {
 		return

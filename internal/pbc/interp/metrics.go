@@ -16,7 +16,6 @@ type interpMetrics struct {
 
 	cacheHit  *obs.Counter // compiled-program cache hits
 	cacheMiss *obs.Counter // compiled-program cache misses (new holder)
-	compiled  *obs.Counter // rules compiled to bytecode, lowered or warm-loaded
 	fallback  *obs.Counter // rules that fell back to the AST interpreter
 
 	schedMacro      *obs.Counter // invocations whose macro rules produced every output
@@ -60,7 +59,6 @@ func Instrument(reg *obs.Registry) {
 	m := &interpMetrics{reg: reg}
 	m.cacheHit = reg.Counter("pb_interp_cache_hits_total", "Compiled-program cache hits.")
 	m.cacheMiss = reg.Counter("pb_interp_cache_misses_total", "Compiled-program cache misses.")
-	m.compiled = reg.Counter("pb_interp_rules_compiled_total", "Rules compiled to bytecode, lowered or warm-loaded.")
 	m.fallback = reg.Counter("pb_interp_compile_fallbacks_total", "Rules outside the compilable fragment (AST interpreter).")
 	m.schedMacro = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "macro"))
 	m.schedParallel = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "parallel"))

@@ -270,9 +270,8 @@ func (d *PlanDescriptor) rehydrate(res *analysis.Result) (*plan, error) {
 // plans were constructed from the schedule, how many were warm-started
 // from persisted descriptors, and the cumulative construction time.
 // Like the tier compilation stats these are always on (the obs metrics
-// mirror them when Instrument installs a registry); pbserve surfaces
-// them in /v1/stats' artifacts section and coldwarm_smoke.sh asserts a
-// rebooted node does zero constructions.
+// mirror them when Instrument installs a registry); the repository
+// benchmark reads plan construction time from them.
 type PlanCounters struct {
 	Builds       int64   `json:"builds"`
 	WarmLoads    int64   `json:"warm_loads"`

@@ -16,15 +16,15 @@ import (
 )
 
 // planPayloads returns every persisted plan descriptor payload in the
-// store, read from its pack file at the listed offset.
-func planPayloads(t *testing.T, store *artifact.Store) [][]byte {
+// store opened on dir, read from its pack file at the listed offset.
+func planPayloads(t *testing.T, store *artifact.Store, dir string) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for _, e := range store.List() {
 		if e.Kind != artifact.KindPlan {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(store.Dir(), e.Pack))
+		raw, err := os.ReadFile(filepath.Join(dir, e.Pack))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestPlanDescriptorRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			runPlanned(t, tc.src, tc.main, tc.size, pool, store, tc.cfg())
-			payloads := planPayloads(t, store)
+			payloads := planPayloads(t, store, dir)
 			if len(payloads) == 0 {
 				t.Fatal("planned run persisted no plan descriptors")
 			}
@@ -140,8 +140,7 @@ func TestPlanDescriptorRoundTrip(t *testing.T) {
 // TestPlanWarmStartFromDisk is the plan tier's restart story: a fresh
 // engine over a reopened store must serve bit-identical outputs with
 // zero plan constructions — every plan rehydrated from its persisted
-// descriptor. This is the in-process twin of coldwarm_smoke.sh's
-// post-reboot assertion.
+// descriptor.
 func TestPlanWarmStartFromDisk(t *testing.T) {
 	pool := runtime.NewPool(2)
 	defer pool.Close()
@@ -157,7 +156,7 @@ func TestPlanWarmStartFromDisk(t *testing.T) {
 	if coldDelta == 0 {
 		t.Fatal("cold run constructed no plans; nothing to warm-start from")
 	}
-	if len(planPayloads(t, store1)) == 0 {
+	if len(planPayloads(t, store1, dir)) == 0 {
 		t.Fatal("cold run persisted no plan descriptors")
 	}
 
@@ -205,7 +204,7 @@ func TestPlanDescriptorValidateRejects(t *testing.T) {
 		t.Fatal("no analysis for SummedArea")
 	}
 	var base *PlanDescriptor
-	for _, payload := range planPayloads(t, store) {
+	for _, payload := range planPayloads(t, store, dir) {
 		d, err := DecodePlan(payload)
 		if err != nil {
 			t.Fatal(err)

@@ -31,9 +31,18 @@ func TestPlanCacheBound(t *testing.T) {
 	for i := range entries {
 		entries[i] = mint(fmt.Sprintf("k%d", i))
 	}
-	if n := pc.Len(); n != bound {
-		t.Fatalf("cache holds %d entries, want %d", n, bound)
+	// live checks that of k1..k(bound+extra-1) exactly those from k<from>
+	// on are cached.
+	live := func(from int) {
+		t.Helper()
+		for i := 1; i < bound+extra; i++ {
+			if k := fmt.Sprintf("k%d", i); pc.Contains(k) != (i >= from) {
+				t.Fatalf("%s cached = %v; want k%d..k%d cached and no older key", k, pc.Contains(k), from, bound+extra-1)
+			}
+		}
 	}
+	// The cache holds exactly the newest bound keys (k0 is checked below).
+	live(extra)
 	// The newest key must still hit its original entry.
 	last := fmt.Sprintf("k%d", bound+extra-1)
 	if mint(last) != entries[bound+extra-1] {
@@ -43,9 +52,11 @@ func TestPlanCacheBound(t *testing.T) {
 	if mint("k0") == entries[0] {
 		t.Fatal("k0 should have been evicted but hit its old entry")
 	}
-	if n := pc.Len(); n != bound {
-		t.Fatalf("cache holds %d entries after re-insert, want %d", n, bound)
+	// Re-inserting k0 evicted the then-oldest key.
+	if !pc.Contains("k0") {
+		t.Fatal("re-inserted k0 is not cached")
 	}
+	live(extra + 1)
 }
 
 // TestPlanCacheSharedAcrossViews checks that WithConfig views share one
@@ -60,6 +71,7 @@ func TestPlanCacheSharedAcrossViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	var outs [2]map[string]*matrix.Matrix
+	builds := PlanStats().Builds
 	for i := 0; i < 2; i++ {
 		view := e.WithConfig(choice.NewConfig())
 		view.Pool = pool
@@ -69,8 +81,8 @@ func TestPlanCacheSharedAcrossViews(t *testing.T) {
 		}
 		outs[i] = out
 	}
-	if n := e.Artifacts().Mem(artifact.KindPlan).Len(); n != 1 {
-		t.Fatalf("plan cache holds %d entries after two identical runs, want 1", n)
+	if n := PlanStats().Builds - builds; n != 1 {
+		t.Fatalf("two identical runs built %d plans, want 1", n)
 	}
 	if !outs[0]["B"].Equal(outs[1]["B"]) {
 		t.Fatal("plan replay changed the output")

@@ -81,7 +81,7 @@ func newClusterNodes(t *testing.T, n int, tweak func(i int, o *Options)) (addrs 
 // and returns which node owns the shard for (program, n).
 func ownerIndex(t *testing.T, addrs []string, program string, n int) int {
 	t.Helper()
-	ring := cluster.NewRing(addrs, cluster.DefaultVNodes)
+	ring := cluster.NewRing(addrs)
 	owner := ring.Owner(cluster.ShardKey(program, configstore.Bucket(int64(n))))
 	for i, a := range addrs {
 		if a == owner {
@@ -159,7 +159,7 @@ func TestClusterFallbackWhenPeerDown(t *testing.T) {
 		}
 		dead = "http://" + deadLn.Addr().String()
 		deadLn.Close() // nothing will ever answer there
-		ring := cluster.NewRing([]string{live, dead}, cluster.DefaultVNodes)
+		ring := cluster.NewRing([]string{live, dead})
 		for size := 64; size <= 1<<15 && n == 0; size *= 2 {
 			if ring.Owner(cluster.ShardKey("sort", configstore.Bucket(int64(size)))) == dead {
 				n = size

@@ -64,7 +64,6 @@ func (s *Server) instrument() {
 	// shares this registry in cmd/pbserve.
 	s.coalescer.Instrument(reg)
 	s.replic.Instrument(reg)
-	s.opts.Artifacts.Instrument(reg)
 }
 
 // retryAfterSeconds is the hint sent with load-shedding responses: the

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"petabricks/internal/artifact"
 	"petabricks/internal/autotuner"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
@@ -34,7 +33,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, "", func(o *Options) {
 		o.Metrics = mreg
 		o.EnablePprof = true
-		o.Artifacts = artifact.NewMemOnly()
 	})
 
 	// Live traffic: one native kernel run and two interpreted DSL runs
@@ -84,9 +82,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 	// Families of removed mechanisms (async jobs, idle re-tuning, peer
-	// artifact fetch) must not come back.
+	// artifact fetch, the served artifact store, the rule counter that
+	// summed the jit's two) must not come back.
 	for _, gone := range []string{"pb_jobs_", "pb_server_tune_idle_runs_total",
-		"pb_cluster_artifact_", "pb_artifact_peer_installs_total", `tier="peer"`} {
+		"pb_cluster_artifact_", "pb_artifact_", `tier="peer"`, "pb_interp_rules_compiled_total"} {
 		if strings.Contains(body, gone) {
 			t.Errorf("/metrics still exposes %q:\n%s", gone, grepLines(body, gone))
 		}

@@ -15,7 +15,7 @@
 //
 // API:
 //
-//	POST /v1/run       {"program","n","seed","acc","engine"}  execute once
+//	POST /v1/run       {"program","n","seed","acc"}      execute once
 //	POST /v1/tune      {"program","n","max","wait"}      (re)tune
 //	GET  /v1/configs   [?digest=1 | ?program=&n=]        stored configs
 //	GET  /v1/stats                                       counters
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"petabricks/internal/artifact"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/cluster"
@@ -63,11 +62,6 @@ type Options struct {
 	// TuneMax is the default largest training size for /v1/tune requests
 	// that omit "max". Default 4096.
 	TuneMax int64
-	// PromoteMargin is the fractional speedup a freshly tuned config
-	// must show over the incumbent to be promoted. Default 0.02.
-	PromoteMargin float64
-	// Seed is the base seed for tuning measurements. Default 1.
-	Seed int64
 	// Logf, when set, receives operational log lines (tuning outcomes,
 	// save failures). Nil is silent.
 	Logf func(format string, args ...any)
@@ -94,18 +88,18 @@ type Options struct {
 	// but only in cluster mode — single-node behavior stays untouched
 	// unless explicitly opted in. Negative disables coalescing.
 	CoalesceWindow time.Duration
-	// CoalesceMaxN caps the input size eligible for coalescing — large
-	// runs are long enough that collapsing them saves little. Default
-	// 65536.
-	CoalesceMaxN int
-
-	// Artifacts, when set, is the tiered compiled-artifact store: every
-	// registry benchmark backed by a DSL engine is pointed at it before
-	// traffic starts, so compiled bytecode persists across restarts and a
-	// rebooted node serves its first request warm. Nil keeps each engine
-	// on its private in-memory store.
-	Artifacts *artifact.Store
 }
+
+const (
+	// promoteMargin is the fractional speedup a freshly tuned config
+	// must show over the incumbent to be promoted.
+	promoteMargin = 0.02
+	// tuneSeed is the base seed for tuning measurements.
+	tuneSeed = 1
+	// coalesceMaxN caps the input size eligible for coalescing — large
+	// runs are long enough that collapsing them saves little.
+	coalesceMaxN = 1 << 16
+)
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Pool == nil || o.Store == nil || o.Registry == nil {
@@ -126,20 +120,11 @@ func (o Options) withDefaults() (Options, error) {
 	if o.TuneMax <= 0 {
 		o.TuneMax = 4096
 	}
-	if o.PromoteMargin <= 0 {
-		o.PromoteMargin = 0.02
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
 	if o.ReplicateInterval == 0 {
 		o.ReplicateInterval = 5 * time.Second
-	}
-	if o.CoalesceMaxN <= 0 {
-		o.CoalesceMaxN = 1 << 16
 	}
 	return o, nil
 }
@@ -199,18 +184,8 @@ func New(opts Options) (*Server, error) {
 	if opts.CoalesceWindow > 0 || (opts.CoalesceWindow == 0 && opts.Cluster.Enabled()) {
 		s.coalescer = cluster.NewCoalescer(opts.CoalesceWindow)
 	}
-	s.replic = cluster.NewReplicator(s.cluster, s.store, opts.ReplicateInterval, opts.PromoteMargin, opts.Logf)
+	s.replic = cluster.NewReplicator(s.cluster, s.store, opts.ReplicateInterval, promoteMargin, opts.Logf)
 	s.tuner = newTuner(s)
-	// Point every DSL engine at the shared artifact store before any
-	// traffic: a store populated by a previous process then warm-starts
-	// compiled bytecode instead of lowering from scratch.
-	if opts.Artifacts != nil {
-		for _, name := range opts.Registry.Names() {
-			if b, ok := opts.Registry.Get(name); ok && b.Engine != nil {
-				b.Engine.UseArtifacts(opts.Artifacts)
-			}
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/run", s.handleRun)
 	s.mux.HandleFunc("/v1/tune", s.handleTune)
@@ -298,16 +273,6 @@ type runRequest struct {
 	N       int    `json:"n"`
 	Seed    int64  `json:"seed"`
 	Acc     *int   `json:"acc"` // poisson accuracy index; nil = highest
-	// Engine optionally pins the execution tier for interpreted
-	// programs: "interp" or "jit". Empty leaves the tuned
-	// configuration's choice in place. Native kernels ignore it.
-	Engine string `json:"engine,omitempty"`
-}
-
-// engineModes maps the /v1/run engine names to interp.EngineKey values.
-var engineModes = map[string]int64{
-	"interp": interp.EngineInterp,
-	"jit":    interp.EngineJIT,
 }
 
 type runResponse struct {
@@ -352,12 +317,6 @@ func (s *Server) validateRun(req *runRequest) (b *bench.Benchmark, acc int, code
 	if req.Acc != nil {
 		acc = *req.Acc
 	}
-	if req.Engine != "" {
-		if _, ok := engineModes[req.Engine]; !ok {
-			return nil, 0, http.StatusBadRequest,
-				fmt.Sprintf("unknown engine %q (want interp or jit)", req.Engine)
-		}
-	}
 	return b, acc, 0, ""
 }
 
@@ -374,10 +333,6 @@ func (s *Server) resolveConfig(b *bench.Benchmark, req runRequest) (cfg *choice.
 	} else {
 		return nil, "", "", -1,
 			fmt.Sprintf("program %q has no tuned configuration and no baseline; tune it first", req.Program)
-	}
-	if mode, ok := engineModes[req.Engine]; ok {
-		cfg = cfg.Clone()
-		cfg.SetInt(interp.EngineKey, mode)
 	}
 	return cfg, keyStr, source, bucket, ""
 }
@@ -466,8 +421,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// executions detach from the leader's request context (their result
 	// serves other clients too); the admission QueueTimeout still
 	// bounds the wait.
-	if s.coalescer != nil && req.N <= s.opts.CoalesceMaxN {
-		ckey := fmt.Sprintf("%s/%d/%d/%d/%s/%s", req.Program, req.N, req.Seed, acc, keyStr, req.Engine)
+	if s.coalescer != nil && req.N <= coalesceMaxN {
+		ckey := fmt.Sprintf("%s/%d/%d/%d/%s", req.Program, req.N, req.Seed, acc, keyStr)
 		v, err, follower := s.coalescer.Do(ckey, func() (any, error) {
 			res, err := s.execute(context.Background(), b, cfg, req, acc)
 			if err != nil {
@@ -662,19 +617,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"leaders":   s.coalescer.Leaders(),
 			"followers": s.coalescer.Followers(),
 		},
-		"engines":   interp.EngineStatsSnapshot(),
-		"artifacts": artifactsSection(s.opts.Artifacts),
+		"engines": interp.EngineStatsSnapshot(),
 	})
-}
-
-// artifactsSection augments the store's tier counters with the engine's
-// plan-tier traffic: the store moves opaque payloads, so "did the warm
-// boot rebuild any plans" is the interpreter's to answer (see
-// coldwarm_smoke.sh, which asserts builds stays 0 after a restart).
-func artifactsSection(arts *artifact.Store) map[string]any {
-	st := arts.Stats()
-	st["plan"] = interp.PlanStats()
-	return st
 }
 
 func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {

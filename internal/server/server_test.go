@@ -366,47 +366,26 @@ func TestErrorsAndStats(t *testing.T) {
 			t.Fatalf("program %q missing from /v1/programs: %v", want, names)
 		}
 	}
-	// One successful run, then stats must reflect it.
-	if st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "sort", "n": 100}); st != http.StatusOK {
-		t.Fatalf("run failed: %v", body)
+	// One successful kernel run and one interpreted run, then stats
+	// must reflect them.
+	for _, prog := range []string{"sort", "RollingSum"} {
+		if st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": prog, "n": 100}); st != http.StatusOK {
+			t.Fatalf("run %s failed: %v", prog, body)
+		}
 	}
 	st, body = getJSON(t, ts.URL+"/v1/stats")
 	if st != http.StatusOK {
 		t.Fatal("stats failed")
 	}
 	reqs := body["requests"].(map[string]any)
-	if reqs["completed"].(float64) < 1 {
-		t.Fatalf("stats did not count the run: %v", reqs)
+	if reqs["completed"].(float64) < 2 {
+		t.Fatalf("stats did not count the runs: %v", reqs)
 	}
 	if _, ok := body["pool"].(map[string]any)["workers"]; !ok {
 		t.Fatalf("stats missing pool section: %v", body)
 	}
-}
-
-// TestEngineSelection pins the execution tier per request and checks
-// the two tiers agree on an interpreted program; /v1/stats must surface
-// the tier-compilation statistics. "closure" names a retired tier.
-func TestEngineSelection(t *testing.T) {
-	_, ts := newTestServer(t, "", nil)
-	for _, eng := range []string{"turbo", "closure"} {
-		if st, _ := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "RollingSum", "n": 64, "engine": eng}); st != http.StatusBadRequest {
-			t.Fatalf("bad engine %q: got %d, want 400", eng, st)
-		}
-	}
-	var sums []float64
-	for _, eng := range []string{"interp", "jit"} {
-		st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "RollingSum", "n": 64, "engine": eng})
-		if st != http.StatusOK {
-			t.Fatalf("engine %s: got %d: %v", eng, st, body)
-		}
-		sums = append(sums, body["checksum"].(float64))
-	}
-	if sums[0] != sums[1] {
-		t.Fatalf("tiers disagree: checksums %v", sums)
-	}
-	st, body := getJSON(t, ts.URL+"/v1/stats")
-	if st != http.StatusOK {
-		t.Fatal("stats failed")
+	if _, ok := body["artifacts"]; ok {
+		t.Fatalf("stats still has an artifacts section: %v", body["artifacts"])
 	}
 	engines, ok := body["engines"].(map[string]any)
 	if !ok {

@@ -57,7 +57,7 @@ func newTuner(s *Server) *tuner {
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	t.seed.Store(s.opts.Seed)
+	t.seed.Store(tuneSeed)
 	return t
 }
 
@@ -167,7 +167,7 @@ func (t *tuner) tuneOnce(j tuneJob) tuneOutcome {
 	if old, _, had := t.s.store.Get(key); had {
 		oldCost = eval.Measure(old, j.size)
 	}
-	promoted := t.s.store.Promote(key, cfg, newCost, oldCost, t.s.opts.PromoteMargin, time.Now())
+	promoted := t.s.store.Promote(key, cfg, newCost, oldCost, promoteMargin, time.Now())
 	if promoted {
 		if err := t.s.store.Save(); err != nil {
 			t.s.opts.Logf("pbserve: store save failed: %v", err)
