@@ -17,6 +17,7 @@ import (
 	"petabricks/internal/choice"
 	"petabricks/internal/configstore"
 	"petabricks/internal/kernels/sortk"
+	"petabricks/internal/pbc/interp"
 	"petabricks/internal/runtime"
 )
 
@@ -366,26 +367,73 @@ func TestErrorsAndStats(t *testing.T) {
 			t.Fatalf("program %q missing from /v1/programs: %v", want, names)
 		}
 	}
-	// One successful kernel run and one interpreted run, then stats
-	// must reflect them.
-	for _, prog := range []string{"sort", "RollingSum"} {
-		if st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": prog, "n": 100}); st != http.StatusOK {
-			t.Fatalf("run %s failed: %v", prog, body)
-		}
+	// One successful run, then stats must reflect it.
+	if st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "sort", "n": 100}); st != http.StatusOK {
+		t.Fatalf("run failed: %v", body)
 	}
 	st, body = getJSON(t, ts.URL+"/v1/stats")
 	if st != http.StatusOK {
 		t.Fatal("stats failed")
 	}
 	reqs := body["requests"].(map[string]any)
-	if reqs["completed"].(float64) < 2 {
-		t.Fatalf("stats did not count the runs: %v", reqs)
+	if reqs["completed"].(float64) < 1 {
+		t.Fatalf("stats did not count the run: %v", reqs)
 	}
 	if _, ok := body["pool"].(map[string]any)["workers"]; !ok {
 		t.Fatalf("stats missing pool section: %v", body)
 	}
 	if _, ok := body["artifacts"]; ok {
 		t.Fatalf("stats still has an artifacts section: %v", body["artifacts"])
+	}
+}
+
+// TestEngineSelection checks that the server, not the client, selects
+// the execution tier: a request that still names an "engine" is served
+// exactly like one that does not, both agree with the AST oracle run
+// in-process, and /v1/stats surfaces the tier-compilation statistics.
+func TestEngineSelection(t *testing.T) {
+	_, ts := newTestServer(t, "", nil)
+	var sums []float64
+	for _, req := range []map[string]any{
+		{"program": "RollingSum", "n": 64},
+		{"program": "RollingSum", "n": 64, "engine": "interp"},
+		{"program": "RollingSum", "n": 64, "engine": "turbo"},
+	} {
+		st, body := postJSON(t, ts.URL+"/v1/run", req)
+		if st != http.StatusOK {
+			t.Fatalf("%v: got %d: %v", req, st, body)
+		}
+		sums = append(sums, body["checksum"].(float64))
+	}
+	bs, err := bench.LoadDSL(rollingSumSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oracle *bench.Benchmark
+	for _, b := range bs {
+		if b.Name == "RollingSum" {
+			oracle = b
+		}
+	}
+	if oracle == nil {
+		t.Fatal("RollingSum missing from its source file")
+	}
+	cfg := choice.NewConfig()
+	cfg.SetInt(interp.EngineKey, interp.EngineInterp)
+	pool := runtime.NewPool(1)
+	defer pool.Shutdown()
+	res, err := oracle.Run(pool, cfg, 64, 1, bench.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sum := range sums {
+		if sum != res.Checksum {
+			t.Fatalf("request %d: checksum %v, AST oracle %v", i, sum, res.Checksum)
+		}
+	}
+	st, body := getJSON(t, ts.URL+"/v1/stats")
+	if st != http.StatusOK {
+		t.Fatal("stats failed")
 	}
 	engines, ok := body["engines"].(map[string]any)
 	if !ok {
