@@ -192,9 +192,6 @@ func (ct *compiledTransform) compile(ri *analysis.RuleInfo, pend *artifact.Pendi
 	if prog := ct.warmProgram(ri.Rule.Index); prog != nil {
 		cr = ct.newVMRule(prog, ri)
 		recordTierCompile("jit-warm")
-		if m != nil {
-			m.jitWarm.Inc()
-		}
 	} else if prog, jerr := timedJITCompile(ct.res, ri, ct.sizes); jerr == nil {
 		cr = ct.newVMRule(prog, ri)
 		recordTierCompile("jit")

@@ -34,11 +34,9 @@ type interpMetrics struct {
 	planMiss  *obs.Counter   // execution-plan cache misses (plan materialized)
 	planEvict *obs.Counter   // execution-plan cache evictions (FIFO bound)
 	planTiles *obs.Histogram // tasks per built plan (tiles + fences + steps)
-	planWarm  *obs.Counter   // plans rehydrated from persisted descriptors
 	planBuild *obs.Counter   // plans constructed from the schedule
 
 	jitCompiled  *obs.Counter // rules lowered to bytecode programs
-	jitWarm      *obs.Counter // rules warm-started from the artifact disk tier
 	jitViewRules *obs.Counter // lowered programs carrying view refs (reduction loops)
 
 	runHists      sync.Map // transform name -> *obs.Histogram
@@ -74,10 +72,8 @@ func Instrument(reg *obs.Registry) {
 	m.planEvict = reg.Counter("pb_interp_plan_cache_evictions_total", "Execution-plan cache entries evicted by the FIFO bound.")
 	m.planTiles = reg.Histogram("pb_interp_plan_tasks", "Tasks per built execution plan (tiles, fences and step tasks).",
 		obs.ExpBuckets(1, 2, 12))
-	m.planWarm = reg.Counter("pb_plan_warm_loads_total", "Execution plans warm-started from persisted descriptors instead of built.")
 	m.planBuild = reg.Counter("pb_plan_builds_total", "Execution plans constructed from the schedule (cache and disk both missed).")
 	m.jitCompiled = reg.Counter("pb_jit_rules_compiled_total", "Rules lowered to flat-bytecode programs.")
-	m.jitWarm = reg.Counter("pb_jit_warm_loads_total", "Rules warm-started from persisted bytecode instead of lowering.")
 	m.jitViewRules = reg.Counter("pb_jit_view_rules_total", "Lowered rule programs whose bytecode binds region views (reduction loops).")
 	im.Store(m)
 }

@@ -124,9 +124,6 @@ func (ex *exec) loadOrBuildPlan() *plan {
 		})
 		if warm != nil {
 			planCtr.warmLoads.Add(1)
-			if m != nil {
-				m.planWarm.Inc()
-			}
 			return warm
 		}
 	}

@@ -58,13 +58,13 @@ func newNegativeServer(t *testing.T) (*Server, *httptest.Server, chan struct{}, 
 
 // TestHandlerNegativePaths is the table-driven sweep over every way a
 // request can be malformed: wrong method, broken or mistyped JSON,
-// oversized bodies, unknown programs, out-of-range sizes, and tuning a
+// unknown fields, oversized bodies, unknown programs, out-of-range sizes, and tuning a
 // program that has no search space.
 func TestHandlerNegativePaths(t *testing.T) {
 	_, ts, _, release := newNegativeServer(t)
 	defer close(release)
 
-	huge := `{"program": "sort", "n": 8, "pad": "` + strings.Repeat("x", 1<<21) + `"}`
+	huge := `{"n": 8, "program": "` + strings.Repeat("x", 1<<21) + `"}`
 	tests := []struct {
 		name   string
 		method string
@@ -84,6 +84,8 @@ func TestHandlerNegativePaths(t *testing.T) {
 		{"run not JSON", http.MethodPost, "/v1/run", "program=sort&n=8", http.StatusBadRequest},
 		{"run mistyped field", http.MethodPost, "/v1/run", `{"program": 7, "n": "eight"}`, http.StatusBadRequest},
 		{"run oversized body", http.MethodPost, "/v1/run", huge, http.StatusBadRequest},
+		{"run unknown field", http.MethodPost, "/v1/run", `{"program": "sort", "n": 8, "sed": 3}`, http.StatusBadRequest},
+		{"run removed engine field", http.MethodPost, "/v1/run", `{"program": "sort", "n": 8, "engine": "interp"}`, http.StatusBadRequest},
 
 		{"run unknown program", http.MethodPost, "/v1/run", `{"program": "nope", "n": 8}`, http.StatusNotFound},
 		{"run missing n", http.MethodPost, "/v1/run", `{"program": "sort"}`, http.StatusBadRequest},
@@ -93,6 +95,7 @@ func TestHandlerNegativePaths(t *testing.T) {
 
 		{"tune empty body", http.MethodPost, "/v1/tune", "", http.StatusBadRequest},
 		{"tune bad JSON", http.MethodPost, "/v1/tune", `{"program"`, http.StatusBadRequest},
+		{"tune unknown field", http.MethodPost, "/v1/tune", `{"program": "sort", "wiat": true}`, http.StatusBadRequest},
 		{"tune unknown program", http.MethodPost, "/v1/tune", `{"program": "nope"}`, http.StatusNotFound},
 		{"tune untunable program", http.MethodPost, "/v1/tune", `{"program": "slow"}`, http.StatusBadRequest},
 		{"tune n over limit", http.MethodPost, "/v1/tune", `{"program": "sort", "n": 8192}`, http.StatusBadRequest},

@@ -388,17 +388,20 @@ func TestErrorsAndStats(t *testing.T) {
 }
 
 // TestEngineSelection checks that the server, not the client, selects
-// the execution tier: a request that still names an "engine" is served
-// exactly like one that does not, both agree with the AST oracle run
+// the execution tier: a request that still names an "engine" is
+// rejected, one that does not agrees with the AST oracle run
 // in-process, and /v1/stats surfaces the tier-compilation statistics.
 func TestEngineSelection(t *testing.T) {
 	_, ts := newTestServer(t, "", nil)
+	for _, engine := range []string{"interp", "turbo"} {
+		req := map[string]any{"program": "RollingSum", "n": 64, "engine": engine}
+		if st, body := postJSON(t, ts.URL+"/v1/run", req); st != http.StatusBadRequest {
+			t.Fatalf("%v: got %d, want 400: %v", req, st, body)
+		}
+	}
 	var sums []float64
-	for _, req := range []map[string]any{
-		{"program": "RollingSum", "n": 64},
-		{"program": "RollingSum", "n": 64, "engine": "interp"},
-		{"program": "RollingSum", "n": 64, "engine": "turbo"},
-	} {
+	for range 2 {
+		req := map[string]any{"program": "RollingSum", "n": 64}
 		st, body := postJSON(t, ts.URL+"/v1/run", req)
 		if st != http.StatusOK {
 			t.Fatalf("%v: got %d: %v", req, st, body)
