@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -345,55 +346,88 @@ func (res *Result) analyzeMacroRule(r *ast.Rule) (*RuleInfo, error) {
 // PetaBricks orders coordinates (x, y): x is dimension 0.
 func (res *Result) refRegion(ref *ast.RegionRef) (symbolic.Region, error) {
 	mi := res.Matrices[ref.Matrix]
-	nd := len(mi.Dims)
-	args := make([]*symbolic.Expr, len(ref.Args))
-	for i, a := range ref.Args {
+	var argBuf [8]*symbolic.Expr
+	args := argBuf[:0]
+	for _, a := range ref.Args {
 		se, err := toSymbolic(a)
 		if err != nil {
 			return nil, errf(ref.Pos, "%v", err)
 		}
-		args[i] = se
+		args = append(args, se)
 	}
-	one := symbolic.Const(1)
+	var buf [4]Span
+	spans, err := RefSpans(ref, len(mi.Dims), buf[:0])
+	if err != nil {
+		return nil, errf(ref.Pos, "%v", err)
+	}
+	var one *symbolic.Expr
+	reg := make(symbolic.Region, len(spans))
+	for d, s := range spans {
+		reg[d] = mi.Domain[d]
+		if s.Lo >= 0 {
+			reg[d].Begin = args[s.Lo]
+		}
+		switch {
+		case s.Unit:
+			if one == nil {
+				one = symbolic.Const(1)
+			}
+			reg[d].End = symbolic.Add(args[s.Hi], one)
+		case s.Hi >= 0:
+			reg[d].End = args[s.Hi]
+		}
+	}
+	return reg, nil
+}
+
+// Span is the shape of a region reference in one dimension: it covers
+// [lo, hi), where lo is argument Lo (0 when Lo < 0) and hi is argument
+// Hi (the matrix's extent when Hi < 0), plus one when Unit.
+type Span struct {
+	Lo, Hi int
+	Unit   bool
+}
+
+// RefSpans appends the shape of ref on a matrix of rank nd to buf, one
+// span per dimension in DSL order, or reports why ref does not fit the
+// matrix. It is the compiler's one shape rule: refRegion builds the
+// dependency region from it, and the rule IR its affine bounds.
+func RefSpans(ref *ast.RegionRef, nd int, buf []Span) ([]Span, error) {
+	n := len(ref.Args)
+	whole := Span{Lo: -1, Hi: -1}
 	switch ref.Kind {
 	case ast.RegionAll:
-		return append(symbolic.Region{}, mi.Domain...), nil
+		for range nd {
+			buf = append(buf, whole)
+		}
 	case ast.RegionCell:
-		if len(args) != nd {
-			return nil, errf(ref.Pos, "cell() needs %d indices for %s", nd, ref.Matrix)
+		if n != nd {
+			return nil, fmt.Errorf("cell() needs %d indices for %s", nd, ref.Matrix)
 		}
-		reg := make(symbolic.Region, nd)
-		for d, a := range args {
-			reg[d] = symbolic.NewInterval(a, symbolic.Add(a, one))
+		for d := range nd {
+			buf = append(buf, Span{Lo: d, Hi: d, Unit: true})
 		}
-		return reg, nil
 	case ast.RegionRow:
-		if nd != 2 || len(args) != 1 {
-			return nil, errf(ref.Pos, "row() requires a 2-D matrix and one index")
+		if nd != 2 || n != 1 {
+			return nil, errors.New("row() requires a 2-D matrix and one index")
 		}
-		return symbolic.Region{
-			mi.Domain[0],
-			symbolic.NewInterval(args[0], symbolic.Add(args[0], one)),
-		}, nil
+		buf = append(buf, whole, Span{Unit: true})
 	case ast.RegionCol:
-		if nd != 2 || len(args) != 1 {
-			return nil, errf(ref.Pos, "column() requires a 2-D matrix and one index")
+		if nd != 2 || n != 1 {
+			return nil, errors.New("column() requires a 2-D matrix and one index")
 		}
-		return symbolic.Region{
-			symbolic.NewInterval(args[0], symbolic.Add(args[0], one)),
-			mi.Domain[1],
-		}, nil
+		buf = append(buf, Span{Unit: true}, whole)
 	case ast.RegionRegion:
-		if len(args) != 2*nd {
-			return nil, errf(ref.Pos, "region() needs %d bounds for %s", 2*nd, ref.Matrix)
+		if n != 2*nd {
+			return nil, fmt.Errorf("region() needs %d bounds for %s", 2*nd, ref.Matrix)
 		}
-		reg := make(symbolic.Region, nd)
-		for d := 0; d < nd; d++ {
-			reg[d] = symbolic.NewInterval(args[d], args[nd+d])
+		for d := range nd {
+			buf = append(buf, Span{Lo: d, Hi: nd + d})
 		}
-		return reg, nil
+	default:
+		return nil, errors.New("unknown region kind")
 	}
-	return nil, errf(ref.Pos, "unknown region kind")
+	return buf, nil
 }
 
 // analyzeCellRule normalizes the center and computes applicable regions

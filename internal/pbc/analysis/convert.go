@@ -192,6 +192,13 @@ func ToSymbolic(e ast.Expr) (se *symbolic.Expr, err error) {
 	return toSymbolic(e)
 }
 
+// ToAffine is ToSymbolic in the affine domain, for callers that split
+// or render the affine form rather than evaluate an expression.
+func ToAffine(e ast.Expr) (a symbolic.Affine, err error) {
+	defer onOverflow(func(msg string) { a, err = symbolic.Affine{}, errors.New(msg) })
+	return toAffine(e)
+}
+
 // onOverflow, deferred, recovers a symbolic.OverflowError panic and
 // hands its rendering to report; any other panic continues.
 func onOverflow(report func(msg string)) {

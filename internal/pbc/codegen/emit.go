@@ -6,7 +6,6 @@ import (
 
 	"petabricks/internal/choice"
 	"petabricks/internal/pbc/analysis"
-	"petabricks/internal/pbc/ast"
 	"petabricks/internal/pbc/symbolic"
 )
 
@@ -195,7 +194,7 @@ func (g *gen) lexStep(res *analysis.Result, step *analysis.Step, locals map[stri
 			closers = append(closers, indent+"}\n")
 			indent += "\t"
 		}
-		body, err := g.cellBody(res, ri, locals, indent)
+		body, err := g.ruleBody(res, ri, locals, indent)
 		if err != nil {
 			return "", err
 		}
@@ -285,7 +284,7 @@ func (g *gen) ruleLoops(res *analysis.Result, ri *analysis.RuleInfo, node *analy
 		closers = append(closers, indent+"}\n")
 		indent += "\t"
 	}
-	body, err := g.cellBody(res, ri, locals, indent)
+	body, err := g.ruleBody(res, ri, locals, indent)
 	if err != nil {
 		return "", err
 	}
@@ -293,180 +292,6 @@ func (g *gen) ruleLoops(res *analysis.Result, ri *analysis.RuleInfo, node *analy
 	for i := len(closers) - 1; i >= 0; i-- {
 		b.WriteString(closers[i])
 	}
-	return b.String(), nil
-}
-
-// bindingInfo describes how a body name maps to generated code.
-type bindingInfo struct {
-	kind  string // "cell", "view", "scalar"
-	mat   string // Go expr of the *Mat
-	idx   []string
-	view  string // Go var holding the view
-	float string // scalar access expression
-}
-
-// cellBody emits the bindings and translated statements of a cell rule.
-func (g *gen) cellBody(res *analysis.Result, ri *analysis.RuleInfo, locals map[string]string, indent string) (string, error) {
-	var b strings.Builder
-	binds := map[string]*bindingInfo{}
-	// Center substitution map: rule center variables → loop variables.
-	centerVar := func(name string) string { return "cv_" + name }
-	viewCount := 0
-	bindRef := func(ref *ast.RegionRef, shift map[string]*symbolic.Expr) error {
-		if ref.Binding == "" {
-			return nil
-		}
-		mat := locals[ref.Matrix]
-		if ref.Kind == ast.RegionCell {
-			idx := make([]string, len(ref.Args))
-			for i, a := range ref.Args {
-				se, err := analysis.ToSymbolic(a)
-				if err != nil {
-					return err
-				}
-				if shift != nil {
-					se = se.Substitute(shift)
-				}
-				s, err := g.goCenterExpr(se, ri)
-				if err != nil {
-					return err
-				}
-				idx[i] = s
-			}
-			binds[ref.Binding] = &bindingInfo{kind: "cell", mat: mat, idx: idx}
-			return nil
-		}
-		// View binding.
-		bounds, err := refRegionBounds(res, ref)
-		if err != nil {
-			return err
-		}
-		var begins, ends []string
-		for _, iv := range bounds {
-			lo, err := g.goCenterExpr(iv.Begin, ri)
-			if err != nil {
-				return err
-			}
-			hi, err := g.goCenterExpr(iv.End, ri)
-			if err != nil {
-				return err
-			}
-			begins = append(begins, lo)
-			ends = append(ends, hi)
-		}
-		v := fmt.Sprintf("vw%d", viewCount)
-		viewCount++
-		fmt.Fprintf(&b, "%s%s := %s.Region([]int{%s}, []int{%s})\n",
-			indent, v, mat, strings.Join(begins, ", "), strings.Join(ends, ", "))
-		binds[ref.Binding] = &bindingInfo{kind: "view", view: v}
-		return nil
-	}
-	for _, ref := range ri.Rule.To {
-		if err := bindRef(ref, nil); err != nil {
-			return "", err
-		}
-	}
-	for _, ref := range ri.Rule.From {
-		if err := bindRef(ref, nil); err != nil {
-			return "", err
-		}
-	}
-	stmts, err := g.stmts(ri.Rule.Body, binds, ri, indent)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(stmts)
-	_ = centerVar
-	return b.String(), nil
-}
-
-// refRegionBounds resolves a region ref into per-dimension symbolic
-// intervals in DSL order.
-func refRegionBounds(res *analysis.Result, ref *ast.RegionRef) (symbolic.Region, error) {
-	mi := res.Matrices[ref.Matrix]
-	nd := len(mi.Dims)
-	one := symbolic.Const(1)
-	args := make([]*symbolic.Expr, len(ref.Args))
-	for i, a := range ref.Args {
-		se, err := analysis.ToSymbolic(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = se
-	}
-	switch ref.Kind {
-	case ast.RegionAll:
-		return append(symbolic.Region{}, mi.Domain...), nil
-	case ast.RegionCell:
-		reg := make(symbolic.Region, nd)
-		for d := range args {
-			reg[d] = symbolic.NewInterval(args[d], symbolic.Add(args[d], one))
-		}
-		return reg, nil
-	case ast.RegionRow:
-		return symbolic.Region{mi.Domain[0], symbolic.NewInterval(args[0], symbolic.Add(args[0], one))}, nil
-	case ast.RegionCol:
-		return symbolic.Region{symbolic.NewInterval(args[0], symbolic.Add(args[0], one)), mi.Domain[1]}, nil
-	case ast.RegionRegion:
-		reg := make(symbolic.Region, nd)
-		for d := 0; d < nd; d++ {
-			reg[d] = symbolic.NewInterval(args[d], args[nd+d])
-		}
-		return reg, nil
-	}
-	return nil, fmt.Errorf("codegen: bad region kind")
-}
-
-// goCenterExpr renders a symbolic expression whose variables are size
-// variables or the rule's center variables (emitted as cv_ loop vars).
-func (g *gen) goCenterExpr(se *symbolic.Expr, ri *analysis.RuleInfo) (string, error) {
-	sub := map[string]*symbolic.Expr{}
-	for _, v := range ri.CenterVars {
-		if v != "" {
-			sub[v] = symbolic.Var("cv_" + v)
-		}
-	}
-	return g.goExpr(se.Substitute(sub))
-}
-
-// macroBody emits a macro rule's bindings and body at function scope.
-func (g *gen) macroBody(res *analysis.Result, ri *analysis.RuleInfo, locals map[string]string) (string, error) {
-	var b strings.Builder
-	indent := "\t\t"
-	binds := map[string]*bindingInfo{}
-	viewCount := 0
-	for _, ref := range append(append([]*ast.RegionRef{}, ri.Rule.To...), ri.Rule.From...) {
-		if ref.Binding == "" {
-			continue
-		}
-		bounds, err := refRegionBounds(res, ref)
-		if err != nil {
-			return "", err
-		}
-		var begins, ends []string
-		for _, iv := range bounds {
-			lo, err := g.goExpr(iv.Begin)
-			if err != nil {
-				return "", err
-			}
-			hi, err := g.goExpr(iv.End)
-			if err != nil {
-				return "", err
-			}
-			begins = append(begins, lo)
-			ends = append(ends, hi)
-		}
-		v := fmt.Sprintf("mv%d", viewCount)
-		viewCount++
-		fmt.Fprintf(&b, "%s%s := %s.Region([]int{%s}, []int{%s})\n",
-			indent, v, locals[ref.Matrix], strings.Join(begins, ", "), strings.Join(ends, ", "))
-		binds[ref.Binding] = &bindingInfo{kind: "view", view: v}
-	}
-	stmts, err := g.stmts(ri.Rule.Body, binds, ri, indent)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(stmts)
 	return b.String(), nil
 }
 

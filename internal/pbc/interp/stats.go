@@ -5,7 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	"petabricks/internal/pbc/codegen"
+	"petabricks/internal/pbc/ir"
 )
 
 // Tier compilation statistics are collected process-wide and always on
@@ -57,11 +57,11 @@ func recordTierCompile(tier string) {
 }
 
 // recordTierFallback notes that tier rejected (transform, rule). The
-// construct token comes from codegen.Unsupported when the lowerer
+// construct token comes from ir.Unsupported when the lowerer
 // produced one; any other error is bucketed as "not-compilable".
 func recordTierFallback(transform, rule, tier string, err error) {
 	construct, detail := "not-compilable", ""
-	var uns *codegen.Unsupported
+	var uns *ir.Unsupported
 	if errors.As(err, &uns) {
 		construct = uns.Construct
 		detail = uns.Detail

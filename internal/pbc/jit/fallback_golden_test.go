@@ -11,8 +11,8 @@ import (
 
 	"petabricks/internal/pbc/analysis"
 	"petabricks/internal/pbc/ast"
-	"petabricks/internal/pbc/codegen"
 	"petabricks/internal/pbc/gen"
+	"petabricks/internal/pbc/ir"
 	"petabricks/internal/pbc/jit"
 	"petabricks/internal/pbc/parser"
 )
@@ -121,7 +121,7 @@ func dumpRules(b *strings.Builder, res *analysis.Result, sizes map[string]int64)
 			continue
 		}
 		construct := cerr.Error()
-		var u *codegen.Unsupported
+		var u *ir.Unsupported
 		if errors.As(cerr, &u) {
 			construct = u.Construct
 		}

@@ -8,7 +8,7 @@ import (
 
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/analysis"
-	"petabricks/internal/pbc/codegen"
+	"petabricks/internal/pbc/ir"
 	"petabricks/internal/pbc/parser"
 )
 
@@ -426,30 +426,22 @@ to B[n]
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, res, err := lowerRule(t, tc.src, tc.rule, map[string]int64{"n": 4})
+			_, _, err := lowerRule(t, tc.src, tc.rule, map[string]int64{"n": 4})
 			if tc.construct == "" {
 				if err != nil {
 					t.Fatalf("lower: %v", err)
 				}
 				return
 			}
-			var uns *codegen.Unsupported
+			var uns *ir.Unsupported
 			if !errors.As(err, &uns) {
-				t.Fatalf("err = %v, want *codegen.Unsupported", err)
+				t.Fatalf("err = %v, want *ir.Unsupported", err)
 			}
 			if uns.Construct != tc.construct {
 				t.Fatalf("construct = %q (%v), want %q", uns.Construct, err, tc.construct)
 			}
 			if uns.Rule == "" {
 				t.Fatal("fallback reason missing rule name")
-			}
-			if tc.construct == "transform-call" {
-				// A call that cannot lower in any rule is found before any
-				// ref is lowered, by a walk that allocates nothing.
-				ri := res.Rules[tc.rule]
-				if n := testing.AllocsPerRun(100, func() { stmtsCall(ri.Rule.Body, ri.Kind == analysis.RuleMacro) }); n != 0 {
-					t.Errorf("transform-call walk allocates %v times per rule", n)
-				}
 			}
 		})
 	}

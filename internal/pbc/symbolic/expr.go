@@ -385,25 +385,38 @@ func (e *Expr) Eval(env map[string]int64) (int64, error) {
 	return r.Floor(), nil
 }
 
+// Eval evaluates a as Expr.Eval evaluates a's expression.
+func (a Affine) Eval(env map[string]int64) (int64, error) {
+	r, err := a.evalRat(env)
+	if err != nil {
+		return 0, err
+	}
+	return r.Floor(), nil
+}
+
+func (a Affine) evalRat(env map[string]int64) (Rat, error) {
+	acc := a.konst
+	for _, t := range a.terms {
+		v, ok := env[t.name]
+		if !ok {
+			return Rat{}, fmt.Errorf("symbolic: unbound variable %q", t.name)
+		}
+		p, ok := t.coef.mul(RatInt(v))
+		if !ok {
+			return Rat{}, &OverflowError{Op: "*", X: t.coef, Y: RatInt(v)}
+		}
+		s, ok := acc.addSub(p, false)
+		if !ok {
+			return Rat{}, &OverflowError{Op: "+", X: acc, Y: p}
+		}
+		acc = s
+	}
+	return acc, nil
+}
+
 func (e *Expr) evalRat(env map[string]int64) (Rat, error) {
 	if e.affine {
-		acc := e.aff.konst
-		for _, t := range e.aff.terms {
-			v, ok := env[t.name]
-			if !ok {
-				return Rat{}, fmt.Errorf("symbolic: unbound variable %q", t.name)
-			}
-			p, ok := t.coef.mul(RatInt(v))
-			if !ok {
-				return Rat{}, &OverflowError{Op: "*", X: t.coef, Y: RatInt(v)}
-			}
-			s, ok := acc.addSub(p, false)
-			if !ok {
-				return Rat{}, &OverflowError{Op: "+", X: acc, Y: p}
-			}
-			acc = s
-		}
-		return acc, nil
+		return e.aff.evalRat(env)
 	}
 	acc, err := e.args[0].evalRat(env)
 	if err != nil {
