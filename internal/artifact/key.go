@@ -47,7 +47,9 @@ import (
 // macro rules that call transforms persist as bytecode too.
 // Version 8: the jit instruction set gained the rotated loop's back
 // edge, OpLoopLT.
-const SchemaVersion = 8
+// Version 9: the jit instruction set gained OpSel, the conditional move
+// of if-converted cell rules.
+const SchemaVersion = 9
 
 // Artifact kinds. Program artifacts live in the memory tier only (they
 // hold frame pools and pointers into live analysis state); JIT artifacts — plain-data

@@ -52,13 +52,18 @@ func fixtureV6(t *testing.T) (string, []byte) { return fixture(t, "v6") }
 // jit instruction set gained rotated loops.
 func fixtureV7(t *testing.T) (string, []byte) { return fixture(t, "v7") }
 
+// fixtureV8 is a schema-8 pack, committed by an engine over a disk store
+// (Heat1D, n=32: one jit entry) before the jit instruction set gained
+// the if-converted rules' sel.
+func fixtureV8(t *testing.T) (string, []byte) { return fixture(t, "v8") }
+
 // TestVersionSkewRejectedOnOpen opens a store over a directory holding
 // artifacts from older schema versions — one from schema 1, one
 // single-artifact file from schema 4, the format packs replaced, a
 // schema-5 pack whose jit entry is a gob stream, a schema-6 pack whose
-// jit entry predates call sites, and a schema-7 pack whose jit entry
-// predates rotated loops. The
-// store must reject each cleanly — counted under the schema reason,
+// jit entry predates call sites, a schema-7 pack whose jit entry
+// predates rotated loops, and a schema-8 pack whose jit entry predates
+// sel. The store must reject each cleanly — counted under the schema reason,
 // never indexed, never served — while leaving the files in place (a
 // rollback to the older binary may still want them). The caller's
 // recompile path then commits a current-schema pack beside them
@@ -66,7 +71,7 @@ func fixtureV7(t *testing.T) (string, []byte) { return fixture(t, "v7") }
 func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	var stale []string
-	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4, fixtureV5, fixtureV6, fixtureV7} {
+	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4, fixtureV5, fixtureV6, fixtureV7, fixtureV8} {
 		name, raw := fx(t)
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -76,12 +81,12 @@ func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	}
 	keep := func(s *Store, when string) {
 		t.Helper()
-		if s.CorruptCount() != 5 {
-			t.Errorf("%s: corrupt count = %d, want 5", when, s.CorruptCount())
+		if s.CorruptCount() != 6 {
+			t.Errorf("%s: corrupt count = %d, want 6", when, s.CorruptCount())
 		}
 		reasons := s.corruptReasons()
-		if reasons[CorruptSchema] != 5 {
-			t.Errorf("%s: schema reason count = %d, want 5 (reasons %v)", when, reasons[CorruptSchema], reasons)
+		if reasons[CorruptSchema] != 6 {
+			t.Errorf("%s: schema reason count = %d, want 6 (reasons %v)", when, reasons[CorruptSchema], reasons)
 		}
 		for _, path := range stale {
 			if _, err := os.Stat(path); err != nil {

@@ -278,7 +278,7 @@ func TestStoreCrashMidSave(t *testing.T) {
 		dir := t.TempDir()
 		// The moment before rename: a half-written temp file exists and
 		// no pack does.
-		tmp := filepath.Join(dir, "v8-0000000000000001.pba.tmp12345")
+		tmp := filepath.Join(dir, "v9-0000000000000001.pba.tmp12345")
 		if err := os.WriteFile(tmp, full[:len(full)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestStoreCrashMidSave(t *testing.T) {
 		commit(t, openStore(t, dir), mixedPack()...)
 		// The next commit, mid-write: a partial pack that would have
 		// superseded the jit entry.
-		tmp := filepath.Join(dir, "v8-0000000000000002.pba.tmp67890")
+		tmp := filepath.Join(dir, "v9-0000000000000002.pba.tmp67890")
 		if err := os.WriteFile(tmp, full[:len(full)-3], 0o644); err != nil {
 			t.Fatal(err)
 		}

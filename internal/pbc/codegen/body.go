@@ -271,7 +271,7 @@ func (bd *body) call(x *ir.Call) string {
 	case len(sub.Transform.To) != 1:
 		return bd.unsup("transform-call", "%s has %d outputs", x.Fn, len(sub.Transform.To))
 	}
-	return "PB_" + x.Fn + "(" + bd.mexprs(x.Args) + ")"
+	return funcName(x.Fn) + "(" + bd.mexprs(x.Args) + ")"
 }
 
 func (bd *body) mexprs(list []ir.Expr) string {

@@ -262,6 +262,26 @@ var (
 
 `
 
+// funcName is the Go function emitted for the transform called name: PB_
+// and the name, with a template instance's argument list, "<3,-1>" in
+// "Smooth<3,-1>", spelled "_3_m1", so that the name is a Go identifier.
+func funcName(name string) string {
+	var b strings.Builder
+	b.WriteString("PB_")
+	for _, r := range name {
+		switch r {
+		case '<', ',':
+			b.WriteByte('_')
+		case '-':
+			b.WriteByte('m')
+		case '>':
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
 // transform emits one transform's function.
 func (g *gen) transform(res *analysis.Result) (string, error) {
 	t := res.Transform
@@ -274,8 +294,8 @@ func (g *gen) transform(res *analysis.Result) (string, error) {
 	for range t.To {
 		outs = append(outs, "*Mat")
 	}
-	fmt.Fprintf(&b, "// PB_%s executes the PetaBricks transform %s.\n", t.Name, t.Name)
-	fmt.Fprintf(&b, "func PB_%s(%s) (%s) {\n", t.Name, strings.Join(params, ", "), strings.Join(outs, ", "))
+	fmt.Fprintf(&b, "// %s executes the PetaBricks transform %s.\n", funcName(t.Name), t.Name)
+	fmt.Fprintf(&b, "func %s(%s) (%s) {\n", funcName(t.Name), strings.Join(params, ", "), strings.Join(outs, ", "))
 	// Bind size variables from input shapes (first occurrence wins; the
 	// interpreter validates consistency, generated code trusts shapes).
 	bound := map[string]bool{}

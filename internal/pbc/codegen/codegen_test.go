@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -10,12 +12,13 @@ import (
 
 	"petabricks/internal/choice"
 	"petabricks/internal/pbc/analysis"
-	"petabricks/internal/pbc/parser"
+	"petabricks/internal/pbc/ast"
+	pbparser "petabricks/internal/pbc/parser"
 )
 
 func analyzeAll(t *testing.T, src string) []*analysis.Result {
 	t.Helper()
-	prog, err := parser.Parse(src)
+	prog, err := pbparser.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func analyzeAll(t *testing.T, src string) []*analysis.Result {
 }
 
 func TestGenerateRollingSumParses(t *testing.T) {
-	results := analyzeAll(t, parser.RollingSumSrc)
+	results := analyzeAll(t, pbparser.RollingSumSrc)
 	src, err := Generate(results, Options{Package: "main"})
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +53,47 @@ func TestGenerateRollingSumParses(t *testing.T) {
 	}
 }
 
+// TestGenerateTemplateInstanceParses emits a template instance, which
+// the analysis names "Scale<3,-2>", and the main function that calls
+// it, and checks that go/parser accepts the text and that both sides
+// use one Go identifier for the instance.
+func TestGenerateTemplateInstanceParses(t *testing.T) {
+	prog, err := pbparser.Parse(`
+transform Scale
+template <k, j>
+from A[n]
+to B[n]
+{
+  to (B.cell(i) b) from (A.cell(i) a) { b = a * k + j; }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := ast.Instantiate(prog.Transforms[0], []int64{3, -2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := analysis.Analyze(prog, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Generate([]*analysis.Result{res}, Options{Package: "main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parser.ParseFile(token.NewFileSet(), "scale.go", src, 0); err != nil {
+		t.Fatalf("go/parser rejects the emitted source: %v\n%s", err, src)
+	}
+	for _, want := range []string{"func PB_Scale_3_m2(in_A *Mat) *Mat", ":= PB_Scale_3_m2(in0)"} {
+		if !strings.Contains(src, want) {
+			t.Errorf("emitted source missing %q\n%s", want, src)
+		}
+	}
+}
+
 func TestGenerateMatrixMultiplyParses(t *testing.T) {
-	results := analyzeAll(t, parser.MatrixMultiplySrc)
+	results := analyzeAll(t, pbparser.MatrixMultiplySrc)
 	cfg := choice.NewConfig()
 	// Static config: c-decomposition above 4, base cells below.
 	cfg.SetSelector("pbc.MatrixMultiply", choice.Selector{Levels: []choice.Level{
@@ -125,7 +167,7 @@ func TestGeneratedRollingSumRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping toolchain invocation in -short mode")
 	}
-	results := analyzeAll(t, parser.RollingSumSrc)
+	results := analyzeAll(t, pbparser.RollingSumSrc)
 	// Demo input: data[k] = k%7+1 for k=0..7 → values 1..8 with wrap:
 	// [1 2 3 4 5 6 7 1]; inclusive prefix sums sum to Σ (8-i)·a_i.
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 1}
@@ -155,7 +197,7 @@ func TestGeneratedMatrixMultiplyRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping toolchain invocation in -short mode")
 	}
-	results := analyzeAll(t, parser.MatrixMultiplySrc)
+	results := analyzeAll(t, pbparser.MatrixMultiplySrc)
 	// Compute expected checksum for the demo inputs: 8x8 mats with
 	// data[k] = k%7+1 in row-major (y, x) order.
 	a := make([][]float64, 8)
@@ -212,7 +254,7 @@ func TestGeneratedMergeSortRuns(t *testing.T) {
 	}
 	// The DSL merge sort: macro recursion, transform calls, for/if
 	// bodies, indexed assignments, short-circuit conditions.
-	results := analyzeAll(t, parser.MergeSortSrc)
+	results := analyzeAll(t, pbparser.MergeSortSrc)
 	cfg := choice.NewConfig()
 	cfg.SetSelector("pbc.MergeSortDSL", choice.Selector{Levels: []choice.Level{
 		{Cutoff: 4, Choice: 0},
@@ -250,7 +292,7 @@ func TestGeneratedSummedAreaRuns(t *testing.T) {
 		t.Skip("skipping toolchain invocation in -short mode")
 	}
 	// Lexicographic wavefront emission: the 2-D prefix-sum recurrence.
-	results := analyzeAll(t, parser.SummedAreaSrc)
+	results := analyzeAll(t, pbparser.SummedAreaSrc)
 	src, err := Generate(results, Options{Package: "main"})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +318,7 @@ func TestGeneratedHeat1DRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping toolchain invocation in -short mode")
 	}
-	results := analyzeAll(t, parser.Heat1DSrc)
+	results := analyzeAll(t, pbparser.Heat1DSrc)
 	src, err := Generate(results, Options{Package: "main"})
 	if err != nil {
 		t.Fatal(err)

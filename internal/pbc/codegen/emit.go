@@ -317,7 +317,7 @@ func (g *gen) demoMain(res *analysis.Result) string {
 	for i := range t.To {
 		outs[i] = fmt.Sprintf("out%d", i)
 	}
-	fmt.Fprintf(&b, "\t%s := PB_%s(%s)\n", strings.Join(outs, ", "), t.Name, strings.Join(args, ", "))
+	fmt.Fprintf(&b, "\t%s := %s(%s)\n", strings.Join(outs, ", "), funcName(t.Name), strings.Join(args, ", "))
 	for i := range t.To {
 		fmt.Fprintf(&b, "\tfmt.Printf(\"%%s checksum %%.6f\\n\", %q, pbSum(out%d))\n", t.To[i].Name, i)
 	}

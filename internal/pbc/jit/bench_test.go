@@ -40,8 +40,9 @@ to Z[w, h]
 // cell runs RunCell at each center, as the benchmark's jit.cell_ns_*
 // probes do. The cases are Heat1D's stencil rule at n = 4096 (t = 1..4
 // over the interior) in whole rows and in 4-cell rows, the size of a
-// tile at pbc.parGrain=4; the Pointwise rule at n = 4096; and MatrixAdd
-// over a 64×64 box.
+// tile at pbc.parGrain=4; the Pointwise rule at n = 4096; MatrixAdd
+// over a 64×64 box; and MatrixMultiply's base rule, a dot of length 64
+// per cell, over a 64×64 box.
 func BenchmarkRunBox(b *testing.B) {
 	const n = 4096
 	var heat, heat4 [][][2]int64
@@ -62,6 +63,7 @@ func BenchmarkRunBox(b *testing.B) {
 		{"stencil4", parser.Heat1DSrc, 1, map[string]int64{"n": n}, heat4},
 		{"pointwise", benchPointwiseSrc, 0, map[string]int64{"n": n}, [][][2]int64{{{0, n}}}},
 		{"matrixadd", benchMatrixAddSrc, 0, map[string]int64{"w": 64, "h": 64}, [][][2]int64{{{0, 64}, {0, 64}}}},
+		{"matmul", parser.MatrixMultiplySrc, 0, map[string]int64{"w": 64, "c": 64, "h": 64}, [][][2]int64{{{0, 64}, {0, 64}}}},
 	} {
 		p, res, err := lowerRule(b, c.src, c.rule, c.sizes)
 		if err != nil {

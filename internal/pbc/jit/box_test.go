@@ -172,8 +172,10 @@ func cellRef(m string, base, coeff []int64) Ref {
 // dimensions, a box that misses at a corner but binds row by row, views
 // whose extent varies along one dimension, a division error mid-box, a
 // body that assigns its center variable, its row's or the outer one,
-// one frame reused across boxes, and a frame reused after a row that
-// fails mid-row.
+// one frame reused across boxes, a frame reused after a row that fails
+// mid-row, if-converted bodies against their branches on NaN, rows of
+// dot products whose lengths differ, views of the stored array read by
+// a dot product, and a row longer than one small lane buffer.
 func TestRunBoxEdges(t *testing.T) {
 	// d = s[i+2]: the read misses from i = 4 on (size 6).
 	readMiss := &Program{
@@ -334,6 +336,19 @@ func TestRunBoxEdges(t *testing.T) {
 		}
 	}
 
+	// A row too long for one laneBuf buffer runs in the larger one, in
+	// two chunks of it.
+	long := make([]float64, 200)
+	for i := range long {
+		long[i] = float64(i%13)*1.5 - 7
+	}
+	lp := newBoxPair(lanesMap, vec(long...))
+	for _, o := range orders(1) {
+		for _, r := range [][2]int64{{0, 200}, {3, 190}, {0, 40}, {150, 200}} {
+			lp.check(t, lanesMap.Name+" long row", []int64{0}, [][2]int64{r}, o)
+		}
+	}
+
 	// Heat1D's stencil reads the row before, so each row runs across its
 	// lanes whichever way it is walked, while a walk along t carries.
 	heat, heatRes, err := lowerRule(t, parser.Heat1DSrc, 1, map[string]int64{"n": 9})
@@ -488,6 +503,132 @@ func TestRunBoxEdges(t *testing.T) {
 		}
 	}
 
+	// C[x,y] = dot(S.region(0, 3), X.region(0, 3-y)): the lengths agree
+	// on the row y = 0 only, which runs across its lanes; every other
+	// row fails at its first cell.
+	dotLen := &Program{
+		Name: "test/dotlen", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0},
+		Refs: []Ref{
+			cellRef("C", []int64{0, 0}, []int64{1, 0, 0, 1}),
+			{Matrix: "S", Binding: "s", ND: 1, Kind: RefView, Base: []int64{0}, HiBase: []int64{3}},
+			{Matrix: "X", Binding: "x", ND: 1, Kind: RefView, Base: []int64{0}, Coeff: []int64{0, 0},
+				HiBase: []int64{3}, HiCoeff: []int64{0, -1}},
+		},
+		Code: []Instr{{OpDotV, 0, 1, 2}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+	}
+	dotMats := func() map[string]*matrix.Matrix {
+		m := mats()
+		m["S"] = matrix.FromSlice([]float64{1.5, -2, 0.25})
+		m["X"] = matrix.FromSlice([]float64{3, 0.5, -1.25})
+		return m
+	}
+	dp := newBoxPair(dotLen, dotMats)
+	for y, want := range []bool{true, false, false} {
+		row := boxMove{k: 0, dir: 1, start: 0, ext: 3}
+		if got := dp.box.lanesAt([]int64{0, int64(y)}, row); got != want {
+			t.Errorf("%s y = %d: row across lanes = %v, want %v", dotLen.Name, y, got, want)
+		}
+	}
+	for _, o := range orders(2) {
+		for _, b := range [][][2]int64{{{0, 3}, {0, 3}}, {{0, 3}, {0, 1}}, {{0, 3}, {1, 2}}, {{1, 3}, {0, 2}}} {
+			dp.check(t, dotLen.Name, []int64{0, 0}, b, o)
+		}
+	}
+
+	// d[i] = dot(S.region(i, i+2), X): S and D are views of one array, so
+	// the window a cell reads can hold a cell an earlier lane stores.
+	dotView := &Program{
+		Name: "test/dotview", NCenter: 1, CenterReg: []int32{-1}, RegInit: []float64{0},
+		Refs: []Ref{
+			cellRef("D", []int64{0}, []int64{1}),
+			{Matrix: "S", Binding: "s", ND: 1, Kind: RefView, Base: []int64{0}, Coeff: []int64{1},
+				HiBase: []int64{2}, HiCoeff: []int64{1}},
+			{Matrix: "X", Binding: "x", ND: 1, Kind: RefView, Base: []int64{0}, HiBase: []int64{2}},
+		},
+		Code: []Instr{{OpDotV, 0, 1, 2}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+	}
+	// dotView with S's window pinned to S.region(0, 2) for the whole row.
+	dotPinned := *dotView
+	dotPinned.Name = "test/dotpinned"
+	dotPinned.Refs = slices.Clone(dotView.Refs)
+	dotPinned.Refs[1].Coeff, dotPinned.Refs[1].HiCoeff = []int64{0}, []int64{0}
+	withDotX := func(d, s int) func() map[string]*matrix.Matrix {
+		return func() map[string]*matrix.Matrix {
+			m := views(d, s)()
+			m["X"] = matrix.FromSlice([]float64{0.75, -1.5})
+			return m
+		}
+	}
+	for _, c := range []struct {
+		p     *Program
+		data  func() map[string]*matrix.Matrix
+		lanes bool
+	}{
+		{dotView, withDotX(6, 0), true},
+		{dotView, withDotX(0, 6), true},
+		{dotView, withDotX(2, 0), false}, // a cell reads what the lane two before it stores
+		{dotView, withDotX(0, 2), false},
+		{dotView, withDotX(0, 0), false},
+		{&dotPinned, withDotX(6, 0), false},
+	} {
+		for _, o := range orders(1) {
+			bp := newBoxPair(c.p, c.data)
+			row := boxMove{k: 0, dir: 1, start: 0, ext: 5}
+			if o[0].Dir < 0 {
+				row.dir, row.start = -1, 4
+			}
+			if got := bp.box.lanesAt([]int64{row.start}, row); got != c.lanes {
+				t.Errorf("%s %v: row across lanes = %v, want %v", c.p.Name, o, got, c.lanes)
+			}
+			label := fmt.Sprintf("%s %v", c.p.Name, o)
+			for _, r := range [][2]int64{{0, 5}, {1, 5}, {0, 3}, {2, 4}, {0, 5}} {
+				bp.check(t, label, []int64{0}, [][2]int64{r}, o)
+			}
+		}
+	}
+
+	// If-converted bodies against their branches, on NaN, ±0, ±Inf and
+	// the compare's own constant: d = s; t = s; if (<cond>) { t = t - 1; }
+	// else { t = -t; } d = t. The diamond comes in each shape the
+	// lowering emits: a compare-and-branch (NaN jumps to the else arm), a
+	// compare then jz (NaN compares 0 and jumps), and jz on the loaded
+	// value itself (NaN is not 0 and falls through to the then arm).
+	nans := vec(math.NaN(), 0.5, 2, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 0, -math.NaN())
+	for _, c := range []struct {
+		name string
+		cond []Instr // ending in the jump to the else arm, whose target is set below
+	}{
+		{"jngt", []Instr{{OpJNGT, 0, 0, 2}}},
+		{"jnne", []Instr{{OpJNNE, 0, 0, 2}}},
+		{"gt/jz", []Instr{{OpGT, 6, 0, 2}, {OpJZ, 0, 6, 0}}},
+		{"le/jz", []Instr{{OpLE, 6, 0, 2}, {OpJZ, 0, 6, 0}}},
+		{"jz", []Instr{{OpJZ, 0, 0, 0}}},
+	} {
+		code := []Instr{{OpLoad, 0, 1, 0}, {OpMov, 5, 0, 0}}
+		code = append(code, c.cond...)
+		at := int32(len(code)) // the then arm: t = t - 1
+		code[at-1].A = at + 3
+		code = append(code, Instr{OpSub, 3, 5, 1}, Instr{OpMov, 5, 3, 0}, Instr{OpJmp, at + 5, 0, 0},
+			Instr{OpNeg, 4, 5, 0}, Instr{OpMov, 5, 4, 0}, Instr{OpStore, 0, 5, 0}, Instr{Op: OpHalt})
+		branchy := &Program{
+			Name: "test/diamond " + c.name, NCenter: 1, CenterReg: []int32{-1},
+			RegInit: []float64{0, 1, 0.5, 0, 0, 0, 0},
+			Refs:    []Ref{cellRef("D", []int64{0}, []int64{1}), cellRef("S", []int64{0}, []int64{1})},
+			Code:    code,
+		}
+		if err := branchy.Validate(); err != nil {
+			t.Fatalf("%s: %v", branchy.Name, err)
+		}
+		conv, ok := branchy.ifConverted()
+		if !ok {
+			t.Fatalf("%s: not if-converted", branchy.Name)
+		}
+		if slices.ContainsFunc(conv.Code, func(in Instr) bool { return in.Op == OpJZ || in.Op == OpJmp || in.Op >= OpJNLT && in.Op <= OpJNNE }) {
+			t.Fatalf("%s: converted code still branches:\n%s", branchy.Name, conv.Disassemble())
+		}
+		sameAsBranches(t, branchy, conv, nans)
+	}
+
 	// Rank 3: D[x,y,z] = S[x+1,y,z-1] + z, with S 3×2×4 and D 2×3×4 (DSL
 	// order), so the read misses on two faces of the larger boxes.
 	cube := &Program{
@@ -512,6 +653,93 @@ func TestRunBoxEdges(t *testing.T) {
 			{{0, 2}, {1, 2}, {1, 3}}, {{1, 2}, {0, 1}, {2, 3}}, {{0, 2}, {0, 3}, {4, 4}},
 		} {
 			bp.check(t, cube.Name, []int64{0, 0, 0}, b, o)
+		}
+	}
+}
+
+// sameAsBranches runs conv, the if-converted form of branchy, through
+// RunBox, and branchy through a RunCell loop, over every rank-1 box of
+// the six-cell vectors of data in both directions, and fails unless
+// every row of conv runs across its lanes and both leave the same bits
+// in every matrix. The register files differ by design: an arm the
+// branch skipped leaves its registers alone, and conv runs it anyway.
+func sameAsBranches(t *testing.T, branchy, conv *Program, data func() map[string]*matrix.Matrix) {
+	t.Helper()
+	for _, o := range orders(1) {
+		for _, r := range [][2]int64{{0, 8}, {1, 7}, {2, 6}, {3, 4}} {
+			bf, cf := conv.NewFrame(), branchy.NewFrame()
+			bm, cm := data(), data()
+			for i, ref := range conv.Refs {
+				bf.BindMatrix(i, bm[ref.Matrix])
+				cf.BindMatrix(i, cm[ref.Matrix])
+			}
+			row := boxMove{k: 0, dir: int64(o[0].Dir), start: r[0], ext: r[1] - r[0]}
+			if o[0].Dir < 0 {
+				row.start = r[1] - 1
+			}
+			if row.ext > 1 && !bf.lanesAt([]int64{row.start}, row) {
+				t.Fatalf("%s: row %v does not run across its lanes", conv.Name, r)
+			}
+			bc, cc := []int64{0}, []int64{0}
+			b := [][2]int64{r}
+			got := capture(bc, func() error { return bf.RunBox(bc, b, o) })
+			want := capture(cc, func() error { return cellLoop(cc, b, o, func() error { return cf.RunCell(cc) }) })
+			if got != want {
+				t.Fatalf("%s: RunBox(%v, %v) = %+v, branches %+v", conv.Name, r, o, got, want)
+			}
+			for name, m := range bm {
+				x, y := m.Backing(), cm[name].Backing()
+				for i := range x {
+					if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+						t.Fatalf("%s: RunBox(%v, %v): %s[%d] = %v, the branches wrote %v", conv.Name, r, o, name, i, x[i], y[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLaneRowAllocs pins that a row running across its lanes allocates
+// nothing, with a sel and a dot product in its body, in a row short
+// enough for the small lane buffer and in one that takes the large one:
+// c = dot(A.row(y), B.column(x)); t = -c; if (c > 0.5) t = c; C[x,y] = t.
+func TestLaneRowAllocs(t *testing.T) {
+	p := &Program{
+		Name: "test/lanealloc", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0, 0, 0.5, 0},
+		Refs: []Ref{
+			cellRef("C", []int64{0, 0}, []int64{1, 0, 0, 1}),
+			{Matrix: "A", Binding: "a", ND: 2, Kind: RefView, Collapse: true,
+				Base: []int64{0, 0}, Coeff: []int64{0, 0, 0, 1}, HiBase: []int64{8, 1}, HiCoeff: []int64{0, 0, 0, 1}},
+			{Matrix: "B", Binding: "b", ND: 2, Kind: RefView, Collapse: true,
+				Base: []int64{0, 0}, Coeff: []int64{1, 0, 0, 0}, HiBase: []int64{1, 8}, HiCoeff: []int64{1, 0, 0, 0}},
+		},
+		Code: []Instr{{OpDotV, 0, 1, 2}, {OpNeg, 1, 0, 0}, {OpGT, 3, 0, 2}, {OpSel, 1, 3, 0}, {OpStore, 0, 1, 0}, {Op: OpHalt}},
+	}
+	for _, w := range []int{16, 300} {
+		c, a, b := matrix.New(2, w), matrix.New(2, 8), matrix.New(8, w)
+		for i := range b.Backing() {
+			b.Backing()[i] = float64(i%7) - 2.5
+		}
+		for i := range a.Backing() {
+			a.Backing()[i] = float64(i%5) * 0.25
+		}
+		f := p.NewFrame()
+		for i, m := range []*matrix.Matrix{c, a, b} {
+			f.BindMatrix(i, m)
+		}
+		row := boxMove{k: 0, dir: 1, start: 0, ext: int64(w)}
+		if !f.lanesAt([]int64{0, 1}, row) {
+			t.Fatalf("width %d: the row does not run across its lanes", w)
+		}
+		center := []int64{0, 0}
+		box := [][2]int64{{0, int64(w)}, {0, 2}}
+		order := []analysis.LexDim{{Dim: 0, Dir: 1}, {Dim: 1, Dir: 1}}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := f.RunBox(center, box, order); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("width %d: RunBox made %v allocations per run, want 0", w, allocs)
 		}
 	}
 }
@@ -626,13 +854,18 @@ func corpusMatrices(t testing.TB, res *analysis.Result, sizes map[string]int64) 
 // in three D and S are bound to one matrix: half of those times with
 // equal coefficients, so that their rows overlap in some boxes and not
 // in others, and half with unequal ones, whose rows must run cell by
-// cell. The body is one of four: the sum over V plus the read, the
+// cell. The body is one of six: the sum over V plus the read, the
 // same then a write of a center register, the same divided by a center
-// coordinate minus a constant, which is zero mid-row in some boxes, or
-// a straight-line body of lane ops that leaves V alone, whose rows run
-// across their lanes wherever D and S are apart. After each box both
-// frames' register files and matrices must agree, and then both frames
-// run one more cell.
+// coordinate minus a constant, which is zero mid-row in some boxes, a
+// straight-line body of lane ops that leaves V alone, whose rows run
+// across their lanes wherever D and S are apart, the if-converted form
+// of an if/else over the read (ifConverted), in each shape the lowering
+// emits and with every compare, or dot(S, V) over two rows or columns of
+// 2-D matrices, strided where they cross rows, of one length three times
+// in four. In the last, S is a view, so where S and D share a matrix
+// the window a cell reads can hold cells other lanes store. After each
+// box both frames' register files and matrices must agree, and then
+// both frames run one more cell.
 func FuzzRunBox(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
@@ -641,8 +874,12 @@ func FuzzRunBox(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		nd := 1 + rng.Intn(3)
 		nc := 1 + rng.Intn(3)
-		body := rng.Intn(4)
-		if body == 3 {
+		body := rng.Intn(6)
+		if body == 5 {
+			nd = 2
+		}
+		lanes := body >= 3 // bodies written to run across lanes
+		if lanes {
 			nc = nd
 		}
 		small := func() int64 { return int64(rng.Intn(5) - 2) }
@@ -663,7 +900,7 @@ func FuzzRunBox(f *testing.F) {
 			refs[i] = cellRef(name, base, coeff)
 		}
 		alias := rng.Intn(3) == 0
-		if body == 3 && rng.Intn(4) != 0 {
+		if lanes && rng.Intn(4) != 0 {
 			// D is the center itself, so the boxes inside D drawn below
 			// bind unless S misses.
 			clear(refs[0].Base)
@@ -693,9 +930,25 @@ func FuzzRunBox(f *testing.F) {
 			v.HiBase[d] = v.Base[d] + 1
 			copy(v.HiCoeff[d*nc:(d+1)*nc], v.Coeff[d*nc:(d+1)*nc])
 		}
-		if body == 3 {
+		switch body {
+		case 3, 4:
 			// The body leaves V alone; one fixed cell binds everywhere.
 			*v = Ref{Matrix: "V", Binding: "V", ND: nd, Kind: RefView, Base: make([]int64, nd), HiBase: slices.Repeat([]int64{1}, nd)}
+		case 5:
+			// S and V are rows or columns of n cells, n one of 1..3 (for S
+			// a different one a time in four), fixed in shape over a box.
+			n := 1 + int64(rng.Intn(3))
+			for i, r := range []*Ref{&refs[1], v} {
+				if i == 1 || rng.Intn(4) == 0 {
+					n = 1 + int64(rng.Intn(3))
+				}
+				r.Kind, r.Collapse = RefView, true
+				r.HiCoeff = slices.Clone(r.Coeff)
+				r.HiBase = slices.Clone(r.Base)
+				d := rng.Intn(2)
+				r.HiBase[d]++
+				r.HiBase[1-d] += n
+			}
 		}
 		creg := make([]int32, nc)
 		for d := range creg {
@@ -704,6 +957,23 @@ func FuzzRunBox(f *testing.F) {
 		creg[rng.Intn(nc)] = 3
 		code := []Instr{{OpLoad, 0, 1, 0}, {OpSumV, 1, 2, 0}, {OpAdd, 0, 0, 1}, {OpAdd, 0, 0, 3}}
 		switch body {
+		case 5: // d = dot(S, V) + center
+			code = []Instr{{OpDotV, 0, 1, 2}, {OpAdd, 0, 0, 3}, {OpStore, 0, 0, 0}}
+		case 4: // r[2] = s*r[4]; if (s <cmp> r[4]) r[2] = r[2] + center else r[2] = -s; d = r[2]
+			code = []Instr{{OpLoad, 0, 1, 0}, {OpMul, 2, 0, 4}}
+			cmp := Op(rng.Intn(6))
+			switch rng.Intn(3) {
+			case 0:
+				code = append(code, Instr{OpJNLT + cmp, 0, 0, 4})
+			case 1:
+				code = append(code, Instr{OpLT + cmp, 1, 0, 4}, Instr{OpJZ, 0, 1, 0})
+			default: // on s itself
+				code = append(code, Instr{OpJZ, 0, 0, 0})
+			}
+			at := int32(len(code))
+			code[at-1].A = at + 2
+			code = append(code, Instr{OpAdd, 2, 2, 3}, Instr{OpJmp, at + 3, 0, 0}, Instr{OpNeg, 2, 0, 0},
+				Instr{OpStore, 0, 2, 0})
 		case 3: // d = |min(s*r[4] + center, s)| - r[4]
 			code = []Instr{{OpLoad, 0, 1, 0}, {OpMul, 1, 0, 4}, {OpAdd, 1, 1, 3}, {OpMin, 2, 1, 0},
 				{OpAbs, 2, 2, 0}, {OpSub, 0, 2, 4}, {OpStore, 0, 0, 0}}
@@ -723,6 +993,13 @@ func FuzzRunBox(f *testing.F) {
 			Name: "fuzz", NCenter: nc, CenterReg: creg, RegInit: []float64{0, 0, 0, 0, float64(small())},
 			Refs: refs,
 			Code: append(code, Instr{Op: OpHalt}),
+		}
+		if body == 4 {
+			q, ok := p.ifConverted()
+			if !ok {
+				t.Fatalf("seed %d: if/else body not if-converted:\n%s", seed, p.Disassemble())
+			}
+			p = q
 		}
 		shapes := make([][]int, 3)
 		views := make([]int, 3)
@@ -752,7 +1029,7 @@ func FuzzRunBox(f *testing.F) {
 				center[d] = int64(rng.Intn(8) - 2)
 				lo := int64(rng.Intn(9) - 3)
 				b[d] = [2]int64{lo, lo + int64(rng.Intn(7)) - 1}
-				if body == 3 && rng.Intn(4) != 0 {
+				if lanes && rng.Intn(4) != 0 {
 					// Inside D.
 					n := int64(shapes[0][d])
 					lo = rng.Int63n(n)

@@ -11,12 +11,15 @@ import (
 // chunk of the row's cells (its lanes), with every register widened to
 // one value per lane, so a cell costs its share of one dispatch per
 // instruction and chunk instead of one dispatch per instruction. Whether
-// a row may run so is decided twice: from the code alone, once per frame
-// (laneBody), and from the addresses the refs are bound to, once per box
-// shape (rowApart).
+// a row may run so is decided three times: from the code alone, once per
+// frame (laneBody); from the addresses the refs are bound to, once per
+// box shape (rowApart); and from the lengths of the dot products' views,
+// once per row (dotLens). A cell rule with an if/else reaches laneBody
+// if-converted (ifConverted): both arms, then sel.
 
 // laneBuf is the size, in float64s, of the lane buffer row keeps on the
-// stack. Each register gets laneBuf/len(regs) lanes of it.
+// stack for a short row. Each register gets laneBuf/len(regs) lanes of
+// it.
 const laneBuf = 256
 
 // rowApart's verdicts, cached in Frame.apart for the box shape
@@ -30,21 +33,26 @@ const (
 // laneRegs gives the register an instruction of a lane body writes and
 // the registers it reads, -1 for none; ok is false for an op no lane
 // body may hold. The ops are the ones that are pure per cell and cannot
-// fail in a row walk (a walk binds every cell ref in range), and of
-// those only the ones corpus and generated rules use in straight-line
-// bodies: min, max, abs and trunc come from generated rules.
-func laneRegs(in Instr) (w, x, y int32, ok bool) {
+// fail in a row walk (a walk binds every cell ref and view in range, and
+// laneable sends a row whose dotv lengths differ to run), and of those
+// only the ones corpus and generated rules use: min, max, abs and trunc
+// come from generated rules, the compares and sel from if-converted ones
+// (ifConvert), dotv from MatrixMultiply's base rule. sel reads the
+// register it writes.
+func laneRegs(in Instr) (w int32, r [3]int32, ok bool) {
 	switch in.Op {
 	case OpMov, OpNeg, OpAbs, OpTrunc:
-		return in.A, in.B, -1, true
-	case OpAdd, OpSub, OpMul, OpMin, OpMax:
-		return in.A, in.B, in.C, true
-	case OpLoad:
-		return in.A, -1, -1, true
+		return in.A, [3]int32{in.B, -1, -1}, true
+	case OpAdd, OpSub, OpMul, OpMin, OpMax, OpLT, OpLE, OpGT, OpGE, OpEQ, OpNE:
+		return in.A, [3]int32{in.B, in.C, -1}, true
+	case OpSel:
+		return in.A, [3]int32{in.A, in.B, in.C}, true
+	case OpLoad, OpDotV:
+		return in.A, [3]int32{-1, -1, -1}, true
 	case OpStore:
-		return -1, in.B, -1, true
+		return -1, [3]int32{in.B, -1, -1}, true
 	}
-	return -1, -1, -1, false
+	return -1, [3]int32{-1, -1, -1}, false
 }
 
 // laneBody reports whether the program's rows may run across their
@@ -64,7 +72,7 @@ func (p *Program) laneBody() (ok bool, written, uniform uint64) {
 	}
 	code := p.Code[:len(p.Code)-1]
 	for _, in := range code {
-		w, _, _, ok := laneRegs(in)
+		w, _, ok := laneRegs(in)
 		if !ok {
 			return false, 0, 0
 		}
@@ -74,8 +82,8 @@ func (p *Program) laneBody() (ok bool, written, uniform uint64) {
 	}
 	var seen uint64
 	for _, in := range code {
-		w, x, y, _ := laneRegs(in)
-		for _, r := range [2]int32{x, y} {
+		w, reads, _ := laneRegs(in)
+		for _, r := range reads {
 			switch {
 			case r < 0 || seen&(1<<r) != 0:
 			case written&(1<<r) != 0:
@@ -93,12 +101,20 @@ func (p *Program) laneBody() (ok bool, written, uniform uint64) {
 
 // row runs the bound row of left+1 cells: across its lanes when the
 // body and the row's addresses allow it (laneable), otherwise through
-// run.
+// run. A row whose lanes fill more than a laneBuf buffer takes one four
+// times that size, which Go zeroes at every row: fewer, longer chunks
+// (Pointwise's 20 registers get 51 lanes, not 12), at a cost that only
+// rows this long can carry.
 func (f *Frame) row(left int64) error {
 	if !f.laneable(left) {
 		return f.run(left)
 	}
-	var buf [laneBuf]float64
+	if (left+1)*int64(len(f.regs)) <= laneBuf {
+		var buf [laneBuf]float64
+		f.laneRow(left, buf[:])
+		return nil
+	}
+	var buf [4 * laneBuf]float64
 	f.laneRow(left, buf[:])
 	return nil
 }
@@ -106,7 +122,20 @@ func (f *Frame) row(left int64) error {
 // laneable reports whether the bound row of left+1 cells may run across
 // its lanes.
 func (f *Frame) laneable(left int64) bool {
-	return left > 0 && f.lanes && f.rowApart(left)
+	return left > 0 && f.lanes && (!f.dots || f.dotLens()) && f.rowApart(left)
+}
+
+// dotLens reports whether every OpDotV of the body has two views of one
+// length. A view's extent is the same at every cell of a walked box, so
+// one look per row holds for the whole row; a row where they differ runs
+// through run, which fails at its first cell with errDotLen.
+func (f *Frame) dotLens() bool {
+	for _, in := range f.prog.Code {
+		if in.Op == OpDotV && f.refs[in.B].vext[0] != f.refs[in.C].vext[0] {
+			return false
+		}
+	}
+	return true
 }
 
 // rowApart reports whether the rows of left+1 cells of the box shape
@@ -125,14 +154,15 @@ func (f *Frame) rowApart(left int64) bool {
 }
 
 // overlap checks every stored ref against every ref the body loads or
-// stores, itself included, where the two are bound into one backing
-// array. Such a pair must have equal coefficients and equal strides, so
-// that the two are a fixed distance apart at every center and one
-// verdict holds for every row, and must be apart over a row (apart).
-// Refs that differ there — transposed or differently indexed views of
-// one matrix — make every row of the box run cell by cell; no corpus
-// rule binds such a pair. overlap reports a pair that fails either
-// test.
+// stores, itself included, and against every view an OpDotV reads,
+// where the two are bound into one backing array. Such a pair must have
+// equal coefficients and equal strides, so that the two are a fixed
+// distance apart at every center and one verdict holds for every row,
+// and must be apart over a row: apart for two cells, windowApart for a
+// cell and a view's whole window. Refs that differ there — transposed or
+// differently indexed views of one matrix — make every row of the box
+// run cell by cell; no corpus rule binds such a pair. overlap reports a
+// pair that fails either test.
 func (f *Frame) overlap(left int64) bool {
 	code := f.prog.Code
 	for _, s := range code {
@@ -140,21 +170,30 @@ func (f *Frame) overlap(left int64) bool {
 			continue
 		}
 		for _, o := range code {
-			var j int32
+			var refs [2]int32
+			n := 1
 			switch o.Op {
 			case OpLoad:
-				j = o.B
+				refs[0] = o.B
 			case OpStore:
-				j = o.A
+				refs[0] = o.A
+			case OpDotV:
+				refs, n = [2]int32{o.B, o.C}, 2
 			default:
 				continue
 			}
-			a, b := &f.refs[s.A], &f.refs[j]
-			if !sameArray(a.data, b.data) {
-				continue
-			}
-			if !slices.Equal(f.prog.Refs[s.A].Coeff, f.prog.Refs[j].Coeff) || !slices.Equal(a.strides, b.strides) || !apart(a, b, left) {
-				return true
+			for _, j := range refs[:n] {
+				a, b := &f.refs[s.A], &f.refs[j]
+				if !sameArray(a.data, b.data) {
+					continue
+				}
+				fits := apart
+				if o.Op == OpDotV {
+					fits = windowApart
+				}
+				if !slices.Equal(f.prog.Refs[s.A].Coeff, f.prog.Refs[j].Coeff) || !slices.Equal(a.strides, b.strides) || !fits(a, b, left) {
+					return true
+				}
 			}
 		}
 	}
@@ -183,6 +222,23 @@ func apart(a, b *refBind, left int64) bool {
 	return hiA < loB || hiB < loA
 }
 
+// windowApart reports whether a cell ref and a view bound into one array
+// keep out of each other's way over a row of left+1 cells: the cells the
+// one visits and the window the other covers at every cell of the row
+// lie in disjoint address ranges. An empty window covers nothing.
+func windowApart(a, v *refBind, left int64) bool {
+	loA, hiA := span(a.off-cap(a.data), a.carry[0], left)
+	loV, hiV := span(v.off-cap(v.data), v.carry[0], left)
+	for d, n := range v.vext[:v.vnd] {
+		if n == 0 {
+			return true
+		}
+		lo, hi := span(0, v.vstride[d], n-1)
+		loV, hiV = loV+lo, hiV+hi
+	}
+	return hiA < loV || hiV < loA
+}
+
 // span is the least and greatest of pos, pos+carry, …, pos+left·carry.
 func span(pos, carry int, left int64) (lo, hi int) {
 	end := pos + int(left)*carry
@@ -195,7 +251,8 @@ func span(pos, carry int, left int64) (lo, hi int) {
 // its cell, each op its own loop so none can be fused with the next.
 // Each register has len(buf)/len(regs) lanes; a register the body
 // reads and never writes holds the same value in every lane, bar the
-// row's center register, which holds each lane's coordinate. Afterwards
+// row's center register, which, when the body reads it, holds each
+// lane's coordinate. Afterwards
 // the frame is as run leaves it: every ref at the row's last cell, rowAt
 // and the row's center register at its coordinate, and every register
 // the body writes holding the last lane's value. rowApart and laneBody
@@ -219,7 +276,7 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 	dir := f.carryOf[0].dir
 	for at := 0; at < n; at += m {
 		m = min(m, n-at)
-		if r := int(f.rowReg); r >= 0 {
+		if r := int(f.rowReg); r >= 0 && f.uniform>>r&1 != 0 {
 			c := f.rowAt + int64(at)*dir
 			lanes := buf[r*w : r*w+m]
 			for l := range lanes {
@@ -308,6 +365,45 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 				for l, v := range x {
 					d[l] = math.Max(v, y[l])
 				}
+			case OpLT:
+				d, x, y := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range x {
+					d[l] = b2f(v < y[l])
+				}
+			case OpLE:
+				d, x, y := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range x {
+					d[l] = b2f(v <= y[l])
+				}
+			case OpGT:
+				d, x, y := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range x {
+					d[l] = b2f(v > y[l])
+				}
+			case OpGE:
+				d, x, y := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range x {
+					d[l] = b2f(v >= y[l])
+				}
+			case OpEQ:
+				d, x, y := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range x {
+					d[l] = b2f(v == y[l])
+				}
+			case OpNE:
+				d, x, y := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range x {
+					d[l] = b2f(v != y[l])
+				}
+			case OpSel:
+				d, c, x := buf[int(in.A)*w:][:m], buf[int(in.B)*w:][:m], buf[int(in.C)*w:][:m]
+				for l, v := range c {
+					if v != 0 {
+						d[l] = x[l]
+					}
+				}
+			case OpDotV:
+				f.laneDot(in, at, buf[int(in.A)*w:][:m])
 			}
 		}
 	}
@@ -321,5 +417,36 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 	f.rowAt += left * dir
 	if r := f.rowReg; r >= 0 {
 		regs[r] = float64(f.rowAt)
+	}
+}
+
+// laneDot runs the OpDotV in across the m = len(acc) lanes of a row's
+// chunk that starts at lane at: k outermost and ascending, each lane's
+// acc starting at 0 and taking acc += a[k]*b[k] once per k, which is
+// OpDotV's order for each lane's cell, so each lane's sum is bit for
+// bit the one run computes. With k outermost, the lanes' reads of a
+// view that moves by one element per cell are adjacent: MatrixMultiply's
+// B.column(x) along a row of x. dotLens has checked the two lengths.
+func (f *Frame) laneDot(in Instr, at int, acc []float64) {
+	a, b := &f.refs[in.B], &f.refs[in.C]
+	ca, cb := a.carry[0], b.carry[0]
+	oa, ob := a.off+at*ca, b.off+at*cb
+	clear(acc)
+	for range a.vext[0] {
+		if ca == 0 && cb == 1 {
+			x := a.data[oa]
+			for l, y := range b.data[ob : ob+len(acc)] {
+				acc[l] += x * y
+			}
+		} else {
+			pa, pb := oa, ob
+			for l := range acc {
+				acc[l] += a.data[pa] * b.data[pb]
+				pa += ca
+				pb += cb
+			}
+		}
+		oa += a.vstride[0]
+		ob += b.vstride[0]
 	}
 }

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"math"
+	"slices"
 
 	"petabricks/internal/pbc/analysis"
 	"petabricks/internal/pbc/ast"
@@ -92,6 +93,11 @@ func Compile(res *analysis.Result, ri *analysis.RuleInfo, sizes map[string]int64
 	lo.emit(OpHalt, 0, 0, 0)
 	if len(lo.regInit) > 0 { // none stays nil, as decoded
 		lo.p.RegInit = lo.regInit
+	}
+	if ri.Kind == analysis.RuleCell {
+		if q, ok := lo.p.ifConverted(); ok {
+			return q, nil
+		}
 	}
 	return lo.p, nil
 }
@@ -741,4 +747,153 @@ func (lo *lowerer) callSite(x *ir.Call) int32 {
 func viewArg(e ir.Expr) (*ir.Var, bool) {
 	v, ok := e.(*ir.Var)
 	return v, ok && v.Kind == ir.View
+}
+
+// --- If-conversion ----------------------------------------------------------
+
+// ifConverted rewrites a program whose only branches are ifs, with or
+// without an else, over arms of pure register ops (armOp) into
+// straight-line code, and reports the rewrite only when it is a lane
+// body (laneBody) that writes no center register: one whose rows run
+// across their lanes. Compile takes it for cell rules; every other rule
+// keeps its branches, so its bytecode is what it was.
+//
+// Each if becomes its condition in a register, then arm, else arm and
+// one OpSel per register the then arm leaves for code outside it. The
+// condition is the register an OpJZ tests, or a compare-and-branch's
+// own comparison in a new register: OpJNGT jumps to the else arm
+// exactly where OpGT yields 0, NaN included, and OpSel keeps the then
+// arm's value exactly where its condition is not 0. The then arm writes
+// the registers it leaves into new ones, so the else arm still reads
+// what the branch saw; the else arm may leave no register the then arm
+// does not, and neither arm may write the condition. Both arms now run
+// at every cell, which only pure ops may: nothing in them can fail or
+// touch memory.
+func (p *Program) ifConverted() (*Program, bool) {
+	code, nregs := p.Code, len(p.RegInit)
+	if nregs > 64 || !slices.ContainsFunc(code, func(in Instr) bool { return in.Op == OpJZ || in.Op >= OpJNLT && in.Op <= OpJNNE }) {
+		return nil, false
+	}
+	// touched is every register code outside [lo, hi) reads or writes.
+	touched := func(lo, hi int) (m uint64) {
+		for pc, in := range code {
+			if pc < lo || pc >= hi {
+				m |= regMask(in)
+			}
+		}
+		return m
+	}
+	out := make([]Instr, 0, len(code)+4)
+	for pc := 0; pc < len(code); {
+		in := code[pc]
+		cond := in.B
+		switch _, _, lane := laneRegs(in); {
+		case lane, in.Op == OpHalt:
+			out = append(out, in)
+			pc++
+			continue
+		case in.Op >= OpJNLT && in.Op <= OpJNNE:
+			cond = int32(nregs)
+			nregs++
+			out = append(out, Instr{in.Op - OpJNLT + OpLT, cond, in.B, in.C})
+		case in.Op != OpJZ:
+			return nil, false
+		}
+		// e starts the else arm, or joins an if with no else.
+		e := int(in.A)
+		if e <= pc || e >= len(code) {
+			return nil, false
+		}
+		then, els, join := code[pc+1:e], code[e:e], e
+		if e-1 > pc && code[e-1].Op == OpJmp {
+			join = int(code[e-1].A)
+			if join < e || join >= len(code) {
+				return nil, false
+			}
+			then, els = code[pc+1:e-1], code[e:join]
+		}
+		var wThen, wElse uint64
+		for _, o := range then {
+			if !armOp(o.Op) {
+				return nil, false
+			}
+			wThen |= 1 << o.A
+		}
+		for _, o := range els {
+			if !armOp(o.Op) {
+				return nil, false
+			}
+			wElse |= 1 << o.A
+		}
+		left := wThen & touched(pc+1, pc+1+len(then))
+		if wElse&touched(e, join)&^left != 0 || in.Op == OpJZ && (wThen|wElse)>>cond&1 != 0 {
+			return nil, false
+		}
+		var ren [64]int32 // a left register's new one; 0 until the then arm writes it
+		get := func(r int32) int32 {
+			if ren[r] != 0 {
+				return ren[r]
+			}
+			return r
+		}
+		for _, o := range then {
+			_, r, _ := laneRegs(o)
+			o.B = get(o.B)
+			if r[1] >= 0 {
+				o.C = get(o.C)
+			}
+			if left>>o.A&1 != 0 {
+				if ren[o.A] == 0 {
+					ren[o.A] = int32(nregs)
+					nregs++
+				}
+				o.A = ren[o.A]
+			}
+			out = append(out, o)
+		}
+		out = append(out, els...)
+		for r := range int32(64) {
+			if left>>r&1 != 0 {
+				out = append(out, Instr{OpSel, r, cond, ren[r]})
+			}
+		}
+		pc = join
+	}
+	q := *p
+	q.Code, q.RegInit = out, append(p.RegInit[:len(p.RegInit):len(p.RegInit)], make([]float64, nregs-len(p.RegInit))...)
+	if ok, _, _ := q.laneBody(); !ok || q.writesCenter() {
+		return nil, false
+	}
+	return &q, true
+}
+
+// armOp reports whether an if-converted arm may hold op: a lane op that
+// reads and writes registers only, so both arms can run at every cell.
+// sel is left out, and with it nested ifs: it reads the register it
+// writes, which the then arm's renaming would have to copy first.
+func armOp(op Op) bool {
+	switch op {
+	case OpLoad, OpStore, OpDotV, OpSel:
+		return false
+	}
+	_, _, ok := laneRegs(Instr{Op: op})
+	return ok
+}
+
+// regMask is the set of registers below 64 that in reads or writes, for
+// a lane op or a branch.
+func regMask(in Instr) (m uint64) {
+	w, r, _ := laneRegs(in)
+	switch {
+	case in.Op == OpJZ:
+		r[0] = in.B
+	case in.Op >= OpJNLT && in.Op <= OpJNNE:
+		r[0], r[1] = in.B, in.C
+	}
+	for _, x := range [4]int32{w, r[0], r[1], r[2]} {
+		if x >= 0 && x < 64 {
+			m |= 1 << x
+		}
+	}
+	return m
 }

@@ -487,7 +487,7 @@ func (p *Program) Validate() error {
 			}
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod,
 			OpLT, OpLE, OpGT, OpGE, OpEQ, OpNE,
-			OpMin, OpMax, OpPow:
+			OpMin, OpMax, OpPow, OpSel:
 			if err = reg(pc, in.A); err == nil {
 				if err = reg(pc, in.B); err == nil {
 					err = reg(pc, in.C)

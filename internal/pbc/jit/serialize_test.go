@@ -37,6 +37,14 @@ func validProgram() *Program {
 	}
 }
 
+// validSelProgram is validProgram with the add at pc 2 made a sel:
+// r2 = r1 where r0 != 0.
+func validSelProgram() *Program {
+	p := validProgram()
+	p.Code[2].Op = OpSel
+	return p
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	in := map[int]*Program{0: validProgram(), 2: validProgram()}
 	in[2].Name = "T/rule 2"
@@ -135,6 +143,23 @@ func TestValidateRejections(t *testing.T) {
 		{"call_dest_cell_ref", withCall(func(p *Program) { p.Calls[1].Dest = 1 })},
 		{"call_dest_out_of_range", withCall(func(p *Program) { p.Calls[1].Dest = 3 })},
 		{"call_dest_below_minus_one", withCall(func(p *Program) { p.Calls[0].Dest = -2 })},
+	}...)
+	sel := func(mut func(in *Instr)) func(p *Program) {
+		return func(p *Program) {
+			*p = *validSelProgram()
+			mut(&p.Code[2])
+		}
+	}
+	if err := validSelProgram().Validate(); err != nil {
+		t.Fatalf("sel in place of the add: %v", err)
+	}
+	cases = append(cases, []struct {
+		name   string
+		mutate func(p *Program)
+	}{
+		{"sel_dest_out_of_range", sel(func(in *Instr) { in.A = 3 })},
+		{"sel_cond_negative", sel(func(in *Instr) { in.B = -1 })},
+		{"sel_src_out_of_range", sel(func(in *Instr) { in.C = 3 })},
 	}...)
 	// Each compare-and-branch replaces the OpJZ at pc 4 (target 6,
 	// operands r2 and r1), then breaks its target or one operand.
@@ -482,7 +507,7 @@ func TestCorpusRoundTrip(t *testing.T) {
 // or whose nested flag is not 0 or 1.
 func TestDecodeRejectsMalformedFraming(t *testing.T) {
 	payload, err := EncodePrograms(map[int]*Program{
-		0: validProgram(), 1: validViewProgram(), 2: validCallProgram(), 3: validLoopProgram(),
+		0: validProgram(), 1: validViewProgram(), 2: validCallProgram(), 3: validLoopProgram(), 4: validSelProgram(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -583,6 +608,7 @@ func FuzzDecodePrograms(f *testing.F) {
 		{1: validViewProgram()},
 		{2: validCallProgram()},
 		{3: validLoopProgram()},
+		{4: validSelProgram()},
 		{},
 	} {
 		b, err := EncodePrograms(set)

@@ -25,12 +25,14 @@
 // of the dispatch loop: OpHalt mid-row steps the offsets and the row's
 // center register to the next cell and jumps back to pc 0. A row that
 // carries nothing from one cell to the next — a straight-line body of
-// pure ops that reads no register before writing it, over refs whose
-// cells no other lane of the row stores — is a map, and runs as one
-// (lanes.go): each instruction once across a chunk of the row's cells,
-// with registers widened to one value per cell, outside the dispatch
-// loop. RunCell binds a single cell on its own; a macro rule, which has
-// no center, is one RunCell(nil).
+// pure ops that reads no register before writing it, over refs and dot
+// product windows whose cells no other lane of the row stores — is a
+// map, and runs as one (lanes.go): each instruction once across a chunk
+// of the row's cells, with registers widened to one value per cell,
+// outside the dispatch loop. A cell rule's if/else over pure arms is
+// lowered straight-line when that makes it such a map: a compare, both
+// arms, then OpSel. RunCell binds a single cell on its own; a macro
+// rule, which has no center, is one RunCell(nil).
 //
 // The tier is semantics-preserving, never semantics-extending: rules
 // outside the lowerable fragment fall back to the AST interpreter with
@@ -163,6 +165,12 @@ const (
 	OpJNGEV
 	OpJNEQV
 	OpJNNEV
+	// OpSel is a conditional move, the join of an if/else that the
+	// lowering converted to straight-line code (ifConvert): r[A] = r[C]
+	// when r[B] != 0, else r[A] is left as it is. r[B] != 0 is OpJZ's
+	// test, so a NaN condition picks r[C], the arm a fall-through past
+	// OpJZ takes.
+	OpSel
 )
 
 var opNames = [...]string{
@@ -178,6 +186,7 @@ var opNames = [...]string{
 	OpSumV: "sumv", OpDotV: "dotv", OpLoadAt: "loadat", OpStoreAt: "storeat",
 	OpCall: "call", OpLoopLT: "looplt",
 	OpJNLTV: "jnltv", OpJNLEV: "jnlev", OpJNGTV: "jngtv", OpJNGEV: "jngev", OpJNEQV: "jneqv", OpJNNEV: "jnnev",
+	OpSel: "sel",
 }
 
 func (o Op) String() string {
@@ -392,12 +401,14 @@ type Frame struct {
 	// through RunCell. lanes: the body may run a row across its lanes,
 	// writing the written registers and sharing the uniform ones among
 	// the lanes (laneBody); apart: rowApart's verdict for the carries'
-	// box shape.
+	// box shape; dots: a lane body holds an OpDotV, whose two lengths
+	// laneable compares at every row.
 	rowAt            int64
 	rowReg           int32
 	perCell          bool
 	lanes            bool
 	apart            uint8
+	dots             bool
 	written, uniform uint64
 }
 
@@ -411,6 +422,7 @@ func (p *Program) NewFrame() *Frame {
 		perCell: p.writesCenter(),
 	}
 	f.lanes, f.written, f.uniform = p.laneBody()
+	f.dots = f.lanes && slices.ContainsFunc(p.Code, func(in Instr) bool { return in.Op == OpDotV })
 	for i := range p.Refs {
 		r := &p.Refs[i]
 		f.refs[i].strides = make([]int, r.ND)
@@ -1319,6 +1331,10 @@ func (f *Frame) run(left int64) error {
 				pc = f.cellsAt(pc)
 			} else if x, y := l.data[l.off+i*l.vstride[0]], r.data[r.off+j*r.vstride[0]]; x == y {
 				pc = int(in.A) - 1
+			}
+		case OpSel:
+			if regs[in.B] != 0 {
+				regs[in.A] = regs[in.C]
 			}
 		default:
 			return fmt.Errorf("jit: %s: bad opcode %s at pc %d", p.Name, in.Op, pc)

@@ -28,26 +28,6 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Lex scans the entire input, returning the token stream terminated by
-// an EOF token.
-func Lex(src string) ([]token.Token, error) {
-	l := New(src)
-	// One allocation for the common case: PetaBricks source runs at 2.1
-	// to 3.5 bytes per token over the corpus (lexer_test.go checks the
-	// estimate against it); denser text just grows the slice.
-	out := make([]token.Token, 0, len(src)/2+1)
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out, nil
-		}
-	}
-}
-
 func (l *Lexer) peek() byte {
 	if l.pos >= len(l.src) {
 		return 0

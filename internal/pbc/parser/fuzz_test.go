@@ -2,16 +2,55 @@ package parser
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"petabricks/internal/pbc/ast"
 	"petabricks/internal/pbc/lexer"
+	"petabricks/internal/pbc/token"
 )
 
+// lexThenParse is the reference the streaming Parse must agree with:
+// the whole file lexed first, whose error wins, then the parser run over
+// the token slice.
+func lexThenParse(src string) (*ast.Program, error) {
+	l := lexer.New(src)
+	var toks []token.Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			break
+		}
+	}
+	return parse(&sliceTokens{toks: toks})
+}
+
+// sliceTokens streams a lexed file, its EOF repeated at the end.
+type sliceTokens struct {
+	toks []token.Token
+	i    int
+}
+
+func (s *sliceTokens) Next() (token.Token, error) {
+	t := s.toks[s.i]
+	if s.i < len(s.toks)-1 {
+		s.i++
+	}
+	return t, nil
+}
+
 // FuzzParse checks the front end never panics on arbitrary input, that
-// every rejection carries a source position, and that accepted programs
-// satisfy the invariants the rest of the compiler assumes (run with
-// `go test -fuzz=FuzzParse`).
+// every rejection carries a source position, that Parse returns what
+// lexing the whole file and then parsing it returns (lexThenParse: the
+// same program, or the same error, a lexical one first), and that
+// accepted programs satisfy the invariants the rest of the compiler
+// assumes (run with `go test -fuzz=FuzzParse`).
 func FuzzParse(f *testing.F) {
 	f.Add(RollingSumSrc)
 	f.Add(MatrixMultiplySrc)
@@ -30,8 +69,17 @@ func FuzzParse(f *testing.F) {
 	f.Add("%{ unterminated")
 	f.Add("to from where priority(9)")
 	f.Add("transform T from A[n] to B[n] { to (B b) from (A a) { b = a")
+	f.Add("transform T from A[n] to B[n] { to (B b) from (A a) { b = a; } } @")
+	f.Add("transform T from A[n] to { } # trailing")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
+		ref, refErr := lexThenParse(src)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || reflect.TypeOf(err) != reflect.TypeOf(refErr) {
+			t.Fatalf("Parse error %T %v, lex-then-parse %T %v", err, err, refErr, refErr)
+		}
+		if !reflect.DeepEqual(prog, ref) {
+			t.Fatal("Parse and lex-then-parse built different programs")
+		}
 		if err != nil {
 			// Rejection is fine; panics are not, and the error must say
 			// where — either a lexical or a syntactic positioned error.

@@ -24,9 +24,17 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
+// tokens is the stream a parser reads: a *lexer.Lexer, which scans each
+// token as the parser asks for it.
+type tokens interface {
+	Next() (token.Token, error)
+}
+
 type parser struct {
-	toks []token.Token
-	pos  int
+	ts  tokens
+	tok token.Token // the current token
+	// lexErr is the stream's error; the parser has seen EOF since.
+	lexErr error
 	// depth counts nested expression/statement recursion; adversarial
 	// input like "((((…" or deeply nested ifs must produce a parse
 	// error, not a stack overflow.
@@ -48,31 +56,53 @@ func (p *parser) enter() error {
 
 func (p *parser) leave() { p.depth-- }
 
-// Parse parses a whole source file.
-func Parse(src string) (*ast.Program, error) {
-	toks, err := lexer.Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+// Parse parses a whole source file. A lexical error anywhere in the
+// file is the error Parse returns, ahead of any parse error: the parser
+// reads its tokens as it goes, and after a parse error it scans the rest
+// of the file for one.
+func Parse(src string) (*ast.Program, error) { return parse(lexer.New(src)) }
+
+func parse(ts tokens) (*ast.Program, error) {
+	p := &parser{ts: ts}
+	p.advance()
 	prog := &ast.Program{}
 	for !p.at(token.EOF) {
 		t, err := p.transform()
 		if err != nil {
+			for p.lexErr == nil && !p.at(token.EOF) {
+				p.advance()
+			}
+			if p.lexErr != nil {
+				return nil, p.lexErr
+			}
 			return nil, err
 		}
 		prog.Transforms = append(prog.Transforms, t)
 	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
 	return prog, nil
 }
 
-func (p *parser) cur() token.Token     { return p.toks[p.pos] }
-func (p *parser) at(k token.Kind) bool { return p.cur().Kind == k }
+// advance reads the next token into p.tok. A lexical error ends the
+// stream: it is kept in p.lexErr, and the parser sees EOF from there on.
+func (p *parser) advance() {
+	t, err := p.ts.Next()
+	if err != nil {
+		p.lexErr = err
+		t = token.Token{Kind: token.EOF, Pos: p.tok.Pos}
+	}
+	p.tok = t
+}
+
+func (p *parser) cur() token.Token     { return p.tok }
+func (p *parser) at(k token.Kind) bool { return p.tok.Kind == k }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
