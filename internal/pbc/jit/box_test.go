@@ -629,6 +629,23 @@ func TestRunBoxEdges(t *testing.T) {
 		sameAsBranches(t, branchy, conv, nans)
 	}
 
+	// MatrixMultiply's base rule on rows of 19 cells: two blocks of eight
+	// lanes that keep their dot products in registers, then three more.
+	mm, mmRes, err := lowerRule(t, parser.MatrixMultiplySrc, 0, map[string]int64{"w": 19, "c": 5, "h": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmSizes := map[string]int64{"w": 19, "c": 5, "h": 3}
+	mmp := newBoxPair(mm, func() map[string]*matrix.Matrix { return corpusMatrices(t, mmRes, mmSizes) })
+	if !mmp.box.lanesAt([]int64{0, 1}, boxMove{k: 0, dir: 1, start: 0, ext: 19}) {
+		t.Errorf("%s: a row of 19 cells does not run across its lanes", mm.Name)
+	}
+	for _, o := range orders(2) {
+		for _, b := range [][][2]int64{{{0, 19}, {0, 3}}, {{1, 18}, {1, 3}}, {{0, 8}, {2, 3}}} {
+			mmp.check(t, mm.Name, []int64{0, 0}, b, o)
+		}
+	}
+
 	// Rank 3: D[x,y,z] = S[x+1,y,z-1] + z, with S 3×2×4 and D 2×3×4 (DSL
 	// order), so the read misses on two faces of the larger boxes.
 	cube := &Program{

@@ -37,7 +37,7 @@ const (
 // laneable sends a row whose dotv lengths differ to run), and of those
 // only the ones corpus and generated rules use: min, max, abs and trunc
 // come from generated rules, the compares and sel from if-converted ones
-// (ifConvert), dotv from MatrixMultiply's base rule. sel reads the
+// (ifConverted), dotv from MatrixMultiply's base rule. sel reads the
 // register it writes.
 func laneRegs(in Instr) (w int32, r [3]int32, ok bool) {
 	switch in.Op {
@@ -420,33 +420,56 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 	}
 }
 
-// laneDot runs the OpDotV in across the m = len(acc) lanes of a row's
-// chunk that starts at lane at: k outermost and ascending, each lane's
-// acc starting at 0 and taking acc += a[k]*b[k] once per k, which is
-// OpDotV's order for each lane's cell, so each lane's sum is bit for
-// bit the one run computes. With k outermost, the lanes' reads of a
-// view that moves by one element per cell are adjacent: MatrixMultiply's
-// B.column(x) along a row of x. dotLens has checked the two lengths.
+// laneDot runs the OpDotV in across the lanes of a row's chunk that
+// starts at lane at, into acc, one sum per lane. Each lane's sum starts
+// at 0 and takes acc += a[k]*b[k] once per k, k ascending: OpDotV's
+// order for the lane's cell, so each sum is bit for bit the one run
+// computes; only the lanes interleave. Where a is one vector for the
+// whole row and b moves by one element per cell, as MatrixMultiply's
+// A.row(y) and B.column(x) do along a row of x, eight lanes at a time
+// keep their sums in registers over all of k, reading eight adjacent
+// elements of b per k (a tile's rows are 16 cells at the default grain,
+// too short to stream acc through memory once per k); the rest run with
+// k outermost and their sums in acc. dotLens has checked the lengths.
 func (f *Frame) laneDot(in Instr, at int, acc []float64) {
 	a, b := &f.refs[in.B], &f.refs[in.C]
 	ca, cb := a.carry[0], b.carry[0]
 	oa, ob := a.off+at*ca, b.off+at*cb
-	clear(acc)
-	for range a.vext[0] {
-		if ca == 0 && cb == 1 {
-			x := a.data[oa]
-			for l, y := range b.data[ob : ob+len(acc)] {
-				acc[l] += x * y
+	sa, sb := a.vstride[0], b.vstride[0]
+	n := int(a.vext[0])
+	l := 0
+	if ca == 0 && cb == 1 {
+		for ; l+8 <= len(acc); l += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
+			pa, pb := oa, ob+l
+			for range n {
+				x, y := a.data[pa], b.data[pb:pb+8]
+				s0 += x * y[0]
+				s1 += x * y[1]
+				s2 += x * y[2]
+				s3 += x * y[3]
+				s4 += x * y[4]
+				s5 += x * y[5]
+				s6 += x * y[6]
+				s7 += x * y[7]
+				pa += sa
+				pb += sb
 			}
-		} else {
-			pa, pb := oa, ob
-			for l := range acc {
-				acc[l] += a.data[pa] * b.data[pb]
-				pa += ca
-				pb += cb
-			}
+			acc[l], acc[l+1], acc[l+2], acc[l+3] = s0, s1, s2, s3
+			acc[l+4], acc[l+5], acc[l+6], acc[l+7] = s4, s5, s6, s7
 		}
-		oa += a.vstride[0]
-		ob += b.vstride[0]
+	}
+	acc = acc[l:]
+	clear(acc)
+	oa, ob = oa+l*ca, ob+l*cb
+	for range n {
+		pa, pb := oa, ob
+		for l := range acc {
+			acc[l] += a.data[pa] * b.data[pb]
+			pa += ca
+			pb += cb
+		}
+		oa += sa
+		ob += sb
 	}
 }

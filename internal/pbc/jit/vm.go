@@ -166,7 +166,7 @@ const (
 	OpJNEQV
 	OpJNNEV
 	// OpSel is a conditional move, the join of an if/else that the
-	// lowering converted to straight-line code (ifConvert): r[A] = r[C]
+	// lowering converted to straight-line code (ifConverted): r[A] = r[C]
 	// when r[B] != 0, else r[A] is left as it is. r[B] != 0 is OpJZ's
 	// test, so a NaN condition picks r[C], the arm a fall-through past
 	// OpJZ takes.
