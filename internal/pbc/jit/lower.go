@@ -880,8 +880,8 @@ func armOp(op Op) bool {
 	return ok
 }
 
-// regMask is the set of registers below 64 that in reads or writes, for
-// a lane op or a branch.
+// regMask is the set of registers that in reads or writes, for a lane op
+// or a branch; a register past 63 shifts out of it.
 func regMask(in Instr) (m uint64) {
 	w, r, _ := laneRegs(in)
 	switch {
@@ -891,7 +891,7 @@ func regMask(in Instr) (m uint64) {
 		r[0], r[1] = in.B, in.C
 	}
 	for _, x := range [4]int32{w, r[0], r[1], r[2]} {
-		if x >= 0 && x < 64 {
+		if x >= 0 {
 			m |= 1 << x
 		}
 	}

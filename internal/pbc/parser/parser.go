@@ -25,7 +25,8 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // tokens is the stream a parser reads: a *lexer.Lexer, which scans each
-// token as the parser asks for it.
+// token as the parser asks for it, or, in FuzzParse's reference, the
+// tokens of a file lexed whole first.
 type tokens interface {
 	Next() (token.Token, error)
 }
