@@ -175,7 +175,8 @@ func cellRef(m string, base, coeff []int64) Ref {
 // one frame reused across boxes, a frame reused after a row that fails
 // mid-row, if-converted bodies against their branches on NaN, rows of
 // dot products whose lengths differ, views of the stored array read by
-// a dot product, and a row longer than one small lane buffer.
+// a dot product, one whose window grows from row to row, and a row
+// longer than one lane buffer.
 func TestRunBoxEdges(t *testing.T) {
 	// d = s[i+2]: the read misses from i = 4 on (size 6).
 	readMiss := &Program{
@@ -336,8 +337,7 @@ func TestRunBoxEdges(t *testing.T) {
 		}
 	}
 
-	// A row too long for one laneBuf buffer runs in the larger one, in
-	// two chunks of it.
+	// A row too long for one laneBuf buffer runs in chunks of it.
 	long := make([]float64, 200)
 	for i := range long {
 		long[i] = float64(i%13)*1.5 - 7
@@ -569,7 +569,8 @@ func TestRunBoxEdges(t *testing.T) {
 		{dotView, withDotX(2, 0), false}, // a cell reads what the lane two before it stores
 		{dotView, withDotX(0, 2), false},
 		{dotView, withDotX(0, 0), false},
-		{&dotPinned, withDotX(6, 0), false},
+		{&dotPinned, withDotX(6, 0), true}, // the window stays below every stored cell
+		{&dotPinned, withDotX(0, 1), false},
 	} {
 		for _, o := range orders(1) {
 			bp := newBoxPair(c.p, c.data)
@@ -584,6 +585,45 @@ func TestRunBoxEdges(t *testing.T) {
 			for _, r := range [][2]int64{{0, 5}, {1, 5}, {0, 3}, {2, 4}, {0, 5}} {
 				bp.check(t, label, []int64{0}, [][2]int64{r}, o)
 			}
+		}
+	}
+
+	// M[x,y] = dot(M.region(x-10, y, x-9+y, y+1), S.region(0, y+1)): the
+	// window's extent grows with y, so the box splits into rows of one
+	// shape. At y = 0 it ends seven cells below the row's stored cells;
+	// from y = 7 on, a cell reads what a lane before it stores, so those
+	// rows must run cell by cell though the row before ran across lanes.
+	dotGrow := &Program{
+		Name: "test/dotgrow", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0},
+		Refs: []Ref{
+			cellRef("M", []int64{0, 0}, []int64{1, 0, 0, 1}),
+			{Matrix: "M", Binding: "w", ND: 2, Kind: RefView, Collapse: true,
+				Base: []int64{-10, 0}, Coeff: []int64{1, 0, 0, 1}, HiBase: []int64{-9, 1}, HiCoeff: []int64{1, 1, 0, 1}},
+			{Matrix: "S", Binding: "s", ND: 1, Kind: RefView, Base: []int64{0}, Coeff: []int64{0, 0},
+				HiBase: []int64{1}, HiCoeff: []int64{0, 1}},
+		},
+		Code: []Instr{{OpDotV, 0, 1, 2}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+	}
+	growMats := func() map[string]*matrix.Matrix {
+		m, s := matrix.New(10, 14), matrix.New(10)
+		for i := range m.Backing() {
+			m.Backing()[i] = float64(i%11)*0.75 - 3
+		}
+		for i := range s.Backing() {
+			s.Backing()[i] = float64(i%4) - 1.5
+		}
+		return map[string]*matrix.Matrix{"M": m, "S": s}
+	}
+	gp := newBoxPair(dotGrow, growMats)
+	row := boxMove{k: 0, dir: 1, start: 10, ext: 4}
+	for y, want := range map[int64]bool{0: true, 6: true, 7: false, 9: false} {
+		if got := gp.box.lanesAt([]int64{10, y}, row); got != want {
+			t.Errorf("%s y = %d: row across lanes = %v, want %v", dotGrow.Name, y, got, want)
+		}
+	}
+	for _, o := range orders(2) {
+		for _, b := range [][][2]int64{{{10, 14}, {0, 10}}, {{10, 14}, {5, 9}}, {{11, 14}, {0, 10}}} {
+			gp.check(t, fmt.Sprintf("%s %v", dotGrow.Name, o), []int64{10, 0}, b, o)
 		}
 	}
 
@@ -675,19 +715,22 @@ func TestRunBoxEdges(t *testing.T) {
 }
 
 // sameAsBranches runs conv, the if-converted form of branchy, through
-// RunBox, and branchy through a RunCell loop, over every rank-1 box of
-// the six-cell vectors of data in both directions, and fails unless
-// every row of conv runs across its lanes and both leave the same bits
-// in every matrix. The register files differ by design: an arm the
-// branch skipped leaves its registers alone, and conv runs it anyway.
+// RunBox and through a RunCell loop, and branchy through a RunCell loop,
+// over every rank-1 box of the six-cell vectors of data in both
+// directions, and fails unless every row of conv runs across its lanes
+// and all three leave the same bits in every matrix: sel picks the arm
+// the branch takes in laneRow and in run alike. The register files
+// differ by design: an arm the branch skipped leaves its registers
+// alone, and conv runs it anyway.
 func sameAsBranches(t *testing.T, branchy, conv *Program, data func() map[string]*matrix.Matrix) {
 	t.Helper()
 	for _, o := range orders(1) {
 		for _, r := range [][2]int64{{0, 8}, {1, 7}, {2, 6}, {3, 4}} {
-			bf, cf := conv.NewFrame(), branchy.NewFrame()
-			bm, cm := data(), data()
+			bf, sf, cf := conv.NewFrame(), conv.NewFrame(), branchy.NewFrame()
+			bm, sm, cm := data(), data(), data()
 			for i, ref := range conv.Refs {
 				bf.BindMatrix(i, bm[ref.Matrix])
+				sf.BindMatrix(i, sm[ref.Matrix])
 				cf.BindMatrix(i, cm[ref.Matrix])
 			}
 			row := boxMove{k: 0, dir: int64(o[0].Dir), start: r[0], ext: r[1] - r[0]}
@@ -697,19 +740,27 @@ func sameAsBranches(t *testing.T, branchy, conv *Program, data func() map[string
 			if row.ext > 1 && !bf.lanesAt([]int64{row.start}, row) {
 				t.Fatalf("%s: row %v does not run across its lanes", conv.Name, r)
 			}
-			bc, cc := []int64{0}, []int64{0}
+			bc, sc, cc := []int64{0}, []int64{0}, []int64{0}
 			b := [][2]int64{r}
-			got := capture(bc, func() error { return bf.RunBox(bc, b, o) })
 			want := capture(cc, func() error { return cellLoop(cc, b, o, func() error { return cf.RunCell(cc) }) })
-			if got != want {
-				t.Fatalf("%s: RunBox(%v, %v) = %+v, branches %+v", conv.Name, r, o, got, want)
-			}
-			for name, m := range bm {
-				x, y := m.Backing(), cm[name].Backing()
-				for i := range x {
-					if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-						t.Fatalf("%s: RunBox(%v, %v): %s[%d] = %v (%#x), the branches wrote %v (%#x)",
-							conv.Name, r, o, name, i, x[i], math.Float64bits(x[i]), y[i], math.Float64bits(y[i]))
+			for _, c := range []struct {
+				how  string
+				got  outcome
+				mats map[string]*matrix.Matrix
+			}{
+				{"RunBox", capture(bc, func() error { return bf.RunBox(bc, b, o) }), bm},
+				{"RunCell", capture(sc, func() error { return cellLoop(sc, b, o, func() error { return sf.RunCell(sc) }) }), sm},
+			} {
+				if c.got != want {
+					t.Fatalf("%s: %s over %v, %v = %+v, branches %+v", conv.Name, c.how, r, o, c.got, want)
+				}
+				for name, m := range c.mats {
+					x, y := m.Backing(), cm[name].Backing()
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+							t.Fatalf("%s: %s over %v, %v: %s[%d] = %v (%#x), the branches wrote %v (%#x)",
+								conv.Name, c.how, r, o, name, i, x[i], math.Float64bits(x[i]), y[i], math.Float64bits(y[i]))
+						}
 					}
 				}
 			}
@@ -718,8 +769,8 @@ func sameAsBranches(t *testing.T, branchy, conv *Program, data func() map[string
 }
 
 // TestLaneRowAllocs pins that a row running across its lanes allocates
-// nothing, with a sel and a dot product in its body, in a row short
-// enough for the small lane buffer and in one that takes the large one:
+// nothing, with a sel and a dot product in its body, in a row that
+// fits one lane buffer and in one that takes many chunks of it:
 // c = dot(A.row(y), B.column(x)); t = -c; if (c > 0.5) t = c; C[x,y] = t.
 func TestLaneRowAllocs(t *testing.T) {
 	p := &Program{
@@ -888,6 +939,10 @@ func FuzzRunBox(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
 	f.Add(int64(-7))
+	// Body 5, S a view of D that grows along y: a box of rows along x
+	// whose first row's window ends below the cells it stores and whose
+	// second row's does not.
+	f.Add(int64(2135))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		nd := 1 + rng.Intn(3)
@@ -957,11 +1012,20 @@ func FuzzRunBox(f *testing.F) {
 			*v = Ref{Matrix: "V", Binding: "V", ND: nd, Kind: RefView, Base: make([]int64, nd), HiBase: slices.Repeat([]int64{1}, nd)}
 		case 5:
 			// S and V are rows or columns of n cells, n one of 1..3 (for S
-			// a different one a time in four), fixed in shape over a box.
-			// Each starts at or next to its matrix's corner, or for V a
-			// time in two where its random coefficients take it, and S
-			// shared with D where its random base takes it.
+			// a different one a time in four), fixed in shape over a box
+			// or, a time in three, both a cell longer at each step of one
+			// center variable, so that a box split into rows gives each
+			// row its own windows. Each starts at or next to its matrix's
+			// corner, or for V a time in two where its random
+			// coefficients take it, and S shared with D where its random
+			// base takes it, or, when both grow, one or two cells behind
+			// D's cell along its length, so that its window reaches the
+			// cells a row stores only in the later rows.
 			n := 1 + int64(rng.Intn(3))
+			grow := -1
+			if rng.Intn(3) == 0 {
+				grow = rng.Intn(nc)
+			}
 			for i, r := range []*Ref{v, &refs[1]} {
 				if i == 1 && rng.Intn(4) == 0 {
 					n = 1 + int64(rng.Intn(3))
@@ -975,11 +1039,17 @@ func FuzzRunBox(f *testing.F) {
 					}
 				}
 				r.Kind, r.Collapse = RefView, true
+				d := rng.Intn(2)
+				if i == 1 && alias && grow >= 0 {
+					r.Base[d], r.Base[1-d] = 0, -1-int64(rng.Intn(2))
+				}
 				r.HiCoeff = slices.Clone(r.Coeff)
 				r.HiBase = slices.Clone(r.Base)
-				d := rng.Intn(2)
 				r.HiBase[d]++
 				r.HiBase[1-d] += n
+				if grow >= 0 {
+					r.HiCoeff[(1-d)*nc+grow]++
+				}
 			}
 		}
 		creg := make([]int32, nc)

@@ -12,14 +12,14 @@ import (
 // one value per lane, so a cell costs its share of one dispatch per
 // instruction and chunk instead of one dispatch per instruction. Whether
 // a row may run so is decided three times: from the code alone, once per
-// frame (laneBody); from the addresses the refs are bound to, once per
-// box shape (rowApart); and from the lengths of the dot products' views,
-// once per row (dotLens). A cell rule with an if/else reaches laneBody
-// if-converted (ifConverted): both arms, then sel.
+// frame (laneBody); from the addresses the cell refs are bound to, once
+// per box shape (rowApart); and from the lengths and windows of the dot
+// products' views, once per row (dotsFit). A cell rule with an if/else
+// reaches laneBody if-converted (ifConverted): both arms, then sel.
 
 // laneBuf is the size, in float64s, of the lane buffer row keeps on the
-// stack for a short row. Each register gets laneBuf/len(regs) lanes of
-// it.
+// stack, which Go zeroes at every row. Each register gets
+// laneBuf/len(regs) lanes of it.
 const laneBuf = 256
 
 // rowApart's verdicts, cached in Frame.apart for the box shape
@@ -101,20 +101,12 @@ func (p *Program) laneBody() (ok bool, written, uniform uint64) {
 
 // row runs the bound row of left+1 cells: across its lanes when the
 // body and the row's addresses allow it (laneable), otherwise through
-// run. A row whose lanes fill more than a laneBuf buffer takes one four
-// times that size, which Go zeroes at every row: fewer, longer chunks
-// (Pointwise's 20 registers get 51 lanes, not 12), at a cost that only
-// rows this long can carry.
+// run.
 func (f *Frame) row(left int64) error {
 	if !f.laneable(left) {
 		return f.run(left)
 	}
-	if (left+1)*int64(len(f.regs)) <= laneBuf {
-		var buf [laneBuf]float64
-		f.laneRow(left, buf[:])
-		return nil
-	}
-	var buf [4 * laneBuf]float64
+	var buf [laneBuf]float64
 	f.laneRow(left, buf[:])
 	return nil
 }
@@ -122,17 +114,37 @@ func (f *Frame) row(left int64) error {
 // laneable reports whether the bound row of left+1 cells may run across
 // its lanes.
 func (f *Frame) laneable(left int64) bool {
-	return left > 0 && f.lanes && (!f.dots || f.dotLens()) && f.rowApart(left)
+	return left > 0 && f.lanes && (!f.dots || f.dotsFit(left)) && f.rowApart(left)
 }
 
-// dotLens reports whether every OpDotV of the body has two views of one
-// length. A view's extent is the same at every cell of a walked box, so
-// one look per row holds for the whole row; a row where they differ runs
-// through run, which fails at its first cell with errDotLen.
-func (f *Frame) dotLens() bool {
-	for _, in := range f.prog.Code {
-		if in.Op == OpDotV && f.refs[in.B].vext[0] != f.refs[in.C].vext[0] {
+// dotsFit reports whether every OpDotV of the body may run across the
+// lanes of the bound row of left+1 cells: its two views have one length,
+// and neither view's window over the row meets the cells a stored ref
+// visits over it, where the two are bound into one array (windowApart).
+// A view's extent is the same at every cell of a walked row, but not
+// from row to row of a box that splits into rows (boxBinds), so the
+// check runs at every row, at the row's own addresses. A row whose
+// lengths differ runs through run, which fails at its first cell with
+// errDotLen.
+func (f *Frame) dotsFit(left int64) bool {
+	code := f.prog.Code
+	for _, in := range code {
+		if in.Op != OpDotV {
+			continue
+		}
+		if f.refs[in.B].vext[0] != f.refs[in.C].vext[0] {
 			return false
+		}
+		for _, s := range code {
+			if s.Op != OpStore {
+				continue
+			}
+			a := &f.refs[s.A]
+			for _, j := range [2]int32{in.B, in.C} {
+				if v := &f.refs[j]; sameArray(a.data, v.data) && !windowApart(a, v, left) {
+					return false
+				}
+			}
 		}
 	}
 	return true
@@ -153,16 +165,15 @@ func (f *Frame) rowApart(left int64) bool {
 	return f.apart == apartAlways
 }
 
-// overlap checks every stored ref against every ref the body loads or
-// stores, itself included, and against every view an OpDotV reads,
-// where the two are bound into one backing array. Such a pair must have
-// equal coefficients and equal strides, so that the two are a fixed
-// distance apart at every center and one verdict holds for every row,
-// and must be apart over a row: apart for two cells, windowApart for a
-// cell and a view's whole window. Refs that differ there — transposed or
-// differently indexed views of one matrix — make every row of the box
-// run cell by cell; no corpus rule binds such a pair. overlap reports a
-// pair that fails either test.
+// overlap checks every stored ref against every cell ref the body loads
+// or stores, itself included, where the two are bound into one backing
+// array. Such a pair must have equal coefficients and equal strides, so
+// that the two are a fixed distance apart at every center and one
+// verdict holds for every row, and must be apart over a row. Refs that
+// differ there — transposed or differently indexed views of one matrix —
+// make every row of the box run cell by cell; no corpus rule binds such
+// a pair. overlap reports a pair that fails either test. The windows an
+// OpDotV reads are dotsFit's, at every row.
 func (f *Frame) overlap(left int64) bool {
 	code := f.prog.Code
 	for _, s := range code {
@@ -170,30 +181,21 @@ func (f *Frame) overlap(left int64) bool {
 			continue
 		}
 		for _, o := range code {
-			var refs [2]int32
-			n := 1
+			var j int32
 			switch o.Op {
 			case OpLoad:
-				refs[0] = o.B
+				j = o.B
 			case OpStore:
-				refs[0] = o.A
-			case OpDotV:
-				refs, n = [2]int32{o.B, o.C}, 2
+				j = o.A
 			default:
 				continue
 			}
-			for _, j := range refs[:n] {
-				a, b := &f.refs[s.A], &f.refs[j]
-				if !sameArray(a.data, b.data) {
-					continue
-				}
-				fits := apart
-				if o.Op == OpDotV {
-					fits = windowApart
-				}
-				if !slices.Equal(f.prog.Refs[s.A].Coeff, f.prog.Refs[j].Coeff) || !slices.Equal(a.strides, b.strides) || !fits(a, b, left) {
-					return true
-				}
+			a, b := &f.refs[s.A], &f.refs[j]
+			if !sameArray(a.data, b.data) {
+				continue
+			}
+			if !slices.Equal(f.prog.Refs[s.A].Coeff, f.prog.Refs[j].Coeff) || !slices.Equal(a.strides, b.strides) || !apart(a, b, left) {
+				return true
 			}
 		}
 	}
@@ -430,7 +432,7 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 // keep their sums in registers over all of k, reading eight adjacent
 // elements of b per k (a tile's rows are 16 cells at the default grain,
 // too short to stream acc through memory once per k); the rest run with
-// k outermost and their sums in acc. dotLens has checked the lengths.
+// k outermost and their sums in acc. dotsFit has checked the lengths.
 func (f *Frame) laneDot(in Instr, at int, acc []float64) {
 	a, b := &f.refs[in.B], &f.refs[in.C]
 	ca, cb := a.carry[0], b.carry[0]

@@ -401,8 +401,8 @@ type Frame struct {
 	// through RunCell. lanes: the body may run a row across its lanes,
 	// writing the written registers and sharing the uniform ones among
 	// the lanes (laneBody); apart: rowApart's verdict for the carries'
-	// box shape; dots: a lane body holds an OpDotV, whose two lengths
-	// laneable compares at every row.
+	// box shape; dots: a lane body holds an OpDotV, whose views' lengths
+	// and windows dotsFit checks at every row.
 	rowAt            int64
 	rowReg           int32
 	perCell          bool
