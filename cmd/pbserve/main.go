@@ -5,11 +5,6 @@
 // tunes a (program, size-bucket) key on the shared pool and promotes
 // the result only when it re-measures faster than the incumbent.
 //
-// With -peers, pbserve joins a static cluster: (program, size-bucket)
-// shards are owned by exactly one node via consistent hashing, requests
-// are forwarded to their owner, and tuned configurations replicate
-// between peers so every node benefits from any node's tuning.
-//
 // Usage:
 //
 //	pbserve [-addr :8600] [-store pbserve.store.json] [flags]
@@ -25,24 +20,16 @@
 //	-max-n n          largest accepted input size (default 2097152)
 //	-tune-max n       default largest training size (default 4096)
 //	-pprof            mount net/http/pprof under /debug/pprof/
-//
-// Cluster flags:
-//
-//	-self addr        this node's address as peers reach it (e.g. http://10.0.0.1:8600)
-//	-peers list       comma-separated peer addresses, including self
-//	-peers-file file  JSON file holding the peer list (["addr", ...]); alternative to -peers
-//	-replicate d      config replication pull interval; <0 disables (default 5s)
-//	-coalesce d       micro-batch window for identical concurrent runs (default 0)
+//	-coalesce d       micro-batch window for identical concurrent runs;
+//	                  0 (default) or negative disables coalescing
 //
 // API: POST /v1/run, POST /v1/tune, GET /v1/configs, GET /v1/stats,
 // GET /v1/programs, GET /metrics (Prometheus text format), GET /healthz.
-// See README "Running as a service", "Cluster mode", and
-// "Observability".
+// See README "Running as a service" and "Observability".
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -51,12 +38,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
 	"petabricks/internal/autotuner"
-	"petabricks/internal/cluster"
 	"petabricks/internal/configstore"
 	"petabricks/internal/obs"
 	"petabricks/internal/pbc/interp"
@@ -77,12 +62,7 @@ func main() {
 		maxN      = flag.Int("max-n", 1<<21, "largest accepted input size")
 		tuneMax   = flag.Int64("tune-max", 4096, "default largest training size")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-
-		selfAddr  = flag.String("self", "", "this node's address as peers reach it")
-		peersFlag = flag.String("peers", "", "comma-separated peer addresses, including self")
-		peersFile = flag.String("peers-file", "", "JSON file with the peer list ([\"addr\", ...])")
-		replicate = flag.Duration("replicate", 5*time.Second, "config replication pull interval (<0 disables)")
-		coalesce  = flag.Duration("coalesce", 0, "micro-batch window for identical concurrent runs")
+		coalesce  = flag.Duration("coalesce", 0, "micro-batch window for identical concurrent runs (<=0 disables)")
 	)
 	flag.Parse()
 
@@ -118,35 +98,19 @@ func main() {
 	interp.Instrument(metrics)
 	autotuner.Instrument(metrics)
 
-	peers, err := peerList(*peersFlag, *peersFile)
-	if err != nil {
-		fatal(err)
-	}
-	cl, err := cluster.New(cluster.Options{
-		Self:    *selfAddr,
-		Peers:   peers,
-		Logf:    log.Printf,
-		Metrics: metrics,
-	})
-	if err != nil {
-		fatal(err)
-	}
-
 	srv, err := server.New(server.Options{
-		Pool:              pool,
-		Store:             store,
-		Registry:          reg,
-		MaxInflight:       *inflight,
-		MaxQueue:          *maxQueue,
-		QueueTimeout:      *queueTO,
-		MaxN:              *maxN,
-		TuneMax:           *tuneMax,
-		Logf:              log.Printf,
-		Metrics:           metrics,
-		EnablePprof:       *pprofOn,
-		Cluster:           cl,
-		ReplicateInterval: *replicate,
-		CoalesceWindow:    *coalesce,
+		Pool:           pool,
+		Store:          store,
+		Registry:       reg,
+		MaxInflight:    *inflight,
+		MaxQueue:       *maxQueue,
+		QueueTimeout:   *queueTO,
+		MaxN:           *maxN,
+		TuneMax:        *tuneMax,
+		Logf:           log.Printf,
+		Metrics:        metrics,
+		EnablePprof:    *pprofOn,
+		CoalesceWindow: *coalesce,
 	})
 	if err != nil {
 		fatal(err)
@@ -155,9 +119,6 @@ func main() {
 	httpSrv := newHTTPServer(*addr, srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	if cl.Enabled() {
-		log.Printf("pbserve: cluster mode, self=%s peers=%v", cl.Self(), peers)
-	}
 	log.Printf("pbserve: listening on %s (%d workers, %d programs, store %s, %d tuned configs)",
 		*addr, pool.NumWorkers(), len(reg.Names()), *storePath, store.Len())
 
@@ -174,8 +135,8 @@ func main() {
 	}
 
 	// Orderly shutdown: stop accepting connections and drain in-flight
-	// requests, stop the tuner and replicator, persist the store, then drain the worker pool so no goroutine
-	// leaks past exit.
+	// requests, stop the tuner, persist the store, then drain the worker
+	// pool so no goroutine leaks past exit.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
@@ -190,8 +151,8 @@ const (
 	// readHeaderTimeout: a client that never finishes its headers does
 	// not hold a connection forever.
 	readHeaderTimeout = 10 * time.Second
-	// idleTimeout exceeds the 90s a Go client (a forwarding peer) keeps
-	// an idle connection, so the client side closes first.
+	// idleTimeout exceeds the 90s a Go HTTP client keeps an idle
+	// connection, so the client side closes first.
 	idleTimeout = 2 * time.Minute
 )
 
@@ -200,35 +161,6 @@ const (
 // was read, and a write deadline would cut those replies off.
 func newHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
-}
-
-// peerList resolves cluster membership from -peers (comma-separated)
-// or -peers-file (a JSON array of addresses). At most one may be set.
-func peerList(flagVal, fileVal string) ([]string, error) {
-	if flagVal != "" && fileVal != "" {
-		return nil, errors.New("-peers and -peers-file are mutually exclusive")
-	}
-	if fileVal != "" {
-		raw, err := os.ReadFile(fileVal)
-		if err != nil {
-			return nil, fmt.Errorf("-peers-file: %w", err)
-		}
-		var peers []string
-		if err := json.Unmarshal(raw, &peers); err != nil {
-			return nil, fmt.Errorf("-peers-file %s: %w", fileVal, err)
-		}
-		return peers, nil
-	}
-	if flagVal == "" {
-		return nil, nil
-	}
-	var peers []string
-	for _, p := range strings.Split(flagVal, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers, nil
 }
 
 func fatal(err error) {

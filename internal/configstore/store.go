@@ -13,8 +13,6 @@ package configstore
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -81,8 +79,6 @@ type Stats struct {
 	Rejections int64 `json:"rejections"`
 	Evictions  int64 `json:"evictions"`
 	Saves      int64 `json:"saves"`
-	// Merges counts entries accepted from peers via Merge (replication).
-	Merges int64 `json:"merges"`
 }
 
 // Store is the concurrency-safe config store. The zero value is not
@@ -255,52 +251,6 @@ func (s *Store) evictOverflow() {
 		delete(s.entries, victim.Key)
 		s.stats.Evictions++
 	}
-}
-
-// Merge installs a configuration learned elsewhere (a replication
-// peer) under the promote-if-faster rule: accept when no local entry
-// exists for k, or when cost undercuts the local entry's recorded cost
-// by at least margin. Unlike Promote, no re-measurement happens —
-// replication trusts the peer's recorded cost, which holds on the
-// homogeneous clusters this targets — and tunedAt is preserved from
-// the peer so provenance survives the hop. Reports whether the entry
-// was accepted.
-func (s *Store) Merge(k Key, cfg *choice.Config, cost float64, tunedAt time.Time, margin float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if local, ok := s.entries[k]; ok {
-		if cost >= local.Cost*(1-margin) {
-			return false
-		}
-	}
-	s.clock++
-	prev := s.entries[k]
-	e := &Entry{Key: k, Cfg: cfg.Clone(), Cost: cost, TunedAt: tunedAt, seq: s.clock}
-	if prev != nil {
-		e.Hits = prev.Hits
-	}
-	s.entries[k] = e
-	s.evictOverflow()
-	s.stats.Merges++
-	return true
-}
-
-// Digest returns a hash of the store's logical content (keys, costs,
-// tuned-at stamps). Two stores with the same tuned state have the same
-// digest, so replication peers can skip fetching full snapshots when
-// nothing changed. The hash is order-independent (entries XOR in), so
-// it is stable across save/load cycles and map iteration order.
-func (s *Store) Digest() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var d uint64
-	for k, e := range s.entries {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%s/b%d/w%d|%x|%d", k.Program, k.Bucket, k.Workers,
-			math.Float64bits(e.Cost), e.TunedAt.UnixNano())
-		d ^= h.Sum64()
-	}
-	return d
 }
 
 // Snapshot returns the entries sorted by key for reporting.

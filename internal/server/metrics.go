@@ -13,7 +13,8 @@ import (
 // With Options.Metrics set, GET /metrics serves the registry in
 // Prometheus text format and the server registers request counters,
 // admission gauges, latency histograms, the shared pool's per-worker
-// scheduler metrics, and config-store / background-tuner state. With
+// scheduler metrics, config-store / background-tuner state, and the
+// coalescer's counters when coalescing is on. With
 // Options.EnablePprof set, the net/http/pprof handlers are mounted
 // under /debug/pprof/ (opt-in: profiling endpoints expose internals and
 // cost CPU while sampling).
@@ -59,11 +60,7 @@ func (s *Server) instrument() {
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.rejected.Load, obs.L("outcome", "rejected"))
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.failed.Load, obs.L("outcome", "failed"))
 
-	// Cluster-layer metrics: coalescing and replication. The cluster's
-	// own forward/suspect counters register in cluster.New, which
-	// shares this registry in cmd/pbserve.
 	s.coalescer.Instrument(reg)
-	s.replic.Instrument(reg)
 }
 
 // retryAfterSeconds is the hint sent with load-shedding responses: the

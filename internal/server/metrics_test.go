@@ -81,12 +81,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	// Families of removed mechanisms (async jobs, idle re-tuning, peer
-	// artifact fetch, the served artifact store, the rule counter that
-	// summed the jit's two, the warm loads of a disk tier pbserve does not
-	// open) must not come back.
+	// Families of removed mechanisms (async jobs, idle re-tuning, the
+	// cluster layer and its peer artifact fetch, the served artifact
+	// store, the rule counter that summed the jit's two, the warm loads of
+	// a disk tier pbserve does not open) must not come back.
 	for _, gone := range []string{"pb_jobs_", "pb_server_tune_idle_runs_total",
-		"pb_cluster_artifact_", "pb_artifact_", `tier="peer"`, "pb_interp_rules_compiled_total",
+		"pb_cluster_", "pb_artifact_", `tier="peer"`, "pb_interp_rules_compiled_total",
 		"pb_jit_warm_loads_total", "pb_plan_warm_loads_total"} {
 		if strings.Contains(body, gone) {
 			t.Errorf("/metrics still exposes %q:\n%s", gone, grepLines(body, gone))
