@@ -253,9 +253,11 @@ func (lo *lowerer) stmts(list []ir.Stmt) {
 func (lo *lowerer) stmt(s ir.Stmt) {
 	switch st := s.(type) {
 	case *ir.Decl:
-		src := lo.constReg(0)
+		var src int32
 		if st.Init != nil {
 			src = lo.scalarRead(st.Init)
+		} else {
+			src = lo.constReg(0)
 		}
 		reg := lo.newReg()
 		lo.locals[st.Var.N] = reg
