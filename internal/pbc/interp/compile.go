@@ -286,7 +286,7 @@ type vmRule struct {
 	mats []int  // index in exec.mats of each prog ref's matrix
 	// frames recycles jit frames across invocations and tiles; a pooled
 	// frame is rebound to the acquiring invocation's matrices, so the
-	// steady-state per-chunk cost is a few pointer stores.
+	// steady-state per-tile cost is a few pointer stores.
 	frames sync.Pool
 }
 

@@ -42,7 +42,8 @@ func BindShapes(e *Engine, name string, targs []int64, inputs map[string]*matrix
 func PoisonRecycled(on bool) { poisonRecycled = on }
 
 // DeclinePlans makes the plan builder decline every schedule, so pooled
-// invocations take the step loop. Not safe to flip while engines run.
+// invocations take the serial step loop. Not safe to flip while engines
+// run.
 func DeclinePlans(on bool) { declinePlans = on }
 
 // Artifacts returns the engine's artifact store.

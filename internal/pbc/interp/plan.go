@@ -256,8 +256,9 @@ func (ex *exec) runTile(t *planTask, tf *tileFrame, w *runtime.Worker) error {
 	return err
 }
 
-// runCells executes one tile — the rule's cells over concrete bounds —
-// with a single (pooled) frame for the whole tile.
+// runCells executes the rule's cells over concrete bounds — a plan tile,
+// or a whole node of the serial step loop — with a single (pooled)
+// frame for all of them.
 func (ex *exec) runCells(ri *analysis.RuleInfo, b [][2]int64, lex []analysis.LexDim, w *runtime.Worker) error {
 	for _, iv := range b {
 		if iv[1] <= iv[0] {
@@ -272,10 +273,10 @@ func (ex *exec) runCells(ri *analysis.RuleInfo, b [][2]int64, lex []analysis.Lex
 	return ex.runCellsWith(ri, f, b, lex, w)
 }
 
-// runCellsWith runs a tile on frame f (nil: the AST tier) as one box. A
-// nil lex walks the flat order (independent cells, dimension 0
-// innermost); otherwise the box is walked in the lex order, so
-// intra-tile wavefront dependencies read already-computed cells.
+// runCellsWith runs the cells of b on frame f (nil: the AST tier) as
+// one box. A nil lex walks the flat order (independent cells, dimension
+// 0 innermost); otherwise the box is walked in the lex order, so
+// wavefront dependencies inside it read already-computed cells.
 func (ex *exec) runCellsWith(ri *analysis.RuleInfo, f *jit.Frame, b [][2]int64, lex []analysis.LexDim, w *runtime.Worker) error {
 	var cbuf [4]int64
 	var obuf [4]analysis.LexDim
@@ -445,16 +446,7 @@ func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 		if axis >= len(b) {
 			return pb.stepFallback(st), true
 		}
-		// serialLex walks the axis outermost (in the scheduled
-		// direction); remaining dims are independent within a slice, so
-		// any fixed order works.
-		serialLex := make([]analysis.LexDim, 0, len(b))
-		serialLex = append(serialLex, analysis.LexDim{Dim: axis, Dir: st.IterDir})
-		for d := range b {
-			if d != axis {
-				serialLex = append(serialLex, analysis.LexDim{Dim: d, Dir: 1})
-			}
-		}
+		serialLex := cyclicLex(len(b), axis, st.IterDir)
 		offs, ok := pb.selfOffsets(node, ri, len(b))
 		if !ok || len(b) == 1 {
 			return single(serialLex), true
@@ -723,7 +715,7 @@ func gridBlocks(b [][2]int64, minBlk []int64, frozen *int, targetVol, maxTiles i
 }
 
 // gridIndex converts a flat tile index to per-dimension block indices
-// (dimension 0 fastest, matching unflatten).
+// (dimension 0 fastest).
 func gridIndex(flat int64, nblk, out []int64) {
 	for d := 0; d < len(nblk); d++ {
 		out[d] = flat % nblk[d]

@@ -138,10 +138,10 @@ func sameOutputs(t *testing.T, label string, ref, got map[string]*matrix.Matrix)
 
 // TestTilesMatchInterpreter runs flat, lex (both directions, and one
 // whose order is forced) and cyclic tiles at pbc.parGrain 1 to 5 on 7×5,
-// 5×3 and 3×5 regions, on the bytecode tier, on 1- and
-// 2-worker pools, and with plans declined (the step loop's flat
-// chunks). Each run must reproduce the AST interpreter bit for bit, or,
-// with a 13 in the input, fail with the same division error.
+// 5×3 and 3×5 regions, on the bytecode tier, on 1- and 2-worker pools,
+// and with plans declined (the serial step loop). Each run must
+// reproduce the AST interpreter bit for bit, or, with a 13 in the
+// input, fail with the same division error.
 func TestTilesMatchInterpreter(t *testing.T) {
 	pools := []*runtime.Pool{runtime.NewPool(1), runtime.NewPool(2)}
 	defer func() {
