@@ -14,8 +14,6 @@ import (
 type TuneOptions struct {
 	// MinSize/MaxSize bound the doubling training sizes.
 	MinSize, MaxSize int64
-	// Trials per measurement (wall clock best-of).
-	Trials int
 	// Seed drives training-input generation.
 	Seed int64
 	// CheckTol enables §3.5 consistency checking with the given
@@ -194,11 +192,8 @@ func (e *Engine) Tune(name string, opt TuneOptions) (*choice.Config, *autotuner.
 	if opt.CheckTol >= 0 {
 		tuneOpts.Check = autotuner.ConsistencyCheck(prog, opt.CheckTol, opt.Seed+1)
 	}
-	trials := opt.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	cfg, rep, err := autotuner.Tune(sp, &autotuner.WallClock{P: prog, Trials: trials, Seed: opt.Seed}, tuneOpts)
+	// Each candidate is timed once.
+	cfg, rep, err := autotuner.Tune(sp, &autotuner.WallClock{P: prog, Trials: 1, Seed: opt.Seed}, tuneOpts)
 	if err != nil {
 		return nil, nil, err
 	}
