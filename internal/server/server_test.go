@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -64,20 +65,30 @@ func newTestServer(t *testing.T, storePath string, tweak func(*Options)) (*Serve
 
 func postJSON(t *testing.T, url string, body any) (int, map[string]any) {
 	t.Helper()
-	raw, err := json.Marshal(body)
+	st, out, err := tryPostJSON(url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st, out
+}
+
+// tryPostJSON is postJSON for goroutines other than the test's own,
+// which must not call t.Fatal: it returns the failure instead.
+func tryPostJSON(url string, body any) (int, map[string]any, error) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return 0, nil, err
+	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("%s: bad response body: %v", url, err)
+		return resp.StatusCode, nil, fmt.Errorf("%s: bad response body: %v", url, err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
 }
 
 func getJSON(t *testing.T, url string) (int, map[string]any) {
@@ -126,29 +137,27 @@ func TestConcurrentRuns(t *testing.T) {
 		program string
 		status  int
 		body    map[string]any
+		err     error
 	}
 	out := make(chan reply, 2*perProgram)
 	var wg sync.WaitGroup
+	post := func(program string, n int) {
+		defer wg.Done()
+		st, body, err := tryPostJSON(ts.URL+"/v1/run", map[string]any{"program": program, "n": n, "seed": seed})
+		out <- reply{program, st, body, err}
+	}
 	for i := 0; i < perProgram; i++ {
 		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "sort", "n": sortN, "seed": seed})
-			out <- reply{"sort", st, body}
-		}()
-		go func() {
-			defer wg.Done()
-			st, body := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "RollingSum", "n": rollN, "seed": seed})
-			out <- reply{"RollingSum", st, body}
-		}()
+		go post("sort", sortN)
+		go post("RollingSum", rollN)
 	}
 	wg.Wait()
 	close(out)
 	rollChecksums := map[float64]int{}
 	counts := map[string]int{}
 	for r := range out {
-		if r.status != http.StatusOK {
-			t.Fatalf("%s run failed (%d): %v", r.program, r.status, r.body)
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("%s run failed (%d, %v): %v", r.program, r.status, r.err, r.body)
 		}
 		counts[r.program]++
 		cs, _ := r.body["checksum"].(float64)
@@ -266,13 +275,13 @@ func TestTunedSortConfigShape(t *testing.T) {
 func TestAdmissionSheds(t *testing.T) {
 	reg := NewRegistry()
 	started := make(chan struct{})
-	release := make(chan struct{})
+	gate := make(chan struct{})
 	var once sync.Once
 	if err := reg.Add(&bench.Benchmark{
 		Name: "slow",
 		Run: func(_ *runtime.Pool, _ *choice.Config, n int, _ int64, _ bench.RunOpts) (bench.Result, error) {
 			once.Do(func() { close(started) })
-			<-release
+			<-gate
 			return bench.Result{Seconds: 0, Checksum: 1}, nil
 		},
 		Baseline: choice.NewConfig,
@@ -290,34 +299,43 @@ func TestAdmissionSheds(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close(); pool.Shutdown() })
+	// Open the gate on every exit, or a failed check leaves a handler
+	// parked and the server's cleanup waiting on it.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 
-	codes := make(chan int, 3)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		st, _ := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "slow", "n": 1})
-		codes <- st
-	}()
-	<-started // first request holds the only slot
-	wg.Add(2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			defer wg.Done()
-			st, _ := postJSON(t, ts.URL+"/v1/run", map[string]any{"program": "slow", "n": 1})
-			codes <- st
-		}()
+	type reply struct {
+		status int
+		err    error
 	}
+	replies := make(chan reply, 3)
+	post := func() { // on its own goroutine: reports, never fails the test
+		st, _, err := tryPostJSON(ts.URL+"/v1/run", map[string]any{"program": "slow", "n": 1})
+		replies <- reply{st, err}
+	}
+	go post()
+	select {
+	case <-started: // the first request holds the only slot
+	case r := <-replies:
+		t.Fatalf("first request ended before its execution started (%d, %v)", r.status, r.err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("first request never started")
+	}
+	go post()
+	go post()
 	// Both extra requests either exceed the queue bound immediately or
 	// time out waiting; at least one 503 must be shed while the slot is
 	// held. Then release the slot so queued work finishes.
 	time.Sleep(200 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	close(codes)
+	release()
 	var got []int
 	okCount, shedCount := 0, 0
-	for c := range codes {
+	for i := 0; i < 3; i++ {
+		r := <-replies
+		if r.err != nil {
+			t.Fatalf("request failed: %v", r.err)
+		}
+		c := r.status
 		got = append(got, c)
 		switch c {
 		case http.StatusOK:
