@@ -16,6 +16,7 @@ import (
 
 	"petabricks/internal/artifact"
 	"petabricks/internal/autotuner"
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/harness"
 	"petabricks/internal/kernels/eigen"
@@ -47,7 +48,7 @@ func sharedPool() *runtime.Pool {
 
 func tunedSort(b *testing.B) *choice.Config {
 	sortTunedOnce.Do(func() {
-		cfg, _, err := harness.TuneSort(sharedPool(), 1<<14)
+		cfg, _, _, err := bench.Tune(bench.SortBenchmark(), sharedPool(), 1<<14, 7)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,7 @@
 //
 //	-o file        output configuration file (default <bench>.cfg)
 //	-max n         largest training input size
-//	-workers n     worker threads for wall-clock training
+//	-workers n     worker threads for wall-clock training (also -src)
 //	-arch name     train on a simulated architecture instead
 //	               (Mobile, "Xeon 1-way", "Xeon 8-way", Niagara; sort only)
 //	-maxlevel k    poisson: largest grid level (N = 2^k+1)
@@ -21,109 +21,35 @@ import (
 	"os"
 
 	"petabricks/internal/autotuner"
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/harness"
 	"petabricks/internal/kernels/poisson"
 	"petabricks/internal/kernels/sortk"
-	"petabricks/internal/pbc/interp"
-	"petabricks/internal/pbc/parser"
 	"petabricks/internal/runtime"
 	"petabricks/internal/simarch"
 )
 
 func main() {
 	var (
-		bench    = flag.String("bench", "sort", "benchmark: sort, matmul, eigen, poisson")
-		src      = flag.String("src", "", "PetaBricks source file to tune instead of a benchmark")
-		tname    = flag.String("transform", "", "transform to tune with -src")
-		out      = flag.String("o", "", "output configuration file")
-		maxSize  = flag.Int64("max", 100000, "largest training input size")
-		workers  = flag.Int("workers", 0, "worker threads (default all CPUs)")
-		archName = flag.String("arch", "", "simulated architecture (sort only)")
-		maxLevel = flag.Int("maxlevel", 6, "poisson: largest grid level")
+		benchName = flag.String("bench", "sort", "benchmark: sort, matmul, eigen, poisson")
+		src       = flag.String("src", "", "PetaBricks source file to tune instead of a benchmark")
+		tname     = flag.String("transform", "", "transform to tune with -src")
+		out       = flag.String("o", "", "output configuration file")
+		maxSize   = flag.Int64("max", 100000, "largest training input size")
+		workers   = flag.Int("workers", 0, "worker threads for wall-clock training (default all CPUs)")
+		archName  = flag.String("arch", "", "simulated architecture (sort only)")
+		maxLevel  = flag.Int("maxlevel", 6, "poisson: largest grid level")
 	)
 	flag.Parse()
 	path := *out
 	if path == "" {
-		path = *bench + ".cfg"
+		path = *benchName + ".cfg"
 	}
 	var cfg *choice.Config
 	var report string
-	if *src != "" {
-		srcBytes, err := os.ReadFile(*src)
-		if err != nil {
-			fatal(err)
-		}
-		prog, err := parser.Parse(string(srcBytes))
-		if err != nil {
-			fatal(err)
-		}
-		eng, err := interp.New(prog)
-		if err != nil {
-			fatal(err)
-		}
-		name := *tname
-		if name == "" {
-			name = prog.Transforms[0].Name
-		}
-		tuned, rep, err := eng.Tune(name, interp.TuneOptions{
-			MinSize: 16, MaxSize: *maxSize, CheckTol: 1e-9, Seed: 3,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if err := tuned.Save(path); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("tuned %s: %s (final %.4gs)\n", name,
-			rep.Steps[len(rep.Steps)-1].Best, rep.Steps[len(rep.Steps)-1].BestCost)
-		fmt.Println("wrote", path)
-		return
-	}
-	switch *bench {
-	case "sort":
-		if *archName != "" {
-			arch, err := simarch.ByName(*archName)
-			if err != nil {
-				fatal(err)
-			}
-			tr := sortk.New()
-			tuned, rep, err := autotuner.Tune(sortk.Space(tr), simarch.SortModel{Arch: arch},
-				autotuner.Options{MinSize: 64, MaxSize: *maxSize, Repeats: 2, CutoffCandidates: 6})
-			if err != nil {
-				fatal(err)
-			}
-			cfg = tuned
-			report = fmt.Sprintf("trained on model %s: %s (final model cost %.4g)",
-				arch.Name, harness.RenderSortConfig(cfg), rep.Steps[len(rep.Steps)-1].BestCost)
-		} else {
-			pool := runtime.NewPool(*workers)
-			defer pool.Close()
-			tuned, rep, err := harness.TuneSort(pool, *maxSize)
-			if err != nil {
-				fatal(err)
-			}
-			cfg = tuned
-			report = fmt.Sprintf("wall-clock trained (%d workers): %s (final %.4gs)",
-				pool.NumWorkers(), harness.RenderSortConfig(cfg), rep.Steps[len(rep.Steps)-1].BestCost)
-		}
-	case "matmul":
-		pool := runtime.NewPool(*workers)
-		defer pool.Close()
-		tuned, err := harness.TuneMatMul(pool, *maxSize)
-		if err != nil {
-			fatal(err)
-		}
-		cfg = tuned
-		report = "wall-clock trained: " + tuned.Selector("matmul", 0).String()
-	case "eigen":
-		tuned, err := harness.TuneEigen(*maxSize)
-		if err != nil {
-			fatal(err)
-		}
-		cfg = tuned
-		report = "wall-clock trained: " + tuned.Selector("eig", 0).String()
-	case "poisson":
+	switch {
+	case *src == "" && *benchName == "poisson":
 		accs := []float64{1e1, 1e3, 1e5, 1e7, 1e9}
 		policy := poisson.TunePolicy(accs, *maxLevel, poisson.TuneOptions{Trials: 2, Seed: 31})
 		cfg = choice.NewConfig()
@@ -133,14 +59,62 @@ func main() {
 			fatal(err)
 		}
 		report = fmt.Sprintf("accuracy-aware tuned to level %d; verified accuracies %v", *maxLevel, worst)
+	case *src == "" && *benchName == "sort" && *archName != "":
+		arch, err := simarch.ByName(*archName)
+		if err != nil {
+			fatal(err)
+		}
+		tuned, rep, err := autotuner.Tune(sortk.Space(sortk.New()), simarch.SortModel{Arch: arch},
+			autotuner.Options{MinSize: 64, MaxSize: *maxSize, Repeats: 2, CutoffCandidates: 6})
+		if err != nil {
+			fatal(err)
+		}
+		cfg = tuned
+		report = fmt.Sprintf("trained on model %s: %s (final model cost %.4g)",
+			arch.Name, harness.RenderSortConfig(cfg), rep.Steps[len(rep.Steps)-1].BestCost)
 	default:
-		fatal(fmt.Errorf("unknown benchmark %q", *bench))
+		b, err := lookup(*src, *tname, *benchName)
+		if err != nil {
+			fatal(err)
+		}
+		pool := runtime.NewPool(*workers)
+		defer pool.Close()
+		tuned, rep, _, err := bench.Tune(b, pool, *maxSize, 7)
+		if err != nil {
+			fatal(err)
+		}
+		cfg = tuned
+		last := rep.Steps[len(rep.Steps)-1]
+		report = fmt.Sprintf("wall-clock trained %s on %d workers: %s (final %.4gs)",
+			b.Name, pool.NumWorkers(), last.Best, last.BestCost)
 	}
 	if err := cfg.Save(path); err != nil {
 		fatal(err)
 	}
 	fmt.Println(report)
 	fmt.Println("wrote", path)
+}
+
+// lookup resolves the descriptor to tune: transform tname of the source
+// file src (its first servable transform when tname is empty), or else
+// the named benchmark kernel.
+func lookup(src, tname, name string) (*bench.Benchmark, error) {
+	if src == "" {
+		if b, ok := bench.Lookup(name); ok {
+			return b, nil
+		}
+		return nil, fmt.Errorf("unknown benchmark %q", name)
+	}
+	bs, err := bench.LoadDSL(src)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bs {
+		if tname == "" || b.Name == tname {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("%s: no servable transform %q", src, tname)
 }
 
 func fatal(err error) {

@@ -14,12 +14,14 @@ import (
 	"strings"
 	"time"
 
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/analysis"
 	"petabricks/internal/pbc/codegen"
 	"petabricks/internal/pbc/interp"
 	"petabricks/internal/pbc/parser"
+	"petabricks/internal/runtime"
 )
 
 func main() {
@@ -37,10 +39,17 @@ func main() {
 		fmt.Printf("  %s (%s)\n", ri.Rule.Name(), ri.Kind)
 	}
 
+	pool := runtime.NewPool(0)
+	defer pool.Close()
+	eng.Pool = pool
 	fmt.Println("\nAutotuning the rule selector (wall clock, doubling sizes)...")
-	cfg, rep, err := eng.Tune("MergeSortDSL", interp.TuneOptions{
-		MinSize: 8, MaxSize: 1024, CheckTol: 0, Seed: 7,
-	})
+	var b *bench.Benchmark
+	for _, d := range bench.DSL(eng) {
+		if d.Name == "MergeSortDSL" {
+			b = d
+		}
+	}
+	cfg, rep, _, err := bench.Tune(b, pool, 1024, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +66,7 @@ func main() {
 	for i := range data {
 		data[i] = float64(rng.Intn(1 << 20))
 	}
-	bench := func(name string, c *choice.Config) {
+	measure := func(name string, c *choice.Config) {
 		eng.Cfg = c
 		in := matrix.FromSlice(append([]float64{}, data...))
 		start := time.Now()
@@ -82,9 +91,9 @@ func main() {
 		{Cutoff: 4, Choice: 0},
 		{Cutoff: choice.Inf, Choice: 1},
 	}})
-	bench("selection sort only", base)
-	bench("recursive, cutoff 4", fixed)
-	bench("autotuned", cfg)
+	measure("selection sort only", base)
+	measure("recursive, cutoff 4", fixed)
+	measure("autotuned", cfg)
 
 	// Emit Go with the tuned configuration applied statically.
 	var results []*analysis.Result

@@ -11,14 +11,14 @@ import (
 	"math/rand"
 	"time"
 
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
-	"petabricks/internal/harness"
 	"petabricks/internal/kernels/eigen"
 )
 
 func main() {
 	fmt.Println("Autotuning EIG (the paper found: divide-and-conquer above n≈48, QR below)...")
-	tuned, err := harness.TuneEigen(512)
+	tuned, _, _, err := bench.Tune(bench.EigenBenchmark(), nil, 512, 21)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"math/rand"
 	"time"
 
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
-	"petabricks/internal/harness"
 	"petabricks/internal/kernels/matmul"
 	"petabricks/internal/linalg"
 	"petabricks/internal/matrix"
@@ -23,7 +23,7 @@ func main() {
 	defer pool.Close()
 
 	fmt.Println("Autotuning MatrixMultiply...")
-	tuned, err := harness.TuneMatMul(pool, 256)
+	tuned, _, _, err := bench.Tune(bench.MatMulBenchmark(), pool, 256, 11)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"time"
 
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/harness"
 	"petabricks/internal/kernels/sortk"
@@ -23,7 +24,7 @@ func main() {
 	defer pool.Close()
 
 	fmt.Println("Autotuning sort (bottom-up, doubling training sizes)...")
-	tuned, report, err := harness.TuneSort(pool, 1<<15)
+	tuned, report, _, err := bench.Tune(bench.SortBenchmark(), pool, 1<<15, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

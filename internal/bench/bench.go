@@ -1,10 +1,11 @@
 // Package bench is the shared registry of runnable benchmarks: one
-// descriptor per kernel (sort, matmul, eigen, poisson) carrying how to
-// execute an instance under a configuration, how to wall-clock-tune it
-// (autotuner.Program + search space), and a sensible untuned baseline.
-// cmd/pbrun, cmd/pbtune's wall-clock paths, internal/harness, and the
-// pbserve daemon all resolve benchmark names through this package
-// instead of each keeping its own switch.
+// descriptor per kernel (sort, matmul, eigen, poisson) or DSL transform
+// carrying how to execute an instance under a configuration, how to
+// wall-clock-tune it (autotuner.Program + search space), and a sensible
+// untuned baseline. cmd/pbrun, cmd/pbtune's wall-clock paths,
+// internal/harness, the examples and the pbserve daemon all resolve
+// benchmark names through this package, and every wall-clock tune runs
+// through Tune.
 package bench
 
 import (
@@ -73,6 +74,27 @@ type Benchmark struct {
 // autotuning.
 func (b *Benchmark) Tunable() bool { return b.Space != nil && b.Program != nil }
 
+// Tune wall-clock-tunes b on pool (§3.3): training sizes double from
+// b.MinSize to maxSize, and each candidate costs the fastest of
+// b.Trials runs on inputs drawn from seed. When b.CheckTol is not
+// negative, every round's survivors must agree within it (§3.5) on a
+// fixed input drawn from seed+1. The returned evaluator times a
+// configuration as the tune did, so a caller can re-measure challenger
+// and incumbent under the same conditions.
+func Tune(b *Benchmark, pool *runtime.Pool, maxSize, seed int64) (*choice.Config, *autotuner.Report, autotuner.Evaluator, error) {
+	if !b.Tunable() {
+		return nil, nil, nil, fmt.Errorf("bench: %s is not tunable", b.Name)
+	}
+	prog := b.Program(pool)
+	eval := &autotuner.WallClock{P: prog, Trials: b.Trials, Seed: seed}
+	opts := autotuner.Options{MinSize: b.MinSize, MaxSize: maxSize}
+	if b.CheckTol >= 0 {
+		opts.Check = autotuner.ConsistencyCheck(prog, b.CheckTol, seed+1)
+	}
+	cfg, rep, err := autotuner.Tune(b.Space(), eval, opts)
+	return cfg, rep, eval, err
+}
+
 // Kernels returns fresh descriptors for the four native-Go benchmark
 // kernels.
 func Kernels() []*Benchmark {
@@ -106,10 +128,8 @@ func Names() []string {
 
 // --- sort ---------------------------------------------------------------
 
-// SortProgram adapts the sort benchmark to the autotuner's Program
+// sortProgram adapts the sort benchmark to the autotuner's Program
 // interface (wall-clock training + §3.5 consistency checking).
-func SortProgram(pool *runtime.Pool) autotuner.Program { return &sortProgram{pool: pool} }
-
 type sortProgram struct{ pool *runtime.Pool }
 
 func (p *sortProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
@@ -155,7 +175,7 @@ func SortBenchmark() *Benchmark {
 			return Result{Seconds: sec, Checksum: sum}, nil
 		},
 		Space:   func() *choice.Space { return sortk.Space(sortk.New()) },
-		Program: SortProgram,
+		Program: func(pool *runtime.Pool) autotuner.Program { return &sortProgram{pool: pool} },
 		Baseline: func() *choice.Config {
 			cfg := choice.NewConfig()
 			cfg.SetSelector("sort", choice.Selector{Levels: []choice.Level{
@@ -173,9 +193,7 @@ func SortBenchmark() *Benchmark {
 
 // --- matmul -------------------------------------------------------------
 
-// MatMulProgram adapts the matrix-multiply benchmark to the autotuner.
-func MatMulProgram(pool *runtime.Pool) autotuner.Program { return &mmProgram{pool: pool} }
-
+// mmProgram adapts the matrix-multiply benchmark to the autotuner.
 type mmProgram struct{ pool *runtime.Pool }
 
 func (p *mmProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
@@ -216,7 +234,7 @@ func MatMulBenchmark() *Benchmark {
 			return Result{Seconds: sec, Checksum: sum}, nil
 		},
 		Space:   func() *choice.Space { return matmul.Space(matmul.New()) },
-		Program: MatMulProgram,
+		Program: func(pool *runtime.Pool) autotuner.Program { return &mmProgram{pool: pool} },
 		Baseline: func() *choice.Config {
 			cfg := choice.NewConfig()
 			sel := choice.NewSelector(matmul.ChoiceBlocked)
@@ -233,10 +251,9 @@ func MatMulBenchmark() *Benchmark {
 
 // --- eigen --------------------------------------------------------------
 
-// EigenProgram adapts the eigenproblem benchmark to the autotuner. The
-// eigensolvers run sequentially, matching the paper's Figure 12 setup.
-func EigenProgram(*runtime.Pool) autotuner.Program { return eigenProgram{} }
-
+// eigenProgram adapts the eigenproblem benchmark to the autotuner. The
+// eigensolvers run sequentially, matching the paper's Figure 12 setup,
+// whatever pool the descriptor's Program is handed.
 type eigenProgram struct{}
 
 func (eigenProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
@@ -284,7 +301,7 @@ func EigenBenchmark() *Benchmark {
 			return Result{Seconds: sec, Checksum: sum}, nil
 		},
 		Space:    func() *choice.Space { return eigen.Space(eigen.New()) },
-		Program:  EigenProgram,
+		Program:  func(*runtime.Pool) autotuner.Program { return eigenProgram{} },
 		Baseline: eigen.Cutoff25Config,
 		CheckTol: 1e-6,
 		MinSize:  16,

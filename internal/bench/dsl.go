@@ -14,15 +14,8 @@ import (
 	"petabricks/internal/runtime"
 )
 
-// LoadDSL parses a PetaBricks source file and returns one Benchmark per
-// non-template transform, each executing through the interpreter under
-// the caller-supplied configuration. Training inputs come from the
-// transform's generator when declared, otherwise uniform random data —
-// the same rule Engine.Tune uses — so the served path and the tuned
-// path see identical instances for a given (n, seed). When the caller
-// supplies a pool, requests run on the parallel scheduler; the engine is
-// shared across requests, so repeated (transform, sizes, config) traffic
-// replays memoized execution plans instead of re-deriving the task DAG.
+// LoadDSL parses a PetaBricks source file and returns DSL's descriptors
+// for its program.
 func LoadDSL(path string) ([]*Benchmark, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -36,8 +29,26 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	out := DSL(eng)
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no servable transforms", path)
+	}
+	return out, nil
+}
+
+// DSL returns one Benchmark per non-template transform of eng's program
+// that takes inputs, each executing through the interpreter under the
+// caller-supplied configuration and pool. Served runs and tuning
+// candidates alike run on a WithConfig view of eng carrying the pool
+// they are handed, so a candidate is timed on the executor it will be
+// served on and never touches eng.Cfg; the views share eng's caches, so
+// repeated (transform, sizes, config) traffic replays memoized
+// execution plans. Inputs come from interp.Engine.GenerateInputs, so
+// the served path and the tuned path see identical instances for a
+// given (n, seed).
+func DSL(eng *interp.Engine) []*Benchmark {
 	var out []*Benchmark
-	for _, t := range prog.Transforms {
+	for _, t := range eng.Prog.Transforms {
 		if len(t.Templates) > 0 {
 			continue // template transforms are instantiated per call site
 		}
@@ -49,8 +60,7 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 		out = append(out, &Benchmark{
 			Name: name,
 			Run: func(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, _ RunOpts) (Result, error) {
-				e := eng.WithConfig(cfg)
-				e.Pool = pool
+				e := view(eng, pool, cfg)
 				inputs, err := e.GenerateInputs(name, int64(n), seed)
 				if err != nil {
 					return Result{}, err
@@ -63,12 +73,9 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 				sec := time.Since(start).Seconds()
 				return Result{Seconds: sec, Checksum: matrixChecksum(outs)}, nil
 			},
-			Space: func() *choice.Space {
-				res, _ := eng.Analysis(name)
-				return interp.Space(res)
-			},
-			Program: func(*runtime.Pool) autotuner.Program {
-				return eng.TuneProgram(name)
+			Space: func() *choice.Space { return interp.Space(res) },
+			Program: func(pool *runtime.Pool) autotuner.Program {
+				return &dslProgram{eng: eng, pool: pool, name: name}
 			},
 			Baseline: choice.NewConfig,
 			CheckTol: 1e-9,
@@ -76,10 +83,50 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 			Trials:   1,
 		})
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no servable transforms", path)
+	return out
+}
+
+// view is eng under cfg on pool.
+func view(eng *interp.Engine, pool *runtime.Pool, cfg *choice.Config) *interp.Engine {
+	e := eng.WithConfig(cfg)
+	e.Pool = pool
+	return e
+}
+
+// dslProgram adapts one transform to the autotuner's Program interface.
+// Training inputs come from the transform's `generator` transform when
+// declared (the paper's generator keyword: "a transform to be used to
+// supply input data during training"), and from uniform random data
+// otherwise.
+type dslProgram struct {
+	eng  *interp.Engine
+	pool *runtime.Pool
+	name string
+}
+
+// Run implements autotuner.Program.
+func (p *dslProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
+	e := view(p.eng, p.pool, cfg)
+	inputs, err := e.GenerateInputs(p.name, size, seed)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return e.Run(p.name, inputs)
+}
+
+// Same implements autotuner.Program.
+func (p *dslProgram) Same(a, b any, tol float64) bool {
+	x, y := a.(map[string]*matrix.Matrix), b.(map[string]*matrix.Matrix)
+	if len(x) != len(y) {
+		return false
+	}
+	for k, m := range x {
+		o, ok := y[k]
+		if !ok || !m.AlmostEqual(o, tol) {
+			return false
+		}
+	}
+	return true
 }
 
 // matrixChecksum fingerprints a named-matrix result set deterministically

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/eigen"
-	"petabricks/internal/runtime"
 )
 
 // EigenParams scales the Figure 12 experiment.
@@ -29,27 +27,13 @@ func DefaultEigenParams() EigenParams {
 	}
 }
 
-// TuneEigen wall-clock-trains the eigenproblem benchmark. The paper's
-// result: divide-and-conquer above a cutoff near 48, QR below. The
-// Program adapter is shared with pbserve via internal/bench.
-func TuneEigen(maxSize int64) (*choice.Config, error) {
-	tr := eigen.New()
-	space := eigen.Space(tr)
-	prog := bench.EigenProgram(nil)
-	cfg, _, err := autotuner.Tune(space, &autotuner.WallClock{P: prog, Trials: 1, Seed: 21}, autotuner.Options{
-		MinSize: 16,
-		MaxSize: maxSize,
-		Check:   autotuner.ConsistencyCheck(prog, 1e-6, 77),
-	})
-	return cfg, err
-}
-
 // Fig12 regenerates Figure 12: eigenproblem time versus size for QR,
 // Bisection, DC, the LAPACK-style Cutoff-25 hybrid, and the autotuned
 // hybrid.
 func Fig12(p EigenParams) (Experiment, error) {
-	_ = runtime.Pool{} // eigensolvers run sequentially per Figure 12's setup
-	tuned, err := TuneEigen(p.TuneMax)
+	// The paper's result: divide-and-conquer above a cutoff near 48, QR
+	// below. The eigensolvers run sequentially per Figure 12's setup.
+	tuned, _, _, err := bench.Tune(bench.EigenBenchmark(), nil, p.TuneMax, 21)
 	if err != nil {
 		return Experiment{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/matmul"
@@ -34,26 +33,13 @@ func DefaultMatMulParams() MatMulParams {
 	}
 }
 
-// TuneMatMul wall-clock-trains the matrix multiply benchmark. The
-// Program adapter is shared with pbserve via internal/bench.
-func TuneMatMul(pool *runtime.Pool, maxSize int64) (*choice.Config, error) {
-	tr := matmul.New()
-	space := matmul.Space(tr)
-	prog := bench.MatMulProgram(pool)
-	cfg, _, err := autotuner.Tune(space, &autotuner.WallClock{P: prog, Trials: 1, Seed: 11}, autotuner.Options{
-		MinSize: 16,
-		MaxSize: maxSize,
-	})
-	return cfg, err
-}
-
 // Fig15 regenerates Figure 15: matrix multiply time versus size for
 // Basic, Blocking, Transpose, Recursive (c-decomposition), Strassen-256,
 // and the autotuned hybrid.
 func Fig15(p MatMulParams) (Experiment, error) {
 	pool := runtime.NewPool(p.Workers)
 	defer pool.Close()
-	tuned, err := TuneMatMul(pool, p.TuneMax)
+	tuned, _, _, err := bench.Tune(bench.MatMulBenchmark(), pool, p.TuneMax, 11)
 	if err != nil {
 		return Experiment{}, err
 	}

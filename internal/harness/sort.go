@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/sortk"
@@ -32,25 +31,12 @@ func DefaultSortParams() SortParams {
 	}
 }
 
-// TuneSort wall-clock-trains the sort benchmark on the local machine.
-// The Program adapter is shared with pbserve via internal/bench.
-func TuneSort(pool *runtime.Pool, maxSize int64) (*choice.Config, *autotuner.Report, error) {
-	tr := sortk.New()
-	space := sortk.Space(tr)
-	prog := bench.SortProgram(pool)
-	return autotuner.Tune(space, &autotuner.WallClock{P: prog, Trials: 2, Seed: 7}, autotuner.Options{
-		MinSize: 64,
-		MaxSize: maxSize,
-		Check:   autotuner.ConsistencyCheck(prog, 0, 99),
-	})
-}
-
 // Fig14 regenerates Figure 14: sort time versus input size for each pure
 // algorithm and the autotuned hybrid.
 func Fig14(p SortParams) (Experiment, error) {
 	pool := runtime.NewPool(p.Workers)
 	defer pool.Close()
-	tuned, _, err := TuneSort(pool, p.TuneMax)
+	tuned, _, _, err := bench.Tune(bench.SortBenchmark(), pool, p.TuneMax, 7)
 	if err != nil {
 		return Experiment{}, err
 	}

@@ -197,13 +197,6 @@ func (ct *compiledTransform) compile(ri *analysis.RuleInfo, pend *artifact.Pendi
 		recordTierCompile("jit")
 		if m != nil {
 			m.jitCompiled.Inc()
-			m.bytecodeHist(ct.res.Transform.Name).Observe(float64(len(prog.Code)))
-			for _, r := range prog.Refs {
-				if r.Kind == jit.RefView {
-					m.jitViewRules.Inc()
-					break
-				}
-			}
 		}
 		ct.persist(ri.Rule.Index, prog, pend)
 	} else {

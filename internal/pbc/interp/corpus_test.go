@@ -58,55 +58,6 @@ func TestDSLMergeSortPureRecursiveHitsDepthLimit(t *testing.T) {
 	}
 }
 
-func TestDSLMergeSortTuneFindsCutoff(t *testing.T) {
-	// The end-to-end paper story in the DSL: the tuner must place the
-	// recursive rule on top (selection sort is quadratic) with a base
-	// level below.
-	e := engine(t, parser.MergeSortSrc)
-	cfg, _, err := e.Tune("MergeSortDSL", TuneOptions{
-		MinSize: 8, MaxSize: 256, CheckTol: 0, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := cfg.Selector(SelectorName("MergeSortDSL"), 0)
-	if sel.Choose(256).Choice != 1 {
-		t.Fatalf("tuner should pick the recursive rule at n=256: %v", sel)
-	}
-	// The recursion must bottom out in the base rule at SOME level the
-	// halving recursion actually reaches (levels below it may be
-	// unreachable and arbitrary).
-	hasBase := false
-	for size := int64(256); size >= 1; size /= 2 {
-		if sel.Choose(size).Choice == 0 {
-			hasBase = true
-			break
-		}
-	}
-	if !hasBase {
-		t.Fatalf("no reachable base-case level: %v", sel)
-	}
-	// Tuned engine sorts correctly. Use the trained max size: the tuner
-	// only guarantees the winning config terminates at sizes it measured
-	// (an untrained size's halving chain may miss the base level).
-	rng := rand.New(rand.NewSource(9))
-	data := make([]float64, 256)
-	for i := range data {
-		data[i] = float64(rng.Intn(1000))
-	}
-	out, err := e.Run1("MergeSortDSL", vec(data...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := append([]float64{}, data...)
-	sort.Float64s(want)
-	for i, w := range want {
-		if out.At1(i) != w {
-			t.Fatalf("tuned sort wrong at %d: got %g, want %g", i, out.At1(i), w)
-		}
-	}
-}
-
 func TestDSLHeat1DVersions(t *testing.T) {
 	e := engine(t, parser.Heat1DSrc)
 	in := vec(0, 0, 4, 0, 0)

@@ -598,88 +598,6 @@ to B[n]
 	}
 }
 
-func TestTuneRollingSum(t *testing.T) {
-	// The autotuner must discover that rule 1 (the Θ(n) scan) beats
-	// rule 0 (the Θ(n²) direct sum) at scale — the paper's own framing
-	// of the RollingSum example.
-	e := engine(t, parser.RollingSumSrc)
-	cfg, rep, err := e.Tune("RollingSum", TuneOptions{
-		MinSize: 64, MaxSize: 4096, CheckTol: 1e-9, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Selector(SelectorName("RollingSum"), 0).Choose(4096).Choice; got != 1 {
-		t.Fatalf("tuner picked rule %d at n=4096, want the linear rule 1\n%v", got, rep.Steps)
-	}
-	// The tuned engine still computes correct results.
-	out, err := e.Run1("RollingSum", vec(1, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.At1(2) != 6 {
-		t.Fatalf("tuned run wrong: %v", out)
-	}
-}
-
-// TestTuneProgramLeavesCfg checks that a tuning candidate runs on its
-// own configuration view: the engine's Cfg never changes, not even while
-// the candidate runs (a concurrent reader watches it; under -race a
-// write would also be reported), and the output equals a WithConfig
-// run's.
-func TestTuneProgramLeavesCfg(t *testing.T) {
-	e := engine(t, parser.RollingSumSrc)
-	base := e.Cfg
-	cfg := choice.NewConfig()
-	cfg.SetSelector(SelectorName("RollingSum"), choice.NewSelector(1))
-	ready, done, changed := make(chan struct{}), make(chan struct{}), make(chan bool)
-	go func() {
-		close(ready)
-		seen := false
-		for {
-			select {
-			case <-done:
-				changed <- seen
-				return
-			default:
-				seen = seen || e.Cfg != base
-			}
-		}
-	}()
-	prog := e.TuneProgram("RollingSum")
-	<-ready
-	var got any
-	var err error
-	for i := 0; i < 200 && err == nil; i++ {
-		got, err = prog.Run(cfg, 64, 3)
-	}
-	close(done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if <-changed || e.Cfg != base {
-		t.Fatal("a candidate run replaced the engine's Cfg")
-	}
-	v := e.WithConfig(cfg)
-	inputs, err := v.GenerateInputs("RollingSum", 64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := v.Run("RollingSum", inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := got.(map[string]*matrix.Matrix)
-	if len(outs) != len(want) {
-		t.Fatalf("outputs %d, want %d", len(outs), len(want))
-	}
-	for k, m := range want {
-		if !m.Equal(outs[k]) {
-			t.Fatalf("output %s differs from the WithConfig run", k)
-		}
-	}
-}
-
 func TestGeneratorDrivenInputs(t *testing.T) {
 	// The `generator` keyword supplies training data: Inc's generator
 	// produces an input vector named A from random data.

@@ -36,11 +36,9 @@ type interpMetrics struct {
 	planTiles *obs.Histogram // tasks per built plan (tiles + fences + steps)
 	planBuild *obs.Counter   // plans constructed from the schedule
 
-	jitCompiled  *obs.Counter // rules lowered to bytecode programs
-	jitViewRules *obs.Counter // lowered programs carrying view refs (reduction loops)
+	jitCompiled *obs.Counter // rules lowered to bytecode programs
 
-	runHists      sync.Map // transform name -> *obs.Histogram
-	bytecodeHists sync.Map // transform name -> *obs.Histogram
+	runHists sync.Map // transform name -> *obs.Histogram
 }
 
 // im holds the installed metrics; a nil load is the disabled state and
@@ -74,7 +72,6 @@ func Instrument(reg *obs.Registry) {
 		obs.ExpBuckets(1, 2, 12))
 	m.planBuild = reg.Counter("pb_plan_builds_total", "Execution plans constructed from the schedule (cache and disk both missed).")
 	m.jitCompiled = reg.Counter("pb_jit_rules_compiled_total", "Rules lowered to flat-bytecode programs.")
-	m.jitViewRules = reg.Counter("pb_jit_view_rules_total", "Lowered rule programs whose bytecode binds region views (reduction loops).")
 	im.Store(m)
 }
 
@@ -87,17 +84,5 @@ func (m *interpMetrics) runHist(name string) *obs.Histogram {
 	h := m.reg.Histogram("pb_interp_run_seconds", "Top-level transform execution latency.",
 		obs.LatencyBuckets, obs.L("transform", name))
 	m.runHists.Store(name, h)
-	return h
-}
-
-// bytecodeHist returns the per-transform bytecode-length histogram,
-// creating it on first use; observed once per rule lowered.
-func (m *interpMetrics) bytecodeHist(name string) *obs.Histogram {
-	if h, ok := m.bytecodeHists.Load(name); ok {
-		return h.(*obs.Histogram)
-	}
-	h := m.reg.Histogram("pb_jit_bytecode_len", "Instructions per lowered rule program.",
-		obs.ExpBuckets(4, 2, 10), obs.L("transform", name))
-	m.bytecodeHists.Store(name, h)
 	return h
 }

@@ -4,22 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/analysis"
 )
-
-// TuneOptions configures autotuning of a DSL transform.
-type TuneOptions struct {
-	// MinSize/MaxSize bound the doubling training sizes.
-	MinSize, MaxSize int64
-	// Seed drives training-input generation.
-	Seed int64
-	// CheckTol enables §3.5 consistency checking with the given
-	// tolerance when >= 0 (exact equality at 0).
-	CheckTol float64
-}
 
 // Space derives the configuration search space of a transform from its
 // analysis: one selector whose choices are the transform's rules (macro
@@ -47,8 +35,9 @@ func Space(res *analysis.Result) *choice.Space {
 			LogScale: true,
 		})
 	}
-	// The engine's parallel-iteration grain is searchable like any
-	// declared cutoff (it trades scheduling overhead for load balance).
+	// The plan-tile grain is searchable like any declared cutoff (it
+	// trades scheduling overhead for load balance). Only a pooled run
+	// builds a plan, so only a candidate timed on a pool reads it.
 	sp.AddTunable(choice.TunableSpec{
 		Name:     ParGrainKey,
 		Min:      1,
@@ -57,47 +46,6 @@ func Space(res *analysis.Result) *choice.Space {
 		LogScale: true,
 	})
 	return sp
-}
-
-// TuneProgram adapts transform name to the autotuner's Program
-// interface. Training inputs come from the transform's `generator`
-// transform when declared (the paper's generator keyword: "a transform
-// to be used to supply input data during training"), and from uniform
-// random data otherwise. Each candidate runs on a WithConfig view, so
-// tuning never touches e.Cfg and concurrent traffic on e is never
-// perturbed.
-func (e *Engine) TuneProgram(name string) autotuner.Program {
-	return &dslProgram{eng: e, name: name}
-}
-
-type dslProgram struct {
-	eng  *Engine
-	name string
-}
-
-// Run implements autotuner.Program.
-func (p *dslProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	e := p.eng.WithConfig(cfg)
-	inputs, err := e.GenerateInputs(p.name, size, seed)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(p.name, inputs)
-}
-
-// Same implements autotuner.Program.
-func (p *dslProgram) Same(a, b any, tol float64) bool {
-	x, y := a.(map[string]*matrix.Matrix), b.(map[string]*matrix.Matrix)
-	if len(x) != len(y) {
-		return false
-	}
-	for k, m := range x {
-		o, ok := y[k]
-		if !ok || !m.AlmostEqual(o, tol) {
-			return false
-		}
-	}
-	return true
 }
 
 // GenerateInputs builds the training inputs of one transform at the
@@ -174,29 +122,4 @@ func (e *Engine) generatorInputs(res *analysis.Result, size, seed int64) (map[st
 		inputs[d.Name] = m
 	}
 	return inputs, nil
-}
-
-// Tune wall-clock-autotunes one transform of the engine's program and
-// installs + returns the tuned configuration.
-func (e *Engine) Tune(name string, opt TuneOptions) (*choice.Config, *autotuner.Report, error) {
-	res, ok := e.Analysis(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("interp: unknown transform %q", name)
-	}
-	sp := Space(res)
-	prog := e.TuneProgram(name)
-	tuneOpts := autotuner.Options{
-		MinSize: opt.MinSize,
-		MaxSize: opt.MaxSize,
-	}
-	if opt.CheckTol >= 0 {
-		tuneOpts.Check = autotuner.ConsistencyCheck(prog, opt.CheckTol, opt.Seed+1)
-	}
-	// Each candidate is timed once.
-	cfg, rep, err := autotuner.Tune(sp, &autotuner.WallClock{P: prog, Trials: 1, Seed: opt.Seed}, tuneOpts)
-	if err != nil {
-		return nil, nil, err
-	}
-	e.Cfg = cfg
-	return cfg, rep, nil
 }

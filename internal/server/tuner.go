@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"petabricks/internal/autotuner"
+	"petabricks/internal/bench"
 	"petabricks/internal/configstore"
 )
 
@@ -139,22 +139,8 @@ func (t *tuner) tuneOnce(j tuneJob) tuneOutcome {
 	if !ok {
 		return tuneOutcome{Err: fmt.Errorf("unknown program %q", j.program)}
 	}
-	if !b.Tunable() {
-		return tuneOutcome{Err: fmt.Errorf("program %q is not tunable", j.program)}
-	}
 	key := configstore.KeyFor(j.program, j.size, t.s.pool.NumWorkers())
-	seed := t.seed.Add(1000)
-	prog := b.Program(t.s.pool)
-	trials := b.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	eval := &autotuner.WallClock{P: prog, Trials: trials, Seed: seed}
-	opts := autotuner.Options{MinSize: b.MinSize, MaxSize: j.max}
-	if b.CheckTol >= 0 {
-		opts.Check = autotuner.ConsistencyCheck(prog, b.CheckTol, seed+1)
-	}
-	cfg, _, err := autotuner.Tune(b.Space(), eval, opts)
+	cfg, _, eval, err := bench.Tune(b, t.s.pool, j.max, t.seed.Add(1000))
 	if err != nil {
 		return tuneOutcome{Key: key.String(), Err: err}
 	}
