@@ -7,7 +7,8 @@
 //	pbtune -bench sort|matmul|eigen|poisson [flags]
 //	pbtune -src file.pbcc -transform Name [flags]
 //
-//	-o file        output configuration file (default <bench>.cfg)
+//	-o file        output configuration file (default <name>.cfg, the
+//	               tuned benchmark's or transform's name)
 //	-max n         largest training input size
 //	-workers n     worker threads for wall-clock training (also -src)
 //	-arch name     train on a simulated architecture instead
@@ -42,10 +43,7 @@ func main() {
 		maxLevel  = flag.Int("maxlevel", 6, "poisson: largest grid level")
 	)
 	flag.Parse()
-	path := *out
-	if path == "" {
-		path = *benchName + ".cfg"
-	}
+	name := *benchName // what was tuned, naming the default output file
 	var cfg *choice.Config
 	var report string
 	switch {
@@ -83,10 +81,14 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg = tuned
+		cfg, name = tuned, b.Name
 		last := rep.Steps[len(rep.Steps)-1]
 		report = fmt.Sprintf("wall-clock trained %s on %d workers: %s (final %.4gs)",
 			b.Name, pool.NumWorkers(), last.Best, last.BestCost)
+	}
+	path := *out
+	if path == "" {
+		path = name + ".cfg"
 	}
 	if err := cfg.Save(path); err != nil {
 		fatal(err)

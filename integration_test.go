@@ -98,6 +98,39 @@ func TestCLITuneThenRun(t *testing.T) {
 	}
 }
 
+// TestCLITuneDefaultPath tunes a DSL transform without -o: the config
+// is named after the tuned transform, and no benchmark's config file
+// (sort.cfg, the -bench default) is written over.
+func TestCLITuneDefaultPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping toolchain invocation in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "pbtune")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/pbtune").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/pbtune: %v\n%s", err, out)
+	}
+	src, err := filepath.Abs("testdata/rollingsum.pbcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(bin, "-src", src, "-max", "64")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("pbtune -src: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "wrote RollingSum.cfg") {
+		t.Errorf("pbtune output: %s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "RollingSum.cfg")); err != nil {
+		t.Errorf("no RollingSum.cfg: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "sort.cfg")); !os.IsNotExist(err) {
+		t.Errorf("pbtune -src wrote sort.cfg (stat: %v)", err)
+	}
+}
+
 func TestCLIArchTune(t *testing.T) {
 	cfgPath := filepath.Join(t.TempDir(), "niagara.cfg")
 	out := goRun(t, "./cmd/pbtune", "-bench", "sort", "-arch", "Niagara",

@@ -3,10 +3,9 @@
 // sizes, config, engine) invocation key. Two tiers sit behind one
 // Store:
 //
-//   - in-memory: bounded MemCache maps (one per artifact kind) holding
-//     live holders — compiled-rule programs, execution plans — shared
-//     across Engine.WithConfig views exactly like the bespoke caches
-//     they replaced (PRs 2, 5, 7);
+//   - in-memory: one bounded MemCache holding a live entry per
+//     invocation key — the interpreter's compiled rules and execution
+//     plan side by side — shared across Engine.WithConfig views;
 //   - disk: serializable artifacts (flat-bytecode jit programs, plan
 //     descriptors) persist beside the configstore in checksummed,
 //     schema-versioned packs, one per top-level run, each written with
@@ -14,10 +13,9 @@
 //     disk tier; the repository benchmark's boot_cold workload and
 //     pbfuzz's cold/warm axis do.
 //
-// This file defines the canonical invocation Key. PRs 2–7 grew three
-// separate caches keyed by near-identical hand-rolled strings; every
-// cache now derives its key from one builder, and the unit tests prove
-// each component (engine, config, sizes, program) perturbs it.
+// This file defines the canonical invocation Key. Both tiers derive
+// their keys from this one builder, and the unit tests prove each
+// component (engine, config, sizes, program) perturbs it.
 package artifact
 
 import (
@@ -51,15 +49,12 @@ import (
 // of if-converted cell rules.
 const SchemaVersion = 9
 
-// Artifact kinds. Program artifacts live in the memory tier only (they
-// hold frame pools and pointers into live analysis state); JIT artifacts — plain-data
-// bytecode programs — persist to disk, and Plan artifacts persist as
-// pure-data PlanDescriptors that the interpreter rehydrates (rebinds to
-// live analysis state) at load time.
+// Disk-tier artifact kinds. JIT artifacts are plain-data bytecode
+// programs; Plan artifacts are pure-data PlanDescriptors that the
+// interpreter rehydrates (rebinds to live analysis state) at load time.
 const (
-	KindProgram = "prog"
-	KindPlan    = "plan"
-	KindJIT     = "jit"
+	KindPlan = "plan"
+	KindJIT  = "jit"
 )
 
 // Key identifies one compiled artifact: which program text, which

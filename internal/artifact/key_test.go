@@ -73,7 +73,7 @@ func TestKeyComponentsPerturb(t *testing.T) {
 func TestKeyKindSeparatesID(t *testing.T) {
 	base := baseKey()
 	ids := map[string]string{}
-	for _, kind := range []string{KindProgram, KindPlan, KindJIT} {
+	for _, kind := range []string{KindPlan, KindJIT} {
 		id := entryID(kind, base.String())
 		if prev, dup := ids[id]; dup {
 			t.Errorf("kinds %s and %s share ID %s for one key", kind, prev, id)

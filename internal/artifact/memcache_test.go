@@ -7,7 +7,7 @@ import (
 )
 
 func TestMemCacheGetOrCreate(t *testing.T) {
-	c := NewMemCache(KindProgram, 4)
+	c := NewMemCache(4)
 	v, created := c.GetOrCreate("a", func() any { return 1 })
 	if !created || v.(int) != 1 {
 		t.Fatalf("first GetOrCreate = (%v, %v), want (1, true)", v, created)
@@ -19,37 +19,32 @@ func TestMemCacheGetOrCreate(t *testing.T) {
 }
 
 // TestMemCacheBoundAndEvict fills the cache past its bound and checks
-// FIFO eviction order plus the eviction callback contract.
+// FIFO eviction order: exactly the oldest keys are gone, in the order
+// they were inserted.
 func TestMemCacheBoundAndEvict(t *testing.T) {
 	const max = 4
-	c := NewMemCache(KindPlan, max)
-	var evicted []string
-	c.SetOnEvict(func(key string, v any) { evicted = append(evicted, key) })
+	c := NewMemCache(max)
 	for i := 0; i < max+3; i++ {
 		c.GetOrCreate(fmt.Sprintf("k%d", i), func() any { return i })
+		// Each insertion past the bound evicts exactly the oldest key.
+		for j := 0; j <= i; j++ {
+			if want := j > i-max; c.Contains(fmt.Sprintf("k%d", j)) != want {
+				t.Fatalf("after inserting k%d: k%d cached = %v, want %v", i, j, !want, want)
+			}
+		}
 	}
 	if c.size() != max {
 		t.Errorf("cache holds %d entries, want bound %d", c.size(), max)
 	}
-	want := []string{"k0", "k1", "k2"}
-	if fmt.Sprint(evicted) != fmt.Sprint(want) {
-		t.Errorf("evicted %v, want FIFO order %v", evicted, want)
-	}
-	if c.Contains("k0") {
-		t.Error("oldest entry survived eviction")
-	}
-	if !c.Contains(fmt.Sprintf("k%d", max+2)) {
-		t.Error("newest entry missing")
-	}
 }
 
 func TestMemCacheDefaultBound(t *testing.T) {
-	c := NewMemCache(KindJIT, 0)
-	for i := 0; i < DefaultMemPerKind+5; i++ {
+	c := NewMemCache(0)
+	for i := 0; i < DefaultMemEntries+5; i++ {
 		c.GetOrCreate(fmt.Sprintf("k%d", i), func() any { return nil })
 	}
-	if c.size() != DefaultMemPerKind {
-		t.Errorf("cache holds %d entries, want default bound %d", c.size(), DefaultMemPerKind)
+	if c.size() != DefaultMemEntries {
+		t.Errorf("cache holds %d entries, want default bound %d", c.size(), DefaultMemEntries)
 	}
 }
 
@@ -57,7 +52,7 @@ func TestMemCacheDefaultBound(t *testing.T) {
 // one create may run and every caller must observe its value. Run under
 // -race.
 func TestMemCacheConcurrent(t *testing.T) {
-	c := NewMemCache(KindProgram, 8)
+	c := NewMemCache(8)
 	var creates int // guarded by the cache lock: create runs under it
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -106,17 +106,17 @@ type Options struct {
 }
 
 // Store is the tiered artifact store. All methods are safe for
-// concurrent use. A Store with no directory is the memory tiers only —
+// concurrent use. A Store with no directory is the memory tier only —
 // the default every Engine gets — and a Store opened on a directory
-// adds the persistent tier beneath them. A directory belongs to one
+// adds the persistent tier beneath it. A directory belongs to one
 // Store at a time.
 type Store struct {
 	dir  string
 	logf func(string, ...any)
+	mem  *MemCache
 
-	mu     sync.Mutex
-	caches map[string]*MemCache
-	index  map[string]*diskEntry // artifact ID → newest entry
+	mu    sync.Mutex
+	index map[string]*diskEntry // artifact ID → newest entry
 
 	// commitMu serialises commits; seq is the last pack sequence
 	// number issued.
@@ -131,7 +131,7 @@ type Store struct {
 	corruptTotal atomic.Int64
 }
 
-// NewMemOnly returns a store with only the in-memory tiers; Load always
+// NewMemOnly returns a store with only the in-memory tier; Load always
 // misses and Pending returns nil.
 func NewMemOnly() *Store { return newStore("", Options{}) }
 
@@ -205,7 +205,7 @@ func newStore(dir string, opts Options) *Store {
 	return &Store{
 		dir:     dir,
 		logf:    logf,
-		caches:  map[string]*MemCache{},
+		mem:     NewMemCache(DefaultMemEntries),
 		index:   map[string]*diskEntry{},
 		corrupt: map[string]int64{},
 	}
@@ -224,19 +224,9 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Mem returns the in-memory cache of one artifact kind, creating it on
-// first use. The returned cache is shared by every caller of the same
-// kind on this store.
-func (s *Store) Mem(kind string) *MemCache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.caches[kind]
-	if !ok {
-		c = NewMemCache(kind, DefaultMemPerKind)
-		s.caches[kind] = c
-	}
-	return c
-}
+// Mem returns the store's in-memory cache, shared by every caller on
+// this store.
+func (s *Store) Mem() *MemCache { return s.mem }
 
 // countCorrupt counts and logs one rejection under its typed reason.
 func (s *Store) countCorrupt(path string, err error) {
@@ -270,7 +260,7 @@ func (s *Store) recordCorrupt(path string, err error) {
 // checksum AND decode accepted it; on any failure the entry is dropped
 // with a typed reason (its pack is deleted once it has nothing left to
 // serve) and Load reports a miss, so the caller recompiles. The memory
-// tiers are the caller's (richer, already-decoded) responsibility via
+// tier is the caller's (richer, already-decoded) responsibility via
 // Mem.
 func (s *Store) Load(kind string, key Key, decode func(payload []byte) error) bool {
 	if s == nil || s.dir == "" {

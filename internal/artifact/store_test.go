@@ -184,7 +184,7 @@ func TestStoreLoadMissesOnAbsentAndWrongKey(t *testing.T) {
 	if loadPayload(s, KindJIT, testKey(128)) != nil {
 		t.Error("load under a different key served another key's artifact")
 	}
-	if loadPayload(s, KindProgram, testKey(64)) != nil {
+	if loadPayload(s, KindPlan, testKey(64)) != nil {
 		t.Error("load under a different kind served another kind's artifact")
 	}
 }

@@ -234,8 +234,8 @@ func benchPool(b *testing.B) *runtime.Pool {
 
 // The BenchmarkInterpRepeat* family measures the steady-state cost of
 // executing the SAME (transform, sizes, config) over and over with the
-// pool enabled — the pbserve traffic shape. This is what the execution
-// plan cache exists for: all per-run schedule lowering (step lookup
+// pool enabled — the pbserve traffic shape. This is what memoizing the
+// execution plan is for: all per-run schedule lowering (step lookup
 // tables, task allocation, dependency wiring) should happen once and be
 // re-armed in O(tasks) on every later run. Default tier.
 

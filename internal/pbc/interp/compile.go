@@ -54,8 +54,7 @@ func (ex *exec) artifactKey() artifact.Key {
 
 // invocationKey returns artifactKey rendered — once per invocation, or
 // not at all for a nested call whose parent's holder has it memoised
-// (see calleeKey) — as the key of the compiled-program and
-// execution-plan lookups.
+// (see calleeKey) — as the key of the invocation's memory-tier entry.
 func (ex *exec) invocationKey() string {
 	if ex.key == "" {
 		ex.key = ex.artifactKey().String()
@@ -72,17 +71,17 @@ func (e *Engine) engineMode() int {
 	return EngineJIT
 }
 
-// compiledFor returns the compiled-program holder for one invocation,
-// or nil when configuration forces the AST tier. Holders live in the
-// artifact store's memory tier and compile their rules lazily, so a
-// miss stays cheap until a rule actually runs.
-func (ex *exec) compiledFor() *compiledTransform {
-	e := ex.engine
-	if ex.mode == EngineInterp {
-		return nil
+// entry returns the invocation's memory-tier entry, fetching it from
+// the artifact store on first use: the JIT tier fetches it when the
+// invocation is set up (newExec), a pooled run for its plan (planFor),
+// and an AST-tier run without a pool never does. Entries compile rules
+// and build the plan lazily, so a miss stays cheap until one is needed.
+func (ex *exec) entry() *compiledTransform {
+	if ex.comp != nil {
+		return ex.comp
 	}
-	key := ex.invocationKey()
-	v, created := e.arts.Mem(artifact.KindProgram).GetOrCreate(key, func() any {
+	e := ex.engine
+	v, created := e.arts.Mem().GetOrCreate(ex.invocationKey(), func() any {
 		return &compiledTransform{res: ex.res, sizes: ex.sizes(), akey: ex.artifactKey(), arts: e.arts,
 			matIndex: ex.ti.matIndex, callees: map[calleeShape]string{},
 			rules: make([]atomic.Pointer[vmRule], len(ex.res.Transform.Rules))}
@@ -94,14 +93,15 @@ func (ex *exec) compiledFor() *compiledTransform {
 			m.cacheHit.Inc()
 		}
 	}
-	return v.(*compiledTransform)
+	ex.comp = v.(*compiledTransform)
+	return ex.comp
 }
 
-// compiledTransform holds the lazily compiled rules of one transform at
-// one size binding and config. It is the value of one memory-tier
-// artifact (KindProgram) and fronts the store's disk tier, loading
-// persisted bytecode before lowering and persisting fresh lowerings
-// back.
+// compiledTransform holds the lazily compiled rules and the execution
+// plan of one transform at one size binding, config and tier: the one
+// memory-tier entry of an invocation key. It fronts the store's disk
+// tier, loading persisted bytecode before lowering and persisting fresh
+// lowerings back.
 type compiledTransform struct {
 	res   *analysis.Result
 	sizes map[string]int64
@@ -125,6 +125,11 @@ type compiledTransform struct {
 	// what a run that lowered a rule commits back (see persist).
 	warmLoaded bool
 	jprogs     map[int]*jit.Program
+
+	// planOnce materializes plan on the first pooled run (see planFor);
+	// nil after that means the builder declined.
+	planOnce sync.Once
+	plan     *plan
 }
 
 // calleeShape identifies a nested call as seen from one holder: config
@@ -144,9 +149,9 @@ const maxCalleeKeys = 64
 // calleeKey sets the invocation key of call, a nested invocation made
 // from one of this holder's rule bodies, rendering it only the first
 // time the holder sees that callee at those sizes. The memo lives and
-// dies with the holder, and only the rendering is skipped: the program
-// and plan lookups still go through the artifact store, so cache
-// counters and recency are those of an unmemoised call.
+// dies with the holder, and only the rendering is skipped: the entry
+// lookup still goes through the artifact store, so cache counters and
+// recency are those of an unmemoised call.
 func (ct *compiledTransform) calleeKey(call *exec) {
 	shape := calleeShape{ti: call.ti}
 	if copy(shape.sizes[:], call.sizeVals) < len(call.sizeVals) {
@@ -263,7 +268,7 @@ func (ct *compiledTransform) encodeJIT() ([]byte, error) {
 // vmRule returns rule ri's bytecode form for this invocation, or nil
 // when the AST tier runs it.
 func (ex *exec) vmRule(ri *analysis.RuleInfo) *vmRule {
-	if ex.comp == nil {
+	if ex.mode == EngineInterp {
 		return nil
 	}
 	if r := ex.comp.rule(ri, ex.pend); r != astRule {

@@ -186,7 +186,7 @@ func TestCompiledAndInterpretedAgree(t *testing.T) {
 
 // TestCompiledCacheConcurrentConfigs races engine views with different
 // configurations — two selector choices plus one view on the AST tier
-// — through the shared compiled-program cache. Run under
+// — through the shared invocation cache. Run under
 // -race; correctness here plus the per-key check below establishes no
 // view ever observes a program compiled under another configuration.
 func TestCompiledCacheConcurrentConfigs(t *testing.T) {
@@ -238,21 +238,21 @@ func TestCompiledCacheConcurrentConfigs(t *testing.T) {
 	if artifact.ConfigFingerprint(cfg0) == artifact.ConfigFingerprint(cfg1) {
 		t.Fatal("distinct configs share a fingerprint")
 	}
-	progs := e.Artifacts().Mem(artifact.KindProgram)
+	progs := e.Artifacts().Mem()
 	for _, v := range views[:2] {
 		if !progs.Contains(invocationKeyFor(v, "RollingSum", sizes)) {
 			t.Errorf("no cache entry for key %s", invocationKeyFor(v, "RollingSum", sizes))
 		}
 	}
 	if n := holders(); n != 2 {
-		t.Errorf("program cache holds %d entries, want 2", n)
+		t.Errorf("invocation cache holds %d entries, want 2", n)
 	}
 }
 
 // countHolders installs instrumentation for the rest of the test and
-// returns a function reporting how many compiled-program holders were
-// created since: each creation is one compiled-program cache miss, and
-// with fewer than DefaultMemPerKind of them none is evicted.
+// returns a function reporting how many invocation cache entries were
+// created since: each creation is one invocation cache miss, and
+// with fewer than DefaultMemEntries of them none is evicted.
 func countHolders(t *testing.T) func() int64 {
 	Instrument(obs.NewRegistry())
 	t.Cleanup(func() { Instrument(nil) })

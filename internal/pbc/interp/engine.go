@@ -28,10 +28,11 @@ type Engine struct {
 	// descriptor (see binder.go). Entries are immutable and shared by
 	// pointer across WithConfig views.
 	transforms map[string]*transformInfo
-	// arts is the tiered artifact store holding compiled-program holders
-	// and execution plans (memory tier) and, when persistent, jit
-	// bytecode (disk tier). Shared by pointer across WithConfig views —
-	// and, via UseArtifacts, across engines.
+	// arts is the tiered artifact store holding one entry per invocation
+	// key, its compiled rules and execution plan (memory tier), and, when
+	// persistent, jit bytecode and plan descriptors (disk tier). Shared
+	// by pointer across WithConfig views — and, via UseArtifacts, across
+	// engines.
 	arts *artifact.Store
 	// progFP fingerprints the program's printed text, so engines serving
 	// same-named transforms from different programs never collide in a
@@ -50,7 +51,6 @@ func New(prog *ast.Program) (*Engine, error) {
 		arts:       artifact.NewMemOnly(),
 		progFP:     artifact.HashString(ast.Print(prog)),
 	}
-	wirePlanEvict(e.arts)
 	for _, t := range prog.Transforms {
 		if len(t.Templates) > 0 {
 			// Template transforms are analyzed per instance, when
@@ -97,17 +97,6 @@ func (e *Engine) UseArtifacts(s *artifact.Store) {
 	e.mu.Lock()
 	e.arts = s
 	e.mu.Unlock()
-	wirePlanEvict(s)
-}
-
-// wirePlanEvict points the store's plan-cache evictions at the
-// installed interp metrics (idempotent: the cache keeps one callback).
-func wirePlanEvict(s *artifact.Store) {
-	s.Mem(artifact.KindPlan).SetOnEvict(func(string, any) {
-		if m := im.Load(); m != nil {
-			m.planEvict.Inc()
-		}
-	})
 }
 
 // Analysis returns the analysis result for a transform.
@@ -247,7 +236,9 @@ func (e *Engine) newExec(ti *transformInfo, ins []*matrix.Matrix, parent *exec, 
 	if parent != nil && parent.comp != nil {
 		parent.comp.calleeKey(ex)
 	}
-	ex.comp = ex.compiledFor()
+	if ex.mode != EngineInterp {
+		ex.entry()
+	}
 	return ex, nil
 }
 
@@ -326,8 +317,8 @@ type exec struct {
 	// region evaluation, the AST tier) need it.
 	sizeOnce sync.Once
 	sizeMap  map[string]int64
-	// comp holds the invocation's compiled-program cache entry (nil on
-	// the AST tier).
+	// comp holds the invocation's memory-tier entry, fetched by entry
+	// (nil until then; an unpooled AST-tier run never fetches it).
 	comp *compiledTransform
 	// key is the invocation cache key: rendered on first use by
 	// invocationKey, or taken from the parent's holder for a nested call.

@@ -14,8 +14,8 @@ import (
 type interpMetrics struct {
 	reg *obs.Registry
 
-	cacheHit  *obs.Counter // compiled-program cache hits
-	cacheMiss *obs.Counter // compiled-program cache misses (new holder)
+	cacheHit  *obs.Counter // invocation cache hits (entry found)
+	cacheMiss *obs.Counter // invocation cache misses (entry created)
 	fallback  *obs.Counter // rules that fell back to the AST interpreter
 
 	schedMacro      *obs.Counter // invocations whose macro rules produced every output
@@ -30,9 +30,8 @@ type interpMetrics struct {
 	stepsCyclic *obs.Counter // cyclic wavefront steps
 	stepsLex    *obs.Counter // lexicographic wavefront steps
 
-	planHit   *obs.Counter   // execution-plan cache hits
-	planMiss  *obs.Counter   // execution-plan cache misses (plan materialized)
-	planEvict *obs.Counter   // execution-plan cache evictions (FIFO bound)
+	planHit   *obs.Counter   // execution plans reused from their entry
+	planMiss  *obs.Counter   // execution plans materialized on their entry
 	planTiles *obs.Histogram // tasks per built plan (tiles + fences + steps)
 	planBuild *obs.Counter   // plans constructed from the schedule
 
@@ -53,8 +52,8 @@ func Instrument(reg *obs.Registry) {
 		return
 	}
 	m := &interpMetrics{reg: reg}
-	m.cacheHit = reg.Counter("pb_interp_cache_hits_total", "Compiled-program cache hits.")
-	m.cacheMiss = reg.Counter("pb_interp_cache_misses_total", "Compiled-program cache misses.")
+	m.cacheHit = reg.Counter("pb_interp_cache_hits_total", "Invocation cache hits (entry found).")
+	m.cacheMiss = reg.Counter("pb_interp_cache_misses_total", "Invocation cache misses (entry created).")
 	m.fallback = reg.Counter("pb_interp_compile_fallbacks_total", "Rules outside the compilable fragment (AST interpreter).")
 	m.schedMacro = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "macro"))
 	m.schedParallel = reg.Counter("pb_interp_schedules_total", "Transform invocations by schedule shape.", obs.L("shape", "parallel"))
@@ -65,9 +64,8 @@ func Instrument(reg *obs.Registry) {
 	m.stepsPlain = reg.Counter("pb_interp_steps_total", "Schedule steps executed by kind.", obs.L("kind", "plain"))
 	m.stepsCyclic = reg.Counter("pb_interp_steps_total", "Schedule steps executed by kind.", obs.L("kind", "cyclic"))
 	m.stepsLex = reg.Counter("pb_interp_steps_total", "Schedule steps executed by kind.", obs.L("kind", "lex"))
-	m.planHit = reg.Counter("pb_interp_plan_cache_hits_total", "Execution-plan cache hits.")
-	m.planMiss = reg.Counter("pb_interp_plan_cache_misses_total", "Execution-plan cache misses (plan built).")
-	m.planEvict = reg.Counter("pb_interp_plan_cache_evictions_total", "Execution-plan cache entries evicted by the FIFO bound.")
+	m.planHit = reg.Counter("pb_interp_plan_cache_hits_total", "Execution plans reused from their invocation's cache entry.")
+	m.planMiss = reg.Counter("pb_interp_plan_cache_misses_total", "Execution plans materialized on their invocation's cache entry (built or warm-loaded).")
 	m.planTiles = reg.Histogram("pb_interp_plan_tasks", "Tasks per built execution plan (tiles, fences and step tasks).",
 		obs.ExpBuckets(1, 2, 12))
 	m.planBuild = reg.Counter("pb_plan_builds_total", "Execution plans constructed from the schedule (cache and disk both missed).")

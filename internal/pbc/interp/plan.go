@@ -30,8 +30,12 @@ import (
 //
 // Plans also survive restarts: plan_serialize.go flattens a built plan
 // into a pure-data PlanDescriptor persisted under artifact.KindPlan,
-// and a plan-cache miss rehydrates the descriptor (after full
-// validation) instead of re-running construction.
+// and the first pooled run of a fresh entry rehydrates the descriptor
+// (after full validation) instead of re-running construction.
+//
+// A plan lives on its invocation's memory-tier entry beside the
+// compiled rules (compiledTransform, compile.go): one lookup finds both,
+// and the cache's FIFO bound drops both together.
 
 const (
 	// planMaxTilesPerStep caps tiling fan-out: beyond it the tiler
@@ -70,36 +74,25 @@ type planTask struct {
 	lex    []analysis.LexDim
 }
 
-// planEntry materializes its plan once, outside the artifact cache's
-// lock, so a slow build (or a disk load) never blocks unrelated
-// lookups. The live plan holds analysis pointers and lives in the
-// memory tier (KindPlan); its pure-data PlanDescriptor form (see
-// plan_serialize.go) also persists to the store's disk tier, so a
-// restarted process rehydrates instead of rebuilding.
-type planEntry struct {
-	once sync.Once
-	p    *plan
-}
-
-// planFor returns the memoized plan for this invocation, warm-loading
-// or building it on first use. A nil plan (the builder declined) sends
-// the caller to the sequential step loop.
+// planFor returns the invocation's execution plan, materialized once on
+// its cache entry — outside the cache's lock, so a slow build or disk
+// load never blocks unrelated lookups. A nil plan (the builder
+// declined) sends the caller to the sequential step loop.
 func (ex *exec) planFor() *plan {
-	e := ex.engine
-	v, created := e.arts.Mem(artifact.KindPlan).GetOrCreate(ex.invocationKey(), func() any { return &planEntry{} })
+	ct := ex.entry()
+	built := false
+	ct.planOnce.Do(func() { ct.plan, built = ex.loadOrBuildPlan(), true })
 	if m := im.Load(); m != nil {
-		if created {
+		if built {
 			m.planMiss.Inc()
 		} else {
 			m.planHit.Inc()
 		}
 	}
-	pe := v.(*planEntry)
-	pe.once.Do(func() { pe.p = ex.loadOrBuildPlan() })
-	return pe.p
+	return ct.plan
 }
 
-// loadOrBuildPlan fills one plan-cache miss: rehydrate a persisted
+// loadOrBuildPlan materializes an entry's plan: rehydrate a persisted
 // descriptor when the disk tier has one for this invocation key (the
 // jit warm-start pattern), otherwise construct the plan and record it
 // on the run's pending pack, which describes, encodes and writes it

@@ -14,20 +14,20 @@ import (
 	"petabricks/internal/runtime"
 )
 
-// TestPlanCacheBound fills the plan tier of the artifact store past its
+// TestPlanCacheBound fills the artifact store's memory tier past its
 // bound and checks the FIFO eviction: the size never exceeds the bound,
 // the oldest keys are gone, and a re-lookup of a live key returns the
 // same entry. (The generic eviction mechanics live in
 // internal/artifact's own tests; this pins the interp wiring.)
 func TestPlanCacheBound(t *testing.T) {
-	pc := artifact.NewMemOnly().Mem(artifact.KindPlan)
-	const bound = artifact.DefaultMemPerKind
+	pc := artifact.NewMemOnly().Mem()
+	const bound = artifact.DefaultMemEntries
 	const extra = 10
-	mint := func(key string) *planEntry {
-		v, _ := pc.GetOrCreate(key, func() any { return &planEntry{} })
-		return v.(*planEntry)
+	mint := func(key string) *compiledTransform {
+		v, _ := pc.GetOrCreate(key, func() any { return &compiledTransform{} })
+		return v.(*compiledTransform)
 	}
-	entries := make([]*planEntry, bound+extra)
+	entries := make([]*compiledTransform, bound+extra)
 	for i := range entries {
 		entries[i] = mint(fmt.Sprintf("k%d", i))
 	}
@@ -59,8 +59,71 @@ func TestPlanCacheBound(t *testing.T) {
 	live(extra + 1)
 }
 
+// TestInvocationCacheOneEntry pins the memory tier's one entry per
+// invocation key: the compiled rules and the execution plan are found
+// by one lookup, an unpooled AST-tier run makes none, and the FIFO
+// bound evicts the plan together with the rules.
+func TestInvocationCacheOneEntry(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	defer Instrument(nil)
+	counts := func() [4]int64 {
+		return [4]int64{
+			reg.Counter("pb_interp_cache_misses_total", "").Value(),
+			reg.Counter("pb_interp_cache_hits_total", "").Value(),
+			reg.Counter("pb_interp_plan_cache_misses_total", "").Value(),
+			reg.Counter("pb_interp_plan_cache_hits_total", "").Value(),
+		}
+	}
+	pool := runtime.NewPool(2)
+	defer pool.Close()
+	e := engine(t, parser.RollingSumSrc)
+	pooled := e.WithConfig(choice.NewConfig())
+	pooled.Pool = pool
+	run := func(v *Engine, n int) {
+		t.Helper()
+		if _, err := v.Run1("RollingSum", benchVec(n, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// N pooled runs of one key: one entry created and N-1 found, one plan
+	// materialized and N-1 reused.
+	const runs = 5
+	for i := 0; i < runs; i++ {
+		run(pooled, 64)
+	}
+	if got, want := counts(), [4]int64{1, runs - 1, 1, runs - 1}; got != want {
+		t.Errorf("%d pooled runs: (cache misses, hits, plan misses, hits) = %v, want %v", runs, got, want)
+	}
+
+	// An AST-tier run without a pool looks nothing up.
+	cfg := choice.NewConfig()
+	cfg.SetInt(EngineKey, EngineInterp)
+	before := counts()
+	run(e.WithConfig(cfg), 64)
+	if got := counts(); got != before {
+		t.Errorf("an unpooled AST-tier run moved the cache series from %v to %v", before, got)
+	}
+
+	// Filling the cache with other keys from unpooled runs evicts the
+	// first key's entry, so its next pooled run rebuilds both its plan
+	// and its rules.
+	for n := 65; n < 65+artifact.DefaultMemEntries; n++ {
+		run(e, n)
+	}
+	builds, compiled := PlanStats().Builds, EngineStatsSnapshot().Compiled["jit"]
+	run(pooled, 64)
+	if PlanStats().Builds == builds {
+		t.Error("the evicted key's pooled rerun reused its old plan")
+	}
+	if EngineStatsSnapshot().Compiled["jit"] == compiled {
+		t.Error("the evicted key's pooled rerun reused its old rules")
+	}
+}
+
 // TestPlanCacheSharedAcrossViews checks that WithConfig views share one
-// plan cache and that a repeated (transform, sizes, config) run reuses
+// invocation cache and that a repeated (transform, sizes, config) run reuses
 // the memoized plan instead of building a second one.
 func TestPlanCacheSharedAcrossViews(t *testing.T) {
 	pool := runtime.NewPool(2)

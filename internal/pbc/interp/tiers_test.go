@@ -73,7 +73,7 @@ func TestThreeTierAgreement(t *testing.T) {
 }
 
 // TestJITCacheConcurrentEngines races engine views pinned to different
-// EngineKey values through the shared compiled-program cache. Run under
+// EngineKey values through the shared invocation cache. Run under
 // -race: the bytecode tier's programs and pooled frames must be safe to
 // share across goroutines, and each compiling config must occupy its
 // own cache entry (the config fingerprint covers EngineKey). Value 1,
@@ -127,17 +127,17 @@ func TestJITCacheConcurrentEngines(t *testing.T) {
 	if mode := views[1].engineMode(); mode != EngineJIT {
 		t.Errorf("pbc.engine=1 resolves to tier %d, want EngineJIT", mode)
 	}
-	progs := e.Artifacts().Mem(artifact.KindProgram)
+	progs := e.Artifacts().Mem()
 	for _, v := range views[1:] {
 		if !progs.Contains(invocationKeyFor(v, "RollingSum", sizes)) {
 			t.Errorf("no cache entry for key %s", invocationKeyFor(v, "RollingSum", sizes))
 		}
 	}
 	if progs.Contains(invocationKeyFor(views[0], "RollingSum", sizes)) {
-		t.Error("interpreter-tier view populated the compiled-program cache")
+		t.Error("interpreter-tier view populated the invocation cache")
 	}
 	if n := holders(); n != 2 {
-		t.Errorf("program cache holds %d entries, want 2", n)
+		t.Errorf("invocation cache holds %d entries, want 2", n)
 	}
 }
 

@@ -71,6 +71,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("transform T from A[n] to B[n] { to (B b) from (A a) { b = a")
 	f.Add("transform T from A[n] to B[n] { to (B b) from (A a) { b = a; } } @")
 	f.Add("transform T from A[n] to { } # trailing")
+	f.Add("a + b // c\n/* d */ e")
+	f.Add(strings.Repeat("0..", 50))
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		ref, refErr := lexThenParse(src)
@@ -109,14 +111,5 @@ func FuzzParse(f *testing.F) {
 				}
 			}
 		}
-	})
-}
-
-// FuzzLexRoundTrip checks the lexer terminates and positions are sane.
-func FuzzLexRoundTrip(f *testing.F) {
-	f.Add("a + b // c\n/* d */ e")
-	f.Add(strings.Repeat("0..", 50))
-	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = Parse(src)
 	})
 }

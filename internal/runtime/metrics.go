@@ -8,8 +8,8 @@ import (
 
 // Instrument registers this pool's scheduler metrics on reg: per-worker
 // steal/exec/park/wake counters and queue-depth gauges (labelled
-// worker="i"), the shared inject-queue depth, the worker count, and a
-// sampled task execution latency histogram (each worker times its first
+// worker="i"), the shared inject-queue depth, and a sampled task
+// execution latency histogram (each worker times its first
 // task and one in 64 after it). Call once, on a long-lived pool
 // (pbserve's); a nil registry is a no-op.
 func (p *Pool) Instrument(reg *obs.Registry) {
@@ -31,9 +31,6 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 		n := p.injectedLen()
 		p.injectMu.Unlock()
 		return float64(n)
-	})
-	reg.GaugeFunc("pb_pool_workers", "Worker goroutines in the pool.", func() float64 {
-		return float64(len(p.workers))
 	})
 	p.taskLat.Store(reg.Histogram("pb_pool_task_seconds", "Task execution latency, sampled: one task in 64 per worker.", obs.LatencyBuckets))
 }

@@ -39,7 +39,6 @@ func TestPoolInstrument(t *testing.T) {
 		`pb_pool_worker_parks_total{worker="1"}`,
 		`pb_pool_worker_queue_depth{worker="2"}`,
 		"pb_pool_inject_queue_depth",
-		"pb_pool_workers 4",
 		"# TYPE pb_pool_task_seconds histogram",
 		"pb_pool_task_seconds_count",
 	} {

@@ -42,9 +42,6 @@ func (s *Server) instrument() {
 	reg.GaugeFunc("pb_server_queue_waiting", "Requests queued for an execution slot.", func() float64 {
 		return float64(s.waiting.Load())
 	})
-	reg.GaugeFunc("pb_server_uptime_seconds", "Seconds since the server started.", func() float64 {
-		return time.Since(s.start).Seconds()
-	})
 	s.latRun = reg.Histogram("pb_server_request_seconds", "Request handling latency.",
 		obs.LatencyBuckets, obs.L("endpoint", "run"))
 	s.latTune = reg.Histogram("pb_server_request_seconds", "Request handling latency.",

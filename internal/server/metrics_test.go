@@ -36,7 +36,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	})
 
 	// Live traffic: one native kernel run and two interpreted DSL runs
-	// (the second hits the compiled-program cache).
+	// (the second hits the invocation cache).
 	for _, body := range []map[string]any{
 		{"program": "sort", "n": 2000, "seed": 3},
 		{"program": "RollingSum", "n": 48, "seed": 3},
@@ -84,10 +84,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Families of removed mechanisms (async jobs, idle re-tuning, the
 	// cluster layer and its peer artifact fetch, the served artifact
 	// store, the rule counter that summed the jit's two, the warm loads of
-	// a disk tier pbserve does not open) must not come back.
+	// a disk tier pbserve does not open, the plan cache's own eviction
+	// count) and gauges that repeated other values (the worker count,
+	// /v1/stats's uptime) must not come back.
 	for _, gone := range []string{"pb_jobs_", "pb_server_tune_idle_runs_total",
 		"pb_cluster_", "pb_artifact_", `tier="peer"`, "pb_interp_rules_compiled_total",
-		"pb_jit_warm_loads_total", "pb_plan_warm_loads_total"} {
+		"pb_jit_warm_loads_total", "pb_plan_warm_loads_total",
+		"pb_interp_plan_cache_evictions_total", "pb_pool_workers", "pb_server_uptime_seconds"} {
 		if strings.Contains(body, gone) {
 			t.Errorf("/metrics still exposes %q:\n%s", gone, grepLines(body, gone))
 		}
