@@ -222,11 +222,13 @@ type fakeProgram struct {
 	fail    bool
 }
 
-func (f *fakeProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
+// Run reports 1/(seed+1) seconds, so a best-of-trials measurement from
+// seed 0 reads the last trial's.
+func (f *fakeProgram) Run(cfg *choice.Config, size, seed int64) (any, float64, error) {
 	if f.fail {
-		return nil, errors.New("run failed")
+		return nil, 0, errors.New("run failed")
 	}
-	return fmt.Sprintf("%d-%d", size, seed), nil
+	return fmt.Sprintf("%d-%d", size, seed), 1 / float64(seed+1), nil
 }
 
 func (f *fakeProgram) Same(a, b any, tol float64) bool { return a == b }
@@ -236,6 +238,9 @@ func TestWallClockMeasuresAndDisqualifies(t *testing.T) {
 	cost := w.Measure(choice.NewConfig(), 10)
 	if cost < 0 || cost > 1 {
 		t.Fatalf("wall clock cost = %g", cost)
+	}
+	if cost != 0.5 {
+		t.Fatalf("wall clock cost = %g, want the faster trial's reported 0.5s", cost)
 	}
 	wf := &WallClock{P: &fakeProgram{fail: true}}
 	if wf.Measure(choice.NewConfig(), 10) < 1e29 {

@@ -2,7 +2,6 @@ package autotuner
 
 import (
 	"fmt"
-	"time"
 
 	"petabricks/internal/choice"
 )
@@ -10,17 +9,18 @@ import (
 // Program abstracts a runnable tunable program for wall-clock
 // measurement and §3.5 consistency checking. Run must build a fresh
 // input deterministically from (size, seed) — so every candidate
-// configuration sees the same data — execute under cfg, and return an
-// output fingerprint.
+// configuration sees the same data — execute under cfg, and return the
+// output with the seconds the algorithm alone took (input generation and
+// output checks excluded).
 type Program interface {
-	Run(cfg *choice.Config, size int64, seed int64) (any, error)
+	Run(cfg *choice.Config, size int64, seed int64) (out any, seconds float64, err error)
 	// Same reports whether two outputs agree within tol (iterative
 	// algorithms may differ below the threshold).
 	Same(a, b any, tol float64) bool
 }
 
-// WallClock measures configurations by executing the real program and
-// timing it, taking the fastest of Trials runs.
+// WallClock measures configurations by executing the real program,
+// taking the fastest of Trials runs' reported seconds.
 type WallClock struct {
 	P      Program
 	Trials int
@@ -35,13 +35,12 @@ func (w *WallClock) Measure(cfg *choice.Config, n int64) float64 {
 	}
 	best := 0.0
 	for t := 0; t < trials; t++ {
-		start := time.Now()
-		if _, err := w.P.Run(cfg, n, w.Seed+int64(t)); err != nil {
+		_, sec, err := w.P.Run(cfg, n, w.Seed+int64(t))
+		if err != nil {
 			return 1e30 // disqualify configurations that fail
 		}
-		d := time.Since(start).Seconds()
-		if t == 0 || d < best {
-			best = d
+		if t == 0 || sec < best {
+			best = sec
 		}
 	}
 	return best
@@ -60,7 +59,7 @@ func ConsistencyCheck(p Program, tol float64, seed int64) func(size int64, cfgs 
 		var ref any
 		have := false
 		for i, cfg := range cfgs {
-			out, err := p.Run(cfg, size, seed)
+			out, _, err := p.Run(cfg, size, seed)
 			if err != nil {
 				continue
 			}

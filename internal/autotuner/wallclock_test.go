@@ -16,12 +16,12 @@ type flakyProgram struct {
 	runs       int
 }
 
-func (p *flakyProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
+func (p *flakyProgram) Run(cfg *choice.Config, size, seed int64) (any, float64, error) {
 	p.runs++
 	if cfg.Selector("t", 0).Choose(size).Choice == p.failChoice {
-		return nil, errors.New("simulated kernel failure")
+		return nil, 0, errors.New("simulated kernel failure")
 	}
-	return int64(42), nil
+	return int64(42), 1e-6, nil
 }
 
 func (p *flakyProgram) Same(a, b any, tol float64) bool {

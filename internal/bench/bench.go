@@ -1,8 +1,8 @@
 // Package bench is the shared registry of runnable benchmarks: one
 // descriptor per kernel (sort, matmul, eigen, poisson) or DSL transform
-// carrying how to execute an instance under a configuration, how to
-// wall-clock-tune it (autotuner.Program + search space), and a sensible
-// untuned baseline. cmd/pbrun, cmd/pbtune's wall-clock paths,
+// carrying how to execute and time an instance under a configuration,
+// how to wall-clock-tune it (search space + output comparison), and a
+// sensible untuned baseline. cmd/pbrun, cmd/pbtune's wall-clock paths,
 // internal/harness, the examples and the pbserve daemon all resolve
 // benchmark names through this package, and every wall-clock tune runs
 // through Tune.
@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -43,6 +44,9 @@ type Result struct {
 	Checksum float64
 	// Detail is an optional human-readable note (e.g. achieved accuracy).
 	Detail string
+	// Out is the output the §3.5 consistency check compares through
+	// Benchmark.Same; nil for benchmarks without Same.
+	Out any
 }
 
 // Benchmark describes one runnable, optionally tunable program.
@@ -50,14 +54,16 @@ type Benchmark struct {
 	// Name keys the benchmark in lookups and in the config store.
 	Name string
 	// Run builds a deterministic instance of size n from seed, executes
-	// it under cfg on pool, verifies the output, and reports timing.
+	// it under cfg on pool, verifies the output, and reports timing. It
+	// is the one timed run: serving, tuning and the paper's figures all
+	// measure through it.
 	Run func(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, opt RunOpts) (Result, error)
 	// Space returns the configuration search space; nil means the
 	// benchmark cannot be tuned through the generic wall-clock path.
 	Space func() *choice.Space
-	// Program adapts the benchmark to the autotuner's Program interface
-	// for wall-clock training; nil mirrors Space.
-	Program func(pool *runtime.Pool) autotuner.Program
+	// Same reports whether two Result.Out values agree within tol; nil
+	// mirrors Space.
+	Same func(a, b any, tol float64) bool
 	// Baseline returns the configuration served before any tuning has
 	// happened: correct everywhere, reasonable without training.
 	Baseline func() *choice.Config
@@ -72,11 +78,11 @@ type Benchmark struct {
 
 // Tunable reports whether the benchmark supports generic wall-clock
 // autotuning.
-func (b *Benchmark) Tunable() bool { return b.Space != nil && b.Program != nil }
+func (b *Benchmark) Tunable() bool { return b.Space != nil && b.Same != nil }
 
 // Tune wall-clock-tunes b on pool (§3.3): training sizes double from
-// b.MinSize to maxSize, and each candidate costs the fastest of
-// b.Trials runs on inputs drawn from seed. When b.CheckTol is not
+// b.MinSize to maxSize, and each candidate costs the fastest Seconds of
+// b.Trials runs of b.Run on inputs drawn from seed. When b.CheckTol is not
 // negative, every round's survivors must agree within it (§3.5) on a
 // fixed input drawn from seed+1. The returned evaluator times a
 // configuration as the tune did, so a caller can re-measure challenger
@@ -85,7 +91,7 @@ func Tune(b *Benchmark, pool *runtime.Pool, maxSize, seed int64) (*choice.Config
 	if !b.Tunable() {
 		return nil, nil, nil, fmt.Errorf("bench: %s is not tunable", b.Name)
 	}
-	prog := b.Program(pool)
+	prog := program{b: b, pool: pool}
 	eval := &autotuner.WallClock{P: prog, Trials: b.Trials, Seed: seed}
 	opts := autotuner.Options{MinSize: b.MinSize, MaxSize: maxSize}
 	if b.CheckTol >= 0 {
@@ -94,6 +100,19 @@ func Tune(b *Benchmark, pool *runtime.Pool, maxSize, seed int64) (*choice.Config
 	cfg, rep, err := autotuner.Tune(b.Space(), eval, opts)
 	return cfg, rep, eval, err
 }
+
+// program is b on pool as an autotuner.Program.
+type program struct {
+	b    *Benchmark
+	pool *runtime.Pool
+}
+
+func (p program) Run(cfg *choice.Config, size, seed int64) (any, float64, error) {
+	r, err := p.b.Run(p.pool, cfg, int(size), seed, RunOpts{AccIndex: -1})
+	return r.Out, r.Seconds, err
+}
+
+func (p program) Same(a, b any, tol float64) bool { return p.b.Same(a, b, tol) }
 
 // Kernels returns fresh descriptors for the four native-Go benchmark
 // kernels.
@@ -128,33 +147,6 @@ func Names() []string {
 
 // --- sort ---------------------------------------------------------------
 
-// sortProgram adapts the sort benchmark to the autotuner's Program
-// interface (wall-clock training + §3.5 consistency checking).
-type sortProgram struct{ pool *runtime.Pool }
-
-func (p *sortProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	rng := rand.New(rand.NewSource(seed))
-	in := sortk.Generate(rng, int(size))
-	choice.Run(choice.NewExec(p.pool, cfg), sortk.New(), in)
-	if !sortk.IsSorted(in.Data) {
-		return nil, fmt.Errorf("bench: configuration produced unsorted output")
-	}
-	return in.Data, nil
-}
-
-func (p *sortProgram) Same(a, b any, tol float64) bool {
-	x, y := a.([]int64), b.([]int64)
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SortBenchmark describes the §4.3 Sort benchmark.
 func SortBenchmark() *Benchmark {
 	return &Benchmark{
@@ -172,10 +164,10 @@ func SortBenchmark() *Benchmark {
 			for i, v := range in.Data {
 				sum += float64(v) * float64(i+1)
 			}
-			return Result{Seconds: sec, Checksum: sum}, nil
+			return Result{Seconds: sec, Checksum: sum, Out: in.Data}, nil
 		},
-		Space:   func() *choice.Space { return sortk.Space(sortk.New()) },
-		Program: func(pool *runtime.Pool) autotuner.Program { return &sortProgram{pool: pool} },
+		Space: func() *choice.Space { return sortk.Space(sortk.New()) },
+		Same:  func(a, b any, _ float64) bool { return slices.Equal(a.([]int64), b.([]int64)) },
 		Baseline: func() *choice.Config {
 			cfg := choice.NewConfig()
 			cfg.SetSelector("sort", choice.Selector{Levels: []choice.Level{
@@ -192,21 +184,6 @@ func SortBenchmark() *Benchmark {
 }
 
 // --- matmul -------------------------------------------------------------
-
-// mmProgram adapts the matrix-multiply benchmark to the autotuner.
-type mmProgram struct{ pool *runtime.Pool }
-
-func (p *mmProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	rng := rand.New(rand.NewSource(seed))
-	in := matmul.Generate(rng, int(size))
-	choice.Run(choice.NewExec(p.pool, cfg), matmul.New(), in)
-	return in.C, nil
-}
-
-func (p *mmProgram) Same(a, b any, tol float64) bool {
-	x, y := a.(*matrix.Matrix), b.(*matrix.Matrix)
-	return x.MaxAbsDiff(y) <= tol
-}
 
 // MatMulBenchmark describes the §4.4 MatrixMultiply benchmark.
 func MatMulBenchmark() *Benchmark {
@@ -231,10 +208,12 @@ func MatMulBenchmark() *Benchmark {
 			sum := 0.0
 			pos := 1.0
 			in.C.Walk(func(_ []int, v float64) { sum += v * pos; pos++ })
-			return Result{Seconds: sec, Checksum: sum}, nil
+			return Result{Seconds: sec, Checksum: sum, Out: in.C}, nil
 		},
-		Space:   func() *choice.Space { return matmul.Space(matmul.New()) },
-		Program: func(pool *runtime.Pool) autotuner.Program { return &mmProgram{pool: pool} },
+		Space: func() *choice.Space { return matmul.Space(matmul.New()) },
+		Same: func(a, b any, tol float64) bool {
+			return a.(*matrix.Matrix).MaxAbsDiff(b.(*matrix.Matrix)) <= tol
+		},
 		Baseline: func() *choice.Config {
 			cfg := choice.NewConfig()
 			sel := choice.NewSelector(matmul.ChoiceBlocked)
@@ -251,35 +230,9 @@ func MatMulBenchmark() *Benchmark {
 
 // --- eigen --------------------------------------------------------------
 
-// eigenProgram adapts the eigenproblem benchmark to the autotuner. The
-// eigensolvers run sequentially, matching the paper's Figure 12 setup,
-// whatever pool the descriptor's Program is handed.
-type eigenProgram struct{}
-
-func (eigenProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	rng := rand.New(rand.NewSource(seed))
-	tri := eigen.Generate(rng, int(size))
-	out := choice.Run(choice.NewExec(nil, cfg), eigen.New(), tri)
-	if out.Err != nil {
-		return nil, out.Err
-	}
-	return out.R.Values, nil
-}
-
-func (eigenProgram) Same(a, b any, tol float64) bool {
-	x, y := a.([]float64), b.([]float64)
-	if len(x) != len(y) {
-		return false
-	}
-	for i := range x {
-		if math.Abs(x[i]-y[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // EigenBenchmark describes the §4.2 symmetric tridiagonal eigenproblem.
+// The eigensolvers run sequentially, matching the paper's Figure 12
+// setup, whatever pool Run is handed.
 func EigenBenchmark() *Benchmark {
 	return &Benchmark{
 		Name: "eigen",
@@ -298,10 +251,12 @@ func EigenBenchmark() *Benchmark {
 			for i, v := range vals {
 				sum += v * float64(i+1)
 			}
-			return Result{Seconds: sec, Checksum: sum}, nil
+			return Result{Seconds: sec, Checksum: sum, Out: out.R.Values}, nil
 		},
-		Space:    func() *choice.Space { return eigen.Space(eigen.New()) },
-		Program:  func(*runtime.Pool) autotuner.Program { return eigenProgram{} },
+		Space: func() *choice.Space { return eigen.Space(eigen.New()) },
+		Same: func(a, b any, tol float64) bool {
+			return slices.EqualFunc(a.([]float64), b.([]float64), func(x, y float64) bool { return math.Abs(x-y) <= tol })
+		},
 		Baseline: eigen.Cutoff25Config,
 		CheckTol: 1e-6,
 		MinSize:  16,
@@ -314,7 +269,7 @@ func EigenBenchmark() *Benchmark {
 // PoissonBenchmark describes the §4.1 accuracy-aware Poisson benchmark.
 // Its configuration is a tuned POISSONi policy family produced by
 // pbtune's accuracy-aware path, so it is not tunable through the generic
-// wall-clock path (Space/Program are nil) and has no untuned baseline.
+// wall-clock path (Space/Same are nil) and has no untuned baseline.
 func PoissonBenchmark() *Benchmark {
 	return &Benchmark{
 		Name: "poisson",

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/interp"
@@ -43,9 +42,11 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 // they are handed, so a candidate is timed on the executor it will be
 // served on and never touches eng.Cfg; the views share eng's caches, so
 // repeated (transform, sizes, config) traffic replays memoized
-// execution plans. Inputs come from interp.Engine.GenerateInputs, so
-// the served path and the tuned path see identical instances for a
-// given (n, seed).
+// execution plans. Inputs come from interp.Engine.GenerateInputs — the
+// transform's `generator` transform when declared (the paper's "a
+// transform to be used to supply input data during training"), uniform
+// random data otherwise — so the served path and the tuned path see
+// identical instances for a given (n, seed).
 func DSL(eng *interp.Engine) []*Benchmark {
 	var out []*Benchmark
 	for _, t := range eng.Prog.Transforms {
@@ -60,7 +61,8 @@ func DSL(eng *interp.Engine) []*Benchmark {
 		out = append(out, &Benchmark{
 			Name: name,
 			Run: func(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, _ RunOpts) (Result, error) {
-				e := view(eng, pool, cfg)
+				e := eng.WithConfig(cfg)
+				e.Pool = pool
 				inputs, err := e.GenerateInputs(name, int64(n), seed)
 				if err != nil {
 					return Result{}, err
@@ -71,12 +73,10 @@ func DSL(eng *interp.Engine) []*Benchmark {
 					return Result{}, err
 				}
 				sec := time.Since(start).Seconds()
-				return Result{Seconds: sec, Checksum: matrixChecksum(outs)}, nil
+				return Result{Seconds: sec, Checksum: matrixChecksum(outs), Out: outs}, nil
 			},
-			Space: func() *choice.Space { return interp.Space(res) },
-			Program: func(pool *runtime.Pool) autotuner.Program {
-				return &dslProgram{eng: eng, pool: pool, name: name}
-			},
+			Space:    func() *choice.Space { return interp.Space(res) },
+			Same:     sameMatrices,
 			Baseline: choice.NewConfig,
 			CheckTol: 1e-9,
 			MinSize:  8,
@@ -86,36 +86,9 @@ func DSL(eng *interp.Engine) []*Benchmark {
 	return out
 }
 
-// view is eng under cfg on pool.
-func view(eng *interp.Engine, pool *runtime.Pool, cfg *choice.Config) *interp.Engine {
-	e := eng.WithConfig(cfg)
-	e.Pool = pool
-	return e
-}
-
-// dslProgram adapts one transform to the autotuner's Program interface.
-// Training inputs come from the transform's `generator` transform when
-// declared (the paper's generator keyword: "a transform to be used to
-// supply input data during training"), and from uniform random data
-// otherwise.
-type dslProgram struct {
-	eng  *interp.Engine
-	pool *runtime.Pool
-	name string
-}
-
-// Run implements autotuner.Program.
-func (p *dslProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
-	e := view(p.eng, p.pool, cfg)
-	inputs, err := e.GenerateInputs(p.name, size, seed)
-	if err != nil {
-		return nil, err
-	}
-	return e.Run(p.name, inputs)
-}
-
-// Same implements autotuner.Program.
-func (p *dslProgram) Same(a, b any, tol float64) bool {
+// sameMatrices reports whether two named-matrix result sets agree
+// within tol.
+func sameMatrices(a, b any, tol float64) bool {
 	x, y := a.(map[string]*matrix.Matrix), b.(map[string]*matrix.Matrix)
 	if len(x) != len(y) {
 		return false

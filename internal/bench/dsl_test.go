@@ -135,12 +135,11 @@ func TestTuneProgramLeavesCfg(t *testing.T) {
 	}()
 	pool := runtime.NewPool(2)
 	defer pool.Close()
-	prog := b.Program(pool)
 	<-ready
-	var got any
+	var got Result
 	var err error
 	for i := 0; i < 200 && err == nil; i++ {
-		got, err = prog.Run(cfg, 64, 3)
+		got, err = b.Run(pool, cfg, 64, 3, RunOpts{AccIndex: -1})
 	}
 	close(done)
 	if err != nil {
@@ -158,7 +157,7 @@ func TestTuneProgramLeavesCfg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := got.(map[string]*matrix.Matrix)
+	outs := got.Out.(map[string]*matrix.Matrix)
 	if len(outs) != len(want) {
 		t.Fatalf("outputs %d, want %d", len(outs), len(want))
 	}
@@ -170,7 +169,7 @@ func TestTuneProgramLeavesCfg(t *testing.T) {
 }
 
 // TestDSLProgramRunsOnPool checks that a tuning candidate runs on the
-// pool the descriptor's Program is handed, as a served run does: its
+// pool its descriptor's Run is handed, as a served run does: its
 // execution plan's tasks execute on that pool, and the plan-tile grain,
 // a dimension of every DSL search space, sets how many. A candidate that
 // ignored the pool would run the serial step loop and execute no pool
@@ -196,7 +195,7 @@ func TestDSLProgramRunsOnPool(t *testing.T) {
 			cfg.SetSelector(interp.SelectorName(name), choice.NewSelector(0))
 			cfg.SetInt(interp.ParGrainKey, grain)
 			before := pool.Executed()
-			if _, err := b.Program(pool).Run(cfg, n, 1); err != nil {
+			if _, err := b.Run(pool, cfg, int(n), 1, RunOpts{AccIndex: -1}); err != nil {
 				t.Fatal(err)
 			}
 			return pool.Executed() - before

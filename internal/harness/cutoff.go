@@ -2,8 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/sortk"
 )
@@ -35,7 +35,7 @@ func STLCutoff(p CutoffParams) (Experiment, error) {
 		ID: "cutoff", Title: "Merge/insertion cutoff sweep (paper §1 claim)",
 		XLabel: "cutoff", YLabel: "seconds",
 	}
-	tr := sortk.New()
+	b := bench.SortBenchmark()
 	s := Series{Name: "2MS+IS"}
 	for _, cut := range p.Cutoffs {
 		cfg := choice.NewConfig()
@@ -43,12 +43,10 @@ func STLCutoff(p CutoffParams) (Experiment, error) {
 			{Cutoff: cut, Choice: sortk.ChoiceIS},
 			{Cutoff: choice.Inf, Choice: sortk.ChoiceMS, Params: map[string]int64{"k": 2}},
 		}})
-		ex := choice.NewExec(nil, cfg)
-		sec := timeIt(p.Trials, func() {
-			rng := rand.New(rand.NewSource(1234))
-			in := sortk.Generate(rng, p.N)
-			choice.Run(ex, tr, in)
-		})
+		sec, err := runBest(b, nil, cfg, p.N, 1234, p.Trials)
+		if err != nil {
+			return Experiment{}, err
+		}
 		s.X = append(s.X, float64(cut))
 		s.Y = append(s.Y, sec)
 	}

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"fmt"
-	"math/rand"
-
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/eigen"
@@ -33,7 +30,8 @@ func DefaultEigenParams() EigenParams {
 func Fig12(p EigenParams) (Experiment, error) {
 	// The paper's result: divide-and-conquer above a cutoff near 48, QR
 	// below. The eigensolvers run sequentially per Figure 12's setup.
-	tuned, _, _, err := bench.Tune(bench.EigenBenchmark(), nil, p.TuneMax, 21)
+	b := bench.EigenBenchmark()
+	tuned, _, _, err := bench.Tune(b, nil, p.TuneMax, 21)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -63,22 +61,12 @@ func Fig12(p EigenParams) (Experiment, error) {
 		{"Cutoff 25", eigen.Cutoff25Config()},
 		{"Autotuned", tuned},
 	}
-	tr := eigen.New()
 	for _, c := range configs {
 		s := Series{Name: c.name}
 		for _, n := range p.Sizes {
-			rng := rand.New(rand.NewSource(int64(n)))
-			tri := eigen.Generate(rng, n)
-			ex := choice.NewExec(nil, c.cfg)
-			var runErr error
-			sec := timeIt(p.Trials, func() {
-				out := choice.Run(ex, tr, tri)
-				if out.Err != nil {
-					runErr = out.Err
-				}
-			})
-			if runErr != nil {
-				return Experiment{}, fmt.Errorf("harness: %s at n=%d: %w", c.name, n, runErr)
+			sec, err := runBest(b, nil, c.cfg, n, int64(n), p.Trials)
+			if err != nil {
+				return Experiment{}, err
 			}
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, sec)

@@ -12,6 +12,10 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"petabricks/internal/bench"
+	"petabricks/internal/choice"
+	"petabricks/internal/runtime"
 )
 
 // Series is one labelled curve: y (seconds or model cost) against x
@@ -101,7 +105,26 @@ func (e Experiment) FindSeries(name string) (Series, bool) {
 	return Series{}, false
 }
 
-// timeIt returns the best-of-trials wall time of f in seconds.
+// runBest times one point of a figure through the benchmark's own timed
+// run: the fastest Seconds of trials b.Run calls on the (n, seed)
+// instance under cfg on pool. Input generation and output checks are
+// outside the time.
+func runBest(b *bench.Benchmark, pool *runtime.Pool, cfg *choice.Config, n int, seed int64, trials int) (float64, error) {
+	best := 0.0
+	for t := 0; t < max(trials, 1); t++ {
+		r, err := b.Run(pool, cfg, n, seed, bench.RunOpts{AccIndex: -1})
+		if err != nil {
+			return 0, fmt.Errorf("harness: %s at n=%d: %w", b.Name, n, err)
+		}
+		if t == 0 || r.Seconds < best {
+			best = r.Seconds
+		}
+	}
+	return best, nil
+}
+
+// timeIt returns the best-of-trials wall time of f in seconds; Fig11's
+// per-method Poisson solvers, which have no descriptor, time through it.
 func timeIt(trials int, f func()) float64 {
 	if trials < 1 {
 		trials = 1

@@ -2,13 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/matmul"
-	"petabricks/internal/linalg"
-	"petabricks/internal/matrix"
 	"petabricks/internal/runtime"
 )
 
@@ -39,7 +36,8 @@ func DefaultMatMulParams() MatMulParams {
 func Fig15(p MatMulParams) (Experiment, error) {
 	pool := runtime.NewPool(p.Workers)
 	defer pool.Close()
-	tuned, _, _, err := bench.Tune(bench.MatMulBenchmark(), pool, p.TuneMax, 11)
+	b := bench.MatMulBenchmark()
+	tuned, _, _, err := bench.Tune(b, pool, p.TuneMax, 11)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -73,36 +71,27 @@ func Fig15(p MatMulParams) (Experiment, error) {
 			choice.Level{Cutoff: choice.Inf, Choice: matmul.ChoiceStrassen}), false},
 		{"Autotuned", tuned, false},
 	}
-	tr := matmul.New()
 	for _, c := range configs {
 		s := Series{Name: c.name}
 		for _, n := range p.Sizes {
 			if c.slow && n > p.BasicCap {
 				continue
 			}
-			ex := choice.NewExec(pool, c.cfg)
-			rng := rand.New(rand.NewSource(int64(n)))
-			in := matmul.Generate(rng, n)
-			sec := timeIt(p.Trials, func() {
-				choice.Run(ex, tr, in)
-			})
+			sec, err := runBest(b, pool, c.cfg, n, int64(n), p.Trials)
+			if err != nil {
+				return Experiment{}, err
+			}
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, sec)
 		}
 		exp.Series = append(exp.Series, s)
 	}
 	exp.Notes = append(exp.Notes, shapeCheckBestOrClose(exp, "Autotuned", 1.5))
-	// Consistency spot check across the timed configurations.
-	rng := rand.New(rand.NewSource(5))
-	ref := matmul.Generate(rng, 48)
-	h, _, w := ref.Shape()
-	want := matrix.New(h, w)
-	linalg.MulBasic(want, ref.A, ref.B)
+	// Consistency spot check across the timed configurations: Run checks
+	// its output against linalg.MulBasic at this size.
 	for _, c := range configs {
-		ref.C.Fill(0)
-		choice.Run(choice.NewExec(pool, c.cfg), tr, ref)
-		if d := want.MaxAbsDiff(ref.C); d > 1e-6 {
-			return Experiment{}, fmt.Errorf("harness: config %s output differs by %g", c.name, d)
+		if _, err := b.Run(pool, c.cfg, 48, 5, bench.RunOpts{}); err != nil {
+			return Experiment{}, fmt.Errorf("harness: config %s: %w", c.name, err)
 		}
 	}
 	exp.Notes = append(exp.Notes, "consistency OK: all configurations agree at n=48")

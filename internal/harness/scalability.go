@@ -2,9 +2,9 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	goruntime "runtime"
 
+	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/kernels/matmul"
 	"petabricks/internal/kernels/sortk"
@@ -57,9 +57,6 @@ func Fig16(p ScalabilityParams) (Experiment, error) {
 			mode = ModeWallClock
 		}
 	}
-	if mode == ModeModel {
-		return fig16Model(p, exp)
-	}
 	// Sort: parallel-friendly tuned-style config (2-way merge sort with
 	// recursive merge on top, quick sort mid, insertion base).
 	sortCfg := choice.NewConfig()
@@ -69,13 +66,6 @@ func Fig16(p ScalabilityParams) (Experiment, error) {
 		{Cutoff: choice.Inf, Choice: sortk.ChoiceMS, Params: map[string]int64{"k": 2}},
 	}})
 	sortCfg.SetInt("sort.seqcutoff", 2048)
-	rngSort := rand.New(rand.NewSource(42))
-	pristine := sortk.Generate(rngSort, p.SortN)
-	work := sortk.Generate(rngSort, p.SortN)
-	sortRun := func(pool *runtime.Pool) {
-		copy(work.Data, pristine.Data)
-		choice.Run(choice.NewExec(pool, sortCfg), sortk.New(), work)
-	}
 	// Matrix multiply: recursive decomposition over blocked base.
 	mmCfg := choice.NewConfig()
 	mmCfg.SetSelector("matmul", choice.Selector{Levels: []choice.Level{
@@ -83,25 +73,29 @@ func Fig16(p ScalabilityParams) (Experiment, error) {
 		{Cutoff: choice.Inf, Choice: matmul.ChoiceRecW},
 	}})
 	mmCfg.SetInt("matmul.seqcutoff", 64)
-	rngMM := rand.New(rand.NewSource(43))
-	mmIn := matmul.Generate(rngMM, p.MatMulN)
-	mmRun := func(pool *runtime.Pool) {
-		choice.Run(choice.NewExec(pool, mmCfg), matmul.New(), mmIn)
+	if mode == ModeModel {
+		return fig16Model(p, exp, sortCfg, mmCfg)
 	}
 	benches := []struct {
 		name string
-		run  func(pool *runtime.Pool)
+		b    *bench.Benchmark
+		cfg  *choice.Config
+		n    int
+		seed int64
 	}{
-		{"Autotuned Sort", sortRun},
-		{"Autotuned Matrix Multiply", mmRun},
+		{"Autotuned Sort", bench.SortBenchmark(), sortCfg, p.SortN, 42},
+		{"Autotuned Matrix Multiply", bench.MatMulBenchmark(), mmCfg, p.MatMulN, 43},
 	}
 	for _, b := range benches {
 		base := 0.0
 		s := Series{Name: b.name}
 		for w := 1; w <= p.MaxWorkers; w++ {
 			pool := runtime.NewPool(w)
-			sec := timeIt(p.Trials, func() { b.run(pool) })
+			sec, err := runBest(b.b, pool, b.cfg, b.n, b.seed, p.Trials)
 			pool.Close()
+			if err != nil {
+				return Experiment{}, err
+			}
 			if w == 1 {
 				base = sec
 			}
@@ -127,23 +121,10 @@ func Fig16(p ScalabilityParams) (Experiment, error) {
 // the speedup of each benchmark's tuned configuration on a Xeon-like
 // machine as the model's core count sweeps 1..MaxWorkers. This is the
 // substitution path for hosts without real parallelism.
-func fig16Model(p ScalabilityParams, exp Experiment) (Experiment, error) {
+func fig16Model(p ScalabilityParams, exp Experiment, sortCfg, mmCfg *choice.Config) (Experiment, error) {
 	exp.Notes = append(exp.Notes,
 		"host lacks multiple CPUs (or ModeModel forced): speedups from the machine model, not wall clock")
-	sortCfg := choice.NewConfig()
-	sortCfg.SetSelector("sort", choice.Selector{Levels: []choice.Level{
-		{Cutoff: 600, Choice: sortk.ChoiceIS},
-		{Cutoff: 1420, Choice: sortk.ChoiceQS},
-		{Cutoff: choice.Inf, Choice: sortk.ChoiceMS, Params: map[string]int64{"k": 2}},
-	}})
-	sortCfg.SetInt("sort.seqcutoff", 2048)
-	mmCfg := choice.NewConfig()
-	mmCfg.SetSelector("matmul", choice.Selector{Levels: []choice.Level{
-		{Cutoff: 64, Choice: matmul.ChoiceBlocked, Params: map[string]int64{"block": 48}},
-		{Cutoff: choice.Inf, Choice: matmul.ChoiceRecW},
-	}})
-	mmCfg.SetInt("matmul.seqcutoff", 64)
-	type bench struct {
+	type model struct {
 		name    string
 		measure func(cores int) float64
 	}
@@ -152,7 +133,7 @@ func fig16Model(p ScalabilityParams, exp Experiment) (Experiment, error) {
 		a.Cores = cores
 		return a
 	}
-	benches := []bench{
+	models := []model{
 		{"Autotuned Sort", func(cores int) float64 {
 			return simarch.SortModel{Arch: arch(cores)}.Measure(sortCfg, int64(p.SortN))
 		}},
@@ -160,12 +141,12 @@ func fig16Model(p ScalabilityParams, exp Experiment) (Experiment, error) {
 			return simarch.MatMulModel{Arch: arch(cores)}.Measure(mmCfg, int64(p.MatMulN))
 		}},
 	}
-	for _, b := range benches {
-		base := b.measure(1)
-		s := Series{Name: b.name}
+	for _, m := range models {
+		base := m.measure(1)
+		s := Series{Name: m.name}
 		for w := 1; w <= p.MaxWorkers; w++ {
 			s.X = append(s.X, float64(w))
-			s.Y = append(s.Y, base/b.measure(w))
+			s.Y = append(s.Y, base/m.measure(w))
 		}
 		exp.Series = append(exp.Series, s)
 		if s.Final() < 1.5 {

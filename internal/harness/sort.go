@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
@@ -36,7 +35,8 @@ func DefaultSortParams() SortParams {
 func Fig14(p SortParams) (Experiment, error) {
 	pool := runtime.NewPool(p.Workers)
 	defer pool.Close()
-	tuned, _, _, err := bench.Tune(bench.SortBenchmark(), pool, p.TuneMax, 7)
+	b := bench.SortBenchmark()
+	tuned, _, _, err := bench.Tune(b, pool, p.TuneMax, 7)
 	if err != nil {
 		return Experiment{}, err
 	}
@@ -58,19 +58,16 @@ func Fig14(p SortParams) (Experiment, error) {
 	}
 	names := []string{"InsertionSort", "QuickSort", "MergeSort", "RadixSort", "Autotuned"}
 	cfgs := []*choice.Config{pure(0), pure(1), pure(2), pure(3), tuned}
-	tr := sortk.New()
 	for ci, cfg := range cfgs {
 		s := Series{Name: names[ci]}
 		for _, n := range p.Sizes {
 			if ci == 0 && n > p.InsCap {
 				continue
 			}
-			ex := choice.NewExec(pool, cfg)
-			sec := timeIt(p.Trials, func() {
-				rng := rand.New(rand.NewSource(p.SeedBase + int64(n)))
-				in := sortk.Generate(rng, n)
-				choice.Run(ex, tr, in)
-			})
+			sec, err := runBest(b, pool, cfg, n, p.SeedBase+int64(n), p.Trials)
+			if err != nil {
+				return Experiment{}, err
+			}
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, sec)
 		}

@@ -681,6 +681,39 @@ tunable chunk(4, 64, 16)
 	}
 }
 
+// TestSpaceGrainOnlyWhenTiled checks that the plan-tile grain is a
+// dimension of a transform's space only when some schedule step may be
+// tiled by it. RollingSum's steps are one cell (B.region(0, 1)) and a
+// rank-1 scan, which the plan runs as one serial task at any grain; a
+// rank-2 cyclic step (Heat1D), a lexicographic wavefront (SummedArea)
+// and plain cell grids (MatrixMultiply, Tn) may all be tiled.
+func TestSpaceGrainOnlyWhenTiled(t *testing.T) {
+	tn := `
+transform Tn
+from A[n]
+to B[n]
+{
+  to (B.cell(i) b) from (A.cell(i) a) { b = a; }
+}
+`
+	for _, c := range []struct {
+		name, src string
+		want      bool
+	}{
+		{"RollingSum", parser.RollingSumSrc, false},
+		{"MatrixMultiply", parser.MatrixMultiplySrc, true},
+		{"Heat1D", parser.Heat1DSrc, true},
+		{"SummedArea", parser.SummedAreaSrc, true},
+		{"Tn", tn, true},
+	} {
+		res, _ := engine(t, c.src).Analysis(c.name)
+		got := slices.ContainsFunc(Space(res).Tunables, func(s choice.TunableSpec) bool { return s.Name == ParGrainKey })
+		if got != c.want {
+			t.Errorf("%s: %s in space = %v, want %v\n%s", c.name, ParGrainKey, got, c.want, res.RenderSchedule())
+		}
+	}
+}
+
 func TestParallelNestedSingleWorkerNoDeadlock(t *testing.T) {
 	// One worker + deeply nested parallel transform calls: the helping
 	// joins must keep the single scheduler thread busy instead of

@@ -7,6 +7,7 @@ import (
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
 	"petabricks/internal/pbc/analysis"
+	"petabricks/internal/pbc/symbolic"
 )
 
 // Space derives the configuration search space of a transform from its
@@ -37,15 +38,42 @@ func Space(res *analysis.Result) *choice.Space {
 	}
 	// The plan-tile grain is searchable like any declared cutoff (it
 	// trades scheduling overhead for load balance). Only a pooled run
-	// builds a plan, so only a candidate timed on a pool reads it.
-	sp.AddTunable(choice.TunableSpec{
-		Name:     ParGrainKey,
-		Min:      1,
-		Max:      1 << 16,
-		Default:  DefaultParGrain,
-		LogScale: true,
-	})
+	// builds a plan, so only a candidate timed on a pool reads it, and
+	// only for a step the plan may tile.
+	if tilesByGrain(res) {
+		sp.AddTunable(choice.TunableSpec{
+			Name:     ParGrainKey,
+			Min:      1,
+			Max:      1 << 16,
+			Default:  DefaultParGrain,
+			LogScale: true,
+		})
+	}
 	return sp
+}
+
+// tilesByGrain reports whether some schedule step may be tiled by the
+// plan-tile grain. Two kinds never are: a rank-1 cyclic step, which the
+// plan runs as one serial task, and a region of at most one cell, which
+// never holds the 2·grain cells a tile split needs. A step not provably
+// one of them counts as tiled.
+func tilesByGrain(res *analysis.Result) bool {
+	for _, st := range res.Schedule {
+		for _, n := range st.Nodes {
+			if st.Cyclic && st.Lex == nil && len(n.Region) == 1 {
+				continue
+			}
+			one := true
+			for _, iv := range n.Region {
+				ext, ok := symbolic.Sub(iv.End, iv.Begin).IsConst()
+				one = one && ok && ext.Cmp(symbolic.RatInt(1)) <= 0
+			}
+			if !one {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // GenerateInputs builds the training inputs of one transform at the

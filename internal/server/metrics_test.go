@@ -182,13 +182,11 @@ type blockingProgram struct {
 	gate    chan struct{}
 }
 
-func (p *blockingProgram) Run(cfg *choice.Config, size, seed int64) (any, error) {
+func (p *blockingProgram) Run(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, opt bench.RunOpts) (bench.Result, error) {
 	p.once.Do(func() { close(p.started) })
 	<-p.gate
-	return size, nil
+	return bench.Result{Out: n}, nil
 }
-
-func (p *blockingProgram) Same(a, b any, tol float64) bool { return true }
 
 func blockingBenchmark(prog *blockingProgram) *bench.Benchmark {
 	space := func() *choice.Space {
@@ -202,12 +200,10 @@ func blockingBenchmark(prog *blockingProgram) *bench.Benchmark {
 		return sp
 	}
 	return &bench.Benchmark{
-		Name: "slowtune",
-		Run: func(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, opt bench.RunOpts) (bench.Result, error) {
-			return bench.Result{}, nil
-		},
+		Name:     "slowtune",
+		Run:      prog.Run,
 		Space:    space,
-		Program:  func(pool *runtime.Pool) autotuner.Program { return prog },
+		Same:     func(a, b any, tol float64) bool { return true },
 		Baseline: func() *choice.Config { return choice.NewConfig() },
 		CheckTol: -1,
 		MinSize:  64,

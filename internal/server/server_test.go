@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"petabricks/internal/autotuner"
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/configstore"
@@ -480,15 +479,18 @@ func TestEngineSelection(t *testing.T) {
 }
 
 // TestTuneNeverPromotesBrokenConfig sanity-checks the tuner's evaluator
-// path: the WallClock evaluator must give a working baseline config a
-// finite cost (broken configs score 1e30 and can never rank above it).
+// path: the evaluator bench.Tune returns must give a working baseline
+// config a finite cost (broken configs score 1e30 and can never rank
+// above it).
 
 func TestTuneNeverPromotesBrokenConfig(t *testing.T) {
 	b, _ := bench.Lookup("sort")
 	pool := runtime.NewPool(1)
 	defer pool.Shutdown()
-	prog := b.Program(pool)
-	w := &autotuner.WallClock{P: prog, Trials: 1, Seed: 3}
+	_, _, w, err := bench.Tune(b, pool, b.MinSize, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := b.Baseline()
 	if c := w.Measure(cfg, 256); c >= 1e30 {
 		t.Fatalf("baseline sort config disqualified: %g", c)
