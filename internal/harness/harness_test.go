@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
 )
@@ -180,8 +182,10 @@ func TestSTLCutoffSmall(t *testing.T) {
 
 func TestFig16WallClockMode(t *testing.T) {
 	// Force the wall-clock path (it is exercised regardless of host core
-	// count; on a single-core machine the speedups just hover near 1).
-	p := ScalabilityParams{MaxWorkers: 2, SortN: 50000, MatMulN: 64, Trials: 1, Mode: ModeWallClock}
+	// count; on a single-core machine the speedups just hover near 1),
+	// on a scheduler of two cores, with more workers asked for than that.
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(2))
+	p := ScalabilityParams{MaxWorkers: 4, SortN: 50000, MatMulN: 64, Trials: 1, Mode: ModeWallClock}
 	exp, err := Fig16(p)
 	if err != nil {
 		t.Fatal(err)
@@ -189,12 +193,20 @@ func TestFig16WallClockMode(t *testing.T) {
 	if len(exp.Series) != 2 {
 		t.Fatalf("series = %d", len(exp.Series))
 	}
+	// The sweep stops at the cores the scheduler runs on.
+	const widest = 2
 	for _, s := range exp.Series {
 		for _, y := range s.Y {
 			if y <= 0 {
 				t.Fatalf("series %s has nonpositive speedup", s.Name)
 			}
 		}
+		if len(s.X) != widest || s.X[len(s.X)-1] != float64(widest) {
+			t.Errorf("series %s swept %v workers, want 1..%d", s.Name, s.X, widest)
+		}
+	}
+	if want := fmt.Sprintf("at %d workers", widest); !strings.Contains(strings.Join(exp.Notes, "\n"), want) {
+		t.Errorf("shape notes %q do not name the swept width (%q)", exp.Notes, want)
 	}
 }
 

@@ -24,7 +24,7 @@ func DefaultMatMulParams() MatMulParams {
 	return MatMulParams{
 		Sizes:    []int{64, 128, 256, 384, 512},
 		TuneMax:  256,
-		Trials:   1,
+		Trials:   3,
 		Workers:  8,
 		BasicCap: 1 << 30,
 	}

@@ -41,8 +41,9 @@ to Z[w, h]
 // probes do. The cases are Heat1D's stencil rule at n = 4096 (t = 1..4
 // over the interior) in whole rows and in 4-cell rows, the size of a
 // tile at pbc.parGrain=4; the Pointwise rule at n = 4096; MatrixAdd
-// over a 64×64 box; and MatrixMultiply's base rule, a dot of length 64
-// per cell, over a 64×64 box.
+// over a 64×64 box; MatrixMultiply's base rule, a dot of length 64 per
+// cell, over a 64×64 box; and RollingSum's direct rule at n = 1024, a
+// sum over A.region(0, i+1) per cell, i+1 elements at cell i.
 func BenchmarkRunBox(b *testing.B) {
 	const n = 4096
 	var heat, heat4 [][][2]int64
@@ -64,6 +65,7 @@ func BenchmarkRunBox(b *testing.B) {
 		{"pointwise", benchPointwiseSrc, 0, map[string]int64{"n": n}, [][][2]int64{{{0, n}}}},
 		{"matrixadd", benchMatrixAddSrc, 0, map[string]int64{"w": 64, "h": 64}, [][][2]int64{{{0, 64}, {0, 64}}}},
 		{"matmul", parser.MatrixMultiplySrc, 0, map[string]int64{"w": 64, "c": 64, "h": 64}, [][][2]int64{{{0, 64}, {0, 64}}}},
+		{"rollingsum", parser.RollingSumSrc, 0, map[string]int64{"n": 1024}, [][][2]int64{{{0, 1024}}}},
 	} {
 		p, res, err := lowerRule(b, c.src, c.rule, c.sizes)
 		if err != nil {

@@ -175,8 +175,9 @@ func cellRef(m string, base, coeff []int64) Ref {
 // one frame reused across boxes, a frame reused after a row that fails
 // mid-row, if-converted bodies against their branches on NaN, rows of
 // dot products whose lengths differ, views of the stored array read by
-// a dot product, one whose window grows from row to row, and a row
-// longer than one lane buffer.
+// a dot product, one whose window grows from row to row, a row longer
+// than one lane buffer, and sums over windows that grow, shrink or
+// slide along the row, one of them over the row's own stored cells.
 func TestRunBoxEdges(t *testing.T) {
 	// d = s[i+2]: the read misses from i = 4 on (size 6).
 	readMiss := &Program{
@@ -346,6 +347,99 @@ func TestRunBoxEdges(t *testing.T) {
 	for _, o := range orders(1) {
 		for _, r := range [][2]int64{{0, 200}, {3, 190}, {0, 40}, {150, 200}} {
 			lp.check(t, lanesMap.Name+" long row", []int64{0}, [][2]int64{r}, o)
+		}
+	}
+
+	// Sums over rank-1 windows that move along the row, on 40 cells, so
+	// that a row fills blocks of eight lanes and a remainder: d[i] =
+	// sum(w) for each window w. S is plain, or a column of a 40×3 matrix
+	// (stride 3).
+	sumData := func(stride int) func() map[string]*matrix.Matrix {
+		return func() map[string]*matrix.Matrix {
+			s := matrix.New(40, stride)
+			for i := range s.Backing() {
+				s.Backing()[i] = float64(i%9)*0.3 - 1.1
+			}
+			d := make([]float64, 40)
+			for i := range d {
+				d[i] = float64(i%5)*0.7 + 0.05
+			}
+			return map[string]*matrix.Matrix{"S": s.Slice(1, 0), "D": matrix.FromSlice(d)}
+		}
+	}
+	sumOver := func(name, m string, base, coeff, hiBase, hiCoeff []int64) *Program {
+		return &Program{
+			Name: name, NCenter: 1, CenterReg: []int32{-1}, RegInit: []float64{0},
+			Refs: []Ref{
+				cellRef("D", []int64{0}, []int64{1}),
+				{Matrix: m, Binding: "w", ND: 1, Kind: RefView, Base: base, Coeff: coeff, HiBase: hiBase, HiCoeff: hiCoeff},
+			},
+			Code: []Instr{{OpSumV, 0, 1, 0}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+		}
+	}
+	for _, c := range []struct {
+		p     *Program
+		lanes bool
+	}{
+		// S.region(0, i+1): RollingSum's growing window, which shrinks
+		// along a descending row.
+		{sumOver("test/sumgrow", "S", []int64{0}, nil, []int64{1}, []int64{1}), true},
+		// S.region(i, 40): a window whose start moves and whose end
+		// does not.
+		{sumOver("test/sumshrink", "S", []int64{0}, []int64{1}, []int64{40}, nil), true},
+		// S.region(0, i): empty at i = 0.
+		{sumOver("test/sumempty", "S", []int64{0}, nil, []int64{0}, []int64{1}), true},
+		// S.region(i, i+3): three cells sliding along the row.
+		{sumOver("test/sumslide", "S", []int64{0}, []int64{1}, []int64{3}, []int64{1}), true},
+		// D.region(0, i): the output's own earlier cells, which a lane
+		// before may store, so the rows run cell by cell.
+		{sumOver("test/sumself", "D", []int64{0}, nil, []int64{0}, []int64{1}), false},
+	} {
+		for _, stride := range []int{1, 3} {
+			for _, o := range orders(1) {
+				bp := newBoxPair(c.p, sumData(stride))
+				row := boxMove{k: 0, dir: 1, start: 1, ext: 36}
+				if o[0].Dir < 0 {
+					row.dir, row.start = -1, 36
+				}
+				if got := bp.box.lanesAt([]int64{row.start}, row); got != c.lanes {
+					t.Errorf("%s stride %d %v: row across lanes = %v, want %v", c.p.Name, stride, o, got, c.lanes)
+				}
+				label := fmt.Sprintf("%s stride %d %v", c.p.Name, stride, o)
+				for _, r := range [][2]int64{{0, 37}, {0, 40}, {1, 36}, {3, 20}, {17, 40}, {0, 9}, {30, 38}, {0, 37}} {
+					bp.check(t, label, []int64{0}, [][2]int64{r}, o)
+				}
+			}
+		}
+	}
+	// C[x,y] = sum(S.region(y, x+1)): the window grows along x and
+	// shrinks along y, so a box binds as a whole only when x is its row,
+	// and is empty, or fails to bind (lo > hi), below the diagonal. Each
+	// row starts from the same extent, so a walk must not carry one
+	// row's growth into the next.
+	tri := &Program{
+		Name: "test/sumtri", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0},
+		Refs: []Ref{
+			cellRef("C", []int64{0, 0}, []int64{1, 0, 0, 1}),
+			{Matrix: "S", Binding: "w", ND: 1, Kind: RefView, Base: []int64{0}, Coeff: []int64{0, 1},
+				HiBase: []int64{1}, HiCoeff: []int64{1, 0}},
+		},
+		Code: []Instr{{OpSumV, 0, 1, 0}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+	}
+	triMats := func() map[string]*matrix.Matrix {
+		s := matrix.New(12)
+		for i := range s.Backing() {
+			s.Backing()[i] = float64(i%7)*0.45 - 1.3
+		}
+		return map[string]*matrix.Matrix{"S": s, "C": matrix.New(12, 12)}
+	}
+	tp := newBoxPair(tri, triMats)
+	if !tp.box.lanesAt([]int64{2, 1}, boxMove{k: 0, dir: 1, start: 2, ext: 10}) {
+		t.Errorf("%s: a row along x does not run across its lanes", tri.Name)
+	}
+	for _, o := range orders(2) {
+		for _, b := range [][][2]int64{{{0, 11}, {0, 1}}, {{3, 11}, {0, 4}}, {{1, 12}, {0, 3}}, {{0, 11}, {0, 11}}, {{5, 11}, {2, 6}}} {
+			tp.check(t, fmt.Sprintf("%s %v", tri.Name, o), []int64{0, 0}, b, o)
 		}
 	}
 
@@ -769,9 +863,11 @@ func sameAsBranches(t *testing.T, branchy, conv *Program, data func() map[string
 }
 
 // TestLaneRowAllocs pins that a row running across its lanes allocates
-// nothing, with a sel and a dot product in its body, in a row that
-// fits one lane buffer and in one that takes many chunks of it:
-// c = dot(A.row(y), B.column(x)); t = -c; if (c > 0.5) t = c; C[x,y] = t.
+// nothing, with a sel and a dot product in its body,
+// c = dot(A.row(y), B.column(x)); t = -c; if (c > 0.5) t = c; C[x,y] = t,
+// and with a sum over a growing window, C[x,y] = sum(S.region(0, x+1)),
+// in a row that fits one lane buffer and in one that takes many chunks
+// of it.
 func TestLaneRowAllocs(t *testing.T) {
 	p := &Program{
 		Name: "test/lanealloc", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0, 0, 0.5, 0},
@@ -784,6 +880,14 @@ func TestLaneRowAllocs(t *testing.T) {
 		},
 		Code: []Instr{{OpDotV, 0, 1, 2}, {OpNeg, 1, 0, 0}, {OpGT, 3, 0, 2}, {OpSel, 1, 3, 0}, {OpStore, 0, 1, 0}, {Op: OpHalt}},
 	}
+	sum := &Program{
+		Name: "test/sumalloc", NCenter: 2, CenterReg: []int32{-1, -1}, RegInit: []float64{0},
+		Refs: []Ref{
+			cellRef("C", []int64{0, 0}, []int64{1, 0, 0, 1}),
+			{Matrix: "S", Binding: "s", ND: 1, Kind: RefView, Base: []int64{0}, HiBase: []int64{1}, HiCoeff: []int64{1, 0}},
+		},
+		Code: []Instr{{OpSumV, 0, 1, 0}, {OpStore, 0, 0, 0}, {Op: OpHalt}},
+	}
 	for _, w := range []int{16, 300} {
 		c, a, b := matrix.New(2, w), matrix.New(2, 8), matrix.New(8, w)
 		for i := range b.Backing() {
@@ -792,23 +896,27 @@ func TestLaneRowAllocs(t *testing.T) {
 		for i := range a.Backing() {
 			a.Backing()[i] = float64(i%5) * 0.25
 		}
-		f := p.NewFrame()
+		dot, sf := p.NewFrame(), sum.NewFrame()
 		for i, m := range []*matrix.Matrix{c, a, b} {
-			f.BindMatrix(i, m)
+			dot.BindMatrix(i, m)
 		}
-		row := boxMove{k: 0, dir: 1, start: 0, ext: int64(w)}
-		if !f.lanesAt([]int64{0, 1}, row) {
-			t.Fatalf("width %d: the row does not run across its lanes", w)
-		}
-		center := []int64{0, 0}
-		box := [][2]int64{{0, int64(w)}, {0, 2}}
-		order := []analysis.LexDim{{Dim: 0, Dir: 1}, {Dim: 1, Dir: 1}}
-		if allocs := testing.AllocsPerRun(50, func() {
-			if err := f.RunBox(center, box, order); err != nil {
-				t.Fatal(err)
+		sf.BindMatrix(0, c)
+		sf.BindMatrix(1, b.Slice(0, 3))
+		for _, f := range []*Frame{dot, sf} {
+			row := boxMove{k: 0, dir: 1, start: 0, ext: int64(w)}
+			if !f.lanesAt([]int64{0, 1}, row) {
+				t.Fatalf("%s width %d: the row does not run across its lanes", f.prog.Name, w)
 			}
-		}); allocs != 0 {
-			t.Errorf("width %d: RunBox made %v allocations per run, want 0", w, allocs)
+			center := []int64{0, 0}
+			box := [][2]int64{{0, int64(w)}, {0, 2}}
+			order := []analysis.LexDim{{Dim: 0, Dir: 1}, {Dim: 1, Dir: 1}}
+			if allocs := testing.AllocsPerRun(50, func() {
+				if err := f.RunBox(center, box, order); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s width %d: RunBox made %v allocations per run, want 0", f.prog.Name, w, allocs)
+			}
 		}
 	}
 }
@@ -923,32 +1031,39 @@ func corpusMatrices(t testing.TB, res *analysis.Result, sizes map[string]int64) 
 // in three D and S are bound to one matrix: half of those times with
 // equal coefficients, so that their rows overlap in some boxes and not
 // in others, and half with unequal ones, whose rows must run cell by
-// cell. The body is one of six: the sum over V plus the read, the
+// cell. The body is one of seven: the sum over V plus the read, the
 // same then a write of a center register, the same divided by a center
 // coordinate minus a constant, which is zero mid-row in some boxes, a
 // straight-line body of lane ops that leaves V alone, whose rows run
 // across their lanes wherever D and S are apart, the if-converted form
 // of an if/else over the read (ifConverted), in each shape the lowering
-// emits and with every compare, or dot(S, V) over two rows or columns of
+// emits and with every compare, dot(S, V) over two rows or columns of
 // 2-D matrices, strided where they cross rows, of one length three times
-// in four. In the last, S is a view, so where S and D share a matrix
-// the window a cell reads can hold cells other lanes store. After each
-// box both frames' register files and matrices must agree, and then
-// both frames run one more cell.
+// in four, or sum(V) plus a center coordinate over a rank-1 V whose hi
+// coefficient differs from its lo one along one center variable, so its
+// window grows or shrinks along rows of that variable. In the dot body
+// S is a view, so where S and D share a matrix the window a cell reads
+// can hold cells other lanes store; in the sum body V is, one time in
+// two, a row or column of D's matrix, to the same end. After each box
+// both frames' register files and matrices must agree, and then both
+// frames run one more cell.
 func FuzzRunBox(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))
 	f.Add(int64(-7))
-	// Body 5, S a view of D that grows along y: a box of rows along x
-	// whose first row's window ends below the cells it stores and whose
-	// second row's does not.
-	f.Add(int64(2135))
+	// Body 5, S a view of D whose window grows from row to row, so that
+	// it meets the cells a row stores in some rows of a box and not in
+	// others: a window verdict cached with the box shape fails it.
+	f.Add(int64(98925))
+	// Body 6, V a column of D whose window moves along the row and meets
+	// the cells the row stores: dropping the window check fails it.
+	f.Add(int64(3077))
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		nd := 1 + rng.Intn(3)
 		nc := 1 + rng.Intn(3)
-		body := rng.Intn(6)
-		if body == 5 {
+		body := rng.Intn(7)
+		if body >= 5 {
 			nd = 2
 		}
 		lanes := body >= 3 // bodies written to run across lanes
@@ -1051,6 +1166,17 @@ func FuzzRunBox(f *testing.F) {
 					r.HiCoeff[(1-d)*nc+grow]++
 				}
 			}
+		case 6:
+			// V is rank 1: V.region(lo, hi) with lo and hi affine, hi's
+			// coefficient on one center variable off by -1, 1 or 2.
+			base, coeff := small(), make([]int64, nc)
+			for k := range coeff {
+				coeff[k] = small() / 2
+			}
+			hiCoeff := slices.Clone(coeff)
+			hiCoeff[rng.Intn(nc)] += []int64{-1, 1, 2}[rng.Intn(3)]
+			*v = Ref{Matrix: "V", Binding: "V", ND: 1, Kind: RefView, Base: []int64{base}, Coeff: coeff,
+				HiBase: []int64{base + int64(rng.Intn(4))}, HiCoeff: hiCoeff}
 		}
 		creg := make([]int32, nc)
 		for d := range creg {
@@ -1061,6 +1187,8 @@ func FuzzRunBox(f *testing.F) {
 		switch body {
 		case 5: // d = dot(S, V) + center
 			code = []Instr{{OpDotV, 0, 1, 2}, {OpAdd, 0, 0, 3}, {OpStore, 0, 0, 0}}
+		case 6: // d = sum(V) + center
+			code = []Instr{{OpSumV, 0, 2, 0}, {OpAdd, 0, 0, 3}, {OpStore, 0, 0, 0}}
 		case 4: // r[2] = s*r[4]; if (s <cmp> r[4]) r[2] = r[2] + center else r[2] = -s; d = r[2]
 			code = []Instr{{OpLoad, 0, 1, 0}, {OpMul, 2, 0, 4}}
 			cmp := Op(rng.Intn(6))
@@ -1115,6 +1243,14 @@ func FuzzRunBox(f *testing.F) {
 			}
 			views[i] = rng.Intn(3)
 		}
+		// The sum body's V: its own vector, or D's first row or column.
+		vOfD := -1
+		if body == 6 {
+			shapes[2] = []int{3 + rng.Intn(8)}
+			if rng.Intn(2) == 0 {
+				vOfD = rng.Intn(2)
+			}
+		}
 		mk := func() map[string]*matrix.Matrix {
 			out := map[string]*matrix.Matrix{}
 			for i, name := range []string{"D", "S", "V"} {
@@ -1122,6 +1258,9 @@ func FuzzRunBox(f *testing.F) {
 			}
 			if alias {
 				out["S"] = out["D"]
+			}
+			if vOfD >= 0 {
+				out["V"] = out["D"].Slice(vOfD, 0)
 			}
 			return out
 		}
@@ -1145,7 +1284,7 @@ func FuzzRunBox(f *testing.F) {
 				}
 				order[d] = analysis.LexDim{Dim: k, Dir: 1 - 2*rng.Intn(2)}
 			}
-			label := fmt.Sprintf("seed %d body %d alias %v %+v", seed, body, alias, refs)
+			label := fmt.Sprintf("seed %d body %d alias %v V of D %d %+v", seed, body, alias, vOfD, refs)
 			bp.check(t, label, center, b, order)
 			bp.checkCell(t, label, center)
 		}

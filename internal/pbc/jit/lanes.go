@@ -13,9 +13,10 @@ import (
 // instruction and chunk instead of one dispatch per instruction. Whether
 // a row may run so is decided three times: from the code alone, once per
 // frame (laneBody); from the addresses the cell refs are bound to, once
-// per box shape (rowApart); and from the lengths and windows of the dot
-// products' views, once per row (dotsFit). A cell rule with an if/else
-// reaches laneBody if-converted (ifConverted): both arms, then sel.
+// per box shape (rowApart); and from the windows of the sums' and dot
+// products' views, once per row (windowsFit). A cell rule with an
+// if/else reaches laneBody if-converted (ifConverted): both arms, then
+// sel.
 
 // laneBuf is the size, in float64s, of the lane buffer row keeps on the
 // stack, which Go zeroes at every row. Each register gets
@@ -37,7 +38,8 @@ const (
 // laneable sends a row whose dotv lengths differ to run), and of those
 // only the ones corpus and generated rules use: min, max, abs and trunc
 // come from generated rules, the compares and sel from if-converted ones
-// (ifConverted), dotv from MatrixMultiply's base rule. sel reads the
+// (ifConverted), dotv from MatrixMultiply's base rule, sumv from
+// RollingSum's (over a rank-1 view only, laneBody). sel reads the
 // register it writes.
 func laneRegs(in Instr) (w int32, r [3]int32, ok bool) {
 	switch in.Op {
@@ -47,7 +49,7 @@ func laneRegs(in Instr) (w int32, r [3]int32, ok bool) {
 		return in.A, [3]int32{in.B, in.C, -1}, true
 	case OpSel:
 		return in.A, [3]int32{in.A, in.B, in.C}, true
-	case OpLoad, OpDotV:
+	case OpLoad, OpSumV, OpDotV:
 		return in.A, [3]int32{-1, -1, -1}, true
 	case OpStore:
 		return -1, [3]int32{in.B, -1, -1}, true
@@ -58,9 +60,11 @@ func laneRegs(in Instr) (w int32, r [3]int32, ok bool) {
 // laneBody reports whether the program's rows may run across their
 // lanes: it has at most 64 registers; its code is straight-line, lane
 // ops (laneRegs) then one trailing halt, so nothing can fail or branch
-// mid-row; and no register is read at or before its first write, so
-// none carries a value from one cell to the next — a register is either
-// written before every read or never written at all. written and
+// mid-row; every sum is over a view of DSL rank 1, a window of one
+// dimension that never collapses; and no register is read at or before
+// its first write, so none carries a value from one cell to the next —
+// a register is either written before every read or never written at
+// all. written and
 // uniform are then the registers the body writes, and those it reads
 // but never writes, which all lanes share. It reads Code and the
 // register count alone, as writesCenter does, so a compiled program and
@@ -73,7 +77,7 @@ func (p *Program) laneBody() (ok bool, written, uniform uint64) {
 	code := p.Code[:len(p.Code)-1]
 	for _, in := range code {
 		w, _, ok := laneRegs(in)
-		if !ok {
+		if !ok || in.Op == OpSumV && p.Refs[in.B].ND != 1 {
 			return false, 0, 0
 		}
 		if w >= 0 {
@@ -99,48 +103,85 @@ func (p *Program) laneBody() (ok bool, written, uniform uint64) {
 	return true, written, uniform
 }
 
-// row runs the bound row of left+1 cells: across its lanes when the
-// body and the row's addresses allow it (laneable), otherwise through
-// run.
-func (f *Frame) row(left int64) error {
-	if !f.laneable(left) {
-		return f.run(left)
+// row runs the bound row of left+1 cells at center: across its lanes
+// when the body and the row's addresses allow it (laneable), otherwise
+// through run, or, where a view's extent changes along the row, which
+// run's halt step does not follow, cell by cell (cells).
+func (f *Frame) row(center []int64, left int64) error {
+	if f.laneable(left) {
+		var buf [laneBuf]float64
+		f.laneRow(left, buf[:])
+		return nil
 	}
-	var buf [laneBuf]float64
-	f.laneRow(left, buf[:])
+	if f.grows {
+		return f.cells(center, left)
+	}
+	return f.run(left)
+}
+
+// cells runs the bound row of left+1 cells through RunCell at each of
+// its centers in turn, stepping rowAt, and leaves the frame as a walked
+// row does: every ref at the row's last cell, as RunCell binds it there,
+// and each view's extent at the row's first, where walk's carries
+// expect it.
+func (f *Frame) cells(center []int64, left int64) error {
+	m := f.carryOf[0]
+	for c := int64(0); ; c++ {
+		center[m.k] = f.rowAt
+		if err := f.RunCell(center); err != nil {
+			return err
+		}
+		if c == left {
+			break
+		}
+		f.rowAt += m.dir
+	}
+	for i := range f.refs {
+		if rb := &f.refs[i]; rb.dext != 0 {
+			rb.vext[0] -= left * rb.dext
+		}
+	}
 	return nil
 }
 
 // laneable reports whether the bound row of left+1 cells may run across
 // its lanes.
 func (f *Frame) laneable(left int64) bool {
-	return left > 0 && f.lanes && (!f.dots || f.dotsFit(left)) && f.rowApart(left)
+	return left > 0 && f.lanes && (!f.views || f.windowsFit(left)) && f.rowApart(left)
 }
 
-// dotsFit reports whether every OpDotV of the body may run across the
-// lanes of the bound row of left+1 cells: its two views have one length,
-// and neither view's window over the row meets the cells a stored ref
-// visits over it, where the two are bound into one array (windowApart).
-// A view's extent is the same at every cell of a walked row, but not
-// from row to row of a box that splits into rows (boxBinds), so the
-// check runs at every row, at the row's own addresses. A row whose
-// lengths differ runs through run, which fails at its first cell with
-// errDotLen.
-func (f *Frame) dotsFit(left int64) bool {
+// windowsFit reports whether every OpSumV and OpDotV of the body may run
+// across the lanes of the bound row of left+1 cells: a dot's two views
+// have one length, the same at every cell of the row, and no view's
+// windows over the row meet the cells a stored ref visits over it, where
+// the two are bound into one array (windowApart). A view's extent may
+// change along a row (dext) and from row to row of a box that splits
+// into rows (boxBinds), so the check runs at every row, at the row's own
+// addresses. A row whose dot lengths differ at its first cell runs
+// through run, which fails there with errDotLen; one whose dot windows
+// grow runs cell by cell.
+func (f *Frame) windowsFit(left int64) bool {
 	code := f.prog.Code
 	for _, in := range code {
-		if in.Op != OpDotV {
+		var views [2]int32
+		switch in.Op {
+		case OpSumV:
+			views = [2]int32{in.B, in.B}
+		case OpDotV:
+			a, b := &f.refs[in.B], &f.refs[in.C]
+			if a.vext[0] != b.vext[0] || a.dext != 0 || b.dext != 0 {
+				return false
+			}
+			views = [2]int32{in.B, in.C}
+		default:
 			continue
-		}
-		if f.refs[in.B].vext[0] != f.refs[in.C].vext[0] {
-			return false
 		}
 		for _, s := range code {
 			if s.Op != OpStore {
 				continue
 			}
 			a := &f.refs[s.A]
-			for _, j := range [2]int32{in.B, in.C} {
+			for _, j := range views {
 				if v := &f.refs[j]; sameArray(a.data, v.data) && !windowApart(a, v, left) {
 					return false
 				}
@@ -173,7 +214,7 @@ func (f *Frame) rowApart(left int64) bool {
 // differ there — transposed or differently indexed views of one matrix —
 // make every row of the box run cell by cell; no corpus rule binds such
 // a pair. overlap reports a pair that fails either test. The windows an
-// OpDotV reads are dotsFit's, at every row.
+// OpSumV or OpDotV reads are windowsFit's, at every row.
 func (f *Frame) overlap(left int64) bool {
 	code := f.prog.Code
 	for _, s := range code {
@@ -226,17 +267,22 @@ func apart(a, b *refBind, left int64) bool {
 
 // windowApart reports whether a cell ref and a view bound into one array
 // keep out of each other's way over a row of left+1 cells: the cells the
-// one visits and the window the other covers at every cell of the row
-// lie in disjoint address ranges. An empty window covers nothing.
+// one visits and the windows the other covers at the cells of the row
+// lie in disjoint address ranges. Sums and dots read a view's first
+// dimension alone. A window's first and last elements are affine in the
+// cell, so every window lies in the hull of the row's first and last
+// ones; an empty window covers nothing, and is counted as reaching one
+// element before its start, which can only widen the hull.
 func windowApart(a, v *refBind, left int64) bool {
 	loA, hiA := span(a.off-cap(a.data), a.carry[0], left)
-	loV, hiV := span(v.off-cap(v.data), v.carry[0], left)
-	for d, n := range v.vext[:v.vnd] {
-		if n == 0 {
-			return true
-		}
-		lo, hi := span(0, v.vstride[d], n-1)
-		loV, hiV = loV+lo, hiV+hi
+	first, last := v.vext[0], v.vext[0]+left*v.dext
+	if first == 0 && last == 0 {
+		return true
+	}
+	pos, st := v.off-cap(v.data), v.vstride[0]
+	loV, hiV := span(pos, v.carry[0], left)
+	for _, e := range [2]int{pos + int(first-1)*st, pos + int(left)*v.carry[0] + int(last-1)*st} {
+		loV, hiV = min(loV, e), max(hiV, e)
 	}
 	return hiA < loV || hiV < loA
 }
@@ -254,13 +300,14 @@ func span(pos, carry int, left int64) (lo, hi int) {
 // Each register has len(buf)/len(regs) lanes; a register the body
 // reads and never writes holds the same value in every lane, bar the
 // row's center register, which, when the body reads it, holds each
-// lane's coordinate. Afterwards
-// the frame is as run leaves it: every ref at the row's last cell, rowAt
-// and the row's center register at its coordinate, and every register
-// the body writes holding the last lane's value. rowApart and laneBody
-// decide that no lane can see another's stores and no register carries
-// a value between cells, so the lanes' order within an instruction does
-// not matter, and that nothing can fail, so no row stops mid-way.
+// lane's coordinate. Afterwards the frame is as run leaves it: every
+// ref at the row's last cell (a view whose extent changes along the row
+// keeps the first cell's, where walk's carries expect it), rowAt and the
+// row's center register at its coordinate, and every register the body
+// writes holding the last lane's value. rowApart and laneBody decide
+// that no lane can see another's stores and no register carries a value
+// between cells, so the lanes' order within an instruction does not
+// matter, and that nothing can fail, so no row stops mid-way.
 func (f *Frame) laneRow(left int64, buf []float64) {
 	regs := f.regs
 	w := len(buf) / len(regs) // lanes per register: register r's are buf[r*w:]
@@ -404,6 +451,8 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 						d[l] = x[l]
 					}
 				}
+			case OpSumV:
+				f.laneSum(in, at, buf[int(in.A)*w:][:m])
 			case OpDotV:
 				f.laneDot(in, at, buf[int(in.A)*w:][:m])
 			}
@@ -432,7 +481,7 @@ func (f *Frame) laneRow(left int64, buf []float64) {
 // keep their sums in registers over all of k, reading eight adjacent
 // elements of b per k (a tile's rows are 16 cells at the default grain,
 // too short to stream acc through memory once per k); the rest run with
-// k outermost and their sums in acc. dotsFit has checked the lengths.
+// k outermost and their sums in acc. windowsFit has checked the lengths.
 func (f *Frame) laneDot(in Instr, at int, acc []float64) {
 	a, b := &f.refs[in.B], &f.refs[in.C]
 	ca, cb := a.carry[0], b.carry[0]
@@ -473,5 +522,77 @@ func (f *Frame) laneDot(in Instr, at int, acc []float64) {
 		}
 		oa += sa
 		ob += sb
+	}
+}
+
+// laneSum runs the OpSumV in across the lanes of a row's chunk that
+// starts at lane at, into acc, one sum per lane. Lane l's window starts
+// at off + l·carry and holds ext + l·dext elements, vstride apart; its
+// sum starts at 0 and adds them in ascending order, OpSumV's order for
+// the lane's cell, so each sum is bit for bit the one run computes: only
+// the lanes interleave, and no lane's sum is taken from another's. Where
+// the lanes share their start and the window is contiguous, as
+// RollingSum's A.region(0, i+1) is along a row of i, eight lanes at a
+// time keep their sums in registers over the eight's shortest window,
+// each adding the same element per step, then each adds its own tail;
+// the rest run with k outermost over the shortest of their windows,
+// their sums in acc, then each its tail. An empty window sums to 0.
+// boxBinds has checked that no lane's extent is below 0.
+func (f *Frame) laneSum(in Instr, at int, acc []float64) {
+	v := &f.refs[in.B]
+	c, st, dext := v.carry[0], v.vstride[0], int(v.dext)
+	off := v.off + at*c
+	ext := int(v.vext[0]) + at*dext // lane 0's
+	clear(acc)
+	l := 0
+	if c == 0 && st == 1 {
+		for ; l+8 <= len(acc); l += 8 {
+			e := ext + l*dext
+			n := min(e, e+7*dext)
+			// The sums start from acc's zeros rather than a constant, so
+			// the compiler cannot fold eight identical chains into one.
+			s0, s1, s2, s3 := acc[l], acc[l+1], acc[l+2], acc[l+3]
+			s4, s5, s6, s7 := acc[l+4], acc[l+5], acc[l+6], acc[l+7]
+			for _, x := range v.data[off : off+n] {
+				s0 += x
+				s1 += x
+				s2 += x
+				s3 += x
+				s4 += x
+				s5 += x
+				s6 += x
+				s7 += x
+			}
+			acc[l], acc[l+1], acc[l+2], acc[l+3] = s0, s1, s2, s3
+			acc[l+4], acc[l+5], acc[l+6], acc[l+7] = s4, s5, s6, s7
+			for j := range 8 {
+				s := acc[l+j]
+				for _, x := range v.data[off+n : off+e+j*dext] {
+					s += x
+				}
+				acc[l+j] = s
+			}
+		}
+	}
+	acc, off, ext = acc[l:], off+l*c, ext+l*dext
+	if len(acc) == 0 {
+		return
+	}
+	n := min(ext, ext+(len(acc)-1)*dext)
+	for k, o := 0, off; k < n; k++ {
+		p := o
+		for j := range acc {
+			acc[j] += v.data[p]
+			p += c
+		}
+		o += st
+	}
+	for j := range acc {
+		s, p := acc[j], off+j*c+n*st
+		for range ext + j*dext - n {
+			s += v.data[p]
+			p += st
+		}
+		acc[j] = s
 	}
 }

@@ -776,6 +776,11 @@ func (p *Program) ifConverted() (*Program, bool) {
 	if nregs > 64 || !slices.ContainsFunc(code, func(in Instr) bool { return in.Op == OpJZ || in.Op >= OpJNLT && in.Op <= OpJNNE }) {
 		return nil, false
 	}
+	// A body with a sum keeps its branches: converting it is unmeasured,
+	// and would change its bytecode.
+	if slices.ContainsFunc(code, func(in Instr) bool { return in.Op == OpSumV }) {
+		return nil, false
+	}
 	// touched is every register code outside [lo, hi) reads or writes.
 	touched := func(lo, hi int) (m uint64) {
 		for pc, in := range code {

@@ -362,9 +362,13 @@ type refBind struct {
 	base    int
 	// off is the flat offset of the current cell (-1: out of range), or
 	// of a view's window origin; carry[j] is how far it moves when the
-	// box RunBox is walking advances along its j-th moving dimension.
+	// box RunBox is walking advances along its j-th moving dimension;
+	// dext is how far a rank-1 view's extent moves at each cell of a
+	// walked row (boxBinds), whose walk keeps vext at the row's first
+	// cell.
 	off   int
 	carry [maxBoxMoves]int
+	dext  int64
 	// RefView state, rebuilt by bindView: the window's post-collapse
 	// rank and row-major extents/strides.
 	vnd     int
@@ -401,14 +405,17 @@ type Frame struct {
 	// through RunCell. lanes: the body may run a row across its lanes,
 	// writing the written registers and sharing the uniform ones among
 	// the lanes (laneBody); apart: rowApart's verdict for the carries'
-	// box shape; dots: a lane body holds an OpDotV, whose views' lengths
-	// and windows dotsFit checks at every row.
+	// box shape; views: a lane body holds an OpSumV or OpDotV, whose
+	// windows windowsFit checks at every row; grows: some view's extent
+	// changes along the carries' rows (dext), so a row that does not
+	// run across its lanes runs cell by cell.
 	rowAt            int64
 	rowReg           int32
 	perCell          bool
 	lanes            bool
 	apart            uint8
-	dots             bool
+	views            bool
+	grows            bool
 	written, uniform uint64
 }
 
@@ -422,7 +429,7 @@ func (p *Program) NewFrame() *Frame {
 		perCell: p.writesCenter(),
 	}
 	f.lanes, f.written, f.uniform = p.laneBody()
-	f.dots = f.lanes && slices.ContainsFunc(p.Code, func(in Instr) bool { return in.Op == OpDotV })
+	f.views = f.lanes && slices.ContainsFunc(p.Code, func(in Instr) bool { return in.Op == OpSumV || in.Op == OpDotV })
 	for i := range p.Refs {
 		r := &p.Refs[i]
 		f.refs[i].strides = make([]int, r.ND)
@@ -644,12 +651,14 @@ type boxMove struct {
 // arithmetic over the box gives each bound's extremes. When every cell
 // ref is in range at those extremes and every view is in range there
 // with a fixed extent (equal lo and hi coefficients on every dimension
-// the box moves along, so its shape and collapse never change), the
+// the box moves along, so its shape and collapse never change; a rank-1
+// view of a lane body may grow or shrink along the row, boxBinds), the
 // refs are bound once at the first cell, and every further cell only
 // adds a per-ref constant to each offset: each row along the innermost
 // moving dimension is one call of the dispatch loop, whose halt steps
 // to the row's next cell, or, when the body and the row's addresses let
-// it (laneable), one pass of each instruction across the row's cells.
+// it (laneable), one pass of each instruction across the row's cells;
+// a row with a growing view that may not run so runs cell by cell.
 // Otherwise — a lazily tolerated cell miss, or a view that errors or
 // changes shape somewhere in the box — the box splits into rows along
 // its innermost moving dimension, and a row that still does not bind
@@ -731,7 +740,12 @@ func (f *Frame) runBox(center []int64, b [][2]int64, order []analysis.LexDim) er
 // boxBinds reports whether every ref binds everywhere in the box that mv
 // moves through from center: each cell coordinate in [0, size), and each
 // view window in range with equal lo and hi coefficients on every moving
-// dimension.
+// dimension, bar a rank-1 view of a lane body, whose coefficients may
+// differ along the row (mv[0]): its window grows, shrinks or slides
+// along the row, and row runs such a row across its lanes or cell by
+// cell, never through run, whose halt step keeps every extent. Its
+// extent is affine in the row's coordinate alone, so lo ≤ hi at both
+// end cells of the row holds at every cell of the box.
 func (f *Frame) boxBinds(center []int64, mv []boxMove) bool {
 	p := f.prog
 	nc := p.NCenter
@@ -767,15 +781,17 @@ func (f *Frame) boxBinds(center []int64, mv []boxMove) bool {
 				}
 				continue
 			}
-			for _, m := range mv {
-				if coeffAt(r.Coeff, d*nc, nc, m.k) != coeffAt(r.HiCoeff, d*nc, nc, m.k) {
-					return false
+			var grow int64 // hi-lo's change over the row
+			for j, m := range mv {
+				if dc := coeffAt(r.HiCoeff, d*nc, nc, m.k) - coeffAt(r.Coeff, d*nc, nc, m.k); dc != 0 {
+					if j > 0 || r.ND != 1 || !f.lanes {
+						return false
+					}
+					grow = dc * m.dir * (m.ext - 1)
 				}
 			}
-			// hi-lo is constant over the box, so lo ≤ hi at the corner
-			// holds everywhere.
 			hi, _, hiMax := boundRange(r.HiBase[d], r.HiCoeff, d*nc, nc, center, mv)
-			if loMin < 0 || hiMax > sizes[d] || lo > hi {
+			if loMin < 0 || hiMax > sizes[d] || lo > hi || lo > hi+grow {
 				return false
 			}
 		}
@@ -820,7 +836,8 @@ func coeffAt(coeff []int64, off, nc, k int) int64 {
 // RunCell does, then runs one row along the innermost moving dimension
 // at a time through row: across the row's cells in laneRow when it may,
 // else as one run call — the row's first cell, and the ext-1 cells after
-// it that run reaches from its halt through nextCell. Between rows every
+// it that run reaches from its halt through nextCell — or, for a row
+// whose views' extents change along it, cell by cell. Between rows every
 // ref adds carry[j], the constant for moving dimension j advancing one
 // cell while every dimension inside it jumps back to its start, and
 // every center register is reset.
@@ -835,7 +852,7 @@ func (f *Frame) walk(center []int64, mv []boxMove) error {
 	left := in.ext - 1
 	err := f.bind(center)
 	if err == nil {
-		err = f.row(left)
+		err = f.row(center, left)
 	}
 	var pos [maxBoxMoves]int64
 	for err == nil {
@@ -860,7 +877,7 @@ func (f *Frame) walk(center []int64, mv []boxMove) error {
 			rb.off += rb.carry[j]
 		}
 		f.setCenter(center)
-		err = f.row(left)
+		err = f.row(center, left)
 	}
 	return err
 }
@@ -883,8 +900,9 @@ func (f *Frame) nextCell(left *int64) {
 	}
 }
 
-// setCarries computes every ref's carry for a box of mv's shape, unless
-// the frame's refs already hold them.
+// setCarries computes every ref's carry for a box of mv's shape, and
+// every view's dext along its rows, unless the frame's refs already hold
+// them.
 func (f *Frame) setCarries(mv []boxMove) {
 	if f.carryN == len(mv) {
 		same := true
@@ -898,9 +916,16 @@ func (f *Frame) setCarries(mv []boxMove) {
 	}
 	p := f.prog
 	nc := p.NCenter
+	f.grows = false
 	for i := range f.refs {
 		rb := &f.refs[i]
 		r := &p.Refs[i]
+		rb.dext = 0
+		if r.Kind == RefView && r.ND == 1 {
+			k := mv[0].k
+			rb.dext = (coeffAt(r.HiCoeff, 0, nc, k) - coeffAt(r.Coeff, 0, nc, k)) * mv[0].dir
+			f.grows = f.grows || rb.dext != 0
+		}
 		back := 0
 		for j, m := range mv {
 			step := 0
