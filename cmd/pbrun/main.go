@@ -1,13 +1,15 @@
-// Command pbrun executes a benchmark under a given configuration file
-// and reports the wall time, or interprets a PetaBricks source file
-// directly. Benchmark names resolve through the internal/bench registry
-// shared with pbserve.
+// Command pbrun executes a benchmark kernel or a transform of a
+// PetaBricks source file under a given configuration file and reports
+// the best wall time. Both resolve through the internal/bench
+// descriptors shared with pbserve and pbtune; a transform also prints
+// each output's shape and checksum.
 //
 // Usage:
 //
 //	pbrun -bench sort|matmul|eigen|poisson -config file -n size [flags]
-//	pbrun -src file.pbcc -transform Name -n size [-config file]
+//	pbrun -src file.pbcc [-transform Name] -n size [-config file] [flags]
 //
+//	-transform t transform to run (default the file's first servable one)
 //	-workers n   worker threads (default all CPUs)
 //	-trials k    best-of-k timing (default 3)
 //	-acc i       poisson: accuracy index into the tuned family
@@ -16,16 +18,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
+	"maps"
 	"os"
+	"slices"
 	"strings"
-	"time"
 
 	"petabricks/internal/bench"
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
-	"petabricks/internal/pbc/interp"
-	"petabricks/internal/pbc/parser"
 	"petabricks/internal/runtime"
 )
 
@@ -33,7 +33,7 @@ func main() {
 	var (
 		benchName = flag.String("bench", "", "benchmark: "+strings.Join(bench.Names(), ", "))
 		src       = flag.String("src", "", "PetaBricks source file to interpret")
-		transform = flag.String("transform", "", "transform to run with -src")
+		transform = flag.String("transform", "", "transform to run with -src (default: the first servable one)")
 		cfgPath   = flag.String("config", "", "configuration file")
 		n         = flag.Int("n", 100000, "input size")
 		workers   = flag.Int("workers", 0, "worker threads")
@@ -59,13 +59,17 @@ func main() {
 			fatal(err)
 		}
 	}
+	var b *bench.Benchmark
 	if *src != "" {
-		runDSL(*src, *transform, cfg, *n, *seed)
-		return
-	}
-	b, ok := bench.Lookup(*benchName)
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchName, strings.Join(bench.Names(), ", ")))
+		var err error
+		if b, err = bench.LoadDSLTransform(*src, *transform); err != nil {
+			fatal(err)
+		}
+	} else {
+		var ok bool
+		if b, ok = bench.Lookup(*benchName); !ok {
+			fatal(fmt.Errorf("unknown benchmark %q (have: %s)", *benchName, strings.Join(bench.Names(), ", ")))
+		}
 	}
 	pool := runtime.NewPool(*workers)
 	defer pool.Shutdown()
@@ -73,7 +77,7 @@ func main() {
 		*trials = 1
 	}
 	best := 0.0
-	detail := ""
+	var last bench.Result
 	for t := 0; t < *trials; t++ {
 		res, err := b.Run(pool, cfg, *n, *seed+int64(t), bench.RunOpts{AccIndex: *accIdx})
 		if err != nil {
@@ -82,61 +86,20 @@ func main() {
 		if t == 0 || res.Seconds < best {
 			best = res.Seconds
 		}
-		detail = res.Detail
+		last = res
 	}
-	if detail != "" {
-		fmt.Println(detail)
+	if outs, ok := last.Out.(map[string]*matrix.Matrix); ok {
+		for _, name := range slices.Sorted(maps.Keys(outs)) {
+			sum := 0.0
+			outs[name].Walk(func(_ []int, v float64) { sum += v })
+			fmt.Printf("%s: shape %v checksum %.6g\n", name, outs[name].Shape(), sum)
+		}
+	}
+	if last.Detail != "" {
+		fmt.Println(last.Detail)
 	}
 	fmt.Printf("%s n=%d workers=%d: %.6fs (best of %d)\n",
-		*benchName, *n, pool.NumWorkers(), best, *trials)
-}
-
-func runDSL(path, transform string, cfg *choice.Config, n int, seed int64) {
-	srcBytes, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
-	prog, err := parser.Parse(string(srcBytes))
-	if err != nil {
-		fatal(err)
-	}
-	eng, err := interp.New(prog)
-	if err != nil {
-		fatal(err)
-	}
-	eng.Cfg = cfg
-	if transform == "" {
-		transform = prog.Transforms[0].Name
-	}
-	res, ok := eng.Analysis(transform)
-	if !ok {
-		fatal(fmt.Errorf("transform %q not found", transform))
-	}
-	// Deterministic demo inputs: every size variable = n.
-	rng := rand.New(rand.NewSource(seed))
-	inputs := map[string]*matrix.Matrix{}
-	for _, d := range res.Transform.From {
-		nd := len(res.Matrices[d.Name].Dims)
-		dims := make([]int, nd)
-		for i := range dims {
-			dims[i] = n
-		}
-		m := matrix.New(dims...)
-		m.Each(func([]int, float64) float64 { return float64(rng.Intn(10)) })
-		inputs[d.Name] = m
-	}
-	start := time.Now()
-	outs, err := eng.Run(transform, inputs)
-	if err != nil {
-		fatal(err)
-	}
-	sec := time.Since(start).Seconds()
-	for name, m := range outs {
-		sum := 0.0
-		m.Walk(func(_ []int, v float64) { sum += v })
-		fmt.Printf("%s: shape %v checksum %.6g\n", name, m.Shape(), sum)
-	}
-	fmt.Printf("%s n=%d: %.6fs\n", transform, n, sec)
+		b.Name, *n, pool.NumWorkers(), best, *trials)
 }
 
 func fatal(err error) {

@@ -107,16 +107,7 @@ func lookup(src, tname, name string) (*bench.Benchmark, error) {
 		}
 		return nil, fmt.Errorf("unknown benchmark %q", name)
 	}
-	bs, err := bench.LoadDSL(src)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range bs {
-		if tname == "" || b.Name == tname {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("%s: no servable transform %q", src, tname)
+	return bench.LoadDSLTransform(src, tname)
 }
 
 func fatal(err error) {

@@ -6,8 +6,8 @@
 //   - in-memory: one bounded MemCache holding a live entry per
 //     invocation key — the interpreter's compiled rules and execution
 //     plan side by side — shared across Engine.WithConfig views;
-//   - disk: serializable artifacts (flat-bytecode jit programs, plan
-//     descriptors) persist beside the configstore in checksummed,
+//   - disk: serializable artifacts (flat-bytecode jit programs,
+//     execution plans) persist beside the configstore in checksummed,
 //     schema-versioned packs, one per top-level run, each written with
 //     the atomic temp-file + rename idiom (pack.go). pbserve opens no
 //     disk tier; the repository benchmark's boot_cold workload and
@@ -47,11 +47,12 @@ import (
 // edge, OpLoopLT.
 // Version 9: the jit instruction set gained OpSel, the conditional move
 // of if-converted cell rules.
-const SchemaVersion = 9
+// Version 10: a plan persists as its own tasks plus an edge list.
+const SchemaVersion = 10
 
 // Disk-tier artifact kinds. JIT artifacts are plain-data bytecode
-// programs; Plan artifacts are pure-data PlanDescriptors that the
-// interpreter rehydrates (rebinds to live analysis state) at load time.
+// programs; Plan artifacts are execution plans the interpreter checks
+// against its live analysis at load time.
 const (
 	KindPlan = "plan"
 	KindJIT  = "jit"

@@ -90,8 +90,8 @@ func TestKeyStringStable(t *testing.T) {
 	if got, want := k.String(), "p=1a2b|RollingSum|n=64|cfg=9f3c|eng=2"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	if !strings.HasPrefix(entryID(KindJIT, k.String()), "v9-") {
-		t.Errorf("ID %q does not carry schema version prefix v9-", entryID(KindJIT, k.String()))
+	if !strings.HasPrefix(entryID(KindJIT, k.String()), "v10-") {
+		t.Errorf("ID %q does not carry schema version prefix v10-", entryID(KindJIT, k.String()))
 	}
 	// No sizes: the segment disappears rather than leaving "||".
 	k.Sizes = ""

@@ -33,7 +33,7 @@ func FuzzOpenPack(f *testing.F) {
 
 	// One directory for every input: Open leaves at most this one file
 	// behind, and the next input overwrites it.
-	path := filepath.Join(f.TempDir(), "v9-0000000000000001"+fileExt)
+	path := filepath.Join(f.TempDir(), "v10-0000000000000001"+fileExt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

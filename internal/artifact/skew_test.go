@@ -57,13 +57,19 @@ func fixtureV7(t *testing.T) (string, []byte) { return fixture(t, "v7") }
 // the if-converted rules' sel.
 func fixtureV8(t *testing.T) (string, []byte) { return fixture(t, "v8") }
 
+// fixtureV9 is a schema-9 pack, committed by a pooled engine over a disk
+// store (Heat1D, n=32: a plan entry and a jit entry) while a plan was
+// persisted as a CSR descriptor rather than its own tasks and edges.
+func fixtureV9(t *testing.T) (string, []byte) { return fixture(t, "v9") }
+
 // TestVersionSkewRejectedOnOpen opens a store over a directory holding
 // artifacts from older schema versions — one from schema 1, one
 // single-artifact file from schema 4, the format packs replaced, a
 // schema-5 pack whose jit entry is a gob stream, a schema-6 pack whose
 // jit entry predates call sites, a schema-7 pack whose jit entry
-// predates rotated loops, and a schema-8 pack whose jit entry predates
-// sel. The store must reject each cleanly — counted under the schema reason,
+// predates rotated loops, a schema-8 pack whose jit entry predates sel,
+// and a schema-9 pack whose plan entry is a CSR descriptor. The store
+// must reject each cleanly — counted under the schema reason,
 // never indexed, never served — while leaving the files in place (a
 // rollback to the older binary may still want them). The caller's
 // recompile path then commits a current-schema pack beside them
@@ -71,7 +77,7 @@ func fixtureV8(t *testing.T) (string, []byte) { return fixture(t, "v8") }
 func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	var stale []string
-	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4, fixtureV5, fixtureV6, fixtureV7, fixtureV8} {
+	for _, fx := range []func(*testing.T) (string, []byte){fixtureV1, fixtureV4, fixtureV5, fixtureV6, fixtureV7, fixtureV8, fixtureV9} {
 		name, raw := fx(t)
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
@@ -81,12 +87,12 @@ func TestVersionSkewRejectedOnOpen(t *testing.T) {
 	}
 	keep := func(s *Store, when string) {
 		t.Helper()
-		if s.CorruptCount() != 6 {
-			t.Errorf("%s: corrupt count = %d, want 6", when, s.CorruptCount())
+		if s.CorruptCount() != 7 {
+			t.Errorf("%s: corrupt count = %d, want 7", when, s.CorruptCount())
 		}
 		reasons := s.corruptReasons()
-		if reasons[CorruptSchema] != 6 {
-			t.Errorf("%s: schema reason count = %d, want 6 (reasons %v)", when, reasons[CorruptSchema], reasons)
+		if reasons[CorruptSchema] != 7 {
+			t.Errorf("%s: schema reason count = %d, want 7 (reasons %v)", when, reasons[CorruptSchema], reasons)
 		}
 		for _, path := range stale {
 			if _, err := os.Stat(path); err != nil {

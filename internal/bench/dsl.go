@@ -35,6 +35,22 @@ func LoadDSL(path string) ([]*Benchmark, error) {
 	return out, nil
 }
 
+// LoadDSLTransform returns DSL's descriptor for transform name of the
+// source file at path, or for its first servable transform when name is
+// empty.
+func LoadDSLTransform(path, name string) (*Benchmark, error) {
+	bs, err := LoadDSL(path)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range bs {
+		if name == "" || b.Name == name {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("%s: no servable transform %q", path, name)
+}
+
 // DSL returns one Benchmark per non-template transform of eng's program
 // that takes inputs, each executing through the interpreter under the
 // caller-supplied configuration and pool. Served runs and tuning
@@ -80,7 +96,9 @@ func DSL(eng *interp.Engine) []*Benchmark {
 			Baseline: choice.NewConfig,
 			CheckTol: 1e-9,
 			MinSize:  8,
-			Trials:   1,
+			// One timing at a small training size is noisy enough to
+			// crown a quadratic base rule; best of three is not.
+			Trials: 3,
 		})
 	}
 	return out

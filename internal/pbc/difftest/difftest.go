@@ -361,12 +361,11 @@ func (h *Harness) checkWarmCold(c *gen.Case, inputs map[string]*matrix.Matrix) (
 }
 
 // checkWarmPlan is the plan-tier sibling of checkWarmCold: the pooled
-// jit axis runs cold (plans constructed and their descriptors
-// persisted) and then warm (a fresh subject against the reopened disk
-// tier, rehydrating descriptors instead of constructing). The warm run
-// must be bit-identical to the cold one, and when the cold run
-// persisted plan descriptors the warm run must actually have
-// rehydrated at least one. Persisted plan entries are then corrupted
+// jit axis runs cold (plans constructed and persisted) and then warm (a
+// fresh subject against the reopened disk tier, reloading plans instead
+// of constructing). The warm run must be bit-identical to the cold one,
+// and when the cold run persisted plans the warm run must actually have
+// reloaded at least one. Persisted plan entries are then corrupted
 // inside their packs — one truncation, one bit flip — and each
 // corrupted store must yield a typed rejection plus a rebuild that
 // still matches the cold outputs: a wrong schedule is the one outcome
@@ -428,13 +427,13 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 		if diff := compareOuts(coldOuts, warmOuts); diff != "" {
 			divs = append(divs, &Divergence{
 				Axis:   "jit/warmplan",
-				Detail: "plan-rehydrated run disagrees with cold run: " + diff,
+				Detail: "plan-reloaded run disagrees with cold run: " + diff,
 			})
 		}
 		if planFiles > 0 && warmDelta.WarmLoads == 0 {
 			divs = append(divs, &Divergence{
 				Axis: "jit/warmplan",
-				Detail: fmt.Sprintf("cold run persisted %d plan descriptors but the warm run rehydrated none (built %d)",
+				Detail: fmt.Sprintf("cold run persisted %d plans but the warm run reloaded none (built %d)",
 					planFiles, warmDelta.Builds),
 			})
 		}
@@ -443,7 +442,7 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 		return divs, runs, nil
 	}
 
-	// Corruption property: a damaged descriptor must never become a
+	// Corruption property: a damaged plan must never become a
 	// wrong schedule — only a typed rejection followed by a rebuild
 	// that reproduces the cold outputs exactly. Each variant damages
 	// the plan entries inside the packs the previous run left indexed
@@ -473,25 +472,25 @@ func (h *Harness) checkWarmPlan(c *gen.Case, inputs map[string]*matrix.Matrix) (
 		case err != nil:
 			divs = append(divs, &Divergence{
 				Axis:   "jit/warmplan",
-				Detail: fmt.Sprintf("run against %s plan descriptors failed: %v", label, err),
+				Detail: fmt.Sprintf("run against %s plans failed: %v", label, err),
 			})
 		default:
 			if diff := compareOuts(coldOuts, outs); diff != "" {
 				divs = append(divs, &Divergence{
 					Axis:   "jit/warmplan",
-					Detail: fmt.Sprintf("run against %s plan descriptors disagrees with cold run: %s", label, diff),
+					Detail: fmt.Sprintf("run against %s plans disagrees with cold run: %s", label, diff),
 				})
 			}
 			if store.CorruptCount() == 0 {
 				divs = append(divs, &Divergence{
 					Axis:   "jit/warmplan",
-					Detail: fmt.Sprintf("%s plan descriptors were not rejected (no corruption recorded)", label),
+					Detail: fmt.Sprintf("%s plans were not rejected (no corruption recorded)", label),
 				})
 			}
 			if delta.Builds == 0 && delta.WarmLoads == 0 {
 				divs = append(divs, &Divergence{
 					Axis:   "jit/warmplan",
-					Detail: fmt.Sprintf("after %s, no plan was rebuilt or rehydrated", label),
+					Detail: fmt.Sprintf("after %s, no plan was rebuilt or reloaded", label),
 				})
 			}
 		}

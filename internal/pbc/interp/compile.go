@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,14 +118,12 @@ type compiledTransform struct {
 
 	// rules holds each rule's compiled form by rule index, astRule for a
 	// rule the AST tier runs, nil until first compiled. It is read
-	// without a lock; mu serialises compilation.
+	// without a lock; mu serialises compilation. Its vm rules are the
+	// program set the disk tier stores (see encodeJIT).
 	mu    sync.Mutex
 	rules []atomic.Pointer[vmRule]
-	// warmLoaded marks the one disk-tier load attempt; jprogs then holds
-	// every live jit program — warm-loaded or freshly lowered — and is
-	// what a run that lowered a rule commits back (see persist).
+	// warmLoaded marks the one disk-tier load attempt (see loadWarm).
 	warmLoaded bool
-	jprogs     map[int]*jit.Program
 
 	// planOnce materializes plan on the first pooled run (see planFor);
 	// nil after that means the builder declined.
@@ -180,30 +179,33 @@ func (ct *compiledTransform) rule(ri *analysis.RuleInfo, pend *artifact.Pending)
 	return ct.compile(ri, pend)
 }
 
-// compile fills ri's entry of ct.rules. A persisted bytecode program is
-// used when the disk tier has one for this invocation key; otherwise the
-// lowering runs and its result joins the run's pending pack. A rule the
-// vm rejects is recorded with its typed reason under tier "jit" and
-// runs on the AST.
+// compile fills ri's entry of ct.rules. The disk tier's bytecode for
+// this invocation key, when it has some, is installed first; a rule it
+// does not cover is lowered, and the grown program set joins the run's
+// pending pack. A rule the vm rejects is recorded with its typed reason
+// under tier "jit" and runs on the AST.
 func (ct *compiledTransform) compile(ri *analysis.RuleInfo, pend *artifact.Pending) *vmRule {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
+	ct.loadWarm()
 	slot := &ct.rules[ri.Rule.Index]
 	if cr := slot.Load(); cr != nil {
 		return cr
 	}
 	m := im.Load()
 	cr := astRule
-	if prog := ct.warmProgram(ri.Rule.Index); prog != nil {
-		cr = ct.newVMRule(prog, ri)
-		recordTierCompile("jit-warm")
-	} else if prog, jerr := timedJITCompile(ct.res, ri, ct.sizes); jerr == nil {
+	if prog, jerr := timedJITCompile(ct.res, ri, ct.sizes); jerr == nil {
 		cr = ct.newVMRule(prog, ri)
 		recordTierCompile("jit")
 		if m != nil {
 			m.jitCompiled.Inc()
 		}
-		ct.persist(ri.Rule.Index, prog, pend)
+		// Rules lower lazily, so each commit replaces the artifact with
+		// the grown set; a warm start then restores exactly the rules
+		// this invocation shape exercises.
+		if pend != nil {
+			pend.Add(artifact.KindJIT, ct.akey, ct.encodeJIT)
+		}
 	} else {
 		recordTierFallback(ct.res.Transform.Name, ri.Rule.Name(), "jit", jerr)
 	}
@@ -223,46 +225,48 @@ func timedJITCompile(res *analysis.Result, ri *analysis.RuleInfo, sizes map[stri
 	return prog, err
 }
 
-// warmProgram returns the disk-tier bytecode for one rule, attempting
-// the transform's persisted program set once on first call. The load
+// loadWarm installs the disk tier's program set for this invocation key
+// into ct.rules, attempting it once; the caller holds ct.mu. The load
 // happens here — under the holder's lock, not the store's cache lock —
 // so disk I/O never blocks unrelated cache lookups. Decoded programs
-// are fully validated (jit.DecodePrograms) before any frame runs them.
-func (ct *compiledTransform) warmProgram(idx int) *jit.Program {
-	if !ct.warmLoaded {
-		ct.warmLoaded = true
-		ct.arts.Load(artifact.KindJIT, ct.akey, func(payload []byte) error {
-			progs, err := jit.DecodePrograms(payload)
-			if err != nil {
-				return err
+// are fully validated (jit.DecodePrograms) before any frame runs them,
+// and a set naming a rule the transform does not have is rejected
+// whole.
+func (ct *compiledTransform) loadWarm() {
+	if ct.warmLoaded {
+		return
+	}
+	ct.warmLoaded = true
+	ct.arts.Load(artifact.KindJIT, ct.akey, func(payload []byte) error {
+		progs, err := jit.DecodePrograms(payload)
+		if err != nil {
+			return err
+		}
+		for idx := range progs {
+			if idx < 0 || idx >= len(ct.rules) {
+				return fmt.Errorf("interp: jit program for rule %d of a %d-rule transform", idx, len(ct.rules))
 			}
-			ct.jprogs = progs
-			return nil
-		})
-	}
-	return ct.jprogs[idx]
+		}
+		for idx, prog := range progs {
+			ct.rules[idx].Store(ct.newVMRule(prog, ct.res.Rules[idx]))
+			recordTierCompile("jit-warm")
+		}
+		return nil
+	})
 }
 
-// persist adds a fresh lowering to the holder's jit program set and
-// marks the set dirty on the run's pending pack (a no-op without one).
-// Rules lower lazily, so each commit replaces the artifact with the
-// grown set, encoded once per commit by encodeJIT; a warm start then
-// restores exactly the rules this invocation shape exercises.
-func (ct *compiledTransform) persist(idx int, prog *jit.Program, pend *artifact.Pending) {
-	if ct.jprogs == nil {
-		ct.jprogs = map[int]*jit.Program{}
-	}
-	ct.jprogs[idx] = prog
-	if pend != nil {
-		pend.Add(artifact.KindJIT, ct.akey, ct.encodeJIT)
-	}
-}
-
-// encodeJIT encodes the holder's jit program set for the disk tier.
+// encodeJIT encodes the vm rules of the holder's table for the disk
+// tier.
 func (ct *compiledTransform) encodeJIT() ([]byte, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return jit.EncodePrograms(ct.jprogs)
+	progs := map[int]*jit.Program{}
+	for i := range ct.rules {
+		if cr := ct.rules[i].Load(); cr != nil && cr != astRule {
+			progs[i] = cr.prog
+		}
+	}
+	return jit.EncodePrograms(progs)
 }
 
 // vmRule returns rule ri's bytecode form for this invocation, or nil

@@ -17,7 +17,7 @@ import (
 // generated inputs, allocate outputs — but without running the
 // schedule, so tests can inspect compiled rules against interpreter
 // internals.
-func execFor(t *testing.T, e *Engine, name string, size int64) *exec {
+func execFor(t testing.TB, e *Engine, name string, size int64) *exec {
 	t.Helper()
 	ti, ok := e.transform(name)
 	if !ok {
@@ -278,4 +278,67 @@ func invocationKeyFor(e *Engine, transform string, sizes map[string]int64) strin
 		ConfigFP:  artifact.ConfigFingerprint(e.Cfg),
 		Engine:    e.engineMode(),
 	}.String()
+}
+
+// TestWarmJITRejectsForeignRuleIndex persists a valid jit program set
+// that names a rule the transform does not have. Its first load installs
+// every program of the set into the rule table, so that set must be
+// rejected whole — counted corrupt — and every rule lowered afresh, with
+// outputs unchanged.
+func TestWarmJITRejectsForeignRuleIndex(t *testing.T) {
+	const n = 33
+	dir := t.TempDir()
+	store1, err := artifact.Open(dir, artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1 := engine(t, parser.Heat1DSrc)
+	e1.UseArtifacts(store1)
+	want := runHeat1D(t, e1, n)
+
+	key := execFor(t, e1, "Heat1D", n).artifactKey()
+	var progs map[int]*jit.Program
+	if !store1.Load(artifact.KindJIT, key, func(payload []byte) (err error) {
+		progs, err = jit.DecodePrograms(payload)
+		return err
+	}) || len(progs) == 0 {
+		t.Fatal("cold run persisted no jit programs for Heat1D")
+	}
+	for _, prog := range progs {
+		progs[1000] = prog // Heat1D has three rules
+		break
+	}
+	payload, err := jit.EncodePrograms(progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend := store1.Pending()
+	pend.Add(artifact.KindJIT, key, func() ([]byte, error) { return payload, nil })
+	if err := pend.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := artifact.Open(dir, artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := engine(t, parser.Heat1DSrc)
+	e2.UseArtifacts(store2)
+	before := EngineStatsSnapshot().Compiled
+	got := runHeat1D(t, e2, n)
+	after := EngineStatsSnapshot().Compiled
+	for name, m := range want {
+		if !m.Equal(got[name]) {
+			t.Errorf("output %s differs after the rejected program set", name)
+		}
+	}
+	if store2.CorruptCount() == 0 {
+		t.Error("program set naming a foreign rule was not counted corrupt")
+	}
+	if warm := after["jit-warm"] - before["jit-warm"]; warm != 0 {
+		t.Errorf("%d programs of the rejected set were installed", warm)
+	}
+	if fresh := after["jit"] - before["jit"]; fresh == 0 {
+		t.Error("no rule was lowered afresh after the rejection")
+	}
 }

@@ -30,7 +30,7 @@ type Engine struct {
 	transforms map[string]*transformInfo
 	// arts is the tiered artifact store holding one entry per invocation
 	// key, its compiled rules and execution plan (memory tier), and, when
-	// persistent, jit bytecode and plan descriptors (disk tier). Shared
+	// persistent, jit bytecode and execution plans (disk tier). Shared
 	// by pointer across WithConfig views — and, via UseArtifacts, across
 	// engines.
 	arts *artifact.Store

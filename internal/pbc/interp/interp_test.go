@@ -14,7 +14,7 @@ import (
 	"petabricks/internal/runtime"
 )
 
-func engine(t *testing.T, src string) *Engine {
+func engine(t testing.TB, src string) *Engine {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {

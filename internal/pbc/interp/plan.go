@@ -28,10 +28,12 @@ import (
 // prove safe stays one step-granular task that runs the step loop's own
 // runStep — the plan changes performance, never results.
 //
-// Plans also survive restarts: plan_serialize.go flattens a built plan
-// into a pure-data PlanDescriptor persisted under artifact.KindPlan,
-// and the first pooled run of a fresh entry rehydrates the descriptor
-// (after full validation) instead of re-running construction.
+// A plan's tasks name the analysis state they run by stable indices, so
+// the one value a run replays is also what the disk tier stores:
+// plan_serialize.go persists the tasks with the graph's edges under
+// artifact.KindPlan, and the first pooled run of a fresh entry reloads
+// them (checked against its analysis) instead of re-running
+// construction.
 //
 // A plan lives on its invocation's memory-tier entry beside the
 // compiled rules (compiledTransform, compile.go): one lookup finds both,
@@ -58,20 +60,36 @@ type plan struct {
 	tasks []planTask
 }
 
-// planTask is one task of a plan, in one of three shapes:
-//   - step != nil: run the whole schedule step via runStep (fallback
+// Plan task kinds, the discriminant of planTask.
+const (
+	planFence = iota // empty barrier joining a tiled step to a consumer
+	planStep         // run a whole schedule step (fallback granularity)
+	planTile         // run a pre-chosen rule over concrete bounds
+)
+
+// planTask is one task of a plan, in one of three kinds:
+//   - planStep: run schedule step Step via runStep (fallback
 //     granularity, used when tiling is unsafe or unprofitable);
-//   - node != nil: run the pre-chosen rule over the concrete bounds
-//     (a tile); lex, when non-nil, orders the walk so intra-tile
-//     wavefront dependencies are respected;
-//   - neither: a fence — an empty barrier joining a tiled step to a
-//     consumer that needs all of it.
+//   - planTile: run rule Rule, one of graph node Node's cell rules, over
+//     the concrete Bounds; Lex, when non-nil, orders the walk so
+//     intra-tile wavefront dependencies are respected;
+//   - planFence: an empty barrier joining a tiled step to a consumer
+//     that needs all of it.
+//
+// Step, Node and Rule index Result.Schedule, Graph.Nodes and Rules.
+// The fields are exported for the disk tier's gob encoding.
 type planTask struct {
-	step   *analysis.Step
-	node   *analysis.Node
-	ri     *analysis.RuleInfo
-	bounds [][2]int64
-	lex    []analysis.LexDim
+	Kind   int32
+	Step   int32
+	Node   int32
+	Rule   int32
+	Bounds [][2]int64
+	Lex    []analysis.LexDim
+}
+
+// tileTask is the task running rule ri of node over bounds b.
+func tileTask(node *analysis.Node, ri *analysis.RuleInfo, b [][2]int64, lex []analysis.LexDim) planTask {
+	return planTask{Kind: planTile, Node: int32(node.ID), Rule: int32(ri.Rule.Index), Bounds: b, Lex: lex}
 }
 
 // planFor returns the invocation's execution plan, materialized once on
@@ -92,28 +110,21 @@ func (ex *exec) planFor() *plan {
 	return ct.plan
 }
 
-// loadOrBuildPlan materializes an entry's plan: rehydrate a persisted
-// descriptor when the disk tier has one for this invocation key (the
-// jit warm-start pattern), otherwise construct the plan and record it
-// on the run's pending pack, which describes, encodes and writes it
-// when the top-level run ends. On a memory-only store there is no
-// pending pack and the plan stays in memory.
+// loadOrBuildPlan materializes an entry's plan: reload a persisted plan
+// when the disk tier has one for this invocation key (the jit
+// warm-start pattern), otherwise construct the plan and record it on
+// the run's pending pack, which encodes and writes it when the
+// top-level run ends. On a memory-only store there is no pending pack
+// and the plan stays in memory.
 func (ex *exec) loadOrBuildPlan() *plan {
 	e := ex.engine
 	m := im.Load()
 	if e.arts.Persistent() {
 		var warm *plan
 		e.arts.Load(artifact.KindPlan, ex.artifactKey(), func(payload []byte) error {
-			d, err := DecodePlan(payload)
-			if err != nil {
-				return err
-			}
-			p, err := d.rehydrate(ex.res)
-			if err != nil {
-				return err
-			}
+			p, err := decodePlan(payload, ex.res)
 			warm = p
-			return nil
+			return err
 		})
 		if warm != nil {
 			planCtr.warmLoads.Add(1)
@@ -131,14 +142,7 @@ func (ex *exec) loadOrBuildPlan() *plan {
 		m.planBuild.Inc()
 	}
 	if ex.pend != nil {
-		res := ex.res
-		ex.pend.Add(artifact.KindPlan, ex.artifactKey(), func() ([]byte, error) {
-			d, ok := describePlan(res, p)
-			if !ok {
-				return nil, nil
-			}
-			return EncodePlan(d)
-		})
+		ex.pend.Add(artifact.KindPlan, ex.artifactKey(), func() ([]byte, error) { return encodePlan(p) })
 	}
 	return p
 }
@@ -168,8 +172,8 @@ func (ex *exec) runPlan(p *plan) error {
 	r := pool.NewRun(p.graph, func(w *runtime.Worker, i int) {
 		t := &p.tasks[i]
 		var err error
-		if t.node != nil {
-			err = ex.runTile(t, &frames[w.ID()*nr+t.ri.Rule.Index], w)
+		if t.Kind == planTile {
+			err = ex.runTile(t, &frames[w.ID()*nr+int(t.Rule)], w)
 		} else {
 			err = ex.runPlanTask(t, w)
 		}
@@ -195,11 +199,11 @@ func (ex *exec) runPlan(p *plan) error {
 }
 
 func (ex *exec) runPlanTask(t *planTask, w *runtime.Worker) error {
-	switch {
-	case t.step != nil:
-		return ex.runStep(t.step, w)
-	case t.node != nil:
-		return ex.runCells(t.ri, t.bounds, t.lex, w)
+	switch t.Kind {
+	case planStep:
+		return ex.runStep(ex.res.Schedule[t.Step], w)
+	case planTile:
+		return ex.runCells(ex.res.Rules[t.Rule], t.Bounds, t.Lex, w)
 	default:
 		return nil // fence
 	}
@@ -231,20 +235,21 @@ func (ex *exec) releaseTileFrames(frames []tileFrame) {
 // tile body called a transform, and that call's join is running another
 // tile of the same run on w — takes a frame of its own.
 func (ex *exec) runTile(t *planTask, tf *tileFrame, w *runtime.Worker) error {
+	ri := ex.res.Rules[t.Rule]
 	if tf.f == nil || tf.busy {
-		r := ex.vmRule(t.ri)
+		r := ex.vmRule(ri)
 		if r == nil {
-			return ex.runCellsWith(t.ri, nil, t.bounds, t.lex, w)
+			return ex.runCellsWith(ri, nil, t.Bounds, t.Lex, w)
 		}
 		if tf.busy {
 			f := r.acquireFrame(ex)
 			defer r.releaseFrame(f)
-			return ex.runCellsWith(t.ri, f, t.bounds, t.lex, w)
+			return ex.runCellsWith(ri, f, t.Bounds, t.Lex, w)
 		}
 		tf.f = r.acquireFrame(ex)
 	}
 	tf.busy = true
-	err := ex.runCellsWith(t.ri, tf.f, t.bounds, t.lex, w)
+	err := ex.runCellsWith(ri, tf.f, t.Bounds, t.Lex, w)
 	tf.busy = false
 	return err
 }
@@ -297,7 +302,6 @@ func (ex *exec) runCellsWith(ri *analysis.RuleInfo, f *jit.Frame, b [][2]int64, 
 type builtStep struct {
 	absent bool // nothing to run (macro-computed or empty regions)
 	task   int  // single task id; -1 when the step is a tile grid
-	isStep bool // task is step-granular (no bounds/rule information)
 
 	node   *analysis.Node
 	ri     *analysis.RuleInfo
@@ -343,7 +347,7 @@ func (ex *exec) buildPlan() *plan {
 	pb := &planBuilder{ex: ex, grain: grain}
 	steps := make([]builtStep, len(ex.res.Schedule))
 	for si, st := range ex.res.Schedule {
-		bs, ok := pb.lowerStep(st)
+		bs, ok := pb.lowerStep(si, st)
 		if !ok {
 			return nil
 		}
@@ -373,14 +377,14 @@ func (pb *planBuilder) addTask(t planTask) int {
 	return len(pb.tasks) - 1
 }
 
-// stepFallback lowers a step as one step-granular task.
-func (pb *planBuilder) stepFallback(st *analysis.Step) builtStep {
-	return builtStep{task: pb.addTask(planTask{step: st}), isStep: true, fence: -1}
+// stepFallback lowers schedule step si as one step-granular task.
+func (pb *planBuilder) stepFallback(si int) builtStep {
+	return builtStep{task: pb.addTask(planTask{Kind: planStep, Step: int32(si)}), fence: -1}
 }
 
-// lowerStep lowers one schedule step. ok=false declines the whole plan
-// (region evaluation failed; the step loop will surface the error).
-func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
+// lowerStep lowers schedule step si, st. ok=false declines the whole
+// plan (region evaluation failed; the step loop will surface the error).
+func (pb *planBuilder) lowerStep(si int, st *analysis.Step) (builtStep, bool) {
 	ex := pb.ex
 	var active []*analysis.Node
 	for _, n := range st.Nodes {
@@ -395,7 +399,7 @@ func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 	if len(active) > 1 {
 		// Multi-node SCCs interleave nodes per wavefront slice; keep the
 		// step's own executor.
-		return pb.stepFallback(st), true
+		return pb.stepFallback(si), true
 	}
 	node := active[0]
 	gc := node.Cell
@@ -407,7 +411,7 @@ func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 				return builtStep{absent: true, task: -1, fence: -1}, true
 			}
 		}
-		return pb.stepFallback(st), true
+		return pb.stepFallback(si), true
 	}
 	ri := ex.chooseCellRule(gc)
 	b, err := ex.evalNodeRegion(node.Matrix, gc.Region)
@@ -423,7 +427,7 @@ func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 	}
 	bs := builtStep{node: node, ri: ri, bounds: b, task: -1, fence: -1}
 	single := func(lex []analysis.LexDim) builtStep {
-		bs.task = pb.addTask(planTask{node: node, ri: ri, bounds: b, lex: lex})
+		bs.task = pb.addTask(tileTask(node, ri, b, lex))
 		return bs
 	}
 	switch {
@@ -437,7 +441,7 @@ func (pb *planBuilder) lowerStep(st *analysis.Step) (builtStep, bool) {
 	case st.Cyclic:
 		axis := st.IterDim
 		if axis >= len(b) {
-			return pb.stepFallback(st), true
+			return pb.stepFallback(si), true
 		}
 		serialLex := cyclicLex(len(b), axis, st.IterDir)
 		offs, ok := pb.selfOffsets(node, ri, len(b))
@@ -503,7 +507,7 @@ func lexBackward(offs [][]int64, lex []analysis.LexDim) bool {
 func (pb *planBuilder) tileLex(bs *builtStep, lex []analysis.LexDim) {
 	pb.tileGrid(bs, nil, pb.grain, planMaxTilesPerStep)
 	for i := range pb.tasks[bs.tileBase : bs.tileBase+bs.ntiles] {
-		pb.tasks[bs.tileBase+i].lex = lex
+		pb.tasks[bs.tileBase+i].Lex = lex
 	}
 	idx := make([]int64, len(bs.nblk))
 	for flat := 0; flat < bs.ntiles; flat++ {
@@ -646,7 +650,7 @@ func (pb *planBuilder) emitGrid(bs *builtStep, blk, nblk []int64) {
 			}
 			tb[d] = [2]int64{lo, hi}
 		}
-		pb.addTask(planTask{node: bs.node, ri: bs.ri, bounds: tb})
+		pb.addTask(tileTask(bs.node, bs.ri, tb, nil))
 	}
 }
 
@@ -838,7 +842,7 @@ func (pb *planBuilder) footprintEdges(ps, cs *builtStep, lohi [][2]int64) bool {
 	bh := make([]int64, nd)
 	idx := make([]int64, nd)
 	for _, ct := range consumers {
-		cb := pb.tasks[ct].bounds
+		cb := pb.tasks[ct].Bounds
 		empty := false
 		for d := 0; d < nd; d++ {
 			lo := cb[d][0] + lohi[d][0]

@@ -4,211 +4,113 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"petabricks/internal/pbc/analysis"
 	"petabricks/internal/runtime"
 )
 
-// This file splits the execution plan into a pure-data PlanDescriptor
-// and a rehydration pass, making the plan tier serializable. A built
-// plan holds live pointers — *analysis.Step, *analysis.Node,
-// *analysis.RuleInfo — but everything those pointers carry into
-// execution is identified by stable indices: the schedule position, the
-// choice-graph node ID, and the AST rule index. The descriptor records
-// those indices plus the data that is already flat (the CSR task graph,
-// concrete tile bounds, lex orders), gob-serializes under
-// artifact.KindPlan, and rehydrates against a live analysis in O(tasks)
-// at load time. Validate mirrors the jit decoder's stance: every index
-// in range, dep-counts consistent with successors, DAG acyclic —
-// nothing unverified reaches the zero-check run arena.
+// This file persists a built plan under artifact.KindPlan and reloads
+// it. A plan's tasks are already pure data (planTask addresses steps,
+// nodes and rules by stable index), so the disk image is the task list
+// itself plus the dependency edges read off the CSR graph. Loading
+// mirrors the jit decoder's stance — the run arena and runCells perform
+// no bounds checks, so every task is checked against the analysis it
+// will run under, and the graph is rebuilt by runtime.GraphBuilder,
+// which rejects cycles, from edges checked to be in range and not
+// self-edges. Tile bounds are taken as stored: proving that the tiles
+// cover their nodes' regions would cost a plan build.
 
-// Plan task kinds, the discriminant of PlanTaskDesc (mirroring the
-// three planTask shapes).
-const (
-	PlanTaskFence = iota // empty barrier joining a tiled step to a consumer
-	PlanTaskStep         // run a whole schedule step (fallback granularity)
-	PlanTaskTile         // run a pre-chosen rule over concrete bounds
-)
-
-// PlanTaskDesc is the pure-data form of one planTask.
-type PlanTaskDesc struct {
-	Kind int32
-	// Step is the schedule index (PlanTaskStep only).
-	Step int32
-	// Node is the choice-graph node ID and Rule the chosen rule's stable
-	// AST index (PlanTaskTile only).
-	Node   int32
-	Rule   int32
-	Bounds [][2]int64
-	Lex    []analysis.LexDim
+// planImage is a plan as the disk tier stores it: its tasks and its
+// dependency edges, edge i running from task From[i] to task To[i].
+type planImage struct {
+	Tasks    []planTask
+	From, To []int32
 }
 
-// PlanDescriptor is the serializable form of a plan: the task list plus
-// the CSR dependency graph exactly as the runtime's Run arena consumes
-// it (successor offsets, successors, initial dep-counts).
-type PlanDescriptor struct {
-	Tasks    []PlanTaskDesc
-	SuccOff  []int32
-	Succs    []int32
-	InitDeps []int32
-}
-
-// EncodePlan serializes a descriptor for the artifact disk tier.
-func EncodePlan(d *PlanDescriptor) ([]byte, error) {
+// encodePlan serializes a built plan for the disk tier.
+func encodePlan(p *plan) ([]byte, error) {
+	g := p.graph
+	from := make([]int32, len(g.Succs))
+	for t := range p.tasks {
+		for e := g.SuccOff[t]; e < g.SuccOff[t+1]; e++ {
+			from[e] = int32(t)
+		}
+	}
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		return nil, fmt.Errorf("interp: encoding plan descriptor: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(&planImage{Tasks: p.tasks, From: from, To: g.Succs}); err != nil {
+		return nil, fmt.Errorf("interp: encoding plan: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// DecodePlan deserializes a descriptor. It performs no validation —
-// callers must run Validate (or rehydrate, which does) against the
-// analysis the plan will execute under before anything runs.
-func DecodePlan(payload []byte) (*PlanDescriptor, error) {
-	d := &PlanDescriptor{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(d); err != nil {
-		return nil, fmt.Errorf("interp: decoding plan descriptor: %w", err)
+// decodePlan reloads a persisted plan against the analysis it will run
+// under, returning the first inconsistency found. A plan encodePlan
+// wrote reloads deep-equal to the one it was given.
+func decodePlan(payload []byte, res *analysis.Result) (*plan, error) {
+	var img planImage
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&img); err != nil {
+		return nil, fmt.Errorf("interp: decoding plan: %w", err)
 	}
-	return d, nil
+	for i := range img.Tasks {
+		if err := img.Tasks[i].validate(res); err != nil {
+			return nil, fmt.Errorf("interp: plan task %d: %w", i, err)
+		}
+	}
+	n := len(img.Tasks)
+	if len(img.From) != len(img.To) {
+		return nil, fmt.Errorf("interp: plan: %d edge sources but %d targets", len(img.From), len(img.To))
+	}
+	gb := runtime.NewGraphBuilder(n)
+	for i, from := range img.From {
+		to := img.To[i]
+		if from < 0 || int(from) >= n || to < 0 || int(to) >= n {
+			return nil, fmt.Errorf("interp: plan: edge %d→%d out of range for %d tasks", from, to, n)
+		}
+		if from == to {
+			return nil, fmt.Errorf("interp: plan: task %d depends on itself", from)
+		}
+		gb.Edge(int(from), int(to))
+	}
+	g, err := gb.Build()
+	if err != nil {
+		return nil, fmt.Errorf("interp: plan: %w", err)
+	}
+	return &plan{graph: g, tasks: img.Tasks}, nil
 }
 
-// describePlan flattens a freshly built plan into its descriptor, or
-// reports ok=false for a shape that cannot be described (a task bound
-// to state outside the stable-index spaces); such plans simply stay
-// memory-only.
-func describePlan(res *analysis.Result, p *plan) (*PlanDescriptor, bool) {
-	stepIdx := make(map[*analysis.Step]int32, len(res.Schedule))
-	for i, st := range res.Schedule {
-		stepIdx[st] = int32(i)
-	}
-	d := &PlanDescriptor{
-		Tasks:    make([]PlanTaskDesc, len(p.tasks)),
-		SuccOff:  p.graph.SuccOff,
-		Succs:    p.graph.Succs,
-		InitDeps: p.graph.InitDeps,
-	}
-	for i := range p.tasks {
-		t := &p.tasks[i]
-		td := &d.Tasks[i]
-		switch {
-		case t.step != nil:
-			si, ok := stepIdx[t.step]
-			if !ok {
-				return nil, false
-			}
-			td.Kind, td.Step = PlanTaskStep, si
-		case t.node != nil:
-			id := t.node.ID
-			if id < 0 || id >= len(res.Graph.Nodes) || res.Graph.Nodes[id] != t.node || t.ri == nil {
-				return nil, false
-			}
-			td.Kind = PlanTaskTile
-			td.Node = int32(id)
-			td.Rule = int32(t.ri.Rule.Index)
-			td.Bounds = t.bounds
-			td.Lex = t.lex
-		default:
-			td.Kind = PlanTaskFence
-		}
-	}
-	return d, true
-}
-
-// Validate checks a decoded descriptor against the analysis it claims
-// to schedule, mirroring the jit decoder's validation stance: the run
-// arena and runCells perform zero bounds checks, so every index must be
-// proven in range and the graph proven a consistent DAG here. Returns
-// the first inconsistency found.
-func (d *PlanDescriptor) Validate(res *analysis.Result) error {
-	n := len(d.Tasks)
-	if len(d.SuccOff) != n+1 {
-		return fmt.Errorf("interp: plan descriptor: %d tasks but %d successor offsets", n, len(d.SuccOff))
-	}
-	if len(d.InitDeps) != n {
-		return fmt.Errorf("interp: plan descriptor: %d tasks but %d dep-counts", n, len(d.InitDeps))
-	}
-	if d.SuccOff[0] != 0 || int(d.SuccOff[n]) != len(d.Succs) {
-		return fmt.Errorf("interp: plan descriptor: successor offsets do not span the edge list")
-	}
-	indeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		if d.SuccOff[i] > d.SuccOff[i+1] || int(d.SuccOff[i+1]) > len(d.Succs) {
-			return fmt.Errorf("interp: plan descriptor: successor offsets not monotone at task %d", i)
-		}
-		for _, s := range d.Succs[d.SuccOff[i]:d.SuccOff[i+1]] {
-			if s < 0 || int(s) >= n {
-				return fmt.Errorf("interp: plan descriptor: successor %d of task %d out of range", s, i)
-			}
-			if int(s) == i {
-				return fmt.Errorf("interp: plan descriptor: task %d depends on itself", i)
-			}
-			indeg[s]++
-		}
-	}
-	ready := make([]int32, 0, n)
-	for i, deg := range indeg {
-		if deg != d.InitDeps[i] {
-			return fmt.Errorf("interp: plan descriptor: task %d dep-count %d inconsistent with successors (%d)", i, d.InitDeps[i], deg)
-		}
-		if deg == 0 {
-			ready = append(ready, int32(i))
-		}
-	}
-	visited := 0
-	for len(ready) > 0 {
-		t := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		visited++
-		for _, s := range d.Succs[d.SuccOff[t]:d.SuccOff[t+1]] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-	if visited != n {
-		return fmt.Errorf("interp: plan descriptor: dependency graph has a cycle (%d of %d tasks reachable)", visited, n)
-	}
-	for i := range d.Tasks {
-		if err := d.Tasks[i].validate(res); err != nil {
-			return fmt.Errorf("interp: plan descriptor: task %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (td *PlanTaskDesc) validate(res *analysis.Result) error {
-	switch td.Kind {
-	case PlanTaskFence:
+// validate checks that t names state res has, in the shape the executor
+// runs it.
+func (t *planTask) validate(res *analysis.Result) error {
+	switch t.Kind {
+	case planFence:
 		return nil
-	case PlanTaskStep:
-		if td.Step < 0 || int(td.Step) >= len(res.Schedule) {
-			return fmt.Errorf("schedule index %d out of range", td.Step)
+	case planStep:
+		if t.Step < 0 || int(t.Step) >= len(res.Schedule) {
+			return fmt.Errorf("schedule index %d out of range", t.Step)
 		}
 		return nil
-	case PlanTaskTile:
-		if td.Node < 0 || int(td.Node) >= len(res.Graph.Nodes) {
-			return fmt.Errorf("node %d out of range", td.Node)
+	case planTile:
+		if t.Node < 0 || int(t.Node) >= len(res.Graph.Nodes) {
+			return fmt.Errorf("node %d out of range", t.Node)
 		}
-		node := res.Graph.Nodes[td.Node]
-		if node.Cell == nil {
-			return fmt.Errorf("node %d has no choice cell", td.Node)
+		cell := res.Graph.Nodes[t.Node].Cell
+		if cell == nil {
+			return fmt.Errorf("node %d has no choice cell", t.Node)
 		}
-		ri := findRule(node.Cell, int(td.Rule))
-		if ri == nil {
-			return fmt.Errorf("node %d has no rule with index %d", td.Node, td.Rule)
+		if t.Rule < 0 || int(t.Rule) >= len(res.Rules) || !slices.Contains(cell.Rules, res.Rules[t.Rule]) {
+			return fmt.Errorf("node %d has no rule with index %d", t.Node, t.Rule)
 		}
-		if len(td.Bounds) != len(ri.CenterVars) {
-			return fmt.Errorf("rank %d bounds for rank-%d rule r%d", len(td.Bounds), len(ri.CenterVars), td.Rule)
+		if rank := len(res.Rules[t.Rule].CenterVars); len(t.Bounds) != rank {
+			return fmt.Errorf("rank %d bounds for rank-%d rule r%d", len(t.Bounds), rank, t.Rule)
 		}
-		if td.Lex != nil && len(td.Lex) != len(td.Bounds) {
-			return fmt.Errorf("lex order of %d dimensions for a rank-%d tile", len(td.Lex), len(td.Bounds))
+		if t.Lex != nil && len(t.Lex) != len(t.Bounds) {
+			return fmt.Errorf("lex order of %d dimensions for a rank-%d tile", len(t.Lex), len(t.Bounds))
 		}
 		seen := 0
-		for _, ld := range td.Lex {
-			if ld.Dim < 0 || ld.Dim >= len(td.Bounds) {
+		for _, ld := range t.Lex {
+			if ld.Dim < 0 || ld.Dim >= len(t.Bounds) {
 				return fmt.Errorf("lex dimension %d out of range", ld.Dim)
 			}
 			if seen>>ld.Dim&1 != 0 {
@@ -221,54 +123,15 @@ func (td *PlanTaskDesc) validate(res *analysis.Result) error {
 		}
 		return nil
 	default:
-		return fmt.Errorf("unknown task kind %d", td.Kind)
+		return fmt.Errorf("unknown task kind %d", t.Kind)
 	}
-}
-
-// findRule returns the cell's rule with the given stable AST index.
-func findRule(gc *analysis.GridCell, idx int) *analysis.RuleInfo {
-	for _, ri := range gc.Rules {
-		if ri.Rule.Index == idx {
-			return ri
-		}
-	}
-	return nil
-}
-
-// rehydrate validates the descriptor and rebinds it against a live
-// analysis: schedule indices back to *Step, node IDs back to *Node,
-// rule indices back to *RuleInfo, and the CSR arrays directly into a
-// runtime.TaskGraph (the Run arena reads exactly these three slices).
-// The result is indistinguishable from a freshly built plan.
-func (d *PlanDescriptor) rehydrate(res *analysis.Result) (*plan, error) {
-	if err := d.Validate(res); err != nil {
-		return nil, err
-	}
-	tasks := make([]planTask, len(d.Tasks))
-	for i := range d.Tasks {
-		td := &d.Tasks[i]
-		switch td.Kind {
-		case PlanTaskStep:
-			tasks[i] = planTask{step: res.Schedule[td.Step]}
-		case PlanTaskTile:
-			node := res.Graph.Nodes[td.Node]
-			tasks[i] = planTask{
-				node:   node,
-				ri:     findRule(node.Cell, int(td.Rule)),
-				bounds: td.Bounds,
-				lex:    td.Lex,
-			}
-		}
-	}
-	g := &runtime.TaskGraph{SuccOff: d.SuccOff, Succs: d.Succs, InitDeps: d.InitDeps}
-	return &plan{graph: g, tasks: tasks}, nil
 }
 
 // --- Always-on plan-tier counters ------------------------------------------
 
 // PlanCounters is the process-wide plan-tier traffic snapshot: how many
-// plans were constructed from the schedule, how many were warm-started
-// from persisted descriptors, and the cumulative construction time.
+// plans were constructed from the schedule, how many were reloaded from
+// the disk tier, and the cumulative construction time.
 // Like the tier compilation stats these are always on (the obs metrics
 // mirror them when Instrument installs a registry); the repository
 // benchmark reads plan construction time from them.

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"petabricks/internal/artifact"
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
+	"petabricks/internal/pbc/analysis"
 	"petabricks/internal/pbc/parser"
 	"petabricks/internal/runtime"
 )
@@ -53,14 +56,44 @@ func runPlanned(t *testing.T, src, main string, n int64, pool *runtime.Pool, sto
 	return outs
 }
 
-// TestPlanDescriptorRoundTrip proves the descriptor is a faithful
-// pure-data image of a built plan: the persisted payload decodes,
-// validates, survives a re-encode bit-for-bit structurally, and
-// rehydrates against the live analysis with every binding landing on
-// the stable-index target it was derived from.
+// builtPlan builds tc's plan directly, with the analysis it runs under.
+func builtPlan(t testing.TB, tc planCase) (*plan, *analysis.Result) {
+	t.Helper()
+	e := engine(t, tc.src)
+	e.Cfg = tc.cfg()
+	ex := execFor(t, e, tc.main, tc.size)
+	p := ex.buildPlan()
+	if p == nil {
+		t.Fatalf("buildPlan declined %s", tc.name)
+	}
+	return p, ex.res
+}
+
+// samePlan reports whether two plans have deep-equal tasks and CSR
+// graphs.
+func samePlan(a, b *plan) bool {
+	return reflect.DeepEqual(a.tasks, b.tasks) && reflect.DeepEqual(*a.graph, *b.graph)
+}
+
+// TestPlanDescriptorRoundTrip proves the disk image is faithful: a
+// built plan survives encode and decode deep-equal, tasks and CSR both,
+// and a planned run persists exactly that plan for its transform.
 func TestPlanDescriptorRoundTrip(t *testing.T) {
 	for _, tc := range planCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			p, res := builtPlan(t, tc)
+			payload, err := encodePlan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := decodePlan(payload, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !samePlan(p, q) {
+				t.Fatal("plan does not survive an encode/decode round trip")
+			}
+
 			pool := runtime.NewPool(2)
 			defer pool.Close()
 			dir := t.TempDir()
@@ -69,69 +102,16 @@ func TestPlanDescriptorRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			runPlanned(t, tc.src, tc.main, tc.size, pool, store, tc.cfg())
-			payloads := planPayloads(t, store, dir)
-			if len(payloads) == 0 {
-				t.Fatal("planned run persisted no plan descriptors")
-			}
-			e := engine(t, tc.src)
-			res, ok := e.Analysis(tc.main)
-			if !ok {
-				t.Fatalf("no analysis for %s", tc.main)
-			}
-			checked := 0
-			for _, payload := range payloads {
-				d, err := DecodePlan(payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Plans of sub-transforms validate against their own
-				// analysis, not main's; check only main's descriptors
-				// structurally here (the warm-start tests execute all).
-				if err := d.Validate(res); err != nil {
-					continue
-				}
-				checked++
-				re, err := EncodePlan(d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d2, err := DecodePlan(re)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(d, d2) {
-					t.Fatal("descriptor does not survive an encode/decode round trip")
-				}
-				p, err := d.rehydrate(res)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(p.tasks) != len(d.Tasks) {
-					t.Fatalf("rehydrated %d tasks from %d descriptors", len(p.tasks), len(d.Tasks))
-				}
-				for i, td := range d.Tasks {
-					pt := &p.tasks[i]
-					switch td.Kind {
-					case PlanTaskStep:
-						if pt.step != res.Schedule[td.Step] {
-							t.Fatalf("task %d rebound to the wrong schedule step", i)
-						}
-					case PlanTaskTile:
-						if pt.node != res.Graph.Nodes[td.Node] {
-							t.Fatalf("task %d rebound to the wrong node", i)
-						}
-						if pt.ri == nil || pt.ri.Rule.Index != int(td.Rule) {
-							t.Fatalf("task %d rebound to the wrong rule", i)
-						}
-					}
-				}
-				g := p.graph
-				if !reflect.DeepEqual(g.SuccOff, d.SuccOff) || !reflect.DeepEqual(g.Succs, d.Succs) || !reflect.DeepEqual(g.InitDeps, d.InitDeps) {
-					t.Fatal("rehydrated task graph differs from the descriptor CSR")
+			found := false
+			for _, payload := range planPayloads(t, store, dir) {
+				// Plans of sub-transforms are checked against their own
+				// analysis, not main's, and may fail to load here.
+				if q, err := decodePlan(payload, res); err == nil && samePlan(p, q) {
+					found = true
 				}
 			}
-			if checked == 0 {
-				t.Fatal("no persisted descriptor validated against the main transform's analysis")
+			if !found {
+				t.Fatal("no persisted plan matches the plan built for the main transform")
 			}
 		})
 	}
@@ -184,132 +164,141 @@ func TestPlanWarmStartFromDisk(t *testing.T) {
 	}
 }
 
-// TestPlanDescriptorValidateRejects feeds Validate every class of
-// inconsistency a hostile or damaged descriptor could carry. Nothing
+// loadPlan runs decodePlan, turning a panic into a test failure: a
+// damaged plan must be an error, never a crash.
+func loadPlan(t *testing.T, payload []byte, res *analysis.Result) (p *plan, err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("loading the plan panicked: %v", r)
+		}
+	}()
+	return decodePlan(payload, res)
+}
+
+// TestPlanDescriptorValidateRejects feeds the loader every class of
+// inconsistency a hostile or damaged plan image could carry. Nothing
 // here may reach the run arena: each perturbation must yield an error.
 func TestPlanDescriptorValidateRejects(t *testing.T) {
-	pool := runtime.NewPool(2)
-	defer pool.Close()
-	dir := t.TempDir()
-	store, err := artifact.Open(dir, artifact.Options{})
+	cfg := choice.NewConfig()
+	cfg.SetInt(ParGrainKey, 8)
+	p, res := builtPlan(t, planCase{"SummedArea", parser.SummedAreaSrc, "SummedArea", 32, func() *choice.Config { return cfg }})
+	if len(p.graph.Succs) == 0 {
+		t.Fatal("plan has no edges to perturb")
+	}
+	base, err := encodePlan(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := choice.NewConfig()
-	cfg.SetInt(ParGrainKey, 8)
-	runPlanned(t, parser.SummedAreaSrc, "SummedArea", 32, pool, store, cfg)
-	e := engine(t, parser.SummedAreaSrc)
-	res, ok := e.Analysis("SummedArea")
-	if !ok {
-		t.Fatal("no analysis for SummedArea")
-	}
-	var base *PlanDescriptor
-	for _, payload := range planPayloads(t, store, dir) {
-		d, err := DecodePlan(payload)
-		if err != nil {
+	// image decodes a fresh copy of base as the disk tier stores it.
+	image := func() *planImage {
+		var img planImage
+		if err := gob.NewDecoder(bytes.NewReader(base)).Decode(&img); err != nil {
 			t.Fatal(err)
 		}
-		if d.Validate(res) == nil && len(d.Succs) > 0 {
-			base = d
-			break
-		}
-	}
-	if base == nil {
-		t.Fatal("no valid persisted descriptor with edges to perturb")
-	}
-	clone := func() *PlanDescriptor {
-		re, err := EncodePlan(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := DecodePlan(re)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return &img
 	}
 	tileIdx, lexIdx := -1, -1
-	for i, td := range base.Tasks {
-		if td.Kind == PlanTaskTile && tileIdx < 0 {
+	for i, pt := range p.tasks {
+		if pt.Kind == planTile && tileIdx < 0 {
 			tileIdx = i
 		}
-		if td.Kind == PlanTaskTile && len(td.Lex) > 0 && lexIdx < 0 {
+		if pt.Kind == planTile && len(pt.Lex) > 0 && lexIdx < 0 {
 			lexIdx = i
 		}
 	}
 	if tileIdx < 0 {
-		t.Fatal("descriptor has no tile task to perturb")
+		t.Fatal("plan has no tile task to perturb")
 	}
 	cases := []struct {
 		name    string
-		mutate  func(d *PlanDescriptor)
+		mutate  func(d *planImage)
 		skip    bool
 		wantSub string
 	}{
-		{"succ_out_of_range", func(d *PlanDescriptor) { d.Succs[0] = int32(len(d.Tasks)) }, false, "out of range"},
-		{"self_edge", func(d *PlanDescriptor) {
-			// Aim task 0's first successor back at itself.
-			for i := 0; i < len(d.Tasks); i++ {
-				if d.SuccOff[i] < d.SuccOff[i+1] {
-					d.Succs[d.SuccOff[i]] = int32(i)
-					return
-				}
-			}
-		}, false, ""},
-		{"offsets_do_not_span", func(d *PlanDescriptor) { d.SuccOff[len(d.SuccOff)-1]++ }, false, "span"},
-		{"offsets_not_monotone", func(d *PlanDescriptor) {
-			d.SuccOff[1] = d.SuccOff[len(d.SuccOff)-1] + 1
-		}, false, ""},
-		{"dep_count_mismatch", func(d *PlanDescriptor) { d.InitDeps[0]++ }, false, "inconsistent"},
-		{"task_count_mismatch", func(d *PlanDescriptor) { d.InitDeps = d.InitDeps[:len(d.InitDeps)-1] }, false, "dep-counts"},
-		{"step_out_of_range", func(d *PlanDescriptor) {
-			d.Tasks[0] = PlanTaskDesc{Kind: PlanTaskStep, Step: int32(len(res.Schedule))}
+		{"succ_out_of_range", func(d *planImage) { d.To[0] = int32(len(d.Tasks)) }, false, "out of range"},
+		{"pred_negative", func(d *planImage) { d.From[0] = -1 }, false, "out of range"},
+		{"edge_ends_mismatch", func(d *planImage) { d.To = d.To[:len(d.To)-1] }, false, "targets"},
+		{"self_edge", func(d *planImage) { d.To[0] = d.From[0] }, false, "itself"},
+		{"step_out_of_range", func(d *planImage) {
+			d.Tasks[0] = planTask{Kind: planStep, Step: int32(len(res.Schedule))}
 		}, false, "schedule index"},
-		{"node_out_of_range", func(d *PlanDescriptor) {
+		{"node_out_of_range", func(d *planImage) {
 			d.Tasks[tileIdx].Node = int32(len(res.Graph.Nodes))
 		}, false, "node"},
-		{"unknown_rule", func(d *PlanDescriptor) { d.Tasks[tileIdx].Rule = 9999 }, false, "no rule"},
-		{"bounds_rank_mismatch", func(d *PlanDescriptor) {
+		{"unknown_rule", func(d *planImage) { d.Tasks[tileIdx].Rule = 9999 }, false, "no rule"},
+		{"bounds_rank_mismatch", func(d *planImage) {
 			d.Tasks[tileIdx].Bounds = d.Tasks[tileIdx].Bounds[:len(d.Tasks[tileIdx].Bounds)-1]
 		}, false, "rank"},
-		{"unknown_kind", func(d *PlanDescriptor) { d.Tasks[0].Kind = 77 }, false, "unknown task kind"},
-		{"lex_dim_out_of_range", func(d *PlanDescriptor) {
+		{"unknown_kind", func(d *planImage) { d.Tasks[0].Kind = 77 }, false, "unknown task kind"},
+		{"lex_dim_out_of_range", func(d *planImage) {
 			d.Tasks[lexIdx].Lex[0].Dim = len(d.Tasks[lexIdx].Bounds)
 		}, lexIdx < 0, "lex dimension"},
-		{"lex_dir_zero", func(d *PlanDescriptor) {
+		{"lex_dir_zero", func(d *planImage) {
 			d.Tasks[lexIdx].Lex[0].Dir = 0
 		}, lexIdx < 0, "lex direction"},
+		{"cycle", func(d *planImage) {
+			*d = planImage{Tasks: []planTask{{Kind: planFence}, {Kind: planFence}}, From: []int32{0, 1}, To: []int32{1, 0}}
+		}, false, "cycle"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.skip {
-				t.Skip("shape not present in this descriptor")
+				t.Skip("shape not present in this plan")
 			}
-			d := clone()
+			d := image()
 			tc.mutate(d)
-			err := d.Validate(res)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+				t.Fatal(err)
+			}
+			_, err := loadPlan(t, buf.Bytes(), res)
 			if err == nil {
-				t.Fatal("perturbed descriptor validated")
+				t.Fatal("perturbed plan loaded")
 			}
-			if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
+			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
-			}
-			if _, err := d.rehydrate(res); err == nil {
-				t.Fatal("perturbed descriptor rehydrated")
 			}
 		})
 	}
+}
 
-	t.Run("cycle", func(t *testing.T) {
-		d := &PlanDescriptor{
-			Tasks:    []PlanTaskDesc{{Kind: PlanTaskFence}, {Kind: PlanTaskFence}},
-			SuccOff:  []int32{0, 1, 2},
-			Succs:    []int32{1, 0},
-			InitDeps: []int32{1, 1},
+// FuzzDecodePlan feeds arbitrary bytes to the plan loader, against the
+// analysis of one of the plan corpus's transforms. A load must never
+// panic: it either fails with an error or yields a plan that encodes
+// and loads again, deep-equal. Seeds: the encoded plan of every corpus
+// case at n = 8, against its own analysis. The small size keeps seeds
+// under a kilobyte: the fuzzer minimizes each new input, which takes
+// tens of seconds on one the size of a full corpus plan.
+func FuzzDecodePlan(f *testing.F) {
+	var analyses []*analysis.Result
+	for i, tc := range planCases() {
+		tc.size = 8
+		p, res := builtPlan(f, tc)
+		payload, err := encodePlan(p)
+		if err != nil {
+			f.Fatal(err)
 		}
-		err := d.Validate(res)
-		if err == nil || !strings.Contains(err.Error(), "cycle") {
-			t.Fatalf("cyclic descriptor: got %v, want cycle error", err)
+		analyses = append(analyses, res)
+		f.Add(uint8(i), payload)
+	}
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		res := analyses[int(which)%len(analyses)]
+		p, err := decodePlan(data, res)
+		if err != nil {
+			return
+		}
+		again, err := encodePlan(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := decodePlan(again, res)
+		if err != nil {
+			t.Fatalf("accepted plan does not load again: %v", err)
+		}
+		if !samePlan(p, q) {
+			t.Fatal("accepted plan does not survive a second round trip")
 		}
 	})
 }

@@ -296,7 +296,7 @@ func TestPlanWavefrontTiling(t *testing.T) {
 	}
 	lexTiles := 0
 	for i := range p.tasks {
-		if p.tasks[i].node != nil && p.tasks[i].lex != nil {
+		if p.tasks[i].Kind == planTile && p.tasks[i].Lex != nil {
 			lexTiles++
 		}
 	}
@@ -319,7 +319,7 @@ func TestPlanWavefrontTiling(t *testing.T) {
 		var next []int
 		for _, i := range frontier {
 			visited++
-			if p.tasks[i].node != nil && p.tasks[i].lex != nil {
+			if p.tasks[i].Kind == planTile && p.tasks[i].Lex != nil {
 				width++
 			}
 			for _, s := range p.graph.Succs[p.graph.SuccOff[i]:p.graph.SuccOff[i+1]] {
