@@ -147,7 +147,7 @@ func Analyze(prog *ast.Program, t *ast.Transform) (res *Result, err error) {
 		}
 		lastErr = err
 		var oe *orderingError
-		if !errorsAs(err, &oe) {
+		if !errors.As(err, &oe) {
 			return nil, err
 		}
 	}
@@ -713,20 +713,4 @@ func clampRegion(reg, domain symbolic.Region) symbolic.Region {
 		)
 	}
 	return out
-}
-
-// errorsAs is a tiny local wrapper so the retry loop reads clearly.
-func errorsAs(err error, target **orderingError) bool {
-	for err != nil {
-		if oe, ok := err.(*orderingError); ok {
-			*target = oe
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -21,12 +21,15 @@ import (
 //
 // On top of memoization, the plan tiles large schedule steps at build
 // time. A step whose iteration space exceeds the parallel grain becomes
-// a grid of region tiles with tile-to-tile dependency edges derived
-// from the rule's constant affine offsets, so wavefront steps (cyclic
-// stencil sweeps, lexicographic recurrences) expose parallelism that
-// a step-granular task executes serially. Any shape the tiler cannot
-// prove safe stays one step-granular task that runs the step loop's own
-// runStep — the plan changes performance, never results.
+// a grid of region tiles, so wavefront steps (cyclic stencil sweeps,
+// lexicographic recurrences) expose parallelism that a step-granular
+// task executes serially. Tile-to-tile edges come from one rule, within
+// a step and between steps: the consumer rule's constant read offsets,
+// folded into a box, map each consumer task's bounds onto the producer
+// blocks it reads (offsetBox, footprintEdges). Where that rule cannot
+// apply, a tiled producer joins its consumer through a fence, and a
+// wavefront step stays one task, as does any shape the tiler cannot
+// prove safe — the plan changes performance, never results.
 //
 // A plan's tasks name the analysis state they run by stable indices, so
 // the one value a run replays is also what the disk tier stores:
@@ -45,10 +48,11 @@ const (
 	// the step stays step-granular.
 	planMaxTilesPerStep = 1024
 	// planMaxEdges bounds the whole plan's dependency-edge count; past
-	// it cross-step wiring degrades to fences.
+	// it footprint mapping degrades as planMaxEdgesPerPair says.
 	planMaxEdges = 1 << 17
 	// planMaxEdgesPerPair bounds the footprint-mapped edges of one
-	// producer/consumer step pair before degrading to a fence.
+	// producer/consumer step pair: past it two steps are joined by a
+	// fence, and a wavefront step wired to itself stays one task.
 	planMaxEdgesPerPair = 1 << 14
 )
 
@@ -298,7 +302,7 @@ func (ex *exec) runCellsWith(ri *analysis.RuleInfo, f *jit.Frame, b [][2]int64, 
 // --- Plan building --------------------------------------------------------
 
 // builtStep records how one schedule step was lowered, with the grid
-// geometry the cross-step wiring needs.
+// geometry footprint mapping needs.
 type builtStep struct {
 	absent bool // nothing to run (macro-computed or empty regions)
 	task   int  // single task id; -1 when the step is a tile grid
@@ -382,8 +386,12 @@ func (pb *planBuilder) stepFallback(si int) builtStep {
 	return builtStep{task: pb.addTask(planTask{Kind: planStep, Step: int32(si)}), fence: -1}
 }
 
-// lowerStep lowers schedule step si, st. ok=false declines the whole
-// plan (region evaluation failed; the step loop will surface the error).
+// lowerStep lowers schedule step si, st: a wavefront step (lex or
+// cyclic) through tileWavefront, whose tiles are wired to each other by
+// the same footprint rule as steps are; any other step of one cell node
+// as a grid of independent tiles; and what the tiler cannot take as one
+// task. ok=false declines the whole plan (region evaluation failed; the
+// step loop will surface the error).
 func (pb *planBuilder) lowerStep(si int, st *analysis.Step) (builtStep, bool) {
 	ex := pb.ex
 	var active []*analysis.Node
@@ -432,8 +440,7 @@ func (pb *planBuilder) lowerStep(si int, st *analysis.Step) (builtStep, bool) {
 	}
 	switch {
 	case st.Lex != nil:
-		if offs, ok := pb.selfOffsets(node, ri, len(b)); ok && lexBackward(offs, st.Lex) && count >= 2*pb.grain {
-			pb.tileLex(&bs, st.Lex)
+		if count >= 2*pb.grain && pb.tileWavefront(&bs, st.Lex, nil) {
 			return bs, true
 		}
 		// Serial lex walk with one frame — runLex semantics, memoized.
@@ -443,222 +450,99 @@ func (pb *planBuilder) lowerStep(si int, st *analysis.Step) (builtStep, bool) {
 		if axis >= len(b) {
 			return pb.stepFallback(si), true
 		}
-		serialLex := cyclicLex(len(b), axis, st.IterDir)
-		offs, ok := pb.selfOffsets(node, ri, len(b))
-		if !ok || len(b) == 1 {
-			return single(serialLex), true
+		if pb.tileWavefront(&bs, []analysis.LexDim{{Dim: axis, Dir: st.IterDir}}, &axis) {
+			return bs, true
 		}
-		if !pb.tileCyclic(&bs, axis, st.IterDir, offs) {
-			return single(serialLex), true
-		}
-		return bs, true
+		// The whole axis as one box, in runCyclic's walk order.
+		return single(cyclicLex(len(b), axis, st.IterDir)), true
 	default:
 		if count >= 2*pb.grain {
-			pb.tileGrid(&bs, nil, pb.grain, planMaxTilesPerStep)
+			bs.blk, bs.nblk = gridBlocks(b, nil, pb.grain)
+			pb.emitGrid(&bs, nil)
 			return bs, true
 		}
 		return single(nil), true
 	}
 }
 
-// selfOffsets folds every self-edge annotation of the chosen rule into
-// constant offset vectors. ok=false means some internal dependency is
-// not an exact constant offset under these sizes, so tile-to-tile edges
-// cannot be derived.
-func (pb *planBuilder) selfOffsets(node *analysis.Node, ri *analysis.RuleInfo, nd int) ([][]int64, bool) {
-	var out [][]int64
-	for _, e := range pb.ex.res.Graph.Edges {
-		if e.From != node || e.To != node {
-			continue
-		}
-		for _, a := range e.Annots {
-			if a.Rule != ri {
-				continue
-			}
-			off, ok := a.ConstOffsets(nd, pb.ex.sizes())
-			if !ok {
-				return nil, false
-			}
-			out = append(out, off)
-		}
-	}
-	return out, true
-}
-
-// lexBackward reports whether every offset vector is component-wise
-// backward under the lex order (off[d]*dir[d] <= 0 for every dim). Then
-// any dependency of a block lands in the cone of component-wise earlier
-// blocks, which adjacent-predecessor edges generate transitively — no
-// halo constraint on the block size is needed.
-func lexBackward(offs [][]int64, lex []analysis.LexDim) bool {
-	for _, off := range offs {
-		for _, ld := range lex {
-			if off[ld.Dim]*int64(ld.Dir) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// tileLex splits a lexicographic-wavefront step into a block grid. Each
-// tile walks its cells in the step's lex order; tile(X) depends on the
-// adjacent earlier block along every dimension.
-func (pb *planBuilder) tileLex(bs *builtStep, lex []analysis.LexDim) {
-	pb.tileGrid(bs, nil, pb.grain, planMaxTilesPerStep)
-	for i := range pb.tasks[bs.tileBase : bs.tileBase+bs.ntiles] {
-		pb.tasks[bs.tileBase+i].Lex = lex
-	}
-	idx := make([]int64, len(bs.nblk))
-	for flat := 0; flat < bs.ntiles; flat++ {
-		gridIndex(int64(flat), bs.nblk, idx)
-		for _, ld := range lex {
-			p := idx[ld.Dim] - int64(ld.Dir)
-			if p < 0 || p >= bs.nblk[ld.Dim] {
-				continue
-			}
-			idx[ld.Dim] = p
-			pb.edges = append(pb.edges, [2]int{bs.tileBase + int(gridFlat(idx, bs.nblk)), bs.tileBase + flat})
-			idx[ld.Dim] += int64(ld.Dir)
-		}
-	}
-}
-
-// tileCyclic splits a single-axis wavefront step into axis-extent-1
-// tiles × blocks over the remaining dimensions. Block sizes are clamped
-// to the maximum constant offset per dimension, so every dependency of
-// tile (a, X) lies in tiles (a-1, X+δ) with δ ∈ {-1,0,1} per dimension
-// (deeper axis offsets are covered transitively through the a-1 layer).
-// Returns false when the geometry degenerates (single block per slice —
-// a pure chain — or too many tiles).
-func (pb *planBuilder) tileCyclic(bs *builtStep, axis, dir int, offs [][]int64) bool {
-	nd := len(bs.bounds)
-	minBlk := make([]int64, nd)
-	for _, off := range offs {
-		for d := 0; d < nd; d++ {
-			v := off[d]
-			if v < 0 {
-				v = -v
-			}
-			if v > minBlk[d] {
-				minBlk[d] = v
-			}
-		}
-	}
-	axisLen := bs.bounds[axis][1] - bs.bounds[axis][0]
-	if axisLen > planMaxTilesPerStep {
+// tileWavefront splits a wavefront step into a block grid and wires the
+// tiles to each other by the footprint rule that wires steps together
+// (offsetBox, footprintEdges). A lex step (axis nil) is blocked in
+// every dimension and each tile walks the lex order walk; a cyclic step
+// keeps its axis at block size 1, so a tile is part of one slice and
+// its cells are independent. Every self read must point backward along
+// walk — weakly under a lex order, strictly on the cyclic axis — so the
+// edges only ever run from earlier blocks and form no cycle. It reports
+// false, with no task left behind, when a read is not a constant
+// offset or points forward, when the grid is a chain of single blocks
+// (or exceeds planMaxTilesPerStep), or when the self edges run over the
+// per-pair budget; the caller then lowers the step as one task.
+func (pb *planBuilder) tileWavefront(bs *builtStep, walk []analysis.LexDim, axis *int) bool {
+	box, ok := pb.offsetBox(bs, bs)
+	if !ok {
 		return false
 	}
-	minBlk[axis] = 1 // frozen at extent 1 by tileGrid's frozen dim
-	pb.tileGrid(bs, &axis, pb.grain, planMaxTilesPerStep)
-	nonAxisBlocks := int64(1)
+	for _, ld := range walk {
+		if box == nil {
+			break // the rule reads nothing of its own step
+		}
+		ahead := box[ld.Dim][1] // the furthest read along the walk
+		if ld.Dir < 0 {
+			ahead = -box[ld.Dim][0]
+		}
+		if ahead > 0 || ahead == 0 && axis != nil {
+			return false
+		}
+	}
+	bs.blk, bs.nblk = gridBlocks(bs.bounds, axis, pb.grain)
+	tiles, spread := int64(1), int64(1)
 	for d, n := range bs.nblk {
-		if d != axis {
-			nonAxisBlocks *= n
+		tiles *= n
+		if axis == nil || d != *axis {
+			spread *= n
 		}
 	}
-	// Re-tile with offset clamps if the first pass chose smaller blocks.
-	for d := 0; d < nd; d++ {
-		if d != axis && bs.blk[d] < minBlk[d] {
-			pb.retileMinBlock(bs, &axis, minBlk)
-			nonAxisBlocks = 1
-			for dd, n := range bs.nblk {
-				if dd != axis {
-					nonAxisBlocks *= n
-				}
-			}
-			break
-		}
+	if spread <= 1 || tiles > planMaxTilesPerStep {
+		return false // a chain of single blocks has no parallelism
 	}
-	if nonAxisBlocks <= 1 {
-		// A chain of slices has no parallelism; undo the tiles.
+	lex := walk
+	if axis != nil {
+		lex = nil
+	}
+	pb.emitGrid(bs, lex)
+	if !pb.footprintEdges(bs, bs, box) {
 		pb.tasks = pb.tasks[:bs.tileBase]
-		bs.ntiles = 0
 		return false
-	}
-	idx := make([]int64, nd)
-	pidx := make([]int64, nd)
-	for flat := 0; flat < bs.ntiles; flat++ {
-		gridIndex(int64(flat), bs.nblk, idx)
-		pa := idx[axis] - int64(dir) // earlier slice in walk order
-		if pa < 0 || pa >= bs.nblk[axis] {
-			continue
-		}
-		copy(pidx, idx)
-		pidx[axis] = pa
-		pb.neighborEdges(bs, pidx, axis, 0, flat)
 	}
 	return true
 }
 
-// neighborEdges appends edges from every {-1,0,1} non-axis displacement
-// of pidx to consumer tile flat (recursing over dimensions from d).
-func (pb *planBuilder) neighborEdges(bs *builtStep, pidx []int64, axis, d, flat int) {
-	if d == len(pidx) {
-		pb.edges = append(pb.edges, [2]int{bs.tileBase + int(gridFlat(pidx, bs.nblk)), bs.tileBase + flat})
-		return
-	}
-	if d == axis {
-		pb.neighborEdges(bs, pidx, axis, d+1, flat)
-		return
-	}
-	orig := pidx[d]
-	for _, delta := range [3]int64{0, -1, 1} {
-		p := orig + delta
-		if p < 0 || p >= bs.nblk[d] {
-			continue
-		}
-		pidx[d] = p
-		pb.neighborEdges(bs, pidx, axis, d+1, flat)
-	}
-	pidx[d] = orig
-}
-
-// retileMinBlock rebuilds a grid with per-dimension minimum block sizes
-// (discarding the tiles of the previous attempt).
-func (pb *planBuilder) retileMinBlock(bs *builtStep, frozen *int, minBlk []int64) {
-	pb.tasks = pb.tasks[:bs.tileBase]
-	blk, nblk := gridBlocks(bs.bounds, minBlk, frozen, pb.grain, planMaxTilesPerStep)
-	pb.emitGrid(bs, blk, nblk)
-}
-
-// tileGrid splits the step's bounds into a block grid of independent
-// tiles (no intra-step edges; callers add them for wavefront shapes).
-func (pb *planBuilder) tileGrid(bs *builtStep, frozen *int, targetVol, maxTiles int64) {
-	blk, nblk := gridBlocks(bs.bounds, nil, frozen, targetVol, maxTiles)
-	pb.emitGrid(bs, blk, nblk)
-}
-
-func (pb *planBuilder) emitGrid(bs *builtStep, blk, nblk []int64) {
-	bs.blk, bs.nblk = blk, nblk
-	bs.task = -1
+// emitGrid adds one tile task per block of bs's grid (bs.blk, bs.nblk),
+// each walking lex (nil: the flat order).
+func (pb *planBuilder) emitGrid(bs *builtStep, lex []analysis.LexDim) {
 	bs.tileBase = len(pb.tasks)
 	n := int64(1)
-	for _, v := range nblk {
+	for _, v := range bs.nblk {
 		n *= v
 	}
 	bs.ntiles = int(n)
-	idx := make([]int64, len(nblk))
+	idx := make([]int64, len(bs.nblk))
 	for flat := int64(0); flat < n; flat++ {
-		gridIndex(flat, nblk, idx)
-		tb := make([][2]int64, len(blk))
-		for d := range blk {
-			lo := bs.bounds[d][0] + idx[d]*blk[d]
-			hi := lo + blk[d]
-			if hi > bs.bounds[d][1] {
-				hi = bs.bounds[d][1]
-			}
-			tb[d] = [2]int64{lo, hi}
+		gridIndex(flat, bs.nblk, idx)
+		tb := make([][2]int64, len(bs.blk))
+		for d, blk := range bs.blk {
+			lo := bs.bounds[d][0] + idx[d]*blk
+			tb[d] = [2]int64{lo, min(lo+blk, bs.bounds[d][1])}
 		}
-		pb.addTask(tileTask(bs.node, bs.ri, tb, nil))
+		pb.addTask(tileTask(bs.node, bs.ri, tb, lex))
 	}
 }
 
-// gridBlocks picks per-dimension block sizes: at least minBlk, grown
+// gridBlocks picks per-dimension block sizes, grown from 1
 // (largest-block-count dimension first) until a full tile holds
-// targetVol cells and the grid fits in maxTiles. A frozen dimension
-// stays at block size 1 (the wavefront axis).
-func gridBlocks(b [][2]int64, minBlk []int64, frozen *int, targetVol, maxTiles int64) (blk, nblk []int64) {
+// targetVol cells and the grid fits in planMaxTilesPerStep. A frozen
+// dimension stays at block size 1 (the wavefront axis).
+func gridBlocks(b [][2]int64, frozen *int, targetVol int64) (blk, nblk []int64) {
 	nd := len(b)
 	blk = make([]int64, nd)
 	nblk = make([]int64, nd)
@@ -666,15 +550,6 @@ func gridBlocks(b [][2]int64, minBlk []int64, frozen *int, targetVol, maxTiles i
 	for d := 0; d < nd; d++ {
 		ext[d] = b[d][1] - b[d][0]
 		blk[d] = 1
-		if minBlk != nil && minBlk[d] > 1 {
-			blk[d] = minBlk[d]
-		}
-		if frozen != nil && d == *frozen {
-			blk[d] = 1
-		}
-		if blk[d] > ext[d] {
-			blk[d] = ext[d]
-		}
 	}
 	recount := func() (vol, tiles int64) {
 		vol, tiles = 1, 1
@@ -686,7 +561,7 @@ func gridBlocks(b [][2]int64, minBlk []int64, frozen *int, targetVol, maxTiles i
 		return
 	}
 	vol, tiles := recount()
-	for vol < targetVol || tiles > maxTiles {
+	for vol < targetVol || tiles > planMaxTilesPerStep {
 		grow := -1
 		for d := 0; d < nd; d++ {
 			if frozen != nil && d == *frozen {
@@ -702,10 +577,7 @@ func gridBlocks(b [][2]int64, minBlk []int64, frozen *int, targetVol, maxTiles i
 		if grow < 0 {
 			break
 		}
-		blk[grow] *= 2
-		if blk[grow] > ext[grow] {
-			blk[grow] = ext[grow]
-		}
+		blk[grow] = min(2*blk[grow], ext[grow])
 		vol, tiles = recount()
 	}
 	return blk, nblk
@@ -751,7 +623,7 @@ func (pb *planBuilder) wireCross(ps, cs *builtStep) {
 	// Tiled producer. Consumers with known bounds and exact constant
 	// read offsets get footprint-mapped edges.
 	if cs.node != nil {
-		if lohi, ok := pb.crossOffsets(ps, cs); ok && pb.footprintEdges(ps, cs, lohi) {
+		if box, ok := pb.offsetBox(ps, cs); ok && pb.footprintEdges(ps, cs, box) {
 			return
 		}
 	}
@@ -779,16 +651,17 @@ func (pb *planBuilder) stepTaskIDs(bs *builtStep) []int {
 	return out
 }
 
-// crossOffsets folds the consumer rule's reads of the producer node
-// into per-dimension [min,max] offset ranges. ok=false means some read
-// is not an exact constant offset (or ranks differ), so the footprint
-// cannot be mapped.
-func (pb *planBuilder) crossOffsets(ps, cs *builtStep) ([][2]int64, bool) {
+// offsetBox folds the consumer rule's reads of the producer node into
+// per-dimension [min,max] offset ranges, for two steps as for a tiled
+// step's reads of itself (ps == cs). ok=false means some read is not an
+// exact constant offset (or the ranks differ), so the footprint cannot
+// be mapped; a nil box means the rule reads nothing of the producer.
+func (pb *planBuilder) offsetBox(ps, cs *builtStep) ([][2]int64, bool) {
 	nd := len(cs.bounds)
 	if len(ps.bounds) != nd {
 		return nil, false
 	}
-	var lohi [][2]int64
+	var box [][2]int64
 	for _, e := range pb.ex.res.Graph.Edges {
 		if e.From != ps.node || e.To != cs.node {
 			continue
@@ -801,58 +674,39 @@ func (pb *planBuilder) crossOffsets(ps, cs *builtStep) ([][2]int64, bool) {
 			if !ok {
 				return nil, false
 			}
-			if lohi == nil {
-				lohi = make([][2]int64, nd)
-				for d := 0; d < nd; d++ {
-					lohi[d] = [2]int64{off[d], off[d]}
+			if box == nil {
+				box = make([][2]int64, nd)
+				for d := range box {
+					box[d] = [2]int64{off[d], off[d]}
 				}
-				continue
 			}
-			for d := 0; d < nd; d++ {
-				if off[d] < lohi[d][0] {
-					lohi[d][0] = off[d]
-				}
-				if off[d] > lohi[d][1] {
-					lohi[d][1] = off[d]
-				}
+			for d := range box {
+				box[d] = [2]int64{min(box[d][0], off[d]), max(box[d][1], off[d])}
 			}
 		}
 	}
-	// lohi == nil: the chosen rule never reads this producer — no edges
-	// needed at all, which footprintEdges handles as an empty mapping.
-	return lohi, true
+	return box, true
 }
 
 // footprintEdges wires each consumer task to exactly the producer tiles
-// its reads touch. Returns false when the edge budget is exceeded (the
-// caller falls back to a fence).
-func (pb *planBuilder) footprintEdges(ps, cs *builtStep, lohi [][2]int64) bool {
-	if lohi == nil {
+// its reads (offset box) touch, skipping a tile's edge to itself when a
+// step is wired to itself. Returns false, with no edge left behind, when
+// the edge budget is exceeded.
+func (pb *planBuilder) footprintEdges(ps, cs *builtStep, box [][2]int64) bool {
+	if box == nil {
 		return true // consumer provably reads nothing of this producer
 	}
 	nd := len(cs.bounds)
 	start := len(pb.edges)
-	var consumers []int
-	if cs.task >= 0 {
-		consumers = []int{cs.task}
-	} else {
-		consumers = pb.stepTaskIDs(cs)
-	}
 	bl := make([]int64, nd)
 	bh := make([]int64, nd)
 	idx := make([]int64, nd)
-	for _, ct := range consumers {
+	for _, ct := range pb.stepTaskIDs(cs) {
 		cb := pb.tasks[ct].Bounds
 		empty := false
 		for d := 0; d < nd; d++ {
-			lo := cb[d][0] + lohi[d][0]
-			hi := cb[d][1] - 1 + lohi[d][1]
-			if lo < ps.bounds[d][0] {
-				lo = ps.bounds[d][0]
-			}
-			if hi > ps.bounds[d][1]-1 {
-				hi = ps.bounds[d][1] - 1
-			}
+			lo := max(cb[d][0]+box[d][0], ps.bounds[d][0])
+			hi := min(cb[d][1]-1+box[d][1], ps.bounds[d][1]-1)
 			if hi < lo {
 				empty = true
 				break
@@ -866,7 +720,9 @@ func (pb *planBuilder) footprintEdges(ps, cs *builtStep, lohi [][2]int64) bool {
 		// Enumerate the producer block box.
 		copy(idx, bl)
 		for {
-			pb.edges = append(pb.edges, [2]int{ps.tileBase + int(gridFlat(idx, ps.nblk)), ct})
+			if pt := ps.tileBase + int(gridFlat(idx, ps.nblk)); pt != ct {
+				pb.edges = append(pb.edges, [2]int{pt, ct})
+			}
 			if len(pb.edges)-start > planMaxEdgesPerPair || len(pb.edges) > planMaxEdges {
 				pb.edges = pb.edges[:start]
 				return false
