@@ -11,7 +11,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -152,8 +151,9 @@ func SortBenchmark() *Benchmark {
 	return &Benchmark{
 		Name: "sort",
 		Run: func(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, _ RunOpts) (Result, error) {
-			rng := rand.New(rand.NewSource(seed))
+			rng := matrix.Rand(seed)
 			in := sortk.Generate(rng, n)
+			matrix.PutRand(rng)
 			start := time.Now()
 			choice.Run(choice.NewExec(pool, cfg), sortk.New(), in)
 			sec := time.Since(start).Seconds()
@@ -190,8 +190,9 @@ func MatMulBenchmark() *Benchmark {
 	return &Benchmark{
 		Name: "matmul",
 		Run: func(pool *runtime.Pool, cfg *choice.Config, n int, seed int64, _ RunOpts) (Result, error) {
-			rng := rand.New(rand.NewSource(seed))
+			rng := matrix.Rand(seed)
 			in := matmul.Generate(rng, n)
+			matrix.PutRand(rng)
 			start := time.Now()
 			choice.Run(choice.NewExec(pool, cfg), matmul.New(), in)
 			sec := time.Since(start).Seconds()
@@ -237,8 +238,9 @@ func EigenBenchmark() *Benchmark {
 	return &Benchmark{
 		Name: "eigen",
 		Run: func(_ *runtime.Pool, cfg *choice.Config, n int, seed int64, _ RunOpts) (Result, error) {
-			rng := rand.New(rand.NewSource(seed))
+			rng := matrix.Rand(seed)
 			tri := eigen.Generate(rng, n)
+			matrix.PutRand(rng)
 			start := time.Now()
 			out := choice.Run(choice.NewExec(nil, cfg), eigen.New(), tri)
 			sec := time.Since(start).Seconds()
@@ -289,8 +291,9 @@ func PoissonBenchmark() *Benchmark {
 			if ai >= len(policy.Accuracies) {
 				return Result{}, fmt.Errorf("accuracy index %d out of range (policy has %d)", ai, len(policy.Accuracies))
 			}
-			rng := rand.New(rand.NewSource(seed))
+			rng := matrix.Rand(seed)
 			pr := poisson.Generate(rng, n)
+			matrix.PutRand(rng)
 			x := matrix.New(n, n)
 			start := time.Now()
 			if err := policy.Solve(x, pr.B, ai); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"slices"
+	"sync"
 	"testing"
 
 	"petabricks/internal/choice"
@@ -117,4 +118,61 @@ func perturb(t *testing.T, out any, d float64) any {
 	}
 	t.Fatalf("no perturbation for output type %T", out)
 	return nil
+}
+
+// TestKernelChecksumsPinned pins the inputs the sort and matmul kernels
+// draw through their served checksums: the values below were computed
+// when every Run drew from a fresh rand.New(rand.NewSource(seed)), and
+// must hold whatever seeds were drawn before, on this goroutine or on
+// others at the same time.
+func TestKernelChecksumsPinned(t *testing.T) {
+	cases := []struct {
+		b    *Benchmark
+		n    int
+		seed int64
+		sum  float64
+	}{
+		{SortBenchmark(), 64, 1, 1.753690077765e+12},
+		{SortBenchmark(), 64, 2, 1.51683823184e+12},
+		{SortBenchmark(), 64, 77, 1.49395141279e+12},
+		{SortBenchmark(), 1000, 1, 3.58589499290254e+14},
+		{SortBenchmark(), 1000, 2, 3.62828860250716e+14},
+		{SortBenchmark(), 1000, 77, 3.57329901671173e+14},
+		{MatMulBenchmark(), 8, 1, 256.1539457053794},
+		{MatMulBenchmark(), 8, 2, 62.72412806530994},
+		{MatMulBenchmark(), 8, 77, -39.033197959199},
+		{MatMulBenchmark(), 40, 1, -13094.889140515188},
+		{MatMulBenchmark(), 40, 2, 13821.4154696044},
+		{MatMulBenchmark(), 40, 77, 54914.17826650537},
+	}
+	pool := runtime.NewPool(2)
+	defer pool.Shutdown()
+	check := func(i int) bool {
+		c := cases[i]
+		r, err := c.b.Run(pool, c.b.Baseline(), c.n, c.seed, RunOpts{AccIndex: -1})
+		if err != nil || r.Checksum != c.sum {
+			t.Errorf("%s n=%d seed=%d: checksum %v (err %v), pinned %v", c.b.Name, c.n, c.seed, r.Checksum, err, c.sum)
+			return false
+		}
+		return true
+	}
+	for i := range cases {
+		check(i)
+	}
+	for i := len(cases) - 1; i >= 0; i-- {
+		check(i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range cases {
+				if !check((i + g) % len(cases)) {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

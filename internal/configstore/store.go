@@ -89,7 +89,10 @@ type Store struct {
 	max     int    // LRU bound on entry count
 	entries map[Key]*Entry
 	clock   uint64
-	stats   Stats
+	// epoch moves on every put, promotion, eviction and load: every
+	// change that can alter what Lookup answers.
+	epoch uint64
+	stats Stats
 }
 
 // DefaultMax is the default LRU bound.
@@ -144,6 +147,15 @@ func (s *Store) Get(k Key) (*choice.Config, float64, bool) {
 // can compare key.Bucket against Bucket(size) to see how far the match
 // stretched.
 func (s *Store) Lookup(program string, size int64, workers int) (*choice.Config, Key, bool) {
+	cfg, k, ok, _ := s.Resolve(program, size, workers)
+	return cfg, k, ok
+}
+
+// Resolve is Lookup for a caller that keeps the answer: it also
+// returns the store's epoch, which moves on every change that can alter
+// what Lookup answers. While the epoch stands, Rehit counts a repeat of
+// the lookup without the search or the clone.
+func (s *Store) Resolve(program string, size int64, workers int) (*choice.Config, Key, bool, uint64) {
 	want := KeyFor(program, size, workers)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,13 +170,37 @@ func (s *Store) Lookup(program string, size int64, workers int) (*choice.Config,
 	}
 	if best == nil {
 		s.stats.Misses++
-		return nil, Key{}, false
+		return nil, Key{}, false, s.epoch
 	}
+	s.hit(best)
+	return best.Cfg.Clone(), best.Key, true, s.epoch
+}
+
+// Rehit counts one more lookup answered as Resolve answered it at
+// epoch — a hit on the entry under k, refreshing its LRU recency, or a
+// miss when found is false — exactly as Lookup would count it. Once the
+// epoch has moved it counts nothing and reports false: the caller must
+// resolve again.
+func (s *Store) Rehit(k Key, found bool, epoch uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if epoch != s.epoch {
+		return false
+	}
+	if !found {
+		s.stats.Misses++
+		return true
+	}
+	s.hit(s.entries[k])
+	return true
+}
+
+// hit counts a lookup served by e; caller holds s.mu.
+func (s *Store) hit(e *Entry) {
 	s.clock++
-	best.seq = s.clock
-	best.Hits++
+	e.seq = s.clock
+	e.Hits++
 	s.stats.Hits++
-	return best.Cfg.Clone(), best.Key, true
 }
 
 // lookupBetter reports whether candidate a serves want better than the
@@ -228,6 +264,7 @@ func (s *Store) Promote(k Key, cfg *choice.Config, newCost, oldCost, margin floa
 
 // put installs the entry; caller holds s.mu.
 func (s *Store) put(k Key, cfg *choice.Config, cost float64, now time.Time) {
+	s.epoch++
 	s.clock++
 	prev := s.entries[k]
 	e := &Entry{Key: k, Cfg: cfg.Clone(), Cost: cost, TunedAt: now, seq: s.clock}
@@ -249,6 +286,7 @@ func (s *Store) evictOverflow() {
 			}
 		}
 		delete(s.entries, victim.Key)
+		s.epoch++
 		s.stats.Evictions++
 	}
 }
@@ -412,6 +450,7 @@ func (s *Store) load() error {
 		s.clock++
 		s.entries[k] = &Entry{Key: k, Cfg: cfg, Cost: fe.Cost, TunedAt: fe.TunedAt, seq: s.clock}
 	}
+	s.epoch++
 	// Respect the bound even if the file holds more than max entries.
 	s.evictOverflow()
 	return nil

@@ -23,11 +23,9 @@ type Engine struct {
 	Cfg  *choice.Config
 	Pool *runtime.Pool // nil: sequential execution
 
-	mu sync.Mutex
-	// transforms holds each transform's analysis result and call
-	// descriptor (see binder.go). Entries are immutable and shared by
-	// pointer across WithConfig views.
-	transforms map[string]*transformInfo
+	mu sync.Mutex // guards arts
+	// transforms is shared by pointer across WithConfig views.
+	transforms *transformTable
 	// arts is the tiered artifact store holding one entry per invocation
 	// key, its compiled rules and execution plan (memory tier), and, when
 	// persistent, jit bytecode and execution plans (disk tier). Shared
@@ -41,13 +39,35 @@ type Engine struct {
 	progFP uint64
 }
 
+// transformTable holds each transform's analysis result and call
+// descriptor (see binder.go), template instances once instantiated.
+// Entries are immutable, and an instance analyzed through one view
+// serves every view.
+type transformTable struct {
+	mu sync.Mutex
+	m  map[string]*transformInfo
+}
+
+func (tt *transformTable) get(name string) (*transformInfo, bool) {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	ti, ok := tt.m[name]
+	return ti, ok
+}
+
+func (tt *transformTable) put(name string, ti *transformInfo) {
+	tt.mu.Lock()
+	tt.m[name] = ti
+	tt.mu.Unlock()
+}
+
 // New analyzes every transform in the program eagerly so compile errors
 // surface before execution.
 func New(prog *ast.Program) (*Engine, error) {
 	e := &Engine{
 		Prog:       prog,
 		Cfg:        choice.NewConfig(),
-		transforms: map[string]*transformInfo{},
+		transforms: &transformTable{m: map[string]*transformInfo{}},
 		arts:       artifact.NewMemOnly(),
 		progFP:     artifact.HashString(ast.Print(prog)),
 	}
@@ -61,7 +81,7 @@ func New(prog *ast.Program) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.transforms[t.Name] = newTransformInfo(res)
+		e.transforms.m[t.Name] = newTransformInfo(res)
 	}
 	return e, nil
 }
@@ -70,19 +90,14 @@ func New(prog *ast.Program) (*Engine, error) {
 // analysis results but carrying its own configuration (and the same
 // pool), so concurrent executions — e.g. server requests racing a
 // background tuner — can each run under a different Config without
-// mutating the shared Cfg field. The analysis cache is copied so
-// template instantiations on one view never race another's reads.
+// mutating the shared Cfg field.
 func (e *Engine) WithConfig(cfg *choice.Config) *Engine {
 	if cfg == nil {
 		cfg = choice.NewConfig()
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ts := make(map[string]*transformInfo, len(e.transforms))
-	for k, v := range e.transforms {
-		ts[k] = v
-	}
-	return &Engine{Prog: e.Prog, Cfg: cfg, Pool: e.Pool, transforms: ts, arts: e.arts, progFP: e.progFP}
+	return &Engine{Prog: e.Prog, Cfg: cfg, Pool: e.Pool, transforms: e.transforms, arts: e.arts, progFP: e.progFP}
 }
 
 // UseArtifacts replaces the engine's default memory-only artifact store
@@ -107,12 +122,7 @@ func (e *Engine) Analysis(name string) (*analysis.Result, bool) {
 	return nil, false
 }
 
-func (e *Engine) transform(name string) (*transformInfo, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ti, ok := e.transforms[name]
-	return ti, ok
-}
+func (e *Engine) transform(name string) (*transformInfo, bool) { return e.transforms.get(name) }
 
 // SelectorName returns the config key holding the rule selector for a
 // transform (DSL transforms live under the "pbc." prefix).
@@ -902,18 +912,13 @@ func (e *Engine) instantiate(name string, targs []int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	e.mu.Lock()
-	_, cached := e.transforms[inst.Name]
-	e.mu.Unlock()
-	if cached {
+	if _, cached := e.transforms.get(inst.Name); cached {
 		return inst.Name, nil
 	}
 	res, err := analysis.Analyze(e.Prog, inst)
 	if err != nil {
 		return "", fmt.Errorf("interp: instantiating %s: %w", inst.Name, err)
 	}
-	e.mu.Lock()
-	e.transforms[inst.Name] = newTransformInfo(res)
-	e.mu.Unlock()
+	e.transforms.put(inst.Name, newTransformInfo(res))
 	return inst.Name, nil
 }

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"math/rand"
 
 	"petabricks/internal/choice"
 	"petabricks/internal/matrix"
@@ -88,7 +87,8 @@ func (e *Engine) GenerateInputs(name string, size, seed int64) (map[string]*matr
 	if t.Generator != "" {
 		return e.generatorInputs(res, size, seed)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := matrix.Rand(seed)
+	defer matrix.PutRand(rng)
 	sizes := map[string]int64{}
 	for _, v := range res.SizeVars {
 		sizes[v] = size
@@ -125,7 +125,7 @@ func (e *Engine) generatorInputs(res *analysis.Result, size, seed int64) (map[st
 	if !ok {
 		return nil, fmt.Errorf("interp: generator transform %q not found", gen)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := matrix.Rand(seed)
 	genInputs := map[string]*matrix.Matrix{}
 	for _, d := range gres.Transform.From {
 		nd := len(gres.Matrices[d.Name].Dims)
@@ -137,6 +137,7 @@ func (e *Engine) generatorInputs(res *analysis.Result, size, seed int64) (map[st
 		m.Each(func([]int, float64) float64 { return float64(rng.Intn(1 << 16)) })
 		genInputs[d.Name] = m
 	}
+	matrix.PutRand(rng)
 	outs, err := e.Run(gen, genInputs)
 	if err != nil {
 		return nil, fmt.Errorf("interp: generator %s: %w", gen, err)

@@ -23,9 +23,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -122,6 +124,12 @@ type Server struct {
 
 	coalescer *Coalescer // nil: coalescing disabled
 
+	// resolved keeps the configuration each (program, size bucket,
+	// workers) key was last served, for as long as the store's epoch
+	// stands.
+	resolvedMu sync.Mutex
+	resolved   map[configstore.Key]*resolution
+
 	sem     chan struct{} // admission slots
 	waiting atomic.Int64  // requests queued for a slot
 	closed  atomic.Bool
@@ -151,6 +159,8 @@ func New(opts Options) (*Server, error) {
 		reg:   opts.Registry,
 		sem:   make(chan struct{}, opts.MaxInflight),
 		start: time.Now(),
+
+		resolved: map[configstore.Key]*resolution{},
 	}
 	// Coalescing is opt-in: collapsing identical concurrent requests
 	// changes observable semantics (a queued duplicate becomes a
@@ -289,26 +299,51 @@ func (s *Server) validateRun(req *runRequest) (b *bench.Benchmark, acc int, code
 	return b, acc, 0, ""
 }
 
-// resolveConfig finds the best known configuration for the request:
-// tuned entry from the store (nearest size bucket), falling back to
-// the benchmark's untrained baseline. bucket is the matched entry's
-// size bucket, -1 on baseline.
-func (s *Server) resolveConfig(b *bench.Benchmark, req runRequest) (cfg *choice.Config, keyStr, source string, bucket int, errMsg string) {
-	cfg, key, tuned := s.store.Lookup(req.Program, int64(req.N), s.pool.NumWorkers())
-	if tuned {
-		keyStr, source, bucket = key.String(), "store", key.Bucket
-	} else if b.Baseline != nil {
-		cfg, keyStr, source, bucket = b.Baseline(), "baseline", "baseline", -1
-	} else {
-		return nil, "", "", -1,
-			fmt.Sprintf("program %q has no tuned configuration and no baseline; tune it first", req.Program)
+// resolution is the configuration served to one (program, size
+// bucket, workers) key: the store's tuned entry (nearest bucket) or the
+// benchmark's untrained baseline, as the store answered at epoch.
+// Requests share it and only read it.
+type resolution struct {
+	cfg    *choice.Config
+	key    configstore.Key // the stored entry that answered; zero on baseline
+	tuned  bool
+	keyStr string // key.String(), or "baseline"
+	source string // "store" or "baseline"
+	bucket int    // key.Bucket, -1 on baseline
+	epoch  uint64
+}
+
+// resolveConfig finds the best known configuration for the request.
+// The store is searched, and its config cloned, once per key and store
+// epoch; a repeat within the epoch only counts its lookup, so /v1/stats
+// hits and the LRU order are those of a full lookup per request.
+func (s *Server) resolveConfig(b *bench.Benchmark, req runRequest) (*resolution, string) {
+	k := configstore.KeyFor(req.Program, int64(req.N), s.pool.NumWorkers())
+	s.resolvedMu.Lock()
+	rs := s.resolved[k]
+	s.resolvedMu.Unlock()
+	if rs != nil && s.store.Rehit(rs.key, rs.tuned, rs.epoch) {
+		return rs, ""
 	}
-	return cfg, keyStr, source, bucket, ""
+	cfg, key, tuned, epoch := s.store.Resolve(req.Program, int64(req.N), k.Workers)
+	switch {
+	case tuned:
+		rs = &resolution{cfg: cfg, key: key, tuned: true, keyStr: key.String(), source: "store", bucket: key.Bucket, epoch: epoch}
+	case b.Baseline != nil:
+		rs = &resolution{cfg: b.Baseline(), keyStr: "baseline", source: "baseline", bucket: -1, epoch: epoch}
+	default:
+		return nil, fmt.Sprintf("program %q has no tuned configuration and no baseline; tune it first", req.Program)
+	}
+	s.resolvedMu.Lock()
+	s.resolved[k] = rs
+	s.resolvedMu.Unlock()
+	return rs, ""
 }
 
 // execute runs one benchmark request under the admission layer and
 // maintains the request counters. Both execution paths — a plain
-// /v1/run and a coalescing leader — funnel through here.
+// /v1/run and a coalescing leader — funnel through here. A result
+// whose seconds or checksum JSON cannot carry is a failed execution.
 func (s *Server) execute(ctx context.Context, b *bench.Benchmark, cfg *choice.Config, req runRequest, acc int) (bench.Result, error) {
 	if s.closed.Load() {
 		return bench.Result{}, errShutdown
@@ -321,12 +356,26 @@ func (s *Server) execute(ctx context.Context, b *bench.Benchmark, cfg *choice.Co
 	res, err := b.Run(s.pool, cfg, req.N, req.Seed, bench.RunOpts{AccIndex: acc})
 	s.latRun.ObserveSince(started)
 	s.release()
+	if err == nil {
+		err = finite(res)
+	}
 	if err != nil {
 		s.failures.Add(1)
 		return res, err
 	}
 	s.completed.Add(1)
 	return res, nil
+}
+
+// finite rejects a result a JSON reply cannot carry.
+func finite(res bench.Result) error {
+	switch {
+	case math.IsInf(res.Seconds, 0) || math.IsNaN(res.Seconds):
+		return fmt.Errorf("cannot encode reply: seconds is %v", res.Seconds)
+	case math.IsInf(res.Checksum, 0) || math.IsNaN(res.Checksum):
+		return fmt.Errorf("cannot encode reply: checksum is %v", res.Checksum)
+	}
+	return nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -349,62 +398,64 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cfg, keyStr, source, bucket, errMsg := s.resolveConfig(b, req)
+	rs, errMsg := s.resolveConfig(b, req)
 	if errMsg != "" {
 		writeErr(w, http.StatusConflict, errMsg)
 		return
 	}
-
-	makeResponse := func(res bench.Result) runResponse {
-		return runResponse{
-			Program:      req.Program,
-			N:            req.N,
-			Workers:      s.pool.NumWorkers(),
-			Seconds:      res.Seconds,
-			Checksum:     res.Checksum,
-			Detail:       res.Detail,
-			Config:       keyStr,
-			ConfigSource: source,
-			Bucket:       bucket,
-		}
-	}
-
-	// Small deterministic runs coalesce: concurrent identical requests
-	// collapse into one execution whose result everyone shares. The key
-	// includes the resolved config so a promotion mid-flight starts a
-	// fresh execution instead of mixing configurations. Coalesced
-	// executions detach from the leader's request context (their result
-	// serves other clients too); the admission QueueTimeout still
-	// bounds the wait.
 	if s.coalescer != nil && req.N <= coalesceMaxN {
-		ckey := fmt.Sprintf("%s/%d/%d/%d/%s", req.Program, req.N, req.Seed, acc, keyStr)
-		v, err, follower := s.coalescer.Do(ckey, func() (any, error) {
-			res, err := s.execute(context.Background(), b, cfg, req, acc)
-			if err != nil {
-				return runResponse{}, err
-			}
-			return makeResponse(res), nil
-		})
-		s.writeRunOutcome(w, v, err, follower)
+		s.runCoalesced(w, b, req, acc, rs)
 		return
 	}
+	res, err := s.execute(r.Context(), b, rs.cfg, req, acc)
+	s.writeRunOutcome(w, s.runReply(req, rs, res), err)
+}
 
-	res, err := s.execute(r.Context(), b, cfg, req, acc)
-	s.writeRunOutcome(w, makeResponse(res), err, false)
+// runReply is the /v1/run reply for res.
+func (s *Server) runReply(req runRequest, rs *resolution, res bench.Result) runResponse {
+	return runResponse{
+		Program:      req.Program,
+		N:            req.N,
+		Workers:      s.pool.NumWorkers(),
+		Seconds:      res.Seconds,
+		Checksum:     res.Checksum,
+		Detail:       res.Detail,
+		Config:       rs.keyStr,
+		ConfigSource: rs.source,
+		Bucket:       rs.bucket,
+	}
+}
+
+// runCoalesced serves a small deterministic run through the coalescer:
+// concurrent identical requests collapse into one execution whose
+// result everyone shares. The key includes the resolved config so a
+// promotion mid-flight starts a fresh execution instead of mixing
+// configurations. Coalesced executions detach from the leader's request
+// context (their result serves other clients too); the admission
+// QueueTimeout still bounds the wait.
+func (s *Server) runCoalesced(w http.ResponseWriter, b *bench.Benchmark, req runRequest, acc int, rs *resolution) {
+	ckey := fmt.Sprintf("%s/%d/%d/%d/%s", req.Program, req.N, req.Seed, acc, rs.keyStr)
+	v, err, follower := s.coalescer.Do(ckey, func() (any, error) {
+		res, err := s.execute(context.Background(), b, rs.cfg, req, acc)
+		if err != nil {
+			return runResponse{}, err
+		}
+		return s.runReply(req, rs, res), nil
+	})
+	resp, ok := v.(runResponse)
+	if err == nil && !ok {
+		err = errors.New("internal: bad coalesced value")
+	}
+	resp.Coalesced = follower
+	s.writeRunOutcome(w, resp, err)
 }
 
 // writeRunOutcome renders one /v1/run outcome, mapping admission
 // shedding and shutdown to 503 and execution failures to 500.
-func (s *Server) writeRunOutcome(w http.ResponseWriter, v any, err error, follower bool) {
+func (s *Server) writeRunOutcome(w http.ResponseWriter, resp runResponse, err error) {
 	switch {
 	case err == nil:
-		resp, ok := v.(runResponse)
-		if !ok {
-			writeErr(w, http.StatusInternalServerError, "internal: bad coalesced value")
-			return
-		}
-		resp.Coalesced = follower
-		writeJSON(w, http.StatusOK, resp)
+		writeRun(w, &resp)
 	case isBusy(err):
 		s.shed.Add(1)
 		s.writeBusy(w, "server at capacity; retry later")
@@ -657,16 +708,4 @@ func decodeJSON(r *http.Request, v any) error {
 		return fmt.Errorf("bad request body: %w", err)
 	}
 	return nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # bench_pair.sh BASE HEAD — CI's benchmark gate. Runs every
-# BENCHMARK.json workload for 3 s in a worktree of each commit, in the
-# order base, head, head, base, and fails when the mean of HEAD's two
-# runs is worse than the mean of BASE's by more than the BENCHMARK.json
-# bound on any end-to-end metric — alloc_kb_per_op (repeats far inside
-# its 2 %), latency_p50_ms or setup_s (25 % each: only a gross
-# slowdown) — or when any operation of any run failed. The ABBA order
-# cancels a host's drift that is linear over the four runs: a p50 or a
-# set-up time that wanders by more than the bound within minutes would
-# otherwise fail whichever side ran second. A claimed gain
-# needs the paired protocol in benchmark/README.md, not this gate.
+# BENCHMARK.json workload for 3 s in a worktree of each commit, three
+# times a side in the order base, head, head, base, base, head, and
+# fails when HEAD is worse than BASE by more than the BENCHMARK.json
+# bound on any end-to-end metric — alloc_kb_per_op compared on each
+# side's mean (it repeats far inside its 2 %), latency_p50_ms and
+# setup_s on each side's median (25 % each: only a gross slowdown) — or
+# when any operation of any run failed. The median lets one slow run
+# of either side pass without failing a workload, which a mean of two
+# runs did not; the ABBA-BAAB order cancels a host's drift that is
+# linear over the six runs, so a p50 or a set-up time that wanders
+# within minutes does not fail whichever side ran second. A claimed
+# gain needs the paired protocol in benchmark/README.md, not this gate.
 set -euo pipefail
 [ $# -eq 2 ] || { echo "usage: $0 BASE HEAD" >&2; exit 2; }
 
@@ -26,23 +28,23 @@ run() {
 
 fail=0
 for w in $(jq -r '.workloads[].name' "$SPEC"); do
-  base1=$(run base "$w")
-  head1=$(run head "$w")
-  head2=$(run head "$w")
-  base2=$(run base "$w")
-  echo "$w base: $base1"
-  echo "$w head: $head1"
-  echo "$w head: $head2"
-  echo "$w base: $base2"
-  verdict=$(jq -rn --argjson b1 "$base1" --argjson h1 "$head1" --argjson h2 "$head2" --argjson b2 "$base2" \
-    --slurpfile spec "$SPEC" '
-    [ (select([$b1, $h1, $h2, $b2] | any(.failed > 0 or (.correct | not))) | "failed operations"),
+  runs="[]"
+  for side in base head head base base head; do
+    r=$(run "$side" "$w")
+    echo "$w $side: $r"
+    runs=$(jq -c --arg side "$side" --argjson r "$r" '. + [$r + {side: $side}]' <<<"$runs")
+  done
+  verdict=$(jq -rn --argjson runs "$runs" --slurpfile spec "$SPEC" '
+    def side($s): [$runs[] | select(.side == $s)];
+    def mean: add / length;
+    def median: sort | .[length / 2 | floor];
+    [ (select($runs | any(.failed > 0 or (.correct | not))) | "failed operations"),
       ( ("alloc_kb_per_op", "latency_p50_ms", "setup_s") as $m
         | ($spec[0].end_to_end[] | select(.name == $m) | .bound) as $bound
-        | (($b1.metrics[$m].value + $b2.metrics[$m].value) / 2) as $old
-        | (($h1.metrics[$m].value + $h2.metrics[$m].value) / 2) as $new
+        | (if $m == "alloc_kb_per_op" then "mean" else "median" end) as $stat
+        | [side("base", "head") | [.[].metrics[$m].value] | if $stat == "mean" then mean else median end] as [$old, $new]
         | select($new > $old * (1 + $bound))
-        | "\($m) mean \($old) -> \($new) is beyond +\($bound * 100) %" )
+        | "\($m) \($stat) \($old) -> \($new) is beyond +\($bound * 100) %" )
     ] | join("; ")')
   if [ -n "$verdict" ]; then echo "FAIL $w: $verdict" >&2; fail=1; fi
 done
