@@ -20,8 +20,6 @@
 //	-max-n n          largest accepted input size (default 2097152)
 //	-tune-max n       default largest training size (default 4096)
 //	-pprof            mount net/http/pprof under /debug/pprof/
-//	-coalesce d       micro-batch window for identical concurrent runs;
-//	                  0 (default) or negative disables coalescing
 //
 // API: POST /v1/run, POST /v1/tune, GET /v1/configs, GET /v1/stats,
 // GET /v1/programs, GET /metrics (Prometheus text format), GET /healthz.
@@ -62,7 +60,6 @@ func main() {
 		maxN      = flag.Int("max-n", 1<<21, "largest accepted input size")
 		tuneMax   = flag.Int64("tune-max", 4096, "default largest training size")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		coalesce  = flag.Duration("coalesce", 0, "micro-batch window for identical concurrent runs (<=0 disables)")
 	)
 	flag.Parse()
 
@@ -99,18 +96,17 @@ func main() {
 	autotuner.Instrument(metrics)
 
 	srv, err := server.New(server.Options{
-		Pool:           pool,
-		Store:          store,
-		Registry:       reg,
-		MaxInflight:    *inflight,
-		MaxQueue:       *maxQueue,
-		QueueTimeout:   *queueTO,
-		MaxN:           *maxN,
-		TuneMax:        *tuneMax,
-		Logf:           log.Printf,
-		Metrics:        metrics,
-		EnablePprof:    *pprofOn,
-		CoalesceWindow: *coalesce,
+		Pool:         pool,
+		Store:        store,
+		Registry:     reg,
+		MaxInflight:  *inflight,
+		MaxQueue:     *maxQueue,
+		QueueTimeout: *queueTO,
+		MaxN:         *maxN,
+		TuneMax:      *tuneMax,
+		Logf:         log.Printf,
+		Metrics:      metrics,
+		EnablePprof:  *pprofOn,
 	})
 	if err != nil {
 		fatal(err)

@@ -24,6 +24,10 @@ type Evaluator interface {
 	Measure(cfg *choice.Config, n int64) float64
 }
 
+// parentCount is how many of the fastest candidates spawn new levels
+// at each step.
+const parentCount = 3
+
 // Options configures a tuning run.
 type Options struct {
 	// MinSize is the first training input size (paper: "starts with a
@@ -33,9 +37,6 @@ type Options struct {
 	MaxSize int64
 	// Population caps the candidate population per step. Default 8.
 	Population int
-	// Parents is how many of the fastest candidates spawn new levels.
-	// Default 3.
-	Parents int
 	// Repeats re-runs the whole size sweep, seeding from the previous
 	// result ("it repeats the entire training process … a small number
 	// of times"). Default 1 extra pass.
@@ -57,9 +58,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Population <= 0 {
 		o.Population = 8
-	}
-	if o.Parents <= 0 {
-		o.Parents = 3
 	}
 	if o.Repeats < 0 {
 		o.Repeats = 1
@@ -172,8 +170,8 @@ func step(space *choice.Space, eval Evaluator, opt Options, pop []candidate, siz
 	sortByCost(pop)
 	// Mutate the fastest parents.
 	parents := pop
-	if len(parents) > opt.Parents {
-		parents = parents[:opt.Parents]
+	if len(parents) > parentCount {
+		parents = parents[:parentCount]
 	}
 	var children []candidate
 	for _, par := range parents {

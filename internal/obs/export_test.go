@@ -21,20 +21,3 @@ func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.Add(-1) }
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// SnapshotReset atomically reads-and-zeroes counters and histograms
-// while snapshotting: across any sequence of SnapshotReset calls plus a
-// final Snapshot, every counter increment and histogram observation is
-// reported exactly once, even under concurrent writers. Gauges and
-// callback metrics are read without resetting.
-func (r *Registry) SnapshotReset() []Sample {
-	return r.snapshot(true)
-}

@@ -52,10 +52,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// swapReset atomically reads and zeroes the counter, so that across a
-// sequence of swapResets every increment is observed exactly once.
-func (c *Counter) swapReset() int64 { return c.v.Swap(0) }
-
 // --- Gauge --------------------------------------------------------------
 
 // Gauge is an atomic float64 value that can go up and down.
@@ -84,8 +80,7 @@ func (g *Gauge) Value() float64 {
 type Histogram struct {
 	bounds []float64      // ascending upper bounds (le)
 	counts []atomic.Int64 // len(bounds)+1; last is +Inf
-	count  atomic.Int64
-	sum    atomic.Uint64 // float64 bits, CAS-updated
+	sum    atomic.Uint64  // float64 bits, CAS-updated
 }
 
 // newHistogram builds a histogram over the given ascending bounds.
@@ -108,7 +103,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)

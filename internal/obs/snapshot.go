@@ -40,10 +40,6 @@ type Sample struct {
 // Snapshot returns the current value of every metric in registration
 // order. Nil registries return nil.
 func (r *Registry) Snapshot() []Sample {
-	return r.snapshot(false)
-}
-
-func (r *Registry) snapshot(reset bool) []Sample {
 	if r == nil {
 		return nil
 	}
@@ -59,13 +55,7 @@ func (r *Registry) snapshot(reset bool) []Sample {
 		}
 		switch m.kind {
 		case kindCounter:
-			var v int64
-			if reset {
-				v = m.c.swapReset()
-			} else {
-				v = m.c.Value()
-			}
-			s.Value = float64(v)
+			s.Value = float64(m.c.Value())
 		case kindGauge:
 			s.Value = m.g.Value()
 		case kindCounterFunc:
@@ -77,12 +67,7 @@ func (r *Registry) snapshot(reset bool) []Sample {
 			s.Buckets = make([]Bucket, len(h.counts))
 			var total int64
 			for i := range h.counts {
-				var c int64
-				if reset {
-					c = h.counts[i].Swap(0)
-				} else {
-					c = h.counts[i].Load()
-				}
+				c := h.counts[i].Load()
 				ub := math.Inf(1)
 				if i < len(h.bounds) {
 					ub = h.bounds[i]
@@ -90,16 +75,8 @@ func (r *Registry) snapshot(reset bool) []Sample {
 				s.Buckets[i] = Bucket{UpperBound: ub, Count: c}
 				total += c
 			}
-			// The per-bucket counts are the authoritative total: each
-			// observation lands in exactly one bucket swap, so summing
-			// them loses nothing even when a reset races writers.
 			s.Count = total
-			if reset {
-				h.count.Store(0)
-				s.Sum = math.Float64frombits(h.sum.Swap(0))
-			} else {
-				s.Sum = h.Sum()
-			}
+			s.Sum = h.Sum()
 		}
 		out = append(out, s)
 	}

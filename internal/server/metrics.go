@@ -13,8 +13,7 @@ import (
 // With Options.Metrics set, GET /metrics serves the registry in
 // Prometheus text format and the server registers request counters,
 // admission gauges, latency histograms, the shared pool's per-worker
-// scheduler metrics, config-store / background-tuner state, and the
-// coalescer's counters when coalescing is on. With
+// scheduler metrics and config-store / background-tuner state. With
 // Options.EnablePprof set, the net/http/pprof handlers are mounted
 // under /debug/pprof/ (opt-in: profiling endpoints expose internals and
 // cost CPU while sampling).
@@ -56,8 +55,6 @@ func (s *Server) instrument() {
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.promoted.Load, obs.L("outcome", "promoted"))
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.rejected.Load, obs.L("outcome", "rejected"))
 	reg.CounterFunc("pb_server_tune_jobs_total", "Background tune jobs by outcome.", t.failed.Load, obs.L("outcome", "failed"))
-
-	s.coalescer.Instrument(reg)
 }
 
 // retryAfterSeconds is the hint sent with load-shedding responses: the

@@ -70,9 +70,6 @@ func appendRunResponse(b []byte, r *runResponse) []byte {
 	b = appendString(b, r.ConfigSource)
 	b = append(b, `,"bucket":`...)
 	b = strconv.AppendInt(b, int64(r.Bucket), 10)
-	if r.Coalesced {
-		b = append(b, `,"coalesced":true`...)
-	}
 	return append(b, "}\n"...)
 }
 

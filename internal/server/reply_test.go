@@ -38,7 +38,7 @@ func TestAppendRunResponseMatchesMarshal(t *testing.T) {
 			Program: strs[i%len(strs)], N: rng.Intn(1 << 21), Workers: 1 + rng.Intn(64),
 			Seconds: floats[(i*7)%len(floats)], Checksum: f,
 			Detail: strs[(i+3)%len(strs)], Config: strs[(i+5)%len(strs)], ConfigSource: strs[(i+1)%len(strs)],
-			Bucket: rng.Intn(40) - 1, Coalesced: i%3 == 0,
+			Bucket: rng.Intn(40) - 1,
 		}
 		want, err := json.Marshal(r)
 		if err != nil {

@@ -5,8 +5,8 @@
 // config store, caps concurrent work against one shared work-stealing
 // pool through an admission layer, and tunes (program, size bucket)
 // keys on request, promoting a configuration only when it re-measures
-// faster than the incumbent. With a positive Options.CoalesceWindow,
-// concurrent identical small runs collapse into one execution.
+// faster than the incumbent. Every /v1/run request executes on its
+// own handler goroutine.
 //
 // API:
 //
@@ -69,10 +69,7 @@ type Options struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (opt-in).
 	EnablePprof bool
 
-	// CoalesceWindow is the micro-batch window a coalescing leader
-	// lingers so identical requests arriving just behind it pile onto
-	// one execution. A positive window enables coalescing; 0 (default)
-	// and negative windows disable it, so every request executes.
+	// Deprecated: ignored; coalescing was removed. Delete it with the next benchmark/ commit.
 	CoalesceWindow time.Duration
 }
 
@@ -82,9 +79,6 @@ const (
 	promoteMargin = 0.02
 	// tuneSeed is the base seed for tuning measurements.
 	tuneSeed = 1
-	// coalesceMaxN caps the input size eligible for coalescing — large
-	// runs are long enough that collapsing them saves little.
-	coalesceMaxN = 1 << 16
 )
 
 func (o Options) withDefaults() (Options, error) {
@@ -121,8 +115,6 @@ type Server struct {
 	reg   *Registry
 	tuner *tuner
 	mux   *http.ServeMux
-
-	coalescer *Coalescer // nil: coalescing disabled
 
 	// resolved keeps the configuration each (program, size bucket,
 	// workers) key was last served, for as long as the store's epoch
@@ -161,12 +153,6 @@ func New(opts Options) (*Server, error) {
 		start: time.Now(),
 
 		resolved: map[configstore.Key]*resolution{},
-	}
-	// Coalescing is opt-in: collapsing identical concurrent requests
-	// changes observable semantics (a queued duplicate becomes a
-	// follower of the in-flight execution).
-	if opts.CoalesceWindow > 0 {
-		s.coalescer = NewCoalescer(opts.CoalesceWindow)
 	}
 	s.tuner = newTuner(s)
 	s.mux = http.NewServeMux()
@@ -270,9 +256,6 @@ type runResponse struct {
 	// with the request's own bucket shows how far the nearest-bucket
 	// lookup stretched.
 	Bucket int `json:"bucket"`
-	// Coalesced marks a response that shared another request's
-	// execution rather than running itself.
-	Coalesced bool `json:"coalesced,omitempty"`
 }
 
 // validateRun applies the /v1/run request checks, normalizing defaults
@@ -340,10 +323,9 @@ func (s *Server) resolveConfig(b *bench.Benchmark, req runRequest) (*resolution,
 	return rs, ""
 }
 
-// execute runs one benchmark request under the admission layer and
-// maintains the request counters. Both execution paths — a plain
-// /v1/run and a coalescing leader — funnel through here. A result
-// whose seconds or checksum JSON cannot carry is a failed execution.
+// execute runs one /v1/run request under the admission layer and
+// maintains the request counters. A result whose seconds or checksum
+// JSON cannot carry is a failed execution.
 func (s *Server) execute(ctx context.Context, b *bench.Benchmark, cfg *choice.Config, req runRequest, acc int) (bench.Result, error) {
 	if s.closed.Load() {
 		return bench.Result{}, errShutdown
@@ -403,17 +385,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusConflict, errMsg)
 		return
 	}
-	if s.coalescer != nil && req.N <= coalesceMaxN {
-		s.runCoalesced(w, b, req, acc, rs)
-		return
-	}
 	res, err := s.execute(r.Context(), b, rs.cfg, req, acc)
-	s.writeRunOutcome(w, s.runReply(req, rs, res), err)
-}
-
-// runReply is the /v1/run reply for res.
-func (s *Server) runReply(req runRequest, rs *resolution, res bench.Result) runResponse {
-	return runResponse{
+	s.writeRunOutcome(w, runResponse{
 		Program:      req.Program,
 		N:            req.N,
 		Workers:      s.pool.NumWorkers(),
@@ -423,31 +396,7 @@ func (s *Server) runReply(req runRequest, rs *resolution, res bench.Result) runR
 		Config:       rs.keyStr,
 		ConfigSource: rs.source,
 		Bucket:       rs.bucket,
-	}
-}
-
-// runCoalesced serves a small deterministic run through the coalescer:
-// concurrent identical requests collapse into one execution whose
-// result everyone shares. The key includes the resolved config so a
-// promotion mid-flight starts a fresh execution instead of mixing
-// configurations. Coalesced executions detach from the leader's request
-// context (their result serves other clients too); the admission
-// QueueTimeout still bounds the wait.
-func (s *Server) runCoalesced(w http.ResponseWriter, b *bench.Benchmark, req runRequest, acc int, rs *resolution) {
-	ckey := fmt.Sprintf("%s/%d/%d/%d/%s", req.Program, req.N, req.Seed, acc, rs.keyStr)
-	v, err, follower := s.coalescer.Do(ckey, func() (any, error) {
-		res, err := s.execute(context.Background(), b, rs.cfg, req, acc)
-		if err != nil {
-			return runResponse{}, err
-		}
-		return s.runReply(req, rs, res), nil
-	})
-	resp, ok := v.(runResponse)
-	if err == nil && !ok {
-		err = errors.New("internal: bad coalesced value")
-	}
-	resp.Coalesced = follower
-	s.writeRunOutcome(w, resp, err)
+	}, err)
 }
 
 // writeRunOutcome renders one /v1/run outcome, mapping admission
@@ -672,12 +621,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"steals":   s.pool.Steals(),
 			"executed": s.pool.Executed(),
 		},
-		"store": s.store.Stats(),
-		"tuner": s.tuner.statsSnapshot(),
-		"coalesce": map[string]any{
-			"leaders":   s.coalescer.Leaders(),
-			"followers": s.coalescer.Followers(),
-		},
+		"store":   s.store.Stats(),
+		"tuner":   s.tuner.statsSnapshot(),
 		"engines": interp.EngineStatsSnapshot(),
 	})
 }

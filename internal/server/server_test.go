@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -564,124 +566,100 @@ func TestConfigsLookup(t *testing.T) {
 	}
 }
 
-// TestRunCoalescing drives coalescing through /v1/run. A registry entry
-// parks every execution on a gate, so two identical requests overlap
-// for certain: with a positive window the second joins the first's
-// execution; with a window of 0 or -1 both execute.
-func TestRunCoalescing(t *testing.T) {
-	for _, tc := range []struct {
-		window time.Duration
-		execs  int
-	}{{time.Millisecond, 1}, {0, 2}, {-1, 2}} {
-		t.Run(tc.window.String(), func(t *testing.T) {
-			started := make(chan struct{}, 2)
-			gate := make(chan struct{})
-			metrics := obs.NewRegistry()
-			srv, ts := newTestServer(t, "", func(o *Options) {
-				o.CoalesceWindow = tc.window
-				o.Metrics = metrics
-				if err := o.Registry.Add(&bench.Benchmark{
-					Name: "gated",
-					Run: func(_ *runtime.Pool, _ *choice.Config, n int, seed int64, _ bench.RunOpts) (bench.Result, error) {
-						started <- struct{}{}
-						<-gate
-						return bench.Result{Checksum: float64(n) * float64(seed)}, nil
-					},
-					Baseline: choice.NewConfig,
-				}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			// Open the gate on every exit, or a failed check leaves a
-			// handler parked and the server's cleanup waiting on it.
-			release := sync.OnceFunc(func() { close(gate) })
-			t.Cleanup(release)
+// TestIdenticalRunsEachExecute: /v1/run has one execution path, so
+// two identical requests that overlap both run, even with the ignored
+// Options.CoalesceWindow set. A registry entry parks every execution
+// on a gate, so the two requests are in flight at the same time for
+// certain. Each reply, /v1/stats and /metrics carry exactly the keys
+// and series of that one path.
+func TestIdenticalRunsEachExecute(t *testing.T) {
+	started := make(chan struct{}, 2)
+	gate := make(chan struct{})
+	metrics := obs.NewRegistry()
+	_, ts := newTestServer(t, "", func(o *Options) {
+		o.CoalesceWindow = 10 * time.Millisecond
+		o.Metrics = metrics
+		if err := o.Registry.Add(&bench.Benchmark{
+			Name: "gated",
+			Run: func(_ *runtime.Pool, _ *choice.Config, n int, seed int64, _ bench.RunOpts) (bench.Result, error) {
+				started <- struct{}{}
+				<-gate
+				return bench.Result{Checksum: float64(n) * float64(seed)}, nil
+			},
+			Baseline: choice.NewConfig,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Open the gate on every exit, or a failed check leaves a handler
+	// parked and the server's cleanup waiting on it.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
 
-			type reply struct {
-				status int
-				body   map[string]any
-				err    error
-			}
-			replies := make(chan reply, 2)
-			post := func() { // on its own goroutine: reports, never fails the test
-				var r reply
-				resp, err := http.Post(ts.URL+"/v1/run", "application/json",
-					strings.NewReader(`{"program":"gated","n":64,"seed":5}`))
-				if err == nil {
-					r.status = resp.StatusCode
-					err = json.NewDecoder(resp.Body).Decode(&r.body)
-					resp.Body.Close()
-				}
-				r.err = err
-				replies <- r
-			}
-			waitStarted := func() {
-				t.Helper()
-				select {
-				case <-started:
-				case <-time.After(10 * time.Second):
-					t.Fatal("execution never started")
-				}
-			}
-			go post()
-			waitStarted()
-			go post()
-			if tc.execs == 2 {
-				waitStarted() // the second request runs beside the first
-			} else {
-				// The second request joins the parked execution.
-				deadline := time.Now().Add(10 * time.Second)
-				for srv.coalescer.Followers() < 1 {
-					if time.Now().After(deadline) {
-						t.Fatal("second request never joined the execution")
-					}
-					time.Sleep(100 * time.Microsecond)
-				}
-			}
-			release()
+	counts := func() (admitted, completed float64) {
+		t.Helper()
+		_, stats := getJSON(t, ts.URL+"/v1/stats")
+		req := stats["requests"].(map[string]any)
+		return req["admitted"].(float64), req["completed"].(float64)
+	}
+	admitted0, completed0 := counts()
 
-			coalesced := 0
-			var sums []float64
-			for i := 0; i < 2; i++ {
-				r := <-replies
-				if r.err != nil || r.status != http.StatusOK {
-					t.Fatalf("run failed (%d, %v): %v", r.status, r.err, r.body)
-				}
-				sums = append(sums, r.body["checksum"].(float64))
-				if r.body["coalesced"] == true {
-					coalesced++
-				}
-			}
-			if sums[0] != sums[1] || sums[0] != 64*5 {
-				t.Fatalf("checksums %v, want both %d", sums, 64*5)
-			}
-			if len(started) != 0 {
-				t.Fatalf("%d extra executions", len(started))
-			}
-			if got := srv.requests.Load(); got != int64(tc.execs) {
-				t.Fatalf("admitted %d executions, want %d", got, tc.execs)
-			}
-			if want := 2 - tc.execs; coalesced != want {
-				t.Fatalf("%d replies marked coalesced, want %d", coalesced, want)
-			}
+	type reply struct {
+		status int
+		body   map[string]any
+		err    error
+	}
+	replies := make(chan reply, 2)
+	post := func() { // on its own goroutine: reports, never fails the test
+		var r reply
+		r.status, r.body, r.err = tryPostJSON(ts.URL+"/v1/run", map[string]any{"program": "gated", "n": 64, "seed": 5})
+		replies <- r
+	}
+	for i := 0; i < 2; i++ {
+		go post()
+		select {
+		case <-started: // the second request runs beside the parked first
+		case <-time.After(10 * time.Second):
+			t.Fatalf("execution %d never started", i+1)
+		}
+	}
+	release()
 
-			_, stats := getJSON(t, ts.URL+"/v1/stats")
-			co := stats["coalesce"].(map[string]any)
-			wantLeaders, wantFollowers := float64(0), float64(0)
-			if tc.execs == 1 {
-				wantLeaders, wantFollowers = 1, 1
-			}
-			if co["leaders"] != wantLeaders || co["followers"] != wantFollowers {
-				t.Fatalf("coalesce stats = %v, want leaders=%v followers=%v", co, wantLeaders, wantFollowers)
-			}
-			var buf strings.Builder
-			if err := metrics.WritePrometheus(&buf); err != nil {
-				t.Fatal(err)
-			}
-			follower := `pb_server_coalesce_total{role="follower"} 1`
-			if got := strings.Contains(buf.String(), follower); got != (tc.execs == 1) {
-				t.Fatalf("/metrics has %q: %v, want %v", follower, got, tc.execs == 1)
-			}
-		})
+	wantKeys := []string{"bucket", "checksum", "config", "config_source", "n", "program", "seconds", "workers"}
+	for i := 0; i < 2; i++ {
+		r := <-replies
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("run failed (%d, %v): %v", r.status, r.err, r.body)
+		}
+		if got := r.body["checksum"]; got != float64(64*5) {
+			t.Fatalf("checksum %v, want %d", got, 64*5)
+		}
+		if got := slices.Sorted(maps.Keys(r.body)); !slices.Equal(got, wantKeys) {
+			t.Fatalf("reply keys %v, want %v", got, wantKeys)
+		}
+	}
+	if admitted, completed := counts(); admitted-admitted0 != 2 || completed-completed0 != 2 {
+		t.Fatalf("admitted +%v, completed +%v; want +2 each", admitted-admitted0, completed-completed0)
+	}
+
+	_, stats := getJSON(t, ts.URL+"/v1/stats")
+	wantSections := []string{"engines", "pool", "requests", "store", "tuner", "uptime_seconds"}
+	if got := slices.Sorted(maps.Keys(stats)); !slices.Equal(got, wantSections) {
+		t.Fatalf("/v1/stats sections %v, want %v", got, wantSections)
+	}
+	var buf strings.Builder
+	if err := metrics.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var families []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE pb_server_"); ok {
+			families = append(families, strings.Fields(name)[0])
+		}
+	}
+	sort.Strings(families)
+	wantFamilies := []string{"inflight", "queue_waiting", "request_seconds", "requests_total", "tune_jobs_total"}
+	if !slices.Equal(families, wantFamilies) {
+		t.Fatalf("pb_server_* families %v, want %v", families, wantFamilies)
 	}
 }

@@ -3,7 +3,9 @@
 #
 # Builds pbserve, starts it on loopback with a fresh store file, and
 # asserts:
-#   1. 24 /v1/run requests over eight size buckets all succeed,
+#   1. 24 /v1/run requests over eight size buckets all succeed, and
+#      /v1/stats counts each as admitted and completed once, with none
+#      failed or shed,
 #   2. a /v1/tune with wait:true succeeds,
 #   3. the /v1/configs lookup finds the tuned entry,
 #   4. SIGTERM makes the process exit 0 and log "stopped cleanly",
@@ -48,6 +50,15 @@ if [ "$failed" -gt 0 ]; then
   echo "FAIL: $failed of 24 requests failed" >&2; exit 1
 fi
 echo "24 of 24 runs succeeded"
+
+counts=$(curl -sf "$A/v1/stats" \
+  | python3 -c "import json,sys;r=json.load(sys.stdin)['requests'];print(r['admitted'],r['completed'],r['failed'],r['shed'])") || {
+  echo "FAIL: /v1/stats failed" >&2; exit 1
+}
+if [ "$counts" != "24 24 0 0" ]; then
+  echo "FAIL: /v1/stats admitted, completed, failed, shed = $counts, want 24 24 0 0" >&2; exit 1
+fi
+echo "each run executed once (admitted, completed, failed, shed = $counts)"
 
 echo "== tuning =="
 tune=$(curl -sf "$A/v1/tune" -d "{\"program\":\"sort\",\"n\":$TUNE_N,\"max\":$TUNE_N,\"wait\":true}") || {
